@@ -130,8 +130,10 @@ def observing_blocks(observer) -> Iterator[None]:
 
 
 def record_scan_keys(keys) -> None:
-    """One scanned block's surviving join keys (called from the JEN
-    worker loop, right next to :func:`record_scan_block`)."""
+    """One scanned block's surviving join keys — that block's slice of
+    the worker batch, never the whole batch: the detector prunes its
+    candidates per call (called from the JEN worker's per-block replay,
+    right next to :func:`record_scan_block`)."""
     if _SKEW_DETECTOR is None:
         return
     _SKEW_DETECTOR.observe(keys)
@@ -160,10 +162,12 @@ def scan_begin(total_blocks: int) -> None:
 def record_scan_block(rows_scanned: int, stored_bytes: float,
                       rows_after_predicates: int, rows_after_bloom: int,
                       bloom_applied: bool) -> None:
-    """One scanned block's counts (called from the JEN worker loop).
+    """One scanned block's counts (called once per block, in block
+    order, when the JEN worker replays its finished batch).
 
     May raise :class:`SwitchSignal` when a fractional-progress decision
-    checkpoint is crossed and the re-optimizer votes to switch.
+    checkpoint is crossed and the re-optimizer votes to switch; the
+    rest of the batch is then abandoned with the scan.
     """
     if _BLOCK_OBSERVER is not None:
         _BLOCK_OBSERVER(rows_scanned, stored_bytes,

@@ -35,9 +35,11 @@ _MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(values: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorised splitmix64 finaliser, seeded."""
-    x = values.astype(np.uint64, copy=True)
+def _splitmix64(x: np.ndarray, seed: int) -> np.ndarray:
+    """Vectorised splitmix64 finaliser, seeded; mixes ``x`` in place.
+
+    ``x`` must be a ``uint64`` array the caller owns.
+    """
     with np.errstate(over="ignore"):
         x += np.uint64(seed) * _GOLDEN
         x ^= x >> np.uint64(30)
@@ -79,13 +81,14 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """(k, n) array of bit positions via double hashing."""
-        keys = np.asarray(keys).astype(np.uint64)
-        h1 = _splitmix64(keys, self.seed)
-        h2 = _splitmix64(keys, self.seed + 0x5BD1)
+        # One conversion; both mixers then run in place on owned copies.
+        h1 = np.asarray(keys).astype(np.uint64)
+        h2 = _splitmix64(h1.copy(), self.seed + 0x5BD1)
+        h1 = _splitmix64(h1, self.seed)
         # Force h2 odd so strides cover the table.
         h2 |= np.uint64(1)
         m = np.uint64(self.num_bits)
-        positions = np.empty((self.num_hashes, len(keys)), dtype=np.uint64)
+        positions = np.empty((self.num_hashes, len(h1)), dtype=np.uint64)
         with np.errstate(over="ignore"):
             for i in range(self.num_hashes):
                 positions[i] = (h1 + np.uint64(i) * h2) % m
@@ -240,14 +243,19 @@ class BloomFilter:
 
 def probe_and_insert(keys: np.ndarray, probe: BloomFilter,
                      insert: BloomFilter) -> np.ndarray:
-    """Fused probe of one filter + insert of survivors into another.
+    """Probe one filter, then insert the survivors into another.
 
     This is the zigzag join's two-way filter step inside the JEN scan
     (paper Section 4.4): test each key against the pushed-down BF_DB
-    and add exactly the keys that pass to the local BF_H, in one pass
-    over the key column — no intermediate table gather between the two
-    filter operations.  Returns the keep mask; ``insert`` ends up
-    bit-identical to ``insert.add(keys[mask])``.
+    (``probe.contains``) and add exactly the keys that pass to the
+    local BF_H (``insert.add(keys[mask])``).  Two steps, not one fused
+    pass: the survivors are hashed a second time, and that cannot be
+    shared — the two filters never agree on positions in any
+    registered algorithm (BF_DB is built with seed 7 in
+    ``edw/worker.build_local_bloom`` / ``database.build_global_bloom``,
+    BF_H with ``bloom_seed=11`` in ``jen/engine.py``), and only the
+    ~S_L' fraction of keys that pass BF_DB is hashed twice.  Returns
+    the keep mask.
     """
     keys = np.asarray(keys)
     if keys.size == 0:

@@ -57,7 +57,9 @@ class ScanFaultHook:
 
     Raises :class:`CrashSignal` when the scan reaches the injected
     crash block, carrying the partial stats (the work about to be
-    lost).
+    lost): rows, bytes and block counts of the blocks read so far.
+    The worker's batch of read blocks has not been through the Bloom
+    step yet, so no BF_H insert or observer call exists to undo.
     """
 
     def __init__(self, crash_at: Optional[int]):

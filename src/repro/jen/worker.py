@@ -121,17 +121,28 @@ class JenWorker:
         zigzag join's BF_H build happens inside the scan, not as an
         extra pass (Section 4.4).
 
+        The block list is the unit of the data plane.  Per block only
+        the read, the locality and row/byte counts and the predicate —
+        kept as a selection vector — happen; gather, Bloom step, derive
+        and projection then run once over the whole batch, so their
+        numpy calls see a worker's surviving rows, not one block's.
+        The per-block observers of :mod:`repro.adaptive.hooks` are fed
+        afterwards from the batch's block offsets, in block order.
+
         ``faults`` is an optional hook with a ``before_block(worker_id,
         index, stats)`` method, consulted before every block read; the
         fault injector uses it to kill the worker mid-scan (by raising
-        out of the loop with the partial stats attached).
+        out of the loop with the partial stats attached — rows, bytes
+        and block counts complete up to that block; the unprocessed
+        batch dies with the worker).
         """
         storage_format = meta.storage_format()
         scan_row_bytes = storage_format.scan_bytes_per_row(
             meta.schema, list(request.projection)
         )
         stats = ScanStats()
-        pieces: List[Table] = []
+        tables: List[Table] = []
+        selections: List[np.ndarray] = []
         for index, block in enumerate(blocks):
             if faults is not None:
                 faults.before_block(self.worker_id, index, stats)
@@ -148,40 +159,47 @@ class JenWorker:
                 stats.remote_blocks += 1
             stats.rows_scanned += rows.num_rows
             stats.stored_bytes_scanned += rows.num_rows * scan_row_bytes
+            selection = np.flatnonzero(request.predicate.evaluate(rows))
+            stats.rows_after_predicates += selection.size
+            tables.append(rows)
+            selections.append(selection)
 
-            wire, after_predicates, after_bloom = self.process_rows(
-                rows, request, db_bloom=db_bloom, local_bloom=local_bloom
-            )
-            stats.rows_after_predicates += after_predicates
-            stats.rows_after_bloom += after_bloom
-            pieces.append(wire)
-            if adaptive_hooks.skew_detection_active() \
-                    and request.join_key is not None \
-                    and request.join_key in wire.schema.names:
-                # Feed the heavy-hitter detector from the same per-block
-                # seam the adaptive plane uses — no second pass over L.
-                adaptive_hooks.record_scan_keys(
-                    wire.column(request.join_key)
-                )
-            # One fully processed block: the adaptive plane's finest
-            # observation grain (may raise SwitchSignal at a crossed
-            # decision checkpoint).
-            adaptive_hooks.record_scan_block(
-                rows.num_rows, rows.num_rows * scan_row_bytes,
-                after_predicates, after_bloom,
-                db_bloom is not None and request.join_key is not None,
-            )
-
-        if pieces:
-            wire = Table.concat(pieces)
-        else:
+        if not tables:
             # No blocks assigned: produce an empty wire table by running
             # the pipeline over an empty slice of the table schema.
             sample = self.filesystem.table_blocks(meta.name)[0]
             empty = self.filesystem.read_block(sample).slice(0, 0)
-            empty = empty.project(list(request.projection))
-            empty = request.apply_derivations(empty)
-            wire = empty.project(list(request.wire_columns))
+            wire, _kept = self._process_batch(
+                [empty], [np.empty(0, dtype=np.intp)], request
+            )
+            return wire, stats
+
+        wire, kept = self._process_batch(
+            tables, selections, request, db_bloom, local_bloom
+        )
+        stats.rows_after_bloom = wire.num_rows
+
+        keys = None
+        if adaptive_hooks.skew_detection_active() \
+                and request.join_key is not None \
+                and request.join_key in wire.schema.names:
+            # Feed the heavy-hitter detector from the same per-block
+            # seam the adaptive plane uses — no second pass over L, and
+            # one block per call: the detector prunes per observation.
+            keys = wire.column(request.join_key)
+        bloom_applied = db_bloom is not None and request.join_key is not None
+        start = 0
+        for rows, selection, count in zip(tables, selections, kept):
+            if keys is not None:
+                adaptive_hooks.record_scan_keys(keys[start:start + count])
+            start += count
+            # One fully processed block: the adaptive plane's finest
+            # observation grain (may raise SwitchSignal at a crossed
+            # decision checkpoint, abandoning the rest of the batch).
+            adaptive_hooks.record_scan_block(
+                rows.num_rows, rows.num_rows * scan_row_bytes,
+                selection.size, count, bloom_applied,
+            )
         return wire, stats
 
     @staticmethod
@@ -191,31 +209,67 @@ class JenWorker:
         db_bloom: Optional[BloomFilter] = None,
         local_bloom: Optional[BloomFilter] = None,
     ) -> Tuple[Table, int, int]:
-        """The per-batch process pipeline: one batch of parsed rows in,
-        one wire-ready table out.
+        """The process pipeline over one table: parsed rows in, one
+        wire-ready table out.
 
-        Applied identically to a worker's whole block (sequential scan
-        above) and to a single morsel of it (the process-pool backend's
-        :mod:`repro.parallel.tasks`), so the two backends cannot drift.
+        A batch of one: the sequential scan above runs
+        :meth:`_process_batch` over a worker's block list, the
+        process-pool backend's :mod:`repro.parallel.tasks` and the
+        sampled scan run it here over a single morsel or block, so the
+        backends cannot drift.
         Returns ``(wire, rows_after_predicates, rows_after_bloom)``.
         """
-        mask = request.predicate.evaluate(rows)
-        filtered = rows.filter(mask).project(list(request.projection))
-        after_predicates = filtered.num_rows
-        filtered = request.apply_derivations(filtered)
+        selection = np.flatnonzero(request.predicate.evaluate(rows))
+        wire, _kept = JenWorker._process_batch(
+            [rows], [selection], request, db_bloom, local_bloom
+        )
+        return wire, selection.size, wire.num_rows
+
+    @staticmethod
+    def _process_batch(
+        tables: Sequence[Table],
+        selections: Sequence[np.ndarray],
+        request: ScanRequest,
+        db_bloom: Optional[BloomFilter] = None,
+        local_bloom: Optional[BloomFilter] = None,
+    ) -> Tuple[Table, List[int]]:
+        """Everything after the predicate, once per batch.
+
+        ``selections[i]`` holds the row indices of ``tables[i]`` that
+        passed the predicates.  Only the projected columns are gathered
+        at them; one Bloom step runs over the batch's join keys; the
+        survivors are gathered once, derived on, and projected to the
+        wire columns.  Returns ``(wire, kept)``: ``kept[i]`` consecutive
+        wire rows came from ``tables[i]``.
+        """
+        batch = Table.gather_concat(tables, selections, request.projection)
+        kept = [selection.size for selection in selections]
+        # Deriving after the Bloom step touches only its survivors; the
+        # order flips only when the filter is keyed on a derived column.
+        derive_first = any(
+            derived.name == request.join_key for derived in request.derived
+        )
+        if derive_first:
+            batch = request.apply_derivations(batch)
         if db_bloom is not None and request.join_key is not None:
-            keys = filtered.column(request.join_key)
+            keys = batch.column(request.join_key)
             if local_bloom is not None:
-                # Zigzag two-way step, fused: probe BF_DB and feed
-                # the survivors into BF_H in one pass over the keys.
+                # Zigzag two-way step: probe BF_DB, then feed the
+                # survivors' keys into BF_H.
                 keep = probe_and_insert(keys, db_bloom, local_bloom)
             else:
                 keep = db_bloom.contains(keys)
-            filtered = filtered.filter(keep)
+            batch = batch.filter(keep)
+            # Survivors per table: the running survivor count read at
+            # the table offsets (unlike np.add.reduceat, right for an
+            # empty selection too).
+            running = np.concatenate(([0], np.cumsum(keep)))
+            kept = np.diff(running[np.cumsum([0] + kept)]).tolist()
         elif local_bloom is not None and request.join_key is not None:
-            local_bloom.add(filtered.column(request.join_key))
-        wire = filtered.project(list(request.wire_columns))
-        return wire, after_predicates, filtered.num_rows
+            local_bloom.add(batch.column(request.join_key))
+        if not derive_first:
+            batch = request.apply_derivations(batch)
+        return batch.project(list(request.wire_columns)), kept
 
     @staticmethod
     def partition_for_shuffle(table: Table, key: str,

@@ -36,15 +36,17 @@ class CompareOp(enum.Enum):
 
     def apply(self, values: np.ndarray, literal) -> np.ndarray:
         """Evaluate ``values <op> literal`` element-wise."""
-        operations = {
-            CompareOp.EQ: np.equal,
-            CompareOp.NE: np.not_equal,
-            CompareOp.LT: np.less,
-            CompareOp.LE: np.less_equal,
-            CompareOp.GT: np.greater,
-            CompareOp.GE: np.greater_equal,
-        }
-        return operations[self](values, literal)
+        return _COMPARE_UFUNCS[self](values, literal)
+
+
+_COMPARE_UFUNCS = {
+    CompareOp.EQ: np.equal,
+    CompareOp.NE: np.not_equal,
+    CompareOp.LT: np.less,
+    CompareOp.LE: np.less_equal,
+    CompareOp.GT: np.greater,
+    CompareOp.GE: np.greater_equal,
+}
 
 
 class Predicate:

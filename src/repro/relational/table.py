@@ -157,6 +157,35 @@ class Table:
             dictionaries[column.name] = first
         return cls(schema, columns, dictionaries)
 
+    @classmethod
+    def gather_concat(cls, tables: Sequence["Table"],
+                      selections: Sequence[np.ndarray],
+                      names: Sequence[str]) -> "Table":
+        """Rows ``selections[i]`` of ``tables[i]``, projected to
+        ``names``, as one table in input order.
+
+        Equal to ``concat([t.take(s).project(names) ...])`` without
+        gathering the dropped columns or building a table per part.
+        As in :meth:`concat`, the parts must share their dictionaries.
+        """
+        if not tables:
+            raise TableError("cannot gather from zero tables")
+        head = tables[0].project(names)
+        for name, dictionary in head._dictionaries.items():
+            for table in tables:
+                if table._dictionaries[name] is not dictionary:
+                    raise TableError(
+                        f"cannot gather {name!r}: differing dictionaries"
+                    )
+        columns = {
+            name: np.concatenate([
+                table._columns[name].take(selection)
+                for table, selection in zip(tables, selections)
+            ])
+            for name in head.schema.names
+        }
+        return cls._view(head.schema, columns, head._dictionaries)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
