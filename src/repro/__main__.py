@@ -148,8 +148,6 @@ def _cmd_serve(args) -> int:
             print("valid algorithms: auto, "
                   + ", ".join(valid_algorithm_names()), file=sys.stderr)
             return 2
-    from repro import parallel
-
     warehouse, workload = _demo_warehouse()
     service = QueryService(warehouse, config)
     for item in generate_query_stream(workload, spec):
@@ -157,16 +155,8 @@ def _cmd_serve(args) -> int:
                        algorithm=args.algorithm, priority=item.priority)
     print(f"replaying {args.queries} queries "
           f"({args.templates} templates, {args.tenants} tenants, "
-          f"{args.slots} admission slots, "
-          f"{args.backend} execution backend)\n")
-    previous_backend = parallel.set_execution_backend(
-        args.backend, workers=args.pool_workers)
-    try:
-        report = service.drain()
-    finally:
-        parallel.set_execution_backend(previous_backend)
-        if args.backend == "process":
-            parallel.shutdown_backend()
+          f"{args.slots} admission slots)\n")
+    report = service.drain()
     print(report.render())
     return 0
 
@@ -432,11 +422,6 @@ def main(argv=None) -> int:
                                    "adaptive (mid-query re-optimizing) "
                                    "path")
     serve_parser.add_argument("--seed", type=int, default=11)
-    serve_parser.add_argument("--backend", default="sequential",
-                              choices=["sequential", "process"],
-                              help="execution backend for query "
-                                   "execution (process = real "
-                                   "multiprocessing pool)")
     serve_parser.add_argument(
         "--approx-degrade", action="store_true",
         help="shed overload to the approximate tier instead of "
@@ -451,10 +436,6 @@ def main(argv=None) -> int:
         "--approx-max-error", type=float, default=None,
         help="degraded-tier relative-error target (enables "
              "progressive refinement until met)")
-    serve_parser.add_argument("--pool-workers", type=int, default=None,
-                              help="process-pool size for "
-                                   "--backend process (default: host "
-                                   "core count)")
 
     report_parser = subparsers.add_parser(
         "report", help="replay a query stream and summarize the metrics "

@@ -6,7 +6,7 @@ measures the one thing the time plane cannot: how fast the data plane
 itself runs on the host machine, with and without the kernels of
 :mod:`repro.kernels`.
 
-Three tiers:
+Two tiers:
 
 * **micro** — each kernel against its naive reference implementation on
   identical inputs (single-pass partitioning vs. one boolean filter per
@@ -18,11 +18,7 @@ Three tiers:
   30 simulated workers, with the kernel layer globally disabled
   (``set_kernels_enabled(False)`` routes every call site through the
   naive references) and then enabled, on the same warehouse.  The two
-  runs are verified row-identical before being timed;
-* **backend** — the same workload on the sequential backend vs. the
-  real multiprocessing pool of :mod:`repro.parallel` at several pool
-  sizes, oracle-verified before timing.  Speedups here depend on host
-  core count (recorded as ``cpu_count`` in the payload).
+  runs are verified row-identical before being timed.
 
 Results are emitted as JSON (``BENCH_wallclock.json``); ``--check``
 compares *speedup ratios* against a checked-in baseline, so the gate is
@@ -59,10 +55,6 @@ from repro.kernels.reference import (
 E2E_ALGORITHMS = (
     "db", "db(BF)", "broadcast", "repartition", "repartition(BF)", "zigzag",
 )
-
-#: Backend-tier coverage: the algorithms whose hot stages (scan,
-#: shuffle, local join) the process pool parallelises end to end.
-BACKEND_ALGORITHMS = ("repartition", "repartition(BF)", "zigzag")
 
 
 def _time_pair(naive_fn: Callable[[], object],
@@ -304,291 +296,10 @@ def run_end_to_end(repeats: int = 2, scale: float = 1 / 25_000,
 
 
 # ----------------------------------------------------------------------
-# Execution-backend tier
-# ----------------------------------------------------------------------
-def run_backend_tier(repeats: int = 2, scale: float = 1 / 25_000,
-                     algorithms=BACKEND_ALGORITHMS,
-                     pool_sizes: Optional[List[int]] = None
-                     ) -> Dict[str, object]:
-    """Whole-algorithm wall clock, sequential vs. the process pool.
-
-    For each algorithm the sequential backend and the process backend at
-    every pool size are first verified row-identical against the
-    single-node oracle, then timed best-of-N.  A speedup here is real
-    concurrency (the :mod:`repro.parallel` pool), not a simulated
-    number — which also means it only materialises on multi-core hosts;
-    ``cpu_count`` is recorded so a 1-core CI reading is not mistaken
-    for a regression.
-    """
-    import os
-
-    from repro import algorithm_by_name, parallel
-    from repro.testkit import oracle
-    from repro.workload import build_paper_query
-
-    cpu_count = os.cpu_count() or 1
-    if pool_sizes is None:
-        pool_sizes = sorted({1, 4, parallel.default_pool_workers()})
-    warehouse, workload = _build_warehouse(scale)
-    query = build_paper_query(workload)
-    expected = oracle.oracle_execute(
-        workload.t_table, workload.l_table, query
-    )
-    section: Dict[str, object] = {
-        "cpu_count": cpu_count,
-        "pool_sizes": list(pool_sizes),
-        # The machine-independent gate contract: ``--check`` only
-        # enforces process-backend speedups when the *current* host can
-        # express them.  On a 1-core runner the tier still measures and
-        # reports, but the gate records itself as skipped — honest <1x
-        # single-core numbers are a property of the host, not the code.
-        "check_gate": {
-            "applicable": cpu_count >= 2,
-            "skip_reason": (
-                None if cpu_count >= 2 else
-                f"host has {cpu_count} CPU core(s); process-backend "
-                "speedup gates need >= 2"
-            ),
-        },
-        "algorithms": {},
-    }
-    try:
-        for name in algorithms:
-            algorithm = algorithm_by_name(name)
-
-            def run_on(backend: str, workers: Optional[int] = None):
-                previous = parallel.set_execution_backend(
-                    backend, workers=workers)
-                try:
-                    return algorithm.run(warehouse, query)
-                finally:
-                    parallel.set_execution_backend(previous)
-
-            modes: List[Tuple[str, Callable[[], object]]] = [
-                ("sequential", lambda: run_on("sequential"))
-            ]
-            for size in pool_sizes:
-                modes.append((
-                    f"process@{size}",
-                    lambda size=size: run_on("process", workers=size),
-                ))
-            best: Dict[str, float] = {}
-            for mode, run in modes:
-                # The verification run doubles as the warm-up (for the
-                # process modes it also forks the pool, so pool start-up
-                # never pollutes the timings).
-                diff = oracle.compare_tables(
-                    run().result, expected, label=f"{name} ({mode})"
-                )
-                if diff is not None:
-                    raise AssertionError(diff)
-                best[mode] = float("inf")
-                for _ in range(max(1, repeats)):
-                    start = time.perf_counter()
-                    run()
-                    best[mode] = min(
-                        best[mode], time.perf_counter() - start)
-            sequential = best["sequential"]
-            entry: Dict[str, object] = {
-                "sequential_seconds": round(sequential, 6),
-                "identical": True,
-                "result_rows": expected.num_rows,
-                "process": {},
-            }
-            for size in pool_sizes:
-                seconds = best[f"process@{size}"]
-                entry["process"][str(size)] = {
-                    "seconds": round(seconds, 6),
-                    "speedup": round(sequential / max(seconds, 1e-12), 2),
-                }
-            section["algorithms"][name] = entry
-    finally:
-        parallel.shutdown_backend()
-    section["leaked_segments"] = parallel.leaked_segments()
-    return section
-
-
-# ----------------------------------------------------------------------
-# Dispatch-overhead tier
-# ----------------------------------------------------------------------
-def run_dispatch_tier(repeats: int = 3, workers: int = 2
-                      ) -> Dict[str, object]:
-    """Fixed costs of the process backend, isolated from any query.
-
-    Two figures make a backend-tier reading attributable:
-
-    * ``per_task_overhead_us`` — round-tripping no-op descriptors
-      through the pool: header pack, queue hops, worker-side dispatch,
-      result pickle.  This is what the adaptive morsel sizer amortises.
-    * ``shm_roundtrip_mb_s`` — exporting a table into a pooled segment
-      and materialising it back (one ``memcpy`` each way), the
-      transport cost every morsel input/result pays.
-
-    ``segment_pool`` shows the pool reusing segments across the loop —
-    in steady state ``created`` stays flat while ``reused`` climbs.
-    """
-    import os
-
-    from repro.parallel.pool import ProcessBackend
-    from repro.parallel.shm import AttachedTable
-    from repro.relational.schema import Column, DataType, Schema
-    from repro.relational.table import Table
-
-    backend = ProcessBackend(workers=workers)
-    try:
-        best_overhead = float("inf")
-        for _ in range(max(1, repeats)):
-            backend._dispatch_overhead = None  # re-measure each round
-            best_overhead = min(
-                best_overhead, backend.dispatch_overhead_seconds(tasks=16))
-
-        rows = 1_000_000
-        table = Table(
-            Schema([Column("k", DataType.INT64),
-                    Column("v", DataType.INT64)]),
-            {"k": np.arange(rows, dtype=np.int64),
-             "v": np.arange(rows, dtype=np.int64)},
-        )
-        nbytes = 2 * rows * 8
-        best_roundtrip = float("inf")
-        for _ in range(max(1, repeats) + 1):  # first round warms the pool
-            start = time.perf_counter()
-            handle = backend.export_transient(table)
-            with AttachedTable(handle) as attached:
-                attached.materialize()
-            backend.release(handle)
-            best_roundtrip = min(
-                best_roundtrip, time.perf_counter() - start)
-        return {
-            "cpu_count": os.cpu_count() or 1,
-            "pool_workers": workers,
-            "per_task_overhead_us": round(best_overhead * 1e6, 1),
-            "shm_roundtrip_mb_s": round(
-                2 * nbytes / best_roundtrip / 1e6, 1),
-            "roundtrip_payload_mb": round(nbytes / 1e6, 1),
-            "segment_pool": dict(backend.pool.stats),
-        }
-    finally:
-        backend.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Shared multi-query pool tier
-# ----------------------------------------------------------------------
-def run_shared_pool_tier(repeats: int = 2, scale: float = 1 / 25_000,
-                         streams: int = 2, queries_per_stream: int = 2,
-                         workers: int = 2) -> Dict[str, object]:
-    """Concurrent query streams on one shared pool vs. the same
-    queries run back to back.
-
-    Each stream is a thread with its *own* warehouse (engine state is
-    per-query-stream), all submitting morsels into one
-    :class:`~repro.parallel.sharedpool.SharedProcessPool` under
-    distinct tenants.  The serial baseline runs the identical
-    stream×query matrix one query at a time on the same pool, so the
-    ratio isolates what cross-query work stealing buys.  Every
-    concurrent result is verified row-identical to its stream's serial
-    result before timing.  Like the backend tier, the gate is recorded
-    as skipped on hosts without ≥ 2 cores.
-    """
-    import os
-    import threading
-
-    from repro import algorithm_by_name, parallel
-    from repro.parallel.sharedpool import SharedProcessPool
-    from repro.testkit import oracle
-    from repro.workload import build_paper_query
-
-    cpu_count = os.cpu_count() or 1
-    fixtures = []
-    for _ in range(streams):
-        warehouse, workload = _build_warehouse(scale)
-        fixtures.append((warehouse, build_paper_query(workload)))
-    algorithm = algorithm_by_name("repartition")
-    pool = SharedProcessPool(workers=workers)
-    previous_installed = parallel.install_backend(pool)
-    previous_backend = parallel.set_execution_backend("process")
-    try:
-        def run_stream(index: int, out: List[Optional[object]]):
-            warehouse, query = fixtures[index]
-            with parallel.task_origin(f"tenant{index}", f"s{index}", 0):
-                for _ in range(queries_per_stream):
-                    out[index] = algorithm.run(warehouse, query).result
-
-        # Warm + verify: serial pass, then a concurrent pass checked
-        # row-identical against it per stream.
-        serial_results: List[Optional[object]] = [None] * streams
-        for index in range(streams):
-            run_stream(index, serial_results)
-        concurrent_results: List[Optional[object]] = [None] * streams
-        threads = [
-            threading.Thread(target=run_stream,
-                             args=(index, concurrent_results))
-            for index in range(streams)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for index in range(streams):
-            diff = oracle.compare_tables(
-                concurrent_results[index], serial_results[index],
-                label=f"stream {index} (concurrent vs serial)",
-            )
-            if diff is not None:
-                raise AssertionError(diff)
-
-        best_serial = best_concurrent = float("inf")
-        scratch: List[Optional[object]] = [None] * streams
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            for index in range(streams):
-                run_stream(index, scratch)
-            best_serial = min(best_serial, time.perf_counter() - start)
-            threads = [
-                threading.Thread(target=run_stream, args=(index, scratch))
-                for index in range(streams)
-            ]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            best_concurrent = min(
-                best_concurrent, time.perf_counter() - start)
-    finally:
-        parallel.set_execution_backend(previous_backend)
-        parallel.install_backend(previous_installed)
-        pool.shutdown()
-    return {
-        "cpu_count": cpu_count,
-        "pool_workers": workers,
-        "streams": streams,
-        "queries_per_stream": queries_per_stream,
-        "identical": True,
-        "serial_seconds": round(best_serial, 6),
-        "concurrent_seconds": round(best_concurrent, 6),
-        "throughput_ratio": round(
-            best_serial / max(best_concurrent, 1e-12), 2),
-        "check_gate": {
-            "applicable": cpu_count >= 2,
-            "skip_reason": (
-                None if cpu_count >= 2 else
-                f"host has {cpu_count} CPU core(s); concurrent-stream "
-                "throughput gates need >= 2"
-            ),
-        },
-        "leaked_segments": parallel.leaked_segments(),
-    }
-
-
-# ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
 def run_wallclock(quick: bool = False, repeats: Optional[int] = None,
-                  skip_e2e: bool = False, skip_parallel: bool = False,
-                  pool_sizes: Optional[List[int]] = None
-                  ) -> Dict[str, object]:
+                  skip_e2e: bool = False) -> Dict[str, object]:
     """The full benchmark payload."""
     from repro import default_config
 
@@ -612,73 +323,20 @@ def run_wallclock(quick: bool = False, repeats: Optional[int] = None,
     if not skip_e2e:
         payload["end_to_end"] = run_end_to_end(
             repeats=max(1, repeats - 1), scale=e2e_scale)
-    if not skip_parallel:
-        payload["backend"] = run_backend_tier(
-            repeats=max(1, repeats - 1) if quick else max(2, repeats - 1),
-            scale=e2e_scale, pool_sizes=pool_sizes)
-        payload["dispatch"] = run_dispatch_tier(
-            repeats=2 if quick else 3)
-        payload["shared_pool"] = run_shared_pool_tier(
-            repeats=1 if quick else 2, scale=e2e_scale)
     return payload
-
-
-def run_parallel_payload(quick: bool = False,
-                         pool_sizes: Optional[List[int]] = None
-                         ) -> Dict[str, object]:
-    """The ``BENCH_parallel.json`` payload: backend, dispatch and
-    shared-pool tiers only (no kernel tiers)."""
-    scale = 1 / 100_000 if quick else 1 / 25_000
-    return {
-        "benchmark": "parallel-backend",
-        "note": (
-            "Sequential vs process-pool execution backend, "
-            "oracle-verified row-identical before timing; plus the "
-            "pool's isolated fixed costs (dispatch tier) and "
-            "concurrent-stream throughput on the shared multi-query "
-            "pool.  Interpret speedups against cpu_count: the "
-            "check_gate blocks record whether this host can express "
-            "them; on 1-core hosts --check skips those gates instead "
-            "of failing."
-        ),
-        "backend": run_backend_tier(
-            repeats=1 if quick else 2, scale=scale,
-            pool_sizes=pool_sizes),
-        "dispatch": run_dispatch_tier(repeats=2 if quick else 3),
-        "shared_pool": run_shared_pool_tier(
-            repeats=1 if quick else 2, scale=scale),
-    }
 
 
 def check_regression(current: Dict[str, object],
                      baseline: Dict[str, object],
-                     allowed_factor: float = 2.0,
-                     notes: Optional[List[str]] = None) -> List[str]:
+                     allowed_factor: float = 2.0) -> List[str]:
     """Speedup-ratio regressions of ``current`` vs. ``baseline``.
 
-    Every gate compares *ratios of two measurements taken on the same
-    machine* (kernel vs naive, process vs sequential, concurrent vs
-    serial), so it is machine-independent: a slower CI runner shifts
-    both sides.  Tiers gate as follows:
-
-    * **micro** — kernel speedup must stay within ``allowed_factor`` of
-      the baseline's.
-    * **backend** — the process backend must reach >= 1x sequential at
-      2 pool workers *when the current host has >= 2 cores*; on fewer
-      cores the gate is skipped (recorded in ``notes``), never failed —
-      the tier's own ``check_gate.skip_reason`` says why.
-    * **shared_pool** — concurrent streams on the shared pool must not
-      fall below serial throughput (ratio >= 1.0), same core-count
-      skip rule.
-    * **dispatch** — report-only: its figures are absolute host costs,
-      which a ratio gate cannot normalise.
-
-    Returns human-readable failure lines; skip explanations are
-    appended to ``notes`` when given.
+    A kernel regresses when its measured speedup over its own naive
+    reference falls below ``baseline_speedup / allowed_factor``.  Only
+    the micro tier gates (end-to-end numbers are reported but too noisy
+    for shared CI runners).  Returns human-readable failure lines.
     """
     failures: List[str] = []
-    if notes is None:
-        notes = []
     baseline_micro = baseline.get("micro", {})
     current_micro = current.get("micro", {})
     for name, base_entry in sorted(baseline_micro.items()):
@@ -694,61 +352,25 @@ def check_regression(current: Dict[str, object],
                 f"{floor:.2f}x (baseline {base_speedup:.2f}x / "
                 f"{allowed_factor:g})"
             )
-
-    backend = current.get("backend")
-    if baseline.get("backend") is not None and backend is not None:
-        gate = backend.get("check_gate", {})
-        if not gate.get("applicable", False):
-            notes.append(
-                f"backend: gate skipped — "
-                f"{gate.get('skip_reason', 'not applicable')}")
-        else:
-            for name, entry in sorted(backend["algorithms"].items()):
-                timing = entry["process"].get("2")
-                if timing is None:
-                    continue
-                if float(timing["speedup"]) < 1.0:
-                    failures.append(
-                        f"backend/{name}: process@2 is "
-                        f"{timing['speedup']:.2f}x sequential on a "
-                        f"{backend['cpu_count']}-core host (need >= 1x)"
-                    )
-
-    shared = current.get("shared_pool")
-    if baseline.get("shared_pool") is not None and shared is not None:
-        gate = shared.get("check_gate", {})
-        if not gate.get("applicable", False):
-            notes.append(
-                f"shared_pool: gate skipped — "
-                f"{gate.get('skip_reason', 'not applicable')}")
-        elif float(shared["throughput_ratio"]) < 1.0:
-            failures.append(
-                f"shared_pool: concurrent streams ran at "
-                f"{shared['throughput_ratio']:.2f}x serial throughput "
-                f"on a {shared['cpu_count']}-core host (need >= 1x)"
-            )
     return failures
 
 
 def render(payload: Dict[str, object]) -> str:
     """One-line-per-bench summary for the terminal."""
-    if "micro" in payload:
-        lines = [
-            f"wall-clock benchmarks ({payload['mode']} mode, "
-            f"best of {payload['repeats']}, "
-            f"{payload['workers']['jen']} JEN / "
-            f"{payload['workers']['db']} DB workers)",
-            "",
-            "micro kernels (naive -> kernel):",
-        ]
-        for name, entry in payload["micro"].items():
-            lines.append(
-                f"  {name:<18s} {entry['naive_seconds'] * 1e3:9.2f}ms -> "
-                f"{entry['kernel_seconds'] * 1e3:9.2f}ms   "
-                f"{entry['speedup']:6.2f}x"
-            )
-    else:
-        lines = ["parallel-backend benchmarks:"]
+    lines = [
+        f"wall-clock benchmarks ({payload['mode']} mode, "
+        f"best of {payload['repeats']}, "
+        f"{payload['workers']['jen']} JEN / "
+        f"{payload['workers']['db']} DB workers)",
+        "",
+        "micro kernels (naive -> kernel):",
+    ]
+    for name, entry in payload["micro"].items():
+        lines.append(
+            f"  {name:<18s} {entry['naive_seconds'] * 1e3:9.2f}ms -> "
+            f"{entry['kernel_seconds'] * 1e3:9.2f}ms   "
+            f"{entry['speedup']:6.2f}x"
+        )
     if "end_to_end" in payload:
         lines += ["", "end-to-end algorithms (kernels off -> on):"]
         for name, entry in payload["end_to_end"].items():
@@ -756,54 +378,6 @@ def render(payload: Dict[str, object]) -> str:
                 f"  {name:<18s} {entry['naive_seconds'] * 1e3:9.2f}ms -> "
                 f"{entry['kernel_seconds'] * 1e3:9.2f}ms   "
                 f"{entry['speedup']:6.2f}x"
-            )
-    if "backend" in payload:
-        backend = payload["backend"]
-        lines += [
-            "",
-            f"execution backends (sequential -> process pool, "
-            f"{backend['cpu_count']} host core(s)):",
-        ]
-        for name, entry in backend["algorithms"].items():
-            parts = [f"  {name:<18s} "
-                     f"{entry['sequential_seconds'] * 1e3:9.2f}ms seq"]
-            for size, timing in entry["process"].items():
-                parts.append(
-                    f" | {size}w {timing['seconds'] * 1e3:9.2f}ms "
-                    f"{timing['speedup']:5.2f}x"
-                )
-            lines.append("".join(parts))
-        if backend.get("leaked_segments"):
-            lines.append(
-                f"  WARNING: leaked shm segments: "
-                f"{backend['leaked_segments']}"
-            )
-    if "dispatch" in payload:
-        dispatch = payload["dispatch"]
-        pool = dispatch["segment_pool"]
-        lines += [
-            "",
-            f"dispatch overhead ({dispatch['pool_workers']} pool "
-            f"workers): {dispatch['per_task_overhead_us']:.0f}us/task, "
-            f"shm round trip {dispatch['shm_roundtrip_mb_s']:.0f}MB/s "
-            f"({dispatch['roundtrip_payload_mb']:g}MB payload); "
-            f"segments created={pool['created']} reused={pool['reused']}",
-        ]
-    if "shared_pool" in payload:
-        shared = payload["shared_pool"]
-        lines += [
-            "",
-            f"shared pool ({shared['streams']} streams x "
-            f"{shared['queries_per_stream']} queries, "
-            f"{shared['pool_workers']} workers): serial "
-            f"{shared['serial_seconds'] * 1e3:.0f}ms -> concurrent "
-            f"{shared['concurrent_seconds'] * 1e3:.0f}ms   "
-            f"{shared['throughput_ratio']:.2f}x",
-        ]
-        if shared.get("leaked_segments"):
-            lines.append(
-                f"  WARNING: leaked shm segments: "
-                f"{shared['leaked_segments']}"
             )
     return "\n".join(lines)
 
@@ -817,20 +391,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="best-of repeats (default: 3, quick: 1)")
     parser.add_argument("--skip-e2e", action="store_true",
                         help="micro kernels only")
-    parser.add_argument("--skip-parallel", action="store_true",
-                        help="skip the execution-backend, dispatch and "
-                             "shared-pool tiers")
-    parser.add_argument("--only-parallel", action="store_true",
-                        help="run only the backend/dispatch/shared-pool "
-                             "tiers (the BENCH_parallel.json payload)")
-    parser.add_argument("--pool-workers", type=int, nargs="+",
-                        default=None,
-                        help="process-pool sizes for the backend tier "
-                             "(default: 1, 4 and the host core count)")
-    parser.add_argument("--backend", default=None,
-                        choices=["sequential", "process"],
-                        help="global execution backend while the "
-                             "benchmarks run (default: leave unchanged)")
     parser.add_argument(
         "--check", metavar="BASELINE",
         help="compare speedups against a baseline JSON; exit 1 on a "
@@ -842,27 +402,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_from_args(args) -> int:
     """Execute the harness for parsed ``args``; returns an exit code."""
-    from repro import parallel
-
-    previous_backend = None
-    if getattr(args, "backend", None):
-        previous_backend = parallel.set_execution_backend(args.backend)
-    try:
-        if getattr(args, "only_parallel", False):
-            payload = run_parallel_payload(
-                quick=args.quick,
-                pool_sizes=getattr(args, "pool_workers", None),
-            )
-        else:
-            payload = run_wallclock(
-                quick=args.quick, repeats=args.repeats,
-                skip_e2e=args.skip_e2e,
-                skip_parallel=getattr(args, "skip_parallel", False),
-                pool_sizes=getattr(args, "pool_workers", None),
-            )
-    finally:
-        if previous_backend is not None:
-            parallel.set_execution_backend(previous_backend)
+    payload = run_wallclock(
+        quick=args.quick, repeats=args.repeats, skip_e2e=args.skip_e2e)
     print(render(payload))
     if args.out:
         out = pathlib.Path(args.out)
@@ -871,12 +412,8 @@ def run_from_args(args) -> int:
         print(f"\nwrote {out}")
     if args.check:
         baseline = json.loads(pathlib.Path(args.check).read_text())
-        notes: List[str] = []
         failures = check_regression(
-            payload, baseline, allowed_factor=args.allowed_factor,
-            notes=notes)
-        for line in notes:
-            print(f"  note: {line}")
+            payload, baseline, allowed_factor=args.allowed_factor)
         if failures:
             print("\nperformance regressions:", file=sys.stderr)
             for line in failures:

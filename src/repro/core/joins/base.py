@@ -151,11 +151,6 @@ class JoinAlgorithm:
         injector = getattr(warehouse.jen, "injector", None)
         if injector is not None and injector.armed:
             injector.charge_trace(trace)
-        from repro import parallel
-
-        fallbacks = parallel.drain_fallback_events()
-        if fallbacks:
-            trace.metadata["parallel_fallbacks"] = fallbacks
         trace.metadata["bytes_shipped"] = classify_bytes_shipped(trace)
         timing = replay_trace(trace)
         return JoinResult(

@@ -228,55 +228,19 @@ class ParallelDatabase:
         projection: Sequence[str],
     ) -> Tuple[List[Table], List[WorkerAccessStats]]:
         """Apply local predicates + projection on every worker."""
-        parts = self._filter_project_parallel(
-            table_name, predicate, projection
-        )
-        if parts is not None:
-            stats = [
-                WorkerAccessStats(
-                    rows_scanned=worker.partition(table_name).num_rows,
-                    bytes_scanned=float(
-                        worker.partition(table_name).total_bytes()
-                    ),
-                    rows_out=part.num_rows,
-                )
-                for worker, part in zip(self.workers, parts)
-            ]
-        else:
-            parts = []
-            stats = []
-            for worker in self.workers:
-                part, worker_stats = worker.filter_project(
-                    table_name, predicate, projection
-                )
-                parts.append(part)
-                stats.append(worker_stats)
+        parts = []
+        stats = []
+        for worker in self.workers:
+            part, worker_stats = worker.filter_project(
+                table_name, predicate, projection
+            )
+            parts.append(part)
+            stats.append(worker_stats)
         adaptive_hooks.record_db_filter(
             sum(s.rows_scanned for s in stats),
             sum(s.rows_out for s in stats),
         )
         return parts, stats
-
-    def _filter_project_parallel(
-        self, table_name: str, predicate: Predicate,
-        projection: Sequence[str],
-    ) -> Optional[List[Table]]:
-        """The scan on the process pool, or ``None`` to run sequential."""
-        from repro import parallel
-
-        if not parallel.parallel_enabled():
-            return None
-        self.table_meta(table_name)
-        from repro.parallel.scan import parallel_db_filter
-
-        try:
-            return parallel_db_filter(
-                self.workers, table_name, predicate, projection,
-                parallel.get_backend(parallel.pool_workers()),
-            )
-        except parallel.ParallelUnsupported:
-            parallel.record_fallback("db.filter", "unsupported-payload")
-            return None
 
     def build_global_bloom(
         self,

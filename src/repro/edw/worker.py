@@ -84,25 +84,14 @@ class DbWorker:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    @staticmethod
-    def filter_rows(partition: Table, predicate: Predicate,
-                    projection: Sequence[str]) -> Table:
-        """The scan body: predicate plus projection over one partition.
-
-        Shared by the sequential :meth:`filter_project` and the
-        process-pool backend's task body, so the two backends run the
-        identical pipeline.
-        """
-        mask = predicate.evaluate(partition)
-        return partition.filter(mask).project(list(projection))
-
     def filter_project(
         self, table_name: str, predicate: Predicate,
         projection: Sequence[str],
     ) -> Tuple[Table, WorkerAccessStats]:
         """Local predicates plus projection over the partition."""
         partition = self.partition(table_name)
-        result = self.filter_rows(partition, predicate, projection)
+        mask = predicate.evaluate(partition)
+        result = partition.filter(mask).project(list(projection))
         stats = WorkerAccessStats(
             rows_scanned=partition.num_rows,
             bytes_scanned=float(partition.total_bytes()),

@@ -142,23 +142,3 @@ class AdmissionError(ServiceError):
     def __init__(self, message: str, reason: str = "rejected"):
         super().__init__(message)
         self.reason = reason
-
-
-class ShmError(ReproError):
-    """Shared-memory table export/attach failed (:mod:`repro.parallel`).
-
-    Raised for malformed handles, segments that disappeared before
-    attach, and registry misuse.  Segment lifecycle bugs surface here
-    instead of as interpreter-level ``FileNotFoundError`` noise.
-    """
-
-
-class ParallelExecutionError(ReproError):
-    """The process-pool execution backend failed mid-query.
-
-    Typically a worker process died (OOM-killed, crashed C extension,
-    or a forced kill in tests) while tasks were in flight.  The backend
-    reclaims every shared-memory segment of the failed run before
-    raising, so a caller that catches this and retries on the
-    sequential backend starts from a clean slate.
-    """

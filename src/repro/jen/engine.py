@@ -74,8 +74,8 @@ class LocalJoinStats:
     #: (1.0 both when stealing never armed or never triggered).
     pre_steal_balance: float = 1.0
     post_steal_balance: float = 1.0
-    #: Per-worker build + probe rows after any stealing (the sequential
-    #: path fills this; the bench derives worker-finish spread from it).
+    #: Per-worker build + probe rows after any stealing (the bench
+    #: derives worker-finish spread from it).
     per_slot_loads: Optional[List[int]] = None
     #: Late-materialization stitch accounting
     #: (:class:`repro.latemat.StitchStats`); ``None`` when the join ran
@@ -103,11 +103,6 @@ class Jen:
         ]
         self._scan_depth = 0
         self._injector: Optional[FaultInjector] = None
-        #: Shuffle matrix produced by a fused parallel scan, keyed by
-        #: the identities of the wire tables it partitioned; consumed
-        #: by the next :meth:`shuffle_by_key` over those same tables.
-        self._shuffle_stash: Optional[Tuple[List[int], str,
-                                            List[List[Table]]]] = None
         #: Optional hook ``(worker_slot, build_keys) -> JoinBuildIndex``
         #: consulted by :meth:`join_and_aggregate` for each worker's
         #: build side.  The service plane installs a caching provider
@@ -241,32 +236,7 @@ class Jen:
         meta = self.coordinator.table_meta(table_name)
         self._scan_depth += 1
         try:
-            from repro import parallel
-
             detector = self._skew_detector(request)
-            if injector is not None:
-                # Deterministic fault replay needs the sequential work
-                # queue, so the process backend only handles fault-free
-                # scans.
-                parallel.record_fallback("jen.scan", "fault-plan-armed")
-            elif adaptive_hooks.adaptive_active():
-                # Decision checkpoints observe the scan block by block;
-                # the fused parallel scan has no per-block seam to
-                # interrupt.
-                parallel.record_fallback("jen.scan", "adaptive-active")
-            elif detector is not None:
-                # Heavy-hitter detection rides the per-block scan hooks,
-                # which the fused parallel scan bypasses (and its
-                # pre-partitioned shuffle stash assumes a pure agreed
-                # hash, which a hybrid shuffle would invalidate).
-                parallel.record_fallback("jen.scan", "skew-handling")
-            else:
-                result = self._try_parallel_scan(
-                    meta, request, db_bloom, build_local_blooms,
-                    bloom_seed,
-                )
-                if result is not None:
-                    return result
             with adaptive_hooks.detecting_skew(detector):
                 result = self._run_scan_queue(
                     meta, request, db_bloom, build_local_blooms,
@@ -338,53 +308,6 @@ class Jen:
         if request.join_key is None or self.num_workers <= 1:
             return None
         return skew_plane.HeavyHitterDetector(self.num_workers)
-
-    def _try_parallel_scan(
-        self,
-        meta: HdfsTableMeta,
-        request: ScanRequest,
-        db_bloom: Optional[BloomFilter],
-        build_local_blooms: bool,
-        bloom_seed: int,
-    ) -> Optional[DistributedScanResult]:
-        """The scan on the process-pool backend, or ``None`` to fall
-        back (backend not selected, or the request cannot cross the
-        process boundary)."""
-        from repro import parallel
-
-        if not parallel.parallel_enabled():
-            return None
-        from repro.parallel.scan import parallel_distributed_scan
-
-        backend = parallel.get_backend(parallel.pool_workers())
-        try:
-            outcome = parallel_distributed_scan(
-                filesystem=self.filesystem,
-                workers=self.workers,
-                assignment=self.coordinator.plan_scan(meta.name),
-                meta=meta,
-                request=request,
-                db_bloom=db_bloom,
-                build_local_blooms=build_local_blooms,
-                bloom_bits=self.config.bloom_bits(),
-                bloom_hashes=self.config.bloom.num_hashes,
-                bloom_seed=bloom_seed,
-                backend=backend,
-            )
-        except parallel.ParallelUnsupported:
-            parallel.record_fallback("jen.scan", "unsupported-payload")
-            return None
-        if outcome.outgoing is not None:
-            self._shuffle_stash = (
-                [id(wire) for wire in outcome.wire_tables],
-                outcome.shuffle_key,
-                outcome.outgoing,
-            )
-        return DistributedScanResult(
-            wire_tables=outcome.wire_tables,
-            stats=outcome.stats,
-            local_blooms=outcome.local_blooms,
-        )
 
     def _run_scan_queue(
         self,
@@ -561,33 +484,11 @@ class Jen:
             result = shuffle(outgoing, faults=injector)
             result.hot_tuples = hot_tuples
             return result
-        stashed = self._consume_shuffle_stash(wire_tables, key, injector)
-        if stashed is not None:
-            return shuffle(stashed, faults=None)
         outgoing = [
             JenWorker.partition_for_shuffle(wire, key, self.num_workers)
             for wire in wire_tables
         ]
         return shuffle(outgoing, faults=injector)
-
-    def _consume_shuffle_stash(self, wire_tables: List[Table], key: str,
-                               injector) -> Optional[List[List[Table]]]:
-        """The overlapped-shuffle matrix for exactly these wire tables.
-
-        A fused parallel scan already partitioned every morsel by the
-        agreed hash; if the caller is now shuffling those same tables
-        on that same key, the partitioning work is done.  Any mismatch
-        (pruned tables, different key, armed faults) simply misses and
-        the sequential partitioning below runs.
-        """
-        stash = self._shuffle_stash
-        if stash is None or injector is not None:
-            return None
-        wire_ids, stash_key, outgoing = stash
-        if stash_key != key or wire_ids != [id(w) for w in wire_tables]:
-            return None
-        self._shuffle_stash = None
-        return outgoing
 
     def _shuffle_crashes(self, wire_tables: List[Table],
                          injector: FaultInjector) -> List[Table]:
@@ -642,8 +543,8 @@ class Jen:
 
         ``latemat_plan`` says which sides arrived as thin
         ``(key, rowid)`` tables; the stitch (prune + payload fetch) runs
-        first, so every downstream path — parallel, spilling, stealing,
-        fault recovery — operates on full rows exactly as the classic
+        first, so every downstream path — spilling, stealing, fault
+        recovery — operates on full rows exactly as the classic
         mode and the results are row-identical by construction.
         """
         injector = self._active_injector()
@@ -672,31 +573,6 @@ class Jen:
                 l_parts, t_parts, query.hdfs_join_key, query.db_join_key
             )
             stitch_stats = latemat_plan.stats
-        from repro import parallel
-
-        if injector is not None:
-            parallel.record_fallback("jen.join", "fault-plan-armed")
-        elif self.build_index_provider is not None:
-            # The process backend runs fault-free joins without a
-            # cross-query index provider (the cache lives coordinator-
-            # side and cannot be shared with pool workers).
-            parallel.record_fallback("jen.join", "build-index-provider")
-        elif self._wants_work_stealing():
-            # Work stealing re-deals fragments across slots, which the
-            # per-slot process tasks cannot express.
-            parallel.record_fallback("jen.join", "skew-handling")
-        elif parallel.parallel_enabled():
-            from repro.parallel.join import parallel_join_and_aggregate
-
-            try:
-                result, stats = parallel_join_and_aggregate(
-                    l_parts, t_parts, query, memory_budget_rows,
-                    parallel.get_backend(parallel.pool_workers()),
-                )
-                stats.stitch = stitch_stats
-                return result, stats
-            except parallel.ParallelUnsupported:
-                parallel.record_fallback("jen.join", "unsupported-payload")
         from repro.jen.spill import (
             encoded_fragment_bytes,
             fragment_tables,
@@ -765,12 +641,6 @@ class Jen:
         result = final_aggregate(partials, query)
         stats.result_rows = result.num_rows
         return result, stats
-
-    def _wants_work_stealing(self) -> bool:
-        """True when the skew plane may re-deal join work here."""
-        from repro import skew as skew_plane
-
-        return skew_plane.skew_handling_enabled() and self.num_workers > 1
 
     def _steal_stragglers(
         self,

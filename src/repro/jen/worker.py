@@ -203,29 +203,6 @@ class JenWorker:
         return wire, stats
 
     @staticmethod
-    def process_rows(
-        rows: Table,
-        request: ScanRequest,
-        db_bloom: Optional[BloomFilter] = None,
-        local_bloom: Optional[BloomFilter] = None,
-    ) -> Tuple[Table, int, int]:
-        """The process pipeline over one table: parsed rows in, one
-        wire-ready table out.
-
-        A batch of one: the sequential scan above runs
-        :meth:`_process_batch` over a worker's block list, the
-        process-pool backend's :mod:`repro.parallel.tasks` and the
-        sampled scan run it here over a single morsel or block, so the
-        backends cannot drift.
-        Returns ``(wire, rows_after_predicates, rows_after_bloom)``.
-        """
-        selection = np.flatnonzero(request.predicate.evaluate(rows))
-        wire, _kept = JenWorker._process_batch(
-            [rows], [selection], request, db_bloom, local_bloom
-        )
-        return wire, selection.size, wire.num_rows
-
-    @staticmethod
     def _process_batch(
         tables: Sequence[Table],
         selections: Sequence[np.ndarray],

@@ -28,7 +28,6 @@ exchange/export paths record when late materialization is enabled.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List
 
 import numpy as np
@@ -264,8 +263,3 @@ def decode_table(data: bytes, schema: Schema) -> Table:
 def encoded_table_bytes(table: Table) -> int:
     """Wire bytes of ``table`` under this codec."""
     return len(encode_table(table))
-
-
-#: struct of the fixed per-batch framing a shm stitch message carries:
-#: slot index + encoded-rowid byte length.
-STITCH_HEADER = struct.Struct("<iq")

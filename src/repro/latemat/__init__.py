@@ -17,12 +17,11 @@ discipline on top of the existing engines:
    rows pay for payload.
 3. **Stitch** — surviving row ids are batched back to the payload
    store and the full rows are fetched (``Table.take`` — a real
-   rowid-indexed gather, run on the process pool's shared-memory
-   segments when the parallel backend is selected).  The stitched full
-   tables then flow through the unchanged local-join machinery, so
-   results are row-identical to the classic path by construction:
-   pruned rows could never have produced join output, and the final
-   aggregates are order-insensitive.
+   rowid-indexed gather).  The stitched full tables then flow through
+   the unchanged local-join machinery, so results are row-identical to
+   the classic path by construction: pruned rows could never have
+   produced join output, and the final aggregates are
+   order-insensitive.
 
 On the time plane the stitch is priced honestly as ``payload_fetch``
 phases over the same NICs the shuffle/export used, inflated by the
@@ -226,8 +225,6 @@ class StitchStats:
     #: Tuple-weighted fetch amplification actually measured, per side.
     l_amplification: float = 1.0
     t_amplification: float = 1.0
-    #: Whether the fetch gathers ran on the process pool.
-    parallel_fetch: bool = False
     #: Real encoded bytes the stitched fetches moved (wire codec).
     fetched_wire_bytes: int = 0
 
@@ -277,10 +274,7 @@ class LateMatPlan:
         the co-partitioned other side (a pruned row's key appears
         nowhere it could probe or be probed, so it cannot contribute
         join output), then the survivors' payloads are gathered from
-        the stores.  Gathers run on the process pool when the parallel
-        backend is selected (see :func:`_parallel_fetch`); any reason
-        they cannot falls back to coordinator-side gathers, recorded as
-        a ``latemat-stitch`` fallback event.
+        the stores.
         """
         l_rowid_batches: List[Optional[np.ndarray]] = []
         t_rowid_batches: List[Optional[np.ndarray]] = []
@@ -309,9 +303,8 @@ class LateMatPlan:
         if store is None or not is_thin(part):
             return None
         keep = np.isin(part.column(key), other.column(other_key))
-        # Sorted batches keep the sequential and parallel fetch paths
-        # byte-identical (the wire codec delta-encodes sorted ids) and
-        # make the store-side access pattern sequential.
+        # Sorted batches delta-encode well on the wire and make the
+        # store-side access pattern sequential.
         rowids = np.sort(part.column(ROWID_COLUMN)[keep])
         touched = int(np.unique(rowids // PAGE_ROWS).size * PAGE_ROWS) \
             if rowids.size else 0
@@ -332,15 +325,11 @@ def fetch_batches(store: Optional[PayloadStore],
     """Gather payload rows for every slot's surviving row-id batch.
 
     ``None`` batches (side/slot not thin) come back as ``None``.
-    Gathers run on the process pool when the parallel backend is
-    selected; otherwise the coordinator fetches sequentially.
     """
     live = [batch for batch in rowid_batches if batch is not None]
     if store is None or not live:
         return [None] * len(rowid_batches)
-    fetched = _parallel_fetch(store, live, stats)
-    if fetched is None:
-        fetched = [store.fetch(batch) for batch in live]
+    fetched = [store.fetch(batch) for batch in live]
     stats.fetched_wire_bytes += _encoded_fetch_bytes(fetched)
     results: List[Optional[Table]] = []
     cursor = iter(fetched)
@@ -386,33 +375,6 @@ def _encoded_fetch_bytes(tables: Sequence[Table]) -> int:
     from repro.net.transfer import encoded_transfer_volume
 
     return encoded_transfer_volume(tables)
-
-
-def _parallel_fetch(store: PayloadStore,
-                    rowid_batches: List[np.ndarray],
-                    stats: StitchStats) -> Optional[List[Table]]:
-    """Run the stitch gathers on the process pool, or ``None``.
-
-    Returns ``None`` (sequential fallback) when the parallel backend is
-    not selected or the payload cannot cross the process boundary; the
-    reason is recorded like every other sequential fallback.
-    """
-    from repro import parallel
-
-    if not parallel.parallel_enabled():
-        return None
-    from repro.parallel.join import parallel_stitch
-
-    try:
-        fetched = parallel_stitch(
-            store.payload_table(), rowid_batches,
-            parallel.get_backend(parallel.pool_workers()),
-        )
-    except parallel.ParallelUnsupported:
-        parallel.record_fallback("latemat.stitch", "unsupported-payload")
-        return None
-    stats.parallel_fetch = True
-    return fetched
 
 
 __all__ = [

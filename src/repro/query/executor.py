@@ -37,9 +37,6 @@ def reference_join(t_table: Table, l_table: Table, query: HybridQuery
     l_projected = apply_derivations(l_projected, query)
     l_wire = l_projected.project(list(query.hdfs_wire_columns()))
 
-    parallel_result = _try_parallel_aggregate(t_projected, l_wire, query)
-    if parallel_result is not None:
-        return parallel_result
     joined = local_join(t_projected, l_wire, query)
     return local_partial_aggregate(joined, query)
 
@@ -62,34 +59,3 @@ def reference_aggregate_cells(t_table: Table, l_table: Table,
         for name, value in zip(names, row[n_groups:]):
             cells[(key, name)] = value
     return cells
-
-
-#: Below this many probe rows the fork/shm round trip costs more than
-#: the join itself; the sequential path runs regardless of backend.
-_PARALLEL_MIN_PROBE_ROWS = 20_000
-
-
-def _try_parallel_aggregate(t_projected: Table, l_wire: Table,
-                            query: HybridQuery) -> "Table | None":
-    """Partition-parallel join + aggregate on the process pool, or
-    ``None`` to stay sequential (backend off, input too small, or the
-    query cannot cross the process boundary)."""
-    from repro import parallel
-
-    if not parallel.parallel_enabled():
-        return None
-    if t_projected.num_rows < _PARALLEL_MIN_PROBE_ROWS:
-        parallel.record_fallback("reference.aggregate",
-                                 "input-below-threshold")
-        return None
-    from repro.parallel.join import parallel_reference_aggregate
-
-    try:
-        return parallel_reference_aggregate(
-            t_projected, l_wire, query,
-            parallel.get_backend(parallel.pool_workers()),
-        )
-    except parallel.ParallelUnsupported:
-        parallel.record_fallback("reference.aggregate",
-                                 "unsupported-payload")
-        return None

@@ -18,12 +18,7 @@ before it may touch the shared cluster:
 
 Which queued query gets a freed slot is decided by the scheduling
 policy (:class:`~repro.service.scheduler.FairSharePolicy` by default):
-priority, then fair share across tenants, then FIFO.  Admission is the
-*coarse* fairness layer — once admitted, a query's individual morsels
-compete again, under the same policy, for the shared process pool's
-worker slots (:class:`~repro.parallel.sharedpool.SharedProcessPool`),
-so a tenant cannot dodge its quota by packing work into fewer, fatter
-queries.
+priority, then fair share across tenants, then FIFO.
 
 The controller lives entirely in simulated time; it is driven from
 processes on the service's :class:`~repro.sim.engine.SimEngine` and

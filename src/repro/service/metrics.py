@@ -1,16 +1,11 @@
 """A small counters/gauges/histograms registry for the service plane.
 
 The service plane runs entirely in simulated time, but the *process*
-hosting it does not: the parallel execution backend
-(:mod:`repro.parallel`) completes shared-memory results on pool
-callback threads, and service embedders are free to drive one
+hosting it does not: service embedders are free to drive one
 :class:`MetricsRegistry` from several threads at once.  Every
 instrument therefore guards its mutable state with a
 :class:`threading.Lock` — increments are atomic read-modify-write
-operations, never lost updates.  Pool *worker processes* do not touch
-the registry at all: they return raw stage counts to the coordinator,
-which aggregates them into these instruments from a single process
-(per-process aggregation), so no cross-process lock is needed.
+operations, never lost updates.
 
 Histograms keep every observation (query streams here are thousands of
 points at most), so quantiles are exact rather than sketch

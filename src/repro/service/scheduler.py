@@ -193,14 +193,9 @@ class FairSharePolicy:
     Ordering: highest priority first (lower ``priority`` number wins),
     then the tenant currently holding the fewest in-flight queries
     (fair share), then submission order.  The controller only offers
-    requests that are *eligible* (tenant under quota).
-
-    The same policy schedules at two granularities: the admission
-    controller applies it to whole queries entering the simulated
-    cluster, and :class:`~repro.parallel.sharedpool.SharedProcessPool`
-    applies it to individual *morsels* contending for real pool-worker
-    slots — any object exposing ``priority`` / ``tenant`` / ``seq``
-    can be offered to :meth:`select`.
+    requests that are *eligible* (tenant under quota).  Any object
+    exposing ``priority`` / ``tenant`` / ``seq`` can be offered to
+    :meth:`select`.
     """
 
     def select(self, pending: Sequence, in_flight_by_tenant: Dict[str, int]

@@ -79,14 +79,6 @@ class ServiceConfig:
     #: How many times a query killed by an unrecoverable injected fault
     #: is re-admitted before the failure is surfaced to the client.
     fault_retries: int = 1
-    #: When the process execution backend is selected, serve every
-    #: query of the service from one shared
-    #: :class:`~repro.parallel.sharedpool.SharedProcessPool` (morsels
-    #: from concurrent streams interleave on one worker set, with
-    #: per-tenant fair scheduling and cross-query work stealing)
-    #: instead of the per-session backend.  The pool survives drains,
-    #: so later batches reuse its warmed workers and cached exports.
-    shared_pool: bool = True
     #: Degraded tier: under overload, best-effort arrivals that would be
     #: shed are admitted for *approximate* execution instead — the
     #: explicit latency/accuracy knob.  Degraded results carry interval
@@ -282,9 +274,6 @@ class QueryService:
         self.session = SqlSession(warehouse, estimate_refiner=refiner)
         self._ids = itertools.count(1)
         self._pending: List[_Submission] = []
-        #: Created lazily on the first drain that runs with the process
-        #: backend selected; survives across drains.
-        self._shared_pool = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -345,7 +334,6 @@ class QueryService:
             self.bloom_builder.install()
         if self.config.enable_join_index_cache:
             self.join_index_provider.install()
-        previous_backend = self._install_shared_pool()
         try:
             for submission in sorted(batch,
                                      key=lambda s: (s.ticket.at,
@@ -359,7 +347,6 @@ class QueryService:
         finally:
             self.bloom_builder.uninstall()
             self.join_index_provider.uninstall()
-            self._uninstall_shared_pool(previous_backend)
         outcomes.sort(key=lambda outcome: outcome.ticket_id)
         # The engine's final clock includes queue-timeout timers that
         # fired as no-ops; the batch makespan is the last completion.
@@ -370,58 +357,6 @@ class QueryService:
 
     #: drain() under its task-queue name, for submit/await call sites.
     await_all = drain
-
-    # ------------------------------------------------------------------
-    # Shared multi-query process pool
-    # ------------------------------------------------------------------
-    def shared_pool(self):
-        """This service's :class:`SharedProcessPool` (created lazily)."""
-        if self._shared_pool is None:
-            from repro import parallel
-            from repro.parallel.sharedpool import SharedProcessPool
-
-            self._shared_pool = SharedProcessPool(
-                workers=parallel.pool_workers())
-        return self._shared_pool
-
-    def _install_shared_pool(self):
-        """Route engine parallel calls to the shared pool for one drain.
-
-        Returns the token :meth:`_uninstall_shared_pool` needs, or
-        ``None`` when the shared pool is not in play (config off, or
-        the sequential backend is selected — a pool of processes would
-        be dead weight under a purely simulated drain).
-        """
-        from repro import parallel
-
-        if not (self.config.shared_pool and parallel.parallel_enabled()):
-            return None
-        return (parallel.install_backend(self.shared_pool()),)
-
-    def _uninstall_shared_pool(self, token) -> None:
-        from repro import parallel
-
-        if token is None:
-            return
-        parallel.install_backend(token[0])
-        for event, _detail in parallel.drain_pool_events():
-            self.metrics.counter(f"parallel.pool.{event}").inc()
-        snapshot = self._shared_pool.stats_snapshot()
-        for key in ("created", "reused", "banked"):
-            counter = self.metrics.counter(f"parallel.segments.{key}")
-            delta = snapshot[key] - counter.value
-            if delta > 0:
-                counter.inc(delta)
-
-    def shutdown(self) -> None:
-        """Release the shared pool's workers and segments (idempotent).
-
-        The service object stays usable — the next drain with the
-        process backend selected lazily builds a fresh pool.
-        """
-        if self._shared_pool is not None:
-            self._shared_pool.shutdown()
-            self._shared_pool = None
 
     def execute(self, query: Union[HybridQuery, str],
                 algorithm: str = "auto") -> QueryOutcome:
@@ -476,24 +411,16 @@ class QueryService:
         queue_wait = admit.queued_seconds
         retries_used = 0
         approx_report = None
-        from repro import parallel
-
         while True:
             try:
-                # Tag the data plane with its query stream: morsels
-                # landing in the shared pool carry the tenant (fair
-                # scheduling) and priority of this query.
-                with parallel.task_origin(ticket.tenant,
-                                          f"q{ticket.id}",
-                                          submission.priority):
-                    if admit.degraded:
-                        algorithm, rationale, join_result, \
-                            approx_report = self._execute_approx(
-                                submission.query, ticket.tenant)
-                    else:
-                        algorithm, rationale, join_result = \
-                            self._execute_data_plane(
-                                submission.query, submission.algorithm)
+                if admit.degraded:
+                    algorithm, rationale, join_result, \
+                        approx_report = self._execute_approx(
+                            submission.query, ticket.tenant)
+                else:
+                    algorithm, rationale, join_result = \
+                        self._execute_data_plane(
+                            submission.query, submission.algorithm)
                 break
             except FaultError as exc:
                 admission.release(admit.grant)
@@ -574,7 +501,7 @@ class QueryService:
                 query, self.warehouse.jen.num_workers, algorithm))
         join_result = algorithm_by_name(algorithm).run(
             self.warehouse, query)
-        self._count_fallbacks(join_result)
+        self._record_bytes_shipped(join_result)
         return algorithm, rationale, join_result
 
     def _execute_approx(self, query: HybridQuery, tenant: str):
@@ -608,7 +535,7 @@ class QueryService:
         algo = ApproxJoin.from_policy(
             policy, progressive=policy.max_error is not None)
         join_result = algo.run(self.warehouse, query)
-        self._count_fallbacks(join_result)
+        self._record_bytes_shipped(join_result)
         self.metrics.counter("approx.runs").inc()
         report = join_result.trace.metadata.get("approx", {})
         self.metrics.histogram("approx.fraction_scanned").observe(
@@ -637,7 +564,7 @@ class QueryService:
         estimate = self.session.estimate(query)
         join_result = AdaptiveJoin(estimate=estimate).run(
             self.warehouse, query)
-        self._count_fallbacks(join_result)
+        self._record_bytes_shipped(join_result)
         self.metrics.counter("adaptive.runs").inc()
         report = join_result.trace.metadata.get("adaptive", {})
         rationale = ""
@@ -645,13 +572,6 @@ class QueryService:
             self.metrics.counter("adaptive.switches").inc()
             rationale = report["switches"][-1]["reason"]
         return join_result.algorithm, rationale, join_result
-
-    def _count_fallbacks(self, join_result: JoinResult) -> None:
-        """Surface sequential-fallback events in the metrics registry."""
-        fallbacks = join_result.trace.metadata.get("parallel_fallbacks", ())
-        for _site, reason in fallbacks:
-            self.metrics.counter(f"parallel.fallback.{reason}").inc()
-        self._record_bytes_shipped(join_result)
 
     def _record_bytes_shipped(self, join_result: JoinResult) -> None:
         """Accumulate the trace's per-phase transfer volumes.

@@ -22,7 +22,7 @@ straggler-aware redistribution):
    as a ``work_steal`` transfer phase on the trace.
 
 Everything is gated behind :func:`set_skew_handling_enabled`, mirroring
-the kernels/backend toggles, so before/after comparisons run genuinely
+the kernels toggle, so before/after comparisons run genuinely
 identical code paths with only the skew handling swapped.
 """
 

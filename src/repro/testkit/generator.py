@@ -60,12 +60,6 @@ FAULT_AXIS = (
 )
 #: db_servers per worker count (mirrors the paper's 6-per-server shape).
 _DB_SERVERS = {1: 1, 4: 2, 30: 5}
-#: Execution-backend axis: single-process engines vs the real
-#: multiprocessing pool of :mod:`repro.parallel`.
-BACKEND_AXIS = ("sequential", "process")
-#: Pool size for process-backend cells; two workers exercises real
-#: cross-process transport even on a single-core CI runner.
-_CELL_POOL_WORKERS = 2
 #: Estimate-error axis for adaptive cells: seeded ``(sigma_t_factor,
 #: sigma_l_factor)`` pairs scaling the initial estimate.  ``(1.0, 0.1)``
 #: is the paper-style 10x sigma_L underestimate that makes the advisor
@@ -92,7 +86,6 @@ class ConfigCell:
     kernels: bool = True
     fault_spec: Optional[str] = None
     cache_warm: bool = False
-    backend: str = "sequential"
     #: ``(sigma_t_factor, sigma_l_factor)`` injected into the adaptive
     #: wrapper's initial estimate (only meaningful for ``"adaptive"``).
     estimate_error: Optional[Tuple[float, float]] = None
@@ -117,8 +110,6 @@ class ConfigCell:
             parts.append(f"faults[{self.fault_spec}]")
         if self.cache_warm:
             parts.append("warm")
-        if self.backend != "sequential":
-            parts.append("proc")
         if self.estimate_error is not None:
             parts.append(
                 f"esterr[{self.estimate_error[0]:g}x,"
@@ -446,17 +437,12 @@ def run_cell(case: DataCase, cell: ConfigCell,
             case, cell.workers, cell.format_name
         )
     from repro.latemat import set_late_materialization_enabled
-    from repro.parallel import set_execution_backend
     from repro.skew import set_skew_handling_enabled
 
     previous_kernels = set_kernels_enabled(cell.kernels)
     previous_skew = set_skew_handling_enabled(cell.skew_handling)
     previous_latemat = set_late_materialization_enabled(
         cell.late_materialization)
-    previous_backend = set_execution_backend(
-        cell.backend,
-        workers=_CELL_POOL_WORKERS if cell.backend == "process" else None,
-    )
     algorithm_kwargs = {}
     if cell.estimate_error is not None:
         algorithm_kwargs["estimate_errors"] = cell.estimate_error
@@ -481,7 +467,6 @@ def run_cell(case: DataCase, cell: ConfigCell,
         set_kernels_enabled(previous_kernels)
         set_skew_handling_enabled(previous_skew)
         set_late_materialization_enabled(previous_latemat)
-        set_execution_backend(previous_backend)
 
 
 class WarehouseCache:
@@ -533,9 +518,6 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
         grid.append((base, ConfigCell(
             algorithm, workers=4, cache_warm=True,
         )))
-        grid.append((base, ConfigCell(
-            algorithm, workers=4, backend="process",
-        )))
     # Adaptive x injected estimate errors: each pair makes the initial
     # advice wrong in a different direction; the result must still be
     # the oracle's, wherever (or whether) the switch lands.
@@ -569,8 +551,8 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
     # Late-materialization axis: thin-row shipping + payload stitch
     # must be row-identical everywhere it can activate — every
     # algorithm on a wide-payload case (where both stores engage),
-    # across formats, with skew handling on the hot case, under a
-    # fault plan, and on the real process pool.
+    # across formats, with skew handling on the hot case, and under a
+    # fault plan.
     wide = edge_case("wide-dtypes")
     for algorithm in ALL_ALGORITHMS:
         grid.append((wide, ConfigCell(
@@ -594,11 +576,6 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
         "repartition", workers=30, fault_spec=FAULT_AXIS[3],
         late_materialization=True,
     )))
-    for algorithm in ("repartition", "broadcast", "db"):
-        grid.append((wide, ConfigCell(
-            algorithm, workers=4, backend="process",
-            late_materialization=True,
-        )))
     # Approx axis at rate 1.0: sampling every block must reproduce the
     # exact answer bit-for-bit on every aggregate kind, with and
     # without the Bloom filter — the degenerate end of the statistical
@@ -611,142 +588,6 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
                 algorithm, workers=4, approx=1.0,
             )))
     return grid
-
-
-@dataclass(frozen=True)
-class SharedPoolStream:
-    """One concurrent query stream of a shared-pool grid block."""
-
-    tenant: str
-    priority: int
-    case: DataCase
-    cell: ConfigCell
-
-    def label(self) -> str:
-        return f"{self.tenant}:{self.case.name}:{self.cell.label()}"
-
-
-def shared_pool_grid(seed: int = 2015
-                     ) -> List[Tuple[str, List[SharedPoolStream]]]:
-    """Blocks of concurrent streams for one shared process pool.
-
-    Each block is a named list of streams that run *simultaneously*
-    (one thread each) against one installed
-    :class:`~repro.parallel.sharedpool.SharedProcessPool`, so freed
-    worker slots are genuinely stolen across queries.  The axes:
-    distinct tenants, mixed priorities, and every fault plan paired
-    with a clean process-backend neighbour (a fault-armed stream falls
-    back to the sequential path by design, but it still runs
-    concurrently — its crashes and retries must never corrupt the
-    neighbour sharing the pool).  Every stream must stay oracle-equal.
-    """
-    base = generate_data_case(seed)
-    second = generate_data_case(seed + 1)
-    blocks: List[Tuple[str, List[SharedPoolStream]]] = [
-        ("two-tenant-clean", [
-            SharedPoolStream("alpha", 0, base, ConfigCell(
-                "repartition", workers=4, backend="process")),
-            SharedPoolStream("beta", 0, second, ConfigCell(
-                "zigzag", workers=4, backend="process")),
-        ]),
-        ("priority-mix", [
-            SharedPoolStream("alpha", 0, base, ConfigCell(
-                "repartition(BF)", workers=4, backend="process")),
-            SharedPoolStream("beta", 1, base, ConfigCell(
-                "broadcast", workers=4, backend="process")),
-            SharedPoolStream("gamma", 1, second, ConfigCell(
-                "semijoin", workers=4, backend="process")),
-        ]),
-    ]
-    for fault_spec in FAULT_AXIS:
-        blocks.append((f"faults[{fault_spec}]", [
-            SharedPoolStream("faulty", 0, base, ConfigCell(
-                "repartition", workers=30, fault_spec=fault_spec,
-                backend="process")),
-            SharedPoolStream("clean", 0, second, ConfigCell(
-                "semijoin", workers=4, backend="process")),
-        ]))
-    return blocks
-
-
-def run_shared_pool_block(streams: Sequence[SharedPoolStream],
-                          pool_workers: int = 2) -> Dict[str, Table]:
-    """Run a block's streams concurrently on one shared pool.
-
-    Installs a fresh :class:`~repro.parallel.sharedpool
-    .SharedProcessPool` for every engine call site, runs each stream in
-    its own thread under its :func:`repro.parallel.task_origin`, and
-    restores the backend toggle and installed override on every exit
-    path.  Returns ``{stream.label(): result_table}``; re-raises the
-    first stream failure.  The pool's session prefix must hold no
-    leaked segments afterwards (asserted here, not left to callers).
-    """
-    import threading
-
-    from repro import parallel
-    from repro.parallel import (
-        SharedProcessPool,
-        install_backend,
-        leaked_segments,
-        set_execution_backend,
-    )
-
-    pool = SharedProcessPool(workers=pool_workers)
-    previous_installed = install_backend(pool)
-    previous_backend = set_execution_backend(
-        "process", workers=pool_workers)
-    results: Dict[str, Table] = {}
-    errors: Dict[str, BaseException] = {}
-
-    def run_stream(stream: SharedPoolStream) -> None:
-        warehouse = build_cell_warehouse(
-            stream.case, stream.cell.workers, stream.cell.format_name
-        )
-        try:
-            with parallel.task_origin(stream.tenant, stream.label(),
-                                      stream.priority):
-                if stream.cell.fault_spec:
-                    warehouse.arm_faults(
-                        FaultPlan.from_spec(stream.cell.fault_spec))
-                    try:
-                        run = algorithm_by_name(
-                            stream.cell.algorithm
-                        ).run(warehouse, stream.case.query)
-                    finally:
-                        warehouse.disarm_faults()
-                else:
-                    run = algorithm_by_name(stream.cell.algorithm).run(
-                        warehouse, stream.case.query
-                    )
-            results[stream.label()] = run.result
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors[stream.label()] = exc
-
-    try:
-        threads = [
-            threading.Thread(target=run_stream, args=(stream,),
-                             name=stream.label())
-            for stream in streams
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    finally:
-        set_execution_backend(previous_backend)
-        install_backend(previous_installed)
-        pool.shutdown()
-    if errors:
-        label, exc = next(iter(errors.items()))
-        raise ServiceError(
-            f"shared-pool stream {label} failed: {exc!r}"
-        ) from exc
-    leaks = leaked_segments(pool.registry.prefix)
-    if leaks:
-        raise ServiceError(
-            f"shared-pool block leaked segments: {leaks}"
-        )
-    return results
 
 
 def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
@@ -769,12 +610,6 @@ def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
             grid.append((case, ConfigCell(
                 algorithm, workers=30, cache_warm=True,
             )))
-            for workers in WORKER_AXIS:
-                for kernels in (True, False):
-                    grid.append((case, ConfigCell(
-                        algorithm, workers=workers, kernels=kernels,
-                        backend="process",
-                    )))
         for estimate_error in ESTIMATE_ERROR_AXIS:
             for workers in WORKER_AXIS:
                 grid.append((case, ConfigCell(

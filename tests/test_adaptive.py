@@ -10,9 +10,8 @@ while the trace honestly pays for the abandoned work and the switch.
 The rest covers the guard rails: no false switch on accurate
 estimates, collect-only mode under fault plans and spent switch
 budgets, re-optimizer unit behaviour (hysteresis, min-progress,
-never-switch-back), banked-artifact reuse, the execution-backend
-fallback observability satellite, and the service-plane integration
-(metrics + feedback).
+never-switch-back), banked-artifact reuse, and the service-plane
+integration (metrics + feedback).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import dataclasses
 
 import pytest
 
-from repro import parallel
 from repro.adaptive import (
     AdaptiveConfig,
     AdaptiveJoin,
@@ -291,54 +289,6 @@ class TestHookSeam:
         assert "adaptive" not in result.trace.metadata
         assert oracle.compare_tables(
             result.result, flip_case.oracle_rows()) is None
-
-
-# ----------------------------------------------------------------------
-# Satellite: execution-backend fallback observability
-# ----------------------------------------------------------------------
-class TestFallbackObservability:
-    def test_adaptive_forces_sequential_scan_and_says_so(self, flip_case):
-        warehouse = _warehouse(flip_case)
-        previous = parallel.set_execution_backend("process", workers=2)
-        try:
-            result = AdaptiveJoin(estimate_errors=UNDERESTIMATE).run(
-                warehouse, flip_case.query
-            )
-        finally:
-            parallel.set_execution_backend(previous)
-            parallel.shutdown_backend()
-        fallbacks = result.trace.metadata["parallel_fallbacks"]
-        assert ("jen.scan", "adaptive-active") in fallbacks
-        assert result.trace.metadata["adaptive"]["switched"]
-        assert oracle.compare_tables(
-            result.result, flip_case.oracle_rows()) is None
-
-    def test_fault_plan_fallback_reason_is_recorded(self, flip_case):
-        warehouse = _warehouse(flip_case)
-        warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
-        previous = parallel.set_execution_backend("process", workers=2)
-        try:
-            result = algorithm_by_name("repartition").run(
-                warehouse, flip_case.query
-            )
-        finally:
-            parallel.set_execution_backend(previous)
-            parallel.shutdown_backend()
-            warehouse.disarm_faults()
-        fallbacks = result.trace.metadata["parallel_fallbacks"]
-        assert ("jen.scan", "fault-plan-armed") in fallbacks
-
-    def test_sequential_backend_records_nothing(self, flip_case):
-        warehouse = _warehouse(flip_case)
-        result = algorithm_by_name("repartition").run(
-            warehouse, flip_case.query
-        )
-        assert "parallel_fallbacks" not in result.trace.metadata
-
-    def test_drain_empties_the_event_buffer(self):
-        parallel.record_fallback("test.site", "test-reason")
-        # Self-gated: only records under the process backend.
-        assert parallel.drain_fallback_events() == []
 
 
 # ----------------------------------------------------------------------

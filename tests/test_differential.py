@@ -1,6 +1,6 @@
 """Differential tests: the metamorphic config grid vs. the oracle.
 
-Tier-1 runs the seeded 200+-cell :func:`repro.testkit.generator.
+Tier-1 runs the seeded 308-cell :func:`repro.testkit.generator.
 default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
 formats, kernels on/off, fault plans, cold/warm caches — with the
 engine invariant hooks armed, asserting each cell's result equals the
@@ -58,8 +58,65 @@ def _int_table(values, name="k"):
 # The tier-1 grid
 # ----------------------------------------------------------------------
 class TestDefaultGrid:
-    def test_grid_spans_at_least_200_cells(self):
-        assert len(GRID) >= 200
+    def test_grid_is_exactly_the_declared_cells(self):
+        """The grid restated from the axes, block by block.
+
+        Deliberately a second statement of ``default_grid``: adding or
+        removing an axis has to be said here too, so it is visible in
+        review.
+        """
+        def labels(case, algorithms, **axes):
+            return {
+                f"{case}:{ConfigCell(algorithm, **axes).label()}"
+                for algorithm in algorithms
+            }
+
+        base, hot, wide = "seed2015", "skew1.8", "wide-dtypes"
+        on_off = (True, False)
+        expected = set()
+        for workers in generator.WORKER_AXIS:
+            for kernels in on_off:
+                expected |= labels(base, ALL_ALGORITHMS, workers=workers,
+                                   kernels=kernels)
+        for format_name in ("text", "orc"):
+            expected |= labels(base, ALL_ALGORITHMS,
+                               format_name=format_name)
+            expected |= labels(wide, ["repartition"],
+                               format_name=format_name,
+                               late_materialization=True)
+        for fault_spec in generator.FAULT_AXIS:
+            expected |= labels(base, ALL_ALGORITHMS, workers=30,
+                               fault_spec=fault_spec)
+            expected |= labels(hot, generator.SHUFFLE_ALGORITHMS,
+                               workers=30, fault_spec=fault_spec,
+                               skew_handling=True)
+        expected |= labels(base, ALL_ALGORITHMS, cache_warm=True)
+        for estimate_error in generator.ESTIMATE_ERROR_AXIS:
+            expected |= labels(base, ["adaptive"],
+                               estimate_error=estimate_error)
+        extra_cases = ["seed2016"] + [
+            case.name for case in generator.edge_cases()
+        ]
+        for case in extra_cases:
+            for kernels in on_off:
+                expected |= labels(case, ALL_ALGORITHMS, kernels=kernels)
+        for skew_handling in on_off:
+            expected |= labels(hot, generator.SHUFFLE_ALGORITHMS,
+                               skew_handling=skew_handling)
+        expected |= labels(wide, ALL_ALGORITHMS, late_materialization=True)
+        expected |= labels(hot, ["repartition(BF)", "zigzag"],
+                           skew_handling=True, late_materialization=True)
+        expected |= labels(wide, ["zigzag"], workers=30,
+                           fault_spec=generator.FAULT_AXIS[0],
+                           late_materialization=True)
+        expected |= labels(wide, ["repartition"], workers=30,
+                           fault_spec=generator.FAULT_AXIS[3],
+                           late_materialization=True)
+        for kind in generator.APPROX_KINDS:
+            expected |= labels(f"approx-{kind}", ["approx", "approx(BF)"],
+                               approx=1.0)
+        assert len(GRID) == 308
+        assert sorted(GRID_IDS) == sorted(expected)
 
     def test_grid_covers_every_metamorphic_axis(self):
         cells = [cell for _, cell in GRID]
@@ -87,42 +144,6 @@ class TestDefaultGrid:
         oracle.assert_equivalent(
             result, case.oracle_rows(), label=f"{case.name}:{cell.label()}"
         )
-
-
-SHARED_POOL_GRID = generator.shared_pool_grid()
-
-
-class TestSharedPoolGrid:
-    """Concurrent streams on one shared pool stay oracle-equal.
-
-    Each block runs its streams simultaneously (one thread each)
-    against a single installed SharedProcessPool, so worker slots are
-    stolen across queries mid-block; fault-armed streams crash and
-    retry next to clean neighbours.  Every stream's result must still
-    be the oracle's row multiset, and the pool must leak nothing.
-    """
-
-    def test_grid_covers_faults_and_priorities(self):
-        names = [name for name, _ in SHARED_POOL_GRID]
-        assert any(name.startswith("faults[") for name in names)
-        streams = [s for _, block in SHARED_POOL_GRID for s in block]
-        assert {s.priority for s in streams} >= {0, 1}
-        assert len({s.tenant for s in streams}) >= 3
-
-    @pytest.mark.parametrize(
-        ("name", "streams"), SHARED_POOL_GRID,
-        ids=[name for name, _ in SHARED_POOL_GRID])
-    def test_every_stream_oracle_equal(self, name, streams):
-        results = generator.run_shared_pool_block(streams)
-        failures = []
-        for stream in streams:
-            diff = oracle.compare_tables(
-                results[stream.label()], stream.case.oracle_rows(),
-                label=f"{name}:{stream.label()}",
-            )
-            if diff is not None:
-                failures.append(diff)
-        assert not failures, "\n\n".join(failures)
 
 
 @pytest.mark.slow

@@ -101,6 +101,19 @@ class TestTopLevelCli:
 
         assert main(["sql"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--backend", "process"],
+        ["bench", "--only-parallel"],
+        ["bench", "--skip-parallel"],
+    ], ids=" ".join)
+    def test_removed_backend_flags_are_argparse_errors(self, capsys, argv):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_sql_inline(self, capsys):
         from repro.__main__ import main
 

@@ -5,7 +5,7 @@ codec they ship over, the dictionary-aware wire accounting, the
 fetch-amplification model, the advisor's accept/decline decision, the
 service plane's bytes-shipped counters, and — the load-bearing part —
 oracle identity of every algorithm with the toggle on, including the
-skew, fault, and process-backend interactions.
+skew and fault interactions.
 """
 
 from __future__ import annotations
@@ -413,14 +413,6 @@ class TestOracleIdentity:
                    late_materialization=True),
     ], ids=lambda cell: cell.label())
     def test_hard_interactions(self, latemat_case, cell):
-        result = run_cell(latemat_case, cell)
-        diff = oracle.compare_tables(
-            result, latemat_case.oracle_rows(), label=cell.label())
-        assert diff is None, diff
-
-    def test_process_backend(self, latemat_case):
-        cell = ConfigCell(algorithm="repartition", workers=4,
-                          backend="process", late_materialization=True)
         result = run_cell(latemat_case, cell)
         diff = oracle.compare_tables(
             result, latemat_case.oracle_rows(), label=cell.label())

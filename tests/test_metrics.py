@@ -71,8 +71,7 @@ class TestHistogram:
 
 class TestConcurrency:
     """Instruments must survive concurrent mutation without lost
-    updates — the parallel backend's callback threads and embedders'
-    service threads share one registry."""
+    updates — embedders' service threads share one registry."""
 
     THREADS = 8
     ITERATIONS = 2_000

@@ -21,7 +21,7 @@ from repro.adaptive import AdaptiveConfig, AdaptiveJoin, hooks
 from repro.core.bloom import BloomFilter
 from repro.core.joins import algorithm_by_name
 from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
-from repro.jen.worker import JenWorker, ScanRequest, ScanStats
+from repro.jen.worker import ScanRequest, ScanStats
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
 from repro.relational.table import Table
@@ -204,21 +204,6 @@ class TestBatchEqualsPerBlock:
         assert_same_table(actual, expected)
         assert stats == expected_stats
         assert 0 < stats.rows_after_bloom < stats.rows_after_predicates
-        assert_same_bloom(actual_bloom, expected_bloom)
-
-    def test_process_rows_is_the_batch_of_one(self, scan_setup):
-        worker, meta, blocks, request, db_bloom = scan_setup
-        block = blocks[0]
-        rows = worker.filesystem.read_block(block)
-        expected_bloom, actual_bloom = new_local_bloom(), new_local_bloom()
-        expected, stats = worker.scan_filter_project(
-            meta, [block], request, db_bloom=db_bloom,
-            local_bloom=expected_bloom)
-        wire, after_predicates, after_bloom = JenWorker.process_rows(
-            rows, request, db_bloom=db_bloom, local_bloom=actual_bloom)
-        assert_same_table(wire, expected)
-        assert after_predicates == stats.rows_after_predicates
-        assert after_bloom == stats.rows_after_bloom == wire.num_rows
         assert_same_bloom(actual_bloom, expected_bloom)
 
 
