@@ -28,6 +28,8 @@ from repro.core.joins.base import (
     JoinStats,
     register_algorithm,
 )
+from repro.edw.partitioner import agreed_hash_partition
+from repro.kernels.partition import partition_table
 from repro.latemat import LateMatPlan
 from repro.relational.table import Table
 from repro.sim.trace import Trace
@@ -178,6 +180,10 @@ def _route_db_rows(t_parts: List[Table], key: str,
                    hot_keys=None) -> Tuple[List[Table], int, int]:
     """Regroup DB workers' outgoing rows by the agreed hash destination.
 
+    The senders' rows are concatenated once and split by one pass of
+    the partition kernel, so each destination holds its rows in sender
+    order.
+
     With a :class:`repro.skew.HotKeySet` (the hybrid shuffle), rows of
     a detected heavy-hitter key are *duplicated* to that key's bounded
     destination set — one copy per worker that holds a spread slice of
@@ -186,38 +192,40 @@ def _route_db_rows(t_parts: List[Table], key: str,
     counted once), and the total delivered hot copies (what the
     duplication actually costs on the wire).
     """
-    from repro.edw.partitioner import agreed_hash_partition
-    from repro.edw.worker import DbWorker
-
+    combined = Table.concat(t_parts)
+    keys = combined.column(key)
+    assignments = agreed_hash_partition(keys, num_jen_workers)
     use_hybrid = hot_keys is not None and len(hot_keys) > 0
-    per_destination: List[List[Table]] = [[] for _ in range(num_jen_workers)]
     hot_tuples = 0
     copy_tuples = 0
-    dest_lists = (
-        hot_keys.destination_lists(num_jen_workers, agreed_hash_partition)
-        if use_hybrid else []
-    )
-    for part in t_parts:
-        cold = part
+    if use_hybrid:
+        # Every cold row once, then each hot key's rows once per worker
+        # of its destination set.
+        cold = np.flatnonzero(~np.isin(keys, hot_keys.keys))
+        rows = [cold]
+        targets = [assignments[cold]]
+        for hot_key, dests in zip(
+                hot_keys.keys,
+                hot_keys.destination_lists(num_jen_workers,
+                                           agreed_hash_partition)):
+            hot = np.flatnonzero(keys == hot_key)
+            hot_tuples += int(hot.size)
+            copy_tuples += int(hot.size) * int(dests.size)
+            rows.append(np.tile(hot, dests.size))
+            targets.append(np.repeat(dests, hot.size))
+        combined = combined.take(np.concatenate(rows))
+        assignments = np.concatenate(targets)
+    destinations = partition_table(combined, assignments, num_jen_workers)
+    if invariants.checking_enabled():
         if use_hybrid:
-            keys_column = part.column(key)
-            cold = part.filter(~np.isin(keys_column, hot_keys.keys))
-            for hot_key, dests in zip(hot_keys.keys, dest_lists):
-                hot_rows = part.filter(keys_column == hot_key)
-                if hot_rows.num_rows == 0:
-                    continue
-                hot_tuples += hot_rows.num_rows
-                copy_tuples += hot_rows.num_rows * int(dests.size)
-                for destination in dests:
-                    per_destination[int(destination)].append(hot_rows)
-        routed = DbWorker.partition_for_send(cold, key, num_jen_workers)
-        for destination, piece in enumerate(routed):
-            per_destination[destination].append(piece)
-    destinations = [Table.concat(pieces) for pieces in per_destination]
-    if use_hybrid and invariants.checking_enabled():
-        invariants.check_broadcast_routing(
-            t_parts, key, destinations, num_jen_workers,
-            agreed_hash_partition, hot_keys.keys,
-            fanouts=hot_keys.fanouts,
-        )
+            invariants.check_broadcast_routing(
+                t_parts, key, destinations, num_jen_workers,
+                agreed_hash_partition, hot_keys.keys,
+                fanouts=hot_keys.fanouts,
+            )
+        else:
+            invariants.check_hash_partition(
+                combined, key, destinations, num_jen_workers,
+                agreed_hash_partition,
+            )
     return destinations, hot_tuples, copy_tuples

@@ -23,8 +23,7 @@ from repro.relational.expressions import Predicate
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.query.plan import (
-    local_join,
-    local_partial_aggregate,
+    join_partial_aggregate,
     merge_partials,
     partial_tables_nonempty,
 )
@@ -319,11 +318,11 @@ class ParallelDatabase:
         stats = DbJoinRunStats()
         partials = []
         for t_side, l_side in zip(t_sides, l_sides):
-            joined = local_join(t_side, l_side, query)
+            partial, pairs = join_partial_aggregate(t_side, l_side, query)
             stats.build_tuples += l_side.num_rows
             stats.probe_tuples += t_side.num_rows
-            stats.join_output_tuples += joined.num_rows
-            partials.append(local_partial_aggregate(joined, query))
+            stats.join_output_tuples += pairs
+            partials.append(partial)
         result = merge_partials(partial_tables_nonempty(partials), query)
         stats.result_rows = result.num_rows
         return result, stats

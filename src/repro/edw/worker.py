@@ -3,24 +3,22 @@
 A worker owns a hash-distributed partition of each database table plus
 any secondary indexes built on it.  The operations mirror what the
 paper's C UDFs drive inside DB2: local filter/project scans, local
-Bloom-filter builds (index-only when a covering index exists), applying
-a remote Bloom filter to the partition, and partitioning outgoing rows
-with the agreed hash function.
+Bloom-filter builds (index-only when a covering index exists), and
+applying a remote Bloom filter to the partition.  Outgoing rows are
+routed with the agreed hash function by the exchange itself
+(:func:`repro.core.joins.repartition._route_db_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.edw.index import SecondaryIndex
-from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import CatalogError
-from repro.kernels.partition import partition_table
 from repro.relational.expressions import Predicate
 from repro.relational.table import Table
-from repro.testkit import invariants
 
 
 @dataclass
@@ -171,21 +169,3 @@ class DbWorker:
         return sum(
             encoded_table_bytes(part) for part in parts if part.num_rows
         )
-
-    @staticmethod
-    def partition_for_send(table: Table, key_column: str,
-                           num_targets: int) -> List[Table]:
-        """Split outgoing rows by the agreed hash function.
-
-        Single-pass kernel: one sort + one gather for all targets.
-        """
-        assignments = agreed_hash_partition(
-            table.column(key_column), num_targets
-        )
-        parts = partition_table(table, assignments, num_targets)
-        if invariants.checking_enabled():
-            invariants.check_hash_partition(
-                table, key_column, parts, num_targets,
-                agreed_hash_partition,
-            )
-        return parts

@@ -33,7 +33,7 @@ from repro.jen.worker import JenWorker, ScanRequest, ScanStats
 from repro.latemat import LateMatPlan, StitchStats
 from repro.net.transfer import RetryPolicy
 from repro.relational.table import Table
-from repro.query.plan import local_join, local_partial_aggregate
+from repro.query.plan import join_partial_aggregate
 from repro.query.query import HybridQuery
 
 
@@ -463,7 +463,7 @@ class Jen:
         all (surviving) workers instead of hashing onto one receiver,
         while the cold tail keeps the agreed hash.  Delivery — retries,
         dedup, exactly-once accounting — is identical either way; only
-        the outgoing matrix construction changes.
+        the senders' destination assignments change.
         """
         injector = self._active_injector()
         wire_tables = list(wire_tables)
@@ -471,24 +471,13 @@ class Jen:
             injector.check_abort("shuffle")
             if len(wire_tables) == len(self.workers):
                 wire_tables = self._shuffle_crashes(wire_tables, injector)
-        if hot_keys is not None and len(hot_keys) > 0:
-            hot_tuples = 0
-            outgoing = []
-            for sender, wire in enumerate(wire_tables):
-                parts, sender_hot = JenWorker.partition_for_hybrid_shuffle(
-                    wire, key, self.num_workers, hot_keys,
-                    sender_offset=sender,
-                )
-                hot_tuples += sender_hot
-                outgoing.append(parts)
-            result = shuffle(outgoing, faults=injector)
-            result.hot_tuples = hot_tuples
-            return result
-        outgoing = [
-            JenWorker.partition_for_shuffle(wire, key, self.num_workers)
-            for wire in wire_tables
-        ]
-        return shuffle(outgoing, faults=injector)
+        per_destination, routed, hot_tuples = \
+            JenWorker.partition_for_exchange(
+                wire_tables, key, self.num_workers, hot_keys
+            )
+        result = shuffle(per_destination, routed, faults=injector)
+        result.hot_tuples = hot_tuples
+        return result
 
     def _shuffle_crashes(self, wire_tables: List[Table],
                          injector: FaultInjector) -> List[Table]:
@@ -629,12 +618,12 @@ class Jen:
                     stats.spilled_wire_bytes += \
                         encoded_fragment_bytes(fragments)
                 for build_frag, probe_frag in fragments:
-                    joined = local_join(probe_frag, build_frag, query,
-                                        build_index=build_index)
-                    stats.join_output_tuples += joined.num_rows
-                    worker_partials.append(
-                        local_partial_aggregate(joined, query)
+                    partial, pairs = join_partial_aggregate(
+                        probe_frag, build_frag, query,
+                        build_index=build_index,
                     )
+                    stats.join_output_tuples += pairs
+                    worker_partials.append(partial)
                 stats.build_tuples += l_part.num_rows
                 stats.probe_tuples += t_part.num_rows
             partials.append(final_aggregate(worker_partials, query))

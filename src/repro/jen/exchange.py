@@ -60,53 +60,58 @@ class ShuffleResult:
         return max(1.0, max(sizes) * len(sizes) / total)
 
 
-def shuffle(outgoing: Sequence[Sequence[Table]],
+def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
             faults=None) -> ShuffleResult:
-    """Execute an all-to-all shuffle with exactly-once delivery.
+    """Deliver a partitioned all-to-all exchange exactly once.
 
-    ``outgoing[sender][destination]`` holds the rows sender routed to
-    destination via the agreed hash.  Every sender must address the same
-    number of destinations.
+    ``per_destination[destination]`` holds the rows addressed there via
+    the agreed hash, grouped by sender in sender order, and
+    ``routed[sender, destination]`` how many of them each sender
+    contributed (:meth:`repro.jen.worker.JenWorker.partition_for_exchange`
+    produces both).  One message travels per (sender, destination)
+    pair.
 
     ``faults`` is an optional :class:`~repro.faults.FaultInjector`;
-    when armed, every remote partition goes through its retry machinery
+    when armed, every remote message goes through its retry machinery
     (drops and truncations are re-sent after a timeout) and delivery is
     idempotent: each receiver accepts one copy per sender, so a
-    partition re-delivered because its acknowledgement was lost does
+    message re-delivered because its acknowledgement was lost does
     *not* duplicate rows.
     """
-    if not outgoing:
+    routed = np.asarray(routed)
+    if routed.ndim != 2 or routed.shape[0] == 0:
         raise JoinError("shuffle needs at least one sender")
-    num_destinations = len(outgoing[0])
-    for sender_parts in outgoing:
-        if len(sender_parts) != num_destinations:
-            raise JoinError("ragged shuffle matrix")
+    num_senders, num_destinations = routed.shape
+    if len(per_destination) != num_destinations:
+        raise JoinError(
+            f"ragged shuffle: {len(per_destination)} destination tables, "
+            f"row counts for {num_destinations}"
+        )
 
-    per_destination: List[Table] = []
     tuples_shuffled = 0
     tuples_remote = 0
     retries = 0
     duplicates_suppressed = 0
     encoded_wire_bytes = 0
-    # With late materialization on, remote partitions really travel in
+    # With late materialization on, remote messages really travel in
     # the compact wire codec; measure what they cost encoded.
     from repro.latemat import late_materialization_enabled
     measure_wire = late_materialization_enabled()
     if measure_wire:
         from repro.kernels.wirecodec import encoded_table_bytes
     delivery_counts = (
-        np.zeros((len(outgoing), num_destinations), dtype=np.int64)
+        np.zeros((num_senders, num_destinations), dtype=np.int64)
         if invariants.checking_enabled() else None
     )
-    for destination in range(num_destinations):
-        accepted: List[Table] = []
+    for destination, (received, sizes) in enumerate(
+            zip(per_destination, routed.T.tolist())):
         seen_senders = set()
-        for sender, sender_parts in enumerate(outgoing):
-            part = sender_parts[destination]
+        offset = 0
+        for sender, size in enumerate(sizes):
             copies = 1
             if faults is not None and sender != destination:
-                # Local parts never touch the network; remote ones can
-                # be dropped (re-sent) or duplicated (lost ACK).
+                # Local messages never touch the network; remote ones
+                # can be dropped (re-sent) or duplicated (lost ACK).
                 duplicated, failures = faults.deliver(
                     "shuffle", sender, destination
                 )
@@ -118,29 +123,25 @@ def shuffle(outgoing: Sequence[Sequence[Table]],
                     duplicates_suppressed += 1
                     continue
                 seen_senders.add(sender)
-                accepted.append(part)
                 if delivery_counts is not None:
                     delivery_counts[sender, destination] += 1
-                tuples_shuffled += part.num_rows
+                tuples_shuffled += size
                 if sender != destination:
-                    tuples_remote += part.num_rows
-                    if measure_wire and part.num_rows:
-                        encoded_wire_bytes += encoded_table_bytes(part)
-        # Table.concat is lazy about degenerate inputs: empty partitions
-        # (the common case with many workers and selective filters) are
-        # dropped before any column is copied, and a single surviving
-        # partition is returned as-is — zero-copy end to end when only
-        # one sender routed rows here.
-        per_destination.append(Table.concat(accepted))
+                    tuples_remote += size
+                    if measure_wire and size:
+                        encoded_wire_bytes += encoded_table_bytes(
+                            received.slice(offset, offset + size)
+                        )
+            offset += size
     if delivery_counts is not None:
         invariants.check_shuffle_delivery(
-            outgoing, per_destination, delivery_counts
+            routed, per_destination, delivery_counts
         )
     adaptive_hooks.record_shuffle_partitions(
         [table.num_rows for table in per_destination]
     )
     return ShuffleResult(
-        per_destination=per_destination,
+        per_destination=list(per_destination),
         tuples_shuffled=tuples_shuffled,
         tuples_remote=tuples_remote,
         retries=retries,

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.bloom import BloomFilter, probe_and_insert
 from repro.edw.partitioner import agreed_hash_partition
+from repro.errors import JoinError
 from repro.hdfs.blocks import Block
 from repro.kernels.partition import partition_table
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
@@ -249,27 +250,11 @@ class JenWorker:
         return batch.project(list(request.wire_columns)), kept
 
     @staticmethod
-    def partition_for_shuffle(table: Table, key: str,
-                              num_workers: int) -> List[Table]:
-        """Split the wire table by the agreed hash for the shuffle.
-
-        Single-pass kernel: one sort + one gather for all destinations;
-        the returned partitions are zero-copy row-range views.
-        """
-        assignments = agreed_hash_partition(table.column(key), num_workers)
-        parts = partition_table(table, assignments, num_workers)
-        if invariants.checking_enabled():
-            invariants.check_hash_partition(
-                table, key, parts, num_workers, agreed_hash_partition
-            )
-        return parts
-
-    @staticmethod
-    def partition_for_hybrid_shuffle(
+    def hybrid_shuffle_assignments(
         table: Table, key: str, num_workers: int,
         hot_keys, sender_offset: int = 0,
-    ) -> Tuple[List[Table], int]:
-        """Hybrid split: spread hot keys, agreed-hash the cold tail.
+    ) -> Tuple[np.ndarray, int]:
+        """Hybrid routing: spread hot keys, agreed-hash the cold tail.
 
         Rows of a detected hot key are dealt round-robin across that
         key's bounded destination set — ``fanout`` consecutive workers
@@ -282,8 +267,8 @@ class JenWorker:
         what keeps every (l, t) pair produced exactly once.
 
         ``hot_keys`` is a :class:`repro.skew.HotKeySet`.  Returns
-        ``(parts, hot_rows)`` where ``hot_rows`` counts the rows that
-        left the agreed-hash route.
+        ``(assignments, hot_rows)``: one destination per row, and how
+        many rows left the agreed-hash route.
         """
         keys = table.column(key)
         assignments = agreed_hash_partition(keys, num_workers)
@@ -303,10 +288,71 @@ class JenWorker:
                 (sender_offset + np.arange(index.size)) % dests.size
             ]
             hot_rows += int(index.size)
-        parts = partition_table(table, assignments, num_workers)
+        return assignments, hot_rows
+
+    @staticmethod
+    def partition_for_exchange(
+        wire_tables: Sequence[Table], key: str, num_workers: int,
+        hot_keys=None,
+    ) -> Tuple[List[Table], np.ndarray, int]:
+        """Route every sender's wire table and split them in one pass.
+
+        Senders contribute destination assignments only (the agreed
+        hash, or each sender's hybrid routing when ``hot_keys`` is
+        non-empty); their rows are concatenated once and partitioned
+        once.  The partition kernel's stable sort by destination over
+        the sender-ordered concatenation leaves each destination's rows
+        grouped by sender, in sender order — row for row what
+        concatenating per-sender partitions gives.
+
+        Returns ``(per_destination, routed, hot_rows)``:
+        ``routed[sender, destination]`` counts the rows sender addressed
+        to destination, so message ``(sender, destination)`` is rows
+        ``routed[:sender, destination].sum()`` onwards of
+        ``per_destination[destination]``.
+        """
+        if not wire_tables:
+            raise JoinError("shuffle needs at least one sender")
+        hybrid = hot_keys is not None and len(hot_keys) > 0
+        hot_rows = 0
+        # Destinations travel in the narrowest dtype that holds them —
+        # what the partition kernel sorts on anyway.  As int64 they
+        # would be the exchange's largest array, and megabyte-sized
+        # temporaries are fresh pages on every query (the allocator
+        # returns them to the system in between; docs/performance.md).
+        narrow = np.min_scalar_type(num_workers - 1)
+        per_sender = []
+        for sender, wire in enumerate(wire_tables):
+            if hybrid:
+                assignments, sender_hot = \
+                    JenWorker.hybrid_shuffle_assignments(
+                        wire, key, num_workers, hot_keys,
+                        sender_offset=sender,
+                    )
+                hot_rows += sender_hot
+            else:
+                assignments = agreed_hash_partition(
+                    wire.column(key), num_workers
+                )
+            per_sender.append(assignments.astype(narrow))
+        routed = np.stack([
+            np.bincount(assignments, minlength=num_workers)
+            for assignments in per_sender
+        ])
+        combined = Table.concat(wire_tables)
+        per_destination = partition_table(
+            combined, np.concatenate(per_sender), num_workers
+        )
         if invariants.checking_enabled():
-            invariants.check_hybrid_partition(
-                table, key, parts, num_workers, agreed_hash_partition,
-                hot_keys.keys, fanouts=hot_keys.fanouts,
-            )
-        return parts, hot_rows
+            if hybrid:
+                invariants.check_hybrid_partition(
+                    combined, key, per_destination, num_workers,
+                    agreed_hash_partition, hot_keys.keys,
+                    fanouts=hot_keys.fanouts,
+                )
+            else:
+                invariants.check_hash_partition(
+                    combined, key, per_destination, num_workers,
+                    agreed_hash_partition,
+                )
+        return per_destination, routed, hot_rows

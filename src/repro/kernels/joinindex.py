@@ -10,10 +10,10 @@ re-reads; the service plane additionally caches indexes across queries
 that share a normalised build side (see
 :class:`repro.service.cache.JoinIndexCache`).
 
-The probe algorithm is byte-for-byte the one ``hash_join_indices``
-always used (stable argsort + double ``searchsorted``), so match pairs
-come back in the identical order: probe-major, build positions in
-sorted-key occurrence order within one probe row.
+The probe algorithm is the one ``hash_join_indices`` always used
+(stable sort order + double ``searchsorted``), so match pairs come back
+in the identical order: probe-major, build positions in sorted-key
+occurrence order within one probe row.
 """
 
 from __future__ import annotations
@@ -24,6 +24,38 @@ import numpy as np
 
 import repro.kernels as _kernels
 from repro.kernels.reference import naive_sorted_join
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` as int64, by the fastest route.
+
+    Integer keys are packed with their positions into one int64 word
+    each — ``(key - min) << shift | position`` — and the words are
+    *value*-sorted, which numpy does several times faster than an
+    indirect stable sort.  The position in the low bits makes every
+    word distinct, so there are no ties for the unstable sort to
+    reorder: equal keys come out in ascending position, which is the
+    stable order.  Keys the packing cannot hold — non-integers, or a
+    key span plus a position that need more than 63 bits — take the
+    stable argsort itself.
+    """
+    count = len(keys)
+    if count and keys.dtype.kind in "iu":
+        low = int(keys.min())
+        shift = (count - 1).bit_length()
+        if (int(keys.max()) - low).bit_length() + shift <= 63:
+            if keys.dtype == np.uint64:
+                # Offsets fit int64 even where the keys themselves do not.
+                words = (keys - np.uint64(low)).astype(np.int64)
+            else:
+                words = keys.astype(np.int64)
+                words -= low
+            words <<= shift
+            words |= np.arange(count, dtype=np.int64)
+            words.sort()
+            words &= (1 << shift) - 1
+            return words
+    return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
 class JoinBuildIndex:
@@ -41,10 +73,8 @@ class JoinBuildIndex:
 
     def __init__(self, build_keys: np.ndarray):
         self.keys = np.asarray(build_keys)
-        self.order = np.argsort(self.keys, kind="stable").astype(
-            np.int64, copy=False
-        )
-        self.sorted_keys = self.keys[self.order]
+        self.order = _stable_order(self.keys)
+        self.sorted_keys = self.keys.take(self.order)
 
     @property
     def num_keys(self) -> int:
@@ -86,12 +116,13 @@ class JoinBuildIndex:
         probe_idx = np.repeat(
             np.arange(len(probe_keys), dtype=np.int64), counts
         )
+        # Pair j of probe row p reads sorted position lo[p] + (j -
+        # starts[p]): repeat the per-row constant, add the running j.
         starts = np.zeros(len(probe_keys), dtype=np.int64)
         np.cumsum(counts[:-1], out=starts[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        build_idx = self.order[np.repeat(lo.astype(np.int64), counts)
-                               + within]
-        return build_idx, probe_idx
+        positions = np.repeat(lo - starts, counts)
+        positions += np.arange(total, dtype=np.int64)
+        return self.order.take(positions), probe_idx
 
     def __repr__(self) -> str:
         return f"JoinBuildIndex(keys={self.num_keys})"

@@ -29,8 +29,8 @@ from repro.kernels.reference import (
 )
 
 
-def _sorted_bounds(assignments: np.ndarray, num_partitions: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+def sorted_bounds(assignments: np.ndarray, num_partitions: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Stable destination order plus per-destination slice bounds.
 
     ``bounds[d]:bounds[d + 1]`` indexes destination ``d``'s rows inside
@@ -40,34 +40,35 @@ def _sorted_bounds(assignments: np.ndarray, num_partitions: int
     bits — every shuffle and repartition in this codebase — the sort
     runs as a radix sort on a narrowed uint8/uint16 copy (numpy's
     stable sort is radix for small integer dtypes, several times faster
-    than comparison-sorting int64; one byte beats two) and the bounds
-    come from one bincount.
-    Otherwise the general path comparison-sorts the original values;
-    out-of-range assignments then sort before ``bounds[0]`` (negatives)
-    or after ``bounds[-1]`` (>= num_partitions) and are thereby
-    excluded without a separate masking pass.
+    than comparison-sorting int64; one byte beats two; assignments that
+    arrive narrow are not copied).  Otherwise the original values are
+    comparison-sorted; out-of-range assignments then sort before
+    ``bounds[0]`` (negatives) or after ``bounds[-1]``
+    (>= num_partitions) and are thereby excluded without a separate
+    masking pass.
+
+    Either way the bounds are read off the sorted keys, in the keys'
+    own dtype, so the only row-count-sized index array is ``order``.
     """
+    in_range = False
     if num_partitions <= np.iinfo(np.uint16).max and assignments.size:
         low = int(assignments.min())
         high = int(assignments.max())
-        if low >= 0 and high < num_partitions:
-            narrow = np.uint8 if num_partitions <= 256 else np.uint16
-            order = np.argsort(
-                assignments.astype(narrow), kind="stable"
-            ).astype(np.int64, copy=False)
-            counts = np.bincount(assignments, minlength=num_partitions)
-            bounds = np.zeros(num_partitions + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            return order, bounds
-    order = np.argsort(assignments, kind="stable").astype(np.int64,
-                                                          copy=False)
-    sorted_assignments = assignments[order]
-    bounds = np.searchsorted(
-        sorted_assignments,
-        np.arange(num_partitions + 1, dtype=assignments.dtype),
-        side="left",
-    )
-    return order, bounds
+        in_range = low >= 0 and high < num_partitions
+    if not in_range:
+        order = np.argsort(assignments, kind="stable").astype(
+            np.int64, copy=False)
+        edges = np.arange(num_partitions + 1, dtype=assignments.dtype)
+        return order, np.searchsorted(assignments[order], edges,
+                                      side="left")
+    narrow = np.uint8 if num_partitions <= 256 else np.uint16
+    keys = assignments.astype(narrow, copy=False)
+    order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+    # The outer bounds are the ends, and the inner edges
+    # 1 .. num_partitions - 1 fit the narrow dtype.
+    edges = np.arange(1, num_partitions, dtype=narrow)
+    inner = np.searchsorted(keys.take(order), edges, side="left")
+    return order, np.concatenate(([0], inner, [keys.size]))
 
 
 def partition_indices(assignments: np.ndarray,
@@ -84,7 +85,7 @@ def partition_indices(assignments: np.ndarray,
     if assignments.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return [empty] * num_partitions
-    order, bounds = _sorted_bounds(assignments, num_partitions)
+    order, bounds = sorted_bounds(assignments, num_partitions)
     return [
         order[bounds[partition]:bounds[partition + 1]]
         for partition in range(num_partitions)
@@ -111,7 +112,7 @@ def partition_table(table, assignments: np.ndarray,
     if table.num_rows == 0:
         empty = table.slice(0, 0)
         return [empty] * num_partitions
-    order, bounds = _sorted_bounds(assignments, num_partitions)
+    order, bounds = sorted_bounds(assignments, num_partitions)
     in_order = table.take(order)
     return [
         in_order.slice(int(bounds[partition]), int(bounds[partition + 1]))

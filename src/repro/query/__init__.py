@@ -12,6 +12,7 @@ reference executor used as ground truth (:mod:`repro.query.executor`).
 from repro.query.query import DerivedColumn, HybridQuery
 from repro.query.plan import (
     apply_derivations,
+    join_partial_aggregate,
     local_join,
     local_partial_aggregate,
     merge_partials,
@@ -24,6 +25,7 @@ __all__ = [
     "HybridQuery",
     "SelectivityReport",
     "apply_derivations",
+    "join_partial_aggregate",
     "local_join",
     "local_partial_aggregate",
     "measure_selectivities",

@@ -11,18 +11,26 @@ One designated worker then merges the partials.  Keeping these steps in
 one module guarantees the five algorithms and the single-node reference
 executor cannot drift apart semantically — the property tests rely on
 exactly that.
+
+The engines run the three steps fused (:func:`join_partial_aggregate`),
+which never materialises a joined row; :func:`local_join` +
+:func:`local_partial_aggregate` are the same pipeline spelled out, for
+callers that want the joined rows and as the reference the fused form
+is tested against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.kernels.joinindex import JoinBuildIndex
+import numpy as np
+
+from repro.kernels.joinindex import JoinBuildIndex, probe_join
 from repro.relational.aggregates import (
     group_by_aggregate,
     merge_partial_aggregates,
 )
-from repro.relational.operators import join_tables
+from repro.relational.operators import join_tables, joined_rows
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
 
@@ -66,6 +74,52 @@ def local_partial_aggregate(joined: Table, query: HybridQuery) -> Table:
         joined = joined.filter(query.post_join_predicate.evaluate(joined))
     return group_by_aggregate(joined, list(query.group_by),
                               list(query.aggregates))
+
+
+def join_partial_aggregate(
+    t_part: Table, l_part: Table, query: HybridQuery,
+    build_index: Optional[JoinBuildIndex] = None,
+) -> Tuple[Table, int]:
+    """Join, post-join predicate and partial group-by without ever
+    materialising the joined rows (paper Section 4.4: the partial
+    aggregates are computed during the probe).
+
+    The probe yields ``(build, probe)`` index pairs.  The predicate
+    sees only the columns it reads, gathered through the pairs; the
+    pairs it rejects are dropped; the group-by sees only its own and
+    the aggregates' columns, gathered at the survivors.  Returns the
+    partial — equal to ``local_partial_aggregate(local_join(...))`` —
+    and the number of pairs *before* the predicate, i.e. the join's
+    output cardinality.
+    """
+    build_idx, probe_idx = probe_join(
+        l_part.column(query.hdfs_join_key),
+        t_part.column(query.db_join_key),
+        build_index=build_index,
+    )
+    join_output_rows = len(build_idx)
+
+    def gathered(names) -> Table:
+        return joined_rows(
+            l_part, t_part, build_idx, probe_idx,
+            query.hdfs_prefix, query.db_prefix, names=names,
+        )
+
+    predicate = query.post_join_predicate
+    if predicate is not None:
+        # A predicate that reads no column still has to see one row per
+        # pair; any column carries the count.
+        reads = predicate.columns() or (query.prefixed_hdfs_key(),)
+        keep = np.flatnonzero(predicate.evaluate(gathered(reads)))
+        build_idx = build_idx.take(keep)
+        probe_idx = probe_idx.take(keep)
+    aggregated = [spec.column for spec in query.aggregates
+                  if spec.column is not None]
+    partial = group_by_aggregate(
+        gathered(list(query.group_by) + aggregated),
+        list(query.group_by), list(query.aggregates),
+    )
+    return partial, join_output_rows
 
 
 def merge_partials(partials: Sequence[Table], query: HybridQuery) -> Table:

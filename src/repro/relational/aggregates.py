@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ExpressionError, TableError
+from repro.kernels.partition import sorted_bounds
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 
@@ -124,6 +125,10 @@ def merge_partial_aggregates(
                 "avg cannot be merged directly; decompose into sum and count"
             )
     non_empty = [t for t in partials if t.num_rows] or list(partials[:1])
+    if len(non_empty) == 1:
+        # One partial is already grouped, key-ordered and named as the
+        # merge would leave it.
+        return non_empty[0]
     combined = Table.concat(non_empty)
     merge_specs = [
         AggregateSpec(
@@ -169,7 +174,7 @@ def _compute_aggregate(
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
 
     values = table.column(spec.column)
-    if spec.function == "sum":
+    if spec.function == "sum" and values.dtype.kind not in "iu":
         return np.bincount(
             group_ids, weights=values.astype(np.float64), minlength=num_groups
         ).astype(np.int64)
@@ -179,11 +184,13 @@ def _compute_aggregate(
         )
         counts = np.bincount(group_ids, minlength=num_groups)
         return sums / np.maximum(counts, 1)
-    # min/max: sort rows by group, reduce contiguous runs.
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    sorted_values = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    starts = np.concatenate(([0], boundaries))
-    reducer = np.minimum if spec.function == "min" else np.maximum
-    return reducer.reduceat(sorted_values, starts).astype(np.int64)
+    # min/max and integer sum: sort rows by group, reduce contiguous
+    # runs (group ids are dense, so no run is empty).  Integer sums
+    # accumulate in int64 — float64 weights would round from 2**53.
+    order, bounds = sorted_bounds(group_ids, num_groups)
+    reducer = {"min": np.minimum, "max": np.maximum,
+               "sum": np.add}[spec.function]
+    dtype = np.int64 if spec.function == "sum" else None
+    return reducer.reduceat(
+        values[order], bounds[:-1], dtype=dtype
+    ).astype(np.int64)

@@ -16,8 +16,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import TableError
+from repro.errors import SchemaError, TableError
 from repro.kernels.joinindex import JoinBuildIndex, probe_join
+from repro.relational.schema import DataType, Schema
 from repro.relational.table import Table
 
 
@@ -60,32 +61,59 @@ def join_tables(
         build.column(build_key), probe.column(probe_key),
         build_index=build_index,
     )
-    build_rows = build.take(build_idx)
-    probe_rows = probe.take(probe_idx)
+    return joined_rows(build, probe, build_idx, probe_idx,
+                       build_prefix, probe_prefix)
 
-    build_renames = _prefix_mapping(build.schema.names, build_prefix)
-    probe_renames = _prefix_mapping(probe.schema.names, probe_prefix)
-    build_rows = build_rows.rename(build_renames)
-    probe_rows = probe_rows.rename(probe_renames)
 
-    collisions = set(build_rows.schema.names) & set(probe_rows.schema.names)
+def joined_rows(
+    build: Table,
+    probe: Table,
+    build_idx: np.ndarray,
+    probe_idx: np.ndarray,
+    build_prefix: str = "",
+    probe_prefix: str = "",
+    names: Optional[Sequence[str]] = None,
+) -> Table:
+    """The joined rows at matching index pairs, prefixed per side.
+
+    ``names`` restricts the output to those joined (prefixed) columns:
+    only they are gathered, so a consumer that reads two columns of a
+    five-column join moves two.  Build-side columns come first.  The
+    collision and unknown-column errors are those of the full join,
+    whatever ``names`` selects.
+    """
+    sides = ((build, build_prefix, build_idx),
+             (probe, probe_prefix, probe_idx))
+    build_names, probe_names = (
+        [f"{prefix}{name}" for name in side.schema.names]
+        for side, prefix, _idx in sides
+    )
+    collisions = set(build_names) & set(probe_names)
     if collisions:
         raise TableError(
             f"join output column collision: {sorted(collisions)}; "
             "supply build_prefix/probe_prefix"
         )
+    for name in names or ():
+        if name not in build_names and name not in probe_names:
+            raise SchemaError(
+                f"unknown column {name!r}; have {build_names + probe_names}"
+            )
 
-    schema = build_rows.schema.concat(probe_rows.schema)
+    schema_columns = []
     columns: Dict[str, np.ndarray] = {}
     dictionaries: Dict[str, np.ndarray] = {}
-    from repro.relational.schema import DataType
-
-    for side in (build_rows, probe_rows):
-        for column in side.schema:
-            columns[column.name] = side.column(column.name)
+    for side, prefix, idx in sides:
+        kept = [name for name in side.schema.names
+                if names is None or f"{prefix}{name}" in names]
+        rows = side.project(kept).take(idx).rename(
+            _prefix_mapping(kept, prefix))
+        for column in rows.schema:
+            schema_columns.append(column)
+            columns[column.name] = rows.column(column.name)
             if column.dtype is DataType.DICT_STRING:
-                dictionaries[column.name] = side.dictionary(column.name)
-    return Table(schema, columns, dictionaries)
+                dictionaries[column.name] = rows.dictionary(column.name)
+    return Table(Schema(schema_columns), columns, dictionaries)
 
 
 def semi_join_mask(keys: np.ndarray, membership_keys: np.ndarray) -> np.ndarray:

@@ -5,14 +5,15 @@ differential tests alone can miss (two bugs can cancel out in the final
 aggregate).  This module threads *assertion hooks* into the hot spots:
 
 * **exactly-once shuffle delivery** — every destination of
-  :func:`repro.jen.exchange.shuffle` accepts each sender's partition
+  :func:`repro.jen.exchange.shuffle` accepts each sender's message
   exactly once, and receives exactly the rows addressed to it, even
   when the fault injector re-sends dropped messages or duplicates
-  partitions whose acknowledgement was lost;
-* **partition completeness/disjointness** — the hash partitioners in
-  :class:`repro.jen.worker.JenWorker` and
-  :class:`repro.edw.worker.DbWorker` route every input row to exactly
-  one partition, and every row of partition ``i`` re-hashes to ``i``;
+  messages whose acknowledgement was lost;
+* **partition completeness/disjointness** — the exchanges
+  (:meth:`repro.jen.worker.JenWorker.partition_for_exchange`,
+  :func:`repro.core.joins.repartition._route_db_rows`) route every
+  input row to exactly one partition, and every row of partition ``i``
+  re-hashes to ``i``;
 * **Bloom no-false-negative** — a :class:`repro.core.bloom.BloomFilter`
   never reports an inserted key absent; a shadow key set is tracked
   through ``add``/``union_in_place``/``copy``/``combine`` and verified
@@ -82,14 +83,15 @@ def violation(message: str) -> "InvariantViolation":
 # ----------------------------------------------------------------------
 # Shuffle delivery (jen/exchange.py)
 # ----------------------------------------------------------------------
-def check_shuffle_delivery(outgoing, per_destination,
+def check_shuffle_delivery(routed, per_destination,
                            delivery_counts: np.ndarray) -> None:
     """Exactly-once acceptance plus row conservation per destination.
 
     ``delivery_counts[sender, destination]`` counts the copies each
-    receiver *accepted* (post dedup).  Anything other than exactly one
-    copy per (sender, destination) pair — or a received row count that
-    differs from the rows addressed to that destination — is a
+    receiver *accepted* (post dedup); ``routed[sender, destination]``
+    the rows each sender addressed there.  Anything other than exactly
+    one copy per (sender, destination) pair — or a received row count
+    that differs from the rows addressed to that destination — is a
     violation.
     """
     if not _CHECKING:
@@ -103,9 +105,7 @@ def check_shuffle_delivery(outgoing, per_destination,
             f"copies from sender {sender} (expected 1)"
         )
     for destination, received in enumerate(per_destination):
-        expected = sum(
-            parts[destination].num_rows for parts in outgoing
-        )
+        expected = int(routed[:, destination].sum())
         if received.num_rows != expected:
             raise violation(
                 f"shuffle conservation broken at destination {destination}: "
@@ -115,7 +115,7 @@ def check_shuffle_delivery(outgoing, per_destination,
 
 
 # ----------------------------------------------------------------------
-# Hash partitioning (jen/worker.py, edw/worker.py)
+# Hash partitioning (jen/worker.py, core/joins/repartition.py)
 # ----------------------------------------------------------------------
 def check_hash_partition(table, key: str, parts: Sequence,
                          num_partitions: int, hash_fn) -> None:
@@ -178,7 +178,7 @@ def check_hybrid_partition(table, key: str, parts: Sequence,
                            num_partitions: int, hash_fn,
                            hot_keys: np.ndarray,
                            fanouts: Optional[np.ndarray] = None) -> None:
-    """Hybrid split of one sender's build side (L rows).
+    """Hybrid split of the senders' build side (L rows).
 
     * completeness — the partition row counts sum to the input rows;
     * cold disjointness — every *cold* row of partition ``i`` re-hashes

@@ -134,8 +134,13 @@ class TestWorker:
         assert kept.num_rows >= expected_min
 
     def test_partition_for_send_conserves(self):
+        # DbWorker.partition_for_send became the one-pass exchange.
+        from repro.core.joins.repartition import _route_db_rows
+
         table = sample_table(100)
-        parts = DbWorker.partition_for_send(table, "joinKey", 7)
+        parts, _hot, _copies = _route_db_rows(
+            [table.slice(0, 60), table.slice(60, 100)], "joinKey", 7
+        )
         assert sum(p.num_rows for p in parts) == 100
 
     def test_duplicate_partition_store_rejected(self):

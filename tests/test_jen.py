@@ -7,6 +7,7 @@ from repro.core.bloom import BloomFilter
 from repro.errors import CatalogError, JoinError
 from repro.jen.coordinator import JenCoordinator
 from repro.jen.exchange import shuffle
+from repro.jen.worker import JenWorker
 from repro.query.plan import apply_derivations
 from tests.conftest import build_test_warehouse, make_test_spec
 
@@ -146,11 +147,13 @@ class TestShuffleExchange:
         _workload, warehouse, query = env
         scan = warehouse.jen.distributed_scan(query)
         with pytest.raises(JoinError, match="ragged"):
-            shuffle([[scan.wire_tables[0]], []])
+            shuffle([scan.wire_tables[0]], np.zeros((2, 3), dtype=np.int64))
 
     def test_empty_shuffle_rejected(self):
-        with pytest.raises(JoinError):
-            shuffle([])
+        with pytest.raises(JoinError, match="at least one sender"):
+            shuffle([], np.zeros((0, 0), dtype=np.int64))
+        with pytest.raises(JoinError, match="at least one sender"):
+            JenWorker.partition_for_exchange([], "joinKey", 4)
 
 
 class TestDerivedColumns:

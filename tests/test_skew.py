@@ -221,11 +221,14 @@ class TestHybridRouting:
         table = _key_table(keys)
         hot = HotKeySet(keys=np.array([42], dtype=np.int64),
                         fanouts=np.array([3], dtype=np.int64))
+        # The third sender (its deal starts at offset 2) holds the rows.
+        senders = [table.slice(0, 0), table.slice(0, 0), table]
         with testkit.checking():  # invariants armed: containment etc.
-            parts, hot_rows = JenWorker.partition_for_hybrid_shuffle(
-                table, "k", 6, hot, sender_offset=2
+            parts, routed, hot_rows = JenWorker.partition_for_exchange(
+                senders, "k", 6, hot
             )
         assert hot_rows == 300
+        assert routed[:2].sum() == 0 and routed[2].sum() == table.num_rows
         home = int(agreed_hash_partition(
             np.array([42], dtype=np.int64), 6)[0])
         spread_set = {home, (home + 1) % 6, (home + 2) % 6}
