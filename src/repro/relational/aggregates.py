@@ -81,18 +81,18 @@ def group_by_aggregate(
 
     if table.num_rows == 0:
         group_ids = np.empty(0, dtype=np.int64)
-        representative_idx = np.empty(0, dtype=np.int64)
+        group_keys = [table.column(name) for name in group_columns]
     else:
-        group_ids, representative_idx = _group_ids(table, group_columns)
-    num_groups = len(representative_idx)
+        group_ids, group_keys = _group_ids(table, group_columns)
+    num_groups = len(group_keys[0])
 
     out_columns: Dict[str, np.ndarray] = {}
     dictionaries: Dict[str, np.ndarray] = {}
     schema_columns: List[Column] = []
-    for name in group_columns:
+    for name, keys in zip(group_columns, group_keys):
         column = table.schema.column(name)
         schema_columns.append(column)
-        out_columns[name] = table.column(name)[representative_idx]
+        out_columns[name] = keys
         if column.dtype is DataType.DICT_STRING:
             dictionaries[name] = table.dictionary(name)
 
@@ -148,20 +148,53 @@ def _merge_function(function: str) -> str:
 
 def _group_ids(
     table: Table, group_columns: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense group ids per row plus one representative row per group."""
-    if len(group_columns) == 1:
-        keys = table.column(group_columns[0])
-        _, representative_idx, group_ids = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        return group_ids.ravel(), representative_idx
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Dense group ids per row plus each group column's per-group value.
+
+    Groups are numbered in ascending key order.  ``table`` has rows.
+    """
     arrays = [table.column(name) for name in group_columns]
-    stacked = np.rec.fromarrays(arrays)
+    if len(arrays) == 1:
+        counted = _counted_group_ids(arrays[0])
+        if counted is not None:
+            return counted[0], [counted[1]]
+        keys = arrays[0]
+    else:
+        keys = np.rec.fromarrays(arrays)
     _, representative_idx, group_ids = np.unique(
-        stacked, return_index=True, return_inverse=True
+        keys, return_index=True, return_inverse=True
     )
-    return group_ids.ravel(), representative_idx
+    return group_ids.ravel(), [array[representative_idx] for array in arrays]
+
+
+def _counted_group_ids(
+    keys: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``np.unique``'s group ids and sorted distinct keys, by counting.
+
+    For integer keys whose value span is at most twice the row count —
+    dictionary codes, dates, small join keys — a histogram over
+    ``keys - min`` finds the groups without sorting the rows: the
+    occupied offsets, ascending, are the distinct keys, and a row's id
+    is its offset's rank among them.  The bound keeps the histogram no
+    larger than twice the input; wider spans (and non-integer keys)
+    return ``None`` and the caller sorts.
+    """
+    if keys.dtype.kind not in "iu":
+        return None
+    low = keys.min()
+    span = int(keys.max()) - int(low) + 1
+    if span > 2 * keys.size:
+        return None
+    # Python ints above, so a span like int64's whole range is seen as
+    # what it is; within the bound every offset fits int64 (unsigned
+    # keys and ``low`` wrap alike in the cast, their difference is exact).
+    low = low.astype(np.int64)
+    offsets = keys.astype(np.int64) - low
+    occupied = np.flatnonzero(np.bincount(offsets, minlength=span))
+    rank = np.empty(span, dtype=np.intp)
+    rank[occupied] = np.arange(occupied.size, dtype=np.intp)
+    return rank[offsets], (occupied + low).astype(keys.dtype)
 
 
 def _compute_aggregate(

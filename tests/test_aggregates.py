@@ -1,11 +1,14 @@
 """Unit and property tests for repro.relational.aggregates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExpressionError, TableError
+from repro.errors import ExpressionError, SchemaError, TableError
+from repro.relational import aggregates as aggregates_module
 from repro.relational.aggregates import (
     AggregateSpec,
     group_by_aggregate,
@@ -237,3 +240,238 @@ class TestMergePartials:
         ]
         merged = merge_partial_aggregates(partials, ["k"], aggregates)
         assert merged.to_rows() == whole.to_rows()
+
+
+# ----------------------------------------------------------------------
+# Counting group-by == the np.unique grouping it replaces
+# ----------------------------------------------------------------------
+ALL_FIVE = [
+    AggregateSpec("count"), AggregateSpec("sum", "v"),
+    AggregateSpec("min", "v"), AggregateSpec("max", "v"),
+    AggregateSpec("avg", "v"),
+]
+
+
+def reference_group_by(table, group_columns, aggregates):
+    """Grouping as it was before the counting branch — one ``np.unique``
+    sort, group keys gathered at each group's first row — with the
+    aggregates computed per group in Python ints.  Returns
+    ``{column: array}`` in output order."""
+    arrays = [table.column(name) for name in group_columns]
+    keys = arrays[0] if len(arrays) == 1 else np.rec.fromarrays(arrays)
+    _, first_rows, group_ids = np.unique(
+        keys, return_index=True, return_inverse=True)
+    out = {name: array[first_rows]
+           for name, array in zip(group_columns, arrays)}
+    members = [[] for _ in first_rows]
+    for row, group in enumerate(group_ids.ravel().tolist()):
+        members[group].append(row)
+    for spec in aggregates:
+        if spec.function == "count":
+            values = [len(rows) for rows in members]
+        else:
+            column = table.column(spec.column).tolist()
+            picked = [[column[row] for row in rows] for rows in members]
+            values = {
+                "sum": lambda: [sum(group) for group in picked],
+                "min": lambda: [min(group) for group in picked],
+                "max": lambda: [max(group) for group in picked],
+                "avg": lambda: [sum(group) / len(group) for group in picked],
+            }[spec.function]()
+        out[spec.output_name()] = np.asarray(
+            values, dtype=spec.output_dtype().numpy_dtype())
+    return out
+
+
+def assert_groups_like_the_reference(table, group_columns, aggregates,
+                                     counted):
+    """``counted``: whether the counting branch must take it (0 sorts)
+    or must leave it to ``np.unique`` (exactly one)."""
+    expected = reference_group_by(table, group_columns, aggregates)
+    with mock.patch.object(aggregates_module.np, "unique",
+                           wraps=np.unique) as unique:
+        result = group_by_aggregate(table, group_columns, aggregates)
+    assert unique.call_count == (0 if counted else 1)
+    assert list(result.schema.names) == list(expected)
+    for name, values in expected.items():
+        assert result.column(name).dtype == values.dtype, name
+        assert np.array_equal(result.column(name), values), name
+    for name in group_columns:
+        assert result.schema.column(name) == table.schema.column(name)
+        if table.schema.column(name).dtype is DataType.DICT_STRING:
+            assert result.dictionary(name) is table.dictionary(name)
+    return result
+
+
+def keyed_table(keys, dtype=DataType.INT64, seed=0, dictionary=None):
+    keys = np.asarray(keys, dtype=dtype.numpy_dtype())
+    rng = np.random.default_rng(seed)
+    schema = Schema([Column("k", dtype), Column("v", DataType.INT64)])
+    return Table(
+        schema,
+        {"k": keys, "v": rng.integers(-1000, 1000, size=keys.size)},
+        {} if dictionary is None else {"k": dictionary},
+    )
+
+
+class TestCountingGroupBy:
+    def test_negative_keys(self):
+        rng = np.random.default_rng(1)
+        for dtype in (DataType.INT32, DataType.INT64):
+            table = keyed_table(rng.integers(-40, -3, size=500), dtype)
+            assert_groups_like_the_reference(table, ["k"], ALL_FIVE, True)
+        # A dense run at either end of the type: min itself is the base,
+        # and max - min must not be taken in the column's own width.
+        for dtype in (DataType.INT32, DataType.INT64):
+            info = np.iinfo(dtype.numpy_dtype())
+            low = keyed_table(info.min + rng.integers(0, 9, size=60), dtype)
+            high = keyed_table(info.max - rng.integers(0, 9, size=60), dtype)
+            assert_groups_like_the_reference(low, ["k"], ALL_FIVE, True)
+            assert_groups_like_the_reference(high, ["k"], ALL_FIVE, True)
+
+    def test_date_column(self):
+        rng = np.random.default_rng(2)
+        table = keyed_table(16_000 + rng.integers(0, 90, size=400),
+                            DataType.DATE)
+        result = assert_groups_like_the_reference(
+            table, ["k"], ALL_FIVE, True)
+        assert result.schema.column("k").dtype is DataType.DATE
+
+    def test_dictionary_codes_with_gaps(self):
+        # Codes 1, 4 and 6 never occur: the groups are the occupied
+        # codes only, in code order, under the table's own dictionary.
+        dictionary = np.asarray(list("hgfedcba"), dtype=object)
+        rng = np.random.default_rng(3)
+        codes = rng.choice([0, 2, 3, 5, 7], size=300)
+        table = keyed_table(codes, DataType.DICT_STRING,
+                            dictionary=dictionary)
+        result = assert_groups_like_the_reference(
+            table, ["k"], ALL_FIVE, True)
+        assert result.column("k").tolist() == [0, 2, 3, 5, 7]
+        assert [row[0] for row in result.to_rows()] == list("hfeca")
+
+    def test_all_rows_one_key_and_one_row(self):
+        assert_groups_like_the_reference(
+            keyed_table([7] * 50), ["k"], ALL_FIVE, True)
+        assert_groups_like_the_reference(
+            keyed_table([-3]), ["k"], ALL_FIVE, True)
+        assert_groups_like_the_reference(
+            keyed_table([np.iinfo(np.int64).min]), ["k"], ALL_FIVE, True)
+
+    def test_exact_sum_past_2_to_53(self):
+        big = 2 ** 53
+        schema = Schema([Column("k", DataType.INT32),
+                         Column("v", DataType.INT64)])
+        table = Table(schema, {
+            "k": np.array([4, 4, 9, 9, 9, 5], dtype=np.int32),
+            "v": np.array([big, 1, big + 1, big + 3, -5, -big - 1]),
+        })
+        result = assert_groups_like_the_reference(
+            table, ["k"], [AggregateSpec("sum", "v")], True)
+        assert result.to_rows() == [(4, big + 1), (5, -big - 1),
+                                    (9, 2 * big - 1)]
+
+    @given(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-100, 100)),
+        min_size=1, max_size=80,
+    ), st.integers(2, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_merged_partials_under_any_split(self, rows, parts):
+        table = kv_table([r[0] for r in rows], [r[1] for r in rows])
+        mergeable = ALL_FIVE[:4]
+        partials = [group_by_aggregate(part, ["k"], mergeable)
+                    for part in table.split(parts)]
+        merged = merge_partial_aggregates(partials, ["k"], mergeable)
+        expected = reference_group_by(table, ["k"], mergeable)
+        for name, values in expected.items():
+            assert merged.column(name).dtype == values.dtype
+            assert np.array_equal(merged.column(name), values)
+
+    # -- the guard, from both sides ------------------------------------
+    @pytest.mark.parametrize("rows", [2, 7, 1000])
+    def test_span_of_twice_the_rows_counts_one_more_sorts(self, rows):
+        rng = np.random.default_rng(rows)
+        inner = rng.integers(1, 2 * rows - 1, size=rows)
+        for base in (0, -10**12, np.iinfo(np.int64).max - 2 * rows):
+            keys = base + inner
+            keys[0] = base
+            keys[-1] = base + 2 * rows - 1        # span == 2 * rows
+            assert_groups_like_the_reference(
+                keyed_table(keys), ["k"], ALL_FIVE, True)
+            keys[-1] = base + 2 * rows            # span == 2 * rows + 1
+            assert_groups_like_the_reference(
+                keyed_table(keys), ["k"], ALL_FIVE, False)
+
+    @pytest.mark.parametrize("dtype", [DataType.INT32, DataType.INT64])
+    def test_type_extremes_in_one_column_sort(self, dtype):
+        # max - min is 2**32 - 1 / 2**64 - 1: in the column's own width
+        # it would wrap to -1 and read as a tiny span.
+        info = np.iinfo(dtype.numpy_dtype())
+        table = keyed_table([info.max, info.min, 0, info.max, -1], dtype)
+        result = assert_groups_like_the_reference(
+            table, ["k"], ALL_FIVE, False)
+        assert result.column("k").tolist() == [info.min, -1, 0, info.max]
+
+    def test_sparse_wide_keys_sort(self):
+        rng = np.random.default_rng(5)
+        table = keyed_table(rng.integers(0, 2 ** 40, size=300))
+        assert_groups_like_the_reference(table, ["k"], ALL_FIVE, False)
+
+    def test_float_group_column_sorts(self):
+        rng = np.random.default_rng(6)
+        schema = Schema([Column("k", DataType.FLOAT64),
+                         Column("v", DataType.INT64)])
+        table = Table(schema, {
+            "k": rng.integers(0, 5, size=100) / 2.0,
+            "v": rng.integers(-9, 9, size=100),
+        })
+        assert_groups_like_the_reference(table, ["k"], ALL_FIVE, False)
+
+    def test_two_group_columns_sort(self):
+        rng = np.random.default_rng(7)
+        schema = Schema([Column("a", DataType.INT32),
+                         Column("s", DataType.DICT_STRING),
+                         Column("v", DataType.INT64)])
+        table = Table(schema, {
+            "a": rng.integers(0, 3, size=200).astype(np.int32),
+            "s": rng.integers(0, 4, size=200).astype(np.int32),
+            "v": rng.integers(-9, 9, size=200),
+        }, {"s": np.asarray(["d", "a", "c", "b"], dtype=object)})
+        assert_groups_like_the_reference(table, ["a", "s"], ALL_FIVE, False)
+
+    def test_unsigned_keys_above_int64(self):
+        # No table column is unsigned, but the helper takes any integer
+        # array: its int64 offsets must survive keys >= 2**63.
+        keys = np.array([2 ** 64 - 1, 2 ** 64 - 4, 2 ** 64 - 1, 2 ** 63 + 2,
+                         2 ** 64 - 2], dtype=np.uint64)
+        assert aggregates_module._counted_group_ids(keys) is None
+        keys = keys[[0, 1, 2, 4]]
+        group_ids, distinct = aggregates_module._counted_group_ids(keys)
+        expected, expected_ids = np.unique(keys, return_inverse=True)
+        assert distinct.dtype == np.uint64
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(group_ids, expected_ids)
+
+    # -- behaviours around the grouping that must fire as before -------
+    def test_errors_and_empty_input_unchanged(self):
+        table = keyed_table([1, 2, 2])
+        with pytest.raises(SchemaError, match="nope"):
+            group_by_aggregate(table, ["nope"], ALL_FIVE)
+        with pytest.raises(SchemaError, match="nope"):
+            group_by_aggregate(table.slice(0, 0), ["nope"], ALL_FIVE)
+        with pytest.raises(SchemaError, match="nope"):
+            group_by_aggregate(table, ["k"], [AggregateSpec("sum", "nope")])
+        with pytest.raises(TableError, match="duplicate aggregate output"):
+            group_by_aggregate(table, ["k"], [
+                AggregateSpec("sum", "v", alias="x"),
+                AggregateSpec("min", "v", alias="x")])
+        with pytest.raises(TableError, match="duplicate aggregate output"):
+            group_by_aggregate(table, ["k"],
+                               [AggregateSpec("sum", "v", alias="k")])
+        empty = group_by_aggregate(table.slice(0, 0), ["k"], ALL_FIVE)
+        assert empty.num_rows == 0
+        assert empty.schema == group_by_aggregate(
+            table, ["k"], ALL_FIVE).schema
+        for name in empty.schema.names:
+            assert empty.column(name).dtype \
+                == empty.schema.column(name).dtype.numpy_dtype()
