@@ -1,7 +1,7 @@
 """Adaptive re-optimization benchmark (thin wrapper).
 
-Like ``bench_wallclock.py`` this is a plain script, but the times it
-reports are *simulated* seconds from the priced traces — deterministic,
+A plain script; the times it reports are *simulated* seconds from the
+priced traces — deterministic,
 so ``--check`` gates on exact invariants: every scenario's adaptive run
 must switch, stay oracle-identical, and land strictly between the
 correct-pick and mispicked static plans::

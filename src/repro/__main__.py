@@ -8,7 +8,6 @@ Usage::
     python -m repro serve --queries 24 --slots 8  # concurrent stream
     python -m repro advise --sigma-t 0.1 --sigma-l 0.2
     python -m repro experiments [ids...]      # same as python -m repro.bench
-    python -m repro bench --out BENCH_wallclock.json  # kernel wall clock
     python -m repro fuzz --seeds 2015 2016 --artifacts fuzz-artifacts
 
 The demo warehouse is the paper's Table-1 workload at 1/25,000 scale,
@@ -363,12 +362,6 @@ def _cmd_experiments(args) -> int:
     return bench_main(argv)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench.wallclock import run_from_args
-
-    return run_from_args(args)
-
-
 def _cmd_fuzz(args) -> int:
     from repro.testkit.fuzz import run_fuzz
 
@@ -527,14 +520,6 @@ def main(argv=None) -> int:
     experiments_parser.add_argument("--figures", action="store_true",
                                     help="render ASCII bar charts")
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="wall-clock benchmarks of the vectorised kernels "
-                      "(naive references vs. repro.kernels)"
-    )
-    from repro.bench.wallclock import add_arguments as _bench_arguments
-
-    _bench_arguments(bench_parser)
-
     fuzz_parser = subparsers.add_parser(
         "fuzz", help="differential-fuzz sampled configs against the "
                      "single-node oracle; failures are shrunk to "
@@ -566,7 +551,6 @@ def main(argv=None) -> int:
         "advise": _cmd_advise,
         "sweep": _cmd_sweep,
         "experiments": _cmd_experiments,
-        "bench": _cmd_bench,
         "fuzz": _cmd_fuzz,
     }
     return handlers[args.command](args)

@@ -176,9 +176,9 @@ class BloomFilter:
         """Number of 1 bits in the filter.
 
         Word-level popcount (hardware ``popcnt`` where numpy exposes
-        it) — the advisor calls :meth:`estimated_fpr` per decision, so
-        this must not materialise every bit the way ``unpackbits``
-        does.
+        it).  Off the data plane: no engine, advisor or service path
+        calls this, :meth:`fill_ratio` or :meth:`estimated_fpr` — only
+        ``__repr__`` and the tests do.
         """
         return popcount(self._words)
 

@@ -567,7 +567,6 @@ class Jen:
             fragment_tables,
             plan_spill,
         )
-        from repro.kernels import kernels_enabled
         from repro.kernels.joinindex import JoinBuildIndex
 
         stats = LocalJoinStats(stitch=stitch_stats)
@@ -594,7 +593,7 @@ class Jen:
                 stats.max_fragments = max(stats.max_fragments,
                                           plan.num_fragments)
                 build_index = None
-                if not plan.spilled and kernels_enabled():
+                if not plan.spilled:
                     # Sort the worker's build side once and reuse the
                     # index for the probe (and, via an installed
                     # provider, across queries whose build side is

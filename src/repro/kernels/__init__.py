@@ -3,8 +3,9 @@
 The paper's argument is that hybrid-join cost is dominated by a handful
 of scan/shuffle/filter primitives, so this package makes exactly those
 primitives fast while keeping them *bit-identical* to their naive
-formulations (the differential battery in ``tests/test_kernels.py``
-pins that equivalence):
+formulations.  Each kernel has one implementation; the naive
+formulations live in ``tests/kernel_reference.py``, and the
+differential battery in ``tests/test_kernels.py`` pins the equivalence:
 
 * :mod:`repro.kernels.partition` — single-pass hash partitioning: one
   stable argsort instead of one full-table boolean filter per
@@ -25,45 +26,15 @@ pins that equivalence):
   late-materialization transfers (:mod:`repro.latemat`): varint/delta
   row-id batches, dictionary-id passthrough and constant stripping,
   with bit-exact vectorised round trips.
-* :mod:`repro.kernels.reference` — the naive formulations every kernel
-  must match bit for bit; they also provide the "before" timings of
-  ``python -m repro bench``.
-
-``set_kernels_enabled(False)`` routes every kernel through its naive
-reference implementation.  The engines always call through this layer,
-so the wall-clock benchmark can measure genuinely identical end-to-end
-code paths with only the kernel implementations swapped.
 """
 
 from __future__ import annotations
 
-_ENABLED = True
-
-
-def kernels_enabled() -> bool:
-    """Whether the vectorised implementations are active."""
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle the vectorised kernels (benchmark/debug switch).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-from repro.kernels.bloomops import popcount, scatter_or, test_bits  # noqa: E402
-from repro.kernels.joinindex import JoinBuildIndex, probe_join  # noqa: E402
-from repro.kernels.partition import (  # noqa: E402
-    partition_indices,
-    partition_table,
-)
-from repro.kernels.sketch import CountMinSketch, TopKHeap  # noqa: E402
-from repro.kernels.wirecodec import (  # noqa: E402
+from repro.kernels.bloomops import popcount, scatter_or, test_bits
+from repro.kernels.joinindex import JoinBuildIndex, probe_join
+from repro.kernels.partition import partition_indices, partition_table
+from repro.kernels.sketch import CountMinSketch, TopKHeap
+from repro.kernels.wirecodec import (
     decode_rowids,
     decode_table,
     encode_rowids,
@@ -82,12 +53,10 @@ __all__ = [
     "encode_table",
     "encoded_rowid_bytes",
     "encoded_table_bytes",
-    "kernels_enabled",
     "partition_indices",
     "partition_table",
     "popcount",
     "probe_join",
     "scatter_or",
-    "set_kernels_enabled",
     "test_bits",
 ]

@@ -22,7 +22,7 @@ uint64 word array instead of individual bits:
   ``np.unpackbits`` does.
 
 All three are bit-identical to the naive formulations in
-:mod:`repro.kernels.reference` (the property tests compare final word
+``tests/kernel_reference.py`` (the property tests compare final word
 arrays, masks and counts directly).
 """
 
@@ -31,13 +31,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-
-import repro.kernels as _kernels
-from repro.kernels.reference import (
-    naive_popcount,
-    naive_scatter_or,
-    naive_test_bits,
-)
 
 _WORD_SHIFT = np.uint64(6)
 _BIT_MASK = np.uint64(63)
@@ -66,9 +59,6 @@ def scatter_or(words: np.ndarray, positions: np.ndarray) -> None:
     welcome); ``words`` is the filter's uint64 backing array.  The
     final word values match a serial scatter exactly.
     """
-    if not _kernels.kernels_enabled():
-        naive_scatter_or(words, positions)
-        return
     positions = np.asarray(positions).ravel()
     if positions.size == 0:
         return
@@ -107,8 +97,6 @@ def test_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
     whose bits were all set so far are probed against the next hash, so
     selective filters pay for roughly one probe per rejected key.
     """
-    if not _kernels.kernels_enabled():
-        return naive_test_bits(words, positions)
     positions = np.asarray(positions)
     if positions.size == 0:
         return np.ones(positions.shape[-1], dtype=bool)
@@ -128,8 +116,6 @@ def test_bits(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 def popcount(words: np.ndarray) -> int:
     """Total number of set bits in a uint64 word array."""
-    if not _kernels.kernels_enabled():
-        return naive_popcount(words)
     if words.size == 0:
         return 0
     if _HAVE_BITWISE_COUNT:

@@ -22,9 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-import repro.kernels as _kernels
-from repro.kernels.reference import naive_sorted_join
-
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` as int64, by the fastest route.
@@ -140,6 +137,4 @@ def probe_join(build_keys: np.ndarray, probe_keys: np.ndarray,
     """
     if build_index is not None and build_index.matches(build_keys):
         return build_index.probe(probe_keys)
-    if not _kernels.kernels_enabled():
-        return naive_sorted_join(build_keys, probe_keys)
     return JoinBuildIndex(build_keys).probe(probe_keys)

@@ -22,12 +22,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-import repro.kernels as _kernels
-from repro.kernels.reference import (
-    naive_partition_indices,
-    naive_partition_table,
-)
-
 
 def sorted_bounds(assignments: np.ndarray, num_partitions: int
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -79,8 +73,6 @@ def partition_indices(assignments: np.ndarray,
     range(num_partitions)]`` — indices ascend within each destination —
     at O(n log n) total instead of O(n·p).
     """
-    if not _kernels.kernels_enabled():
-        return naive_partition_indices(assignments, num_partitions)
     assignments = np.asarray(assignments)
     if assignments.size == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -101,8 +93,6 @@ def partition_table(table, assignments: np.ndarray,
     re-slicing (shuffle concatenation, spill fragmenting) copies no
     partition twice.  Bit-identical to filtering per destination.
     """
-    if not _kernels.kernels_enabled():
-        return naive_partition_table(table, assignments, num_partitions)
     assignments = np.asarray(assignments)
     if len(assignments) != table.num_rows:
         raise ValueError(

@@ -30,8 +30,8 @@ fetch-amplification model below: scattered row ids touch whole pages
 more bytes than it returns.
 
 Everything is gated behind :func:`set_late_materialization_enabled`,
-mirroring the kernels/skew toggles, so before/after comparisons run
-genuinely identical code paths with only the wire discipline swapped.
+mirroring the skew toggle, so before/after comparisons run genuinely
+identical code paths with only the wire discipline swapped.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExpressionError
-from repro.kernels import kernels_enabled
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import Predicate, TruePredicate
 from repro.relational.schema import Column, DataType
@@ -56,10 +55,8 @@ class DerivedColumn:
         *identity*: every block scanned from one HDFS table shares the
         same dictionary object, so a 240-block scan runs the UDF once
         instead of 240 times.  The cached tuple keeps a strong reference
-        to the source dictionary, which keeps the ``is`` check sound.
-        Memoisation is part of the vectorised kernel layer: with kernels
-        disabled the sweep reruns per block, reproducing the pre-kernel
-        scan for honest before/after benchmarking.
+        to the source dictionary, which keeps the ``is`` check sound; a
+        table with a different dictionary object re-runs the sweep.
         """
         source_column = table.schema.column(self.source)
         if source_column.dtype is not DataType.DICT_STRING:
@@ -69,8 +66,7 @@ class DerivedColumn:
             )
         dictionary = table.dictionary(self.source)
         cached = self.__dict__.get("_apply_cache")
-        if (cached is None or cached[0] is not dictionary
-                or not kernels_enabled()):
+        if cached is None or cached[0] is not dictionary:
             derived_values = np.array(
                 [self.function(value) for value in dictionary], dtype=object
             )

@@ -21,9 +21,9 @@ straggler-aware redistribution):
    (:func:`repro.jen.scheduler.plan_work_stealing`), priced honestly
    as a ``work_steal`` transfer phase on the trace.
 
-Everything is gated behind :func:`set_skew_handling_enabled`, mirroring
-the kernels toggle, so before/after comparisons run genuinely
-identical code paths with only the skew handling swapped.
+Everything is gated behind :func:`set_skew_handling_enabled`, so
+before/after comparisons run genuinely identical code paths with only
+the skew handling swapped.
 """
 
 from __future__ import annotations

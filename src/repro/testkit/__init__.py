@@ -8,7 +8,8 @@ One harness for every correctness question the reproduction asks:
   with readable first-divergence diffs;
 * :mod:`repro.testkit.generator` — seeded data/query/config generation
   spanning the metamorphic axes (algorithms, worker counts, HDFS
-  formats, kernels on/off, fault plans, cache cold/warm) and a runner
+  formats, fault plans, cache cold/warm, estimate errors, skew
+  handling, approximate sampling, late materialization) and a runner
   executing one grid cell;
 * :mod:`repro.testkit.invariants` — engine assertion hooks (exactly-once
   shuffle delivery, partition completeness/disjointness, Bloom

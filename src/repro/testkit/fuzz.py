@@ -120,7 +120,6 @@ def sample_cell(rng: np.random.Generator) -> ConfigCell:
         algorithm=str(rng.choice(ALL_ALGORITHMS)),
         workers=workers,
         format_name=str(rng.choice(FORMAT_AXIS)),
-        kernels=bool(rng.random() < 0.7),
         fault_spec=fault_spec,
         cache_warm=cache_warm,
         late_materialization=bool(rng.random() < 0.25),

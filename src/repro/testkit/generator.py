@@ -3,7 +3,8 @@
 A *data case* is (T table, L table, hybrid query) plus the provenance
 expression that rebuilds it; a *config cell* is one point on the
 metamorphic axes — algorithm, worker count, HDFS storage format,
-kernels on/off, fault plan, cache cold/warm.  Every (case, cell) pair
+fault plan, cache cold/warm, estimate error, skew handling, approximate
+sampling, late materialization.  Every (case, cell) pair
 must produce exactly the row multiset of
 :func:`repro.testkit.oracle.oracle_execute` on the same case.
 
@@ -16,9 +17,9 @@ no SQL NULLs; the closest analogue — join keys that match nothing —
 is covered by the disjoint-key-region construction of the workload
 generator and the zero-selectivity edge case.
 
-:func:`run_cell` executes one cell end to end, restoring all global
-toggles afterwards, and :func:`default_grid` builds the seeded
-cross-axis grid the tier-1 differential test sweeps.
+:func:`run_cell` executes one cell end to end, restoring the skew and
+late-materialization toggles afterwards, and :func:`default_grid`
+builds the seeded cross-axis grid the tier-1 differential test sweeps.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro import HybridWarehouse, algorithm_by_name, default_config
 from repro.config import ClusterConfig
 from repro.errors import ServiceError, WorkloadError
 from repro.faults import FaultPlan
-from repro.kernels import set_kernels_enabled
 from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import BetweenDayDiff, compare
@@ -83,7 +83,6 @@ class ConfigCell:
     algorithm: str
     workers: int = 4
     format_name: str = "parquet"
-    kernels: bool = True
     fault_spec: Optional[str] = None
     cache_warm: bool = False
     #: ``(sigma_t_factor, sigma_l_factor)`` injected into the adaptive
@@ -103,9 +102,12 @@ class ConfigCell:
     late_materialization: bool = False
 
     def label(self) -> str:
-        """Compact cell id for test parametrisation and repro output."""
-        parts = [self.algorithm, f"w{self.workers}", self.format_name,
-                 "kern" if self.kernels else "naive"]
+        """Compact cell id for test parametrisation and repro output.
+
+        The constant ``kern`` part (every cell runs the vectorised
+        kernels) keeps ids stable from when kernels were a grid axis.
+        """
+        parts = [self.algorithm, f"w{self.workers}", self.format_name, "kern"]
         if self.fault_spec:
             parts.append(f"faults[{self.fault_spec}]")
         if self.cache_warm:
@@ -427,10 +429,11 @@ def run_cell(case: DataCase, cell: ConfigCell,
              warehouse: Optional[HybridWarehouse] = None) -> Table:
     """Execute one (case, cell) pair and return the result table.
 
-    Global state (the kernel toggle, armed fault plans) is restored on
-    every exit path, so grid sweeps cannot leak configuration between
-    cells.  Pass a ``warehouse`` (matching the cell's worker count and
-    format) to amortise loading across cells.
+    Global state (the skew and late-materialization toggles, armed
+    fault plans) is restored on every exit path, so grid sweeps cannot
+    leak configuration between cells.  Pass a ``warehouse`` (matching
+    the cell's worker count and format) to amortise loading across
+    cells.
     """
     if warehouse is None:
         warehouse = build_cell_warehouse(
@@ -439,7 +442,6 @@ def run_cell(case: DataCase, cell: ConfigCell,
     from repro.latemat import set_late_materialization_enabled
     from repro.skew import set_skew_handling_enabled
 
-    previous_kernels = set_kernels_enabled(cell.kernels)
     previous_skew = set_skew_handling_enabled(cell.skew_handling)
     previous_latemat = set_late_materialization_enabled(
         cell.late_materialization)
@@ -464,7 +466,6 @@ def run_cell(case: DataCase, cell: ConfigCell,
             warehouse, case.query
         ).result
     finally:
-        set_kernels_enabled(previous_kernels)
         set_skew_handling_enabled(previous_skew)
         set_late_materialization_enabled(previous_latemat)
 
@@ -492,21 +493,17 @@ class WarehouseCache:
 # Grids
 # ----------------------------------------------------------------------
 def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
-    """The seeded tier-1 grid: >= 200 cells across every axis.
+    """The seeded tier-1 grid: 218 cells across every axis.
 
     The first seeded case sweeps the full cross of algorithms x worker
-    counts x kernel toggle, plus the format, fault and warm-cache axes;
-    a second seeded case and every pinned edge case sweep all
-    algorithms with kernels on and off.
+    counts, plus the format, fault and warm-cache axes; a second seeded
+    case and every pinned edge case sweep all algorithms.
     """
     base = generate_data_case(seed)
     grid: List[Tuple[DataCase, ConfigCell]] = []
     for algorithm in ALL_ALGORITHMS:
         for workers in WORKER_AXIS:
-            for kernels in (True, False):
-                grid.append((base, ConfigCell(
-                    algorithm, workers=workers, kernels=kernels,
-                )))
+            grid.append((base, ConfigCell(algorithm, workers=workers)))
         for format_name in ("text", "orc"):
             grid.append((base, ConfigCell(
                 algorithm, workers=4, format_name=format_name,
@@ -528,10 +525,7 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
     extra_cases = [generate_data_case(seed + 1)] + edge_cases()
     for case in extra_cases:
         for algorithm in ALL_ALGORITHMS:
-            for kernels in (True, False):
-                grid.append((case, ConfigCell(
-                    algorithm, workers=4, kernels=kernels,
-                )))
+            grid.append((case, ConfigCell(algorithm, workers=4)))
     # Skew axis: every shuffle-using algorithm, hybrid shuffle on and
     # off, on the pinned heavily skewed case — plus every fault plan
     # with skew handling armed (detection, broadcast split and work
@@ -598,11 +592,9 @@ def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
         for algorithm in ALL_ALGORITHMS:
             for workers in WORKER_AXIS:
                 for format_name in FORMAT_AXIS:
-                    for kernels in (True, False):
-                        grid.append((case, ConfigCell(
-                            algorithm, workers=workers,
-                            format_name=format_name, kernels=kernels,
-                        )))
+                    grid.append((case, ConfigCell(
+                        algorithm, workers=workers, format_name=format_name,
+                    )))
             for fault_spec in FAULT_AXIS:
                 grid.append((case, ConfigCell(
                     algorithm, workers=30, fault_spec=fault_spec,

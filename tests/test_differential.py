@@ -1,8 +1,8 @@
 """Differential tests: the metamorphic config grid vs. the oracle.
 
-Tier-1 runs the seeded 308-cell :func:`repro.testkit.generator.
+Tier-1 runs the seeded 218-cell :func:`repro.testkit.generator.
 default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
-formats, kernels on/off, fault plans, cold/warm caches — with the
+formats, fault plans, cold/warm caches — with the
 engine invariant hooks armed, asserting each cell's result equals the
 single-node oracle's row multiset.  The ``slow``-marked wide sweep
 (``pytest -m slow``) crosses the full matrix over extra seeds and is
@@ -72,12 +72,9 @@ class TestDefaultGrid:
             }
 
         base, hot, wide = "seed2015", "skew1.8", "wide-dtypes"
-        on_off = (True, False)
         expected = set()
         for workers in generator.WORKER_AXIS:
-            for kernels in on_off:
-                expected |= labels(base, ALL_ALGORITHMS, workers=workers,
-                                   kernels=kernels)
+            expected |= labels(base, ALL_ALGORITHMS, workers=workers)
         for format_name in ("text", "orc"):
             expected |= labels(base, ALL_ALGORITHMS,
                                format_name=format_name)
@@ -98,9 +95,8 @@ class TestDefaultGrid:
             case.name for case in generator.edge_cases()
         ]
         for case in extra_cases:
-            for kernels in on_off:
-                expected |= labels(case, ALL_ALGORITHMS, kernels=kernels)
-        for skew_handling in on_off:
+            expected |= labels(case, ALL_ALGORITHMS)
+        for skew_handling in (True, False):
             expected |= labels(hot, generator.SHUFFLE_ALGORITHMS,
                                skew_handling=skew_handling)
         expected |= labels(wide, ALL_ALGORITHMS, late_materialization=True)
@@ -115,7 +111,7 @@ class TestDefaultGrid:
         for kind in generator.APPROX_KINDS:
             expected |= labels(f"approx-{kind}", ["approx", "approx(BF)"],
                                approx=1.0)
-        assert len(GRID) == 308
+        assert len(GRID) == 218
         assert sorted(GRID_IDS) == sorted(expected)
 
     def test_grid_covers_every_metamorphic_axis(self):
@@ -128,7 +124,6 @@ class TestDefaultGrid:
         assert {cell.workers for cell in cells} >= {1, 4, 30}
         assert {cell.format_name for cell in cells} >= \
             {"parquet", "text", "orc"}
-        assert {cell.kernels for cell in cells} == {True, False}
         assert any(cell.fault_spec for cell in cells)
         assert any(cell.cache_warm for cell in cells)
         case_names = {case.name for case, _ in GRID}
@@ -335,7 +330,7 @@ class TestShrinker:
         case = generator.generate_data_case(seed=7, t_rows=300,
                                             l_rows=900)
         cell = ConfigCell(algorithm="zigzag", workers=30,
-                          format_name="text", kernels=True)
+                          format_name="text")
         outcome = shrink.shrink(case, cell, max_evaluations=400)
         assert outcome is not None
         # The acceptance bar: a handful of rows, found automatically.
@@ -358,7 +353,7 @@ class TestShrinker:
         case = generator.generate_data_case(seed=7, t_rows=300,
                                             l_rows=900)
         cell = ConfigCell(algorithm="zigzag", workers=30,
-                          format_name="text", kernels=True)
+                          format_name="text")
         outcome = shrink.shrink(case, cell, max_evaluations=400)
         assert "row multisets diverge" in outcome.diff
         assert "raised" not in outcome.diff

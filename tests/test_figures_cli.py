@@ -105,6 +105,8 @@ class TestTopLevelCli:
         ["serve", "--backend", "process"],
         ["bench", "--only-parallel"],
         ["bench", "--skip-parallel"],
+        ["bench"],
+        ["bench", "--quick"],
     ], ids=" ".join)
     def test_removed_backend_flags_are_argparse_errors(self, capsys, argv):
         from repro.__main__ import main
@@ -112,7 +114,12 @@ class TestTopLevelCli:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        if argv[0] == "bench":
+            # The whole subcommand is gone, not just its flags.
+            assert "invalid choice: 'bench'" in error
+        else:
+            assert "unrecognized arguments" in error
 
     def test_sql_inline(self, capsys):
         from repro.__main__ import main

@@ -8,8 +8,9 @@ way inside the test:
    against ``local_partial_aggregate(local_join(...))`` — which
    materialises every joined column — and against the testkit oracle;
 2. the one-pass exchange (``JenWorker.partition_for_exchange`` +
-   ``exchange.shuffle``, and ``_route_db_rows``) against one
-   ``partition_table`` per sender and one ``concat`` per destination;
+   ``exchange.shuffle``, and ``_route_db_rows``) against one naive
+   per-destination filter (``tests/kernel_reference.py``) per sender
+   and one ``concat`` per destination;
 3. the packed-word ``JoinBuildIndex`` against ``np.argsort(kind=
    "stable")`` on both sides of its domain guard.
 """
@@ -31,7 +32,6 @@ from repro.jen.exchange import ShuffleResult, shuffle
 from repro.jen.worker import JenWorker
 from repro.kernels import joinindex
 from repro.kernels.joinindex import JoinBuildIndex
-from repro.kernels.partition import partition_table
 from repro.latemat import set_late_materialization_enabled
 from repro.query.plan import (
     apply_derivations,
@@ -52,6 +52,7 @@ from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.skew import HotKeySet
 from repro.testkit import generator, oracle
+from tests.kernel_reference import naive_partition_table
 from tests.test_scan_batching import assert_same_table
 
 
@@ -193,25 +194,6 @@ class TestFusedJoinAggregate:
             join_partial_aggregate(t_part, l_part, case.query,
                                    build_index=index)
 
-    def test_kernels_off_goes_through_the_reference_join(self, base):
-        from repro.kernels import set_kernels_enabled
-
-        case, t_part, l_part = base
-        expected, pairs = reference_partial(t_part, l_part, case.query)
-        previous = set_kernels_enabled(False)
-        try:
-            with mock.patch.object(
-                    joinindex, "naive_sorted_join",
-                    wraps=joinindex.naive_sorted_join) as naive:
-                partial, got = join_partial_aggregate(
-                    t_part, l_part, case.query
-                )
-            assert naive.call_count == 1
-        finally:
-            set_kernels_enabled(previous)
-        assert got == pairs
-        assert_same_table(partial, expected)
-
     def test_errors_fire_as_in_the_materialising_join(self, base):
         case, t_part, l_part = base
         for changes, error in (
@@ -286,7 +268,8 @@ def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
         else:
             assignments = agreed_hash_partition(wire.column(key),
                                                 num_workers)
-        outgoing.append(partition_table(wire, assignments, num_workers))
+        outgoing.append(
+            naive_partition_table(wire, assignments, num_workers))
     result = ShuffleResult(per_destination=[], tuples_shuffled=0,
                            tuples_remote=0, hot_tuples=hot_tuples)
     for destination in range(num_workers):
@@ -430,22 +413,6 @@ class TestOnePassExchange:
             with pytest.raises(InvariantViolation, match="conservation"):
                 shuffle(short, routed)
 
-    def test_kernels_off_reaches_the_reference_partitioner(self):
-        from repro.kernels import partition, set_kernels_enabled
-
-        tables = sender_tables(SENDER_SHAPES["even"], seed=7)
-        expected = reference_exchange(tables, "k", 6)
-        previous = set_kernels_enabled(False)
-        try:
-            with mock.patch.object(
-                    partition, "naive_partition_table",
-                    wraps=partition.naive_partition_table) as naive:
-                actual = one_pass_exchange(tables, "k", 6)
-            assert naive.call_count == 1
-        finally:
-            set_kernels_enabled(previous)
-        assert_same_shuffle(actual, expected)
-
 
 def reference_route_db_rows(t_parts, key, num_workers, hot_keys=None):
     """Per sender: peel off each hot key's rows, copy them to the key's
@@ -470,7 +437,7 @@ def reference_route_db_rows(t_parts, key, num_workers, hot_keys=None):
                     per_destination[int(destination)].append(hot_rows)
         assignments = agreed_hash_partition(cold.column(key), num_workers)
         for destination, piece in enumerate(
-                partition_table(cold, assignments, num_workers)):
+                naive_partition_table(cold, assignments, num_workers)):
             per_destination[destination].append(piece)
     return ([Table.concat(pieces) for pieces in per_destination],
             hot_tuples, copy_tuples)

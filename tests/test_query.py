@@ -1,7 +1,9 @@
 """Tests for the query layer: HybridQuery, plan steps, stats, executor."""
 
+import numpy as np
 import pytest
 
+from repro.edw.udf import _extract_group
 from repro.errors import ExpressionError
 from repro.query.executor import reference_join
 from repro.query.plan import (
@@ -12,6 +14,8 @@ from repro.query.plan import (
 from repro.query.query import DerivedColumn, HybridQuery
 from repro.query.stats import measure_selectivities, predicate_selectivity
 from repro.relational.expressions import compare
+from repro.relational.schema import DataType
+from repro.relational.table import Table
 
 
 class TestHybridQueryValidation:
@@ -153,3 +157,70 @@ class TestDerivedColumn:
         derived = DerivedColumn("x", "joinKey", "udf", lambda s: s)
         with pytest.raises(ExpressionError, match="dict-string"):
             derived.apply(paper_workload.l_table)
+
+
+class TestDerivedColumnMemo:
+    """The UDF sweep is memoised per dictionary object, not per block."""
+
+    SOURCE = "groupByExtractCol"
+
+    def counting_column(self):
+        calls = []
+
+        def udf(value):
+            calls.append(value)
+            return _extract_group(value)
+
+        return DerivedColumn("urlPrefix", self.SOURCE, "extract_group",
+                             udf), calls
+
+    def fresh_apply(self, table):
+        """A new column per call: nothing memoised to reuse."""
+        return DerivedColumn("urlPrefix", self.SOURCE, "extract_group",
+                             _extract_group).apply(table)
+
+    @staticmethod
+    def assert_same_derivation(actual, expected):
+        np.testing.assert_array_equal(actual.column("urlPrefix"),
+                                      expected.column("urlPrefix"))
+        np.testing.assert_array_equal(actual.dictionary("urlPrefix"),
+                                      expected.dictionary("urlPrefix"))
+
+    def scanned_blocks(self, warehouse):
+        return [warehouse.hdfs.read_block(block)
+                for block in warehouse.hdfs.table_blocks("L")]
+
+    def test_blocks_sharing_a_dictionary_run_the_udf_once(
+            self, loaded_warehouse):
+        blocks = self.scanned_blocks(loaded_warehouse)
+        assert len(blocks) >= 2
+        dictionary = blocks[0].dictionary(self.SOURCE)
+        assert all(block.dictionary(self.SOURCE) is dictionary
+                   for block in blocks)
+        derived, calls = self.counting_column()
+        for block in blocks:
+            self.assert_same_derivation(derived.apply(block),
+                                        self.fresh_apply(block))
+        assert len(calls) == len(dictionary)
+
+    def test_a_different_dictionary_object_reruns_the_udf(
+            self, loaded_warehouse):
+        block = self.scanned_blocks(loaded_warehouse)[0]
+        dictionary = block.dictionary(self.SOURCE)
+        names = block.schema.names
+        copied = Table(
+            block.schema,
+            {name: block.column(name) for name in names},
+            {name: block.dictionary(name) for name in names
+             if block.schema.column(name).dtype is DataType.DICT_STRING}
+            | {self.SOURCE: dictionary.copy()},
+        )
+        derived, calls = self.counting_column()
+        derived.apply(block)
+        assert len(calls) == len(dictionary)
+        self.assert_same_derivation(derived.apply(copied),
+                                    self.fresh_apply(copied))
+        assert len(calls) == 2 * len(dictionary)
+        # The memo now holds the copy; the original re-runs once more.
+        derived.apply(block)
+        assert len(calls) == 3 * len(dictionary)
