@@ -41,19 +41,23 @@ the full result schema.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import JoinError
-from repro.query.plan import local_join
+from repro.query.plan import join_partial_aggregate
 from repro.query.query import HybridQuery
-from repro.relational.aggregates import AggregateSpec, group_by_aggregate
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table, table_from_rows
 
 #: Cell identity: (group-key tuple, aggregate output name).
 CellKey = Tuple[Tuple, str]
+
+#: Alias of the per-block joined row count in the block partials.
+_ROWS = "__rows"
 
 # ----------------------------------------------------------------------
 # Student-t critical values (two-sided), indexed by confidence then dof.
@@ -203,8 +207,8 @@ class _GroupState:
 class JoinAggregateEstimator:
     """Accumulates per-block join contributions into interval estimates.
 
-    Feed it one post-join, post-predicate joined table per sampled
-    block via :meth:`observe_block`; ask for the current
+    Feed it T′ and one sampled wire block at a time via
+    :meth:`observe_join_block`; ask for the current
     :class:`ApproxEstimate` at any point with :meth:`estimate`.
     """
 
@@ -259,6 +263,11 @@ class JoinAggregateEstimator:
                                   alias=f"__mm{index}")
                 )
                 self._plans.append(("extreme", index))
+        #: What one block's partial aggregates: the components, the
+        #: extremes, then the block's joined row count.
+        self._block_query = dataclasses.replace(query, aggregates=tuple(
+            self._components + self._extreme_specs
+            + [AggregateSpec("count", alias=_ROWS)]))
 
     # ------------------------------------------------------------------
     @property
@@ -272,23 +281,21 @@ class JoinAggregateEstimator:
     def observe_join_block(self, t_prime: Table, wire_block: Table) -> int:
         """Join one sampled block against T′ and fold it in.
 
-        Returns the block's post-predicate join output row count (the
-        caller's volume accounting).
+        The block goes through the engines' fused join -> partial
+        aggregate (:func:`~repro.query.plan.join_partial_aggregate`), so
+        no joined row is materialised and a band post-join predicate
+        only ever produces its surviving pairs.  Returns the block's
+        post-predicate join output row count (the caller's volume
+        accounting).
         """
-        joined = local_join(t_prime, wire_block, self.query)
-        if self.query.post_join_predicate is not None:
-            joined = joined.filter(
-                self.query.post_join_predicate.evaluate(joined)
-            )
-        self.observe_block(joined)
-        return joined.num_rows
+        partial, _pairs = join_partial_aggregate(
+            t_prime, wire_block, self._block_query)
+        self._fold(partial)
+        return int(partial.column(_ROWS).sum())
 
-    def observe_block(self, joined: Table) -> None:
-        """Fold one block's joined (post-predicate) rows into the state."""
+    def _fold(self, partial: Table) -> None:
+        """Fold one block's partial aggregate into the state."""
         group_columns = list(self.query.group_by)
-        partial = group_by_aggregate(
-            joined, group_columns, self._components + self._extreme_specs
-        )
         if self._partial_schema is None:
             self._partial_schema = partial.schema
         self.blocks_observed += 1

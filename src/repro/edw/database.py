@@ -18,11 +18,13 @@ from repro.edw.optimizer import DbJoinChoice, DbJoinStrategy
 from repro.edw.partitioner import db_internal_partition
 from repro.edw.worker import DbWorker, WorkerAccessStats
 from repro.errors import CatalogError
+from repro.kernels.joinindex import JoinBuildIndex
 from repro.kernels.partition import partition_table
 from repro.relational.expressions import Predicate
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.query.plan import (
+    join_build_columns,
     join_partial_aggregate,
     merge_partials,
     partial_tables_nonempty,
@@ -315,10 +317,17 @@ class ParallelDatabase:
             if choice.strategy is not DbJoinStrategy.BROADCAST_DB_SIDE:
                 raise CatalogError(f"unknown strategy {choice.strategy}")
 
+        # A broadcast build side is one table on every worker: sort it
+        # once.
+        build_index = None
+        if choice.strategy is DbJoinStrategy.BROADCAST_HDFS_SIDE:
+            build_index = JoinBuildIndex(
+                *join_build_columns(t_sides[0], l_sides[0], query))
         stats = DbJoinRunStats()
         partials = []
         for t_side, l_side in zip(t_sides, l_sides):
-            partial, pairs = join_partial_aggregate(t_side, l_side, query)
+            partial, pairs = join_partial_aggregate(
+                t_side, l_side, query, build_index=build_index)
             stats.build_tuples += l_side.num_rows
             stats.probe_tuples += t_side.num_rows
             stats.join_output_tuples += pairs

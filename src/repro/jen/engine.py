@@ -33,7 +33,7 @@ from repro.jen.worker import JenWorker, ScanRequest, ScanStats
 from repro.latemat import LateMatPlan, StitchStats
 from repro.net.transfer import RetryPolicy
 from repro.relational.table import Table
-from repro.query.plan import join_partial_aggregate
+from repro.query.plan import join_build_columns, join_partial_aggregate
 from repro.query.query import HybridQuery
 
 
@@ -103,11 +103,13 @@ class Jen:
         ]
         self._scan_depth = 0
         self._injector: Optional[FaultInjector] = None
-        #: Optional hook ``(worker_slot, build_keys) -> JoinBuildIndex``
-        #: consulted by :meth:`join_and_aggregate` for each worker's
-        #: build side.  The service plane installs a caching provider
-        #: here so repeated queries over an unchanged build reuse the
-        #: sorted index; ``None`` means build a fresh index per worker.
+        #: Optional hook ``(worker_slot, build_keys, band_values) ->
+        #: JoinBuildIndex`` (the columns of
+        #: :func:`~repro.query.plan.join_build_columns`), consulted by
+        #: :meth:`join_and_aggregate` for each worker's build side.  The
+        #: service plane installs a caching provider here so repeated
+        #: queries over an unchanged build reuse the sorted index;
+        #: ``None`` means build a fresh index per worker.
         self.build_index_provider = None
 
     @property
@@ -601,14 +603,15 @@ class Jen:
                     # so whole-side indexes do not apply there; a
                     # stolen fragment is not the slot's canonical build
                     # side, so it never enters the cross-query cache.
-                    build_keys = l_part.column(query.hdfs_join_key)
+                    build_columns = join_build_columns(
+                        t_part, l_part, query)
                     if self.build_index_provider is not None \
                             and len(units) == 1:
                         build_index = self.build_index_provider(
-                            slot, build_keys
+                            slot, *build_columns
                         )
                     else:
-                        build_index = JoinBuildIndex(build_keys)
+                        build_index = JoinBuildIndex(*build_columns)
                 fragments = fragment_tables(
                     l_part, t_part, query.hdfs_join_key,
                     query.db_join_key, plan.num_fragments,

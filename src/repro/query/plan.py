@@ -25,11 +25,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.joinindex import JoinBuildIndex, probe_join
+from repro.kernels.joinindex import JoinBuildIndex, fits_band
 from repro.relational.aggregates import (
     group_by_aggregate,
     merge_partial_aggregates,
 )
+from repro.relational.expressions import Band
 from repro.relational.operators import join_tables, joined_rows
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
@@ -76,6 +77,38 @@ def local_partial_aggregate(joined: Table, query: HybridQuery) -> Table:
                               list(query.aggregates))
 
 
+def join_band(t_part: Table, l_part: Table, query: HybridQuery
+              ) -> Optional[Band]:
+    """The band of the post-join predicate a banded
+    :class:`JoinBuildIndex` can cut out of this join, or ``None``.
+
+    Present when the predicate exposes one (:meth:`Predicate.band`)
+    and both sides' join keys and band columns pass :func:`fits_band`.
+    """
+    predicate = query.post_join_predicate
+    band = (None if predicate is None
+            else predicate.band(query.hdfs_prefix, query.db_prefix))
+    if band is None:
+        return None
+    for side, key, name in (
+            (l_part, query.hdfs_join_key, band.build_column),
+            (t_part, query.db_join_key, band.probe_column)):
+        if not (side.schema.has_column(name) and side.schema.has_column(key)
+                and fits_band(side.column(key), side.column(name))):
+            return None
+    return band
+
+
+def join_build_columns(t_part: Table, l_part: Table, query: HybridQuery
+                       ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(build_keys, band_values)``: what a :class:`JoinBuildIndex`
+    for this join is built over (``band_values`` is ``None`` when the
+    query has no usable band)."""
+    band = join_band(t_part, l_part, query)
+    return (l_part.column(query.hdfs_join_key),
+            None if band is None else l_part.column(band.build_column))
+
+
 def join_partial_aggregate(
     t_part: Table, l_part: Table, query: HybridQuery,
     build_index: Optional[JoinBuildIndex] = None,
@@ -84,20 +117,37 @@ def join_partial_aggregate(
     materialising the joined rows (paper Section 4.4: the partial
     aggregates are computed during the probe).
 
-    The probe yields ``(build, probe)`` index pairs.  The predicate
-    sees only the columns it reads, gathered through the pairs; the
-    pairs it rejects are dropped; the group-by sees only its own and
-    the aggregates' columns, gathered at the survivors.  Returns the
-    partial — equal to ``local_partial_aggregate(local_join(...))`` —
-    and the number of pairs *before* the predicate, i.e. the join's
-    output cardinality.
+    The probe yields ``(build, probe)`` index pairs.  When the post-join
+    predicate carries an integer band (:func:`join_band`) and the build
+    index could pack it, the probe yields only the pairs inside the
+    band and the predicate's residual, if any, sees those.  Otherwise
+    the predicate sees every key match, through only the columns it
+    reads, and the pairs it rejects are dropped.  The group-by sees
+    only its own and the aggregates' columns, gathered at the
+    survivors.  Returns the partial — equal to
+    ``local_partial_aggregate(local_join(...))`` — and the number of
+    pairs *before* the predicate, i.e. the join's output cardinality.
+
+    ``build_index`` is reused when it :meth:`~JoinBuildIndex.matches`
+    this join's :func:`join_build_columns`, and rebuilt otherwise.
     """
-    build_idx, probe_idx = probe_join(
-        l_part.column(query.hdfs_join_key),
-        t_part.column(query.db_join_key),
-        build_index=build_index,
-    )
-    join_output_rows = len(build_idx)
+    band = join_band(t_part, l_part, query)
+    build_keys = l_part.column(query.hdfs_join_key)
+    band_values = None if band is None else l_part.column(band.build_column)
+    if build_index is None \
+            or not build_index.matches(build_keys, band_values):
+        build_index = JoinBuildIndex(build_keys, band_values)
+    probe_keys = t_part.column(query.db_join_key)
+    predicate = query.post_join_predicate
+    if build_index.banded:
+        build_idx, probe_idx, join_output_rows = build_index.probe(
+            probe_keys,
+            band=(t_part.column(band.probe_column), band.low, band.high),
+        )
+        predicate = band.residual
+    else:
+        build_idx, probe_idx = build_index.probe(probe_keys)
+        join_output_rows = len(build_idx)
 
     def gathered(names) -> Table:
         return joined_rows(
@@ -105,7 +155,6 @@ def join_partial_aggregate(
             query.hdfs_prefix, query.db_prefix, names=names,
         )
 
-    predicate = query.post_join_predicate
     if predicate is not None:
         # A predicate that reads no column still has to see one row per
         # pair; any column carries the count.

@@ -14,9 +14,10 @@ mask over a table.  Selectivity bookkeeping lives in
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,36 @@ _COMPARE_UFUNCS = {
 }
 
 
+@dataclass(frozen=True)
+class Band:
+    """An integer band across the two sides of a join.
+
+    A joined row satisfies it iff
+    ``low <= probe[probe_column] - build[build_column] <= high``; the
+    column names are the sides' own (unprefixed) names.  ``residual``
+    is whatever the predicate asks beyond the band (``None`` when
+    nothing), to be evaluated on the joined rows the band keeps.
+    """
+
+    build_column: str
+    probe_column: str
+    low: int
+    high: int
+    residual: Optional["Predicate"] = None
+
+
+def _join_side(name: str, build_prefix: str, probe_prefix: str
+               ) -> Optional[Tuple[str, str]]:
+    """``("build"|"probe", unprefixed name)``; ``None`` if ambiguous."""
+    on_build = name.startswith(build_prefix)
+    on_probe = name.startswith(probe_prefix)
+    if on_build == on_probe:
+        return None
+    if on_build:
+        return "build", name[len(build_prefix):]
+    return "probe", name[len(probe_prefix):]
+
+
 class Predicate:
     """Base class for boolean expressions over one table."""
 
@@ -59,6 +90,16 @@ class Predicate:
     def columns(self) -> Tuple[str, ...]:
         """Names of the columns the predicate reads."""
         raise NotImplementedError
+
+    def band(self, build_prefix: str, probe_prefix: str
+             ) -> Optional[Band]:
+        """The integer band this predicate imposes across a join whose
+        build and probe columns carry the given prefixes, or ``None``.
+
+        A join can then produce only the pairs inside the band instead
+        of filtering every key match (:mod:`repro.kernels.joinindex`).
+        """
+        return None
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return Conjunction((self, other))
@@ -115,6 +156,26 @@ class Conjunction(Predicate):
         for child in self.children:
             names += child.columns()
         return tuple(dict.fromkeys(names))
+
+    def band(self, build_prefix: str, probe_prefix: str
+             ) -> Optional[Band]:
+        """The first conjunct's band; every other conjunct (and that
+        conjunct's own residual) becomes the residual."""
+        for position, child in enumerate(self.children):
+            band = child.band(build_prefix, probe_prefix)
+            if band is None:
+                continue
+            rest = list(self.children[:position])
+            rest += self.children[position + 1:]
+            if band.residual is not None:
+                rest.append(band.residual)
+            residual = conjunction_of(rest)
+            return dataclasses.replace(
+                band,
+                residual=None if isinstance(residual, TruePredicate)
+                else residual,
+            )
+        return None
 
 
 @dataclass(frozen=True)
@@ -175,6 +236,23 @@ class BetweenDayDiff(Predicate):
 
     def columns(self) -> Tuple[str, ...]:
         return (self.left_column, self.right_column)
+
+    def band(self, build_prefix: str, probe_prefix: str
+             ) -> Optional[Band]:
+        """A band when the two columns sit on opposite join sides and
+        the bounds are integers; ``left - right`` is turned around to
+        ``probe - build`` when the left column is the build side's."""
+        if not all(isinstance(bound, (int, np.integer))
+                   and not isinstance(bound, bool)
+                   for bound in (self.low, self.high)):
+            return None
+        left = _join_side(self.left_column, build_prefix, probe_prefix)
+        right = _join_side(self.right_column, build_prefix, probe_prefix)
+        if left is None or right is None or left[0] == right[0]:
+            return None
+        if left[0] == "probe":
+            return Band(right[1], left[1], int(self.low), int(self.high))
+        return Band(left[1], right[1], -int(self.high), -int(self.low))
 
 
 @dataclass(frozen=True)

@@ -160,14 +160,18 @@ def build_side_key(query: HybridQuery, num_workers: int,
     participates: the HDFS table, its predicate and derivations, the
     join keys, the worker count (the agreed hash fans out over it) and
     the algorithm plus database predicate (they decide whether and with
-    which BF(T′) the scan was pruned).  Collisions are harmless — the
-    provider verifies cached indexes against the fresh keys before
-    trusting them — so this key only has to be *selective*, not
-    perfect.
+    which BF(T′) the scan was pruned) and the build column of the
+    post-join predicate's band (a banded index is sorted on it).
+    Collisions are harmless — the provider verifies cached indexes
+    against the fresh keys and band values before trusting them — so
+    this key only has to be *selective*, not perfect.
     """
     derived = ";".join(
         f"{d.name}={d.udf_name}({d.source})" for d in query.hdfs_derived
     )
+    post = query.post_join_predicate
+    band = (None if post is None
+            else post.band(query.hdfs_prefix, query.db_prefix))
     parts = [
         f"hdfs={query.hdfs_table}",
         f"key={query.hdfs_join_key}",
@@ -178,6 +182,7 @@ def build_side_key(query: HybridQuery, num_workers: int,
         f"tpred={predicate_key(query.db_predicate)}",
         f"alg={algorithm}",
         f"workers={num_workers}",
+        f"band={'' if band is None else band.build_column}",
     ]
     return "&".join(parts)
 
@@ -270,9 +275,10 @@ class CachingJoinIndexProvider:
     :func:`build_side_key` context before executing the data plane; the
     engine then asks this provider for each worker's index.  A cached
     index is returned only if :meth:`JoinBuildIndex.matches` confirms
-    it was built over exactly the worker's fresh build keys — anything
-    else (first sight, eviction, a context collision, a fault-recovery
-    run that redistributed rows) builds and caches a new index.  Reuse
+    it was built over exactly the worker's fresh build keys and band
+    values — anything else (first sight, eviction, a context collision,
+    a fault-recovery run that redistributed rows, a key-only index asked
+    for a band or the reverse) builds and caches a new index.  Reuse
     is therefore invisible to the data plane: the probe output is
     bit-identical either way.
     """
@@ -286,16 +292,16 @@ class CachingJoinIndexProvider:
         """Scope subsequent lookups to one query's build-side key."""
         self._context = context_key
 
-    def __call__(self, worker_slot: int, build_keys):
+    def __call__(self, worker_slot: int, build_keys, band_values=None):
         from repro.kernels.joinindex import JoinBuildIndex
 
         if self._context is None:
-            return JoinBuildIndex(build_keys)
+            return JoinBuildIndex(build_keys, band_values)
         key = f"{self._context}|w{worker_slot}"
         cached = self.cache.get(key)
-        if cached is not None and cached.matches(build_keys):
+        if cached is not None and cached.matches(build_keys, band_values):
             return cached
-        index = JoinBuildIndex(build_keys)
+        index = JoinBuildIndex(build_keys, band_values)
         self.cache.put(key, index)
         return index
 

@@ -312,9 +312,12 @@ def broken_probe(monkeypatch):
     """
     original = JoinBuildIndex.probe
 
-    def dropping_probe(self, probe_keys):
-        build_idx, probe_idx = original(self, probe_keys)
-        return build_idx[:-1], probe_idx[:-1]
+    def dropping_probe(self, probe_keys, band=None):
+        if band is None:
+            build_idx, probe_idx = original(self, probe_keys)
+            return build_idx[:-1], probe_idx[:-1]
+        build_idx, probe_idx, pairs = original(self, probe_keys, band)
+        return build_idx[:-1], probe_idx[:-1], pairs
 
     monkeypatch.setattr(JoinBuildIndex, "probe", dropping_probe)
 

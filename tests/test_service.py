@@ -7,8 +7,10 @@ the service plane must never change an answer, only its timing.
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import reference_join
@@ -25,8 +27,14 @@ from repro.service import (
     generate_query_stream,
     schedule_trace,
 )
+from repro.service.cache import (
+    CachingJoinIndexProvider,
+    JoinIndexCache,
+    build_side_key,
+)
 from repro.sim.engine import SimEngine
 from repro.sim.trace import Trace
+from repro.testkit import oracle
 
 ALL_ALGORITHMS = [
     "db", "db(BF)", "broadcast", "repartition", "repartition(BF)",
@@ -151,6 +159,41 @@ class TestCaching:
                 paper_workload.t_table, paper_workload.l_table, query
             )
             assert ticket.result().to_rows() == expected.to_rows()
+
+    @pytest.mark.parametrize("band_first", [True, False])
+    def test_join_index_cache_tells_band_from_key_only(
+            self, paper_workload, loaded_warehouse, paper_query,
+            band_first):
+        """Same build side, with and without the band predicate: the
+        banded and the key-only index never stand in for each other."""
+        unbanded = dataclasses.replace(paper_query,
+                                       post_join_predicate=None)
+        queries = ((paper_query, unbanded) if band_first
+                   else (unbanded, paper_query))
+        workers = loaded_warehouse.jen.num_workers
+        keys = [build_side_key(query, workers, "repartition")
+                for query in queries]
+        assert keys[0] != keys[1]
+        service = QueryService(loaded_warehouse, _plain_config(1))
+        tickets = [service.submit(query, algorithm="repartition", at=at)
+                   for at, query in enumerate(queries)]
+        service.drain()
+        for ticket, query in zip(tickets, queries):
+            oracle.assert_equivalent(
+                ticket.result(),
+                oracle.oracle_execute(paper_workload.t_table,
+                                      paper_workload.l_table, query))
+        # Even under one context key, matches() refuses the other kind.
+        provider = CachingJoinIndexProvider(jen=None,
+                                            cache=JoinIndexCache())
+        provider.set_context(keys[0])
+        build_keys = np.array([4, 1, 4, 2], dtype=np.int64)
+        days = np.array([7, 3, 5, 5], dtype=np.int32)
+        banded = provider(0, build_keys, days)
+        key_only = provider(0, build_keys)
+        assert banded.banded and not key_only.banded
+        assert provider(0, build_keys, days.copy()) is not key_only
+        assert provider(0, build_keys, days + 1).band_values[0] == 8
 
     def test_bloom_builder_uninstalled_after_drain(self, loaded_warehouse,
                                                    paper_query):

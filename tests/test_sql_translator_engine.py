@@ -1,11 +1,15 @@
 """Tests for SQL translation and the SqlSession execution engine."""
 
+from unittest import mock
+
 import pytest
 
 from repro import build_paper_query, reference_join
+from repro.kernels.joinindex import JoinBuildIndex
 from repro.relational.expressions import BetweenDayDiff, ColumnPairPredicate
 from repro.sql import SqlSession
 from repro.sql.lexer import SqlError
+from repro.testkit import oracle
 
 
 def paper_sql(workload, extra=""):
@@ -148,6 +152,37 @@ class TestExecution:
         zigzag = session.execute(paper_sql(paper_workload), "zigzag")
         other = session.execute(paper_sql(paper_workload), algorithm)
         assert sorted(other.rows()) == sorted(zigzag.rows())
+
+    @pytest.mark.parametrize("algorithm", ["repartition", "db(BF)",
+                                           "zigzag"])
+    def test_one_sided_band_matches_oracle(self, session, paper_workload,
+                                           algorithm):
+        """``days(T) - days(L) >= 0`` alone: the translator's open upper
+        bound is the ``2**31`` sentinel, which the band probe takes as
+        it is."""
+        tt, lt = paper_workload.t_thresholds, paper_workload.l_thresholds
+        sql = f"""
+            SELECT extract_group(L.groupByExtractCol), COUNT(*)
+            FROM T, L
+            WHERE T.corPred <= {tt.cor_threshold}
+              AND L.corPred <= {lt.cor_threshold}
+              AND T.joinKey = L.joinKey
+              AND days(T.predAfterJoin) - days(L.predAfterJoin) >= 0
+            GROUP BY extract_group(L.groupByExtractCol)
+        """
+        query = session.explain(sql).query
+        assert query.post_join_predicate == BetweenDayDiff(
+            "t_predAfterJoin", "l_predAfterJoin", low=0, high=2**31)
+        band_probe = JoinBuildIndex._probe_band
+        with mock.patch.object(JoinBuildIndex, "_probe_band",
+                               autospec=True,
+                               side_effect=band_probe) as probes:
+            result = session.execute(sql, algorithm)
+        assert probes.call_count > 0
+        oracle.assert_equivalent(
+            result.table.to_rows(),
+            oracle.oracle_execute(paper_workload.t_table,
+                                  paper_workload.l_table, query))
 
     def test_auto_mode_picks_and_explains(self, session, paper_workload):
         result = session.execute(paper_sql(paper_workload))
