@@ -16,11 +16,6 @@ from repro.bench.experiments import (
 )
 from repro.bench.reporting import format_rows, format_series
 from repro.bench.figures import render_experiment, render_grouped_bars
-from repro.bench.serialization import (
-    diff_results,
-    load_result,
-    save_result,
-)
 from repro.bench.sweep import SweepPoint, SweepResult, grid, run_sweep
 
 __all__ = [
@@ -30,15 +25,12 @@ __all__ = [
     "ExperimentResult",
     "WarehouseCache",
     "experiment_by_id",
-    "diff_results",
     "format_rows",
     "format_series",
     "grid",
-    "load_result",
     "render_experiment",
     "render_grouped_bars",
     "run_sweep",
-    "save_result",
     "SweepPoint",
     "SweepResult",
     "run_algorithms",

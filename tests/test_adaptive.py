@@ -43,6 +43,21 @@ UNDERESTIMATE = (1.0, 0.1)
 WORKERS = 4
 FORMAT = "parquet"
 
+#: Seeds whose advisor pick flips to a DB-side mispick under
+#: UNDERESTIMATE: scenario -> (generator seed, workers, plan path,
+#: switch scan progress, pinned simulated seconds of the correct static
+#: plan, the adaptive run and the mispicked static plan).
+SCENARIOS = {
+    "sigma_l_under_10x": (FLIP_SEED, WORKERS, ("db(BF)", "repartition"),
+                          0.25, (70.032, 76.704, 235.756)),
+    "sigma_l_under_10x_bf": (2016, WORKERS, ("db(BF)", "repartition(BF)"),
+                             0.25, (38.587, 43.587, 196.024)),
+    "sigma_l_under_10x_zigzag": (2014, WORKERS, ("db(BF)", "zigzag"),
+                                 0.25, (75.831, 84.488, 221.237)),
+    "sigma_l_under_10x_wide": (2025, 30, ("db(BF)", "repartition"),
+                               17 / 65, (11.067, 16.738, 35.132)),
+}
+
 
 @pytest.fixture(scope="module")
 def flip_case():
@@ -127,18 +142,30 @@ class TestForcedSwitch:
         assert db_filter.seconds == 0.0
         assert "banked" in db_filter.description
 
-    def test_adaptive_lands_between_the_static_plans(
-            self, switched_run, flip_case):
-        report = switched_run.trace.metadata["adaptive"]
-        mispick = algorithm_by_name(report["initial_algorithm"]).run(
-            _warehouse(flip_case), flip_case.query
-        )
-        correct = algorithm_by_name(report["final_algorithm"]).run(
-            _warehouse(flip_case), flip_case.query
-        )
-        assert (correct.timing.total_seconds
-                < switched_run.timing.total_seconds
-                < mispick.timing.total_seconds)
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_adaptive_lands_between_the_static_plans(self, scenario):
+        """Worse than clairvoyance (it pays the abandoned work and the
+        switch), far better than stubbornness (it escapes the mispick)."""
+        seed, workers, path, at_progress, pinned = SCENARIOS[scenario]
+        case = generator.generate_data_case(seed)
+
+        def run(join):
+            return join.run(
+                generator.build_cell_warehouse(case, workers, FORMAT),
+                case.query)
+
+        adaptive = run(AdaptiveJoin(estimate_errors=UNDERESTIMATE))
+        report = adaptive.trace.metadata["adaptive"]
+        assert tuple(report["path"]) == path
+        assert report["switches"][0]["at_progress"] == at_progress
+        correct = run(algorithm_by_name(path[-1]))
+        mispick = run(algorithm_by_name(path[0]))
+        seconds = tuple(result.timing.total_seconds
+                        for result in (correct, adaptive, mispick))
+        assert seconds == pytest.approx(pinned, abs=5e-4)
+        assert seconds[0] < seconds[1] < seconds[2]
+        assert oracle.compare_tables(
+            adaptive.result, case.oracle_rows(), label=scenario) is None
 
 
 # ----------------------------------------------------------------------

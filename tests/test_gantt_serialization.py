@@ -1,16 +1,8 @@
-"""Tests for the Gantt renderer and experiment-result serialization."""
+"""Tests for the Gantt renderer of simulated phase schedules."""
 
 import pytest
 
-from repro.bench.experiments import ExperimentResult, ShapeCheck
-from repro.bench.serialization import (
-    diff_results,
-    load_result,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
-from repro.errors import ReproError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.gantt import render_gantt
 from repro.sim.replay import replay_trace
 from repro.sim.trace import Trace
@@ -66,61 +58,3 @@ class TestGantt:
         chart = render_gantt(result.timing)
         assert "db_export" in chart and "hdfs_scan" in chart
 
-
-def sample_result():
-    return ExperimentResult(
-        experiment_id="fig8",
-        title="Figure 8",
-        headers=["algorithm", "seconds"],
-        rows=[{"algorithm": "zigzag", "seconds": 93.9},
-              {"algorithm": "repartition", "seconds": 217.0}],
-        checks=[ShapeCheck("zigzag wins", True)],
-        notes="demo",
-    )
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        path = save_result(sample_result(), tmp_path / "fig8.json")
-        loaded = load_result(path)
-        original = sample_result()
-        assert loaded.experiment_id == original.experiment_id
-        assert loaded.rows == original.rows
-        assert loaded.checks[0].claim == "zigzag wins"
-        assert loaded.all_passed()
-        assert loaded.notes == "demo"
-
-    def test_schema_version_guard(self):
-        payload = result_to_dict(sample_result())
-        payload["schema_version"] = 99
-        with pytest.raises(ReproError, match="schema"):
-            result_from_dict(payload)
-
-    def test_diff_no_drift(self):
-        assert diff_results(sample_result(), sample_result()) == []
-
-    def test_diff_detects_drift(self):
-        before = sample_result()
-        after = sample_result()
-        after.rows[0]["seconds"] = 150.0
-        drifts = diff_results(before, after)
-        assert len(drifts) == 1
-        assert drifts[0]["row"] == 0
-        assert drifts[0]["drift"] > 0.5
-
-    def test_diff_different_experiments_rejected(self):
-        other = sample_result()
-        other.experiment_id = "fig9"
-        with pytest.raises(ReproError, match="different experiments"):
-            diff_results(sample_result(), other)
-
-    def test_live_experiment_round_trip(self, tmp_path):
-        from repro.bench import EXPERIMENTS, WarehouseCache
-
-        result = EXPERIMENTS["table1"].run(
-            WarehouseCache(scale=1 / 100_000)
-        )
-        path = save_result(result, tmp_path / "table1.json")
-        loaded = load_result(path)
-        assert loaded.all_passed() == result.all_passed()
-        assert loaded.rows == result.rows

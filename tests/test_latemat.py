@@ -3,7 +3,8 @@
 Covers the toggle, the thin/prune/stitch primitives, the compact wire
 codec they ship over, the dictionary-aware wire accounting, the
 fetch-amplification model, the advisor's accept/decline decision, the
-service plane's bytes-shipped counters, and — the load-bearing part —
+service plane's bytes-shipped counters, the bytes and seconds thin
+wires buy on a constrained link (pinned), and — the load-bearing part —
 oracle identity of every algorithm with the toggle on, including the
 skew and fault interactions.
 """
@@ -502,60 +503,114 @@ class TestServiceCounters:
 
 
 # ----------------------------------------------------------------------
-# Bench gate logic (no bench run: synthetic payloads)
+# What thin wires buy: pinned bytes and seconds on a constrained link
 # ----------------------------------------------------------------------
-class TestBenchGates:
-    @staticmethod
-    def _payload(ratio=1.6, speedup=1.44, stitch=9000,
-                 identical=True, accept=True, decline=True):
-        cell = {
-            "off": {"cross_cluster_bytes": 1000, "total_bytes": 2000,
-                    "stitch_bytes": 0, "e2e_seconds": 76.0,
-                    "encoded_wire_bytes": 1, "oracle_identical": True},
-            "on": {"cross_cluster_bytes": int(1000 / ratio),
-                   "total_bytes": 1500, "stitch_bytes": stitch,
-                   "e2e_seconds": round(76.0 / speedup, 3),
-                   "encoded_wire_bytes": 1,
-                   "oracle_identical": identical},
-            "cross_bytes_ratio": ratio,
-            "total_bytes_ratio": 1.3,
-            "e2e_speedup": speedup,
-        }
-        return {
-            "gated_algorithm": "db",
-            "cells": {"wide-selective": {"db": cell}},
-            "advisor": {
-                "wide_selective": {"use": accept},
-                "low_selectivity": {"use": not decline},
-            },
-        }
+#: (cell, algorithm) -> pinned (cross-cluster bytes, stitch bytes, both
+#: rounded to whole bytes; simulated seconds) with late materialization
+#: off, then on.
+THIN_WIRE_PINS = {
+    ("wide-selective", "db"): ((38_752, 0, 76.174),
+                               (24_264, 9_732, 52.970)),
+    ("wide-selective", "db(BF)"): ((7_808, 0, 24.274),
+                                   (14_559, 11_631, 31.724)),
+    ("wide-selective", "zigzag-db"): ((7_808, 0, 30.941),
+                                      (14_559, 11_631, 38.392)),
+    ("wide-selective", "broadcast"): ((486_800, 0, 1086.827),
+                                      (221_686, 104_854, 1286.454)),
+    ("low-selectivity", "db"): ((39_328, 0, 77.344),
+                                (42_874, 28_126, 56.773)),
+    ("low-selectivity", "repartition"): ((60_850, 0, 246.942),
+                                         (438_189, 594_506, 820.884)),
+}
 
-    def test_clean_payload_passes(self):
-        from repro.bench.latemat import check_regression
 
-        payload = self._payload()
-        assert check_regression(payload, payload) == []
+def _wire_case(name, s_t, s_l, clustered):
+    """Wide payloads every shipped column provably needs.
 
-    @pytest.mark.parametrize("kwargs, needle", [
-        (dict(ratio=1.2), "hard"),
-        (dict(speedup=0.9), "lost end-to-end"),
-        (dict(stitch=0), "never engaged"),
-        (dict(identical=False), "diverged"),
-        (dict(accept=False), "advisor declined"),
-        (dict(decline=False), "advisor accepted"),
-    ])
-    def test_each_gate_trips(self, kwargs, needle):
-        from repro.bench.latemat import check_regression
+    The group-by needs ``t_dummy1`` and ``l_urlPrefix``; the aggregates
+    need ``t_uniqKey``, ``t_dummy3`` and both date columns — so classic
+    mode ships all of them for every row, while late materialization
+    ships thin rows and fetches payloads only for survivors.
+    """
+    from repro.relational.aggregates import AggregateSpec
+    from repro.workload import (
+        WorkloadSpec,
+        build_paper_query,
+        generate_workload,
+    )
 
-        payload = self._payload(**kwargs)
-        failures = check_regression(payload, self._payload())
-        assert any(needle in failure for failure in failures), failures
+    workload = generate_workload(WorkloadSpec(
+        sigma_t=0.3, sigma_l=0.1, s_t=s_t, s_l=s_l, t_rows=4_000,
+        l_rows=12_000, n_keys=400, n_urls=40, seed=77,
+    ))
+    tables = [workload.t_table, workload.l_table]
+    if clustered:
+        tables = [table.take(np.argsort(table.column("joinKey"),
+                                        kind="stable"))
+                  for table in tables]
+    query = dataclasses.replace(
+        build_paper_query(workload),
+        db_projection=("joinKey", "predAfterJoin", "uniqKey", "dummy1",
+                       "dummy3"),
+        group_by=("l_urlPrefix", "t_dummy1"),
+        aggregates=(
+            AggregateSpec("count"),
+            AggregateSpec("max", "t_uniqKey"),
+            AggregateSpec("sum", "t_dummy3"),
+            AggregateSpec("min", "t_predAfterJoin"),
+        ),
+    )
+    return generator.DataCase(name=name, t_table=tables[0],
+                              l_table=tables[1], query=query,
+                              provenance=f"test_latemat/{name}")
 
-    def test_ratio_regression_vs_baseline(self):
-        from repro.bench.latemat import check_regression
 
-        baseline = self._payload(ratio=4.0, speedup=3.0)
-        current = self._payload(ratio=1.6, speedup=1.44)
-        failures = check_regression(current, baseline,
-                                    allowed_factor=2.0)
-        assert any("fell below" in failure for failure in failures)
+@pytest.fixture(scope="module")
+def wire_cells():
+    """cell -> (case, 8-worker warehouse on a 25 MB/s switch, oracle)."""
+    from repro.net.topology import default_topology
+
+    cells = {}
+    for case in (_wire_case("wide-selective", 0.3, 0.2, clustered=True),
+                 _wire_case("low-selectivity", 0.9, 0.9, clustered=False)):
+        warehouse = generator.build_cell_warehouse(case, 8, "parquet")
+        cluster = dataclasses.replace(
+            warehouse.config.cluster, switch_bytes_per_s=25.0 * 1024 * 1024)
+        warehouse.config = dataclasses.replace(warehouse.config,
+                                               cluster=cluster)
+        warehouse.topology = default_topology(cluster)
+        cells[case.name] = (case, warehouse, case.oracle_rows())
+    return cells
+
+
+class TestThinWirePayoff:
+    """Wide-selective (clustered, S_T=0.3, S_L=0.2) is where thin rows
+    pay; low-selectivity (unclustered, ~90% survive) and the already
+    Bloom-pruned ``db(BF)`` / ``zigzag-db`` are the honest counter-cases.
+    The advisor's USE / DECLINE on these shapes is TestAdvisorDecision.
+    """
+
+    @pytest.mark.parametrize("cell, algorithm", list(THIN_WIRE_PINS))
+    def test_pinned_bytes_and_seconds(self, wire_cells, cell, algorithm):
+        from repro import algorithm_by_name
+
+        case, warehouse, reference = wire_cells[cell]
+        observed = []
+        for enabled in (False, True):
+            set_late_materialization_enabled(enabled)
+            run = algorithm_by_name(algorithm).run(warehouse, case.query)
+            diff = oracle.compare_tables(
+                run.result, reference, label=f"{algorithm}/{cell}/{enabled}")
+            assert diff is None, diff
+            shipped = run.trace.metadata["bytes_shipped"]
+            observed.append((round(shipped["cross_cluster"]),
+                             round(shipped["stitch"]),
+                             run.timing.total_seconds))
+        assert observed == [
+            pytest.approx(pinned, abs=5e-4)
+            for pinned in THIN_WIRE_PINS[cell, algorithm]
+        ]
+        if (cell, algorithm) == ("wide-selective", "db"):
+            (off_bytes, _, off_seconds), (on_bytes, _, on_seconds) = observed
+            assert off_bytes >= 1.5 * on_bytes
+            assert on_seconds < off_seconds
