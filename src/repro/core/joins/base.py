@@ -66,10 +66,6 @@ class JoinStats:
     hot_tuples_broadcast: float = 0.0
     #: Build + probe rows re-dealt across workers by work stealing.
     stolen_tuples: float = 0.0
-    #: Measured wire-codec bytes of this run's compact transfers (thin
-    #: exports, remote shuffle partitions, stitch fetches).  0 unless
-    #: late materialization ran.
-    encoded_wire_bytes: float = 0.0
 
     def scaled(self, multiplier: float) -> "JoinStats":
         """Counts multiplied up to paper scale (Bloom bytes unchanged)."""
@@ -167,9 +163,9 @@ class JoinAlgorithm:
         """Row width the transfer phases price one wire row at.
 
         Classic row shipping moves decoded rows, so the logical width
-        applies.  With late materialization on, transfers run through
-        the compact wire codec (dictionary columns travel as ids), so
-        the honest width is :meth:`Table.wire_row_bytes`.
+        applies.  With late materialization on, dictionary columns
+        travel as ids, so the width is :meth:`Table.wire_row_bytes` —
+        the one price each transfer's bytes get.
         """
         if not tables:
             raise JoinError("no wire tables")
@@ -180,13 +176,12 @@ class JoinAlgorithm:
         return float(tables[0].row_bytes())
 
     def _latemat_store(self, query: HybridQuery, tables: List[Table],
-                       side: str, stats: JoinStats = None):
+                       side: str):
         """Thin ``tables`` for a transfer edge if late mat says to.
 
         Returns ``(store, tables_to_ship)``: the payload store plus the
         thin twins when thinning applies, else ``(None, tables)`` — the
-        classic full-width path.  With ``stats``, a database-side thin
-        export is measured through the real wire codec.
+        classic full-width path.
         """
         from repro.latemat import thin_for_transfer
         from repro.query.plan import needed_wire_columns
@@ -198,12 +193,7 @@ class JoinAlgorithm:
         )
         if store is None:
             return None, list(tables)
-        thin = store.thin_tables()
-        if stats is not None and side == "db":
-            from repro.edw.worker import DbWorker
-
-            stats.encoded_wire_bytes += DbWorker.encoded_export_bytes(thin)
-        return store, thin
+        return store, store.thin_tables()
 
     def _add_payload_fetch_phases(self, costing, trace, latemat_plan,
                                   gate, l_cross: bool = False,
@@ -218,9 +208,6 @@ class JoinAlgorithm:
         if latemat_plan is None or not latemat_plan.active():
             return list(gate)
         stitch = latemat_plan.stats
-        if stitch.fetched_wire_bytes:
-            trace.metadata["stitch_fetched_wire_bytes"] = \
-                stitch.fetched_wire_bytes
         fetch_names: List[str] = []
         sides = (
             ("payload_fetch_l", latemat_plan.l_store, l_cross,
@@ -280,9 +267,6 @@ class JoinAlgorithm:
         trace.metadata["shuffle_partition_rows"] = [
             table.num_rows for table in shuffled.per_destination
         ]
-        stats.encoded_wire_bytes += getattr(
-            shuffled, "encoded_wire_bytes", 0
-        )
         if hot_keys is None:
             return
         stats.hot_keys_detected = float(len(hot_keys))

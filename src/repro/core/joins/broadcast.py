@@ -56,8 +56,7 @@ class BroadcastJoin(JoinAlgorithm):
 
         # -- Step 2: broadcast T' to every JEN worker --------------------
         t_full = Table.concat(t_parts)
-        t_store, t_ship = self._latemat_store(query, [t_full], "db",
-                                              stats=stats)
+        t_store, t_ship = self._latemat_store(query, [t_full], "db")
         t_broadcast = t_ship[0]
         t_tuples = t_full.num_rows
         t_wire_bytes = self._wire_row_bytes(t_ship)

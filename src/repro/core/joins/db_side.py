@@ -100,11 +100,6 @@ class DbSideJoin(JoinAlgorithm):
             # private partitioning, so thin rows are pruned against the
             # global key set of T' — exact whatever join strategy the
             # optimizer picks below — before fetching payloads HDFS->EDW.
-            from repro.edw.worker import DbWorker
-
-            stats.encoded_wire_bytes += DbWorker.encoded_export_bytes(
-                l_ship
-            )
             t_keys = np.unique(np.concatenate([
                 part.column(query.db_join_key) for part in t_parts
             ]))
@@ -113,9 +108,6 @@ class DbSideJoin(JoinAlgorithm):
                 l_store, ingested, query.hdfs_join_key, t_keys,
                 stitch_stats, side="l",
             )
-            if stitch_stats.fetched_wire_bytes:
-                trace.metadata["stitch_fetched_wire_bytes"] = \
-                    stitch_stats.fetched_wire_bytes
             l_payload_bytes = l_store.payload_row_bytes()
             trace.add("payload_fetch_l", "transfer",
                       costing.payload_fetch_seconds(

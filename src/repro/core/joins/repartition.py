@@ -103,8 +103,7 @@ class RepartitionJoin(JoinAlgorithm):
                   volume_bytes=shuffled.tuples_shuffled * l_wire_bytes)
 
         # -- Step 2 (concurrent): ship T' by the agreed hash -------------
-        t_store, t_ship = self._latemat_store(query, t_parts, "db",
-                                              stats=stats)
+        t_store, t_ship = self._latemat_store(query, t_parts, "db")
         t_dest, hot_t_tuples, hot_copy_tuples = _route_db_rows(
             t_ship, query.db_join_key, jen.num_workers, hot_keys=hot_keys
         )

@@ -111,8 +111,7 @@ class _ExactFilterJoin(JoinAlgorithm):
         else:
             outgoing, export_gate = t_parts, ["db_filter"]
 
-        t_store, t_ship = self._latemat_store(query, outgoing, "db",
-                                              stats=stats)
+        t_store, t_ship = self._latemat_store(query, outgoing, "db")
         t_wire_bytes = self._wire_row_bytes(t_ship)
         t_dest, hot_t_tuples, hot_copy_tuples = _route_db_rows(
             t_ship, query.db_join_key, jen.num_workers,

@@ -119,8 +119,7 @@ class ZigzagJoin(JoinAlgorithm):
                   after=["bf_h_send", "db_filter"],
                   description="apply BF_H to T' (index-assisted)",
                   tuples=t_prime_tuples)
-        t_store, t_ship = self._latemat_store(query, t_pruned, "db",
-                                              stats=stats)
+        t_store, t_ship = self._latemat_store(query, t_pruned, "db")
         t_wire_bytes = self._wire_row_bytes(t_ship)
         t_dest, hot_t_tuples, hot_copy_tuples = _route_db_rows(
             t_ship, query.db_join_key, jen.num_workers,

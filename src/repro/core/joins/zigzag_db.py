@@ -132,9 +132,6 @@ class ZigzagDbJoin(JoinAlgorithm):
         if l_store is not None:
             # Same exact global-key prune as the plain DB-side join:
             # grouped ingest is not co-partitioned with T''.
-            stats.encoded_wire_bytes += DbWorker.encoded_export_bytes(
-                l_ship
-            )
             t_keys = np.unique(np.concatenate([
                 part.column(query.db_join_key) for part in t_pruned
             ]))
@@ -143,9 +140,6 @@ class ZigzagDbJoin(JoinAlgorithm):
                 l_store, ingested, query.hdfs_join_key, t_keys,
                 stitch_stats, side="l",
             )
-            if stitch_stats.fetched_wire_bytes:
-                trace.metadata["stitch_fetched_wire_bytes"] = \
-                    stitch_stats.fetched_wire_bytes
             l_payload_bytes = l_store.payload_row_bytes()
             trace.add("payload_fetch_l", "transfer",
                       costing.payload_fetch_seconds(

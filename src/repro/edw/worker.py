@@ -155,17 +155,3 @@ class DbWorker:
         """Keep only rows whose key may be in ``bloom``."""
         mask = bloom.contains(table.column(key_column))
         return table.filter(mask)
-
-    @staticmethod
-    def encoded_export_bytes(parts: Sequence[Table]) -> int:
-        """Bytes the outgoing partitions weigh in the compact wire codec.
-
-        Late materialization exports thin ``(key, rowid)`` tables as
-        codec frames; this measures what actually leaves the worker so
-        the accounting layer can report honest export volumes.
-        """
-        from repro.kernels.wirecodec import encoded_table_bytes
-
-        return sum(
-            encoded_table_bytes(part) for part in parts if part.num_rows
-        )

@@ -81,9 +81,6 @@ class LocalJoinStats:
     #: (:class:`repro.latemat.StitchStats`); ``None`` when the join ran
     #: on full-width parts.
     stitch: Optional[StitchStats] = None
-    #: Measured wire-codec bytes of spilled fragments (what actually
-    #: hits the disk with late materialization on; 0 otherwise).
-    spilled_wire_bytes: int = 0
 
 
 class Jen:
@@ -564,11 +561,7 @@ class Jen:
                 l_parts, t_parts, query.hdfs_join_key, query.db_join_key
             )
             stitch_stats = latemat_plan.stats
-        from repro.jen.spill import (
-            encoded_fragment_bytes,
-            fragment_tables,
-            plan_spill,
-        )
+        from repro.jen.spill import fragment_tables, plan_spill
         from repro.kernels.joinindex import JoinBuildIndex
 
         stats = LocalJoinStats(stitch=stitch_stats)
@@ -616,9 +609,6 @@ class Jen:
                     l_part, t_part, query.hdfs_join_key,
                     query.db_join_key, plan.num_fragments,
                 )
-                if plan.spilled:
-                    stats.spilled_wire_bytes += \
-                        encoded_fragment_bytes(fragments)
                 for build_frag, probe_frag in fragments:
                     partial, pairs = join_partial_aggregate(
                         probe_frag, build_frag, query,

@@ -41,10 +41,6 @@ class ShuffleResult:
     #: Rows routed off the agreed hash by a hybrid (skew-resistant)
     #: shuffle — hot-key build rows spread round-robin across workers.
     hot_tuples: int = 0
-    #: Actual bytes of the remote partitions on the compact wire codec
-    #: (varint/delta/dictionary-id framing).  Only measured when late
-    #: materialization is enabled; 0 otherwise.
-    encoded_wire_bytes: int = 0
 
     def balance_factor(self) -> float:
         """Hottest receiver's row count relative to the mean (>= 1.0).
@@ -92,21 +88,12 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
     tuples_remote = 0
     retries = 0
     duplicates_suppressed = 0
-    encoded_wire_bytes = 0
-    # With late materialization on, remote messages really travel in
-    # the compact wire codec; measure what they cost encoded.
-    from repro.latemat import late_materialization_enabled
-    measure_wire = late_materialization_enabled()
-    if measure_wire:
-        from repro.kernels.wirecodec import encoded_table_bytes
     delivery_counts = (
         np.zeros((num_senders, num_destinations), dtype=np.int64)
         if invariants.checking_enabled() else None
     )
-    for destination, (received, sizes) in enumerate(
-            zip(per_destination, routed.T.tolist())):
+    for destination, sizes in enumerate(routed.T.tolist()):
         seen_senders = set()
-        offset = 0
         for sender, size in enumerate(sizes):
             copies = 1
             if faults is not None and sender != destination:
@@ -128,11 +115,6 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
                 tuples_shuffled += size
                 if sender != destination:
                     tuples_remote += size
-                    if measure_wire and size:
-                        encoded_wire_bytes += encoded_table_bytes(
-                            received.slice(offset, offset + size)
-                        )
-            offset += size
     if delivery_counts is not None:
         invariants.check_shuffle_delivery(
             routed, per_destination, delivery_counts
@@ -146,7 +128,6 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
         tuples_remote=tuples_remote,
         retries=retries,
         duplicates_suppressed=duplicates_suppressed,
-        encoded_wire_bytes=encoded_wire_bytes,
     )
 
 

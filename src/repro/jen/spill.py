@@ -74,30 +74,6 @@ def plan_spill(build_rows: int, probe_rows: int,
     return SpillPlan(fragments, build_rows, probe_rows)
 
 
-def encoded_fragment_bytes(fragments: List[Tuple[object, object]]) -> int:
-    """Disk bytes the fragments occupy in the compact wire codec.
-
-    A late-materialization run spills fragments codec-encoded (the same
-    varint/delta/dictionary-id framing the shuffle uses), so this is
-    what actually hits the disk; returns 0 when late materialization is
-    off — fragments then spill as raw rows and the classic
-    ``row_bytes``-based pricing applies.
-    """
-    from repro.latemat import late_materialization_enabled
-
-    if not late_materialization_enabled():
-        return 0
-    from repro.kernels.wirecodec import encoded_table_bytes
-
-    total = 0
-    for build, probe in fragments:
-        if build.num_rows:
-            total += encoded_table_bytes(build)
-        if probe.num_rows:
-            total += encoded_table_bytes(probe)
-    return total
-
-
 def fragment_tables(build, probe, build_key: str, probe_key: str,
                     num_fragments: int) -> List[Tuple[object, object]]:
     """Split both join inputs into co-aligned fragments.

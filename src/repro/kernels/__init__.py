@@ -22,10 +22,10 @@ differential battery in ``tests/test_kernels.py`` pins the equivalence:
   streaming primitives with no naive twin — their contract (no
   underestimation, bounded overestimation, determinism) is pinned by
   property tests against exact counts instead.
-* :mod:`repro.kernels.wirecodec` — the compact wire format of the
-  late-materialization transfers (:mod:`repro.latemat`): varint/delta
-  row-id batches, dictionary-id passthrough and constant stripping,
-  with bit-exact vectorised round trips.
+
+:mod:`repro.kernels.wirecodec` is not a kernel any engine calls: it
+prices nothing and is kept only for the benchmark's tracer hooks (see
+its docstring), so it is not re-exported here.
 """
 
 from __future__ import annotations
@@ -34,25 +34,11 @@ from repro.kernels.bloomops import popcount, scatter_or, test_bits
 from repro.kernels.joinindex import JoinBuildIndex, probe_join
 from repro.kernels.partition import partition_indices, partition_table
 from repro.kernels.sketch import CountMinSketch, TopKHeap
-from repro.kernels.wirecodec import (
-    decode_rowids,
-    decode_table,
-    encode_rowids,
-    encode_table,
-    encoded_rowid_bytes,
-    encoded_table_bytes,
-)
 
 __all__ = [
     "CountMinSketch",
     "JoinBuildIndex",
     "TopKHeap",
-    "decode_rowids",
-    "decode_table",
-    "encode_rowids",
-    "encode_table",
-    "encoded_rowid_bytes",
-    "encoded_table_bytes",
     "partition_indices",
     "partition_table",
     "popcount",

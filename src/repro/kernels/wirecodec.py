@@ -1,52 +1,36 @@
-"""Compact wire codec for thin tables, row-id batches and payloads.
+"""Compact wire codec for thin tables: the encoder and its exact size.
 
-Late materialization (:mod:`repro.latemat`) makes the hot transfers
-carry ``(join_key, origin_rowid)`` pairs and, later, batches of
-surviving row ids — both extremely compressible: row ids within one
-stitch batch are sorted and dense, join keys are small integers, and
-dictionary-encoded string columns already travel as int32 codes.  This
-module is the wire format those transfers use:
+No engine calls this module.  The engines price every transfer once,
+through ``Table.row_bytes`` / ``Table.wire_row_bytes`` × tuples, and
+nothing on the data plane encodes, sizes or decodes a frame.  The module
+is kept only because ``benchmarks/e2e/layers.py`` (lines 120-122)
+patches :func:`encode_table` and :func:`encoded_table_bytes` by name,
+and the benchmark is changed on its own; once it drops those two hooks,
+this module and ``tests/test_wirecodec.py`` are deleted.
 
-* **varint/delta row ids** — :func:`encode_rowids` sorts the batch and
-  stores ``[count, first, gaps...]`` as LEB128 varints, so a dense
-  batch costs ~1 byte per row instead of 8.
+The format, per column:
+
 * **dictionary-id passthrough** — a ``DICT_STRING`` column ships its
-  int32 code array plus the (small, amortised) dictionary once; the
-  decoded varchar width never touches the wire.
-* **constant stripping** — a column holding one repeated value (the
-  no-NULL data model's analogue of null-stripping: an absent/sentinel
-  column collapses to a single run) is encoded as tag + value + count.
+  int32 code array plus the utf-8 dictionary once.
+* **constant stripping** — a column holding one repeated value is
+  encoded as tag + value.
 * **sorted-column delta** — non-decreasing integer columns (row ids,
-  clustered keys) store zigzag(first) + gaps as varints.
-
-The module has two halves that share every decision:
-
-* :func:`encode_table` / :func:`decode_table` (and the row-id and
-  varint pairs) **are the format** — its reference implementation.
-  Value streams are vectorised (numpy byte peeling); the dictionary
-  header is a Python loop, one step per entry.  The round trip is
-  bit-exact and every decode failure is a :class:`TableError`.
-* :func:`encoded_table_bytes` / :func:`encoded_rowid_bytes` are the
-  **accounting path**: the exact length of those encodings, computed
-  by arithmetic on the same tag choice without building a byte.  The
-  engines only ever need the number (nothing on the data plane
-  decodes), so this is what the exchange/export/stitch/spill paths
-  call when late materialization is on.
+  clustered keys) store zigzag(first) + gaps as LEB128 varints.
+* **raw** — anything else, at the column's own width.
 
 :func:`_classify_column` picks each column's tag and
 :func:`_varint_lengths` / :func:`_varint_length` price every varint;
-the encoder and the size path both go through them, and
-``tests/test_wirecodec.py`` pins size ≡ ``len(encoding)``.
+:func:`encode_table` and :func:`encoded_table_bytes` both go through
+them, and ``tests/test_wirecodec.py`` pins size ≡ ``len(encoding)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.errors import TableError
-from repro.relational.schema import DataType, Schema
+from repro.relational.schema import DataType
 from repro.relational.table import Table
 
 #: Column encoding tags (one byte each on the wire).
@@ -115,78 +99,9 @@ def _encode_varint(value: int) -> bytes:
     return encode_varints(np.array([value], dtype=np.uint64))
 
 
-def decode_varints(data: bytes) -> np.ndarray:
-    """Decode a LEB128 stream back to a uint64 array (vectorised)."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    terminal = (arr & 0x80) == 0
-    if not terminal[-1]:
-        raise TableError("truncated varint stream")
-    group = np.zeros(arr.size, dtype=np.int64)
-    group[1:] = np.cumsum(terminal)[:-1]
-    starts = np.flatnonzero(
-        np.concatenate(([True], terminal[:-1])))
-    position = np.arange(arr.size, dtype=np.int64) - starts[group]
-    # Ten septets hold 70 bits; the shifts below would silently drop
-    # what does not fit in 64.
-    if (position > 9).any() or ((arr[position == 9] & 0x7F) > 1).any():
-        raise TableError("varint does not fit in 64 bits")
-    septets = (arr & 0x7F).astype(np.uint64) \
-        << (7 * position).astype(np.uint64)
-    values = np.zeros(int(terminal.sum()), dtype=np.uint64)
-    np.add.at(values, group, septets)
-    return values
-
-
 def _zigzag(values: np.ndarray) -> np.ndarray:
     signed = np.asarray(values, dtype=np.int64)
     return ((signed << 1) ^ (signed >> 63)).astype(np.uint64)
-
-
-def _unzigzag(values: np.ndarray) -> np.ndarray:
-    unsigned = np.asarray(values, dtype=np.uint64)
-    return ((unsigned >> np.uint64(1)).astype(np.int64)
-            ^ -(unsigned & np.uint64(1)).astype(np.int64))
-
-
-# ----------------------------------------------------------------------
-# Row-id batches
-# ----------------------------------------------------------------------
-def _rowid_stream(rowids: np.ndarray) -> np.ndarray:
-    """``[count, first, gaps...]`` of the sorted batch, as uint64."""
-    rowids = np.sort(np.asarray(rowids, dtype=np.int64))
-    stream = np.empty(rowids.size + 1, dtype=np.uint64)
-    stream[0] = rowids.size
-    if rowids.size:
-        stream[1] = np.uint64(rowids[0])
-        stream[2:] = np.diff(rowids).astype(np.uint64)
-    return stream
-
-
-def encode_rowids(rowids: np.ndarray) -> bytes:
-    """Sort + delta + varint encode a batch of row ids."""
-    return encode_varints(_rowid_stream(rowids))
-
-
-def decode_rowids(data: bytes) -> np.ndarray:
-    """Decode :func:`encode_rowids` output (sorted int64 array)."""
-    stream = decode_varints(data)
-    if stream.size == 0:
-        raise TableError("empty row-id stream")
-    count = int(stream[0])
-    if stream.size != count + 1:
-        raise TableError(
-            f"row-id stream advertises {count} ids, carries "
-            f"{stream.size - 1}")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.cumsum(stream[1:].astype(np.int64))
-
-
-def encoded_rowid_bytes(rowids: np.ndarray) -> int:
-    """Exact ``len(encode_rowids(rowids))``, computed without encoding."""
-    return int(_varint_lengths(_rowid_stream(rowids)).sum())
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +184,7 @@ def _column_bytes(table: Table, name: str) -> int:
 
 
 def encode_table(table: Table) -> bytes:
-    """Encode a whole table (columns in schema order).
-
-    The format's reference: what :func:`decode_table` reads and what
-    :func:`encoded_table_bytes` is tested against.  The engines account
-    transfers through the latter and never call this.
-    """
+    """Encode a whole table (columns in schema order)."""
     return _encode_varint(table.num_rows) + b"".join(
         _encode_column(table, name) for name in table.schema.names)
 
@@ -288,99 +198,3 @@ def encoded_table_bytes(table: Table) -> int:
     """
     return _varint_length(table.num_rows) + sum(
         _column_bytes(table, name) for name in table.schema.names)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def varint(self) -> int:
-        end = self.offset
-        while end < len(self.data) and self.data[end] & 0x80:
-            end += 1
-        return int(decode_varints(self.raw(end + 1 - self.offset))[0])
-
-    def raw(self, nbytes: int) -> bytes:
-        chunk = self.data[self.offset:self.offset + nbytes]
-        if len(chunk) != nbytes:
-            raise TableError("truncated wire table")
-        self.offset += nbytes
-        return chunk
-
-    def finish(self, what: str) -> None:
-        if self.offset != len(self.data):
-            raise TableError(
-                f"{len(self.data) - self.offset} trailing bytes after {what}")
-
-
-def _decode_dictionary_column(payload: bytes, num_rows: int):
-    reader = _Reader(payload)
-    try:
-        entries = [
-            reader.raw(reader.varint()).decode("utf-8")
-            for _ in range(reader.varint())
-        ]
-    except UnicodeDecodeError as error:
-        raise TableError(f"dictionary entry is not utf-8: {error}") from None
-    codes = np.frombuffer(
-        reader.raw(num_rows * _WIRE_CODES.itemsize), dtype=_WIRE_CODES)
-    reader.finish("the dictionary codes")
-    if num_rows and not (0 <= codes.min() and codes.max() < len(entries)):
-        raise TableError(
-            f"dictionary codes outside [0, {len(entries)})")
-    return np.asarray(entries, dtype=object), codes.astype(np.int32)
-
-
-def decode_table(data: bytes, schema: Schema) -> Table:
-    """Decode :func:`encode_table` output back to a table.
-
-    Anything that is not a complete, well-formed encoding of a table
-    with ``schema`` raises :class:`TableError`.
-    """
-    reader = _Reader(data)
-    num_rows = reader.varint()
-    columns: Dict[str, np.ndarray] = {}
-    dictionaries: Dict[str, np.ndarray] = {}
-    for column in schema:
-        tag = reader.raw(1)[0]
-        payload = reader.raw(reader.varint())
-        dtype = column.dtype.numpy_dtype()
-        if ((tag == TAG_DICT) != (column.dtype is DataType.DICT_STRING)
-                or (tag == TAG_DELTA and column.dtype is DataType.FLOAT64)):
-            raise TableError(
-                f"tag {tag} cannot carry {column.dtype.value} column "
-                f"{column.name!r}")
-        if tag == TAG_DICT:
-            dictionaries[column.name], columns[column.name] = \
-                _decode_dictionary_column(payload, num_rows)
-        elif tag == TAG_CONST:
-            value = decode_varints(payload)
-            if value.size != 1:
-                raise TableError(
-                    f"constant column carries {value.size} values")
-            if column.dtype is DataType.FLOAT64:
-                fill = value.view(np.float64)[0]
-            else:
-                fill = _unzigzag(value)[0]
-            columns[column.name] = np.full(num_rows, fill, dtype=dtype)
-        elif tag == TAG_DELTA:
-            stream = decode_varints(payload)
-            if stream.size != num_rows or num_rows == 0:
-                raise TableError("delta column length mismatch")
-            values = np.empty(num_rows, dtype=np.int64)
-            values[0] = _unzigzag(stream[:1])[0]
-            values[1:] = stream[1:].astype(np.int64)
-            columns[column.name] = np.cumsum(values).astype(dtype)
-        elif tag == TAG_RAW:
-            wire = _wire_dtype(dtype)
-            if len(payload) != num_rows * wire.itemsize:
-                raise TableError(
-                    f"raw column {column.name!r} carries {len(payload)} "
-                    f"bytes, expected {num_rows * wire.itemsize}")
-            columns[column.name] = np.frombuffer(
-                payload, dtype=wire).astype(dtype)
-        else:
-            raise TableError(f"unknown wire-column tag {tag}")
-    reader.finish("the last column")
-    return Table(schema, columns, dictionaries)

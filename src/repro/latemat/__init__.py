@@ -36,8 +36,9 @@ identical code paths with only the wire discipline swapped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +123,7 @@ class PayloadStore:
         """Wire bytes of one fetched payload row.
 
         The fetch ships the payload columns (dictionary columns travel
-        as ids — the compact wire codec's passthrough) plus the rowid
+        as ids — the compact wire's passthrough) plus the rowid
         needed to align the row with its thin twin.
         """
         return (self.tables[0].wire_row_bytes(self.payload_names())
@@ -225,8 +226,6 @@ class StitchStats:
     #: Tuple-weighted fetch amplification actually measured, per side.
     l_amplification: float = 1.0
     t_amplification: float = 1.0
-    #: Real encoded bytes the stitched fetches moved (wire codec).
-    fetched_wire_bytes: int = 0
 
     def merge_side(self, side: str, thin: int, fetched: int,
                    touched_rows: int) -> None:
@@ -274,68 +273,38 @@ class LateMatPlan:
         the co-partitioned other side (a pruned row's key appears
         nowhere it could probe or be probed, so it cannot contribute
         join output), then the survivors' payloads are gathered from
-        the stores.
+        the stores.  Both sides prune against the *arriving* parts.
         """
-        l_rowid_batches: List[Optional[np.ndarray]] = []
-        t_rowid_batches: List[Optional[np.ndarray]] = []
-        for l_part, t_part in zip(l_parts, t_parts):
-            l_rowid_batches.append(self._surviving_rowids(
-                self.l_store, l_part, l_key, t_part, t_key, "l"))
-            t_rowid_batches.append(self._surviving_rowids(
-                self.t_store, t_part, t_key, l_part, l_key, "t"))
-        l_fetched = self._fetch_side(self.l_store, l_rowid_batches)
-        t_fetched = self._fetch_side(self.t_store, t_rowid_batches)
-        stitched_l = [
-            fetched if fetched is not None else part
-            for fetched, part in zip(l_fetched, l_parts)
-        ]
-        stitched_t = [
-            fetched if fetched is not None else part
-            for fetched, part in zip(t_fetched, t_parts)
-        ]
+        stitched_l = _stitch_side(
+            self.l_store, l_parts, l_key,
+            (part.column(t_key) for part in t_parts), self.stats, "l")
+        stitched_t = _stitch_side(
+            self.t_store, t_parts, t_key,
+            (part.column(l_key) for part in l_parts), self.stats, "t")
         return stitched_l, stitched_t
 
-    def _surviving_rowids(self, store: Optional[PayloadStore],
-                          part: Table, key: str, other: Table,
-                          other_key: str, side: str
-                          ) -> Optional[np.ndarray]:
-        """This slot's surviving row ids, or ``None`` (side not thin)."""
+
+def _stitch_side(store: Optional[PayloadStore], parts: List[Table],
+                 key: str, other_keys: Iterable[np.ndarray],
+                 stats: StitchStats, side: str) -> List[Table]:
+    """Prune each thin part against its key set, fetch the survivors.
+
+    ``other_keys`` yields one key set per part.  Full-width parts (and
+    every part when ``store`` is ``None``) pass through untouched.
+    """
+    stitched: List[Table] = []
+    for part, keys in zip(parts, other_keys):
         if store is None or not is_thin(part):
-            return None
-        keep = np.isin(part.column(key), other.column(other_key))
-        # Sorted batches delta-encode well on the wire and make the
-        # store-side access pattern sequential.
+            stitched.append(part)
+            continue
+        keep = np.isin(part.column(key), keys)
+        # Sorted batches make the store-side access pattern sequential.
         rowids = np.sort(part.column(ROWID_COLUMN)[keep])
         touched = int(np.unique(rowids // PAGE_ROWS).size * PAGE_ROWS) \
             if rowids.size else 0
-        self.stats.merge_side(side, part.num_rows, int(rowids.size),
-                              touched)
-        return rowids
-
-    def _fetch_side(self, store: Optional[PayloadStore],
-                    rowid_batches: List[Optional[np.ndarray]]
-                    ) -> List[Optional[Table]]:
-        """Gather payload rows for every slot of one side."""
-        return fetch_batches(store, rowid_batches, self.stats)
-
-
-def fetch_batches(store: Optional[PayloadStore],
-                  rowid_batches: List[Optional[np.ndarray]],
-                  stats: StitchStats) -> List[Optional[Table]]:
-    """Gather payload rows for every slot's surviving row-id batch.
-
-    ``None`` batches (side/slot not thin) come back as ``None``.
-    """
-    live = [batch for batch in rowid_batches if batch is not None]
-    if store is None or not live:
-        return [None] * len(rowid_batches)
-    fetched = [store.fetch(batch) for batch in live]
-    stats.fetched_wire_bytes += _encoded_fetch_bytes(fetched)
-    results: List[Optional[Table]] = []
-    cursor = iter(fetched)
-    for batch in rowid_batches:
-        results.append(next(cursor) if batch is not None else None)
-    return results
+        stats.merge_side(side, part.num_rows, int(rowids.size), touched)
+        stitched.append(store.fetch(rowids))
+    return stitched
 
 
 def stitch_parts(store: Optional[PayloadStore], parts: List[Table],
@@ -351,30 +320,9 @@ def stitch_parts(store: Optional[PayloadStore], parts: List[Table],
     optimizer picks.  Returns full-row parts; non-thin parts pass
     through untouched.
     """
-    other_keys = np.asarray(other_keys)
-    rowid_batches: List[Optional[np.ndarray]] = []
-    for part in parts:
-        if store is None or not is_thin(part):
-            rowid_batches.append(None)
-            continue
-        keep = np.isin(part.column(key), other_keys)
-        rowids = np.sort(part.column(ROWID_COLUMN)[keep])
-        touched = int(np.unique(rowids // PAGE_ROWS).size * PAGE_ROWS) \
-            if rowids.size else 0
-        stats.merge_side(side, part.num_rows, int(rowids.size), touched)
-        rowid_batches.append(rowids)
-    fetched = fetch_batches(store, rowid_batches, stats)
-    return [
-        table if table is not None else part
-        for table, part in zip(fetched, parts)
-    ]
-
-
-def _encoded_fetch_bytes(tables: Sequence[Table]) -> int:
-    """Real wire-codec bytes of the fetched payload tables."""
-    from repro.net.transfer import encoded_transfer_volume
-
-    return encoded_transfer_volume(tables)
+    return _stitch_side(store, parts, key,
+                        itertools.repeat(np.asarray(other_keys)), stats,
+                        side)
 
 
 __all__ = [

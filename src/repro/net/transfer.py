@@ -145,20 +145,6 @@ def broadcast_volume(
     raise SimulationError(f"not a broadcast pattern: {pattern}")
 
 
-def encoded_transfer_volume(tables) -> int:
-    """Measured bytes ``tables`` put on the wire in the compact codec.
-
-    Late-materialization transfers (thin shuffles, stitch fetches) ship
-    codec frames — varint/delta row ids, dictionary-id columns — rather
-    than decoded rows; this is what those frames actually weigh.
-    """
-    from repro.kernels.wirecodec import encoded_table_bytes
-
-    return sum(
-        encoded_table_bytes(table) for table in tables if table.num_rows
-    )
-
-
 def parallel_transfer_seconds(
     volume_bytes: float,
     topology: HybridTopology,

@@ -226,7 +226,7 @@ class Table:
         width here — the classic row-shipping wire serialises decoded
         strings, and the paper's movement accounting assumes it.  Use
         :meth:`wire_row_bytes` for the dictionary-aware width of the
-        compact wire codec.
+        compact wire.
         """
         return self.schema.row_width(names)
 
@@ -240,8 +240,8 @@ class Table:
 
         A ``DICT_STRING`` column ships its int32 id array plus the
         dictionary once per transfer, so its per-row price is 4 bytes
-        plus the dictionary's total string bytes amortised over the
-        table's rows — never the decoded varchar width.  Fixed-width
+        plus the dictionary's total utf-8 string bytes amortised over
+        the table's rows — never the decoded varchar width.  Fixed-width
         columns price at their declared width, as in
         :meth:`row_bytes`.
         """
@@ -256,7 +256,7 @@ class Table:
             dictionary = self._dictionaries.get(name)
             if dictionary is not None and self._num_rows > 0:
                 dictionary_bytes = sum(
-                    len(str(value)) for value in dictionary)
+                    len(str(value).encode("utf-8")) for value in dictionary)
                 total += dictionary_bytes / self._num_rows
         return total
 

@@ -36,7 +36,6 @@ from repro.jen.exchange import ShuffleResult, shuffle
 from repro.jen.worker import JenWorker
 from repro.kernels import joinindex
 from repro.kernels.joinindex import JoinBuildIndex
-from repro.latemat import set_late_materialization_enabled
 from repro.query.plan import (
     apply_derivations,
     join_build_columns,
@@ -260,12 +259,10 @@ def sender_tables(sizes, seed, hot_key=None, hot_share=0.0):
 
 
 def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
-                       faults=None, measure_wire=False) -> ShuffleResult:
+                       faults=None) -> ShuffleResult:
     """Partition every sender, then walk the ``[sender][destination]``
     matrix of parts destination by destination, gluing what each
     receiver accepts."""
-    from repro.kernels.wirecodec import encoded_table_bytes
-
     outgoing, hot_tuples = [], 0
     for sender, wire in enumerate(wire_tables):
         if hot_keys is not None and len(hot_keys):
@@ -298,9 +295,6 @@ def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
                 result.tuples_shuffled += part.num_rows
                 if sender != destination:
                     result.tuples_remote += part.num_rows
-                    if measure_wire and part.num_rows:
-                        result.encoded_wire_bytes += \
-                            encoded_table_bytes(part)
         result.per_destination.append(Table.concat(accepted))
     return result
 
@@ -358,22 +352,6 @@ class TestOnePassExchange:
         assert actual.tuples_shuffled == sum(SENDER_SHAPES[shape])
         if hybrid and sum(SENDER_SHAPES[shape]):
             assert actual.hot_tuples > 0
-
-    @pytest.mark.parametrize("hybrid", [False, True],
-                             ids=["plain", "hybrid"])
-    def test_encoded_wire_bytes_with_late_materialization_on(self, hybrid):
-        tables = sender_tables(SENDER_SHAPES["empty-senders"] + [90],
-                               seed=4, hot_key=42, hot_share=0.3)
-        hot = HOT if hybrid else None
-        expected = reference_exchange(tables, "k", 7, hot,
-                                      measure_wire=True)
-        previous = set_late_materialization_enabled(True)
-        try:
-            actual = one_pass_exchange(tables, "k", 7, hot)
-        finally:
-            set_late_materialization_enabled(previous)
-        assert actual.encoded_wire_bytes > 0
-        assert_same_shuffle(actual, expected)
 
     @pytest.mark.parametrize("spec", [
         "drop:shuffle:0.3", "dup:shuffle:0.4",

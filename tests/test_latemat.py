@@ -1,12 +1,12 @@
 """Tests for late materialization (:mod:`repro.latemat`).
 
-Covers the toggle, the thin/prune/stitch primitives, the compact wire
-codec they ship over, the dictionary-aware wire accounting, the
-fetch-amplification model, the advisor's accept/decline decision, the
-service plane's bytes-shipped counters, the bytes and seconds thin
-wires buy on a constrained link (pinned), and — the load-bearing part —
-oracle identity of every algorithm with the toggle on, including the
-skew and fault interactions.
+Covers the toggle, the thin/prune/stitch primitives, the
+dictionary-aware wire accounting, the fetch-amplification model, the
+advisor's accept/decline decision, the service plane's bytes-shipped
+counters, the bytes and seconds thin wires buy on a constrained link
+(pinned), and — the load-bearing part — oracle identity of every
+algorithm with the toggle on, including the skew and fault
+interactions.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import pytest
 
 from repro.config import HybridConfig
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
-from repro.errors import TableError
-from repro.kernels import wirecodec
 from repro.latemat import (
     PAGE_ROWS,
     ROWID_BYTES,
@@ -162,7 +160,6 @@ class TestThin:
         assert sorted(survivors.to_rows()) == sorted(expected.to_rows())
         assert stats.l_thin_tuples == table.num_rows
         assert stats.l_fetched_tuples == survivors.num_rows
-        assert stats.fetched_wire_bytes > 0
 
     def test_stitch_parts_passes_full_rows_through(self):
         stats = StitchStats()
@@ -193,70 +190,6 @@ class TestAmplification:
                              replace=False)
             amp = fetch_amplification(ids)
             assert 1.0 <= amp <= float(PAGE_ROWS)
-
-
-# ----------------------------------------------------------------------
-# Wire codec
-# ----------------------------------------------------------------------
-class TestWireCodec:
-    def test_varint_round_trip(self):
-        values = np.asarray(
-            [0, 1, 127, 128, 300, 2**32, 2**63 - 1], dtype=np.uint64)
-        decoded = wirecodec.decode_varints(
-            wirecodec.encode_varints(values))
-        np.testing.assert_array_equal(decoded, values)
-
-    def test_truncated_varints_raise(self):
-        data = wirecodec.encode_varints(
-            np.asarray([300], dtype=np.uint64))
-        with pytest.raises(TableError):
-            wirecodec.decode_varints(data[:-1])
-
-    def test_rowid_round_trip_sorts(self):
-        ids = np.asarray([900, 3, 3000, 64, 65], dtype=np.int64)
-        decoded = wirecodec.decode_rowids(wirecodec.encode_rowids(ids))
-        np.testing.assert_array_equal(decoded, np.sort(ids))
-
-    def test_rowid_count_mismatch_raises(self):
-        good = wirecodec.encode_rowids(np.arange(5, dtype=np.int64))
-        bad = wirecodec.encode_varints(
-            np.asarray([7], dtype=np.uint64)) + good[1:]
-        with pytest.raises(TableError):
-            wirecodec.decode_rowids(bad)
-
-    def test_table_round_trip_all_tags(self):
-        # const int, sorted (delta), raw float, dict string: every tag.
-        schema = Schema([
-            Column("c", DataType.INT32),
-            Column("sorted", DataType.INT64),
-            Column("f", DataType.FLOAT64),
-            Column("tag", DataType.DICT_STRING, width_bytes=24),
-        ])
-        rng = np.random.default_rng(5)
-        table = Table(
-            schema,
-            {
-                "c": np.full(50, 9, dtype=np.int32),
-                "sorted": np.sort(
-                    rng.integers(0, 1 << 40, 50)).astype(np.int64),
-                "f": rng.random(50),
-                "tag": rng.integers(0, 2, 50).astype(np.int32),
-            },
-            {"tag": np.asarray(["x", "longer-entry"], dtype=object)},
-        )
-        decoded = wirecodec.decode_table(
-            wirecodec.encode_table(table), schema)
-        assert decoded.to_rows() == table.to_rows()
-
-    def test_sorted_rowids_beat_raw_int64(self):
-        ids = np.arange(10_000, 12_000, dtype=np.int64)
-        assert wirecodec.encoded_rowid_bytes(ids) < ids.nbytes / 4
-
-    def test_truncated_table_raises(self):
-        table = _wide_table(20)
-        data = wirecodec.encode_table(table)
-        with pytest.raises(TableError):
-            wirecodec.decode_table(data[:len(data) // 2], table.schema)
 
 
 # ----------------------------------------------------------------------
@@ -452,9 +385,6 @@ class TestTraceAccounting:
             assert key in shipped
         assert shipped["total"] > 0
         assert shipped["cross_cluster"] > 0
-
-    def test_encoded_wire_bytes_tracked(self, latemat_run):
-        assert latemat_run.stats.encoded_wire_bytes > 0
 
 
 # ----------------------------------------------------------------------

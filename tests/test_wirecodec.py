@@ -1,21 +1,18 @@
-"""The wire codec's two halves against each other (PR 20).
+"""The wire codec's encoder against its size arithmetic.
 
-``encode_table`` / ``decode_table`` are the format; the engines only
-ever ask what an encoding *weighs* and get the answer by arithmetic
-(``encoded_table_bytes``).  Four things are pinned here:
+No engine calls the codec: every transfer is priced once, by
+``Table.row_bytes`` / ``Table.wire_row_bytes``.  ``encode_table`` and
+``encoded_table_bytes`` stay only because the benchmark's tracer hooks
+name them; this file goes with the module once those hooks do.  Four
+things are pinned here:
 
 1. size == ``len(encoding)`` on a grid that visits every tag, every
    varint length class from both sides, and the integer/float edge
    values where the tag choice flips;
-2. the encoder's bytes themselves (golden digest, taken at the commit
-   before the size path existed);
-3. the data plane never materialises an encoding — and still reports
-   the byte counts the materialising loop kept below reports;
-4. the decoder turns every truncation and every flipped bit into a
-   ``TableError`` or a table that is safe to read.
-
-The round-trip tests of the format live on in
-``tests/test_latemat.py::TestWireCodec``.
+2. the encoder's bytes themselves (golden digests);
+3. the data plane never encodes or sizes a frame, and never slices a
+   shuffle message, yet prices exactly what it priced when it did;
+4. the priced dictionary term is the utf-8 bytes the format writes.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ import numpy as np
 import pytest
 
 from repro import algorithm_by_name
-from repro.errors import TableError
-from repro.jen.engine import Jen
+from repro.jen import engine
 from repro.kernels import wirecodec
-from repro.latemat import set_late_materialization_enabled
+from repro.latemat import set_late_materialization_enabled, thin_table
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.testkit import oracle
@@ -57,40 +53,48 @@ def strings(*entries):
     return np.asarray(entries, dtype=object)
 
 
-def frame_tags(data, num_columns):
-    """The tag byte of each column frame (a reader of the format kept
-    apart from the module's)."""
-    def varint(offset):
-        value = shift = 0
-        while True:
-            byte = data[offset]
-            value |= (byte & 0x7F) << shift
-            shift += 7
-            offset += 1
-            if not byte & 0x80:
-                return value, offset
+def read_varint(data, offset):
+    """One LEB128 value at ``offset`` and the offset after it (a reader
+    of the format kept apart from the module)."""
+    value = shift = 0
+    while True:
+        byte = data[offset]
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        offset += 1
+        if not byte & 0x80:
+            return value, offset
 
-    _, offset = varint(0)
+
+def frame_tags(data, num_columns):
+    """The tag byte of each column frame."""
+    _, offset = read_varint(data, 0)
     tags = []
     for _ in range(num_columns):
         tags.append(data[offset])
-        length, offset = varint(offset + 1)
+        length, offset = read_varint(data, offset + 1)
         offset += length
     assert offset == len(data)
     return tags
 
 
 def assert_size_is_the_encoding(table, tags=None):
+    """Size == ``len(encode_table(table))``; returns the frame tags."""
     data = wirecodec.encode_table(table)
     assert wirecodec.encoded_table_bytes(table) == len(data)
+    written = frame_tags(data, len(table.schema))
     if tags is not None:
-        assert frame_tags(data, len(table.schema)) == tags
-    decoded = wirecodec.decode_table(data, table.schema)
-    for name in table.schema.names:
-        assert decoded.column(name).dtype == table.column(name).dtype
-        # Bit-exact, so -0.0 and NaN payloads count.
-        assert decoded.column(name).tobytes() \
-            == np.ascontiguousarray(table.column(name)).tobytes()
+        assert written == tags
+    return written
+
+
+def thin_frame(ids):
+    """A row-id batch as it travels: the ``__rowid__`` column of a thin
+    ``(key, rowid)`` table, sorted as the stitch sorts it."""
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    keys = Table(Schema([Column("k", DataType.INT32)]),
+                 {"k": (np.arange(ids.size) % 3).astype(np.int32)})
+    return thin_table(keys, "k", ids)
 
 
 # ----------------------------------------------------------------------
@@ -108,27 +112,28 @@ class TestVarintLengths:
         assert lengths.min() == 1 and lengths.max() == 10
 
     def test_every_edge_value_round_trips(self):
-        values = np.asarray(EDGE_VALUES, dtype=np.uint64)
-        decoded = wirecodec.decode_varints(wirecodec.encode_varints(values))
-        assert np.array_equal(decoded, values)
+        data = wirecodec.encode_varints(
+            np.asarray(EDGE_VALUES, dtype=np.uint64))
+        decoded, offset = [], 0
+        while offset < len(data):
+            value, offset = read_varint(data, offset)
+            decoded.append(value)
+        assert decoded == EDGE_VALUES
 
     @pytest.mark.parametrize(
         "value", [value for value in EDGE_VALUES if value <= INT64.max])
     def test_rowid_batches_either_side_of_each_class(self, value):
         for ids in ([value], [0, value], [3, 3 + value // 2, value],
                     [value, 0]):
-            ids = np.asarray(ids, dtype=np.int64)
-            encoded = wirecodec.encode_rowids(ids)
-            assert wirecodec.encoded_rowid_bytes(ids) == len(encoded)
-            assert np.array_equal(wirecodec.decode_rowids(encoded),
-                                  np.sort(ids))
+            _, rowid_tag = assert_size_is_the_encoding(thin_frame(ids))
+            # Sorted row ids never travel at their raw eight bytes.
+            assert rowid_tag in (wirecodec.TAG_CONST, wirecodec.TAG_DELTA)
 
     @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 1000])
     def test_rowid_batch_sizes(self, count):
         rng = np.random.default_rng(count)
         ids = rng.choice(1 << 20, size=count, replace=False)
-        assert wirecodec.encoded_rowid_bytes(ids) \
-            == len(wirecodec.encode_rowids(ids))
+        assert_size_is_the_encoding(thin_frame(ids))
 
 
 class TestSizeIsTheEncoding:
@@ -259,7 +264,7 @@ class TestSizeIsTheEncoding:
                 [wirecodec.TAG_DICT])
 
     def test_views_price_like_copies(self):
-        # The exchange prices per-message slices, the stitch gathers.
+        # Slices are views and gathers copies; the size must not care.
         table = golden_table()
         for part in (table.slice(5, 40), table.slice(9, 9),
                      table.take(np.arange(0, 64, 3)),
@@ -354,14 +359,20 @@ class TestGoldenBytes:
         assert wirecodec.encoded_table_bytes(table) == self.LENGTH
 
     def test_rowid_encoding_is_unchanged(self):
-        ids = (np.arange(500, dtype=np.int64) ** 2 * 37) % 100_003
-        data = wirecodec.encode_rowids(ids)
-        assert hashlib.sha256(data).hexdigest() == "0d9e149a88d8e09bac871031341be620ab26f76955e008b26437535510d7e8eb"
-        assert wirecodec.encoded_rowid_bytes(ids) == len(data)
+        # A thin frame: RAW int32 keys, DELTA row ids (digest taken
+        # before the row-id codec was pruned; the table encoder did not
+        # change).
+        table = thin_frame((np.arange(500, dtype=np.int64) ** 2 * 37)
+                           % 100_003)
+        data = wirecodec.encode_table(table)
+        assert frame_tags(data, 2) == [wirecodec.TAG_RAW,
+                                       wirecodec.TAG_DELTA]
+        assert hashlib.sha256(data).hexdigest() == "a416f1cf603514b7d8e209500ae84eb15d3b83812a73478452a20aba83850606"
+        assert wirecodec.encoded_table_bytes(table) == len(data) == 2768
 
 
 # ----------------------------------------------------------------------
-# 3. Nothing is materialised on the data plane
+# 3. Nothing is encoded, sized or sliced on the data plane
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def expected_result(paper_workload, paper_query):
@@ -370,7 +381,7 @@ def expected_result(paper_workload, paper_query):
 
 
 def accounting_warehouse(workload, shape):
-    """A fresh warehouse for one of the three accounted runs."""
+    """A fresh warehouse for one of the three late-materialized runs."""
     if shape == "db(BF)":          # thin export + stitch fetch
         return build_test_warehouse(workload, "text")
     warehouse = build_test_warehouse(workload)
@@ -380,227 +391,90 @@ def accounting_warehouse(workload, shape):
     return warehouse
 
 
-def run_late_materialized(warehouse, algorithm, query, expected_result):
-    """One late-materialization run and every encoded-byte figure it
-    reports (the spill figure lives on the local-join stats, which only
-    ``Jen.join_and_aggregate``'s caller sees)."""
-    local_join_stats = []
-    join_and_aggregate = Jen.join_and_aggregate
-
-    def recording(self, *args, **kwargs):
-        result, stats = join_and_aggregate(self, *args, **kwargs)
-        local_join_stats.append(stats)
-        return result, stats
-
-    previous = set_late_materialization_enabled(True)
-    try:
-        with mock.patch.object(Jen, "join_and_aggregate", recording):
-            result = algorithm_by_name(algorithm).run(warehouse, query)
-    finally:
-        set_late_materialization_enabled(previous)
-    oracle.assert_equivalent(result.result, expected_result)
-    return {
-        "encoded_wire_bytes": result.stats.encoded_wire_bytes,
-        "stitch_fetched_wire_bytes":
-            result.trace.metadata.get("stitch_fetched_wire_bytes", 0),
-        "spilled_wire_bytes":
-            sum(stats.spilled_wire_bytes for stats in local_join_stats),
-        "bytes_shipped": result.trace.metadata["bytes_shipped"],
-    }
+#: ``bytes_shipped`` (rounded) of the two plain-repartition shapes.
+REPARTITION_SHIPPED = {"export": 25536, "shuffle": 1433652, "relay": 0,
+                       "stitch": 8823542, "cross_cluster": 25536,
+                       "total": 10282730}
 
 
 class TestNoMaterialisationOnTheDataPlane:
-    @pytest.mark.parametrize("shape, algorithm, reports", [
+    """The pinned bytes and seconds were taken when these same runs
+    still sized every thin transfer through the codec: 60 size calls
+    for ``db(BF)``, and 841 message slices (the 870 remote messages of
+    30 x 30 workers, less the empty ones) plus as many size calls per
+    shuffle."""
+
+    @pytest.mark.parametrize("shape, algorithm, shipped, seconds", [
         ("db(BF)", "db(BF)",
-         ("encoded_wire_bytes", "stitch_fetched_wire_bytes")),
-        # Per-message slices of the shuffle, 30 senders x 30 receivers.
-        ("plain", "repartition", ("encoded_wire_bytes",)),
-        ("spilling", "repartition",
-         ("encoded_wire_bytes", "spilled_wire_bytes")),
+         {"export": 142656, "shuffle": 405952, "relay": 0,
+          "stitch": 232252, "cross_cluster": 374908, "total": 780860},
+         267.109),
+        ("plain", "repartition", REPARTITION_SHIPPED, 529.278),
+        ("spilling", "repartition", REPARTITION_SHIPPED, 531.828),
     ], ids=["db(BF)", "repartition", "repartition-spilling"])
     def test_run_prices_frames_without_building_them(
             self, paper_workload, paper_query, expected_result,
-            shape, algorithm, reports):
+            shape, algorithm, shipped, seconds):
         warehouse = accounting_warehouse(paper_workload, shape)
-        run = (warehouse, algorithm, paper_query, expected_result)
-        # The reference: materialise every frame and take its length —
-        # what encoded_table_bytes was before it became arithmetic.
-        measured_tables = []
+        slices_per_shuffle = []
+        shuffle = engine.shuffle
 
-        def materialising(table):
-            measured_tables.append(table.num_rows)
-            return len(wirecodec.encode_table(table))
+        def counting_shuffle(*args, **kwargs):
+            with mock.patch.object(Table, "slice", autospec=True,
+                                   side_effect=Table.slice) as sliced:
+                result = shuffle(*args, **kwargs)
+            slices_per_shuffle.append(sliced.call_count)
+            return result
 
-        with mock.patch.object(wirecodec, "encoded_table_bytes",
-                               materialising):
-            expected = run_late_materialized(*run)
-        for name in reports:
-            assert expected[name] > 0, name
-
-        with mock.patch.object(
-                wirecodec, "encode_table",
-                wraps=wirecodec.encode_table) as encode_table, \
-            mock.patch.object(
-                wirecodec, "encode_varints",
-                wraps=wirecodec.encode_varints) as encode_varints, \
-            mock.patch.object(
-                wirecodec, "encoded_table_bytes",
-                wraps=wirecodec.encoded_table_bytes) as sized:
-            reported = run_late_materialized(*run)
-        assert [call.args[0].num_rows for call in sized.call_args_list] \
-            == measured_tables
-        assert encode_table.call_count == 0
-        assert encode_varints.call_count == 0
-        assert reported == expected
+        encoded = mock.patch.object(wirecodec, "encode_table",
+                                    wraps=wirecodec.encode_table)
+        sized = mock.patch.object(wirecodec, "encoded_table_bytes",
+                                  wraps=wirecodec.encoded_table_bytes)
+        previous = set_late_materialization_enabled(True)
+        try:
+            with encoded as encode_calls, sized as size_calls, \
+                    mock.patch.object(engine, "shuffle", counting_shuffle):
+                run = algorithm_by_name(algorithm).run(warehouse,
+                                                       paper_query)
+        finally:
+            set_late_materialization_enabled(previous)
+        assert encode_calls.call_count == 0
+        assert size_calls.call_count == 0
+        assert sum(slices_per_shuffle) == 0
+        assert bool(slices_per_shuffle) == (algorithm == "repartition")
+        oracle.assert_equivalent(run.result, expected_result)
+        assert {name: round(value) for name, value
+                in run.trace.metadata["bytes_shipped"].items()} == shipped
+        assert run.total_seconds == pytest.approx(seconds, abs=5e-4)
 
 
 # ----------------------------------------------------------------------
-# 4. The decoder under truncation and bit flips
+# 4. The priced dictionary term is the format's utf-8 bytes
 # ----------------------------------------------------------------------
-def small_every_tag_table():
-    rng = np.random.default_rng(459)
-    schema = Schema([
-        Column("c", DataType.INT32),
-        Column("sorted", DataType.INT64),
-        Column("f", DataType.FLOAT64),
-        Column("scattered", DataType.INT32),
-        Column("tag", DataType.DICT_STRING),
-    ])
-    return Table(schema, {
-        "c": np.full(20, 9),
-        "sorted": np.sort(rng.integers(0, 1 << 40, size=20)),
-        "f": rng.random(20),
-        "scattered": rng.integers(-50, 50, size=20),
-        "tag": rng.integers(0, 3, size=20),
-    }, {"tag": strings("x", "longer-entry", "é")})
+def dictionary_entries(data):
+    """The entries a one-column DICT frame carries, as written."""
+    _, offset = read_varint(data, 0)
+    assert data[offset] == wirecodec.TAG_DICT
+    _, offset = read_varint(data, offset + 1)
+    count, offset = read_varint(data, offset)
+    entries = []
+    for _ in range(count):
+        length, offset = read_varint(data, offset)
+        entries.append(data[offset:offset + length])
+        offset += length
+    return entries
 
 
-def two_byte_header_table():
-    """Enough rows for a two-byte row count; date, constant float."""
-    rng = np.random.default_rng(130)
-    schema = Schema([
-        Column("day", DataType.DATE),
-        Column("fconst", DataType.FLOAT64),
-        Column("tag", DataType.DICT_STRING),
-    ])
-    return Table(schema, {
-        "day": 16_000 + np.arange(130) // 4,
-        "fconst": np.full(130, 2.5),
-        "tag": rng.integers(0, 2, size=130),
-    }, {"tag": strings("日本", "")})
-
-
-def assert_rejected_or_readable(data, schema):
-    try:
-        table = wirecodec.decode_table(data, schema)
-    except TableError:
-        return False
-    table.to_rows()
-    return True
-
-
-class TestDecoderRejectsCorruption:
-    @pytest.mark.parametrize("build", [small_every_tag_table,
-                                       two_byte_header_table])
-    def test_every_prefix_is_rejected(self, build):
-        table = build()
-        data = wirecodec.encode_table(table)
-        assert wirecodec.decode_table(data, table.schema).to_rows() \
-            == table.to_rows()
-        for length in range(len(data)):
-            with pytest.raises(TableError):
-                wirecodec.decode_table(data[:length], table.schema)
-
-    @pytest.mark.parametrize("build", [small_every_tag_table,
-                                       two_byte_header_table])
-    def test_every_single_bit_flip(self, build):
-        table = build()
-        data = wirecodec.encode_table(table)
-        readable = 0
-        for position in range(len(data)):
-            for bit in range(8):
-                flipped = bytearray(data)
-                flipped[position] ^= 1 << bit
-                readable += assert_rejected_or_readable(
-                    bytes(flipped), table.schema)
-        # Flips inside RAW values and dictionary text are still valid
-        # encodings — of another table; the rest must be caught.
-        assert 0 < readable < 8 * len(data)
-
-    def test_trailing_bytes(self):
-        table = small_every_tag_table()
-        data = wirecodec.encode_table(table)
-        with pytest.raises(TableError, match="trailing"):
-            wirecodec.decode_table(data + b"\x00", table.schema)
-
-    def test_varints_that_do_not_fit_64_bits(self):
-        top = wirecodec.encode_varints(
-            np.asarray([2 ** 64 - 1], dtype=np.uint64))
-        assert top == bytes([0xFF] * 9 + [0x01])
-        assert wirecodec.decode_varints(top).tolist() == [2 ** 64 - 1]
-        with pytest.raises(TableError, match="64 bits"):
-            wirecodec.decode_varints(bytes([0x80] * 11 + [0x01]))
-        with pytest.raises(TableError, match="64 bits"):
-            wirecodec.decode_varints(bytes([0x80] * 10 + [0x01]))
-        with pytest.raises(TableError, match="64 bits"):
-            wirecodec.decode_varints(bytes([0xFF] * 9 + [0x02]))
-        with pytest.raises(TableError, match="64 bits"):
-            wirecodec.decode_varints(b"\x05" + bytes([0xFF] * 9 + [0x7F]))
-        # The same rule guards a table's header and frame lengths.
-        with pytest.raises(TableError, match="64 bits"):
-            wirecodec.decode_table(bytes([0x80] * 11 + [0x01]),
-                                   Schema([Column("c", DataType.INT32)]))
-
-    @staticmethod
-    def frame(tag, payload, rows=3):
-        return bytes([rows, tag, len(payload)]) + payload
-
-    def test_malformed_frames(self):
-        int32 = Schema([Column("c", DataType.INT32)])
-        float64 = Schema([Column("c", DataType.FLOAT64)])
-        text = Schema([Column("c", DataType.DICT_STRING)])
-        good = self.frame(wirecodec.TAG_RAW, bytes(12))
-        assert wirecodec.decode_table(good, int32).num_rows == 3
-        for data, schema, message in [
-            # RAW / DICT payloads are exactly rows x width.
-            (self.frame(wirecodec.TAG_RAW, bytes(11)), int32, "raw column"),
-            (self.frame(wirecodec.TAG_RAW, bytes(16)), int32, "raw column"),
-            (self.frame(wirecodec.TAG_RAW, bytes(12)), float64,
-             "raw column"),
-            (self.frame(wirecodec.TAG_DICT, b"\x01\x01a" + bytes(11)),
-             text, "truncated"),
-            (self.frame(wirecodec.TAG_DICT, b"\x01\x01a" + bytes(13)),
-             text, "trailing"),
-            # Codes index the dictionary that travels with them.
-            (self.frame(wirecodec.TAG_DICT,
-                        b"\x01\x01a" + bytes(8) + b"\x01\x00\x00\x00"),
-             text, "dictionary codes"),
-            (self.frame(wirecodec.TAG_DICT,
-                        b"\x01\x01a" + bytes(8) + b"\xff\xff\xff\xff"),
-             text, "dictionary codes"),
-            (self.frame(wirecodec.TAG_DICT, b"\x00" + bytes(12)),
-             text, "dictionary codes"),
-            (self.frame(wirecodec.TAG_DICT, b"\x01\x02\xc3\x28" + bytes(12)),
-             text, "utf-8"),
-            # DELTA needs a first value; CONST exactly one.
-            (self.frame(wirecodec.TAG_DELTA, b"", rows=0), int32, "delta"),
-            (self.frame(wirecodec.TAG_DELTA, b"\x02\x01"), int32, "delta"),
-            (self.frame(wirecodec.TAG_CONST, b""), int32, "constant"),
-            (self.frame(wirecodec.TAG_CONST, b"\x02\x02"), int32,
-             "constant"),
-            # A tag the column's type cannot have been encoded with.
-            (self.frame(wirecodec.TAG_DICT, b"\x01\x01a" + bytes(12)),
-             int32, "cannot carry"),
-            (self.frame(wirecodec.TAG_RAW, bytes(12)), text, "cannot carry"),
-            (self.frame(wirecodec.TAG_DELTA, b"\x02\x01\x01"), float64,
-             "cannot carry"),
-            (self.frame(7, bytes(12)), int32, "unknown wire-column tag"),
-        ]:
-            with pytest.raises(TableError, match=message):
-                wirecodec.decode_table(data, schema)
-
-    def test_empty_dictionary_is_fine_on_zero_rows(self):
-        empty = Table.empty(Schema([Column("c", DataType.DICT_STRING)]))
-        data = wirecodec.encode_table(empty)
-        assert wirecodec.encoded_table_bytes(empty) == len(data)
-        assert wirecodec.decode_table(data, empty.schema).num_rows == 0
+class TestPricingMatchesTheFormat:
+    def test_non_ascii_dictionary_counts_utf8_bytes(self):
+        dictionary = strings("naïve", "日本語", "\U0001F600", "plain")
+        table = one_column(DataType.DICT_STRING, np.arange(10) % 4,
+                           dictionary)
+        written = dictionary_entries(wirecodec.encode_table(table))
+        assert [entry.decode("utf-8") for entry in written] \
+            == list(dictionary)
+        amortised = table.wire_row_bytes() - 4
+        assert amortised * table.num_rows \
+            == pytest.approx(sum(len(entry) for entry in written))
+        # 14 characters, 24 bytes.
+        assert sum(len(entry) for entry in written) == 24
