@@ -17,12 +17,19 @@ Keys are hashed with two independent splitmix64-style mixers and the
 ``k`` positions are derived via double hashing (h1 + i*h2), the standard
 technique from Kirsch & Mitzenmacher that keeps vectorised hashing cheap
 without measurable FPR penalty.
+
+Integer keys whose value span is at most twice their count — join keys
+drawn from a small domain, which is what a query-wide filter step sees
+— are hashed once per *distinct* key: a presence array over the span
+finds them, and :meth:`BloomFilter.contains` answers every key through
+a span-sized lookup table.  A key hashes to the same positions either
+way, so the words and masks do not depend on which path ran.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +55,42 @@ def _splitmix64(x: np.ndarray, seed: int) -> np.ndarray:
         x *= _MIX_MULT_2
         x ^= x >> np.uint64(31)
     return x
+
+
+def _distinct_keys(
+    keys: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Distinct integer keys by counting, when their span allows.
+
+    For integer keys whose span ``max - min + 1`` is at most twice the
+    key count (the bound of the counting group-by in
+    :mod:`repro.relational.aggregates`), returns ``(distinct, present,
+    occupied, offsets)``: the distinct keys in ascending order and in
+    the keys' own dtype; a boolean presence array over the span; the
+    occupied offsets (``present``'s true positions, one per distinct
+    key); and each key's offset into the span.  Other dtypes and wider
+    spans return ``None``.
+    """
+    if keys.dtype.kind not in "iu":
+        return None
+    low = keys.min()
+    span = int(keys.max()) - int(low) + 1
+    if span > 2 * keys.size:
+        return None
+    # Offsets in the keys' own dtype: the subtraction wraps, but every
+    # true offset is below the span, so reading the result as unsigned
+    # is exact (as int64 for 8-byte keys: the span is far below 2**63).
+    offsets = keys - low
+    if offsets.itemsize == 8:
+        offsets = offsets.view(np.int64)
+    else:
+        offsets = offsets.view(f"u{offsets.itemsize}").astype(np.intp)
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    occupied = np.flatnonzero(present)
+    # Back to key values, wrapping the same way in the keys' dtype.
+    distinct = occupied.astype(keys.dtype) + low
+    return distinct, present, occupied, offsets
 
 
 class BloomFilter:
@@ -103,12 +146,15 @@ class BloomFilter:
         Runs the word-level scatter kernel: duplicate positions (hash
         collisions and the k hashes of repeated keys) collapse in a
         presence-array scatter and the words are built with one fused
-        bit-pack — no serial ``bitwise_or.at`` scatter.
+        bit-pack — no serial ``bitwise_or.at`` scatter.  Integer keys
+        with a narrow span are hashed once per distinct key.
         """
         keys = np.asarray(list(keys) if not isinstance(keys, np.ndarray) else keys)
         if keys.size == 0:
             return
-        scatter_or(self._words, self._positions(keys))
+        dense = _distinct_keys(keys)
+        hashed = keys if dense is None else dense[0]
+        scatter_or(self._words, self._positions(hashed))
         self._num_added += len(keys)
         if invariants.checking_enabled():
             invariants.record_bloom_add(self, keys)
@@ -154,12 +200,21 @@ class BloomFilter:
         """Boolean mask: which keys *may* be in the set.
 
         False entries are guaranteed absent; True entries are present up
-        to the false-positive rate.
+        to the false-positive rate.  Integer keys with a narrow span are
+        tested once per distinct key and answered through a lookup
+        table over the span.
         """
         keys = np.asarray(keys)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        mask = test_bits(self._words, self._positions(keys))
+        dense = _distinct_keys(keys)
+        if dense is None:
+            mask = test_bits(self._words, self._positions(keys))
+        else:
+            distinct, present, occupied, offsets = dense
+            present[occupied] = test_bits(
+                self._words, self._positions(distinct))
+            mask = present[offsets]
         if invariants.checking_enabled():
             invariants.check_bloom_contains(self, keys, mask)
         return mask
@@ -247,15 +302,17 @@ def probe_and_insert(keys: np.ndarray, probe: BloomFilter,
 
     This is the zigzag join's two-way filter step inside the JEN scan
     (paper Section 4.4): test each key against the pushed-down BF_DB
-    (``probe.contains``) and add exactly the keys that pass to the
-    local BF_H (``insert.add(keys[mask])``).  Two steps, not one fused
+    (``probe.contains``) and add exactly the keys that pass to BF_H
+    (``insert.add(keys[mask])``).  The JEN scan makes this one call per
+    query over every worker's join keys.  Two steps, not one fused
     pass: the survivors are hashed a second time, and that cannot be
     shared — the two filters never agree on positions in any
     registered algorithm (BF_DB is built with seed 7 in
-    ``edw/worker.build_local_bloom`` / ``database.build_global_bloom``,
-    BF_H with ``bloom_seed=11`` in ``jen/engine.py``), and only the
-    ~S_L' fraction of keys that pass BF_DB is hashed twice.  Returns
-    the keep mask.
+    ``database.build_global_bloom``, BF_H with ``bloom_seed=11`` in
+    ``jen/engine.py``).  For integer join keys from a small domain
+    each step hashes distinct keys only: ``contains`` the distinct
+    probed keys, ``add`` the distinct survivors.  Returns the keep
+    mask.
     """
     keys = np.asarray(keys)
     if keys.size == 0:

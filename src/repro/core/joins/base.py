@@ -424,10 +424,10 @@ class JoinAlgorithm:
 
     def _run_hdfs_scan(self, warehouse, query: HybridQuery, costing, trace,
                        stats: JoinStats, gate, db_bloom=None,
-                       build_local_blooms: bool = False):
+                       build_hdfs_bloom: bool = False):
         """Distributed scan of L through the JEN process pipeline."""
         scan = warehouse.jen.distributed_scan(
-            query, db_bloom=db_bloom, build_local_blooms=build_local_blooms
+            query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom
         )
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
         stats.hdfs_stored_bytes_scanned = scan.stats.stored_bytes_scanned
@@ -450,7 +450,7 @@ class JoinAlgorithm:
                   description=f"scan L ({meta.format_name}): predicates, "
                               "projection"
                               + (", BF_DB" if db_bloom is not None else "")
-                              + (", build BF_H" if build_local_blooms
+                              + (", build BF_H" if build_hdfs_bloom
                                  else ""),
                   volume_bytes=scan.stats.stored_bytes_scanned,
                   tuples=scan.stats.rows_scanned)

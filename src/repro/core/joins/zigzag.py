@@ -67,7 +67,7 @@ class ZigzagJoin(JoinAlgorithm):
             warehouse, query, costing, trace, stats,
             gate=["startup", "bf_db_send"],
             db_bloom=db_bloom,
-            build_local_blooms=True,
+            build_hdfs_bloom=True,
         )
         hot_keys = scan.hot_keys
         l_store, l_ship = self._latemat_store(
@@ -107,10 +107,8 @@ class ZigzagJoin(JoinAlgorithm):
         )
 
         # -- Steps 5-6: apply BF_H to T', ship T'' ------------------------
-        t_pruned = [
-            DbWorker.apply_bloom(part, query.db_join_key, hdfs_bloom)
-            for part in t_parts
-        ]
+        t_pruned = DbWorker.apply_bloom(t_parts, query.db_join_key,
+                                        hdfs_bloom)
         t_prime_tuples = sum(part.num_rows for part in t_parts)
         t_tuples = sum(part.num_rows for part in t_pruned)
         stats.db_tuples_sent = t_tuples

@@ -71,7 +71,7 @@ class ZigzagDbJoin(JoinAlgorithm):
             warehouse, query, costing, trace, stats,
             gate=["startup", "bf_db_send"],
             db_bloom=db_bloom,
-            build_local_blooms=True,
+            build_hdfs_bloom=True,
         )
         hdfs_bloom = first_scan.global_bloom()
         trace.add("bf_h_merge", "bloom",
@@ -87,10 +87,8 @@ class ZigzagDbJoin(JoinAlgorithm):
         )
 
         # -- Prune T' with BF_H (indexed, cheap) ----------------------------
-        t_pruned = [
-            DbWorker.apply_bloom(part, query.db_join_key, hdfs_bloom)
-            for part in t_parts
-        ]
+        t_pruned = DbWorker.apply_bloom(t_parts, query.db_join_key,
+                                        hdfs_bloom)
         t_prime_tuples = sum(part.num_rows for part in t_parts)
         trace.add("db_second_access", "db_scan",
                   costing.db_second_access_seconds(t_prime_tuples),

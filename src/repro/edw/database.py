@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.adaptive import hooks as adaptive_hooks
 from repro.config import ClusterConfig
 from repro.core.bloom import BloomFilter
@@ -252,23 +254,26 @@ class ParallelDatabase:
         num_hashes: int = 2,
         seed: int = 7,
     ) -> GlobalBloomResult:
-        """Local Bloom filters on every worker, OR-merged into one.
+        """BF_DB over the filtered join keys of every worker.
 
         This is the ``cal_filter`` → ``get_filter`` → ``combine_filter``
-        pipeline from the paper's example SQL (Section 4.1.1).
+        pipeline from the paper's example SQL (Section 4.1.1).  The data
+        plane keeps each worker's access — an index-only lookup when a
+        covering index exists, a partition scan otherwise — and hashes
+        all workers' keys into one filter with a single ``add``, which
+        is bit for bit the OR of per-worker filters.  The time plane
+        still prices per-worker builds plus the OR-merge
+        (``bf_db_build``, from ``rows_accessed`` and ``keys_added``).
         """
-        locals_and_stats = [
-            worker.build_local_bloom(
-                table_name, predicate, key_column, num_bits, num_hashes, seed
-            )
+        keys_and_stats = [
+            worker.bloom_keys(table_name, predicate, key_column)
             for worker in self.workers
         ]
-        merged = BloomFilter.combine(
-            [bloom for bloom, _stats in locals_and_stats]
-        )
-        all_stats = [stats for _bloom, stats in locals_and_stats]
+        bloom = BloomFilter(num_bits, num_hashes, seed)
+        bloom.add(np.concatenate([keys for keys, _stats in keys_and_stats]))
+        all_stats = [stats for _keys, stats in keys_and_stats]
         return GlobalBloomResult(
-            bloom=merged,
+            bloom=bloom,
             index_only=all(stats.index_only for stats in all_stats),
             rows_accessed=sum(stats.rows_scanned for stats in all_stats),
             bytes_accessed=sum(stats.bytes_scanned for stats in all_stats),

@@ -12,7 +12,9 @@ routed with the agreed hash function by the exchange itself
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.bloom import BloomFilter
 from repro.edw.index import SecondaryIndex
@@ -100,31 +102,27 @@ class DbWorker:
     # ------------------------------------------------------------------
     # Bloom filters (the paper's cal_filter/get_filter pipeline)
     # ------------------------------------------------------------------
-    def build_local_bloom(
+    def bloom_keys(
         self,
         table_name: str,
         predicate: Predicate,
         key_column: str,
-        num_bits: int,
-        num_hashes: int,
-        seed: int,
-    ) -> Tuple[BloomFilter, WorkerAccessStats]:
-        """Bloom filter over the join keys of the filtered partition.
+    ) -> Tuple[np.ndarray, WorkerAccessStats]:
+        """The join keys of the filtered partition, for a Bloom build.
 
         Uses an index-only plan when a covering index exists — the paper
         builds an index on ``(corPred, indPred, joinKey)`` precisely to
         "enable calculations of Bloom filters on T using an index-only
-        access plan" (Section 5).
+        access plan" (Section 5).  The caller hashes every worker's keys
+        into one filter (:meth:`ParallelDatabase.build_global_bloom`).
         """
         partition = self.partition(table_name)
         needed = list(predicate.columns()) + [key_column]
         index = self.find_covering_index(table_name, needed)
-        bloom = BloomFilter(num_bits, num_hashes, seed)
         if index is not None:
             try:
                 rows = index.lookup_rows(predicate, partition)
                 keys = index.entries_for_rows(key_column, rows)
-                bloom.add(keys)
                 stats = WorkerAccessStats(
                     rows_scanned=index.num_entries,
                     bytes_scanned=float(
@@ -133,25 +131,34 @@ class DbWorker:
                     index_only=True,
                     rows_out=len(keys),
                 )
-                return bloom, stats
+                return keys, stats
             except CatalogError:
                 pass  # Fall back to a base-table scan.
         mask = predicate.evaluate(partition)
         keys = partition.column(key_column)[mask]
-        bloom.add(keys)
         stats = WorkerAccessStats(
             rows_scanned=partition.num_rows,
             bytes_scanned=float(partition.total_bytes()),
             rows_out=len(keys),
         )
-        return bloom, stats
+        return keys, stats
 
     # ------------------------------------------------------------------
     # Outbound data
     # ------------------------------------------------------------------
     @staticmethod
-    def apply_bloom(table: Table, key_column: str,
-                    bloom: BloomFilter) -> Table:
-        """Keep only rows whose key may be in ``bloom``."""
-        mask = bloom.contains(table.column(key_column))
-        return table.filter(mask)
+    def apply_bloom(tables: Sequence[Table], key_column: str,
+                    bloom: BloomFilter) -> List[Table]:
+        """Keep only rows whose key may be in ``bloom``, part by part.
+
+        ``tables`` are every worker's parts (T′); one ``contains`` call
+        tests all their keys and each part keeps its slice of the mask.
+        """
+        tables = list(tables)
+        mask = bloom.contains(np.concatenate(
+            [table.column(key_column) for table in tables]))
+        bounds = np.cumsum([0] + [table.num_rows for table in tables])
+        return [
+            table.filter(mask[start:stop])
+            for table, start, stop in zip(tables, bounds[:-1], bounds[1:])
+        ]

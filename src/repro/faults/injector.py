@@ -53,7 +53,7 @@ class CrashSignal(Exception):
 
 
 class ScanFaultHook:
-    """Per-task adapter handed to ``JenWorker.scan_filter_project``.
+    """Per-task adapter handed to ``JenWorker.read_batch``.
 
     Raises :class:`CrashSignal` when the scan reaches the injected
     crash block, carrying the partial stats (the work about to be

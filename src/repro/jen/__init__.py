@@ -11,7 +11,7 @@ pipeline; a designated worker merges Bloom filters and final aggregates.
 from repro.jen.scheduler import BlockAssignment, assign_blocks
 from repro.jen.coordinator import JenCoordinator
 from repro.jen.worker import JenWorker, ScanStats
-from repro.jen.exchange import ShuffleResult, combine_blooms, shuffle
+from repro.jen.exchange import ShuffleResult, shuffle
 from repro.jen.engine import Jen
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "ScanStats",
     "ShuffleResult",
     "assign_blocks",
-    "combine_blooms",
     "shuffle",
 ]

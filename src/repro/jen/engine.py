@@ -2,8 +2,8 @@
 
 Join algorithms talk to this class: it wires the coordinator and the
 workers, runs distributed scans (optionally with a pushed-down database
-Bloom filter and/or a local Bloom-filter build), executes the agreed-hash
-shuffle, and finishes local joins with partial plus final aggregation.
+Bloom filter and/or a BF_H build), executes the agreed-hash shuffle, and
+finishes local joins with partial plus final aggregation.
 
 Fault tolerance: arming a :class:`~repro.faults.FaultPlan` (via
 :meth:`Jen.arm_faults`) turns on mid-query failure handling.  Scans run
@@ -28,8 +28,14 @@ from repro.errors import CatalogError, FaultError, JoinError, WorkerCrashError
 from repro.faults import CrashSignal, FaultInjector, FaultPlan, ScanFaultHook
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.jen.coordinator import JenCoordinator
-from repro.jen.exchange import ShuffleResult, combine_blooms, final_aggregate, shuffle
-from repro.jen.worker import JenWorker, ScanRequest, ScanStats
+from repro.jen.exchange import ShuffleResult, final_aggregate, shuffle
+from repro.jen.worker import (
+    JenWorker,
+    ScanBatch,
+    ScanRequest,
+    ScanStats,
+    bloom_step,
+)
 from repro.latemat import LateMatPlan, StitchStats
 from repro.net.transfer import RetryPolicy
 from repro.relational.table import Table
@@ -43,16 +49,18 @@ class DistributedScanResult:
 
     wire_tables: List[Table]
     stats: ScanStats
-    local_blooms: Optional[List[BloomFilter]] = None
+    #: BF_H over the join keys of every surviving row; ``None`` unless
+    #: the scan was asked to build it.
+    hdfs_bloom: Optional[BloomFilter] = None
     #: Heavy-hitter join keys detected during the scan (sorted int64
     #: array, possibly empty); ``None`` when skew handling is off.
     hot_keys: Optional[object] = None
 
     def global_bloom(self) -> BloomFilter:
-        """Merge the per-worker Bloom filters (zigzag step 3b/4)."""
-        if not self.local_blooms:
-            raise JoinError("scan was not run with a local Bloom build")
-        return combine_blooms(self.local_blooms)
+        """BF_H, the filter zigzag step 4 sends to the database."""
+        if self.hdfs_bloom is None:
+            raise JoinError("scan was not run with a BF_H build")
+        return self.hdfs_bloom
 
 
 @dataclass
@@ -203,20 +211,20 @@ class Jen:
         self,
         query: HybridQuery,
         db_bloom: Optional[BloomFilter] = None,
-        build_local_blooms: bool = False,
+        build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
     ) -> DistributedScanResult:
         """Scan the query's HDFS table on every worker.
 
         ``db_bloom`` is the pushed-down database Bloom filter;
-        ``build_local_blooms`` additionally populates one local filter
-        per worker during the scan (the zigzag join's BF_H build).
+        ``build_hdfs_bloom`` additionally populates BF_H with the join
+        keys that survive the scan (the zigzag join's BF_H build).
         """
         return self.scan_with_request(
             query.hdfs_table,
             ScanRequest.from_query(query),
             db_bloom=db_bloom,
-            build_local_blooms=build_local_blooms,
+            build_hdfs_bloom=build_hdfs_bloom,
             bloom_seed=bloom_seed,
         )
 
@@ -225,7 +233,7 @@ class Jen:
         table_name: str,
         request: ScanRequest,
         db_bloom: Optional[BloomFilter] = None,
-        build_local_blooms: bool = False,
+        build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
     ) -> DistributedScanResult:
         """Query-independent distributed scan (the read_hdfs path)."""
@@ -238,7 +246,7 @@ class Jen:
             detector = self._skew_detector(request)
             with adaptive_hooks.detecting_skew(detector):
                 result = self._run_scan_queue(
-                    meta, request, db_bloom, build_local_blooms,
+                    meta, request, db_bloom, build_hdfs_bloom,
                     bloom_seed, injector,
                 )
             if detector is not None:
@@ -313,7 +321,7 @@ class Jen:
         meta: HdfsTableMeta,
         request: ScanRequest,
         db_bloom: Optional[BloomFilter],
-        build_local_blooms: bool,
+        build_hdfs_bloom: bool,
         bloom_seed: int,
         injector: Optional[FaultInjector],
     ) -> DistributedScanResult:
@@ -324,18 +332,16 @@ class Jen:
         worker's task raises mid-loop: its partial output is discarded
         and its blocks come back as recovery tasks on the survivors, so
         every block is scanned into the result exactly once.
+
+        Each task reads and gathers its blocks on its worker; then one
+        Bloom step runs over the join keys of every task's batch, into
+        one BF_H — the OR of per-worker filters is the filter of the
+        union, so this is bit for bit what per-worker filters merged at
+        a designated worker would hold.  Each batch is then filtered,
+        derived and projected with its slice of the mask, in task
+        order, which is also the order the per-block observers see.
         """
         assignment = self.coordinator.plan_scan(meta.name)
-        blooms: Dict[int, BloomFilter] = {}
-        if build_local_blooms:
-            blooms = {
-                worker.worker_id: BloomFilter(
-                    self.config.bloom_bits(),
-                    self.config.bloom.num_hashes,
-                    seed=bloom_seed,
-                )
-                for worker in self.workers
-            }
         tasks = deque(
             (worker, list(assignment.blocks_for(worker.worker_id)))
             for worker in self.workers
@@ -343,9 +349,7 @@ class Jen:
         adaptive_hooks.scan_begin(
             sum(len(blocks) for _worker, blocks in tasks)
         )
-        pieces: Dict[int, List[Table]] = {
-            worker.worker_id: [] for worker in self.workers
-        }
+        batches: List[Tuple[JenWorker, ScanBatch]] = []
         merged = ScanStats()
         while tasks:
             worker, blocks = tasks.popleft()
@@ -363,23 +367,39 @@ class Jen:
                 if crash_at is not None:
                     if not blocks:
                         self._scan_crash(worker, blocks, ScanStats(),
-                                         injector, tasks, pieces, blooms,
-                                         merged)
+                                         injector, tasks, merged)
                         continue
                     hook = ScanFaultHook(crash_at)
             try:
-                wire, stats = worker.scan_filter_project(
-                    meta, blocks, request,
-                    db_bloom=db_bloom,
-                    local_bloom=blooms.get(worker.worker_id),
-                    faults=hook,
-                )
+                batch = worker.read_batch(meta, blocks, request, faults=hook)
             except CrashSignal as signal:
                 self._scan_crash(worker, blocks, signal.stats, injector,
-                                 tasks, pieces, blooms, merged)
+                                 tasks, merged)
                 continue
+            batches.append((worker, batch))
+            merged = merged.merge(batch.stats)
+
+        hdfs_bloom = None
+        if build_hdfs_bloom:
+            hdfs_bloom = BloomFilter(
+                self.config.bloom_bits(),
+                self.config.bloom.num_hashes,
+                seed=bloom_seed,
+            )
+        keep = bloom_step([batch for _worker, batch in batches], request,
+                          db_bloom, hdfs_bloom)
+        pieces: Dict[int, List[Table]] = {
+            worker.worker_id: [] for worker in self.workers
+        }
+        start = 0
+        for worker, batch in batches:
+            stop = start + batch.rows.num_rows
+            wire = worker.finish_batch(
+                batch, request, None if keep is None else keep[start:stop]
+            )
+            start = stop
             pieces[worker.worker_id].append(wire)
-            merged = merged.merge(stats)
+            merged.rows_after_bloom += wire.num_rows
 
         if injector is not None:
             self._record_stragglers(injector)
@@ -387,18 +407,14 @@ class Jen:
             Table.concat(pieces[worker.worker_id])
             for worker in self.workers
         ]
-        local_blooms = (
-            [blooms[worker.worker_id] for worker in self.workers]
-            if build_local_blooms else None
-        )
         return DistributedScanResult(
             wire_tables=wire_tables,
             stats=merged,
-            local_blooms=local_blooms,
+            hdfs_bloom=hdfs_bloom,
         )
 
     def _scan_crash(self, worker: JenWorker, blocks, partial: ScanStats,
-                    injector: FaultInjector, tasks, pieces, blooms,
+                    injector: FaultInjector, tasks,
                     merged: ScanStats) -> None:
         """Recover from a mid-scan crash (or raise if unrecoverable)."""
         survivors = len(self.workers) - 1
@@ -412,10 +428,10 @@ class Jen:
                 rows_lost=partial.rows_scanned,
             )
         self._remove_worker(worker.worker_id)
-        # Partial output (wire rows and Bloom inserts) dies with the
-        # worker; the rescanned blocks rebuild it on the survivors.
-        pieces.pop(worker.worker_id, None)
-        blooms.pop(worker.worker_id, None)
+        # The partial batch dies with the worker before it reaches the
+        # Bloom step (a worker crashes at most once, in its first task,
+        # so it has no earlier batch either); the rescanned blocks
+        # rebuild it on the survivors.
         merged.rows_discarded += partial.rows_scanned
         merged.blocks_reassigned += len(blocks)
         injector.record_scan_crash(

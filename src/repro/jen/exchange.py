@@ -1,10 +1,13 @@
-"""Worker-to-worker exchange: shuffles, Bloom merges, final aggregation.
+"""Worker-to-worker exchange: shuffles and final aggregation.
 
 Three kinds of transfers happen among JEN workers (paper Section 4.3):
 the all-to-all shuffle of filtered HDFS rows for repartition-based
 joins, the aggregation of local Bloom filters at a designated worker,
 and the merge of partial aggregates at a designated worker.  The
-functions here perform the data movement and report its volume.
+functions here perform the shuffle and the aggregate merge and report
+their volume.  The data plane builds BF_H as one filter during the
+scan (:meth:`repro.jen.engine.Jen.scan_with_request`), so the Bloom
+merge is only priced on the trace (``bf_h_merge``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.bloom import BloomFilter
 from repro.errors import JoinError
 from repro.relational.table import Table
 from repro.query.plan import merge_partials, partial_tables_nonempty
@@ -129,11 +131,6 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
         retries=retries,
         duplicates_suppressed=duplicates_suppressed,
     )
-
-
-def combine_blooms(local_filters: Sequence[BloomFilter]) -> BloomFilter:
-    """Merge per-worker Bloom filters at the designated worker."""
-    return BloomFilter.combine(list(local_filters))
 
 
 def final_aggregate(partials: Sequence[Table], query: HybridQuery) -> Table:

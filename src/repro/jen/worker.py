@@ -4,8 +4,13 @@ One worker runs on each DataNode.  Its scan applies, in stream order,
 exactly the process-thread pipeline of the paper's Figure 7: parse rows
 (format-aware), evaluate local predicates, project, compute derived
 columns, apply the database Bloom filter if one was pushed down, and
-optionally populate the local HDFS-side Bloom filter — all before the
-record enters a send buffer for the shuffle.
+optionally populate the HDFS-side Bloom filter — all before the record
+enters a send buffer for the shuffle.
+
+The scan comes in two halves around the Bloom step
+(:meth:`JenWorker.read_batch`, :meth:`JenWorker.finish_batch`) so the
+engine can run that step once per query over every worker's join keys
+(:func:`bloom_step`).
 """
 
 from __future__ import annotations
@@ -98,6 +103,54 @@ class ScanStats:
         )
 
 
+@dataclass
+class ScanBatch:
+    """One worker's blocks, read and gathered, before the Bloom step.
+
+    ``rows`` holds the projected columns of every predicate survivor in
+    block order — derived already when the Bloom filters are keyed on a
+    derived column.  ``block_rows[i]`` and ``selected[i]`` are block
+    ``i``'s row count before and after the predicate, what the
+    per-block observers are replayed from.
+    """
+
+    rows: Table
+    block_rows: List[int]
+    selected: List[int]
+    stats: ScanStats
+    scan_row_bytes: float
+
+
+def _derive_first(request: ScanRequest) -> bool:
+    """Deriving after the Bloom step touches only its survivors; the
+    order flips only when the filter is keyed on a derived column."""
+    return any(derived.name == request.join_key
+               for derived in request.derived)
+
+
+def bloom_step(batches: Sequence[ScanBatch], request: ScanRequest,
+               db_bloom: Optional[BloomFilter] = None,
+               hdfs_bloom: Optional[BloomFilter] = None,
+               ) -> Optional[np.ndarray]:
+    """The scan's Bloom step, one call over all the batches' join keys.
+
+    Probes BF_DB when one was pushed down — and inserts its survivors
+    into BF_H when one is being built (the zigzag two-way step);
+    without BF_DB, BF_H takes every key.  Returns the keep mask over
+    the batches' concatenated rows, or ``None`` when nothing filters.
+    """
+    if request.join_key is None or (db_bloom is None and hdfs_bloom is None):
+        return None
+    keys = np.concatenate(
+        [batch.rows.column(request.join_key) for batch in batches])
+    if db_bloom is None:
+        hdfs_bloom.add(keys)
+        return None
+    if hdfs_bloom is None:
+        return db_bloom.contains(keys)
+    return probe_and_insert(keys, db_bloom, hdfs_bloom)
+
+
 class JenWorker:
     """One multi-threaded worker process of the JEN engine."""
 
@@ -118,17 +171,30 @@ class JenWorker:
 
         Returns the wire-ready table (projection plus derived columns,
         all filters applied) and the scan statistics.  If ``local_bloom``
-        is given, the join keys that survive are inserted into it — the
-        zigzag join's BF_H build happens inside the scan, not as an
-        extra pass (Section 4.4).
+        is given, the join keys that survive are inserted into it.  This
+        is the one-worker composition of :meth:`read_batch`,
+        :func:`bloom_step` and :meth:`finish_batch` (the approximate
+        tier's sampled blocks); the distributed scan runs the Bloom step
+        once over every worker's batch instead.
+        """
+        batch = self.read_batch(meta, blocks, request, faults=faults)
+        keep = bloom_step([batch], request, db_bloom, local_bloom)
+        return self.finish_batch(batch, request, keep), batch.stats
+
+    def read_batch(
+        self,
+        meta: HdfsTableMeta,
+        blocks: Sequence[Block],
+        request: ScanRequest,
+        faults=None,
+    ) -> ScanBatch:
+        """Read the assigned blocks and gather their predicate survivors.
 
         The block list is the unit of the data plane.  Per block only
         the read, the locality and row/byte counts and the predicate —
-        kept as a selection vector — happen; gather, Bloom step, derive
-        and projection then run once over the whole batch, so their
-        numpy calls see a worker's surviving rows, not one block's.
-        The per-block observers of :mod:`repro.adaptive.hooks` are fed
-        afterwards from the batch's block offsets, in block order.
+        kept as a selection vector — happen; the projected columns are
+        then gathered once over the whole batch, so later numpy calls
+        see a worker's surviving rows, not one block's.
 
         ``faults`` is an optional hook with a ``before_block(worker_id,
         index, stats)`` method, consulted before every block read; the
@@ -165,20 +231,44 @@ class JenWorker:
             tables.append(rows)
             selections.append(selection)
 
+        block_rows = [rows.num_rows for rows in tables]
+        selected = [selection.size for selection in selections]
         if not tables:
-            # No blocks assigned: produce an empty wire table by running
-            # the pipeline over an empty slice of the table schema.
+            # No blocks assigned: an empty slice of the table schema
+            # runs through the pipeline to give the empty wire table.
             sample = self.filesystem.table_blocks(meta.name)[0]
-            empty = self.filesystem.read_block(sample).slice(0, 0)
-            wire, _kept = self._process_batch(
-                [empty], [np.empty(0, dtype=np.intp)], request
-            )
-            return wire, stats
+            tables = [self.filesystem.read_block(sample).slice(0, 0)]
+            selections = [np.empty(0, dtype=np.intp)]
+        rows = Table.gather_concat(tables, selections, request.projection)
+        if _derive_first(request):
+            rows = request.apply_derivations(rows)
+        return ScanBatch(rows, block_rows, selected, stats, scan_row_bytes)
 
-        wire, kept = self._process_batch(
-            tables, selections, request, db_bloom, local_bloom
-        )
-        stats.rows_after_bloom = wire.num_rows
+    @staticmethod
+    def finish_batch(batch: ScanBatch, request: ScanRequest,
+                     keep: Optional[np.ndarray] = None) -> Table:
+        """Everything after the Bloom step; returns the wire table.
+
+        ``keep`` is this batch's slice of the Bloom step's mask
+        (``None`` when no filter was probed).  The survivors are
+        gathered once, derived on and projected to the wire columns,
+        and ``batch.stats.rows_after_bloom`` is set.  The per-block
+        observers of :mod:`repro.adaptive.hooks` are then fed from the
+        batch's block offsets, in block order.
+        """
+        rows = batch.rows
+        kept = batch.selected
+        if keep is not None:
+            rows = rows.filter(keep)
+            # Survivors per block: the running survivor count read at
+            # the block offsets (unlike np.add.reduceat, right for an
+            # empty selection too).
+            running = np.concatenate(([0], np.cumsum(keep)))
+            kept = np.diff(running[np.cumsum([0] + kept)]).tolist()
+        if not _derive_first(request):
+            rows = request.apply_derivations(rows)
+        wire = rows.project(list(request.wire_columns))
+        batch.stats.rows_after_bloom = wire.num_rows
 
         keys = None
         if adaptive_hooks.skew_detection_active() \
@@ -188,66 +278,20 @@ class JenWorker:
             # seam the adaptive plane uses — no second pass over L, and
             # one block per call: the detector prunes per observation.
             keys = wire.column(request.join_key)
-        bloom_applied = db_bloom is not None and request.join_key is not None
         start = 0
-        for rows, selection, count in zip(tables, selections, kept):
+        for num_rows, selected, count in zip(batch.block_rows,
+                                             batch.selected, kept):
             if keys is not None:
                 adaptive_hooks.record_scan_keys(keys[start:start + count])
             start += count
             # One fully processed block: the adaptive plane's finest
             # observation grain (may raise SwitchSignal at a crossed
-            # decision checkpoint, abandoning the rest of the batch).
+            # decision checkpoint, abandoning the rest of the scan).
             adaptive_hooks.record_scan_block(
-                rows.num_rows, rows.num_rows * scan_row_bytes,
-                selection.size, count, bloom_applied,
+                num_rows, num_rows * batch.scan_row_bytes,
+                selected, count, keep is not None,
             )
-        return wire, stats
-
-    @staticmethod
-    def _process_batch(
-        tables: Sequence[Table],
-        selections: Sequence[np.ndarray],
-        request: ScanRequest,
-        db_bloom: Optional[BloomFilter] = None,
-        local_bloom: Optional[BloomFilter] = None,
-    ) -> Tuple[Table, List[int]]:
-        """Everything after the predicate, once per batch.
-
-        ``selections[i]`` holds the row indices of ``tables[i]`` that
-        passed the predicates.  Only the projected columns are gathered
-        at them; one Bloom step runs over the batch's join keys; the
-        survivors are gathered once, derived on, and projected to the
-        wire columns.  Returns ``(wire, kept)``: ``kept[i]`` consecutive
-        wire rows came from ``tables[i]``.
-        """
-        batch = Table.gather_concat(tables, selections, request.projection)
-        kept = [selection.size for selection in selections]
-        # Deriving after the Bloom step touches only its survivors; the
-        # order flips only when the filter is keyed on a derived column.
-        derive_first = any(
-            derived.name == request.join_key for derived in request.derived
-        )
-        if derive_first:
-            batch = request.apply_derivations(batch)
-        if db_bloom is not None and request.join_key is not None:
-            keys = batch.column(request.join_key)
-            if local_bloom is not None:
-                # Zigzag two-way step: probe BF_DB, then feed the
-                # survivors' keys into BF_H.
-                keep = probe_and_insert(keys, db_bloom, local_bloom)
-            else:
-                keep = db_bloom.contains(keys)
-            batch = batch.filter(keep)
-            # Survivors per table: the running survivor count read at
-            # the table offsets (unlike np.add.reduceat, right for an
-            # empty selection too).
-            running = np.concatenate(([0], np.cumsum(keep)))
-            kept = np.diff(running[np.cumsum([0] + kept)]).tolist()
-        elif local_bloom is not None and request.join_key is not None:
-            local_bloom.add(batch.column(request.join_key))
-        if not derive_first:
-            batch = request.apply_derivations(batch)
-        return batch.project(list(request.wire_columns)), kept
+        return wire
 
     @staticmethod
     def hybrid_shuffle_assignments(

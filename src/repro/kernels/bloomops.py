@@ -16,6 +16,10 @@ uint64 word array instead of individual bits:
   each later hash probes just the survivors of the previous ones.  With
   k hashes and fill ratio f the work is ``n·(1 + (k-1)·f)`` loads
   instead of the naive ``n·k``.
+
+Both take positions, not keys.  ``BloomFilter`` hashes each *distinct*
+key once when the keys are integers of a narrow span (the usual case
+for join keys), so there ``n`` counts distinct keys, not rows.
 * **popcount** — :func:`popcount` uses the hardware ``popcnt`` exposed
   as ``np.bitwise_count`` where available and an 8-bit lookup table
   otherwise, never materialising 8 bits per byte the way

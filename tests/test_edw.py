@@ -125,13 +125,19 @@ class TestWorker:
         bloom = BloomFilter(2048)
         bloom.add(np.array([1, 2, 3]))
         table = sample_table(50)
-        kept = DbWorker.apply_bloom(table, "joinKey", bloom)
+        parts = [table.slice(0, 20), table.slice(20, 20), table.slice(20, 50)]
+        kept = DbWorker.apply_bloom(parts, "joinKey", bloom)
         exact = {1, 2, 3}
-        # No row with a member key may be dropped (no false negatives).
-        expected_min = sum(
-            1 for k in table.column("joinKey").tolist() if k in exact
-        )
-        assert kept.num_rows >= expected_min
+        # No row with a member key may be dropped (no false negatives),
+        # and each part keeps exactly its own rows' verdicts.
+        assert len(kept) == len(parts)
+        for part, pruned in zip(parts, kept):
+            expected = part.filter(bloom.contains(part.column("joinKey")))
+            assert pruned.to_rows() == expected.to_rows()
+            members = sum(
+                1 for k in part.column("joinKey").tolist() if k in exact
+            )
+            assert pruned.num_rows >= members
 
     def test_partition_for_send_conserves(self):
         # DbWorker.partition_for_send became the one-pass exchange.

@@ -113,8 +113,10 @@ class TestDistributedScan:
 
     def test_local_bloom_build_during_scan(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query, build_local_blooms=True)
+        scan = warehouse.jen.distributed_scan(query, build_hdfs_bloom=True)
         merged = scan.global_bloom()
+        assert merged is scan.hdfs_bloom
+        assert merged.num_added == scan.stats.rows_after_bloom
         all_keys = np.unique(np.concatenate([
             w.column(query.hdfs_join_key) for w in scan.wire_tables
         ]))

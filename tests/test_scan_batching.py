@@ -1,4 +1,4 @@
-"""The worker-batched JEN scan against a per-block reference loop.
+"""The worker-batched JEN scan against per-block and per-worker references.
 
 ``JenWorker.scan_filter_project`` reads a worker's blocks one by one
 but runs gather, Bloom step, derive and projection once over the whole
@@ -7,12 +7,19 @@ obvious way — one block at a time, one concat at the end — and every
 observable of the batched scan must equal it: wire rows and their
 order, ``ScanStats``, the BF_H words, and the sequence of per-block
 observer calls.
+
+``Jen.scan_with_request`` goes one step further: one Bloom step per
+query over every worker's batch, into one BF_H.  ``reference_queue_scan``
+is the work queue with a Bloom step per task into per-worker filters,
+OR-merged at the end; the query-wide scan must equal it too.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +32,7 @@ from repro.jen.worker import ScanRequest, ScanStats
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
 from repro.relational.table import Table
+from repro import skew
 from repro.skew import HeavyHitterDetector
 from repro.testkit import generator, oracle
 
@@ -222,19 +230,28 @@ class _RecordingDetector:
         self.detector.observe(keys)
 
 
+def _assert_feed_equals_the_per_block_feed(scan_setup, db_bloom):
+    worker, meta, blocks, request, _db_bloom = scan_setup
+    _wire, _stats, feed = reference_scan(
+        worker, meta, blocks, request, db_bloom)
+    events = []
+    recorder = _RecordingDetector(events, num_workers=4)
+    with hooks.detecting_skew(recorder), hooks.observing_blocks(
+            lambda *args: events.append(("block",) + args)):
+        worker.scan_filter_project(meta, blocks, request,
+                                   db_bloom=db_bloom)
+    assert events == feed
+    assert len([e for e in events if e[0] == "block"]) == len(blocks)
+
+
 class TestObserverReplay:
     def test_hook_sequence_equals_the_per_block_feed(self, scan_setup):
-        worker, meta, blocks, request, db_bloom = scan_setup
-        _wire, _stats, feed = reference_scan(
-            worker, meta, blocks, request, db_bloom)
-        events = []
-        recorder = _RecordingDetector(events, num_workers=4)
-        with hooks.detecting_skew(recorder), hooks.observing_blocks(
-                lambda *args: events.append(("block",) + args)):
-            worker.scan_filter_project(meta, blocks, request,
-                                       db_bloom=db_bloom)
-        assert events == feed
-        assert len([e for e in events if e[0] == "block"]) == len(blocks)
+        _assert_feed_equals_the_per_block_feed(scan_setup, scan_setup[4])
+
+    def test_hook_sequence_without_a_bloom_filter(self, scan_setup):
+        """No filter probed: every block reports ``bloom_applied``
+        false and its after-Bloom count equal to its survivors."""
+        _assert_feed_equals_the_per_block_feed(scan_setup, None)
 
     def test_hot_key_set_matches_the_per_block_feed(self):
         """The detector prunes per observation, so its answer depends
@@ -363,3 +380,298 @@ def test_forced_switch_fires_at_the_same_block():
     assert report["switches"][0]["at_progress"] == pytest.approx(
         switch_block / len(queue_order))
     assert oracle.compare_tables(result.result, case.oracle_rows()) is None
+
+
+# ----------------------------------------------------------------------
+# One Bloom step per query against per-worker filters
+# ----------------------------------------------------------------------
+def reference_queue_scan(jen, request, db_bloom=None, insert=False,
+                         seed=11):
+    """The scan work queue with per-worker filters, merged at the end.
+
+    Every task runs its worker's whole pipeline, Bloom step included
+    (``scan_filter_project`` with that worker's own BF_H); a crashed
+    worker's partial output and filter are dropped and its blocks dealt
+    to the survivors; the per-worker filters are OR-merged with
+    ``BloomFilter.combine``.  Returns ``(wire_tables, stats, bf_h,
+    hot_keys)``.
+    """
+    meta = jen.coordinator.table_meta("L")
+    injector = jen.injector
+    assignment = jen.coordinator.plan_scan("L")
+    blooms = {
+        worker.worker_id: BloomFilter(jen.config.bloom_bits(),
+                                      jen.config.bloom.num_hashes, seed)
+        for worker in jen.workers
+    } if insert else {}
+    tasks = deque((worker, list(assignment.blocks_for(worker.worker_id)))
+                  for worker in jen.workers)
+    pieces = {worker.worker_id: [] for worker in jen.workers}
+    stats = ScanStats()
+
+    def deal(dead, blocks):
+        if not blocks:
+            return
+        by_id = {worker.worker_id: worker for worker in jen.workers}
+        for survivor, chunk in jen.coordinator.reassign_blocks(dead, blocks):
+            tasks.append((by_id[survivor], chunk))
+
+    detector = (HeavyHitterDetector(len(jen.workers))
+                if skew.skew_handling_enabled() else None)
+    with hooks.detecting_skew(detector):
+        hooks.scan_begin(sum(len(blocks) for _worker, blocks in tasks))
+        while tasks:
+            worker, blocks = tasks.popleft()
+            if worker not in jen.workers:
+                deal(worker.worker_id, blocks)
+                continue
+            crash_at = (injector.scan_crash_block(worker.worker_id,
+                                                  len(blocks))
+                        if injector is not None else None)
+            try:
+                if crash_at is not None and not blocks:
+                    raise CrashSignal(worker.worker_id, ScanStats())
+                wire, task_stats = worker.scan_filter_project(
+                    meta, blocks, request, db_bloom=db_bloom,
+                    local_bloom=blooms.get(worker.worker_id),
+                    faults=(ScanFaultHook(crash_at)
+                            if crash_at is not None else None))
+            except CrashSignal as crash:
+                jen.fail_worker(worker.worker_id)
+                pieces.pop(worker.worker_id)
+                blooms.pop(worker.worker_id, None)
+                stats.rows_discarded += crash.stats.rows_scanned
+                stats.blocks_reassigned += len(blocks)
+                injector.record_scan_crash(
+                    worker.worker_id, crash.stats.rows_scanned,
+                    len(blocks), len(jen.workers))
+                deal(worker.worker_id, blocks)
+                continue
+            pieces[worker.worker_id].append(wire)
+            stats = stats.merge(task_stats)
+    wire_tables = [Table.concat(pieces[worker.worker_id])
+                   for worker in jen.workers]
+    merged = (BloomFilter.combine([blooms[worker.worker_id]
+                                   for worker in jen.workers])
+              if insert else None)
+    hot_keys = detector.hot_key_set() if detector is not None else None
+    return wire_tables, stats, merged, hot_keys
+
+
+class _Feed:
+    """The per-block observer feed, in order: the skew detector's key
+    slices and the block observer's counts."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        observe = HeavyHitterDetector.observe
+        events = self.events
+
+        def recording_observe(detector, keys):
+            events.append(("keys", np.asarray(keys).tolist()))
+            return observe(detector, keys)
+
+        monkeypatch.setattr(HeavyHitterDetector, "observe",
+                            recording_observe)
+
+    def block(self, *counts):
+        self.events.append(("block",) + counts)
+
+    def take(self):
+        events = list(self.events)
+        self.events.clear()
+        return events
+
+
+@pytest.fixture
+def skew_on():
+    """Skew handling on, so the scan feeds a heavy-hitter detector."""
+    previous = skew.set_skew_handling_enabled(True)
+    yield
+    skew.set_skew_handling_enabled(previous)
+
+
+def _query_case(workers=4, l_rows=None):
+    """Warehouse, scan request and a BF_DB as the EDW builds it."""
+    case = generator.generate_data_case(2005)
+    if l_rows is not None:
+        case = generator.with_rows(case, range(case.t_table.num_rows),
+                                   range(l_rows))
+    warehouse = generator.build_cell_warehouse(case, workers, "parquet")
+    query = case.query
+    db_bloom = warehouse.database.build_global_bloom(
+        "T", query.db_predicate, query.db_join_key,
+        num_bits=warehouse.config.bloom_bits(),
+        num_hashes=warehouse.config.bloom.num_hashes).bloom
+    return warehouse, ScanRequest.from_query(query), db_bloom
+
+
+@pytest.fixture(scope="module")
+def query_case():
+    return _query_case()
+
+
+def _both_scans(warehouse, request, db_bloom, insert, feed, faults=None):
+    """``[(result, feed, injector)]`` of the reference, then of the
+    query-wide scan, each on a full cluster with ``faults`` armed
+    afresh."""
+    sides = []
+    for run in ("reference", "query-wide"):
+        injector = (warehouse.arm_faults(FaultPlan.from_spec(faults))
+                    if faults else None)
+        try:
+            with hooks.observing_blocks(feed.block):
+                if run == "reference":
+                    result = reference_queue_scan(
+                        warehouse.jen, request, db_bloom, insert)
+                else:
+                    scan = warehouse.jen.scan_with_request(
+                        "L", request, db_bloom=db_bloom,
+                        build_hdfs_bloom=insert)
+                    result = (scan.wire_tables, scan.stats,
+                              scan.hdfs_bloom, scan.hot_keys)
+            sides.append((result, feed.take(), injector))
+        finally:
+            if faults:
+                warehouse.disarm_faults()
+    return sides
+
+
+def assert_same_scan(reference, actual):
+    (ref_wires, ref_stats, ref_bloom, ref_hot), ref_feed, ref_inj = reference
+    (wires, stats, bloom, hot), feed, injector = actual
+    assert len(wires) == len(ref_wires)
+    for wire, ref_wire in zip(wires, ref_wires):
+        assert_same_table(wire, ref_wire)
+    assert stats == ref_stats
+    if ref_bloom is None:
+        assert bloom is None
+    else:
+        assert_same_bloom(bloom, ref_bloom)
+        assert bloom.num_added == stats.rows_after_bloom
+    assert feed == ref_feed
+    assert sum(entry[0] == "block" for entry in feed) == \
+        stats.local_blocks + stats.remote_blocks
+    if ref_hot is None:
+        assert hot is None
+    else:
+        assert np.array_equal(hot.keys, ref_hot.keys)
+        assert np.array_equal(hot.fanouts, ref_hot.fanouts)
+    if ref_inj is not None:
+        assert injector.fired == ref_inj.fired
+        assert injector.crashes == ref_inj.crashes
+        assert injector.blocks_reassigned == ref_inj.blocks_reassigned
+        assert injector.rows_discarded == ref_inj.rows_discarded
+
+
+_MODES = [
+    pytest.param(True, True, id="zigzag"),
+    pytest.param(True, False, id="db(BF)"),
+    pytest.param(False, True, id="insert-only"),
+    pytest.param(False, False, id="no-bloom"),
+]
+
+
+class TestQueryWideBloomStep:
+    @pytest.mark.parametrize("probe,insert", _MODES)
+    def test_equals_per_worker_filters(self, query_case, skew_on,
+                                       monkeypatch, probe, insert):
+        warehouse, request, db_bloom = query_case
+        reference, actual = _both_scans(
+            warehouse, request, db_bloom if probe else None, insert,
+            _Feed(monkeypatch))
+        assert_same_scan(reference, actual)
+        stats = actual[0][1]
+        if probe:
+            assert 0 < stats.rows_after_bloom < stats.rows_after_predicates
+
+    @pytest.mark.parametrize("probe,insert", _MODES)
+    def test_crash_with_recovery_tasks(self, query_case, skew_on,
+                                       monkeypatch, probe, insert):
+        warehouse, request, db_bloom = query_case
+        reference, actual = _both_scans(
+            warehouse, request, db_bloom if probe else None, insert,
+            _Feed(monkeypatch), faults="crash:w2@scan")
+        assert_same_scan(reference, actual)
+        injector = actual[2]
+        assert injector.crashes == 1 and injector.blocks_reassigned > 0
+        assert actual[0][1].rows_discarded > 0
+        assert len(actual[0][0]) == 3      # w2's wire table is gone
+
+    @pytest.mark.parametrize("faults", [None, "crash:w6@scan"])
+    def test_workers_with_zero_blocks(self, skew_on, monkeypatch, faults):
+        """Five blocks over eight workers: three scan nothing (and one
+        of them crashes with nothing to hand over)."""
+        warehouse, request, db_bloom = _query_case(workers=8, l_rows=500)
+        assignment = warehouse.jen.coordinator.plan_scan("L")
+        counts = [len(list(assignment.blocks_for(worker.worker_id)))
+                  for worker in warehouse.jen.workers]
+        assert counts.count(0) >= 3 and counts[6] == 0
+        reference, actual = _both_scans(
+            warehouse, request, db_bloom, True, _Feed(monkeypatch),
+            faults=faults)
+        assert_same_scan(reference, actual)
+        assert all(wire.schema.names == request.wire_columns
+                   for wire in actual[0][0])
+
+    def test_one_bloom_call_per_filter(self, query_case, monkeypatch):
+        """The zigzag scan probes BF_DB once and inserts into BF_H once
+        per query, whatever the worker count."""
+        warehouse, request, db_bloom = query_case
+        calls = []
+        for name in ("add", "contains"):
+            original = getattr(BloomFilter, name)
+
+            def counted(bloom, keys, _name=name, _original=original):
+                calls.append((_name, bloom.seed, np.size(keys)))
+                return _original(bloom, keys)
+
+            monkeypatch.setattr(BloomFilter, name, counted)
+        scan = warehouse.jen.scan_with_request(
+            "L", request, db_bloom=db_bloom, build_hdfs_bloom=True)
+        assert [(name, seed) for name, seed, _keys in calls] == [
+            ("contains", 7), ("add", 11)]
+        assert calls[0][2] == scan.stats.rows_after_predicates
+        assert calls[1][2] == scan.stats.rows_after_bloom
+
+    def test_forced_switch_at_the_same_block(self, query_case,
+                                             monkeypatch):
+        """A stub re-optimizer votes to switch at a block inside the
+        second worker's task: both scans stop replaying there, having
+        shown the observers exactly the same blocks."""
+        warehouse, request, db_bloom = query_case
+        assignment = warehouse.jen.coordinator.plan_scan("L")
+        switch_at = len(list(assignment.blocks_for(0))) + 3
+
+        class SwitchAt:
+            def __init__(self):
+                self.blocks = 0
+
+            def on_scan_begin(self, total):
+                self.total = total
+
+            def on_scan_block(self, *counts):
+                self.blocks += 1
+                if self.blocks == switch_at:
+                    raise hooks.SwitchSignal(SimpleNamespace(
+                        target="stub", at_progress=self.blocks / self.total))
+
+        feed = _Feed(monkeypatch)
+        seen = []
+        for run in ("reference", "query-wide"):
+            context = SwitchAt()
+            with hooks.adapting(context), \
+                    hooks.observing_blocks(feed.block), \
+                    pytest.raises(hooks.SwitchSignal):
+                if run == "reference":
+                    reference_queue_scan(warehouse.jen, request, db_bloom,
+                                         insert=True)
+                else:
+                    warehouse.jen.scan_with_request(
+                        "L", request, db_bloom=db_bloom,
+                        build_hdfs_bloom=True)
+            seen.append((context.blocks, feed.take()))
+        assert seen[0] == seen[1]
+        assert seen[1][0] == switch_at
+        assert len(seen[1][1]) == switch_at
+        assert warehouse.jen._scan_depth == 0
