@@ -23,9 +23,9 @@ from repro import (
     build_paper_query,
     default_config,
     generate_workload,
-    reference_join,
 )
 from repro.sim.gantt import render_gantt
+from repro.testkit import oracle
 
 SCALE = 1 / 25_000
 
@@ -46,7 +46,7 @@ def main():
         t_rows=64_000, l_rows=600_000, n_keys=640,
     ))
     query = build_paper_query(workload)
-    truth = reference_join(workload.t_table, workload.l_table, query)
+    truth = oracle.oracle_execute(workload.t_table, workload.l_table, query)
     config = default_config(scale=SCALE)
 
     # ------------------------------------------------------------------
@@ -62,7 +62,7 @@ def main():
         warehouse.jen.fail_worker(victim)
     degraded = algorithm_by_name("zigzag").run(warehouse, query)
     plan = warehouse.jen.coordinator.plan_scan("L")
-    correct = degraded.result.to_rows() == truth.to_rows()
+    correct = oracle.compare_tables(degraded.result, truth) is None
     print(f"3 dead:   {warehouse.jen.num_workers} workers, locality "
           f"{plan.locality_fraction():.0%}, "
           f"{degraded.total_seconds:.1f}s simulated, "
@@ -75,7 +75,7 @@ def main():
             workload, replace(config, jen_memory_budget_rows=budget)
         )
         result = algorithm_by_name("repartition").run(constrained, query)
-        correct = result.result.to_rows() == truth.to_rows()
+        correct = oracle.compare_tables(result.result, truth) is None
         spilled = result.paper_stats().spilled_tuples / 1e6
         print(f"budget {label:<16s} spilled {spilled:8.1f} M tuples, "
               f"{result.total_seconds:6.1f}s, correct: {correct}")

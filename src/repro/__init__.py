@@ -56,7 +56,6 @@ from repro.query import (
     HybridQuery,
     SelectivityReport,
     measure_selectivities,
-    reference_join,
 )
 from repro.service import (
     AdmissionConfig,
@@ -112,6 +111,5 @@ __all__ = [
     "generate_workload",
     "measure_selectivities",
     "valid_algorithm_names",
-    "reference_join",
     "__version__",
 ]

@@ -259,7 +259,7 @@ def _cmd_approx(args) -> int:
 def _cmd_chaos(args) -> int:
     from repro.errors import FaultError, FaultSpecError
     from repro.faults import FaultPlan
-    from repro.query.executor import reference_join
+    from repro.testkit.oracle import compare_tables, oracle_execute
 
     try:
         plan = FaultPlan.from_spec(args.faults, seed=args.seed)
@@ -274,9 +274,7 @@ def _cmd_chaos(args) -> int:
             return 2
     warehouse, workload = _demo_warehouse()
     query = build_paper_query(workload)
-    expected = reference_join(
-        workload.t_table, workload.l_table, query
-    ).to_rows()
+    expected = oracle_execute(workload.t_table, workload.l_table, query)
     print(f"chaos run: {plan}\n")
     mismatches = 0
     for name in args.algorithms:
@@ -289,7 +287,8 @@ def _cmd_chaos(args) -> int:
             warehouse.disarm_faults()
             continue
         warehouse.disarm_faults()
-        identical = faulted.result.to_rows() == expected
+        diff = compare_tables(faulted.result, expected, label=name)
+        identical = diff is None
         if not identical:
             mismatches += 1
         recovery = [phase for phase in faulted.trace
@@ -298,13 +297,15 @@ def _cmd_chaos(args) -> int:
               f"faulted={faulted.total_seconds:8.1f}s  "
               f"overhead={faulted.total_seconds - baseline.total_seconds:+8.1f}s  "
               f"result={'identical' if identical else 'MISMATCH'}")
+        if not identical:
+            print(diff)
         for phase in recovery:
             print(f"    +{phase.seconds:7.1f}s {phase.description}")
         for line in injector.report().splitlines()[1:]:
             print(f"  {line}")
         print()
     if mismatches:
-        print(f"{mismatches} algorithm(s) diverged from the reference join",
+        print(f"{mismatches} algorithm(s) diverged from the oracle",
               file=sys.stderr)
         return 1
     return 0

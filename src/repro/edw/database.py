@@ -168,8 +168,9 @@ class ParallelDatabase:
         Output columns are the union of the two projections; collisions
         must be resolved by projecting/renaming beforehand.
         """
+        from repro.kernels.joinindex import probe_join
         from repro.relational.expressions import TruePredicate
-        from repro.relational.operators import join_tables
+        from repro.relational.operators import joined_rows
 
         left_predicate = left_predicate or TruePredicate()
         right_predicate = right_predicate or TruePredicate()
@@ -197,15 +198,15 @@ class ParallelDatabase:
         # the output; keep a single copy (the probe side's).
         rhs_key_alias = "__rhs_join_key"
         for left_side, right_side in zip(left_sides, right_sides):
-            joined = join_tables(
-                build=right_side.rename({right_key: rhs_key_alias}),
-                probe=left_side,
-                build_key=rhs_key_alias, probe_key=left_key,
+            build = right_side.rename({right_key: rhs_key_alias})
+            build_idx, probe_idx = probe_join(
+                build.column(rhs_key_alias), left_side.column(left_key))
+            joined = joined_rows(
+                build, left_side, build_idx, probe_idx,
+                names=[name for name in build.schema.names
+                       + left_side.schema.names
+                       if name != rhs_key_alias],
             )
-            joined = joined.project([
-                name for name in joined.schema.names
-                if name != rhs_key_alias
-            ])
             stats.build_tuples += right_side.num_rows
             stats.probe_tuples += left_side.num_rows
             stats.join_output_tuples += joined.num_rows

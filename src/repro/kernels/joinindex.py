@@ -10,10 +10,9 @@ re-reads; the service plane additionally caches indexes across queries
 that share a normalised build side (see
 :class:`repro.service.cache.JoinIndexCache`).
 
-The probe algorithm is the one ``hash_join_indices`` always used
-(stable sort order + double ``searchsorted``), so match pairs come back
-in the identical order: probe-major, build positions in sorted-key
-occurrence order within one probe row.
+The probe is a stable sort order + double ``searchsorted``, so match
+pairs come back probe-major, build positions in sorted-key occurrence
+order within one probe row.
 """
 
 from __future__ import annotations
@@ -180,8 +179,9 @@ class JoinBuildIndex:
               band: Optional[Tuple[np.ndarray, int, int]] = None):
         """All matching (build_row, probe_row) pairs for an equi-join.
 
-        Duplicate keys multiply out exactly as SQL requires; the pair
-        order is identical to the historical ``hash_join_indices``.
+        Duplicate keys multiply out exactly as SQL requires; the pairs
+        come back probe-major, build positions ascending within one
+        probe row.
 
         A banded index takes ``band=(probe_values, low, high)`` instead
         and returns ``(build_idx, probe_idx, key_pairs)``: only the key

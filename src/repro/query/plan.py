@@ -8,15 +8,15 @@ same local pipeline on its slice of data:
 3. compute partial group-by aggregates.
 
 One designated worker then merges the partials.  Keeping these steps in
-one module guarantees the five algorithms and the single-node reference
-executor cannot drift apart semantically — the property tests rely on
-exactly that.
+one module guarantees the algorithms cannot drift apart semantically;
+the tests check every one of them against the single-node oracle
+(:mod:`repro.testkit.oracle`), which shares none of this code.
 
 The engines run the three steps fused (:func:`join_partial_aggregate`),
-which never materialises a joined row; :func:`local_join` +
-:func:`local_partial_aggregate` are the same pipeline spelled out, for
-callers that want the joined rows and as the reference the fused form
-is tested against.
+which never materialises a joined row.  The L side is the hash-table
+(build) side, as in JEN: the filtered HDFS data is already streaming in
+while the database data arrives later, so JEN builds on L'' and probes
+with the database rows (paper Section 4.4).
 """
 
 from __future__ import annotations
@@ -31,50 +31,9 @@ from repro.relational.aggregates import (
     merge_partial_aggregates,
 )
 from repro.relational.expressions import Band
-from repro.relational.operators import join_tables, joined_rows
+from repro.relational.operators import joined_rows
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
-
-
-def apply_derivations(l_table: Table, query: HybridQuery) -> Table:
-    """Compute the scan-time derived columns on a (filtered) L table."""
-    for derived in query.hdfs_derived:
-        l_table = derived.apply(l_table)
-    return l_table
-
-
-def local_join(t_part: Table, l_part: Table, query: HybridQuery,
-               build_index: Optional[JoinBuildIndex] = None) -> Table:
-    """Join one worker's T-side rows with its L-side rows.
-
-    The L side is the hash-table (build) side, as in JEN: the filtered
-    HDFS data is already streaming in while the database data arrives
-    later, so JEN builds on L'' and probes with the database rows
-    (paper Section 4.4).  Output columns carry the query's prefixes.
-
-    ``build_index`` is an optional pre-built :class:`JoinBuildIndex`
-    over ``l_part``'s join keys; passing it skips the sort of the build
-    side, so a worker that probes the same build with several probe
-    fragments — or the service plane replaying a query on an unchanged
-    build — pays for the index once.
-    """
-    return join_tables(
-        build=l_part,
-        probe=t_part,
-        build_key=query.hdfs_join_key,
-        probe_key=query.db_join_key,
-        build_prefix=query.hdfs_prefix,
-        probe_prefix=query.db_prefix,
-        build_index=build_index,
-    )
-
-
-def local_partial_aggregate(joined: Table, query: HybridQuery) -> Table:
-    """Post-join predicate plus partial group-by on one worker."""
-    if query.post_join_predicate is not None:
-        joined = joined.filter(query.post_join_predicate.evaluate(joined))
-    return group_by_aggregate(joined, list(query.group_by),
-                              list(query.aggregates))
 
 
 def join_band(t_part: Table, l_part: Table, query: HybridQuery
@@ -124,9 +83,9 @@ def join_partial_aggregate(
     the predicate sees every key match, through only the columns it
     reads, and the pairs it rejects are dropped.  The group-by sees
     only its own and the aggregates' columns, gathered at the
-    survivors.  Returns the partial — equal to
-    ``local_partial_aggregate(local_join(...))`` — and the number of
-    pairs *before* the predicate, i.e. the join's output cardinality.
+    survivors.  Returns the partial — what aggregating the filtered,
+    fully materialised joined rows would give — and the number of pairs
+    *before* the predicate, i.e. the join's output cardinality.
 
     ``build_index`` is reused when it :meth:`~JoinBuildIndex.matches`
     this join's :func:`join_build_columns`, and rebuilt otherwise.
@@ -176,27 +135,6 @@ def merge_partials(partials: Sequence[Table], query: HybridQuery) -> Table:
     return merge_partial_aggregates(
         list(partials), list(query.group_by), list(query.aggregates)
     )
-
-
-def empty_partial(query: HybridQuery, t_schema, l_schema) -> Table:
-    """A zero-row partial aggregate with the right schema.
-
-    Needed when a worker ends up with no rows at all (tiny tables, many
-    workers) so the final merge still sees a well-formed input.
-    """
-    t_empty = Table.empty(t_schema)
-    l_empty = Table.empty(l_schema)
-    joined = local_join(t_empty, l_empty, query)
-    return local_partial_aggregate(joined, query)
-
-
-def aggregate_row_width(query: HybridQuery, joined_schema) -> int:
-    """Logical bytes of one partial-aggregate row (for transfer costing)."""
-    group_width = joined_schema.row_width(list(query.group_by))
-    agg_width = sum(
-        spec.output_dtype().default_width() for spec in query.aggregates
-    )
-    return group_width + agg_width
 
 
 def needed_wire_columns(query: HybridQuery, side: str) -> tuple:

@@ -2,9 +2,10 @@
 
 This subpackage is the substrate every engine in the reproduction builds
 on: the parallel database workers (:mod:`repro.edw`), the JEN workers
-(:mod:`repro.jen`) and the reference single-node executor used by the
-tests all operate on the same :class:`~repro.relational.table.Table`
-representation and share the predicate and operator implementations here.
+(:mod:`repro.jen`) and the single-node oracle used by the tests
+(:mod:`repro.testkit.oracle`) all operate on the same
+:class:`~repro.relational.table.Table` representation; the engines also
+share the operator and aggregation implementations here.
 """
 
 from repro.relational.schema import Column, DataType, Schema
@@ -21,7 +22,6 @@ from repro.relational.expressions import (
     UdfPredicate,
     compare,
 )
-from repro.relational.operators import hash_join_indices, join_tables
 from repro.relational.aggregates import AggregateSpec, group_by_aggregate
 
 __all__ = [
@@ -41,6 +41,4 @@ __all__ = [
     "UdfPredicate",
     "compare",
     "group_by_aggregate",
-    "hash_join_indices",
-    "join_tables",
 ]

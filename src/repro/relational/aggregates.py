@@ -69,8 +69,8 @@ def group_by_aggregate(
 ) -> Table:
     """Group ``table`` by ``group_columns`` and compute ``aggregates``.
 
-    Result rows are ordered by ascending group key (deterministic, which
-    keeps distributed merges and the reference executor comparable).
+    Result rows are ordered by ascending group key (deterministic, so
+    two runs of one engine compare row for row).
     """
     group_columns = list(group_columns)
     if not group_columns:

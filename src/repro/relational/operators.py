@@ -1,68 +1,25 @@
-"""Vectorised relational operators: equi-join index computation and
-table-level join materialisation.
+"""Vectorised relational operators: joined-row materialisation and the
+exact semijoin.
 
-The join here is the *local* building block: every distributed algorithm
-in the paper ultimately ends with each worker running an in-memory hash
-join on its slice of the data.  The numpy implementation below is
-sort-based rather than literally hash-based, which is semantically
-identical for equi-joins and much faster in pure Python; the time plane
-prices it with hash-join build/probe rates, matching the engines the
-paper describes.
+The join is the *local* building block: every distributed algorithm in
+the paper ultimately ends with each worker running an in-memory hash
+join on its slice of the data.  The matching index pairs come from
+:func:`repro.kernels.joinindex.probe_join` (sort-based rather than
+literally hash-based, which is semantically identical for equi-joins
+and much faster in pure Python; the time plane prices it with hash-join
+build/probe rates, matching the engines the paper describes), and
+:func:`joined_rows` gathers the prefixed columns at those pairs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SchemaError, TableError
-from repro.kernels.joinindex import JoinBuildIndex, probe_join
 from repro.relational.schema import DataType, Schema
 from repro.relational.table import Table
-
-
-def hash_join_indices(
-    build_keys: np.ndarray, probe_keys: np.ndarray,
-    build_index: Optional[JoinBuildIndex] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All matching (build_row, probe_row) index pairs for an equi-join.
-
-    Returns two int64 arrays of equal length: positions into the build
-    side and the probe side.  Every pair of rows with equal keys appears
-    exactly once, so duplicate keys multiply out as SQL requires.
-
-    ``build_index`` is an optional pre-sorted
-    :class:`~repro.kernels.JoinBuildIndex` over ``build_keys``; passing
-    one skips the build-side sort (the kernel verifies it covers these
-    keys before trusting it).
-    """
-    return probe_join(build_keys, probe_keys, build_index=build_index)
-
-
-def join_tables(
-    build: Table,
-    probe: Table,
-    build_key: str,
-    probe_key: str,
-    build_prefix: str = "",
-    probe_prefix: str = "",
-    build_index: Optional[JoinBuildIndex] = None,
-) -> Table:
-    """Materialise the inner equi-join of two tables.
-
-    Column name collisions are resolved with the given prefixes; it is an
-    error if any collision remains after prefixing.  The join key appears
-    once per side (possibly prefixed), exactly as the paper's SQL
-    produces.  ``build_index`` optionally reuses a pre-sorted build side
-    (see :func:`hash_join_indices`).
-    """
-    build_idx, probe_idx = hash_join_indices(
-        build.column(build_key), probe.column(probe_key),
-        build_index=build_index,
-    )
-    return joined_rows(build, probe, build_idx, probe_idx,
-                       build_prefix, probe_prefix)
 
 
 def joined_rows(
@@ -120,9 +77,9 @@ def semi_join_mask(keys: np.ndarray, membership_keys: np.ndarray) -> np.ndarray:
     """Boolean mask of ``keys`` that appear in ``membership_keys``.
 
     This is the *exact* semi-join; Bloom-filter based pruning (with false
-    positives) lives in :mod:`repro.core.bloom`.  The exact version is the
-    reference the property tests compare against, and implements the
-    classic semijoin baseline from the related-work discussion.
+    positives) lives in :mod:`repro.core.bloom`.  It is the operator of
+    the classic semijoin baseline from the related-work discussion
+    (:class:`repro.core.joins.semijoin.SemiJoin`).
     """
     keys = np.asarray(keys)
     if keys.size == 0:
@@ -138,34 +95,6 @@ def semi_join_mask(keys: np.ndarray, membership_keys: np.ndarray) -> np.ndarray:
 def unique_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct join keys (the paper's ``JK(.)`` operator)."""
     return np.unique(np.asarray(keys))
-
-
-def partition_by_hash(
-    table: Table, key: str, num_partitions: int,
-    hash_function: Optional[object] = None,
-) -> Sequence[Table]:
-    """Split ``table`` into ``num_partitions`` by hashing ``key``.
-
-    ``hash_function`` maps an int array to partition numbers; the default
-    is the library-wide agreed hash (see :mod:`repro.edw.partitioner`).
-    Used by both the database side and JEN when they shuffle with the
-    *agreed* hash function of the repartition and zigzag joins.
-
-    Runs the single-pass partition kernel: one stable sort and one
-    gather regardless of ``num_partitions``, bit-identical to filtering
-    per destination.
-    """
-    from repro.edw.partitioner import agreed_hash_partition
-    from repro.kernels.partition import partition_table
-
-    if num_partitions <= 0:
-        raise TableError("num_partitions must be positive")
-    keys = table.column(key)
-    if hash_function is None:
-        assignments = agreed_hash_partition(keys, num_partitions)
-    else:
-        assignments = np.asarray(hash_function(keys, num_partitions))
-    return partition_table(table, assignments, num_partitions)
 
 
 def _prefix_mapping(names: Sequence[str], prefix: str) -> Dict[str, str]:

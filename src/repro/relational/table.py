@@ -2,9 +2,9 @@
 
 A :class:`Table` owns one numpy array per column plus, for
 dictionary-encoded string columns, a shared dictionary array of distinct
-strings.  All engines in the reproduction (database workers, JEN workers,
-the reference executor) move these tables around, filter them, join them
-and aggregate them, so the operations here are deliberately vectorised.
+strings.  All engines in the reproduction (database workers, JEN workers)
+move these tables around, filter them, join them and aggregate them, so
+the operations here are deliberately vectorised.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ HybridQuery` over two plain tables using nothing but numpy primitives
 and Python dictionaries: a dict-based hash join, row-at-a-time UDF
 evaluation for derived columns, and a dict-based group-by.  It shares
 *no* code with the engines — not the partitioners, not the kernels, not
-even the shared local-join/aggregate plan steps that
-:func:`repro.query.executor.reference_join` reuses — so a bug in any
-shared kernel cannot cancel out between the system under test and this
-oracle.
+the join operators, not the shared plan steps or the group-by — so a
+bug in any shared kernel cannot cancel out between the system under
+test and this oracle.  It is the one reference every engine is checked
+against; :func:`dict_hash_join` also builds the single-node side of the
+star-schema references.
 
 The comparison helpers treat results as **row multisets**: every engine
 in the reproduction is exact, so two correct executors may only differ
@@ -73,29 +74,33 @@ def _apply_derived_rowwise(table: Table, query: HybridQuery) -> Table:
     return table
 
 
-def _dict_hash_join(t_table: Table, l_table: Table,
-                    query: HybridQuery) -> Table:
-    """Inner equi-join via a Python dict, output columns prefixed."""
+def dict_hash_join(left: Table, right: Table, left_key: str,
+                   right_key: str, left_prefix: str = "",
+                   right_prefix: str = "") -> Table:
+    """Inner equi-join via a Python dict built over ``right``.
+
+    Output columns are ``left``'s then ``right``'s, each carrying its
+    side's prefix; a name that still collides is a ``SchemaError``.
+    """
     build: Dict[int, List[int]] = {}
-    l_keys = l_table.column(query.hdfs_join_key)
-    for row, key in enumerate(l_keys.tolist()):
+    for row, key in enumerate(right.column(right_key).tolist()):
         build.setdefault(key, []).append(row)
 
-    t_matches: List[int] = []
-    l_matches: List[int] = []
-    for row, key in enumerate(t_table.column(query.db_join_key).tolist()):
-        for l_row in build.get(key, ()):
-            t_matches.append(row)
-            l_matches.append(l_row)
-    t_idx = np.asarray(t_matches, dtype=np.int64)
-    l_idx = np.asarray(l_matches, dtype=np.int64)
+    left_matches: List[int] = []
+    right_matches: List[int] = []
+    for row, key in enumerate(left.column(left_key).tolist()):
+        for right_row in build.get(key, ()):
+            left_matches.append(row)
+            right_matches.append(right_row)
+    left_idx = np.asarray(left_matches, dtype=np.int64)
+    right_idx = np.asarray(right_matches, dtype=np.int64)
 
     columns: Dict[str, np.ndarray] = {}
     dictionaries: Dict[str, np.ndarray] = {}
     schema_columns: List[Column] = []
     for prefix, side, idx in (
-        (query.db_prefix, t_table, t_idx),
-        (query.hdfs_prefix, l_table, l_idx),
+        (left_prefix, left, left_idx),
+        (right_prefix, right, right_idx),
     ):
         for column in side.schema:
             name = f"{prefix}{column.name}"
@@ -208,7 +213,9 @@ def oracle_execute(t_table: Table, l_table: Table,
     l_side = _apply_derived_rowwise(l_side, query)
     l_side = l_side.project(list(query.hdfs_wire_columns()))
 
-    joined = _dict_hash_join(t_side, l_side, query)
+    joined = dict_hash_join(t_side, l_side, query.db_join_key,
+                            query.hdfs_join_key, query.db_prefix,
+                            query.hdfs_prefix)
     if query.post_join_predicate is not None:
         joined = _filter_rows(joined, query.post_join_predicate)
     return _aggregate_rowwise(joined, query)

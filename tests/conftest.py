@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from repro.testkit import oracle
 
 #: Small but non-trivial test scale: 1/50,000 of the paper's tables.
 TEST_SCALE = 1.0 / 50_000.0
@@ -54,6 +55,15 @@ def paper_workload():
 def paper_query(paper_workload):
     """The Section 5 query over the session workload."""
     return build_paper_query(paper_workload)
+
+
+@pytest.fixture(scope="session")
+def paper_oracle(paper_workload, paper_query):
+    """The oracle's answer to the session query (row-wise Python, so
+    computed once; compare with ``oracle.assert_equivalent``)."""
+    return oracle.oracle_execute(
+        paper_workload.t_table, paper_workload.l_table, paper_query
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import algorithm_by_name, reference_join
+from repro import algorithm_by_name
 from repro.errors import JoinError
+from repro.testkit import oracle
 from tests.conftest import build_test_warehouse
 
 
@@ -17,16 +18,14 @@ class TestJenWorkerFailure:
         # Every row of L is still scanned exactly once.
         assert scan.stats.rows_scanned == paper_workload.l_table.num_rows
 
-    def test_join_correct_after_failure(self, paper_workload, paper_query):
+    def test_join_correct_after_failure(self, paper_workload, paper_query,
+                                        paper_oracle):
         warehouse = build_test_warehouse(paper_workload)
         warehouse.jen.fail_worker(0)
         warehouse.jen.fail_worker(15)
-        reference = reference_join(
-            paper_workload.t_table, paper_workload.l_table, paper_query
-        )
         for name in ("zigzag", "repartition", "db(BF)"):
             result = algorithm_by_name(name).run(warehouse, paper_query)
-            assert result.result.to_rows() == reference.to_rows(), name
+            oracle.assert_equivalent(result.result, paper_oracle, label=name)
 
     def test_locality_degrades_but_survives(self, paper_workload,
                                             paper_query):
@@ -61,17 +60,14 @@ class TestJenWorkerFailure:
             warehouse.jen.fail_worker(5)
 
     def test_single_survivor_runs_everything(self, paper_workload,
-                                             paper_query):
+                                             paper_query, paper_oracle):
         warehouse = build_test_warehouse(paper_workload)
         for worker_id in range(29):
             warehouse.jen.fail_worker(worker_id)
-        reference = reference_join(
-            paper_workload.t_table, paper_workload.l_table, paper_query
-        )
         result = algorithm_by_name("repartition").run(
             warehouse, paper_query
         )
-        assert result.result.to_rows() == reference.to_rows()
+        oracle.assert_equivalent(result.result, paper_oracle)
 
 
 class TestBadInputs:

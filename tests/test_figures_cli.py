@@ -134,3 +134,48 @@ class TestTopLevelCli:
         captured = capsys.readouterr().out
         assert "algorithm: repartition" in captured
         assert "more rows" in captured
+
+
+class TestChaosCli:
+    """``repro chaos`` checks every faulted run against the oracle."""
+
+    ARGV = ["chaos", "--faults", "crash:w7@scan", "--algorithms", "zigzag"]
+
+    @pytest.fixture(autouse=True)
+    def small_warehouse(self, monkeypatch):
+        from repro import __main__ as cli
+
+        demo = cli._demo_warehouse
+        monkeypatch.setattr(cli, "_demo_warehouse",
+                            lambda: demo(scale=1 / 200_000))
+
+    def test_healthy_run_is_identical(self, capsys):
+        from repro.__main__ import main
+
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out
+        assert "result=identical" in out
+        assert "crash: worker 7 died during scan" in out
+
+    def test_a_kernel_bug_is_a_mismatch(self, capsys):
+        """Double every COUNT inside the engines' group-by: the faulted
+        run must diverge from the oracle, which shares no kernel."""
+        from unittest import mock
+
+        from repro.__main__ import main
+        from repro.relational import aggregates
+
+        compute = aggregates._compute_aggregate
+
+        def doubled_count(table, spec, group_ids, num_groups):
+            values = compute(table, spec, group_ids, num_groups)
+            return values * 2 if spec.function == "count" else values
+
+        with mock.patch.object(aggregates, "_compute_aggregate",
+                               doubled_count):
+            assert main(self.ARGV) == 1
+        captured = capsys.readouterr()
+        assert "result=MISMATCH" in captured.out
+        assert "zigzag: row multisets diverge" in captured.out
+        assert "first divergence at sorted row 0" in captured.out
+        assert "diverged from the oracle" in captured.err

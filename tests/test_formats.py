@@ -93,7 +93,8 @@ class TestOrcFormat:
         assert orc < parquet
 
     def test_join_correct_on_orc(self):
-        from repro import algorithm_by_name, reference_join
+        from repro import algorithm_by_name
+        from repro.testkit import oracle
         from repro.workload import WorkloadSpec, build_paper_query, \
             generate_workload
         from tests.conftest import build_test_warehouse
@@ -105,7 +106,5 @@ class TestOrcFormat:
         query = build_paper_query(workload)
         warehouse = build_test_warehouse(workload, format_name="orc")
         result = algorithm_by_name("zigzag").run(warehouse, query)
-        reference = reference_join(
-            workload.t_table, workload.l_table, query
-        )
-        assert result.result.to_rows() == reference.to_rows()
+        oracle.assert_equivalent(result.result, oracle.oracle_execute(
+            workload.t_table, workload.l_table, query))

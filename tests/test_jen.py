@@ -8,7 +8,6 @@ from repro.errors import CatalogError, JoinError
 from repro.jen.coordinator import JenCoordinator
 from repro.jen.exchange import shuffle
 from repro.jen.worker import JenWorker
-from repro.query.plan import apply_derivations
 from tests.conftest import build_test_warehouse, make_test_spec
 
 from repro import generate_workload, build_paper_query
@@ -164,7 +163,8 @@ class TestDerivedColumns:
         filtered = workload.l_table.slice(0, 50).project(
             list(query.hdfs_projection)
         )
-        derived = apply_derivations(filtered, query)
+        (url_prefix,) = query.hdfs_derived
+        derived = url_prefix.apply(filtered)
         prefixes = derived.strings("urlPrefix")
         urls = filtered.strings("groupByExtractCol")
         for url, prefix in zip(urls, prefixes):

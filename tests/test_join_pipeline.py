@@ -5,7 +5,7 @@ each is compared here with the form it replaced, written the obvious
 way inside the test:
 
 1. ``join_partial_aggregate`` (probe -> index pairs -> narrow gathers)
-   against ``local_partial_aggregate(local_join(...))`` — which
+   against the pipeline spelled out in ``reference_partial`` — which
    materialises every joined column — and against the testkit oracle;
 2. the one-pass exchange (``JenWorker.partition_for_exchange`` +
    ``exchange.shuffle``, and ``_route_db_rows``) against one naive
@@ -36,13 +36,7 @@ from repro.jen.exchange import ShuffleResult, shuffle
 from repro.jen.worker import JenWorker
 from repro.kernels import joinindex
 from repro.kernels.joinindex import JoinBuildIndex
-from repro.query.plan import (
-    apply_derivations,
-    join_build_columns,
-    join_partial_aggregate,
-    local_join,
-    local_partial_aggregate,
-)
+from repro.query.plan import join_build_columns, join_partial_aggregate
 from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec, group_by_aggregate
 from repro.relational.expressions import (
@@ -74,16 +68,23 @@ def join_inputs(case):
     l_rows = case.l_table.filter(
         query.hdfs_predicate.evaluate(case.l_table)
     ).project(list(query.hdfs_projection))
-    l_part = apply_derivations(l_rows, query).project(
-        list(query.hdfs_wire_columns())
-    )
-    return t_part, l_part
+    for derived in query.hdfs_derived:
+        l_rows = derived.apply(l_rows)
+    return t_part, l_rows.project(list(query.hdfs_wire_columns()))
 
 
 def reference_partial(t_part, l_part, query):
     """Materialise every joined column, then filter, then group."""
-    joined = local_join(t_part, l_part, query)
-    return local_partial_aggregate(joined, query), joined.num_rows
+    build_idx, probe_idx = joinindex.probe_join(
+        l_part.column(query.hdfs_join_key), t_part.column(query.db_join_key))
+    joined = joined_rows(l_part, t_part, build_idx, probe_idx,
+                         query.hdfs_prefix, query.db_prefix, names=None)
+    pairs = joined.num_rows
+    if query.post_join_predicate is not None:
+        joined = joined.filter(query.post_join_predicate.evaluate(joined))
+    partial = group_by_aggregate(joined, list(query.group_by),
+                                 list(query.aggregates))
+    return partial, pairs
 
 
 def assert_fused_equals_reference(t_part, l_part, query, **kwargs):

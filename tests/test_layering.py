@@ -3,7 +3,8 @@
 Nothing is imported to check them: every ``import`` / ``from ...
 import`` statement of every module — including the ones inside
 functions — is collected from the source.  A rule fails on the first
-module whose statements name a module it must not.
+module whose statements name a module it must not, or, for the oracle,
+on any name outside its allow-list.
 """
 
 from __future__ import annotations
@@ -81,3 +82,39 @@ def test_nothing_imports_the_wire_codec():
 def test_data_movement_does_not_import_late_materialization(module):
     assert module in IMPORTS
     assert module not in importers("repro.latemat")
+
+
+#: All the oracle may take from ``repro``: the query's shape and the
+#: schema and table types.  No kernel, join operator, plan step or
+#: ``group_by_aggregate``, so a bug in one cannot cancel out between an
+#: engine and the reference it is checked against.
+ORACLE_MAY_IMPORT = {
+    "repro.query.query.HybridQuery",
+    "repro.relational.aggregates.AggregateSpec",
+    "repro.relational.schema.Column",
+    "repro.relational.schema.DataType",
+    "repro.relational.schema.Schema",
+    "repro.relational.table.Table",
+    "repro.relational.table.table_from_rows",
+}
+
+
+def repro_imports(path: Path) -> Set[str]:
+    """The fully qualified ``repro`` names a file's imports bind;
+    relative imports keep their leading dots (so never match)."""
+    names: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "repro")
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.level or base.split(".")[0] == "repro":
+                names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_oracle_imports_only_the_query_and_table_types():
+    names = repro_imports(SRC / "repro" / "testkit" / "oracle.py")
+    assert "repro.relational.table.Table" in names
+    assert names <= ORACLE_MAY_IMPORT, sorted(names - ORACLE_MAY_IMPORT)

@@ -1,5 +1,5 @@
-"""Corner coverage across smaller surfaces: AST display, plan helpers,
-exchange edge cases, config copies, advisor branches."""
+"""Corner coverage across smaller surfaces: AST display, exchange edge
+cases, config copies, advisor branches."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.config import default_config
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
 from repro.errors import ExpressionError
 from repro.jen.exchange import final_aggregate
-from repro.query.plan import aggregate_row_width, empty_partial
+from repro.query.plan import join_partial_aggregate
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
@@ -30,60 +30,22 @@ class TestAstDisplay:
         assert aggregate.alias == "total"
 
 
-class TestPlanHelpers:
-    def test_empty_partial_schema(self, paper_query, paper_workload):
-        from repro.query.plan import apply_derivations
-
-        t_schema = paper_workload.t_table.project(
-            list(paper_query.db_projection)
-        ).schema
-        l_sample = apply_derivations(
-            paper_workload.l_table.slice(0, 1).project(
-                list(paper_query.hdfs_projection)
-            ),
-            paper_query,
-        ).project(list(paper_query.hdfs_wire_columns()))
-        partial = empty_partial(paper_query, t_schema, l_sample.schema)
-        assert partial.num_rows == 0
-        assert "count" in partial.schema.names
-
-    def test_aggregate_row_width(self, paper_query, paper_workload,
-                                 loaded_warehouse):
-        from repro.query.plan import apply_derivations, local_join
-
-        t = paper_workload.t_table.slice(0, 10).project(
-            list(paper_query.db_projection)
-        )
-        l_rows = apply_derivations(
-            paper_workload.l_table.slice(0, 10).project(
-                list(paper_query.hdfs_projection)
-            ),
-            paper_query,
-        ).project(list(paper_query.hdfs_wire_columns()))
-        joined = local_join(t, l_rows, paper_query)
-        width = aggregate_row_width(paper_query, joined.schema)
-        # group column (24 bytes) + count (8 bytes).
-        assert width == 24 + 8
-
-
 class TestExchangeEdges:
-    def test_final_aggregate_with_all_empty_partials(self, paper_query,
+    def test_final_aggregate_with_all_partials_empty(self, paper_query,
                                                      paper_workload):
-        from repro.query.plan import apply_derivations, local_join, \
-            local_partial_aggregate
-
         t_empty = paper_workload.t_table.slice(0, 0).project(
             list(paper_query.db_projection)
         )
-        l_empty = apply_derivations(
-            paper_workload.l_table.slice(0, 0).project(
-                list(paper_query.hdfs_projection)
-            ),
-            paper_query,
-        ).project(list(paper_query.hdfs_wire_columns()))
-        partial = local_partial_aggregate(
-            local_join(t_empty, l_empty, paper_query), paper_query
+        l_empty = paper_workload.l_table.slice(0, 0).project(
+            list(paper_query.hdfs_projection)
         )
+        for derived in paper_query.hdfs_derived:
+            l_empty = derived.apply(l_empty)
+        l_empty = l_empty.project(list(paper_query.hdfs_wire_columns()))
+        partial, join_rows = join_partial_aggregate(
+            t_empty, l_empty, paper_query)
+        assert partial.num_rows == join_rows == 0
+        assert partial.schema.names == ("l_urlPrefix", "count")
         merged = final_aggregate([partial, partial, partial], paper_query)
         assert merged.num_rows == 0
 

@@ -1,4 +1,6 @@
-"""Unit and property tests for repro.relational.operators."""
+"""Unit and property tests for the local join's index pairs
+(:func:`repro.kernels.joinindex.probe_join`) and for
+:mod:`repro.relational.operators`."""
 
 import numpy as np
 import pytest
@@ -6,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TableError
+from repro.kernels.joinindex import probe_join
 from repro.relational.operators import (
-    hash_join_indices,
-    join_tables,
-    partition_by_hash,
+    joined_rows,
     semi_join_mask,
     unique_keys,
 )
-from repro.relational.table import Table
 
 
 def naive_join_pairs(build, probe):
@@ -26,11 +26,18 @@ def naive_join_pairs(build, probe):
     return sorted(pairs)
 
 
+def join(build, probe, key, build_prefix="", probe_prefix=""):
+    """The materialised inner equi-join of two tables on ``key``."""
+    build_idx, probe_idx = probe_join(build.column(key), probe.column(key))
+    return joined_rows(build, probe, build_idx, probe_idx,
+                       build_prefix, probe_prefix)
+
+
 class TestHashJoinIndices:
     def test_simple(self):
         build = np.array([1, 2, 2, 3])
         probe = np.array([2, 3, 9])
-        bi, pi = hash_join_indices(build, probe)
+        bi, pi = probe_join(build, probe)
         assert sorted(zip(bi.tolist(), pi.tolist())) == [
             (1, 0), (2, 0), (3, 1)
         ]
@@ -39,15 +46,15 @@ class TestHashJoinIndices:
         empty = np.array([], dtype=np.int64)
         some = np.array([1, 2])
         for build, probe in [(empty, some), (some, empty), (empty, empty)]:
-            bi, pi = hash_join_indices(build, probe)
+            bi, pi = probe_join(build, probe)
             assert len(bi) == 0 and len(pi) == 0
 
     def test_no_matches(self):
-        bi, pi = hash_join_indices(np.array([1, 2]), np.array([3, 4]))
+        bi, pi = probe_join(np.array([1, 2]), np.array([3, 4]))
         assert len(bi) == 0
 
     def test_duplicates_multiply(self):
-        bi, pi = hash_join_indices(np.array([7, 7]), np.array([7, 7, 7]))
+        bi, pi = probe_join(np.array([7, 7]), np.array([7, 7, 7]))
         assert len(bi) == 6
 
     @given(
@@ -56,7 +63,7 @@ class TestHashJoinIndices:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_reference(self, build, probe):
-        bi, pi = hash_join_indices(
+        bi, pi = probe_join(
             np.array(build, dtype=np.int64), np.array(probe, dtype=np.int64)
         )
         assert sorted(zip(bi.tolist(), pi.tolist())) == \
@@ -65,8 +72,8 @@ class TestHashJoinIndices:
 
 class TestJoinTables:
     def test_prefixing_and_values(self, small_table):
-        joined = join_tables(small_table, small_table, "k", "k",
-                             build_prefix="l_", probe_prefix="r_")
+        joined = join(small_table, small_table, "k",
+                      build_prefix="l_", probe_prefix="r_")
         assert set(joined.schema.names) == {"l_k", "l_v", "r_k", "r_v"}
         # keys equal on both sides of every output row
         assert (joined.column("l_k") == joined.column("r_k")).all()
@@ -75,7 +82,7 @@ class TestJoinTables:
 
     def test_collision_without_prefix_raises(self, small_table):
         with pytest.raises(TableError, match="collision"):
-            join_tables(small_table, small_table, "k", "k")
+            join(small_table, small_table, "k")
 
 
 class TestSemiJoinMask:
@@ -102,21 +109,6 @@ class TestSemiJoinMask:
         )
         expected = [k in set(members) for k in keys]
         assert mask.tolist() == expected
-
-
-class TestPartitionByHash:
-    def test_conserves_and_separates(self, small_table):
-        parts = partition_by_hash(small_table, "k", 3)
-        assert sum(p.num_rows for p in parts) == small_table.num_rows
-        # Same key never lands in two partitions.
-        seen = {}
-        for index, part in enumerate(parts):
-            for key in np.unique(part.column("k")):
-                assert seen.setdefault(int(key), index) == index
-
-    def test_invalid_partition_count(self, small_table):
-        with pytest.raises(TableError):
-            partition_by_hash(small_table, "k", 0)
 
 
 def test_unique_keys_sorted():

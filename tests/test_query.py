@@ -1,21 +1,33 @@
-"""Tests for the query layer: HybridQuery, plan steps, stats, executor."""
+"""Tests for the query layer: HybridQuery, plan steps, stats, and the
+oracle's answer to the paper query."""
 
 import numpy as np
 import pytest
 
 from repro.edw.udf import _extract_group
 from repro.errors import ExpressionError
-from repro.query.executor import reference_join
-from repro.query.plan import (
-    local_join,
-    local_partial_aggregate,
-    merge_partials,
-)
+from repro.kernels.joinindex import probe_join
+from repro.query.plan import join_partial_aggregate, merge_partials
 from repro.query.query import DerivedColumn, HybridQuery
 from repro.query.stats import measure_selectivities, predicate_selectivity
 from repro.relational.expressions import compare
+from repro.relational.operators import joined_rows
 from repro.relational.schema import DataType
 from repro.relational.table import Table
+from repro.testkit import oracle
+
+
+def wire_sides(t_table, l_table, query, filtered=True):
+    """Both sides as the engines ship them: filtered (unless told
+    otherwise), projected, and L derived down to its wire columns."""
+    if filtered:
+        t_table = t_table.filter(query.db_predicate.evaluate(t_table))
+        l_table = l_table.filter(query.hdfs_predicate.evaluate(l_table))
+    l_rows = l_table.project(list(query.hdfs_projection))
+    for derived in query.hdfs_derived:
+        l_rows = derived.apply(l_rows)
+    return (t_table.project(list(query.db_projection)),
+            l_rows.project(list(query.hdfs_wire_columns())))
 
 
 class TestHybridQueryValidation:
@@ -87,68 +99,53 @@ class TestSelectivityMeasurement:
 
 
 class TestPlanSteps:
-    def test_local_join_prefixes(self, paper_workload, paper_query):
-        t = paper_workload.t_table.slice(0, 200).project(
-            list(paper_query.db_projection)
-        )
-        l_rows = paper_workload.l_table.slice(0, 200).project(
-            list(paper_query.hdfs_projection)
-        )
-        from repro.query.plan import apply_derivations
-        l_wire = apply_derivations(l_rows, paper_query).project(
-            list(paper_query.hdfs_wire_columns())
-        )
-        joined = local_join(t, l_wire, paper_query)
+    def test_joined_rows_prefixes(self, paper_workload, paper_query):
+        t, l_wire = wire_sides(paper_workload.t_table.slice(0, 200),
+                               paper_workload.l_table.slice(0, 200),
+                               paper_query, filtered=False)
+        build_idx, probe_idx = probe_join(
+            l_wire.column(paper_query.hdfs_join_key),
+            t.column(paper_query.db_join_key))
+        joined = joined_rows(l_wire, t, build_idx, probe_idx,
+                             paper_query.hdfs_prefix, paper_query.db_prefix)
         assert "t_joinKey" in joined.schema.names
         assert "l_joinKey" in joined.schema.names
         assert (joined.column("t_joinKey")
                 == joined.column("l_joinKey")).all()
 
-    def test_partials_merge_to_reference(self, paper_workload, paper_query):
-        """Splitting the joined table arbitrarily and merging the partial
-        aggregates reproduces the single-node result."""
-        reference = reference_join(
-            paper_workload.t_table, paper_workload.l_table, paper_query
-        )
-        from repro.query.plan import apply_derivations
-        t = paper_workload.t_table.filter(
-            paper_query.db_predicate.evaluate(paper_workload.t_table)
-        ).project(list(paper_query.db_projection))
-        l_rows = paper_workload.l_table.filter(
-            paper_query.hdfs_predicate.evaluate(paper_workload.l_table)
-        ).project(list(paper_query.hdfs_projection))
-        l_wire = apply_derivations(l_rows, paper_query).project(
-            list(paper_query.hdfs_wire_columns())
-        )
-        joined = local_join(t, l_wire, paper_query)
+    def test_partials_merge_to_reference(self, paper_workload, paper_query,
+                                         paper_oracle):
+        """Splitting the probe side arbitrarily and merging the per-part
+        partial aggregates reproduces the oracle's result."""
+        t, l_wire = wire_sides(paper_workload.t_table,
+                               paper_workload.l_table, paper_query)
         partials = [
-            local_partial_aggregate(part, paper_query)
-            for part in joined.split(7)
+            join_partial_aggregate(part, l_wire, paper_query)[0]
+            for part in t.split(7)
         ]
         merged = merge_partials(partials, paper_query)
-        assert merged.to_rows() == reference.to_rows()
+        oracle.assert_equivalent(merged, paper_oracle)
 
 
 class TestReferenceExecutor:
-    def test_reference_groups_and_counts(self, paper_workload, paper_query):
-        result = reference_join(
-            paper_workload.t_table, paper_workload.l_table, paper_query
-        )
-        assert result.num_rows > 0
-        assert result.schema.names == ("l_urlPrefix", "count")
-        assert int(result.column("count").min()) >= 1
+    """The oracle's answer to the paper query has the expected shape."""
+
+    def test_reference_groups_and_counts(self, paper_oracle):
+        assert paper_oracle.num_rows > 0
+        assert paper_oracle.schema.names == ("l_urlPrefix", "count")
+        assert int(paper_oracle.column("count").min()) >= 1
 
     def test_post_join_predicate_reduces_count(self, paper_workload,
                                                paper_query):
         from dataclasses import replace
+        # A slice: without the date band every key match survives, and
+        # the oracle aggregates row by row.
+        t_rows = paper_workload.t_table.slice(0, 8_000)
+        l_rows = paper_workload.l_table.slice(0, 75_000)
         without_date = replace(paper_query, post_join_predicate=None)
-        with_date = reference_join(
-            paper_workload.t_table, paper_workload.l_table, paper_query
-        )
-        without = reference_join(
-            paper_workload.t_table, paper_workload.l_table, without_date
-        )
-        assert int(with_date.column("count").sum()) < \
+        with_date = oracle.oracle_execute(t_rows, l_rows, paper_query)
+        without = oracle.oracle_execute(t_rows, l_rows, without_date)
+        assert 0 < int(with_date.column("count").sum()) < \
             int(without.column("count").sum())
 
 

@@ -4,7 +4,6 @@ from unittest import mock
 
 import pytest
 
-from repro import build_paper_query, reference_join
 from repro.kernels.joinindex import JoinBuildIndex
 from repro.relational.expressions import BetweenDayDiff, ColumnPairPredicate
 from repro.sql import SqlSession
@@ -132,14 +131,13 @@ class TestTranslation:
 
 
 class TestExecution:
-    def test_matches_hand_built_query(self, session, paper_workload):
-        reference = reference_join(
-            paper_workload.t_table, paper_workload.l_table,
-            build_paper_query(paper_workload),
-        )
+    def test_matches_hand_built_query(self, session, paper_workload,
+                                      paper_oracle):
+        """The SQL spelling returns the oracle's answer to the
+        hand-built query (``paper_oracle`` runs ``build_paper_query``)."""
         result = session.execute(paper_sql(paper_workload),
                                  algorithm="zigzag")
-        assert sorted(result.rows()) == sorted(reference.to_rows())
+        oracle.assert_equivalent(result.rows(), paper_oracle)
         assert result.table.schema.names == (
             "extract_group(L.groupByExtractCol)", "count",
         )
@@ -153,13 +151,10 @@ class TestExecution:
         other = session.execute(paper_sql(paper_workload), algorithm)
         assert sorted(other.rows()) == sorted(zigzag.rows())
 
-    @pytest.mark.parametrize("algorithm", ["repartition", "db(BF)",
-                                           "zigzag"])
-    def test_one_sided_band_matches_oracle(self, session, paper_workload,
-                                           algorithm):
-        """``days(T) - days(L) >= 0`` alone: the translator's open upper
-        bound is the ``2**31`` sentinel, which the band probe takes as
-        it is."""
+    @pytest.fixture(scope="class")
+    def one_sided_band(self, session, paper_workload):
+        """The SQL, its translated query and the oracle's answer (one
+        row-wise oracle run shared by every algorithm)."""
         tt, lt = paper_workload.t_thresholds, paper_workload.l_thresholds
         sql = f"""
             SELECT extract_group(L.groupByExtractCol), COUNT(*)
@@ -171,6 +166,17 @@ class TestExecution:
             GROUP BY extract_group(L.groupByExtractCol)
         """
         query = session.explain(sql).query
+        return sql, query, oracle.oracle_execute(
+            paper_workload.t_table, paper_workload.l_table, query)
+
+    @pytest.mark.parametrize("algorithm", ["repartition", "db(BF)",
+                                           "zigzag"])
+    def test_one_sided_band_matches_oracle(self, session, one_sided_band,
+                                           algorithm):
+        """``days(T) - days(L) >= 0`` alone: the translator's open upper
+        bound is the ``2**31`` sentinel, which the band probe takes as
+        it is."""
+        sql, query, expected = one_sided_band
         assert query.post_join_predicate == BetweenDayDiff(
             "t_predAfterJoin", "l_predAfterJoin", low=0, high=2**31)
         band_probe = JoinBuildIndex._probe_band
@@ -179,10 +185,7 @@ class TestExecution:
                                side_effect=band_probe) as probes:
             result = session.execute(sql, algorithm)
         assert probes.call_count > 0
-        oracle.assert_equivalent(
-            result.table.to_rows(),
-            oracle.oracle_execute(paper_workload.t_table,
-                                  paper_workload.l_table, query))
+        oracle.assert_equivalent(result.table.to_rows(), expected)
 
     def test_auto_mode_picks_and_explains(self, session, paper_workload):
         result = session.execute(paper_sql(paper_workload))

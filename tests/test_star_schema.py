@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import algorithm_by_name, reference_join
+from repro import algorithm_by_name
+from repro.edw.database import DbJoinRunStats
 from repro.errors import CatalogError
 from repro.relational.expressions import compare
-from repro.relational.operators import join_tables
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from repro.testkit import oracle
 from tests.conftest import build_test_warehouse
 
 
@@ -35,15 +36,38 @@ def fact_table(paper_workload):
 
 
 def _reference_star_join(fact, dimension):
-    """Single-node fact-dimension join keeping one key copy."""
-    joined = join_tables(
-        build=dimension.rename({"product_id": "__rhs"}),
-        probe=fact,
-        build_key="__rhs", probe_key="product_id",
+    """Single-node fact-dimension join keeping one key copy (the
+    fact's), columns in ``join_local``'s order: dimension first."""
+    joined = oracle.dict_hash_join(
+        fact, dimension.rename({"product_id": "__rhs"}),
+        "product_id", "__rhs",
     )
-    return joined.project([
-        name for name in joined.schema.names if name != "__rhs"
-    ])
+    return joined.project(
+        [name for name in dimension.schema.names if name != "product_id"]
+        + list(fact.schema.names)
+    )
+
+
+def products_where(predicate):
+    """The dimension rows ``predicate`` keeps, selected with plain numpy
+    (as the oracle filters)."""
+    dimension = product_dimension()
+    keep = np.asarray(predicate.evaluate(dimension), dtype=bool)
+    return Table(dimension.schema, {
+        name: dimension.column(name)[keep]
+        for name in dimension.schema.names
+    })
+
+
+def enriched_fact(paper_workload, dimension_predicate):
+    """The single-node pre-joined fact table the hybrid star queries
+    read: the fact's predicate columns joined with the kept products."""
+    return _reference_star_join(
+        fact_table(paper_workload).project(
+            ["joinKey", "predAfterJoin", "corPred", "indPred", "product_id"]
+        ),
+        products_where(dimension_predicate),
+    )
 
 
 @pytest.fixture()
@@ -69,17 +93,20 @@ class TestJoinLocal:
             right_projection=["category"],
         )
         fact = fact_table(paper_workload)
-        dimension = product_dimension()
+        dimension = products_where(compare("category", "<=", 2))
         expected = _reference_star_join(
             fact.project(["joinKey", "predAfterJoin", "product_id"]),
-            dimension.filter(
-                compare("category", "<=", 2).evaluate(dimension)
-            ),
+            dimension,
         )
         assert meta.num_rows == expected.num_rows
-        assert stats.result_rows == expected.num_rows
+        assert stats == DbJoinRunStats(
+            build_tuples=dimension.num_rows, probe_tuples=fact.num_rows,
+            join_output_tuples=expected.num_rows,
+            result_rows=expected.num_rows,
+        )
         gathered = star_warehouse.gather_db_table("F_enriched")
-        assert sorted(gathered.to_rows()) == sorted(expected.to_rows())
+        assert gathered.schema == expected.schema
+        oracle.assert_equivalent(gathered, expected)
 
     def test_duplicate_result_name(self, star_warehouse):
         star_warehouse.database.join_local(
@@ -129,24 +156,15 @@ class TestStarHybridJoin:
         result = algorithm_by_name("zigzag").run(star_warehouse, query)
 
         # Single-node three-table reference.
-        fact = fact_table(paper_workload)
-        dimension = product_dimension()
-        enriched = _reference_star_join(
-            fact.project(
-                ["joinKey", "predAfterJoin", "corPred", "indPred",
-                 "product_id"]
-            ),
-            dimension.filter(
-                compare("category", "<=", 2).evaluate(dimension)
-            ),
+        enriched = enriched_fact(paper_workload,
+                                 compare("category", "<=", 2))
+        oracle.assert_equivalent(
+            result.result,
+            oracle.oracle_execute(enriched, paper_workload.l_table, query),
         )
-        reference = reference_join(
-            enriched, paper_workload.l_table, query
-        )
-        assert result.result.to_rows() == reference.to_rows()
 
     def test_all_algorithms_agree_on_star(self, star_warehouse,
-                                          paper_query):
+                                          paper_workload, paper_query):
         database = star_warehouse.database
         database.join_local(
             "F", "P", "product_id", "product_id",
@@ -158,11 +176,10 @@ class TestStarHybridJoin:
         )
         from dataclasses import replace
         query = replace(paper_query, db_table="F3")
-        baseline = None
+        enriched = enriched_fact(paper_workload,
+                                 compare("category", "==", 4))
+        expected = oracle.oracle_execute(
+            enriched, paper_workload.l_table, query)
         for name in ("zigzag", "repartition(BF)", "db(BF)", "broadcast"):
-            rows = algorithm_by_name(name).run(
-                star_warehouse, query
-            ).result.to_rows()
-            if baseline is None:
-                baseline = rows
-            assert rows == baseline, name
+            result = algorithm_by_name(name).run(star_warehouse, query)
+            oracle.assert_equivalent(result.result, expected, label=name)

@@ -208,7 +208,8 @@ class TestKeySkew:
         assert 1.0 <= mild < strong
 
     def test_skewed_join_still_correct(self):
-        from repro import algorithm_by_name, reference_join
+        from repro import algorithm_by_name
+        from repro.testkit import oracle
         from tests.conftest import build_test_warehouse
 
         spec = WorkloadSpec(sigma_t=0.2, sigma_l=0.2, s_l=0.3,
@@ -217,12 +218,12 @@ class TestKeySkew:
         workload = generate_workload(spec)
         query = build_paper_query(workload)
         warehouse = build_test_warehouse(workload)
-        reference = reference_join(
+        expected = oracle.oracle_execute(
             workload.t_table, workload.l_table, query
         )
         for name in ("zigzag", "repartition(BF)", "db(BF)"):
             result = algorithm_by_name(name).run(warehouse, query)
-            assert result.result.to_rows() == reference.to_rows(), name
+            oracle.assert_equivalent(result.result, expected, label=name)
 
 
 class TestWorkloadCache:
@@ -240,18 +241,17 @@ class TestWorkloadCache:
             paper_workload.l_table.to_rows()[:5]
 
     def test_loaded_workload_queries_identically(self, tmp_path,
-                                                 paper_workload):
-        from repro import reference_join
+                                                 paper_workload,
+                                                 paper_oracle):
+        from repro.testkit import oracle
         from repro.workload import load_workload, save_workload
 
         path = save_workload(paper_workload, tmp_path / "wl.npz")
         loaded = load_workload(path)
         query = build_paper_query(loaded)
-        a = reference_join(loaded.t_table, loaded.l_table, query)
-        b = reference_join(paper_workload.t_table,
-                           paper_workload.l_table,
-                           build_paper_query(paper_workload))
-        assert a.to_rows() == b.to_rows()
+        oracle.assert_equivalent(
+            oracle.oracle_execute(loaded.t_table, loaded.l_table, query),
+            paper_oracle)
 
     def test_missing_file(self, tmp_path):
         from repro.workload import load_workload
