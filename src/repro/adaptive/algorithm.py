@@ -235,9 +235,7 @@ class AdaptiveJoin(JoinAlgorithm):
         stats.hdfs_rows_discarded += sum(
             segment.collector.rows_scanned for segment in abandoned
         )
-        result = self._finish(
-            warehouse, query, final_result.result, stats, trace
-        )
+        result = self._finish(warehouse, final_result.result, stats, trace)
         result.algorithm = label
         return result
 

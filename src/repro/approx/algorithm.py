@@ -34,13 +34,12 @@ from repro.adaptive import hooks as adaptive_hooks
 from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
-    JoinStats,
+    JoinRun,
     register_algorithm,
 )
 from repro.errors import JoinError
 from repro.jen.worker import ScanRequest
 from repro.relational.table import Table
-from repro.sim.trace import Trace
 from repro.query.query import HybridQuery
 
 
@@ -97,23 +96,13 @@ class ApproxJoin(JoinAlgorithm):
                 "use the exact tier for fault-injected queries"
             )
         policy = self.policy
-        costing = self._costing(warehouse)
-        stats = JoinStats()
-        trace = Trace(label=self.display_name)
-        trace.add("startup", "latency", costing.startup_seconds(),
-                  description="UDF invocation, DB<->JEN connections")
-
         # -- Exact database side (identical to repartition) --------------
-        t_parts = self._run_db_filter(
-            warehouse, query, costing, trace, stats,
-            description="apply local predicates + projection on T",
-        )
-        db_bloom = None
-        scan_gate = ["startup"]
-        if self.use_bloom:
-            db_bloom = self._run_bf_db(warehouse, query, costing, trace,
-                                       stats)
-            scan_gate = ["startup", "bf_db_send"]
+        run = JoinRun(self, warehouse, query)
+        costing, stats, trace = run.costing, run.stats, run.trace
+        t_parts = run.db_filter()
+        db_bloom = run.bf_db() if self.use_bloom else None
+        scan_gate = (["startup", "bf_db_send"] if self.use_bloom
+                     else ["startup"])
         t_prime = Table.concat(t_parts)
         t_tuples = t_prime.num_rows
         t_wire_bytes = t_parts[0].row_bytes()
@@ -204,7 +193,8 @@ class ApproxJoin(JoinAlgorithm):
                   costing.jen_shuffle_seconds(wire_tuples, l_wire_bytes),
                   streams_from=["hdfs_scan"],
                   description="agreed-hash shuffle of sampled L' rows",
-                  tuples=wire_tuples)
+                  tuples=wire_tuples,
+                  volume_bytes=wire_tuples * l_wire_bytes)
         trace.add("db_export", "transfer",
                   costing.db_export_seconds(t_tuples, t_wire_bytes),
                   after=["db_filter"],
@@ -242,7 +232,7 @@ class ApproxJoin(JoinAlgorithm):
                               "database")
 
         trace.metadata["approx"] = self._report(estimate, snapshot)
-        return self._finish(warehouse, query, estimate.result, stats, trace)
+        return run.finish(estimate.result)
 
     # ------------------------------------------------------------------
     def _should_stop(self, estimator: JoinAggregateEstimator,

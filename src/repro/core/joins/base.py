@@ -5,6 +5,8 @@ and a :class:`~repro.query.query.HybridQuery`, executes the real data
 plane, prices a :class:`~repro.sim.trace.Trace`, replays it, and returns
 a :class:`JoinResult` bundling the answer, the movement statistics (the
 paper's Table 1 numbers) and the simulated timing (the paper's figures).
+A :class:`JoinRun` carries one run through the stages an algorithm's
+``run`` composes, in the order of its steps in the paper.
 """
 
 from __future__ import annotations
@@ -129,14 +131,11 @@ class JoinAlgorithm:
         """Execute the algorithm end to end."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Shared plumbing for subclasses
-    # ------------------------------------------------------------------
     def _costing(self, warehouse) -> JoinCosting:
         return JoinCosting(warehouse.config, warehouse.topology)
 
-    def _finish(self, warehouse, query: HybridQuery, result: Table,
-                stats: JoinStats, trace: Trace) -> JoinResult:
+    def _finish(self, warehouse, result: Table, stats: JoinStats,
+                trace: Trace) -> JoinResult:
         """Replay the trace and assemble the result object.
 
         If a fault plan is armed, the recovery actions the engine
@@ -158,218 +157,70 @@ class JoinAlgorithm:
             scale_up=1.0 / warehouse.config.scale,
         )
 
-    @staticmethod
-    def _wire_row_bytes(tables: List[Table]) -> float:
-        """Row width the transfer phases price one wire row at.
 
-        Classic row shipping moves decoded rows, so the logical width
-        applies.  With late materialization on, dictionary columns
-        travel as ids, so the width is :meth:`Table.wire_row_bytes` —
-        the one price each transfer's bytes get.
-        """
-        if not tables:
-            raise JoinError("no wire tables")
-        from repro.latemat import late_materialization_enabled
+class JoinRun:
+    """One run of one algorithm: what every stage reads and writes.
 
-        if late_materialization_enabled():
-            return tables[0].wire_row_bytes()
-        return float(tables[0].row_bytes())
+    Opening a run prices its ``startup`` phase.  The methods below are
+    the steps most algorithms share: filtering T locally, building and
+    multicasting BF_DB, the distributed HDFS scan, and thinning what a
+    transfer ships.  The algorithm modules add the other stages
+    (:func:`~repro.core.joins.repartition.shuffle_l`,
+    :func:`~repro.core.joins.repartition.ship_t`,
+    :func:`~repro.core.joins.repartition.jen_tail`,
+    :func:`~repro.core.joins.zigzag.bf_h`,
+    :func:`~repro.core.joins.db_side.edw_tail`).  Each phase is priced
+    at one place only, so every algorithm prices a step identically.
+    """
 
-    def _latemat_store(self, query: HybridQuery, tables: List[Table],
-                       side: str):
-        """Thin ``tables`` for a transfer edge if late mat says to.
+    def __init__(self, algorithm: JoinAlgorithm, warehouse,
+                 query: HybridQuery,
+                 startup: str = "UDF invocation, DB<->JEN connections"):
+        self.algorithm = algorithm
+        self.warehouse = warehouse
+        self.query = query
+        self.costing = algorithm._costing(warehouse)
+        self.stats = JoinStats()
+        self.trace = Trace(
+            label=getattr(algorithm, "display_name", algorithm.name))
+        self.trace.add("startup", "latency", self.costing.startup_seconds(),
+                       description=startup)
 
-        Returns ``(store, tables_to_ship)``: the payload store plus the
-        thin twins when thinning applies, else ``(None, tables)`` — the
-        classic full-width path.
-        """
-        from repro.latemat import thin_for_transfer
-        from repro.query.plan import needed_wire_columns
+    def finish(self, result: Table) -> JoinResult:
+        """Replay the trace; the run's :class:`JoinResult`."""
+        return self.algorithm._finish(self.warehouse, result, self.stats,
+                                      self.trace)
 
-        key = (query.hdfs_join_key if side == "hdfs"
-               else query.db_join_key)
-        store = thin_for_transfer(
-            tables, key, needed=needed_wire_columns(query, side)
-        )
-        if store is None:
-            return None, list(tables)
-        return store, store.thin_tables()
-
-    def _add_payload_fetch_phases(self, costing, trace, latemat_plan,
-                                  gate, l_cross: bool = False,
-                                  t_cross: bool = True) -> List[str]:
-        """Emit ``payload_fetch_*`` phases for an executed stitch.
-
-        ``gate`` is what the fetches stream from (typically the probe —
-        matches are decided there); returns the gate the aggregate must
-        wait on.  ``l_cross``/``t_cross`` say whether that side's
-        payload store sits across the EDW<->HDFS boundary.
-        """
-        if latemat_plan is None or not latemat_plan.active():
-            return list(gate)
-        stitch = latemat_plan.stats
-        fetch_names: List[str] = []
-        sides = (
-            ("payload_fetch_l", latemat_plan.l_store, l_cross,
-             stitch.l_fetched_tuples, stitch.l_amplification),
-            ("payload_fetch_t", latemat_plan.t_store, t_cross,
-             stitch.t_fetched_tuples, stitch.t_amplification),
-        )
-        for name, store, cross, fetched, amplification in sides:
-            if store is None:
-                continue
-            row_bytes = store.payload_row_bytes()
-            trace.add(name, "transfer" if cross else "shuffle",
-                      costing.payload_fetch_seconds(
-                          fetched, row_bytes,
-                          amplification=amplification,
-                          cross_cluster=cross,
-                      ),
-                      streams_from=list(gate),
-                      description="batched stitch: fetch surviving "
-                                  f"{name[-1].upper()} payloads "
-                                  f"(x{amplification:.2f} page "
-                                  "amplification)",
-                      tuples=fetched,
-                      volume_bytes=fetched * row_bytes * amplification)
-            fetch_names.append(name)
-        return fetch_names or list(gate)
-
-    def _memory_budget_rows(self, warehouse) -> float:
-        """Per-worker build-side memory limit at data-plane scale."""
-        budget = warehouse.config.jen_memory_budget_rows
-        if budget <= 0:
-            return 0.0
-        return budget * warehouse.config.scale
-
-    # ------------------------------------------------------------------
-    # Skew plane (shared by the shuffle-using algorithms)
-    # ------------------------------------------------------------------
-    def _effective_shuffle_skew(self, warehouse, costing, shuffled,
-                                hot_keys) -> float:
-        """The shuffle-skew multiplier this run's trace should pay.
-
-        ``hot_keys is None`` means skew handling is off — pay the
-        configured analytic factor exactly as before.  With handling on
-        (even when detection found nothing hot) the hybrid shuffle ran,
-        so the factor is capped at the *measured* receiver balance.
-        """
-        configured = max(1.0, warehouse.config.shuffle_skew)
-        if hot_keys is None:
-            return configured
-        return costing.effective_shuffle_skew(
-            configured, hybrid=True, measured=shuffled.balance_factor()
-        )
-
-    def _record_hot_shuffle(self, stats: JoinStats, trace, hot_keys,
-                            shuffled) -> None:
-        """Account the hybrid shuffle's detection and L-side spread."""
-        trace.metadata["shuffle_partition_rows"] = [
-            table.num_rows for table in shuffled.per_destination
-        ]
-        if hot_keys is None:
-            return
-        stats.hot_keys_detected = float(len(hot_keys))
-        stats.hot_tuples_rerouted = float(shuffled.hot_tuples)
-
-    def _add_steal_and_build_phases(self, costing, trace,
-                                    stats: JoinStats, join_stats,
-                                    shuffled, row_bytes: float,
-                                    shuffle_skew: float,
-                                    description: str) -> None:
-        """Emit ``work_steal`` (if any) and ``hash_build`` phases.
-
-        Called *after* the local joins ran so the build can be priced
-        with the post-steal balance: stolen fragments move first (a
-        transfer overlapped with the shuffle), then every worker builds
-        its now-balanced share.  Without stealing this emits exactly
-        the pre-skew-plane ``hash_build`` phase.
-        """
-        build_gate = ["jen_shuffle"]
-        build_skew = shuffle_skew
-        if join_stats.stolen_tuples > 0:
-            stats.stolen_tuples = float(join_stats.stolen_tuples)
-            trace.add("work_steal", "shuffle",
-                      costing.work_steal_seconds(
-                          join_stats.stolen_tuples, row_bytes
-                      ),
-                      streams_from=["jen_shuffle"],
-                      description="re-deal straggler join fragments to "
-                                  "idle workers",
-                      tuples=join_stats.stolen_tuples,
-                      volume_bytes=join_stats.stolen_tuples * row_bytes)
-            build_gate = ["jen_shuffle", "work_steal"]
-            build_skew = min(
-                build_skew, max(1.0, join_stats.post_steal_balance)
-            )
-        trace.add("hash_build", "cpu",
-                  costing.hash_build_seconds(
-                      shuffled.tuples_shuffled, skew=build_skew
-                  ),
-                  streams_from=build_gate,
-                  description=description,
-                  tuples=shuffled.tuples_shuffled)
-        if join_stats.per_slot_loads is not None:
-            trace.metadata["join_slot_loads"] = list(
-                join_stats.per_slot_loads
-            )
-
-    def _add_spill_phase(self, costing, trace, stats: JoinStats,
-                         join_stats, row_bytes: float, gate):
-        """Record a spill phase if the local joins fragmented.
-
-        Returns the gate the probe phase must wait on.
-        """
-        if join_stats.spilled_tuples <= 0:
-            return gate
-        stats.spilled_tuples = join_stats.spilled_tuples
-        trace.add("spill_io", "disk",
-                  costing.jen_spill_seconds(
-                      join_stats.spilled_tuples, row_bytes
-                  ),
-                  after=list(gate),
-                  description=f"Grace-hash spill "
-                              f"({join_stats.max_fragments} fragments)",
-                  tuples=join_stats.spilled_tuples)
-        return ["spill_io"]
-
-    # The three steps every algorithm shares: filtering T locally,
-    # building/multicasting BF_DB, and the distributed HDFS scan.  Keeping
-    # them here guarantees all algorithms price them identically.
-
-    def _run_db_filter(self, warehouse, query: HybridQuery, costing, trace,
-                       stats: JoinStats, description: str
-                       ) -> List[Table]:
+    def db_filter(self) -> List[Table]:
         """Step 1 on the database: local predicates + projection on T."""
-        database = warehouse.database
+        query, trace = self.query, self.trace
+        description = "apply local predicates + projection on T"
+        database = self.warehouse.database
         t_meta = database.table_meta(query.db_table)
-        stats.db_rows_scanned = t_meta.num_rows
+        self.stats.db_rows_scanned = t_meta.num_rows
         banked = adaptive_hooks.banked_db_filter(query.db_table)
         if banked is not None:
             # A switched-away plan already materialised T' for this
             # query; the data plane is deterministic, so the partitions
             # are bit-identical to a re-run and cost nothing here.
             t_parts, matched = banked
-            trace.add("db_filter", "db_scan", 0.0,
-                      after=["startup"],
-                      description=description
-                      + " (reused T' banked before the switch)",
-                      tuples=matched)
-            adaptive_hooks.checkpoint("t_prime_built")
-            return t_parts
-        t_parts, worker_stats = database.filter_project(
-            query.db_table, query.db_predicate, list(query.db_projection)
-        )
-        raw_t_bytes = t_meta.num_rows * t_meta.schema.row_width()
-        matched = sum(s.rows_out for s in worker_stats)
-        index_available = database.workers[0].find_covering_index(
-            query.db_table, list(query.db_predicate.columns())
-        ) is not None
-        adaptive_hooks.bank_db_filter(query.db_table, t_parts, matched)
-        trace.add("db_filter", "db_scan",
-                  costing.db_table_scan_seconds(
-                      raw_t_bytes, matched, index_available
-                  ),
+            seconds, raw_t_bytes = 0.0, 0.0
+            description += " (reused T' banked before the switch)"
+        else:
+            t_parts, worker_stats = database.filter_project(
+                query.db_table, query.db_predicate,
+                list(query.db_projection)
+            )
+            raw_t_bytes = t_meta.num_rows * t_meta.schema.row_width()
+            matched = sum(s.rows_out for s in worker_stats)
+            index_available = database.workers[0].find_covering_index(
+                query.db_table, list(query.db_predicate.columns())
+            ) is not None
+            adaptive_hooks.bank_db_filter(query.db_table, t_parts, matched)
+            seconds = self.costing.db_table_scan_seconds(
+                raw_t_bytes, matched, index_available
+            )
+        trace.add("db_filter", "db_scan", seconds,
                   after=["startup"],
                   description=description,
                   volume_bytes=raw_t_bytes,
@@ -377,11 +228,11 @@ class JoinAlgorithm:
         adaptive_hooks.checkpoint("t_prime_built")
         return t_parts
 
-    def _run_bf_db(self, warehouse, query: HybridQuery, costing, trace,
-                   stats: JoinStats):
+    def bf_db(self):
         """Build BF_DB (index-only when possible) and multicast it."""
-        bank_key = (query.db_table, query.db_join_key,
-                    warehouse.config.bloom_bits())
+        query, costing = self.query, self.costing
+        config = self.warehouse.config
+        bank_key = (query.db_table, query.db_join_key, config.bloom_bits())
         banked = adaptive_hooks.banked_bloom(bank_key)
         if banked is not None:
             # BF_DB built by a switched-away plan: the same bits would
@@ -391,12 +242,12 @@ class JoinAlgorithm:
             build_seconds = 0.0
             build_description = "reuse BF_DB banked before the switch"
         else:
-            bloom_result = warehouse.database.build_global_bloom(
+            bloom_result = self.warehouse.database.build_global_bloom(
                 query.db_table,
                 query.db_predicate,
                 query.db_join_key,
-                num_bits=warehouse.config.bloom_bits(),
-                num_hashes=warehouse.config.bloom.num_hashes,
+                num_bits=config.bloom_bits(),
+                num_hashes=config.bloom.num_hashes,
             )
             adaptive_hooks.bank_bloom(bank_key, bloom_result)
             build_seconds = costing.db_bloom_build_seconds(
@@ -410,23 +261,30 @@ class JoinAlgorithm:
                    else "(table scan)")
                 + " + OR-merge"
             )
-        trace.add("bf_db_build", "bloom", build_seconds,
-                  after=["startup"],
-                  description=build_description)
-        trace.add("bf_db_send", "bloom",
-                  costing.bloom_to_jen_seconds(),
-                  after=["bf_db_build"],
-                  description="multicast BF_DB to JEN workers")
-        stats.bloom_bytes_moved += (
-            costing.bloom_bytes() * warehouse.jen.num_workers
+        self.trace.add("bf_db_build", "bloom", build_seconds,
+                       after=["startup"],
+                       description=build_description)
+        self.trace.add("bf_db_send", "bloom",
+                       costing.bloom_to_jen_seconds(),
+                       after=["bf_db_build"],
+                       description="multicast BF_DB to JEN workers")
+        self.stats.bloom_bytes_moved += (
+            costing.bloom_bytes() * self.warehouse.jen.num_workers
         )
         return bloom_result.bloom
 
-    def _run_hdfs_scan(self, warehouse, query: HybridQuery, costing, trace,
-                       stats: JoinStats, gate, db_bloom=None,
-                       build_hdfs_bloom: bool = False):
-        """Distributed scan of L through the JEN process pipeline."""
-        scan = warehouse.jen.distributed_scan(
+    def hdfs_scan(self, db_bloom=None, build_hdfs_bloom: bool = False,
+                  gate=None):
+        """Distributed scan of L through the JEN process pipeline.
+
+        The scan waits for ``gate``: by default the startup, and the
+        BF_DB multicast when it applies BF_DB.
+        """
+        if gate is None:
+            gate = (["startup"] if db_bloom is None
+                    else ["startup", "bf_db_send"])
+        query, stats = self.query, self.stats
+        scan = self.warehouse.jen.distributed_scan(
             query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom
         )
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
@@ -434,27 +292,55 @@ class JoinAlgorithm:
         stats.hdfs_rows_after_predicates = scan.stats.rows_after_predicates
         stats.hdfs_rows_after_bloom = scan.stats.rows_after_bloom
         stats.hdfs_rows_discarded += scan.stats.rows_discarded
-        meta = warehouse.hdfs.table_meta(query.hdfs_table)
+        meta = self.warehouse.hdfs.table_meta(query.hdfs_table)
         total_blocks = scan.stats.local_blocks + scan.stats.remote_blocks
         remote_fraction = (
             scan.stats.remote_blocks / total_blocks if total_blocks else 0.0
         )
-        trace.add("hdfs_scan", "hdfs_scan",
-                  costing.hdfs_scan_seconds(
-                      scan.stats.stored_bytes_scanned,
-                      scan.stats.rows_scanned,
-                      meta.format_name,
-                      remote_fraction=remote_fraction,
-                  ),
-                  after=list(gate),
-                  description=f"scan L ({meta.format_name}): predicates, "
-                              "projection"
-                              + (", BF_DB" if db_bloom is not None else "")
-                              + (", build BF_H" if build_hdfs_bloom
-                                 else ""),
-                  volume_bytes=scan.stats.stored_bytes_scanned,
-                  tuples=scan.stats.rows_scanned)
+        self.trace.add("hdfs_scan", "hdfs_scan",
+                       self.costing.hdfs_scan_seconds(
+                           scan.stats.stored_bytes_scanned,
+                           scan.stats.rows_scanned,
+                           meta.format_name,
+                           remote_fraction=remote_fraction,
+                       ),
+                       after=list(gate),
+                       description=f"scan L ({meta.format_name}): "
+                                   "predicates, projection"
+                                   + (", BF_DB" if db_bloom is not None
+                                      else "")
+                                   + (", build BF_H" if build_hdfs_bloom
+                                      else ""),
+                       volume_bytes=scan.stats.stored_bytes_scanned,
+                       tuples=scan.stats.rows_scanned)
         return scan
+
+    def thin(self, tables: List[Table], side: str):
+        """What one transfer edge ships, and the price of a row of it.
+
+        Returns ``(store, tables_to_ship, row_bytes)``.  When late
+        materialization thins the edge, the store keeps the payloads
+        and thin ``(key, rowid)`` twins travel; otherwise the store is
+        ``None`` and ``tables`` travel as they are.  While late
+        materialization is on a row is priced at
+        :meth:`Table.wire_row_bytes` (dictionary columns as ids), else
+        at its logical :meth:`Table.row_bytes`.
+        """
+        from repro.latemat import (
+            late_materialization_enabled,
+            thin_for_transfer,
+        )
+        from repro.query.plan import needed_wire_columns
+
+        key = (self.query.hdfs_join_key if side == "hdfs"
+               else self.query.db_join_key)
+        store = thin_for_transfer(
+            tables, key, needed=needed_wire_columns(self.query, side)
+        )
+        ship = list(tables) if store is None else store.thin_tables()
+        if late_materialization_enabled():
+            return store, ship, ship[0].wire_row_bytes()
+        return store, ship, float(ship[0].row_bytes())
 
 
 #: Phase name -> (bytes-shipped category, crosses the EDW<->HDFS

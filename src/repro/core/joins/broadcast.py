@@ -17,13 +17,12 @@ from __future__ import annotations
 from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
-    JoinStats,
+    JoinRun,
     register_algorithm,
 )
-from repro.latemat import LateMatPlan
+from repro.core.joins.repartition import Delivery, jen_tail
 from repro.net.transfer import TransferPattern
 from repro.relational.table import Table
-from repro.sim.trace import Trace
 from repro.query.query import HybridQuery
 
 
@@ -41,39 +40,27 @@ class BroadcastJoin(JoinAlgorithm):
         self.pattern = pattern
 
     def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        costing = self._costing(warehouse)
-        jen = warehouse.jen
-        stats = JoinStats()
-        trace = Trace(label=self.name)
-        trace.add("startup", "latency", costing.startup_seconds(),
-                  description="UDF invocation, DB<->JEN connections")
-
-        # -- Step 1: local predicates + projection on T ------------------
-        t_parts = self._run_db_filter(
-            warehouse, query, costing, trace, stats,
-            description="apply local predicates + projection on T",
-        )
+        run = JoinRun(self, warehouse, query)
+        costing, stats, trace = run.costing, run.stats, run.trace
+        workers = warehouse.jen.num_workers
+        t_parts = run.db_filter()
 
         # -- Step 2: broadcast T' to every JEN worker --------------------
         t_full = Table.concat(t_parts)
-        t_store, t_ship = self._latemat_store(query, [t_full], "db")
-        t_broadcast = t_ship[0]
+        t_store, t_ship, t_wire_bytes = run.thin([t_full], "db")
         t_tuples = t_full.num_rows
-        t_wire_bytes = self._wire_row_bytes(t_ship)
         stats.db_tuples_sent = t_tuples
-        stats.db_send_copies = jen.num_workers
+        stats.db_send_copies = workers
         if self.pattern is TransferPattern.BROADCAST_DIRECT:
             trace.add("db_broadcast", "transfer",
                       costing.db_export_seconds(
-                          t_tuples, t_wire_bytes, copies=jen.num_workers
+                          t_tuples, t_wire_bytes, copies=workers
                       ),
                       after=["db_filter"],
                       description="each DB worker sends T' to every "
                                   "JEN worker",
-                      tuples=t_tuples * jen.num_workers,
-                      volume_bytes=(
-                          t_tuples * t_wire_bytes * jen.num_workers
-                      ))
+                      tuples=t_tuples * workers,
+                      volume_bytes=t_tuples * t_wire_bytes * workers)
             build_gate = ["db_broadcast"]
         else:
             trace.add("db_send_once", "transfer",
@@ -89,10 +76,8 @@ class BroadcastJoin(JoinAlgorithm):
                       ),
                       after=["db_send_once"],
                       description="JEN workers relay T' to all peers",
-                      tuples=t_tuples * (jen.num_workers - 1),
-                      volume_bytes=(
-                          t_tuples * t_wire_bytes * (jen.num_workers - 1)
-                      ))
+                      tuples=t_tuples * (workers - 1),
+                      volume_bytes=t_tuples * t_wire_bytes * (workers - 1))
             build_gate = ["jen_rebroadcast"]
         trace.add("hash_build_t", "cpu",
                   costing.hash_build_seconds(
@@ -104,45 +89,12 @@ class BroadcastJoin(JoinAlgorithm):
                   tuples=t_tuples)
 
         # -- Step 3: scan L and join locally (no shuffle) -----------------
-        scan = self._run_hdfs_scan(
-            warehouse, query, costing, trace, stats, gate=["startup"],
-        )
-        latemat_plan = LateMatPlan(t_store=t_store)
-        result, join_stats = jen.join_and_aggregate(
-            scan.wire_tables,
-            [t_broadcast] * jen.num_workers,
-            query,
-            memory_budget_rows=self._memory_budget_rows(warehouse),
-            latemat_plan=latemat_plan,
-        )
-        stats.join_output_tuples = join_stats.join_output_tuples
-        stats.result_rows = join_stats.result_rows
-        probe_gate = self._add_spill_phase(
-            costing, trace, stats, join_stats,
-            scan.wire_tables[0].row_bytes(), ["hash_build_t"],
-        )
         # Every scanned-and-filtered L row probes the local T' table.
-        trace.add("probe", "cpu",
-                  costing.probe_seconds(
-                      scan.stats.rows_after_predicates,
-                      join_stats.join_output_tuples,
-                  ),
-                  after=probe_gate,
-                  streams_from=["hdfs_scan"],
-                  description="probe T' hash table with streaming L rows",
-                  tuples=scan.stats.rows_after_predicates)
-        agg_gate = self._add_payload_fetch_phases(
-            costing, trace, latemat_plan, ["probe"]
-        )
-        trace.add("aggregate", "cpu",
-                  costing.jen_aggregate_seconds(
-                      join_stats.join_output_tuples
-                  ),
-                  streams_from=agg_gate,
-                  description="post-join predicate, partial + final agg",
-                  tuples=join_stats.join_output_tuples)
-        trace.add("result_return", "latency",
-                  costing.result_return_seconds(),
-                  after=["aggregate"],
-                  description="return final aggregate to the database")
-        return self._finish(warehouse, query, result, stats, trace)
+        scan = run.hdfs_scan()
+        l_side = Delivery("L'", scan.wire_tables, None,
+                          scan.stats.rows_after_predicates,
+                          scan.wire_tables[0].row_bytes(), ["hdfs_scan"])
+        # A crash during the scan can leave fewer workers to join on.
+        t_side = Delivery("T'", [t_ship[0]] * warehouse.jen.num_workers,
+                          t_store, t_tuples, t_wire_bytes, ["hash_build_t"])
+        return jen_tail(run, l_side, t_side, broadcast=True)

@@ -17,6 +17,9 @@ Steps (Figure 1):
    hash, a repartition plan reshuffles the freshly ingested rows again.
 4. Join, post-join predicate, group-by and aggregation run in the
    database; the result is already where the user wants it.
+
+The ingest of step 2 and steps 3-4 are the stage :func:`edw_tail`,
+which the DB-side zigzag variant reuses.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import numpy as np
 from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
-    JoinStats,
+    JoinRun,
     register_algorithm,
 )
 from repro.edw.optimizer import choose_db_join_strategy
 from repro.latemat import StitchStats, stitch_parts
 from repro.relational.table import Table
-from repro.sim.trace import Trace
 from repro.query.query import HybridQuery
 
 
@@ -54,110 +56,96 @@ class DbSideJoin(JoinAlgorithm):
         return "db(BF)" if self.use_bloom else "db"
 
     def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        costing = self._costing(warehouse)
-        database = warehouse.database
-        stats = JoinStats()
-        trace = Trace(label=self.display_name)
-        trace.add("startup", "latency", costing.startup_seconds(),
-                  description="read_hdfs UDF, coordinator handshakes")
+        run = JoinRun(self, warehouse, query,
+                      startup="read_hdfs UDF, coordinator handshakes")
+        t_parts = run.db_filter()
+        db_bloom = run.bf_db() if self.use_bloom else None
+        scan = run.hdfs_scan(db_bloom)
+        return edw_tail(run, "L", scan.wire_tables, "hdfs_scan", t_parts,
+                        "db_filter")
 
-        # -- T' locally (overlaps the remote scan) -----------------------
-        t_parts = self._run_db_filter(
-            warehouse, query, costing, trace, stats,
-            description="apply local predicates + projection on T",
-        )
 
-        # -- Optional BF_DB -----------------------------------------------
-        db_bloom = None
-        scan_gate = ["startup"]
-        if self.use_bloom:
-            db_bloom = self._run_bf_db(warehouse, query, costing, trace,
-                                       stats)
-            scan_gate = ["startup", "bf_db_send"]
+def edw_tail(run: JoinRun, name: str, wire_tables: List[Table],
+             scan_phase: str, t_parts: List[Table],
+             t_phase: str) -> JoinResult:
+    """Steps 2-4: ingest the scan output into the EDW and join there.
 
-        # -- Remote scan + grouped ingest ---------------------------------
-        scan = self._run_hdfs_scan(
-            warehouse, query, costing, trace, stats, scan_gate,
-            db_bloom=db_bloom,
+    ``wire_tables`` stream out of ``scan_phase``; ``t_parts`` are the
+    database rows, ready once ``t_phase`` has run.
+    """
+    costing, stats, trace = run.costing, run.stats, run.trace
+    query, database = run.query, run.warehouse.database
+    store, ship, row_bytes = run.thin(wire_tables, "hdfs")
+    ingested = _group_ingest(ship, database.num_workers)
+    l_tuples = sum(part.num_rows for part in ingested)
+    stats.hdfs_tuples_to_db = l_tuples
+    trace.add("hdfs_to_db", "transfer",
+              costing.db_ingest_seconds(l_tuples, row_bytes),
+              streams_from=[scan_phase],
+              description=f"JEN workers stream filtered {name} into "
+                          "paired DB workers",
+              tuples=l_tuples,
+              volume_bytes=l_tuples * row_bytes)
+    shuffle_gate = ["hdfs_to_db"]
+    if store is not None:
+        # Grouped ingest has no hash alignment with the database's
+        # private partitioning, so thin rows are pruned against the
+        # global key set of T' — exact whatever join strategy the
+        # optimizer picks below — before fetching payloads HDFS->EDW.
+        t_keys = np.unique(np.concatenate([
+            part.column(query.db_join_key) for part in t_parts
+        ]))
+        stitch = StitchStats()
+        ingested = stitch_parts(
+            store, ingested, query.hdfs_join_key, t_keys, stitch,
+            side="l",
         )
-        l_store, l_ship = self._latemat_store(
-            query, scan.wire_tables, "hdfs"
-        )
-        ingested = _group_ingest(l_ship, database.num_workers)
-        l_tuples = sum(part.num_rows for part in ingested)
-        l_wire_bytes = self._wire_row_bytes(l_ship)
-        stats.hdfs_tuples_to_db = l_tuples
-        trace.add("hdfs_to_db", "transfer",
-                  costing.db_ingest_seconds(l_tuples, l_wire_bytes),
-                  streams_from=["hdfs_scan"],
-                  description="JEN workers stream filtered L into paired "
-                              "DB workers",
-                  tuples=l_tuples,
-                  volume_bytes=l_tuples * l_wire_bytes)
-        shuffle_gate = ["hdfs_to_db"]
-        if l_store is not None:
-            # Grouped ingest has no hash alignment with the database's
-            # private partitioning, so thin rows are pruned against the
-            # global key set of T' — exact whatever join strategy the
-            # optimizer picks below — before fetching payloads HDFS->EDW.
-            t_keys = np.unique(np.concatenate([
-                part.column(query.db_join_key) for part in t_parts
-            ]))
-            stitch_stats = StitchStats()
-            ingested = stitch_parts(
-                l_store, ingested, query.hdfs_join_key, t_keys,
-                stitch_stats, side="l",
-            )
-            l_payload_bytes = l_store.payload_row_bytes()
-            trace.add("payload_fetch_l", "transfer",
-                      costing.payload_fetch_seconds(
-                          stitch_stats.l_fetched_tuples, l_payload_bytes,
-                          stitch_stats.l_amplification,
-                          cross_cluster=True, to_db=True,
-                      ),
-                      streams_from=["hdfs_to_db"],
-                      description="fetch surviving L payload rows into "
-                                  "the database",
-                      tuples=stitch_stats.l_fetched_tuples,
-                      volume_bytes=(
-                          stitch_stats.l_fetched_tuples * l_payload_bytes
-                          * stitch_stats.l_amplification
-                      ))
-            shuffle_gate = ["payload_fetch_l"]
-
-        # -- Optimizer choice + in-database join --------------------------
-        t_tuples = sum(part.num_rows for part in t_parts)
-        raw_t_wire = t_tuples * t_parts[0].row_bytes()
-        raw_l_wire = sum(
-            part.num_rows * part.row_bytes() for part in ingested
-        )
-        choice = choose_db_join_strategy(
-            raw_t_wire, raw_l_wire, database.num_workers
-        )
-        stats.db_internal_shuffle_bytes = choice.internal_bytes
-        trace.add("db_internal_shuffle", "db_shuffle",
-                  costing.db_internal_shuffle_seconds(choice.internal_bytes),
-                  after=["db_filter"],
-                  streams_from=shuffle_gate,
-                  description=f"in-database {choice.strategy.value} "
-                              "(JEN cannot target the private hash)",
-                  volume_bytes=choice.internal_bytes)
-
-        result, join_stats = database.execute_hybrid_join(
-            t_parts, ingested, query, choice
-        )
-        stats.join_output_tuples = join_stats.join_output_tuples
-        stats.result_rows = join_stats.result_rows
-        trace.add("db_join", "db_cpu",
-                  costing.db_join_seconds(
-                      join_stats.build_tuples + join_stats.probe_tuples,
-                      join_stats.join_output_tuples,
+        payload_bytes = store.payload_row_bytes()
+        trace.add("payload_fetch_l", "transfer",
+                  costing.payload_fetch_seconds(
+                      stitch.l_fetched_tuples, payload_bytes,
+                      stitch.l_amplification,
+                      cross_cluster=True, to_db=True,
                   ),
-                  streams_from=["db_internal_shuffle"],
-                  description="in-database hash join, post-join predicate, "
-                              "group-by + aggregation",
-                  tuples=join_stats.build_tuples + join_stats.probe_tuples)
-        return self._finish(warehouse, query, result, stats, trace)
+                  streams_from=["hdfs_to_db"],
+                  description=f"fetch surviving {name} payload rows into "
+                              "the database",
+                  tuples=stitch.l_fetched_tuples,
+                  volume_bytes=(
+                      stitch.l_fetched_tuples * payload_bytes
+                      * stitch.l_amplification
+                  ))
+        shuffle_gate = ["payload_fetch_l"]
+
+    # -- Optimizer choice + in-database join ------------------------------
+    t_tuples = sum(part.num_rows for part in t_parts)
+    choice = choose_db_join_strategy(
+        t_tuples * t_parts[0].row_bytes(),
+        sum(part.num_rows * part.row_bytes() for part in ingested),
+        database.num_workers,
+    )
+    stats.db_internal_shuffle_bytes = choice.internal_bytes
+    trace.add("db_internal_shuffle", "db_shuffle",
+              costing.db_internal_shuffle_seconds(choice.internal_bytes),
+              after=[t_phase],
+              streams_from=shuffle_gate,
+              description=f"in-database {choice.strategy.value} "
+                          "(JEN cannot target the private hash)",
+              volume_bytes=choice.internal_bytes)
+    result, joined = database.execute_hybrid_join(
+        t_parts, ingested, query, choice
+    )
+    stats.join_output_tuples = joined.join_output_tuples
+    stats.result_rows = joined.result_rows
+    input_tuples = joined.build_tuples + joined.probe_tuples
+    trace.add("db_join", "db_cpu",
+              costing.db_join_seconds(input_tuples,
+                                      joined.join_output_tuples),
+              streams_from=["db_internal_shuffle"],
+              description="in-database hash join, post-join predicate, "
+                          "group-by + aggregation",
+              tuples=input_tuples)
+    return run.finish(result)
 
 
 def _group_ingest(wire_tables: List[Table], num_db_workers: int

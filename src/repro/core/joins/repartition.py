@@ -1,5 +1,5 @@
 """HDFS-side repartition join, with or without a Bloom filter
-(paper Sections 3.3 and 4.4).
+(paper Sections 3.3 and 4.4), and the JEN-side stages it is made of.
 
 Steps (Figure 3):
 
@@ -14,25 +14,29 @@ Steps (Figure 3):
    shuffle is still running), buffers arriving database rows, then
    probes, applies the post-join predicate and partially aggregates.
 5. A designated worker computes the final aggregate and returns it.
+
+Steps 3, 2 and 4-5 are the stages :func:`shuffle_l`, :func:`ship_t` and
+:func:`jen_tail`; the zigzag, semijoin, PERF and broadcast joins
+compose the same stages in their own order.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
-    JoinStats,
+    JoinRun,
     register_algorithm,
 )
 from repro.edw.partitioner import agreed_hash_partition
 from repro.kernels.partition import partition_table
-from repro.latemat import LateMatPlan
+from repro.latemat import LateMatPlan, PayloadStore
 from repro.relational.table import Table
-from repro.sim.trace import Trace
 from repro.testkit import invariants
 from repro.query.query import HybridQuery
 
@@ -53,125 +57,208 @@ class RepartitionJoin(JoinAlgorithm):
         return "repartition(BF)" if self.use_bloom else "repartition"
 
     def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        costing = self._costing(warehouse)
-        jen = warehouse.jen
-        stats = JoinStats()
-        trace = Trace(label=self.display_name)
-        trace.add("startup", "latency", costing.startup_seconds(),
-                  description="UDF invocation, DB<->JEN connections")
+        run = JoinRun(self, warehouse, query)
+        t_parts = run.db_filter()
+        db_bloom = run.bf_db() if self.use_bloom else None
+        scan = run.hdfs_scan(db_bloom)
+        l_side = shuffle_l(run, "L'", scan.wire_tables, scan.hot_keys)
+        t_side = ship_t(run, "T'", t_parts, scan.hot_keys,
+                        after=["db_filter"])
+        return jen_tail(run, l_side, t_side)
 
-        # -- Step 1: local predicates + projection on T ------------------
-        t_parts = self._run_db_filter(
-            warehouse, query, costing, trace, stats,
-            description="apply local predicates + projection on T",
-        )
 
-        # -- Optional: BF_DB build + multicast ---------------------------
-        db_bloom = None
-        scan_gate = ["startup"]
-        if self.use_bloom:
-            db_bloom = self._run_bf_db(warehouse, query, costing, trace,
-                                       stats)
-            scan_gate = ["startup", "bf_db_send"]
+@dataclass
+class Delivery:
+    """One join input as it reaches the JEN workers."""
 
-        # -- Step 3: scan L with predicates (+ BF_DB), shuffle -----------
-        scan = self._run_hdfs_scan(
-            warehouse, query, costing, trace, stats, scan_gate,
-            db_bloom=db_bloom,
-        )
-        hot_keys = scan.hot_keys
-        l_store, l_ship = self._latemat_store(
-            query, scan.wire_tables, "hdfs"
-        )
-        shuffled = jen.shuffle_by_key(l_ship,
-                                      query.hdfs_join_key,
-                                      hot_keys=hot_keys)
-        stats.hdfs_tuples_shuffled = shuffled.tuples_shuffled
-        self._record_hot_shuffle(stats, trace, hot_keys, shuffled)
-        l_wire_bytes = self._wire_row_bytes(l_ship)
-        shuffle_skew = self._effective_shuffle_skew(
-            warehouse, costing, shuffled, hot_keys
-        )
-        trace.add("jen_shuffle", "shuffle",
-                  costing.jen_shuffle_seconds(
-                      shuffled.tuples_shuffled, l_wire_bytes,
-                      skew=shuffle_skew,
-                  ),
+    #: Paper name of the rows (``"L'"``, ``"T''"`` ...).
+    name: str
+    #: One table per JEN worker (thin when ``store`` is set).
+    parts: List[Table]
+    #: Where the payloads stayed, when the rows travelled thin.
+    store: Optional[PayloadStore]
+    #: Rows delivered, each counted once.
+    tuples: float
+    #: Price of one travelling row.
+    row_bytes: float
+    #: The phases the rows stream out of.
+    phases: List[str]
+    #: Receiver skew the build pays (the shuffled L only).
+    skew: float = 1.0
+
+
+def shuffle_l(run: JoinRun, name: str, tables: List[Table],
+              hot_keys) -> Delivery:
+    """Step 3: shuffle the scan survivors among the JEN workers.
+
+    ``hot_keys`` is ``None`` when skew handling is off: the trace pays
+    the configured shuffle skew.  Otherwise the hybrid shuffle ran (even
+    if it found nothing hot), so the skew is capped at the receiver
+    balance it measured.
+    """
+    costing, stats = run.costing, run.stats
+    store, ship, row_bytes = run.thin(tables, "hdfs")
+    shuffled = run.warehouse.jen.shuffle_by_key(
+        ship, run.query.hdfs_join_key, hot_keys=hot_keys)
+    tuples = shuffled.tuples_shuffled
+    stats.hdfs_tuples_shuffled = tuples
+    run.trace.metadata["shuffle_partition_rows"] = [
+        table.num_rows for table in shuffled.per_destination
+    ]
+    skew = costing.effective_shuffle_skew(
+        run.warehouse.config.shuffle_skew, hybrid=hot_keys is not None,
+        measured=shuffled.balance_factor())
+    if hot_keys is not None:
+        stats.hot_keys_detected = float(len(hot_keys))
+        stats.hot_tuples_rerouted = float(shuffled.hot_tuples)
+    run.trace.add("jen_shuffle", "shuffle",
+                  costing.jen_shuffle_seconds(tuples, row_bytes, skew=skew),
                   streams_from=["hdfs_scan"],
-                  description="agreed-hash shuffle of L' among JEN workers",
-                  tuples=shuffled.tuples_shuffled,
-                  volume_bytes=shuffled.tuples_shuffled * l_wire_bytes)
+                  description=f"agreed-hash shuffle of {name} among JEN "
+                              "workers",
+                  tuples=tuples,
+                  volume_bytes=tuples * row_bytes)
+    return Delivery(name, shuffled.per_destination, store, tuples,
+                    row_bytes, ["jen_shuffle"], skew)
 
-        # -- Step 2 (concurrent): ship T' by the agreed hash -------------
-        t_store, t_ship = self._latemat_store(query, t_parts, "db")
-        t_dest, hot_t_tuples, hot_copy_tuples = _route_db_rows(
-            t_ship, query.db_join_key, jen.num_workers, hot_keys=hot_keys
-        )
-        t_tuples = sum(part.num_rows for part in t_ship)
-        t_wire_bytes = self._wire_row_bytes(t_ship)
-        stats.db_tuples_sent = t_tuples
-        stats.hot_tuples_broadcast += hot_copy_tuples
-        trace.add("db_export", "transfer",
-                  costing.db_export_seconds(t_tuples, t_wire_bytes),
-                  after=["db_filter"],
-                  description="DB workers send T' via agreed hash",
-                  tuples=t_tuples,
-                  volume_bytes=t_tuples * t_wire_bytes)
-        export_names = ["db_export"]
-        extra_hot_copies = hot_copy_tuples - hot_t_tuples
-        if extra_hot_copies > 0:
-            trace.add("jen_hot_relay", "transfer",
-                      costing.jen_duplicate_seconds(
-                          extra_hot_copies, t_wire_bytes
-                      ),
-                      streams_from=["db_export"],
-                      description="home workers relay hot-key T' rows "
-                                  "to their spread worker sets",
-                      tuples=extra_hot_copies,
-                      volume_bytes=extra_hot_copies * t_wire_bytes)
-            export_names.append("jen_hot_relay")
 
-        # -- Steps 4-6: probe, aggregate, return -------------------------
-        latemat_plan = LateMatPlan(l_store=l_store, t_store=t_store)
-        result, join_stats = jen.join_and_aggregate(
-            shuffled.per_destination, t_dest, query,
-            memory_budget_rows=self._memory_budget_rows(warehouse),
-            latemat_plan=latemat_plan,
-        )
-        stats.join_output_tuples = join_stats.join_output_tuples
-        stats.result_rows = join_stats.result_rows
-        self._add_steal_and_build_phases(
-            costing, trace, stats, join_stats, shuffled, l_wire_bytes,
-            shuffle_skew,
-            description="build hash tables on received L' rows",
-        )
-        probe_gate = self._add_spill_phase(
-            costing, trace, stats, join_stats, l_wire_bytes,
-            ["hash_build"],
-        )
-        trace.add("probe", "cpu",
-                  costing.probe_seconds(
-                      t_tuples, join_stats.join_output_tuples
+def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
+           after=(), streams_from=()) -> Delivery:
+    """Step 2: DB workers send their rows by the agreed hash.
+
+    A hot key's rows cross the inter-cluster link once, to the key's
+    home worker, which relays the extra copies to the rest of the key's
+    spread set (``jen_hot_relay``).
+    """
+    costing, stats, trace = run.costing, run.stats, run.trace
+    store, ship, row_bytes = run.thin(t_parts, "db")
+    t_dest, hot_rows, hot_copies = _route_db_rows(
+        ship, run.query.db_join_key, run.warehouse.jen.num_workers,
+        hot_keys=hot_keys)
+    tuples = sum(part.num_rows for part in ship)
+    stats.db_tuples_sent = tuples
+    stats.hot_tuples_broadcast += hot_copies
+    trace.add("db_export", "transfer",
+              costing.db_export_seconds(tuples, row_bytes),
+              after=after, streams_from=streams_from,
+              description=f"DB workers send {name} via agreed hash",
+              tuples=tuples,
+              volume_bytes=tuples * row_bytes)
+    phases = ["db_export"]
+    extra = hot_copies - hot_rows
+    if extra > 0:
+        trace.add("jen_hot_relay", "transfer",
+                  costing.jen_duplicate_seconds(extra, row_bytes),
+                  streams_from=["db_export"],
+                  description=f"home workers relay hot-key {name} rows "
+                              "to their spread worker sets",
+                  tuples=extra,
+                  volume_bytes=extra * row_bytes)
+        phases.append("jen_hot_relay")
+    return Delivery(name, t_dest, store, tuples, row_bytes, phases)
+
+
+def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
+             broadcast: bool = False) -> JoinResult:
+    """Steps 4-5: the local joins, then the phases they priced.
+
+    Every worker builds on the L rows it received and probes with the T
+    rows.  The broadcast join's workers instead probe the full T′ each
+    of them built (``hash_build_t``) with their own scan output.  Work
+    stealing, the build and spilling are priced after the joins ran,
+    from what they measured.
+    """
+    costing, stats, trace = run.costing, run.stats, run.trace
+    config = run.warehouse.config
+    plan = LateMatPlan(l_store=l_side.store, t_store=t_side.store)
+    result, joined = run.warehouse.jen.join_and_aggregate(
+        l_side.parts, t_side.parts, run.query,
+        memory_budget_rows=max(0.0, config.jen_memory_budget_rows)
+        * config.scale,
+        latemat_plan=plan,
+    )
+    output = joined.join_output_tuples
+    stats.join_output_tuples = output
+    stats.result_rows = joined.result_rows
+    if broadcast:
+        gate, probe = ["hash_build_t"], l_side
+    else:
+        gate, probe = ["hash_build"], t_side
+        build_gate, build_skew = ["jen_shuffle"], l_side.skew
+        stolen = joined.stolen_tuples
+        if stolen > 0:
+            stats.stolen_tuples = float(stolen)
+            trace.add("work_steal", "shuffle",
+                      costing.work_steal_seconds(stolen, l_side.row_bytes),
+                      streams_from=["jen_shuffle"],
+                      description="re-deal straggler join fragments to "
+                                  "idle workers",
+                      tuples=stolen,
+                      volume_bytes=stolen * l_side.row_bytes)
+            build_gate = ["jen_shuffle", "work_steal"]
+            build_skew = min(
+                build_skew, max(1.0, joined.post_steal_balance))
+        trace.add("hash_build", "cpu",
+                  costing.hash_build_seconds(l_side.tuples,
+                                             skew=build_skew),
+                  streams_from=build_gate,
+                  description=f"build hash tables on received "
+                              f"{l_side.name} rows",
+                  tuples=l_side.tuples)
+        if joined.per_slot_loads is not None:
+            trace.metadata["join_slot_loads"] = list(joined.per_slot_loads)
+    if joined.spilled_tuples > 0:
+        stats.spilled_tuples = joined.spilled_tuples
+        trace.add("spill_io", "disk",
+                  costing.jen_spill_seconds(joined.spilled_tuples,
+                                            l_side.row_bytes),
+                  after=gate,
+                  description=f"Grace-hash spill "
+                              f"({joined.max_fragments} fragments)",
+                  tuples=joined.spilled_tuples)
+        gate = ["spill_io"]
+    trace.add("probe", "cpu",
+              costing.probe_seconds(probe.tuples, output),
+              after=gate,
+              streams_from=probe.phases,
+              description=f"probe with {probe.name} rows",
+              tuples=probe.tuples)
+    # The batched stitch: L payloads stayed on their JEN workers, T
+    # payloads in the EDW.
+    fetches = []
+    stitch = plan.stats
+    for side, store, fetched, amplification in (
+            ("l", plan.l_store, stitch.l_fetched_tuples,
+             stitch.l_amplification),
+            ("t", plan.t_store, stitch.t_fetched_tuples,
+             stitch.t_amplification)):
+        if store is None:
+            continue
+        cross = side == "t"
+        row_bytes = store.payload_row_bytes()
+        trace.add(f"payload_fetch_{side}",
+                  "transfer" if cross else "shuffle",
+                  costing.payload_fetch_seconds(
+                      fetched, row_bytes, amplification=amplification,
+                      cross_cluster=cross,
                   ),
-                  after=probe_gate,
-                  streams_from=export_names,
-                  description="probe with database rows",
-                  tuples=t_tuples)
-        agg_gate = self._add_payload_fetch_phases(
-            costing, trace, latemat_plan, ["probe"]
-        )
-        trace.add("aggregate", "cpu",
-                  costing.jen_aggregate_seconds(
-                      join_stats.join_output_tuples
-                  ),
-                  streams_from=agg_gate,
-                  description="post-join predicate, partial + final agg",
-                  tuples=join_stats.join_output_tuples)
-        trace.add("result_return", "latency",
-                  costing.result_return_seconds(),
-                  after=["aggregate"],
-                  description="return final aggregate to the database")
-        return self._finish(warehouse, query, result, stats, trace)
+                  streams_from=["probe"],
+                  description="batched stitch: fetch surviving "
+                              f"{side.upper()} payloads "
+                              f"(x{amplification:.2f} page amplification)",
+                  tuples=fetched,
+                  volume_bytes=fetched * row_bytes * amplification)
+        fetches.append(f"payload_fetch_{side}")
+    trace.add("aggregate", "cpu",
+              costing.jen_aggregate_seconds(output),
+              streams_from=fetches or ["probe"],
+              description="post-join predicate, partial + final agg",
+              tuples=output)
+    trace.add("result_return", "latency",
+              costing.result_return_seconds(),
+              after=["aggregate"],
+              description="return final aggregate to the database")
+    return run.finish(result)
 
 
 def _route_db_rows(t_parts: List[Table], key: str,

@@ -314,6 +314,19 @@ def test_sampled_speedup_over_exact_repartition(scan_dominated, rate):
                                  label="approx@1")
 
 
+def test_sampled_shuffle_ships_its_bytes(kind_fixtures):
+    """The sampled rows' shuffle counts in ``bytes_shipped`` like any
+    other shuffle: every shuffled row at the wire row's width."""
+    case, warehouse, _ = kind_fixtures["count"]
+    run = ApproxJoin(sample_rate=0.25, seed=11).run(warehouse, case.query)
+    shuffle = run.trace.phase("jen_shuffle")
+    width = warehouse.jen.distributed_scan(case.query) \
+        .wire_tables[0].row_bytes()
+    assert shuffle.tuples == run.stats.hdfs_tuples_shuffled > 0
+    assert run.trace.metadata["bytes_shipped"]["shuffle"] \
+        == shuffle.tuples * width
+
+
 # ----------------------------------------------------------------------
 # Progressive refinement
 # ----------------------------------------------------------------------

@@ -118,3 +118,40 @@ def test_the_oracle_imports_only_the_query_and_table_types():
     names = repro_imports(SRC / "repro" / "testkit" / "oracle.py")
     assert "repro.relational.table.Table" in names
     assert names <= ORACLE_MAY_IMPORT, sorted(names - ORACLE_MAY_IMPORT)
+
+
+#: Phases the join stages price.  Each is priced at one ``trace.add``
+#: call site under ``core/joins``, so a plane change edits one stage
+#: instead of a copy per algorithm.
+STAGE_PHASES = (
+    "startup", "db_filter", "hdfs_scan", "jen_shuffle", "db_export",
+    "jen_hot_relay", "work_steal", "hash_build", "spill_io", "probe",
+    "aggregate", "result_return", "bf_h_merge", "bf_h_send", "hdfs_to_db",
+    "payload_fetch_l", "db_internal_shuffle", "db_join",
+)
+
+
+def trace_add_sites(path: Path) -> Dict[str, int]:
+    """Literal phase name -> ``trace.add`` call sites in one file."""
+    sites: Dict[str, int] = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            continue
+        owner = node.func.value
+        if (isinstance(owner, ast.Name) and owner.id == "trace") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "trace"):
+            name = node.args[0].value
+            sites[name] = sites.get(name, 0) + 1
+    return sites
+
+
+def test_each_stage_phase_is_priced_at_one_call_site():
+    sites: Dict[str, int] = {}
+    for path in sorted((SRC / "repro" / "core" / "joins").glob("*.py")):
+        for name, count in trace_add_sites(path).items():
+            sites[name] = sites.get(name, 0) + count
+    assert {name: sites.get(name, 0) for name in STAGE_PHASES} \
+        == {name: 1 for name in STAGE_PHASES}
