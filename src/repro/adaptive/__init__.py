@@ -8,33 +8,29 @@ Sudarshan, arXiv:1703.01148) and the source paper's own Section 5.5
 conclusion that the right side to join on depends on data the planner
 can only guess at:
 
-* :mod:`repro.adaptive.hooks` — the observation seam the engines call
-  into (gated, one ``if`` per call site when inactive), plus
-  :class:`~repro.adaptive.hooks.SwitchSignal`;
 * :mod:`repro.adaptive.collector` — the runtime-statistics collector
-  (observed σ_T / σ_L so far, BF(T′) hit rate, scan progress, shuffle
-  partition growth) and the artifact bank for legal cross-switch reuse;
+  (observed σ_T / σ_L so far, BF(T′) hit rate, scan progress), the
+  artifact bank for legal cross-switch reuse, and the
+  :class:`~repro.adaptive.collector.AdaptiveContext` each segment's run
+  is handed as its observer (it raises
+  :class:`~repro.adaptive.collector.SwitchSignal` to abandon the run);
 * :mod:`repro.adaptive.reoptimizer` — decision checkpoints: re-runs the
   advisor's cost model with observed-so-far statistics extrapolated and
   votes to switch when the incumbent's projected remaining cost exceeds
   an alternative's full cost plus the switch penalty;
 * :mod:`repro.adaptive.algorithm` — :class:`~repro.adaptive.algorithm.
   AdaptiveJoin` (registered as ``"adaptive"``): runs the advised
-  algorithm under the hooks, executes switches (drain, reuse banked
-  artifacts, re-plan), and charges abandoned work plus switch overhead
-  on the trace plane.
+  algorithm with a context as its observer, executes switches (drain,
+  reuse banked artifacts, re-plan), and charges abandoned work plus
+  switch overhead on the trace plane.
 
-The engine modules import :mod:`~repro.adaptive.hooks` at load time, so
-this package must stay import-light: only the hooks (dependency-free)
-load eagerly; everything else resolves lazily on first attribute
-access.
+No engine module imports this package: the observer reaches them as an
+argument.  Everything here resolves lazily on first attribute access.
 """
 
 from __future__ import annotations
 
-from repro.adaptive.hooks import SwitchSignal, adapting, adaptive_active
-
-_LAZY_MODULES = ("algorithm", "collector", "hooks", "reoptimizer")
+_LAZY_MODULES = ("algorithm", "collector", "reoptimizer")
 _LAZY_ATTRS = {
     "AdaptiveConfig": "reoptimizer",
     "AdaptiveContext": "collector",
@@ -42,6 +38,7 @@ _LAZY_ATTRS = {
     "ArtifactBank": "collector",
     "ReOptimizer": "reoptimizer",
     "RuntimeStatsCollector": "collector",
+    "SwitchSignal": "collector",
 }
 
 __all__ = [
@@ -52,11 +49,8 @@ __all__ = [
     "ReOptimizer",
     "RuntimeStatsCollector",
     "SwitchSignal",
-    "adapting",
-    "adaptive_active",
     "algorithm",
     "collector",
-    "hooks",
     "reoptimizer",
 ]
 

@@ -1,9 +1,10 @@
 """``AdaptiveJoin``: run the advised plan, switch it mid-query if wrong.
 
 The algorithm advises an initial plan from the (possibly wrong) workload
-estimate, then executes it with the runtime-statistics hooks armed.
-When a decision checkpoint's re-costing votes to switch, the in-flight
-segment is abandoned via :class:`~repro.adaptive.hooks.SwitchSignal`
+estimate, then executes it with an :class:`~repro.adaptive.collector.
+AdaptiveContext` as the run's observer.  When a decision checkpoint's
+re-costing votes to switch, the in-flight segment is abandoned via
+:class:`~repro.adaptive.collector.SwitchSignal`
 (the engines' ``finally`` blocks drain cleanly), its materialised
 artifacts are banked, and the target plan runs from the top — reusing
 the banked BF(T′) and T′ partitions where legal.  The final trace
@@ -25,11 +26,11 @@ from typing import List, Optional, Tuple
 
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
 from repro.sim.trace import Trace
-from repro.adaptive import hooks
 from repro.adaptive.collector import (
     AdaptiveContext,
     ArtifactBank,
     RuntimeStatsCollector,
+    SwitchSignal,
 )
 from repro.adaptive.reoptimizer import AdaptiveConfig, ReOptimizer
 from repro.core.joins.base import (
@@ -46,7 +47,7 @@ class _AbandonedSegment:
     """One plan segment that ran partway before a switch."""
 
     algorithm: str
-    collector: RuntimeStatsCollector
+    context: AdaptiveContext
     decision: object  # SwitchDecision
 
 
@@ -119,12 +120,11 @@ class AdaptiveJoin(JoinAlgorithm):
             context = AdaptiveContext(collector, reoptimizer, bank)
             inner = algorithm_by_name(incumbent)
             try:
-                with hooks.adapting(context):
-                    inner_result = inner.run(warehouse, query)
-            except hooks.SwitchSignal as signal:
+                inner_result = inner.run(warehouse, query, observer=context)
+            except SwitchSignal as signal:
                 abandoned.append(_AbandonedSegment(
                     algorithm=incumbent,
-                    collector=collector,
+                    context=context,
                     decision=signal.decision,
                 ))
                 db_carry = (collector.db_rows_scanned,
@@ -136,7 +136,7 @@ class AdaptiveJoin(JoinAlgorithm):
                 continue
             break
 
-        report = self._report(initial, incumbent, abandoned, collector,
+        report = self._report(initial, incumbent, abandoned, context,
                               bank, reoptimizers)
         if not abandoned:
             inner_result.trace.metadata["adaptive"] = report
@@ -170,8 +170,9 @@ class AdaptiveJoin(JoinAlgorithm):
                 "abandoned_" if len(abandoned) == 1
                 else f"abandoned{index + 1}_"
             )
+            collector = segment.context.collector
             segment_phases = []
-            for phase in segment.collector.phases:
+            for phase in segment.context.trace:
                 after = [prefix + name for name in phase.after]
                 if not after and gate is not None:
                     after = [gate]
@@ -188,7 +189,7 @@ class AdaptiveJoin(JoinAlgorithm):
                 segment_phases.append(prefix + phase.name)
             # The in-flight scan never reached its trace.add; price the
             # scanned-so-far fraction from the collector's raw counts.
-            if segment.collector.rows_scanned > 0:
+            if collector.rows_scanned > 0:
                 scan_gate = (
                     [prefix + "bf_db_send"]
                     if prefix + "bf_db_send" in segment_phases
@@ -197,8 +198,8 @@ class AdaptiveJoin(JoinAlgorithm):
                 trace.add(
                     prefix + "hdfs_scan", "hdfs_scan",
                     costing.hdfs_scan_seconds(
-                        segment.collector.stored_bytes_scanned,
-                        segment.collector.rows_scanned,
+                        collector.stored_bytes_scanned,
+                        collector.rows_scanned,
                         meta.format_name,
                         remote_fraction=0.0,
                     ),
@@ -207,8 +208,8 @@ class AdaptiveJoin(JoinAlgorithm):
                         f"partial scan abandoned at "
                         f"{segment.decision.at_progress:.0%}"
                     ),
-                    volume_bytes=segment.collector.stored_bytes_scanned,
-                    tuples=segment.collector.rows_scanned,
+                    volume_bytes=collector.stored_bytes_scanned,
+                    tuples=collector.rows_scanned,
                 )
                 segment_phases.append(prefix + "hdfs_scan")
             switch_name = (
@@ -233,7 +234,7 @@ class AdaptiveJoin(JoinAlgorithm):
 
         stats = final_result.stats
         stats.hdfs_rows_discarded += sum(
-            segment.collector.rows_scanned for segment in abandoned
+            segment.context.collector.rows_scanned for segment in abandoned
         )
         result = self._finish(warehouse, final_result.result, stats, trace)
         result.algorithm = label
@@ -243,7 +244,7 @@ class AdaptiveJoin(JoinAlgorithm):
     @staticmethod
     def _report(initial: str, final: str,
                 abandoned: List[_AbandonedSegment],
-                final_collector: RuntimeStatsCollector,
+                final_context: AdaptiveContext,
                 bank: ArtifactBank,
                 reoptimizers: List[ReOptimizer]) -> dict:
         """The adaptive run's full story, for ``trace.metadata``."""
@@ -269,8 +270,8 @@ class AdaptiveJoin(JoinAlgorithm):
                 for segment in abandoned
             ],
             "segments": [
-                segment.collector.report() for segment in abandoned
-            ] + [final_collector.report()],
+                segment.context.report() for segment in abandoned
+            ] + [final_context.report()],
             "bank": bank.report(),
             "evaluations": [
                 record

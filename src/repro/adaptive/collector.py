@@ -1,9 +1,8 @@
 """Runtime statistics collected while one plan segment executes.
 
-:class:`RuntimeStatsCollector` accumulates what the hooks see — the
-database filter's observed σ_T, per-block scan counts (observed σ_L so
-far, BF(T′) hit rate), shuffle partition sizes, and every priced phase
-the segment added to its trace.  :meth:`RuntimeStatsCollector.
+:class:`RuntimeStatsCollector` accumulates what the segment's run
+reports — the database filter's observed σ_T and per-block scan counts
+(observed σ_L so far, BF(T′) hit rate).  :meth:`RuntimeStatsCollector.
 observed_estimate` folds the observations into a fresh
 :class:`~repro.core.advisor.WorkloadEstimate`, extrapolating the
 observed-so-far rates to the whole table — the input the re-optimizer
@@ -14,9 +13,13 @@ across a plan switch: the merged BF(T′) (bit-identical reuse, shadow
 sets and all) and the filtered T′ partitions.  One bank outlives every
 segment of one adaptive run.
 
-:class:`AdaptiveContext` is the object :func:`repro.adaptive.hooks.
-adapting` arms: it owns one collector, the shared bank, and (unless
-the run is collect-only) the re-optimizer consulted at checkpoints.
+:class:`AdaptiveContext` is the observer :class:`~repro.adaptive.
+algorithm.AdaptiveJoin` hands one segment's run (the ``observer``
+argument of :meth:`~repro.core.joins.base.JoinAlgorithm.run`): it owns
+one collector, the shared bank, the run's trace (whose phases and
+shuffle sizes it reads back) and, unless the run is collect-only, the
+re-optimizer consulted at checkpoints.  :class:`SwitchSignal` is what it
+raises to abandon the run.
 """
 
 from __future__ import annotations
@@ -25,10 +28,27 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.advisor import WorkloadEstimate
-from repro.adaptive.hooks import SwitchSignal
 
 #: Observed selectivities are clamped to the advisor's legal floor.
 _SIGMA_FLOOR = 1e-5
+
+
+class SwitchSignal(Exception):
+    """Raised out of an engine hot loop to abandon the incumbent plan.
+
+    Carries the re-optimizer's :class:`~repro.adaptive.reoptimizer.
+    SwitchDecision`.  Only :class:`AdaptiveContext` raises it and only
+    :class:`~repro.adaptive.algorithm.AdaptiveJoin` catches it; the
+    engines treat it like any other abort (their ``finally`` blocks
+    restore scan depth and toggles).
+    """
+
+    def __init__(self, decision):
+        super().__init__(
+            f"switch to {decision.target!r} at "
+            f"{decision.at_progress:.0%} scan progress"
+        )
+        self.decision = decision
 
 
 class RuntimeStatsCollector:
@@ -46,10 +66,6 @@ class RuntimeStatsCollector:
         self.rows_after_predicates = 0
         self.rows_after_bloom = 0
         self.bloom_applied = False
-        # Shuffle partition growth (per-destination sizes, per shuffle).
-        self.shuffle_partitions: List[List[int]] = []
-        # Priced phases the segment's trace accumulated, in order.
-        self.phases: List[object] = []
 
     # ------------------------------------------------------------------
     # Derived observations
@@ -115,9 +131,6 @@ class RuntimeStatsCollector:
             "sigma_t": self.observed_sigma_t(),
             "sigma_l": self.observed_sigma_l(),
             "bloom_hit_rate": self.bloom_hit_rate(),
-            "shuffle_partition_sizes": [
-                list(sizes) for sizes in self.shuffle_partitions
-            ],
         }
 
 
@@ -174,7 +187,7 @@ class ArtifactBank:
 
 
 class AdaptiveContext:
-    """What :func:`repro.adaptive.hooks.adapting` arms for one segment.
+    """The observer of one plan segment's run.
 
     ``reoptimizer`` is ``None`` for collect-only segments (statistics
     flow, checkpoints never fire) — the mode used when a fault plan is
@@ -189,10 +202,12 @@ class AdaptiveContext:
         self.collector = collector
         self.reoptimizer = reoptimizer
         self.bank = bank if bank is not None else ArtifactBank()
+        #: The observed run's trace; the run sets it when it opens.
+        self.trace = None
         #: Fractional checkpoints already evaluated (fire each once).
         self._fired: set = set()
 
-    # -- hook plumbing -------------------------------------------------
+    # -- what the run reports ------------------------------------------
     def on_db_filter(self, rows_scanned: int, rows_out: int) -> None:
         self.collector.db_rows_scanned += rows_scanned
         self.collector.db_rows_out += rows_out
@@ -221,12 +236,6 @@ class AdaptiveContext:
                 if decision is not None:
                     raise SwitchSignal(decision)
 
-    def on_shuffle(self, sizes: List[int]) -> None:
-        self.collector.shuffle_partitions.append(sizes)
-
-    def on_phase(self, phase) -> None:
-        self.collector.phases.append(phase)
-
     def on_checkpoint(self, label: str) -> None:
         """A named (non-fractional) checkpoint, e.g. after T′ build."""
         if self.reoptimizer is None or label in self._fired:
@@ -238,15 +247,12 @@ class AdaptiveContext:
         if decision is not None:
             raise SwitchSignal(decision)
 
-    # -- bank plumbing -------------------------------------------------
-    def banked_bloom(self, key):
-        return self.bank.banked_bloom(key)
-
-    def bank_bloom(self, key, result) -> None:
-        self.bank.bank_bloom(key, result)
-
-    def banked_db_filter(self, key):
-        return self.bank.banked_db_filter(key)
-
-    def bank_db_filter(self, key, parts, matched: int) -> None:
-        self.bank.bank_db_filter(key, parts, matched)
+    # -- what is read back off the run's trace --------------------------
+    def report(self) -> Dict[str, object]:
+        """The collector's report plus the per-destination partition
+        sizes of the run's JEN shuffle (none if it never shuffled)."""
+        sizes = self.trace.metadata.get("shuffle_partition_rows")
+        return dict(
+            self.collector.report(),
+            shuffle_partition_sizes=[] if sizes is None else [list(sizes)],
+        )

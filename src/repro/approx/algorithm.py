@@ -13,9 +13,10 @@ enough.
 The trace prices exactly what ran: a full ``db_filter``, an
 ``hdfs_scan`` over the *sampled* bytes and rows, a shuffle/build/probe
 pipeline over the sampled wire volume, plus a tiny interval-estimation
-phase.  Row/byte accounting comes from the engine's own per-block scan
-seam (:func:`repro.adaptive.hooks.observing_blocks`), not from a
-parallel bookkeeping path, so ``approx`` cannot under-report its scan.
+phase.  Row/byte accounting adds up the per-block
+:class:`~repro.jen.worker.ScanStats` the engine's sampled scan yields,
+not a parallel bookkeeping path, so ``approx`` cannot under-report its
+scan.
 
 A run that happens to consume every block (rate 1.0, tiny tables, or a
 progressive run that never met its error target) is *exact*: integer
@@ -30,7 +31,6 @@ from repro.approx.estimator import ApproxEstimate, JoinAggregateEstimator
 from repro.approx.policy import ApproxPolicy
 from repro.approx.progressive import Snapshot, SnapshotTracker, error_target_met
 from repro.approx.sampler import plan_block_sample
-from repro.adaptive import hooks as adaptive_hooks
 from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
@@ -38,7 +38,7 @@ from repro.core.joins.base import (
     register_algorithm,
 )
 from repro.errors import JoinError
-from repro.jen.worker import ScanRequest
+from repro.jen.worker import ScanRequest, ScanStats
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
 
@@ -122,37 +122,23 @@ class ApproxJoin(JoinAlgorithm):
         )
         tracker = SnapshotTracker()
 
-        scanned = {"rows": 0.0, "bytes": 0.0, "after_pred": 0.0,
-                   "after_bloom": 0.0}
-
-        def on_block(rows_scanned, stored_bytes, rows_after_predicates,
-                     rows_after_bloom, bloom_applied):
-            scanned["rows"] += rows_scanned
-            scanned["bytes"] += stored_bytes
-            scanned["after_pred"] += rows_after_predicates
-            scanned["after_bloom"] += rows_after_bloom
-
         request = ScanRequest.from_query(query)
+        scanned = ScanStats()
         wire_tuples = 0
         join_output = 0
         first_wire: Optional[Table] = None
-        local_blocks = remote_blocks = 0
         stream = jen.scan_sampled_blocks(
             query.hdfs_table, request, sample.ordering, db_bloom=db_bloom
         )
         try:
-            with adaptive_hooks.observing_blocks(on_block):
-                for wire, block_stats in stream:
-                    if first_wire is None:
-                        first_wire = wire
-                    local_blocks += block_stats.local_blocks
-                    remote_blocks += block_stats.remote_blocks
-                    wire_tuples += wire.num_rows
-                    join_output += estimator.observe_join_block(
-                        t_prime, wire
-                    )
-                    if self._should_stop(estimator, tracker, sample):
-                        break
+            for wire, block_stats in stream:
+                if first_wire is None:
+                    first_wire = wire
+                scanned = scanned.merge(block_stats)
+                wire_tuples += wire.num_rows
+                join_output += estimator.observe_join_block(t_prime, wire)
+                if self._should_stop(estimator, tracker, sample):
+                    break
         finally:
             stream.close()
 
@@ -162,21 +148,24 @@ class ApproxJoin(JoinAlgorithm):
         self.last_snapshots = list(tracker.snapshots)
 
         # -- Honest pricing of the sampled pipeline ----------------------
-        stats.hdfs_rows_scanned = scanned["rows"]
-        stats.hdfs_stored_bytes_scanned = scanned["bytes"]
-        stats.hdfs_rows_after_predicates = scanned["after_pred"]
-        stats.hdfs_rows_after_bloom = scanned["after_bloom"]
+        stats.hdfs_rows_scanned = float(scanned.rows_scanned)
+        stats.hdfs_stored_bytes_scanned = scanned.stored_bytes_scanned
+        stats.hdfs_rows_after_predicates = float(
+            scanned.rows_after_predicates)
+        stats.hdfs_rows_after_bloom = float(scanned.rows_after_bloom)
         stats.hdfs_tuples_shuffled = wire_tuples
         stats.db_tuples_sent = t_tuples
         stats.join_output_tuples = join_output
         stats.result_rows = estimate.result.num_rows
 
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
-        total_read = local_blocks + remote_blocks
-        remote_fraction = remote_blocks / total_read if total_read else 0.0
+        total_read = scanned.local_blocks + scanned.remote_blocks
+        remote_fraction = (scanned.remote_blocks / total_read
+                           if total_read else 0.0)
         trace.add("hdfs_scan", "hdfs_scan",
                   costing.hdfs_scan_seconds(
-                      scanned["bytes"], scanned["rows"], meta.format_name,
+                      stats.hdfs_stored_bytes_scanned,
+                      stats.hdfs_rows_scanned, meta.format_name,
                       remote_fraction=remote_fraction,
                   ),
                   after=list(scan_gate),
@@ -184,8 +173,8 @@ class ApproxJoin(JoinAlgorithm):
                               f"{estimate.blocks_scanned}/"
                               f"{estimate.blocks_total} blocks"
                               + (", BF_DB" if db_bloom is not None else ""),
-                  volume_bytes=scanned["bytes"],
-                  tuples=scanned["rows"])
+                  volume_bytes=stats.hdfs_stored_bytes_scanned,
+                  tuples=stats.hdfs_rows_scanned)
         l_wire_bytes = (
             first_wire.row_bytes() if first_wire is not None else 0
         )

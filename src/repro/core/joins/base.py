@@ -15,7 +15,6 @@ import inspect
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple, Type
 
-from repro.adaptive import hooks as adaptive_hooks
 from repro.errors import JoinError
 from repro.relational.table import Table
 from repro.sim.replay import TimingResult, replay_trace
@@ -63,8 +62,9 @@ class JoinStats:
     #: Build-side (L) rows spread off the agreed hash by the hybrid
     #: shuffle.
     hot_tuples_rerouted: float = 0.0
-    #: Probe-side (T′) rows broadcast to every JEN worker (counted
-    #: once; the trace's ``db_broadcast_hot`` phase carries the copies).
+    #: Probe-side (T′) copies of hot-key rows delivered to the key's
+    #: bounded destination set (every copy counted; the ones past the
+    #: first travel in the trace's ``jen_hot_relay`` phase).
     hot_tuples_broadcast: float = 0.0
     #: Build + probe rows re-dealt across workers by work stealing.
     stolen_tuples: float = 0.0
@@ -127,8 +127,13 @@ class JoinAlgorithm:
     #: Whether this algorithm uses an HDFS-side Bloom filter.
     uses_hdfs_bloom: bool = False
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        """Execute the algorithm end to end."""
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        """Execute the algorithm end to end.
+
+        ``observer`` is an adaptive context watching this run (see
+        :class:`JoinRun`); only the adaptive wrapper passes one.
+        """
         raise NotImplementedError
 
     def _costing(self, warehouse) -> JoinCosting:
@@ -171,18 +176,29 @@ class JoinRun:
     :func:`~repro.core.joins.zigzag.bf_h`,
     :func:`~repro.core.joins.db_side.edw_tail`).  Each phase is priced
     at one place only, so every algorithm prices a step identically.
+
+    ``observer`` is the adaptive context watching this run, or ``None``
+    (:class:`repro.adaptive.collector.AdaptiveContext`).  The run hands
+    it its trace, the database filter's counts and the ``t_prime_built``
+    checkpoint, and the HDFS scans feed it per block; it lends the run
+    the artifacts its bank kept from an abandoned plan.  Any call into
+    it may raise to abandon the run.
     """
 
     def __init__(self, algorithm: JoinAlgorithm, warehouse,
                  query: HybridQuery,
-                 startup: str = "UDF invocation, DB<->JEN connections"):
+                 startup: str = "UDF invocation, DB<->JEN connections",
+                 observer=None):
         self.algorithm = algorithm
         self.warehouse = warehouse
         self.query = query
+        self.observer = observer
         self.costing = algorithm._costing(warehouse)
         self.stats = JoinStats()
         self.trace = Trace(
             label=getattr(algorithm, "display_name", algorithm.name))
+        if observer is not None:
+            observer.trace = self.trace
         self.trace.add("startup", "latency", self.costing.startup_seconds(),
                        description=startup)
 
@@ -193,12 +209,13 @@ class JoinRun:
 
     def db_filter(self) -> List[Table]:
         """Step 1 on the database: local predicates + projection on T."""
-        query, trace = self.query, self.trace
+        query, trace, observer = self.query, self.trace, self.observer
         description = "apply local predicates + projection on T"
         database = self.warehouse.database
         t_meta = database.table_meta(query.db_table)
         self.stats.db_rows_scanned = t_meta.num_rows
-        banked = adaptive_hooks.banked_db_filter(query.db_table)
+        banked = (None if observer is None
+                  else observer.bank.banked_db_filter(query.db_table))
         if banked is not None:
             # A switched-away plan already materialised T' for this
             # query; the data plane is deterministic, so the partitions
@@ -216,7 +233,11 @@ class JoinRun:
             index_available = database.workers[0].find_covering_index(
                 query.db_table, list(query.db_predicate.columns())
             ) is not None
-            adaptive_hooks.bank_db_filter(query.db_table, t_parts, matched)
+            if observer is not None:
+                observer.on_db_filter(
+                    sum(s.rows_scanned for s in worker_stats), matched)
+                observer.bank.bank_db_filter(query.db_table, t_parts,
+                                             matched)
             seconds = self.costing.db_table_scan_seconds(
                 raw_t_bytes, matched, index_available
             )
@@ -225,15 +246,17 @@ class JoinRun:
                   description=description,
                   volume_bytes=raw_t_bytes,
                   tuples=matched)
-        adaptive_hooks.checkpoint("t_prime_built")
+        if observer is not None:
+            observer.on_checkpoint("t_prime_built")
         return t_parts
 
     def bf_db(self):
         """Build BF_DB (index-only when possible) and multicast it."""
         query, costing = self.query, self.costing
         config = self.warehouse.config
+        bank = None if self.observer is None else self.observer.bank
         bank_key = (query.db_table, query.db_join_key, config.bloom_bits())
-        banked = adaptive_hooks.banked_bloom(bank_key)
+        banked = None if bank is None else bank.banked_bloom(bank_key)
         if banked is not None:
             # BF_DB built by a switched-away plan: the same bits would
             # come out of a rebuild, so reuse the object (its invariant
@@ -249,7 +272,8 @@ class JoinRun:
                 num_bits=config.bloom_bits(),
                 num_hashes=config.bloom.num_hashes,
             )
-            adaptive_hooks.bank_bloom(bank_key, bloom_result)
+            if bank is not None:
+                bank.bank_bloom(bank_key, bloom_result)
             build_seconds = costing.db_bloom_build_seconds(
                 bloom_result.rows_accessed * 16.0,
                 bloom_result.keys_added,
@@ -285,7 +309,8 @@ class JoinRun:
                     else ["startup", "bf_db_send"])
         query, stats = self.query, self.stats
         scan = self.warehouse.jen.distributed_scan(
-            query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom
+            query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom,
+            observer=self.observer,
         )
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
         stats.hdfs_stored_bytes_scanned = scan.stats.stored_bytes_scanned
@@ -365,7 +390,7 @@ def classify_bytes_shipped(trace: Trace) -> Dict[str, float]:
     """Per-category row bytes the trace's transfer phases moved.
 
     Data-plane-scale bytes (multiply by ``scale_up`` for paper scale;
-    ratios are scale-free, which is what the bench gate compares).
+    ratios are scale-free).
     ``cross_cluster`` totals everything that crossed the EDW<->HDFS
     boundary — the number the paper's algorithms exist to shrink.
     """

@@ -39,8 +39,9 @@ class BroadcastJoin(JoinAlgorithm):
             raise ValueError(f"not a broadcast pattern: {pattern}")
         self.pattern = pattern
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        run = JoinRun(self, warehouse, query)
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, observer=observer)
         costing, stats, trace = run.costing, run.stats, run.trace
         workers = warehouse.jen.num_workers
         t_parts = run.db_filter()

@@ -55,9 +55,11 @@ class DbSideJoin(JoinAlgorithm):
         """Paper-style label."""
         return "db(BF)" if self.use_bloom else "db"
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
         run = JoinRun(self, warehouse, query,
-                      startup="read_hdfs UDF, coordinator handshakes")
+                      startup="read_hdfs UDF, coordinator handshakes",
+                      observer=observer)
         t_parts = run.db_filter()
         db_bloom = run.bf_db() if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)

@@ -56,8 +56,9 @@ class RepartitionJoin(JoinAlgorithm):
         """Paper-style label."""
         return "repartition(BF)" if self.use_bloom else "repartition"
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        run = JoinRun(self, warehouse, query)
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, observer=observer)
         t_parts = run.db_filter()
         db_bloom = run.bf_db() if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)

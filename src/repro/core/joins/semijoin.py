@@ -44,8 +44,9 @@ class _ExactFilterJoin(JoinAlgorithm):
     #: the database side too (PERF join) or not (plain semijoin).
     two_way = False
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        run = JoinRun(self, warehouse, query)
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, observer=observer)
         t_parts = run.db_filter()
 
         # Exact distinct key set instead of a Bloom filter.

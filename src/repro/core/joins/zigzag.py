@@ -46,8 +46,9 @@ class ZigzagJoin(JoinAlgorithm):
     uses_db_bloom = True
     uses_hdfs_bloom = True
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        run = JoinRun(self, warehouse, query)
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, observer=observer)
         t_parts = run.db_filter()
         db_bloom = run.bf_db()
         scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)

@@ -45,8 +45,9 @@ class ZigzagDbJoin(JoinAlgorithm):
     uses_db_bloom = True
     uses_hdfs_bloom = True
 
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        run = JoinRun(self, warehouse, query)
+    def run(self, warehouse, query: HybridQuery,
+            observer=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, observer=observer)
         t_parts = run.db_filter()
         db_bloom = run.bf_db()
         # -- First HDFS scan: only to build BF_H ---------------------------
@@ -54,7 +55,8 @@ class ZigzagDbJoin(JoinAlgorithm):
         t_pruned = bf_h(run, first_scan, t_parts)
 
         # -- Second HDFS scan: no indexes, pay the full scan again ---------
-        second_scan = warehouse.jen.distributed_scan(query, db_bloom=db_bloom)
+        second_scan = warehouse.jen.distributed_scan(
+            query, db_bloom=db_bloom, observer=observer)
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
         run.stats.hdfs_rows_scanned += second_scan.stats.rows_scanned
         run.stats.hdfs_stored_bytes_scanned += \

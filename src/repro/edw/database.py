@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.adaptive import hooks as adaptive_hooks
 from repro.config import ClusterConfig
 from repro.core.bloom import BloomFilter
 from repro.edw.optimizer import DbJoinChoice, DbJoinStrategy
@@ -240,10 +239,6 @@ class ParallelDatabase:
             )
             parts.append(part)
             stats.append(worker_stats)
-        adaptive_hooks.record_db_filter(
-            sum(s.rows_scanned for s in stats),
-            sum(s.rows_out for s in stats),
-        )
         return parts, stats
 
     def build_global_bloom(

@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.adaptive import hooks as adaptive_hooks
 from repro.config import HybridConfig
 from repro.core.bloom import BloomFilter
 from repro.errors import CatalogError, FaultError, JoinError, WorkerCrashError
@@ -52,8 +51,9 @@ class DistributedScanResult:
     #: BF_H over the join keys of every surviving row; ``None`` unless
     #: the scan was asked to build it.
     hdfs_bloom: Optional[BloomFilter] = None
-    #: Heavy-hitter join keys detected during the scan (sorted int64
-    #: array, possibly empty); ``None`` when skew handling is off.
+    #: Heavy-hitter join keys detected during the scan
+    #: (:class:`repro.skew.HotKeySet`, possibly empty); ``None`` when
+    #: skew handling is off.
     hot_keys: Optional[object] = None
 
     def global_bloom(self) -> BloomFilter:
@@ -213,6 +213,7 @@ class Jen:
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
+        observer=None,
     ) -> DistributedScanResult:
         """Scan the query's HDFS table on every worker.
 
@@ -226,6 +227,7 @@ class Jen:
             db_bloom=db_bloom,
             build_hdfs_bloom=build_hdfs_bloom,
             bloom_seed=bloom_seed,
+            observer=observer,
         )
 
     def scan_with_request(
@@ -235,8 +237,15 @@ class Jen:
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
+        observer=None,
     ) -> DistributedScanResult:
-        """Query-independent distributed scan (the read_hdfs path)."""
+        """Query-independent distributed scan (the read_hdfs path).
+
+        ``observer`` is the run's adaptive context, if any: it hears the
+        scan's block count (``on_scan_begin``) and every scanned block
+        (``on_scan_block``), and may raise out of the scan to abandon
+        it.
+        """
         injector = self._active_injector()
         if injector is not None:
             injector.check_abort("scan")
@@ -244,11 +253,10 @@ class Jen:
         self._scan_depth += 1
         try:
             detector = self._skew_detector(request)
-            with adaptive_hooks.detecting_skew(detector):
-                result = self._run_scan_queue(
-                    meta, request, db_bloom, build_hdfs_bloom,
-                    bloom_seed, injector,
-                )
+            result = self._run_scan_queue(
+                meta, request, db_bloom, build_hdfs_bloom,
+                bloom_seed, injector, observer, detector,
+            )
             if detector is not None:
                 result.hot_keys = detector.hot_key_set()
             return result
@@ -324,6 +332,8 @@ class Jen:
         build_hdfs_bloom: bool,
         bloom_seed: int,
         injector: Optional[FaultInjector],
+        observer,
+        detector,
     ) -> DistributedScanResult:
         """The scan as a work queue of (worker, blocks) tasks.
 
@@ -346,9 +356,9 @@ class Jen:
             (worker, list(assignment.blocks_for(worker.worker_id)))
             for worker in self.workers
         )
-        adaptive_hooks.scan_begin(
-            sum(len(blocks) for _worker, blocks in tasks)
-        )
+        if observer is not None:
+            observer.on_scan_begin(
+                sum(len(blocks) for _worker, blocks in tasks))
         batches: List[Tuple[JenWorker, ScanBatch]] = []
         merged = ScanStats()
         while tasks:
@@ -395,7 +405,8 @@ class Jen:
         for worker, batch in batches:
             stop = start + batch.rows.num_rows
             wire = worker.finish_batch(
-                batch, request, None if keep is None else keep[start:stop]
+                batch, request, None if keep is None else keep[start:stop],
+                observer=observer, detector=detector,
             )
             start = stop
             pieces[worker.worker_id].append(wire)

@@ -21,7 +21,6 @@ from repro.errors import JoinError
 from repro.relational.table import Table
 from repro.query.plan import merge_partials, partial_tables_nonempty
 from repro.query.query import HybridQuery
-from repro.adaptive import hooks as adaptive_hooks
 from repro.testkit import invariants
 
 
@@ -121,9 +120,6 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
         invariants.check_shuffle_delivery(
             routed, per_destination, delivery_counts
         )
-    adaptive_hooks.record_shuffle_partitions(
-        [table.num_rows for table in per_destination]
-    )
     return ShuffleResult(
         per_destination=list(per_destination),
         tuples_shuffled=tuples_shuffled,

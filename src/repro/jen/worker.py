@@ -29,7 +29,6 @@ from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.relational.expressions import Predicate
 from repro.relational.table import Table
 from repro.query.query import DerivedColumn, HybridQuery
-from repro.adaptive import hooks as adaptive_hooks
 from repro.testkit import invariants
 
 
@@ -166,6 +165,8 @@ class JenWorker:
         db_bloom: Optional[BloomFilter] = None,
         local_bloom: Optional[BloomFilter] = None,
         faults=None,
+        observer=None,
+        detector=None,
     ) -> Tuple[Table, ScanStats]:
         """Scan assigned blocks through the full process pipeline.
 
@@ -175,11 +176,14 @@ class JenWorker:
         is the one-worker composition of :meth:`read_batch`,
         :func:`bloom_step` and :meth:`finish_batch` (the approximate
         tier's sampled blocks); the distributed scan runs the Bloom step
-        once over every worker's batch instead.
+        once over every worker's batch instead.  ``observer`` and
+        ``detector`` go to :meth:`finish_batch`.
         """
         batch = self.read_batch(meta, blocks, request, faults=faults)
         keep = bloom_step([batch], request, db_bloom, local_bloom)
-        return self.finish_batch(batch, request, keep), batch.stats
+        wire = self.finish_batch(batch, request, keep, observer=observer,
+                                 detector=detector)
+        return wire, batch.stats
 
     def read_batch(
         self,
@@ -246,15 +250,20 @@ class JenWorker:
 
     @staticmethod
     def finish_batch(batch: ScanBatch, request: ScanRequest,
-                     keep: Optional[np.ndarray] = None) -> Table:
+                     keep: Optional[np.ndarray] = None,
+                     observer=None, detector=None) -> Table:
         """Everything after the Bloom step; returns the wire table.
 
         ``keep`` is this batch's slice of the Bloom step's mask
         (``None`` when no filter was probed).  The survivors are
         gathered once, derived on and projected to the wire columns,
-        and ``batch.stats.rows_after_bloom`` is set.  The per-block
-        observers of :mod:`repro.adaptive.hooks` are then fed from the
-        batch's block offsets, in block order.
+        and ``batch.stats.rows_after_bloom`` is set.
+
+        The per-block observers are then fed from the batch's block
+        offsets, in block order: ``detector`` (a heavy-hitter detector)
+        gets each block's surviving join keys through ``observe(keys)``,
+        then ``observer`` (the run's adaptive context) its counts through
+        ``on_scan_block(...)``.  Either may be ``None``.
         """
         rows = batch.rows
         kept = batch.selected
@@ -269,28 +278,32 @@ class JenWorker:
             rows = request.apply_derivations(rows)
         wire = rows.project(list(request.wire_columns))
         batch.stats.rows_after_bloom = wire.num_rows
+        if observer is None and detector is None:
+            return wire
 
         keys = None
-        if adaptive_hooks.skew_detection_active() \
-                and request.join_key is not None \
+        if detector is not None and request.join_key is not None \
                 and request.join_key in wire.schema.names:
             # Feed the heavy-hitter detector from the same per-block
-            # seam the adaptive plane uses — no second pass over L, and
-            # one block per call: the detector prunes per observation.
+            # replay the adaptive plane uses — no second pass over L,
+            # and one block per call: the detector prunes per
+            # observation.
             keys = wire.column(request.join_key)
         start = 0
         for num_rows, selected, count in zip(batch.block_rows,
                                              batch.selected, kept):
             if keys is not None:
-                adaptive_hooks.record_scan_keys(keys[start:start + count])
+                detector.observe(keys[start:start + count])
             start += count
-            # One fully processed block: the adaptive plane's finest
-            # observation grain (may raise SwitchSignal at a crossed
-            # decision checkpoint, abandoning the rest of the scan).
-            adaptive_hooks.record_scan_block(
-                num_rows, num_rows * batch.scan_row_bytes,
-                selected, count, keep is not None,
-            )
+            if observer is not None:
+                # One fully processed block: the adaptive plane's
+                # finest observation grain (may raise SwitchSignal at a
+                # crossed decision checkpoint, abandoning the rest of
+                # the scan).
+                observer.on_scan_block(
+                    num_rows, num_rows * batch.scan_row_bytes,
+                    selected, count, keep is not None,
+                )
         return wire
 
     @staticmethod

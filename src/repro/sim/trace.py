@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.adaptive import hooks as adaptive_hooks
 from repro.errors import SimulationError
 
 
@@ -84,10 +83,6 @@ class Trace:
             tuples=float(tuples),
         )
         self._phases[name] = phase
-        # The adaptive plane (when armed) sees every priced phase, so an
-        # abandoned plan segment's already-charged work can be replayed
-        # onto the final trace.
-        adaptive_hooks.record_phase(phase)
         return phase
 
     def graft(self, other: "Trace", drop: Sequence[str] = (),

@@ -8,12 +8,15 @@ Metwally's broadcast-hot/hash-cold hybrid split and Chakraborty's
 straggler-aware redistribution):
 
 1. **Detect** — a :class:`HeavyHitterDetector` (count-min sketch +
-   top-k heap, :mod:`repro.kernels.sketch`) rides the per-block scan
-   hooks of :mod:`repro.adaptive.hooks`, so detection costs no second
-   pass over L.
+   top-k heap, :mod:`repro.kernels.sketch`), created per scan by
+   :meth:`repro.jen.engine.Jen.scan_with_request`, is fed each block's
+   surviving join keys by the scan's per-block replay
+   (:meth:`repro.jen.worker.JenWorker.finish_batch`), so detection
+   costs no second pass over L.
 2. **Split** — the shuffle spreads build-side (L) rows of detected hot
-   keys round-robin across workers and broadcasts the matching
-   probe-side (T′) rows to every worker; the cold tail keeps the
+   keys round-robin across each key's bounded destination set and
+   duplicates the matching probe-side (T′) rows to that same set; the
+   cold tail keeps the
    agreed hash (:meth:`repro.jen.engine.Jen.shuffle_by_key`,
    :func:`repro.core.joins.repartition._route_db_rows`).
 3. **Steal** — residual straggler partitions are fragmented and

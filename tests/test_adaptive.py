@@ -26,7 +26,6 @@ from repro.adaptive import (
     ArtifactBank,
     ReOptimizer,
     RuntimeStatsCollector,
-    hooks,
 )
 from repro.core.advisor import JoinAdvisor
 from repro.core.joins import algorithm_by_name
@@ -296,18 +295,9 @@ class TestReOptimizer:
 
 
 # ----------------------------------------------------------------------
-# Hooks are inert outside an adaptive run
+# The observer seam: a run handed no observer is a plain run
 # ----------------------------------------------------------------------
 class TestHookSeam:
-    def test_hooks_are_inert_by_default(self):
-        assert not hooks.adaptive_active()
-        hooks.record_db_filter(10, 5)
-        hooks.record_scan_block(10, 100.0, 5, 5, False)
-        hooks.record_shuffle_partitions([1, 2, 3])
-        hooks.checkpoint("t_prime_built")
-        assert hooks.banked_bloom(("T", "k", 64)) is None
-        assert hooks.banked_db_filter("T") is None
-
     def test_static_algorithms_untouched_by_the_seam(self, flip_case):
         warehouse = _warehouse(flip_case)
         result = algorithm_by_name("repartition").run(

@@ -84,6 +84,25 @@ def test_data_movement_does_not_import_late_materialization(module):
     assert module not in importers("repro.latemat")
 
 
+#: The layers the adaptive plane observes.  Its context reaches them as
+#: an ``observer`` argument, so none of them may import it; the one
+#: exception is the algorithm registry, which imports ``AdaptiveJoin``
+#: to register it.
+OBSERVED_LAYERS = ("repro.sim", "repro.jen", "repro.edw", "repro.core",
+                   "repro.approx")
+ALGORITHM_REGISTRY = "repro.core.joins"
+
+
+def test_the_observed_layers_do_not_import_the_adaptive_plane():
+    observed = {
+        module for module in importers("repro.adaptive")
+        if any(module == layer or module.startswith(layer + ".")
+               for layer in OBSERVED_LAYERS)
+    }
+    assert ALGORITHM_REGISTRY in IMPORTS
+    assert observed <= {ALGORITHM_REGISTRY}, sorted(observed)
+
+
 #: All the oracle may take from ``repro``: the query's shape and the
 #: schema and table types.  No kernel, join operator, plan step or
 #: ``group_by_aggregate``, so a bug in one cannot cancel out between an

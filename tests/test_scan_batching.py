@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveConfig, AdaptiveJoin, hooks
+from repro.adaptive import AdaptiveConfig, AdaptiveJoin, SwitchSignal
 from repro.core.bloom import BloomFilter
 from repro.core.joins import algorithm_by_name
 from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
@@ -45,8 +45,9 @@ def reference_scan(worker, meta, blocks, request, db_bloom=None,
     """filter -> project -> derive -> Bloom -> wire, block by block.
 
     Returns ``(wire, stats, feed)``; ``feed`` is what the per-block
-    observers are owed, in order: ``("keys", [...])`` then
-    ``("block", rows, bytes, after_predicates, after_bloom, applied)``.
+    observers are owed, in order: ``("keys", [...])`` to the detector,
+    then ``("block", rows, bytes, after_predicates, after_bloom,
+    applied)`` to the observer.
     """
     row_bytes = meta.storage_format().scan_bytes_per_row(
         meta.schema, list(request.projection))
@@ -118,6 +119,21 @@ def new_local_bloom() -> BloomFilter:
     return BloomFilter(BLOOM_BITS, 2, seed=11)
 
 
+class BlockLog:
+    """A scan observer logging each block's counts as a ``"block"``
+    event (the adaptive context's ``on_scan_*`` methods)."""
+
+    def __init__(self, events):
+        self.events = events
+        self.total = None
+
+    def on_scan_begin(self, total_blocks):
+        self.total = total_blocks
+
+    def on_scan_block(self, *counts):
+        self.events.append(("block",) + counts)
+
+
 # ----------------------------------------------------------------------
 # Rows, order, stats and BF_H against the per-block loop
 # ----------------------------------------------------------------------
@@ -164,10 +180,9 @@ class TestBatchEqualsPerBlock:
         assert blocks_fed[1][3] == 0          # nothing survives block 1
         assert any(entry[4] for entry in blocks_fed)
         seen = []
-        with hooks.observing_blocks(lambda *args: seen.append(args)):
-            worker.scan_filter_project(meta, blocks, narrow,
-                                       db_bloom=db_bloom)
-        assert seen == [entry[1:] for entry in blocks_fed]
+        worker.scan_filter_project(meta, blocks, narrow, db_bloom=db_bloom,
+                                   observer=BlockLog(seen))
+        assert seen == blocks_fed
 
     def test_worker_with_zero_blocks(self, scan_setup):
         worker, meta, blocks, request, db_bloom = scan_setup
@@ -236,10 +251,8 @@ def _assert_feed_equals_the_per_block_feed(scan_setup, db_bloom):
         worker, meta, blocks, request, db_bloom)
     events = []
     recorder = _RecordingDetector(events, num_workers=4)
-    with hooks.detecting_skew(recorder), hooks.observing_blocks(
-            lambda *args: events.append(("block",) + args)):
-        worker.scan_filter_project(meta, blocks, request,
-                                   db_bloom=db_bloom)
+    worker.scan_filter_project(meta, blocks, request, db_bloom=db_bloom,
+                               observer=BlockLog(events), detector=recorder)
     assert events == feed
     assert len([e for e in events if e[0] == "block"]) == len(blocks)
 
@@ -275,11 +288,10 @@ class TestObserverReplay:
         assert expected is not None and len(expected) > 0
 
         detector = HeavyHitterDetector(len(jen.workers))
-        with hooks.detecting_skew(detector):
-            for worker in jen.workers:
-                worker.scan_filter_project(
-                    meta, list(assignment.blocks_for(worker.worker_id)),
-                    request)
+        for worker in jen.workers:
+            worker.scan_filter_project(
+                meta, list(assignment.blocks_for(worker.worker_id)),
+                request, detector=detector)
         actual = detector.hot_key_set()
         assert np.array_equal(actual.keys, expected.keys)
         assert np.array_equal(actual.fanouts, expected.fanouts)
@@ -298,12 +310,11 @@ class TestFaultHook:
             worker, meta, blocks[:crash_at], request, db_bloom)
         local_bloom = new_local_bloom()
         observed = []
-        with hooks.observing_blocks(lambda *args: observed.append(args)):
-            with pytest.raises(CrashSignal) as crash:
-                worker.scan_filter_project(
-                    meta, blocks, request, db_bloom=db_bloom,
-                    local_bloom=local_bloom,
-                    faults=ScanFaultHook(crash_at))
+        with pytest.raises(CrashSignal) as crash:
+            worker.scan_filter_project(
+                meta, blocks, request, db_bloom=db_bloom,
+                local_bloom=local_bloom, faults=ScanFaultHook(crash_at),
+                observer=BlockLog(observed))
         partial = crash.value.stats
         assert partial.rows_scanned == expected.rows_scanned
         assert partial.stored_bytes_scanned == expected.stored_bytes_scanned
@@ -386,11 +397,12 @@ def test_forced_switch_fires_at_the_same_block():
 # One Bloom step per query against per-worker filters
 # ----------------------------------------------------------------------
 def reference_queue_scan(jen, request, db_bloom=None, insert=False,
-                         seed=11):
+                         seed=11, observer=None):
     """The scan work queue with per-worker filters, merged at the end.
 
     Every task runs its worker's whole pipeline, Bloom step included
-    (``scan_filter_project`` with that worker's own BF_H); a crashed
+    (``scan_filter_project`` with that worker's own BF_H, feeding
+    ``observer`` and the query's heavy-hitter detector); a crashed
     worker's partial output and filter are dropped and its blocks dealt
     to the survivors; the per-worker filters are OR-merged with
     ``BloomFilter.combine``.  Returns ``(wire_tables, stats, bf_h,
@@ -418,37 +430,37 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
 
     detector = (HeavyHitterDetector(len(jen.workers))
                 if skew.skew_handling_enabled() else None)
-    with hooks.detecting_skew(detector):
-        hooks.scan_begin(sum(len(blocks) for _worker, blocks in tasks))
-        while tasks:
-            worker, blocks = tasks.popleft()
-            if worker not in jen.workers:
-                deal(worker.worker_id, blocks)
-                continue
-            crash_at = (injector.scan_crash_block(worker.worker_id,
-                                                  len(blocks))
-                        if injector is not None else None)
-            try:
-                if crash_at is not None and not blocks:
-                    raise CrashSignal(worker.worker_id, ScanStats())
-                wire, task_stats = worker.scan_filter_project(
-                    meta, blocks, request, db_bloom=db_bloom,
-                    local_bloom=blooms.get(worker.worker_id),
-                    faults=(ScanFaultHook(crash_at)
-                            if crash_at is not None else None))
-            except CrashSignal as crash:
-                jen.fail_worker(worker.worker_id)
-                pieces.pop(worker.worker_id)
-                blooms.pop(worker.worker_id, None)
-                stats.rows_discarded += crash.stats.rows_scanned
-                stats.blocks_reassigned += len(blocks)
-                injector.record_scan_crash(
-                    worker.worker_id, crash.stats.rows_scanned,
-                    len(blocks), len(jen.workers))
-                deal(worker.worker_id, blocks)
-                continue
-            pieces[worker.worker_id].append(wire)
-            stats = stats.merge(task_stats)
+    if observer is not None:
+        observer.on_scan_begin(sum(len(blocks) for _worker, blocks in tasks))
+    while tasks:
+        worker, blocks = tasks.popleft()
+        if worker not in jen.workers:
+            deal(worker.worker_id, blocks)
+            continue
+        crash_at = (injector.scan_crash_block(worker.worker_id, len(blocks))
+                    if injector is not None else None)
+        try:
+            if crash_at is not None and not blocks:
+                raise CrashSignal(worker.worker_id, ScanStats())
+            wire, task_stats = worker.scan_filter_project(
+                meta, blocks, request, db_bloom=db_bloom,
+                local_bloom=blooms.get(worker.worker_id),
+                faults=(ScanFaultHook(crash_at)
+                        if crash_at is not None else None),
+                observer=observer, detector=detector)
+        except CrashSignal as crash:
+            jen.fail_worker(worker.worker_id)
+            pieces.pop(worker.worker_id)
+            blooms.pop(worker.worker_id, None)
+            stats.rows_discarded += crash.stats.rows_scanned
+            stats.blocks_reassigned += len(blocks)
+            injector.record_scan_crash(
+                worker.worker_id, crash.stats.rows_scanned,
+                len(blocks), len(jen.workers))
+            deal(worker.worker_id, blocks)
+            continue
+        pieces[worker.worker_id].append(wire)
+        stats = stats.merge(task_stats)
     wire_tables = [Table.concat(pieces[worker.worker_id])
                    for worker in jen.workers]
     merged = (BloomFilter.combine([blooms[worker.worker_id]
@@ -458,12 +470,13 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
     return wire_tables, stats, merged, hot_keys
 
 
-class _Feed:
-    """The per-block observer feed, in order: the skew detector's key
-    slices and the block observer's counts."""
+class _Feed(BlockLog):
+    """The per-block feed, in order: the skew detector's key slices
+    (every detector's, including the one the scan creates) and this
+    observer's block counts."""
 
     def __init__(self, monkeypatch):
-        self.events = []
+        super().__init__([])
         observe = HeavyHitterDetector.observe
         events = self.events
 
@@ -473,9 +486,6 @@ class _Feed:
 
         monkeypatch.setattr(HeavyHitterDetector, "observe",
                             recording_observe)
-
-    def block(self, *counts):
-        self.events.append(("block",) + counts)
 
     def take(self):
         events = list(self.events)
@@ -520,16 +530,15 @@ def _both_scans(warehouse, request, db_bloom, insert, feed, faults=None):
         injector = (warehouse.arm_faults(FaultPlan.from_spec(faults))
                     if faults else None)
         try:
-            with hooks.observing_blocks(feed.block):
-                if run == "reference":
-                    result = reference_queue_scan(
-                        warehouse.jen, request, db_bloom, insert)
-                else:
-                    scan = warehouse.jen.scan_with_request(
-                        "L", request, db_bloom=db_bloom,
-                        build_hdfs_bloom=insert)
-                    result = (scan.wire_tables, scan.stats,
-                              scan.hdfs_bloom, scan.hot_keys)
+            if run == "reference":
+                result = reference_queue_scan(
+                    warehouse.jen, request, db_bloom, insert, observer=feed)
+            else:
+                scan = warehouse.jen.scan_with_request(
+                    "L", request, db_bloom=db_bloom,
+                    build_hdfs_bloom=insert, observer=feed)
+                result = (scan.wire_tables, scan.stats,
+                          scan.hdfs_bloom, scan.hot_keys)
             sides.append((result, feed.take(), injector))
         finally:
             if faults:
@@ -636,40 +645,35 @@ class TestQueryWideBloomStep:
 
     def test_forced_switch_at_the_same_block(self, query_case,
                                              monkeypatch):
-        """A stub re-optimizer votes to switch at a block inside the
-        second worker's task: both scans stop replaying there, having
-        shown the observers exactly the same blocks."""
+        """A stub observer votes to switch at a block inside the second
+        worker's task: both scans stop replaying there, having shown
+        the observer exactly the same blocks."""
         warehouse, request, db_bloom = query_case
         assignment = warehouse.jen.coordinator.plan_scan("L")
         switch_at = len(list(assignment.blocks_for(0))) + 3
+        feed = _Feed(monkeypatch)
 
-        class SwitchAt:
-            def __init__(self):
-                self.blocks = 0
-
-            def on_scan_begin(self, total):
-                self.total = total
+        class SwitchAt(BlockLog):
+            blocks = 0
 
             def on_scan_block(self, *counts):
+                super().on_scan_block(*counts)
                 self.blocks += 1
                 if self.blocks == switch_at:
-                    raise hooks.SwitchSignal(SimpleNamespace(
+                    raise SwitchSignal(SimpleNamespace(
                         target="stub", at_progress=self.blocks / self.total))
 
-        feed = _Feed(monkeypatch)
         seen = []
         for run in ("reference", "query-wide"):
-            context = SwitchAt()
-            with hooks.adapting(context), \
-                    hooks.observing_blocks(feed.block), \
-                    pytest.raises(hooks.SwitchSignal):
+            context = SwitchAt(feed.events)
+            with pytest.raises(SwitchSignal):
                 if run == "reference":
                     reference_queue_scan(warehouse.jen, request, db_bloom,
-                                         insert=True)
+                                         insert=True, observer=context)
                 else:
                     warehouse.jen.scan_with_request(
                         "L", request, db_bloom=db_bloom,
-                        build_hdfs_bloom=True)
+                        build_hdfs_bloom=True, observer=context)
             seen.append((context.blocks, feed.take()))
         assert seen[0] == seen[1]
         assert seen[1][0] == switch_at

@@ -7,12 +7,19 @@ every phase in trace order (name, kind, ``repr`` of the simulated
 seconds, after, streams_from, volume_bytes, tuples, description).  A
 change to the join pipeline that moves any of them fails here.
 
+The first op of each benchmark workload (``benchmarks.e2e``) at seed
+42 is pinned the same way, one dump per query of the op: a change that
+moves what the benchmark measures fails here before it reaches a timed
+run.  A ``benchmark`` change that edits a workload re-pins these cells
+(``BENCHMARK_PINS``).
+
 To see *what* moved, dump every cell on two trees and diff the files::
 
     PYTHONPATH=src python -m tests.test_trace_identity > dump.json
     PYTHONPATH=src python -m tests.test_trace_identity --pins
 
-The second form prints the ``PINS`` table for the current tree.
+The second form prints the ``PINS`` and ``BENCHMARK_PINS`` tables for
+the current tree.
 """
 
 from __future__ import annotations
@@ -143,8 +150,42 @@ def dump(result) -> dict:
 
 
 def digest(result) -> str:
-    text = json.dumps(dump(result), sort_keys=True)
+    return _sha256(dump(result))
+
+
+def _sha256(tree) -> str:
+    text = json.dumps(tree, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Seed of the pinned benchmark ops.
+BENCHMARK_SEED = 42
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_op(workload: str) -> dict:
+    """The first op of one benchmark workload after its set-up, dumped:
+    one entry per query (a result-cache hit has no join run to dump),
+    plus the service's cache hit rates."""
+    from benchmarks.e2e.workloads import Session, workload_by_name
+
+    session = Session(workload_by_name(workload), BENCHMARK_SEED)
+    try:
+        op = session.run_op()
+    finally:
+        session.close()
+    return {
+        "queries": [
+            {"template": query.template, "status": query.status,
+             "sim_seconds": repr(query.sim_seconds),
+             "queue_wait": repr(query.queue_wait),
+             "run": (_plain(query.result.to_rows())
+                     if query.join_result is None
+                     else dump(query.join_result))}
+            for query in op.queries
+        ],
+        "hit_rates": _plain(op.hit_rates),
+    }
 
 
 PINS: Dict[str, str] = {
@@ -218,10 +259,23 @@ PINS: Dict[str, str] = {
 }
 
 
+BENCHMARK_PINS: Dict[str, str] = {
+    "scan_zigzag": "2472136027aa2b01e59de9eb8fa33a8f6fdaa10ef16a895aa748f4a73c7f2b5a",
+    "shuffle_repartition": "2e378cf81ec22d3c3640011a2c5fa615bfe6bf7cb53a4fe8a9d24dc5f4392c1d",
+    "db_thin_text": "8037b2c50eac218b52bb226638c9c2da5b82ccfc07c612f95e5a169a1ece65fc",
+    "service_stream": "9060b59478719bb3e8a774a89725d4a21c483ff7bcee2a783b238434ad2d833f",
+}
+
+
 @pytest.mark.parametrize("variant,setting", cells(),
                          ids=[f"{v}/{s}" for v, s in cells()])
 def test_trace_is_pinned(variant, setting):
     assert digest(run_cell(variant, setting)) == PINS[f"{variant}/{setting}"]
+
+
+@pytest.mark.parametrize("workload", list(BENCHMARK_PINS))
+def test_benchmark_op_is_pinned(workload):
+    assert _sha256(benchmark_op(workload)) == BENCHMARK_PINS[workload]
 
 
 @pytest.mark.parametrize("variant,setting", cells(),
@@ -255,11 +309,15 @@ def test_the_settings_engage():
 
 
 if __name__ == "__main__":
-    results = {f"{v}/{s}": run_cell(v, s) for v, s in cells()}
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    trees = {f"{v}/{s}": dump(run_cell(v, s)) for v, s in cells()}
+    trees.update({f"benchmark/{workload.name}": benchmark_op(workload.name)
+                  for workload in WORKLOADS})
     if sys.argv[1:] == ["--pins"]:
-        for label, result in results.items():
-            print(f"    {label!r}: {digest(result)!r},")
+        for label, tree in trees.items():
+            print(f"    {label.removeprefix('benchmark/')!r}: "
+                  f"{_sha256(tree)!r},")
     else:
-        json.dump({label: dump(result) for label, result in results.items()},
-                  sys.stdout, indent=1, sort_keys=True)
+        json.dump(trees, sys.stdout, indent=1, sort_keys=True)
         print()
