@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import JoinError
-from repro.query.plan import join_partial_aggregate
+from repro.query.plan import join_aggregate
 from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Column, DataType, Schema
@@ -282,14 +282,14 @@ class JoinAggregateEstimator:
         """Join one sampled block against T′ and fold it in.
 
         The block goes through the engines' fused join -> partial
-        aggregate (:func:`~repro.query.plan.join_partial_aggregate`), so
-        no joined row is materialised and a band post-join predicate
+        aggregate as its one unit (:func:`~repro.query.plan.join_aggregate`),
+        so no joined row is materialised and a band post-join predicate
         only ever produces its surviving pairs.  Returns the block's
         post-predicate join output row count (the caller's volume
         accounting).
         """
-        partial, _pairs = join_partial_aggregate(
-            t_prime, wire_block, self._block_query)
+        partial, _pairs = join_aggregate(
+            [(t_prime, wire_block)], self._block_query)
         self._fold(partial)
         return int(partial.column(_ROWS).sum())
 

@@ -1,13 +1,15 @@
-"""Worker-to-worker exchange: shuffles and final aggregation.
+"""Worker-to-worker exchange: the shuffle.
 
 Three kinds of transfers happen among JEN workers (paper Section 4.3):
 the all-to-all shuffle of filtered HDFS rows for repartition-based
 joins, the aggregation of local Bloom filters at a designated worker,
 and the merge of partial aggregates at a designated worker.  The
-functions here perform the shuffle and the aggregate merge and report
-their volume.  The data plane builds BF_H as one filter during the
-scan (:meth:`repro.jen.engine.Jen.scan_with_request`), so the Bloom
-merge is only priced on the trace (``bf_h_merge``).
+functions here perform the shuffle and report its volume.  The data
+plane builds BF_H as one filter during the scan
+(:meth:`repro.jen.engine.Jen.scan_with_request`), so the Bloom merge is
+only priced on the trace (``bf_h_merge``), and it merges the partial
+aggregates inside the one local join
+(:func:`repro.query.plan.join_aggregate`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import numpy as np
 
 from repro.errors import JoinError
 from repro.relational.table import Table
-from repro.query.plan import merge_partials, partial_tables_nonempty
-from repro.query.query import HybridQuery
 from repro.testkit import invariants
 
 
@@ -128,7 +128,3 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
         duplicates_suppressed=duplicates_suppressed,
     )
 
-
-def final_aggregate(partials: Sequence[Table], query: HybridQuery) -> Table:
-    """Merge per-worker partial aggregates at the designated worker."""
-    return merge_partials(partial_tables_nonempty(list(partials)), query)

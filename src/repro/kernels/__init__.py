@@ -11,9 +11,10 @@ differential battery in ``tests/test_kernels.py`` pins the equivalence:
   stable argsort instead of one full-table boolean filter per
   destination (O(n log n) vs O(n·p) for a p-way shuffle).
 * :mod:`repro.kernels.joinindex` — :class:`JoinBuildIndex`, the sorted
-  build side of the local equi-join, built once per worker build side
-  and reusable across probe fragments and (via the service-plane
-  cache) across queries on the same normalised build.
+  build side of the local equi-join, built once over every worker's
+  build rows (the worker is a slot field of the sorted word) and
+  reusable (via the service-plane cache) across queries on the same
+  normalised build.
 * :mod:`repro.kernels.bloomops` — word-level Bloom-filter operations:
   duplicate-collapsing scatter-OR insert, vectorised multi-hash bit
   tests, and popcount without materialising individual bits.

@@ -4,7 +4,7 @@ exact semijoin.
 The join is the *local* building block: every distributed algorithm in
 the paper ultimately ends with each worker running an in-memory hash
 join on its slice of the data.  The matching index pairs come from
-:func:`repro.kernels.joinindex.probe_join` (sort-based rather than
+a :class:`repro.kernels.joinindex.JoinBuildIndex` (sort-based rather than
 literally hash-based, which is semantically identical for equi-joins
 and much faster in pure Python; the time plane prices it with hash-join
 build/probe rates, matching the engines the paper describes), and

@@ -15,16 +15,16 @@ query stream:
   share those (e.g. the same transaction filter joined against
   different log slices) can reuse one OR-merged filter, skipping the
   ``cal_filter``/``combine_filter`` pipeline entirely;
-* **the per-worker join build indexes** — JEN's local join sorts each
-  worker's build side (the filtered HDFS rows it received) before
-  probing.  Two queries whose HDFS side is unchanged — same table,
-  predicate, derivations and join key, pruned by the same database
-  filter — deliver byte-identical build partitions to each worker, so
-  the sorted :class:`~repro.kernels.JoinBuildIndex` can be reused and
-  only the probe runs.  Reuse is *verified*: a cached index is compared
-  against the fresh build keys (O(n), versus the O(n log n) sort it
-  saves) and silently rebuilt on any mismatch, so a stale entry can
-  never change a result.
+* **the join build index** — JEN's local join sorts every worker's
+  build side (the filtered HDFS rows it received) in one slot-keyed
+  index before probing.  Two queries whose HDFS side is unchanged —
+  same table, predicate, derivations and join key, pruned by the same
+  database filter — deliver byte-identical build partitions to each
+  worker, so the sorted :class:`~repro.kernels.JoinBuildIndex` can be
+  reused and only the probe runs.  Reuse is *verified*: a cached
+  index is compared against the fresh build keys and slot boundaries
+  (O(n), versus the O(n log n) sort it saves) and silently rebuilt on
+  any mismatch, so a stale entry can never change a result.
 
 Keys are *semantic*: predicates are normalised (conjunction and
 disjunction children sorted, literals rendered canonically), so two
@@ -260,7 +260,8 @@ class BloomCache(_LruCache):
 
 
 class JoinIndexCache(_LruCache):
-    """Build-side key + worker slot -> :class:`JoinBuildIndex`."""
+    """Build-side key -> the query's slot-keyed :class:`JoinBuildIndex`
+    (one per group of units when the build side is grouped)."""
 
     def __init__(self, capacity: int = 64,
                  metrics: Optional[MetricsRegistry] = None):
@@ -268,40 +269,49 @@ class JoinIndexCache(_LruCache):
 
 
 class CachingJoinIndexProvider:
-    """Cross-query memoisation of per-worker join build indexes.
+    """Cross-query memoisation of the join build index.
 
     Installed on :attr:`Jen.build_index_provider` for the duration of a
     drain.  The service sets the current query's
     :func:`build_side_key` context before executing the data plane; the
-    engine then asks this provider for each worker's index.  A cached
-    index is returned only if :meth:`JoinBuildIndex.matches` confirms
-    it was built over exactly the worker's fresh build keys and band
-    values — anything else (first sight, eviction, a context collision,
-    a fault-recovery run that redistributed rows, a key-only index asked
-    for a band or the reverse) builds and caches a new index.  Reuse
-    is therefore invisible to the data plane: the probe output is
-    bit-identical either way.
+    engine then asks this provider for the one index over every join
+    unit's build rows.  A cached index is returned only if
+    :meth:`JoinBuildIndex.matches` confirms it was built over exactly
+    the fresh build keys, band values and slot boundaries — anything
+    else (first sight, eviction, a context collision, a fault-recovery
+    run that redistributed rows, equal keys split into slots
+    differently, a key-only index asked for a band or the reverse)
+    builds and caches a new index.  Reuse is therefore invisible to the
+    data plane: the probe output is bit-identical either way.
     """
 
     def __init__(self, jen, cache: JoinIndexCache):
         self._jen = jen
         self.cache = cache
         self._context: Optional[str] = None
+        self._asked = 0
 
     def set_context(self, context_key: Optional[str]) -> None:
         """Scope subsequent lookups to one query's build-side key."""
         self._context = context_key
+        self._asked = 0
 
-    def __call__(self, worker_slot: int, build_keys, band_values=None):
+    def __call__(self, build_keys, band_values=None, slot_bounds=None):
         from repro.kernels.joinindex import JoinBuildIndex
 
         if self._context is None:
-            return JoinBuildIndex(build_keys, band_values)
-        key = f"{self._context}|w{worker_slot}"
+            return JoinBuildIndex(build_keys, band_values, slot_bounds)
+        # A build side past ``GROUP_BUILD_ROWS`` asks once per group of
+        # units (:func:`repro.query.plan.join_aggregate`): the n-th
+        # index a query asks for is its n-th entry.
+        key = self._context if not self._asked \
+            else f"{self._context}|{self._asked}"
+        self._asked += 1
         cached = self.cache.get(key)
-        if cached is not None and cached.matches(build_keys, band_values):
+        if cached is not None \
+                and cached.matches(build_keys, band_values, slot_bounds):
             return cached
-        index = JoinBuildIndex(build_keys, band_values)
+        index = JoinBuildIndex(build_keys, band_values, slot_bounds)
         self.cache.put(key, index)
         return index
 

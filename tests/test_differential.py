@@ -312,11 +312,12 @@ def broken_probe(monkeypatch):
     """
     original = JoinBuildIndex.probe
 
-    def dropping_probe(self, probe_keys, band=None):
+    def dropping_probe(self, probe_keys, band=None, **kwargs):
         if band is None:
-            build_idx, probe_idx = original(self, probe_keys)
+            build_idx, probe_idx = original(self, probe_keys, **kwargs)
             return build_idx[:-1], probe_idx[:-1]
-        build_idx, probe_idx, pairs = original(self, probe_keys, band)
+        build_idx, probe_idx, pairs = original(self, probe_keys, band,
+                                               **kwargs)
         return build_idx[:-1], probe_idx[:-1], pairs
 
     monkeypatch.setattr(JoinBuildIndex, "probe", dropping_probe)
@@ -406,6 +407,15 @@ class TestFuzzDriver:
 # Join-index cache: verified collision rebuild (service/cache.py)
 # ----------------------------------------------------------------------
 class TestJoinIndexCacheCollision:
+    @staticmethod
+    def query_asking(provider, context):
+        """Each call is one query under ``context`` asking for its
+        index."""
+        def ask(*columns):
+            provider.set_context(context)
+            return provider(*columns)
+        return ask
+
     def test_colliding_key_is_verified_and_rebuilt(self):
         from repro.service.cache import (
             CachingJoinIndexProvider,
@@ -414,16 +424,16 @@ class TestJoinIndexCacheCollision:
 
         cache = JoinIndexCache(capacity=8)
         provider = CachingJoinIndexProvider(jen=None, cache=cache)
-        provider.set_context("colliding-context")
+        ask = self.query_asking(provider, "colliding-context")
         keys_a = np.array([5, 1, 3, 3], dtype=np.int64)
-        first = provider(0, keys_a)
-        assert provider(0, keys_a) is first  # verified hit
+        first = ask(keys_a)
+        assert ask(keys_a) is first  # verified hit
         hits_before = cache.hits.value
 
         # Same context key, different build side: matches() must reject
         # the stale entry and a fresh index must replace it.
         keys_b = np.array([2, 9], dtype=np.int64)
-        rebuilt = provider(0, keys_b)
+        rebuilt = ask(keys_b)
         assert rebuilt is not first
         assert rebuilt.matches(keys_b)
         build_idx, probe_idx = rebuilt.probe(
@@ -432,13 +442,59 @@ class TestJoinIndexCacheCollision:
         assert keys_b[build_idx].tolist() == [9, 2]
         assert probe_idx.tolist() == [0, 2]
         # The rebuilt index was re-cached under the same key.
-        assert provider(0, keys_b) is rebuilt
+        assert ask(keys_b) is rebuilt
         assert cache.hits.value > hits_before
 
+    def test_equal_keys_split_differently_are_rebuilt(self):
+        """One entry per query build side: a cached index over the same
+        keys with other slot boundaries must miss, or a probe row would
+        match rows of a worker it was never sent to."""
+        from repro.service.cache import (
+            CachingJoinIndexProvider,
+            JoinIndexCache,
+        )
+
+        provider = CachingJoinIndexProvider(
+            jen=None, cache=JoinIndexCache(capacity=8))
+        ask = self.query_asking(provider, "one-query")
+        keys = np.array([4, 7, 4, 7, 4], dtype=np.int64)
+        first = ask(keys, None, np.array([0, 2, 5]))
+        assert ask(keys, None, np.array([0, 2, 5])) is first
+        resplit = ask(keys, None, np.array([0, 3, 5]))
+        assert resplit is not first
+        # Slot 0 now holds rows 0-2: key 4 matches rows 0 and 2 there,
+        # where the stale split would have answered row 0 alone.
+        build_idx, probe_idx = resplit.probe(
+            np.array([4, 4], dtype=np.int64), slots=np.array([0, 1]))
+        assert build_idx.tolist() == [0, 2, 4]
+        assert probe_idx.tolist() == [0, 0, 1]
+        assert ask(keys, None, np.array([0, 3, 5])) is resplit
+        # The same keys as one slot are yet another index.
+        assert ask(keys) is not resplit
+
+    def test_grouped_build_sides_keep_one_entry_per_group(self):
+        """A query whose build side joins in groups asks once per group;
+        the n-th ask of a query is its n-th entry, so a repeat hits all
+        of them."""
+        from repro.service.cache import (
+            CachingJoinIndexProvider,
+            JoinIndexCache,
+        )
+
+        provider = CachingJoinIndexProvider(
+            jen=None, cache=JoinIndexCache(capacity=8))
+        groups = [np.arange(5), np.arange(7), np.arange(5) + 1]
+        for _query in range(2):
+            provider.set_context("grouped")
+            indexes = [provider(keys) for keys in groups]
+        provider.set_context("grouped")
+        assert [provider(keys) for keys in groups] == indexes
+        assert provider.cache.hits.value == 6
+
     def test_poisoned_cache_cannot_change_a_result(self):
-        """End-to-end: pre-seed every worker slot with an index over the
-        wrong keys; the engine-side verification must rebuild them all
-        and the query must still match the oracle."""
+        """End-to-end: pre-seed the query's entry with an index over the
+        wrong keys (one per worker slot); the engine-side verification
+        must rebuild it and the query must still match the oracle."""
         from repro.service.cache import (
             CachingJoinIndexProvider,
             JoinIndexCache,
@@ -448,9 +504,10 @@ class TestJoinIndexCacheCollision:
                                             l_rows=1_600)
         warehouse = generator.build_cell_warehouse(case, 4, "parquet")
         cache = JoinIndexCache(capacity=64)
-        wrong = np.array([123456789], dtype=np.int64)
-        for slot in range(warehouse.jen.num_workers):
-            cache.put(f"poison|w{slot}", JoinBuildIndex(wrong))
+        wrong = np.array([123456789] * warehouse.jen.num_workers,
+                         dtype=np.int64)
+        cache.put("poison", JoinBuildIndex(
+            wrong, slot_bounds=np.arange(warehouse.jen.num_workers + 1)))
         provider = CachingJoinIndexProvider(warehouse.jen, cache)
         provider.set_context("poison")
         provider.install()

@@ -185,14 +185,18 @@ class TestCaching:
         # Even under one context key, matches() refuses the other kind.
         provider = CachingJoinIndexProvider(jen=None,
                                             cache=JoinIndexCache())
-        provider.set_context(keys[0])
+
+        def ask(*columns):
+            provider.set_context(keys[0])
+            return provider(*columns)
+
         build_keys = np.array([4, 1, 4, 2], dtype=np.int64)
         days = np.array([7, 3, 5, 5], dtype=np.int32)
-        banded = provider(0, build_keys, days)
-        key_only = provider(0, build_keys)
+        banded = ask(build_keys, days)
+        key_only = ask(build_keys)
         assert banded.banded and not key_only.banded
-        assert provider(0, build_keys, days.copy()) is not key_only
-        assert provider(0, build_keys, days + 1).band_values[0] == 8
+        assert ask(build_keys, days.copy()) is not key_only
+        assert ask(build_keys, days + 1).band_values[0] == 8
 
     def test_bloom_builder_uninstalled_after_drain(self, loaded_warehouse,
                                                    paper_query):
