@@ -7,7 +7,7 @@ import pytest
 from repro.edw.udf import _extract_group
 from repro.errors import ExpressionError
 from repro.kernels.joinindex import probe_join
-from repro.query.plan import join_partial_aggregate, merge_partials
+from repro.query.plan import join_aggregate, merge_partials
 from repro.query.query import DerivedColumn, HybridQuery
 from repro.query.stats import measure_selectivities, predicate_selectivity
 from repro.relational.expressions import compare
@@ -120,7 +120,7 @@ class TestPlanSteps:
         t, l_wire = wire_sides(paper_workload.t_table,
                                paper_workload.l_table, paper_query)
         partials = [
-            join_partial_aggregate(part, l_wire, paper_query)[0]
+            join_aggregate([(part, l_wire)], paper_query)[0]
             for part in t.split(7)
         ]
         merged = merge_partials(partials, paper_query)

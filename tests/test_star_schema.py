@@ -1,16 +1,22 @@
 """Tests for in-database pre-joins (star-schema support, paper §2)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import algorithm_by_name
 from repro.edw.database import DbJoinRunStats
 from repro.errors import CatalogError
-from repro.relational.expressions import compare
+from repro.kernels.joinindex import JoinBuildIndex, probe_join
+from repro.query import plan
+from repro.relational.expressions import TruePredicate, compare
+from repro.relational.operators import joined_rows
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.testkit import oracle
 from tests.conftest import build_test_warehouse
+from tests.test_join_pipeline import assert_bit_equal
 
 
 NUM_PRODUCTS = 200
@@ -107,6 +113,34 @@ class TestJoinLocal:
         gathered = star_warehouse.gather_db_table("F_enriched")
         assert gathered.schema == expected.schema
         oracle.assert_equivalent(gathered, expected)
+
+    @pytest.mark.parametrize("group_rows", [plan.GROUP_BUILD_ROWS, 60])
+    def test_each_worker_keeps_its_partition(self, star_warehouse,
+                                             group_rows):
+        """The slot-keyed join leaves on every worker the rows its own
+        join gave it, also when the build rows join in several groups
+        of at most ``GROUP_BUILD_ROWS``."""
+        database = star_warehouse.database
+        with mock.patch.object(plan, "GROUP_BUILD_ROWS", group_rows), \
+                mock.patch.object(plan, "JoinBuildIndex",
+                                  wraps=JoinBuildIndex) as built:
+            database.join_local(
+                "F", "P", "product_id", "product_id", result_name="F4",
+                left_projection=["joinKey", "product_id"],
+                right_projection=["category"])
+        assert (built.call_count > 1) == (group_rows < NUM_PRODUCTS)
+        sides = [
+            database._repartition(database.filter_project(
+                name, TruePredicate(), projection)[0], "product_id")
+            for name, projection in (("F", ["joinKey", "product_id"]),
+                                     ("P", ["category", "product_id"]))]
+        for worker, fact, dimension in zip(database.workers, *sides):
+            build = dimension.rename({"product_id": "__rhs_join_key"})
+            build_idx, probe_idx = probe_join(
+                build.column("__rhs_join_key"), fact.column("product_id"))
+            assert_bit_equal(worker.partition("F4"), joined_rows(
+                build, fact, build_idx, probe_idx,
+                names=["category", "joinKey", "product_id"]))
 
     def test_duplicate_result_name(self, star_warehouse):
         star_warehouse.database.join_local(
