@@ -12,7 +12,7 @@ can only guess at:
   (observed σ_T / σ_L so far, BF(T′) hit rate, scan progress), the
   artifact bank for legal cross-switch reuse, and the
   :class:`~repro.adaptive.collector.AdaptiveContext` each segment's run
-  is handed as its observer (it raises
+  is handed as an observer (it raises
   :class:`~repro.adaptive.collector.SwitchSignal` to abandon the run);
 * :mod:`repro.adaptive.reoptimizer` — decision checkpoints: re-runs the
   advisor's cost model with observed-so-far statistics extrapolated and
@@ -20,12 +20,13 @@ can only guess at:
   an alternative's full cost plus the switch penalty;
 * :mod:`repro.adaptive.algorithm` — :class:`~repro.adaptive.algorithm.
   AdaptiveJoin` (registered as ``"adaptive"``): runs the advised
-  algorithm with a context as its observer, executes switches (drain,
+  algorithm with a context among its observers, executes switches (drain,
   reuse banked artifacts, re-plan), and charges abandoned work plus
   switch overhead on the trace plane.
 
-No engine module imports this package: the observer reaches them as an
-argument.  Everything here resolves lazily on first attribute access.
+No engine module imports this package: the observer reaches them on
+the run's :class:`~repro.core.joins.base.ExecutionContext`.  Everything
+here resolves lazily on first attribute access.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The algorithm advises an initial plan from the (possibly wrong) workload
 estimate, then executes it with an :class:`~repro.adaptive.collector.
-AdaptiveContext` as the run's observer.  When a decision checkpoint's
-re-costing votes to switch, the in-flight segment is abandoned via
-:class:`~repro.adaptive.collector.SwitchSignal`
+AdaptiveContext` among its context's observers.  When a decision
+checkpoint's re-costing votes to switch, the in-flight segment is
+abandoned via :class:`~repro.adaptive.collector.SwitchSignal`
 (the engines' ``finally`` blocks drain cleanly), its materialised
 artifacts are banked, and the target plan runs from the top — reusing
 the banked BF(T′) and T′ partitions where legal.  The final trace
@@ -34,6 +34,7 @@ from repro.adaptive.collector import (
 )
 from repro.adaptive.reoptimizer import AdaptiveConfig, ReOptimizer
 from repro.core.joins.base import (
+    ExecutionContext,
     JoinAlgorithm,
     JoinResult,
     algorithm_by_name,
@@ -74,8 +75,11 @@ class AdaptiveJoin(JoinAlgorithm):
         self.config = config or AdaptiveConfig()
 
     # ------------------------------------------------------------------
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
-        advisor = JoinAdvisor(warehouse.config)
+    def run(self, warehouse, query: HybridQuery,
+            context: Optional[ExecutionContext] = None) -> JoinResult:
+        context = context or ExecutionContext()
+        advisor = JoinAdvisor(warehouse.config,
+                              skew_handling=context.skew_handling)
         estimate = self.estimate
         if estimate is None:
             from repro.query.stats import sample_workload_estimate
@@ -117,14 +121,17 @@ class AdaptiveJoin(JoinAlgorithm):
                     bank=bank,
                 )
                 reoptimizers.append(reoptimizer)
-            context = AdaptiveContext(collector, reoptimizer, bank)
+            observer = AdaptiveContext(collector, reoptimizer, bank)
             inner = algorithm_by_name(incumbent)
             try:
-                inner_result = inner.run(warehouse, query, observer=context)
+                inner_result = inner.run(warehouse, query, context=(
+                    dataclasses.replace(
+                        context,
+                        observers=context.observers + (observer,))))
             except SwitchSignal as signal:
                 abandoned.append(_AbandonedSegment(
                     algorithm=incumbent,
-                    context=context,
+                    context=observer,
                     decision=signal.decision,
                 ))
                 db_carry = (collector.db_rows_scanned,
@@ -136,7 +143,7 @@ class AdaptiveJoin(JoinAlgorithm):
                 continue
             break
 
-        report = self._report(initial, incumbent, abandoned, context,
+        report = self._report(initial, incumbent, abandoned, observer,
                               bank, reoptimizers)
         if not abandoned:
             inner_result.trace.metadata["adaptive"] = report

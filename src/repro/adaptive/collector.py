@@ -14,8 +14,9 @@ sets and all) and the filtered T′ partitions.  One bank outlives every
 segment of one adaptive run.
 
 :class:`AdaptiveContext` is the observer :class:`~repro.adaptive.
-algorithm.AdaptiveJoin` hands one segment's run (the ``observer``
-argument of :meth:`~repro.core.joins.base.JoinAlgorithm.run`): it owns
+algorithm.AdaptiveJoin` adds to one segment's run (one of the
+``observers`` of its :class:`~repro.core.joins.base.ExecutionContext`):
+it owns
 one collector, the shared bank, the run's trace (whose phases and
 shuffle sizes it reads back) and, unless the run is collect-only, the
 re-optimizer consulted at checkpoints.  :class:`SwitchSignal` is what it
@@ -217,7 +218,7 @@ class AdaptiveContext:
 
     def on_scan_block(self, rows_scanned: int, stored_bytes: float,
                       rows_after_predicates: int, rows_after_bloom: int,
-                      bloom_applied: bool) -> None:
+                      bloom_applied: bool, keys) -> None:
         collector = self.collector
         collector.blocks_done += 1
         collector.rows_scanned += rows_scanned

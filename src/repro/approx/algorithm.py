@@ -88,7 +88,8 @@ class ApproxJoin(JoinAlgorithm):
         return "approx(BF)" if self.use_bloom else "approx"
 
     # ------------------------------------------------------------------
-    def run(self, warehouse, query: HybridQuery) -> JoinResult:
+    def run(self, warehouse, query: HybridQuery,
+            context=None) -> JoinResult:
         jen = warehouse.jen
         if jen._active_injector() is not None:
             raise JoinError(
@@ -97,7 +98,7 @@ class ApproxJoin(JoinAlgorithm):
             )
         policy = self.policy
         # -- Exact database side (identical to repartition) --------------
-        run = JoinRun(self, warehouse, query)
+        run = JoinRun(self, warehouse, query, context=context)
         costing, stats, trace = run.costing, run.stats, run.trace
         t_parts = run.db_filter()
         db_bloom = run.bf_db() if self.use_bloom else None

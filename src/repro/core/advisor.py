@@ -92,10 +92,16 @@ class AdvisorDecision:
 
 
 class JoinAdvisor:
-    """Rank the algorithms for an estimated workload."""
+    """Rank the algorithms for an estimated workload.
 
-    def __init__(self, config: Optional[HybridConfig] = None):
+    ``skew_handling`` says whether the runs it advises will have the
+    skew plane on (their :class:`~repro.core.joins.base.ExecutionContext`).
+    """
+
+    def __init__(self, config: Optional[HybridConfig] = None,
+                 skew_handling: bool = False):
         self.config = config or HybridConfig()
+        self.skew_handling = skew_handling
         # Estimation happens at paper scale directly: scale factor 1.
         self._costing = JoinCosting(self.config.scaled(1.0))
 
@@ -242,11 +248,9 @@ class JoinAdvisor:
         measured balance exists at planning time, so the cap is the
         constant :data:`~repro.core.joins.costing.HYBRID_SHUFFLE_SKEW_CAP`.
         """
-        from repro.skew import skew_handling_enabled
-
         return self._costing.effective_shuffle_skew(
             max(1.0, self.config.shuffle_skew),
-            hybrid=skew_handling_enabled(),
+            hybrid=self.skew_handling,
         )
 
     def _common(self, est: WorkloadEstimate):

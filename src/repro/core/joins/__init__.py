@@ -16,6 +16,7 @@ plane replays with pipelining.
 
 from repro.core.joins.base import (
     ALGORITHMS,
+    ExecutionContext,
     JoinAlgorithm,
     JoinResult,
     JoinStats,
@@ -41,6 +42,7 @@ __all__ = [
     "ApproxJoin",
     "BroadcastJoin",
     "DbSideJoin",
+    "ExecutionContext",
     "JoinAlgorithm",
     "JoinResult",
     "JoinStats",

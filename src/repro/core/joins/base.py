@@ -6,16 +6,18 @@ plane, prices a :class:`~repro.sim.trace.Trace`, replays it, and returns
 a :class:`JoinResult` bundling the answer, the movement statistics (the
 paper's Table 1 numbers) and the simulated timing (the paper's figures).
 A :class:`JoinRun` carries one run through the stages an algorithm's
-``run`` composes, in the order of its steps in the paper.
+``run`` composes, in the order of its steps in the paper, under the
+:class:`ExecutionContext` the caller handed the run.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import JoinError
+from repro.kernels.joinindex import JoinBuildIndex
 from repro.relational.table import Table
 from repro.sim.replay import TimingResult, replay_trace
 from repro.sim.trace import Trace
@@ -117,6 +119,24 @@ class JoinResult:
         )
 
 
+@dataclass(frozen=True)
+class ExecutionContext:
+    """Everything one run applies beyond its query, for that run alone.
+
+    (The paper's ``read_hdfs`` UDF, too, ships it with each request.)
+    ``skew_handling`` arms the skew plane (:mod:`repro.skew`);
+    ``observers`` watch the run (see :class:`JoinRun`);
+    ``bloom_builder`` replaces ``ParallelDatabase.build_global_bloom``
+    and ``index_for`` builds the local join's index (the query service
+    fills both from its caches).
+    """
+
+    skew_handling: bool = False
+    observers: Tuple = ()
+    bloom_builder: Optional[Callable] = None
+    index_for: Callable = JoinBuildIndex
+
+
 class JoinAlgorithm:
     """Base class: one hybrid-warehouse join strategy."""
 
@@ -128,12 +148,8 @@ class JoinAlgorithm:
     uses_hdfs_bloom: bool = False
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        """Execute the algorithm end to end.
-
-        ``observer`` is an adaptive context watching this run (see
-        :class:`JoinRun`); only the adaptive wrapper passes one.
-        """
+            context: Optional[ExecutionContext] = None) -> JoinResult:
+        """Execute the algorithm end to end under ``context``."""
         raise NotImplementedError
 
     def _costing(self, warehouse) -> JoinCosting:
@@ -177,27 +193,29 @@ class JoinRun:
     :func:`~repro.core.joins.db_side.edw_tail`).  Each phase is priced
     at one place only, so every algorithm prices a step identically.
 
-    ``observer`` is the adaptive context watching this run, or ``None``
-    (:class:`repro.adaptive.collector.AdaptiveContext`).  The run hands
-    it its trace, the database filter's counts and the ``t_prime_built``
-    checkpoint, and the HDFS scans feed it per block; it lends the run
-    the artifacts its bank kept from an abandoned plan.  Any call into
-    it may raise to abandon the run.
+    The context's ``observers`` watch the run
+    (:class:`repro.adaptive.collector.AdaptiveContext` is one).  The run
+    hands each its trace, the database filter's counts and the
+    ``t_prime_built`` checkpoint, and the HDFS scans feed each per block
+    (``on_scan_begin`` / ``on_scan_block``, after the scan's heavy-hitter
+    detector); their ``bank`` lends the run the artifacts kept from an
+    abandoned plan.  Any call into one may raise to abandon the run.
     """
 
     def __init__(self, algorithm: JoinAlgorithm, warehouse,
                  query: HybridQuery,
                  startup: str = "UDF invocation, DB<->JEN connections",
-                 observer=None):
+                 context: Optional[ExecutionContext] = None):
         self.algorithm = algorithm
         self.warehouse = warehouse
         self.query = query
-        self.observer = observer
+        self.context = context or ExecutionContext()
+        self.observers = self.context.observers
         self.costing = algorithm._costing(warehouse)
         self.stats = JoinStats()
         self.trace = Trace(
             label=getattr(algorithm, "display_name", algorithm.name))
-        if observer is not None:
+        for observer in self.observers:
             observer.trace = self.trace
         self.trace.add("startup", "latency", self.costing.startup_seconds(),
                        description=startup)
@@ -207,15 +225,22 @@ class JoinRun:
         return self.algorithm._finish(self.warehouse, result, self.stats,
                                       self.trace)
 
+    def _banked(self, lookup: str, key):
+        """The first artifact an observer's bank kept under ``key``."""
+        for observer in self.observers:
+            banked = getattr(observer.bank, lookup)(key)
+            if banked is not None:
+                return banked
+        return None
+
     def db_filter(self) -> List[Table]:
         """Step 1 on the database: local predicates + projection on T."""
-        query, trace, observer = self.query, self.trace, self.observer
+        query, trace = self.query, self.trace
         description = "apply local predicates + projection on T"
         database = self.warehouse.database
         t_meta = database.table_meta(query.db_table)
         self.stats.db_rows_scanned = t_meta.num_rows
-        banked = (None if observer is None
-                  else observer.bank.banked_db_filter(query.db_table))
+        banked = self._banked("banked_db_filter", query.db_table)
         if banked is not None:
             # A switched-away plan already materialised T' for this
             # query; the data plane is deterministic, so the partitions
@@ -233,7 +258,7 @@ class JoinRun:
             index_available = database.workers[0].find_covering_index(
                 query.db_table, list(query.db_predicate.columns())
             ) is not None
-            if observer is not None:
+            for observer in self.observers:
                 observer.on_db_filter(
                     sum(s.rows_scanned for s in worker_stats), matched)
                 observer.bank.bank_db_filter(query.db_table, t_parts,
@@ -246,7 +271,7 @@ class JoinRun:
                   description=description,
                   volume_bytes=raw_t_bytes,
                   tuples=matched)
-        if observer is not None:
+        for observer in self.observers:
             observer.on_checkpoint("t_prime_built")
         return t_parts
 
@@ -254,9 +279,8 @@ class JoinRun:
         """Build BF_DB (index-only when possible) and multicast it."""
         query, costing = self.query, self.costing
         config = self.warehouse.config
-        bank = None if self.observer is None else self.observer.bank
         bank_key = (query.db_table, query.db_join_key, config.bloom_bits())
-        banked = None if bank is None else bank.banked_bloom(bank_key)
+        banked = self._banked("banked_bloom", bank_key)
         if banked is not None:
             # BF_DB built by a switched-away plan: the same bits would
             # come out of a rebuild, so reuse the object (its invariant
@@ -265,15 +289,17 @@ class JoinRun:
             build_seconds = 0.0
             build_description = "reuse BF_DB banked before the switch"
         else:
-            bloom_result = self.warehouse.database.build_global_bloom(
+            build = (self.context.bloom_builder
+                     or self.warehouse.database.build_global_bloom)
+            bloom_result = build(
                 query.db_table,
                 query.db_predicate,
                 query.db_join_key,
                 num_bits=config.bloom_bits(),
                 num_hashes=config.bloom.num_hashes,
             )
-            if bank is not None:
-                bank.bank_bloom(bank_key, bloom_result)
+            for observer in self.observers:
+                observer.bank.bank_bloom(bank_key, bloom_result)
             build_seconds = costing.db_bloom_build_seconds(
                 bloom_result.rows_accessed * 16.0,
                 bloom_result.keys_added,
@@ -302,16 +328,26 @@ class JoinRun:
         """Distributed scan of L through the JEN process pipeline.
 
         The scan waits for ``gate``: by default the startup, and the
-        BF_DB multicast when it applies BF_DB.
+        BF_DB multicast when it applies BF_DB.  With skew handling on,
+        a heavy-hitter detector watches the scan ahead of the observers
+        and sets the result's ``hot_keys``.
         """
         if gate is None:
             gate = (["startup"] if db_bloom is None
                     else ["startup", "bf_db_send"])
         query, stats = self.query, self.stats
-        scan = self.warehouse.jen.distributed_scan(
+        jen, observers, detector = self.warehouse.jen, self.observers, None
+        if self.context.skew_handling and jen.num_workers > 1:
+            from repro.skew import HeavyHitterDetector
+
+            detector = HeavyHitterDetector(jen.num_workers)
+            observers = (detector,) + observers
+        scan = jen.distributed_scan(
             query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom,
-            observer=self.observer,
+            observers=observers,
         )
+        if detector is not None:
+            scan.hot_keys = detector.hot_key_set()
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
         stats.hdfs_stored_bytes_scanned = scan.stats.stored_bytes_scanned
         stats.hdfs_rows_after_predicates = scan.stats.rows_after_predicates

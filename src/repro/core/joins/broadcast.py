@@ -40,8 +40,8 @@ class BroadcastJoin(JoinAlgorithm):
         self.pattern = pattern
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        run = JoinRun(self, warehouse, query, observer=observer)
+            context=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, context=context)
         costing, stats, trace = run.costing, run.stats, run.trace
         workers = warehouse.jen.num_workers
         t_parts = run.db_filter()

@@ -56,10 +56,10 @@ class DbSideJoin(JoinAlgorithm):
         return "db(BF)" if self.use_bloom else "db"
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
+            context=None) -> JoinResult:
         run = JoinRun(self, warehouse, query,
                       startup="read_hdfs UDF, coordinator handshakes",
-                      observer=observer)
+                      context=context)
         t_parts = run.db_filter()
         db_bloom = run.bf_db() if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)

@@ -37,6 +37,7 @@ from repro.edw.partitioner import agreed_hash_partition
 from repro.kernels.partition import partition_table
 from repro.latemat import LateMatPlan, PayloadStore
 from repro.relational.table import Table
+from repro.skew import SkewPolicy
 from repro.testkit import invariants
 from repro.query.query import HybridQuery
 
@@ -57,8 +58,8 @@ class RepartitionJoin(JoinAlgorithm):
         return "repartition(BF)" if self.use_bloom else "repartition"
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        run = JoinRun(self, warehouse, query, observer=observer)
+            context=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
         db_bloom = run.bf_db() if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)
@@ -177,6 +178,9 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         memory_budget_rows=max(0.0, config.jen_memory_budget_rows)
         * config.scale,
         latemat_plan=plan,
+        index_for=run.context.index_for,
+        steal_threshold=(SkewPolicy().steal_threshold
+                         if run.context.skew_handling else None),
     )
     output = joined.join_output_tuples
     stats.join_output_tuples = output

@@ -45,8 +45,8 @@ class _ExactFilterJoin(JoinAlgorithm):
     two_way = False
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        run = JoinRun(self, warehouse, query, observer=observer)
+            context=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
 
         # Exact distinct key set instead of a Bloom filter.

@@ -47,8 +47,8 @@ class ZigzagJoin(JoinAlgorithm):
     uses_hdfs_bloom = True
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        run = JoinRun(self, warehouse, query, observer=observer)
+            context=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
         db_bloom = run.bf_db()
         scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)

@@ -46,8 +46,8 @@ class ZigzagDbJoin(JoinAlgorithm):
     uses_hdfs_bloom = True
 
     def run(self, warehouse, query: HybridQuery,
-            observer=None) -> JoinResult:
-        run = JoinRun(self, warehouse, query, observer=observer)
+            context=None) -> JoinResult:
+        run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
         db_bloom = run.bf_db()
         # -- First HDFS scan: only to build BF_H ---------------------------
@@ -56,7 +56,7 @@ class ZigzagDbJoin(JoinAlgorithm):
 
         # -- Second HDFS scan: no indexes, pay the full scan again ---------
         second_scan = warehouse.jen.distributed_scan(
-            query, db_bloom=db_bloom, observer=observer)
+            query, db_bloom=db_bloom, observers=run.observers)
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
         run.stats.hdfs_rows_scanned += second_scan.stats.rows_scanned
         run.stats.hdfs_stored_bytes_scanned += \

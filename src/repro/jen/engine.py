@@ -53,9 +53,9 @@ class DistributedScanResult:
     #: BF_H over the join keys of every surviving row; ``None`` unless
     #: the scan was asked to build it.
     hdfs_bloom: Optional[BloomFilter] = None
-    #: Heavy-hitter join keys detected during the scan
-    #: (:class:`repro.skew.HotKeySet`, possibly empty); ``None`` when
-    #: skew handling is off.
+    #: Heavy-hitter join keys (:class:`repro.skew.HotKeySet`) a run's
+    #: detector found while watching the scan; ``None`` when no
+    #: detector watched or nothing was hot.
     hot_keys: Optional[object] = None
 
     def global_bloom(self) -> BloomFilter:
@@ -110,15 +110,6 @@ class Jen:
         ]
         self._scan_depth = 0
         self._injector: Optional[FaultInjector] = None
-        #: Optional hook ``(build_keys, band_values, slot_bounds) ->
-        #: JoinBuildIndex`` over the stacked build side of every join
-        #: unit (:class:`~repro.query.plan.StackedUnits`), consulted
-        #: once per :meth:`join_and_aggregate` (once per group of units
-        #: past :data:`~repro.query.plan.GROUP_BUILD_ROWS` build rows).
-        #: The service plane installs a caching provider here so
-        #: repeated queries over an unchanged build reuse the sorted
-        #: index; ``None`` means build a fresh index.
-        self.build_index_provider = None
 
     @property
     def num_workers(self) -> int:
@@ -216,7 +207,7 @@ class Jen:
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
-        observer=None,
+        observers: Tuple = (),
     ) -> DistributedScanResult:
         """Scan the query's HDFS table on every worker.
 
@@ -230,7 +221,7 @@ class Jen:
             db_bloom=db_bloom,
             build_hdfs_bloom=build_hdfs_bloom,
             bloom_seed=bloom_seed,
-            observer=observer,
+            observers=observers,
         )
 
     def scan_with_request(
@@ -240,14 +231,14 @@ class Jen:
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         bloom_seed: int = 11,
-        observer=None,
+        observers: Tuple = (),
     ) -> DistributedScanResult:
         """Query-independent distributed scan (the read_hdfs path).
 
-        ``observer`` is the run's adaptive context, if any: it hears the
-        scan's block count (``on_scan_begin``) and every scanned block
-        (``on_scan_block``), and may raise out of the scan to abandon
-        it.
+        ``observers`` watch the scan, in order: each hears its block
+        count (``on_scan_begin``) and every scanned block
+        (``on_scan_block``, see :meth:`JenWorker.finish_batch`), and
+        may raise out of the scan to abandon it.
         """
         injector = self._active_injector()
         if injector is not None:
@@ -255,14 +246,10 @@ class Jen:
         meta = self.coordinator.table_meta(table_name)
         self._scan_depth += 1
         try:
-            detector = self._skew_detector(request)
-            result = self._run_scan_queue(
+            return self._run_scan_queue(
                 meta, request, db_bloom, build_hdfs_bloom,
-                bloom_seed, injector, observer, detector,
+                bloom_seed, injector, observers,
             )
-            if detector is not None:
-                result.hot_keys = detector.hot_key_set()
-            return result
         finally:
             self._scan_depth -= 1
 
@@ -313,20 +300,6 @@ class Jen:
         finally:
             self._scan_depth -= 1
 
-    def _skew_detector(self, request: ScanRequest):
-        """A fresh heavy-hitter detector, or ``None`` when not needed.
-
-        Detection is pointless without a join key to observe or with a
-        single worker (nothing to balance).
-        """
-        from repro import skew as skew_plane
-
-        if not skew_plane.skew_handling_enabled():
-            return None
-        if request.join_key is None or self.num_workers <= 1:
-            return None
-        return skew_plane.HeavyHitterDetector(self.num_workers)
-
     def _run_scan_queue(
         self,
         meta: HdfsTableMeta,
@@ -335,8 +308,7 @@ class Jen:
         build_hdfs_bloom: bool,
         bloom_seed: int,
         injector: Optional[FaultInjector],
-        observer,
-        detector,
+        observers: Tuple,
     ) -> DistributedScanResult:
         """The scan as a work queue of (worker, blocks) tasks.
 
@@ -359,7 +331,7 @@ class Jen:
             (worker, list(assignment.blocks_for(worker.worker_id)))
             for worker in self.workers
         )
-        if observer is not None:
+        for observer in observers:
             observer.on_scan_begin(
                 sum(len(blocks) for _worker, blocks in tasks))
         batches: List[Tuple[JenWorker, ScanBatch]] = []
@@ -409,7 +381,7 @@ class Jen:
             stop = start + batch.rows.num_rows
             wire = worker.finish_batch(
                 batch, request, None if keep is None else keep[start:stop],
-                observer=observer, detector=detector,
+                observers=observers,
             )
             start = stop
             pieces[worker.worker_id].append(wire)
@@ -545,6 +517,8 @@ class Jen:
         query: HybridQuery,
         memory_budget_rows: float = 0.0,
         latemat_plan: Optional[LateMatPlan] = None,
+        index_for=JoinBuildIndex,
+        steal_threshold: Optional[float] = None,
     ) -> Tuple[Table, LocalJoinStats]:
         """Local hash joins on every worker, then the final aggregate.
 
@@ -567,6 +541,10 @@ class Jen:
         first, so every downstream path — spilling, stealing, fault
         recovery — operates on full rows exactly as the classic
         mode and the results are row-identical by construction.
+
+        ``index_for(build_keys, band_values, slot_bounds)`` builds the
+        join's index; ``steal_threshold`` arms work stealing (``None``:
+        off).
         """
         injector = self._active_injector()
         if injector is not None:
@@ -607,7 +585,7 @@ class Jen:
             [(l_part, t_part)]
             for l_part, t_part in zip(l_parts, t_parts)
         ]
-        self._steal_stragglers(work_lists, query, stats)
+        self._steal_stragglers(work_lists, query, stats, steal_threshold)
         stats.per_slot_loads = [
             sum(l_unit.num_rows + t_unit.num_rows
                 for l_unit, t_unit in units)
@@ -630,13 +608,9 @@ class Jen:
                         l_part, t_part, query.hdfs_join_key,
                         query.db_join_key, plan.num_fragments,
                     ))
-        # Every unit joins in one slot-keyed build, probe and group-by;
-        # an installed provider may serve the index from an earlier
-        # query whose units had exactly these build rows.
+        # Every unit joins in one slot-keyed build, probe and group-by.
         result, stats.join_output_tuples = join_aggregate(
-            join_units, query,
-            self.build_index_provider or JoinBuildIndex,
-        )
+            join_units, query, index_for)
         stats.result_rows = result.num_rows
         return result, stats
 
@@ -645,17 +619,17 @@ class Jen:
         work_lists: List[List[Tuple[Table, Table]]],
         query: HybridQuery,
         stats: LocalJoinStats,
+        threshold: Optional[float],
     ) -> None:
-        """Re-deal straggler join partitions across workers (in place).
+        """Re-deal straggler join partitions across workers (in place)
+        once the largest load passes ``threshold`` times the mean.
 
         Partial aggregation is commutative and the fragmenting is
         key-aligned (the same machinery spill uses), so the final
         aggregate is bit-identical no matter which worker executes a
         fragment — only the load distribution changes.
         """
-        from repro import skew as skew_plane
-
-        if not skew_plane.skew_handling_enabled() or self.num_workers <= 1:
+        if threshold is None or self.num_workers <= 1:
             return
         from repro.jen.scheduler import plan_work_stealing
         from repro.jen.spill import fragment_tables
@@ -664,7 +638,7 @@ class Jen:
         plan = plan_work_stealing(
             [l_part.num_rows + t_part.num_rows
              for l_part, t_part in originals],
-            threshold=skew_plane.SkewPolicy().steal_threshold,
+            threshold=threshold,
         )
         stats.pre_steal_balance = plan.pre_balance
         stats.post_steal_balance = plan.pre_balance

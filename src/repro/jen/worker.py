@@ -165,8 +165,7 @@ class JenWorker:
         db_bloom: Optional[BloomFilter] = None,
         local_bloom: Optional[BloomFilter] = None,
         faults=None,
-        observer=None,
-        detector=None,
+        observers: Tuple = (),
     ) -> Tuple[Table, ScanStats]:
         """Scan assigned blocks through the full process pipeline.
 
@@ -176,13 +175,12 @@ class JenWorker:
         is the one-worker composition of :meth:`read_batch`,
         :func:`bloom_step` and :meth:`finish_batch` (the approximate
         tier's sampled blocks); the distributed scan runs the Bloom step
-        once over every worker's batch instead.  ``observer`` and
-        ``detector`` go to :meth:`finish_batch`.
+        once over every worker's batch instead.  ``observers`` go to
+        :meth:`finish_batch`.
         """
         batch = self.read_batch(meta, blocks, request, faults=faults)
         keep = bloom_step([batch], request, db_bloom, local_bloom)
-        wire = self.finish_batch(batch, request, keep, observer=observer,
-                                 detector=detector)
+        wire = self.finish_batch(batch, request, keep, observers=observers)
         return wire, batch.stats
 
     def read_batch(
@@ -251,7 +249,7 @@ class JenWorker:
     @staticmethod
     def finish_batch(batch: ScanBatch, request: ScanRequest,
                      keep: Optional[np.ndarray] = None,
-                     observer=None, detector=None) -> Table:
+                     observers: Tuple = ()) -> Table:
         """Everything after the Bloom step; returns the wire table.
 
         ``keep`` is this batch's slice of the Bloom step's mask
@@ -259,11 +257,11 @@ class JenWorker:
         gathered once, derived on and projected to the wire columns,
         and ``batch.stats.rows_after_bloom`` is set.
 
-        The per-block observers are then fed from the batch's block
-        offsets, in block order: ``detector`` (a heavy-hitter detector)
-        gets each block's surviving join keys through ``observe(keys)``,
-        then ``observer`` (the run's adaptive context) its counts through
-        ``on_scan_block(...)``.  Either may be ``None``.
+        The ``observers`` are then fed from the batch's block offsets,
+        block by block and in their order: ``on_scan_block(rows,
+        stored_bytes, after_predicates, after_bloom, bloom_applied,
+        keys)``, ``keys`` being the block's surviving join keys
+        (``None`` when the wire has no join key).
         """
         rows = batch.rows
         kept = batch.selected
@@ -278,31 +276,22 @@ class JenWorker:
             rows = request.apply_derivations(rows)
         wire = rows.project(list(request.wire_columns))
         batch.stats.rows_after_bloom = wire.num_rows
-        if observer is None and detector is None:
+        if not observers:
             return wire
 
-        keys = None
-        if detector is not None and request.join_key is not None \
-                and request.join_key in wire.schema.names:
-            # Feed the heavy-hitter detector from the same per-block
-            # replay the adaptive plane uses — no second pass over L,
-            # and one block per call: the detector prunes per
-            # observation.
-            keys = wire.column(request.join_key)
+        # One block per call (the heavy-hitter detector prunes per call;
+        # the adaptive context may raise SwitchSignal to end the scan).
+        keys = (wire.column(request.join_key)
+                if request.join_key in wire.schema.names else None)
         start = 0
         for num_rows, selected, count in zip(batch.block_rows,
                                              batch.selected, kept):
-            if keys is not None:
-                detector.observe(keys[start:start + count])
+            block_keys = None if keys is None else keys[start:start + count]
             start += count
-            if observer is not None:
-                # One fully processed block: the adaptive plane's
-                # finest observation grain (may raise SwitchSignal at a
-                # crossed decision checkpoint, abandoning the rest of
-                # the scan).
+            for observer in observers:
                 observer.on_scan_block(
                     num_rows, num_rows * batch.scan_row_bytes,
-                    selected, count, keep is not None,
+                    selected, count, keep is not None, block_keys,
                 )
         return wire
 

@@ -33,18 +33,22 @@ syntactically different but identical plans share an entry.  With
 the plan with its constants stripped — which is what the feedback loop
 (:mod:`repro.service.feedback`) aggregates observations under.
 
-Both caches are bounded LRU maps.  Entries are returned by reference
+The caches are bounded LRU maps.  Entries are returned by reference
 and must be treated as immutable, matching the read-only convention of
-the rest of the data plane.
+the rest of the data plane.  The Bloom and join-index caches reach a
+query only through its :class:`~repro.core.joins.base.ExecutionContext`,
+never through the shared warehouse.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import OrderedDict
 from typing import Optional
 
 from repro.errors import ServiceError
+from repro.kernels.joinindex import JoinBuildIndex
 from repro.query.query import HybridQuery
 from repro.relational.expressions import (
     BetweenDayDiff,
@@ -271,75 +275,59 @@ class JoinIndexCache(_LruCache):
 class CachingJoinIndexProvider:
     """Cross-query memoisation of the join build index.
 
-    Installed on :attr:`Jen.build_index_provider` for the duration of a
-    drain.  The service sets the current query's
-    :func:`build_side_key` context before executing the data plane; the
-    engine then asks this provider for the one index over every join
-    unit's build rows.  A cached index is returned only if
+    :meth:`for_query` gives one query its ``index_for`` (the service
+    puts it on the query's :class:`~repro.core.joins.base.
+    ExecutionContext`), scoped to the query's :func:`build_side_key`;
+    the engine asks it for the one index over every join unit's build
+    rows.  A cached index is returned only if
     :meth:`JoinBuildIndex.matches` confirms it was built over exactly
     the fresh build keys, band values and slot boundaries — anything
-    else (first sight, eviction, a context collision, a fault-recovery
-    run that redistributed rows, equal keys split into slots
-    differently, a key-only index asked for a band or the reverse)
-    builds and caches a new index.  Reuse is therefore invisible to the
-    data plane: the probe output is bit-identical either way.
+    else (first sight, eviction, a key collision, a fault-recovery run
+    that redistributed rows, equal keys split into slots differently,
+    a key-only index asked for a band or the reverse) builds and caches
+    a new index.  Reuse is therefore invisible to the data plane: the
+    probe output is bit-identical either way.
     """
 
-    def __init__(self, jen, cache: JoinIndexCache):
-        self._jen = jen
+    def __init__(self, cache: JoinIndexCache):
         self.cache = cache
-        self._context: Optional[str] = None
-        self._asked = 0
 
-    def set_context(self, context_key: Optional[str]) -> None:
-        """Scope subsequent lookups to one query's build-side key."""
-        self._context = context_key
-        self._asked = 0
+    def for_query(self, build_key: str):
+        """The ``index_for(build_keys, band_values, slot_bounds)`` of
+        one query whose build side is ``build_key``."""
+        asked = itertools.count()
 
-    def __call__(self, build_keys, band_values=None, slot_bounds=None):
-        from repro.kernels.joinindex import JoinBuildIndex
+        def index_for(build_keys, band_values=None, slot_bounds=None):
+            # A build side past ``GROUP_BUILD_ROWS`` asks once per group
+            # of units (:func:`repro.query.plan.join_aggregate`): the
+            # n-th index a query asks for is its n-th entry.
+            nth = next(asked)
+            key = f"{build_key}|{nth}" if nth else build_key
+            cached = self.cache.get(key)
+            if cached is not None \
+                    and cached.matches(build_keys, band_values, slot_bounds):
+                return cached
+            index = JoinBuildIndex(build_keys, band_values, slot_bounds)
+            self.cache.put(key, index)
+            return index
 
-        if self._context is None:
-            return JoinBuildIndex(build_keys, band_values, slot_bounds)
-        # A build side past ``GROUP_BUILD_ROWS`` asks once per group of
-        # units (:func:`repro.query.plan.join_aggregate`): the n-th
-        # index a query asks for is its n-th entry.
-        key = self._context if not self._asked \
-            else f"{self._context}|{self._asked}"
-        self._asked += 1
-        cached = self.cache.get(key)
-        if cached is not None \
-                and cached.matches(build_keys, band_values, slot_bounds):
-            return cached
-        index = JoinBuildIndex(build_keys, band_values, slot_bounds)
-        self.cache.put(key, index)
-        return index
-
-    def install(self) -> None:
-        """Hook this provider into the JEN engine."""
-        self._jen.build_index_provider = self
-
-    def uninstall(self) -> None:
-        """Detach from the engine (leave foreign providers alone)."""
-        if getattr(self._jen, "build_index_provider", None) is self:
-            self._jen.build_index_provider = None
-        self._context = None
+        return index_for
 
 
 class CachingBloomBuilder:
     """Memoising stand-in for ``ParallelDatabase.build_global_bloom``.
 
-    Installed by the service for the duration of a drain: a cache hit
-    returns the previously merged filter with its build-cost stats
-    zeroed (``index_only=True``, nothing scanned), so the trace prices
-    the BF build at its floor while the data plane probes bits
-    identical to a rebuild.  The multicast to the JEN workers is *not*
-    elided — a reused filter still has to reach the scan sites.
+    The service hands it to each query as its context's
+    ``bloom_builder``: a cache hit returns the previously merged filter
+    with its build-cost stats zeroed (``index_only=True``, nothing
+    scanned), so the trace prices the BF build at its floor while the
+    data plane probes bits identical to a rebuild.  The multicast to
+    the JEN workers is *not* elided — a reused filter still has to
+    reach the scan sites.
     """
 
     def __init__(self, database, cache: BloomCache):
         self._database = database
-        self._build = database.build_global_bloom
         self.cache = cache
 
     def __call__(self, table_name, predicate, key_column, num_bits,
@@ -352,16 +340,8 @@ class CachingBloomBuilder:
                 cached, index_only=True, rows_accessed=0,
                 bytes_accessed=0.0, keys_added=0,
             )
-        result = self._build(table_name, predicate, key_column,
-                             num_bits, num_hashes=num_hashes, seed=seed)
+        result = self._database.build_global_bloom(
+            table_name, predicate, key_column, num_bits,
+            num_hashes=num_hashes, seed=seed)
         self.cache.put(key, result)
         return result
-
-    def install(self) -> None:
-        """Shadow the database's builder with this memoising one."""
-        self._database.build_global_bloom = self
-
-    def uninstall(self) -> None:
-        """Restore the database's original builder."""
-        if self._database.__dict__.get("build_global_bloom") is self:
-            del self._database.__dict__["build_global_bloom"]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Mapping, Optional, Union
 
 from repro.approx.policy import ApproxPolicy
-from repro.core.joins import JoinResult, algorithm_by_name
+from repro.core.joins import ExecutionContext, JoinResult, algorithm_by_name
 from repro.errors import FaultError, ServiceError
 from repro.query.query import HybridQuery
 from repro.relational.table import Table
@@ -64,12 +64,8 @@ class ServiceConfig:
     net_slots: int = 1
     #: Streaming chunks per phase in the concurrent replay.
     chunks: int = 32
-    result_cache_entries: int = 128
-    bloom_cache_entries: int = 64
-    join_index_cache_entries: int = 64
     enable_result_cache: bool = True
     enable_bloom_cache: bool = True
-    enable_join_index_cache: bool = True
     enable_feedback: bool = True
     #: Run ``auto`` queries through the adaptive wrapper (mid-query
     #: re-optimization) instead of committing to the advisor's pick.
@@ -257,18 +253,11 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
         self.feedback = FeedbackLoop(metrics=self.metrics)
-        self.result_cache = ResultCache(
-            self.config.result_cache_entries, metrics=self.metrics)
+        self.result_cache = ResultCache(metrics=self.metrics)
         self.bloom_builder = CachingBloomBuilder(
-            warehouse.database,
-            BloomCache(self.config.bloom_cache_entries,
-                       metrics=self.metrics),
-        )
+            warehouse.database, BloomCache(metrics=self.metrics))
         self.join_index_provider = CachingJoinIndexProvider(
-            warehouse.jen,
-            JoinIndexCache(self.config.join_index_cache_entries,
-                           metrics=self.metrics),
-        )
+            JoinIndexCache(metrics=self.metrics))
         refiner = (self._refine_estimate if self.config.enable_feedback
                    else None)
         self.session = SqlSession(warehouse, estimate_refiner=refiner)
@@ -330,23 +319,14 @@ class QueryService:
         admission = AdmissionController(
             engine, admission_config, metrics=self.metrics)
         outcomes: List[QueryOutcome] = []
-        if self.config.enable_bloom_cache:
-            self.bloom_builder.install()
-        if self.config.enable_join_index_cache:
-            self.join_index_provider.install()
-        try:
-            for submission in sorted(batch,
-                                     key=lambda s: (s.ticket.at,
-                                                    s.ticket.id)):
-                engine.process(
-                    self._query_process(engine, cluster, admission,
-                                        submission, outcomes),
-                    name=f"q{submission.ticket.id}",
-                )
-            engine.run()
-        finally:
-            self.bloom_builder.uninstall()
-            self.join_index_provider.uninstall()
+        for submission in sorted(batch,
+                                 key=lambda s: (s.ticket.at, s.ticket.id)):
+            engine.process(
+                self._query_process(engine, cluster, admission,
+                                    submission, outcomes),
+                name=f"q{submission.ticket.id}",
+            )
+        engine.run()
         outcomes.sort(key=lambda outcome: outcome.ticket_id)
         # The engine's final clock includes queue-timeout timers that
         # fired as no-ops; the batch makespan is the last completion.
@@ -496,11 +476,8 @@ class QueryService:
         if algorithm == "auto":
             decision = self.session.advise(query)
             algorithm, rationale = decision.best, decision.rationale
-        if self.config.enable_join_index_cache:
-            self.join_index_provider.set_context(build_side_key(
-                query, self.warehouse.jen.num_workers, algorithm))
         join_result = algorithm_by_name(algorithm).run(
-            self.warehouse, query)
+            self.warehouse, query, self._context(query, algorithm))
         self._record_bytes_shipped(join_result)
         return algorithm, rationale, join_result
 
@@ -534,7 +511,8 @@ class QueryService:
 
         algo = ApproxJoin.from_policy(
             policy, progressive=policy.max_error is not None)
-        join_result = algo.run(self.warehouse, query)
+        join_result = algo.run(self.warehouse, query,
+                               self._context(query, "approx"))
         self._record_bytes_shipped(join_result)
         self.metrics.counter("approx.runs").inc()
         report = join_result.trace.metadata.get("approx", {})
@@ -558,12 +536,10 @@ class QueryService:
         """
         from repro.adaptive import AdaptiveJoin
 
-        if self.config.enable_join_index_cache:
-            self.join_index_provider.set_context(build_side_key(
-                query, self.warehouse.jen.num_workers, "adaptive"))
+        context = self._context(query, "adaptive")
         estimate = self.session.estimate(query)
         join_result = AdaptiveJoin(estimate=estimate).run(
-            self.warehouse, query)
+            self.warehouse, query, context)
         self._record_bytes_shipped(join_result)
         self.metrics.counter("adaptive.runs").inc()
         report = join_result.trace.metadata.get("adaptive", {})
@@ -572,6 +548,17 @@ class QueryService:
             self.metrics.counter("adaptive.switches").inc()
             rationale = report["switches"][-1]["reason"]
         return join_result.algorithm, rationale, join_result
+
+    def _context(self, query: HybridQuery,
+                 algorithm: str) -> ExecutionContext:
+        """One query's context: the service's Bloom and join-index
+        caches, the index scoped to the query's build side."""
+        return ExecutionContext(
+            bloom_builder=(self.bloom_builder
+                           if self.config.enable_bloom_cache else None),
+            index_for=self.join_index_provider.for_query(build_side_key(
+                query, self.warehouse.jen.num_workers, algorithm)),
+        )
 
     def _record_bytes_shipped(self, join_result: JoinResult) -> None:
         """Accumulate the trace's per-phase transfer volumes.

@@ -9,7 +9,7 @@ straggler-aware redistribution):
 
 1. **Detect** — a :class:`HeavyHitterDetector` (count-min sketch +
    top-k heap, :mod:`repro.kernels.sketch`), created per scan by
-   :meth:`repro.jen.engine.Jen.scan_with_request`, is fed each block's
+   :meth:`repro.core.joins.base.JoinRun.hdfs_scan`, is fed each block's
    surviving join keys by the scan's per-block replay
    (:meth:`repro.jen.worker.JenWorker.finish_batch`), so detection
    costs no second pass over L.
@@ -24,33 +24,13 @@ straggler-aware redistribution):
    (:func:`repro.jen.scheduler.plan_work_stealing`), priced honestly
    as a ``work_steal`` transfer phase on the trace.
 
-Everything is gated behind :func:`set_skew_handling_enabled`, so
-before/after comparisons run genuinely identical code paths with only
-the skew handling swapped.
+A run arms all three with ``skew_handling`` on its own
+:class:`~repro.core.joins.base.ExecutionContext`, so before/after
+comparisons run identical code paths with only the skew handling
+swapped, and two queries in one process may differ.
 """
 
-from __future__ import annotations
-
-_ENABLED = False
-
-
-def skew_handling_enabled() -> bool:
-    """Whether the hybrid shuffle + work stealing are active."""
-    return _ENABLED
-
-
-def set_skew_handling_enabled(enabled: bool) -> bool:
-    """Toggle skew handling (benchmark/testkit switch).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-from repro.skew.detector import (  # noqa: E402
+from repro.skew.detector import (
     HeavyHitterDetector,
     HotKeySet,
     SkewPolicy,
@@ -60,6 +40,4 @@ __all__ = [
     "HeavyHitterDetector",
     "HotKeySet",
     "SkewPolicy",
-    "set_skew_handling_enabled",
-    "skew_handling_enabled",
 ]

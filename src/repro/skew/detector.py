@@ -74,10 +74,15 @@ class HotKeySet:
         return int(self.keys.size)
 
     def destination_lists(self, num_workers: int, hash_fn):
-        """Per-key destination arrays under the agreed hash."""
+        """Per-key destination arrays under the agreed hash.
+
+        A fan-out sized before a crash is capped at the live workers:
+        wrapping would list a worker twice (two probe-row copies).
+        """
         homes = hash_fn(self.keys, num_workers)
         return [
-            (int(home) + np.arange(int(fanout), dtype=np.int64))
+            (int(home) + np.arange(min(int(fanout), num_workers),
+                                   dtype=np.int64))
             % num_workers
             for home, fanout in zip(homes, self.fanouts)
         ]
@@ -106,8 +111,18 @@ class HeavyHitterDetector:
         """Current absolute hot-key count threshold (grows with N)."""
         return max(1, math.ceil(self.fraction * self.sketch.total))
 
+    def on_scan_begin(self, total_blocks: int) -> None:
+        """Scan observer protocol: the block count needs no action."""
+
+    def on_scan_block(self, rows_scanned, stored_bytes,
+                      rows_after_predicates, rows_after_bloom,
+                      bloom_applied, keys) -> None:
+        """Scan observer protocol: observe the block's join keys."""
+        if keys is not None:
+            self.observe(keys)
+
     def observe(self, keys) -> None:
-        """One scanned block's join keys (called from the scan hook)."""
+        """One scanned block's join keys."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return

@@ -17,8 +17,8 @@ no SQL NULLs; the closest analogue — join keys that match nothing —
 is covered by the disjoint-key-region construction of the workload
 generator and the zero-selectivity edge case.
 
-:func:`run_cell` executes one cell end to end, restoring the skew and
-late-materialization toggles afterwards, and :func:`default_grid`
+:func:`run_cell` executes one cell end to end, restoring the
+late-materialization toggle afterwards, and :func:`default_grid`
 builds the seeded cross-axis grid the tier-1 differential test sweeps.
 """
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import HybridWarehouse, algorithm_by_name, default_config
 from repro.config import ClusterConfig
+from repro.core.joins import ExecutionContext
 from repro.errors import ServiceError, WorkloadError
 from repro.faults import FaultPlan
 from repro.query.query import HybridQuery
@@ -89,7 +90,8 @@ class ConfigCell:
     #: wrapper's initial estimate (only meaningful for ``"adaptive"``).
     estimate_error: Optional[Tuple[float, float]] = None
     #: Heavy-hitter detection + hybrid shuffle + work stealing
-    #: (:mod:`repro.skew`); only shuffle-using algorithms react.
+    #: (:mod:`repro.skew`); only shuffle-using algorithms react.  The
+    #: query service runs without it, so a warm-cache cell refuses it.
     skew_handling: bool = False
     #: Block-sampling rate for the approximate tier (only meaningful
     #: for ``"approx"``/``"approx(BF)"`` cells).  ``1.0`` scans every
@@ -100,6 +102,13 @@ class ConfigCell:
     #: Thin-row shipping + batched payload stitch (:mod:`repro.latemat`);
     #: results must stay row-identical whatever side defers its payload.
     late_materialization: bool = False
+
+    def __post_init__(self):
+        if self.cache_warm and self.skew_handling:
+            raise ServiceError(
+                "a warm-cache cell runs through the query service, which "
+                "has no skew handling; drop cache_warm or skew_handling"
+            )
 
     def label(self) -> str:
         """Compact cell id for test parametrisation and repro output.
@@ -413,8 +422,6 @@ def _run_via_service(warehouse, case: DataCase, algorithm: str) -> Table:
     service = QueryService(warehouse, ServiceConfig(
         enable_result_cache=False,  # a result-cache hit would be trivial
         enable_feedback=False,
-        enable_bloom_cache=True,
-        enable_join_index_cache=True,
     ))
     service.execute(case.query, algorithm=algorithm)
     warm = service.execute(case.query, algorithm=algorithm)
@@ -429,20 +436,18 @@ def run_cell(case: DataCase, cell: ConfigCell,
              warehouse: Optional[HybridWarehouse] = None) -> Table:
     """Execute one (case, cell) pair and return the result table.
 
-    Global state (the skew and late-materialization toggles, armed
-    fault plans) is restored on every exit path, so grid sweeps cannot
-    leak configuration between cells.  Pass a ``warehouse`` (matching
-    the cell's worker count and format) to amortise loading across
-    cells.
+    Global state (the late-materialization toggle, armed fault plans)
+    is restored on every exit path, so grid sweeps cannot leak
+    configuration between cells.  Pass a ``warehouse`` (matching the
+    cell's worker count and format) to amortise loading across cells.
     """
     if warehouse is None:
         warehouse = build_cell_warehouse(
             case, cell.workers, cell.format_name
         )
     from repro.latemat import set_late_materialization_enabled
-    from repro.skew import set_skew_handling_enabled
 
-    previous_skew = set_skew_handling_enabled(cell.skew_handling)
+    context = ExecutionContext(skew_handling=cell.skew_handling)
     previous_latemat = set_late_materialization_enabled(
         cell.late_materialization)
     algorithm_kwargs = {}
@@ -458,15 +463,14 @@ def run_cell(case: DataCase, cell: ConfigCell,
             try:
                 result = algorithm_by_name(
                     cell.algorithm, **algorithm_kwargs
-                ).run(warehouse, case.query)
+                ).run(warehouse, case.query, context)
             finally:
                 warehouse.disarm_faults()
             return result.result
         return algorithm_by_name(cell.algorithm, **algorithm_kwargs).run(
-            warehouse, case.query
+            warehouse, case.query, context
         ).result
     finally:
-        set_skew_handling_enabled(previous_skew)
         set_late_materialization_enabled(previous_latemat)
 
 
@@ -617,4 +621,17 @@ def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
                             algorithm, workers=workers,
                             skew_handling=skew_handling,
                         )))
+        # Crashes on two- and three-worker clusters, where a hot key's
+        # fan-out (sized at scan start) can outgrow the survivors.
+        for key_skew in (1.8, 2.5):
+            hot = skewed_case(key_skew, seed=seed)
+            for workers in (2, 3):
+                for phase in ("scan", "shuffle"):
+                    for algorithm in SHUFFLE_ALGORITHMS:
+                        for skew_handling in (False, True):
+                            grid.append((hot, ConfigCell(
+                                algorithm, workers=workers,
+                                fault_spec=f"crash:w{workers - 1}@{phase}",
+                                skew_handling=skew_handling,
+                            )))
     return grid

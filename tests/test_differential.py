@@ -21,7 +21,9 @@ import json
 import numpy as np
 import pytest
 
+from repro import algorithm_by_name
 from repro.core.bloom import BloomFilter
+from repro.core.joins import ExecutionContext
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import InvariantViolation
 from repro.kernels.joinindex import JoinBuildIndex
@@ -412,8 +414,7 @@ class TestJoinIndexCacheCollision:
         """Each call is one query under ``context`` asking for its
         index."""
         def ask(*columns):
-            provider.set_context(context)
-            return provider(*columns)
+            return provider.for_query(context)(*columns)
         return ask
 
     def test_colliding_key_is_verified_and_rebuilt(self):
@@ -423,7 +424,7 @@ class TestJoinIndexCacheCollision:
         )
 
         cache = JoinIndexCache(capacity=8)
-        provider = CachingJoinIndexProvider(jen=None, cache=cache)
+        provider = CachingJoinIndexProvider(cache)
         ask = self.query_asking(provider, "colliding-context")
         keys_a = np.array([5, 1, 3, 3], dtype=np.int64)
         first = ask(keys_a)
@@ -454,8 +455,7 @@ class TestJoinIndexCacheCollision:
             JoinIndexCache,
         )
 
-        provider = CachingJoinIndexProvider(
-            jen=None, cache=JoinIndexCache(capacity=8))
+        provider = CachingJoinIndexProvider(JoinIndexCache(capacity=8))
         ask = self.query_asking(provider, "one-query")
         keys = np.array([4, 7, 4, 7, 4], dtype=np.int64)
         first = ask(keys, None, np.array([0, 2, 5]))
@@ -481,14 +481,13 @@ class TestJoinIndexCacheCollision:
             JoinIndexCache,
         )
 
-        provider = CachingJoinIndexProvider(
-            jen=None, cache=JoinIndexCache(capacity=8))
+        provider = CachingJoinIndexProvider(JoinIndexCache(capacity=8))
         groups = [np.arange(5), np.arange(7), np.arange(5) + 1]
         for _query in range(2):
-            provider.set_context("grouped")
-            indexes = [provider(keys) for keys in groups]
-        provider.set_context("grouped")
-        assert [provider(keys) for keys in groups] == indexes
+            index_for = provider.for_query("grouped")
+            indexes = [index_for(keys) for keys in groups]
+        index_for = provider.for_query("grouped")
+        assert [index_for(keys) for keys in groups] == indexes
         assert provider.cache.hits.value == 6
 
     def test_poisoned_cache_cannot_change_a_result(self):
@@ -506,16 +505,13 @@ class TestJoinIndexCacheCollision:
         cache = JoinIndexCache(capacity=64)
         wrong = np.array([123456789] * warehouse.jen.num_workers,
                          dtype=np.int64)
-        cache.put("poison", JoinBuildIndex(
-            wrong, slot_bounds=np.arange(warehouse.jen.num_workers + 1)))
-        provider = CachingJoinIndexProvider(warehouse.jen, cache)
-        provider.set_context("poison")
-        provider.install()
-        try:
-            result = run_cell(
-                case, ConfigCell(algorithm="zigzag"), warehouse=warehouse
-            )
-        finally:
-            provider.uninstall()
-        oracle.assert_equivalent(result, case.oracle_rows(),
+        poisoned = JoinBuildIndex(
+            wrong, slot_bounds=np.arange(warehouse.jen.num_workers + 1))
+        cache.put("poison", poisoned)
+        provider = CachingJoinIndexProvider(cache)
+        result = algorithm_by_name("zigzag").run(
+            warehouse, case.query,
+            ExecutionContext(index_for=provider.for_query("poison")))
+        assert cache.get("poison") is not poisoned  # rebuilt and re-cached
+        oracle.assert_equivalent(result.result, case.oracle_rows(),
                                  label="poisoned-cache")

@@ -1,11 +1,14 @@
 """Two queries running at once in one process keep to themselves.
 
-A run's observers — the adaptive context, the scan's heavy-hitter
-detector — are handed to that run's own code, never parked in a
-module-level slot, so a query on another thread can neither feed them
-nor be interrupted by them.  Each thread here runs over its own
-warehouse with the interpreter switching threads every 10 µs, and every
-run must equal the oracle and report exactly what it reports alone.
+Everything a run applies — skew handling, its observers (the adaptive
+context, the scan's heavy-hitter detector), the service's Bloom builder
+and join index — travels on that run's own
+:class:`~repro.core.joins.base.ExecutionContext`, never parked in a
+module-level slot or swapped onto the warehouse, so a query on another
+thread can neither see nor change it.  The threads here switch every
+10 µs; every run must equal the oracle and report exactly what it
+reports alone.  The algorithm runs each get their own warehouse; the
+two query services share one.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import threading
 import pytest
 
 from repro.adaptive import AdaptiveJoin
-from repro.core.joins import algorithm_by_name
-from repro.skew import set_skew_handling_enabled
+from repro.core.joins import ExecutionContext, algorithm_by_name
+from repro.service import QueryService, ServiceConfig
 from repro.testkit import generator, oracle
 
 ADAPTIVE_RUNS = 5
@@ -103,28 +106,94 @@ def test_two_skew_detecting_scans(fast_switching):
     scan's detector sees only its own keys, so each run moves exactly
     what it moves alone."""
     cases = [generator.edge_case("zipf-skew"), generator.skewed_case(1.8)]
+    skew_on = [ExecutionContext(skew_handling=True)] * 2
+    alone, runs = _repartitions_alone_and_together(cases, skew_on)
+    assert all(stats.hot_keys_detected > 0 for stats in alone)
+    assert alone[0].hot_tuples_rerouted != alone[1].hot_tuples_rerouted
+    _assert_each_run_as_alone(cases, alone, runs)
+
+
+def test_skew_on_beside_skew_off(fast_switching):
+    """One case, skew handling on for one thread and off for the other:
+    the option belongs to the run, so each moves what it moves alone."""
+    case = generator.skewed_case(1.8)
+    contexts = [ExecutionContext(skew_handling=True), ExecutionContext()]
+    alone, runs = _repartitions_alone_and_together([case] * 2, contexts)
+    assert alone[0].hot_tuples_rerouted > 0
+    assert alone[1].hot_keys_detected == 0 == alone[1].hot_tuples_rerouted
+    _assert_each_run_as_alone([case] * 2, alone, runs)
+
+
+def _repartitions_alone_and_together(cases, contexts):
+    """Each case's repartition stats alone, then ``SKEW_RUNS`` runs of
+    each on its own thread."""
     repartition = algorithm_by_name("repartition")
-    previous = set_skew_handling_enabled(True)
-    try:
-        alone = [repartition.run(_loaded(case), case.query).stats
-                 for case in cases]
-        assert all(stats.hot_keys_detected > 0 for stats in alone)
-        assert alone[0].hot_tuples_rerouted != alone[1].hot_tuples_rerouted
-        runs = [[], []]
+    alone = [repartition.run(_loaded(case), case.query, context).stats
+             for case, context in zip(cases, contexts)]
+    runs = [[], []]
 
-        def body(index):
-            case, warehouse = cases[index], _loaded(cases[index])
+    def body(index):
+        case, warehouse = cases[index], _loaded(cases[index])
 
-            def scan():
-                for _ in range(SKEW_RUNS):
-                    runs[index].append(repartition.run(warehouse, case.query))
-            return scan
+        def scan():
+            for _ in range(SKEW_RUNS):
+                runs[index].append(repartition.run(
+                    warehouse, case.query, contexts[index]))
+        return scan
 
-        assert _in_threads(body(0), body(1)) == []
-    finally:
-        set_skew_handling_enabled(previous)
+    assert _in_threads(body(0), body(1)) == []
+    return alone, runs
+
+
+def _assert_each_run_as_alone(cases, alone, runs):
     for case, stats, results in zip(cases, alone, runs):
         expected = case.oracle_rows()
         for result in results:
             assert result.stats == stats
             assert oracle.compare_tables(result.result, expected) is None
+
+
+#: Two query streams, one ``(algorithm, arrival)`` per submission of
+#: the same query.  Each repeats a build side and a BF(T′), so both the
+#: Bloom and the join-index cache hit.
+SERVICE_STREAMS = (
+    (("zigzag", 0.0), ("zigzag", 1.0), ("repartition(BF)", 2.0)),
+    (("db(BF)", 0.0), ("repartition(BF)", 1.0), ("repartition(BF)", 2.0),
+     ("zigzag", 3.0)),
+)
+
+
+def _cache_counts(service):
+    caches = (service.bloom_builder.cache,
+              service.join_index_provider.cache)
+    return [(cache.hits.value, cache.misses.value) for cache in caches]
+
+
+def test_two_services_share_one_warehouse(fast_switching):
+    """Two query services drain over one warehouse on two threads: each
+    serves its queries from its own caches, with the hit and miss
+    counts of its drain alone."""
+    case = generator.skewed_case(1.8)
+    expected = case.oracle_rows()
+    config = ServiceConfig(enable_result_cache=False, enable_feedback=False)
+
+    def service_for(warehouse, stream):
+        service = QueryService(warehouse, config)
+        tickets = [service.submit(case.query, algorithm=algorithm, at=at)
+                   for algorithm, at in stream]
+        return service, tickets
+
+    alone = []
+    for stream in SERVICE_STREAMS:
+        service, _tickets = service_for(_loaded(case), stream)
+        service.drain()
+        alone.append(_cache_counts(service))
+    assert all(hits > 0 for counts in alone for hits, _misses in counts)
+
+    shared = _loaded(case)
+    together = [service_for(shared, stream) for stream in SERVICE_STREAMS]
+    assert _in_threads(*(service.drain for service, _ in together)) == []
+    for (service, tickets), counts in zip(together, alone):
+        assert _cache_counts(service) == counts
+        for ticket in tickets:
+            assert oracle.compare_tables(ticket.result(), expected) is None

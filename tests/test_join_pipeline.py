@@ -60,7 +60,7 @@ from repro.relational.operators import joined_rows
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.service.cache import CachingJoinIndexProvider, JoinIndexCache
-from repro.skew import HotKeySet, set_skew_handling_enabled
+from repro.skew import HotKeySet, SkewPolicy
 from repro.testkit import generator, oracle
 from tests.kernel_reference import naive_partition_table
 from tests.test_scan_batching import assert_same_table
@@ -203,11 +203,11 @@ class TestFusedJoinAggregate:
         stale = JoinBuildIndex(columns[0][::-1].copy(), columns[1])
         assert not stale.matches(*columns)
         for index in (fresh, stale):
-            provider = CachingJoinIndexProvider(None, JoinIndexCache())
+            provider = CachingJoinIndexProvider(JoinIndexCache())
             provider.cache.put("query", index)
-            provider.set_context("query")
             assert_fused_equals_reference(
-                t_part, l_part, case.query, index_for=provider
+                t_part, l_part, case.query,
+                index_for=provider.for_query("query"),
             )
             assert (provider.cache.get("query") is index) == (index is fresh)
 
@@ -865,7 +865,7 @@ def hash_parts(table, key, workers):
 
 
 def reference_jen_join(jen, l_parts, t_parts, query,
-                       memory_budget_rows=0.0):
+                       memory_budget_rows=0.0, steal_threshold=None):
     """``Jen.join_and_aggregate`` as the per-unit loop it replaced:
     every worker's unit (or spill fragment, or stolen fragment) joined
     on its own, materialising, merged per worker, then across
@@ -873,7 +873,7 @@ def reference_jen_join(jen, l_parts, t_parts, query,
     stats = LocalJoinStats()
     work_lists = [[(l_part, t_part)]
                   for l_part, t_part in zip(l_parts, t_parts)]
-    jen._steal_stragglers(work_lists, query, stats)
+    jen._steal_stragglers(work_lists, query, stats, steal_threshold)
     stats.per_slot_loads = [
         sum(l_unit.num_rows + t_unit.num_rows for l_unit, t_unit in units)
         for units in work_lists]
@@ -963,7 +963,8 @@ def assert_one_jen_join(jen, l_parts, t_parts, query, **kwargs):
         budget = injector.spill_budget_rows(
             max(part.num_rows for part in l_parts)) or budget
     expected, expected_stats = reference_jen_join(
-        jen, l_parts, t_parts, query, memory_budget_rows=budget)
+        jen, l_parts, t_parts, query, memory_budget_rows=budget,
+        steal_threshold=kwargs.get("steal_threshold"))
     assert_bit_equal(result, expected)
     assert dataclasses.asdict(stats) == dataclasses.asdict(expected_stats)
     # Spill and stolen fragments split the build rows; none is copied.
@@ -1123,14 +1124,11 @@ class TestOneJoinPerQuery:
         case = generator.skewed_case(1.8)
         t_part, l_part = join_inputs(case)
         query = case.query
-        previous = set_skew_handling_enabled(True)
-        try:
-            stats, _recorder = assert_one_jen_join(
-                jen_by_workers[30],
-                hash_parts(l_part, query.hdfs_join_key, 30),
-                hash_parts(t_part, query.db_join_key, 30), query)
-        finally:
-            set_skew_handling_enabled(previous)
+        stats, _recorder = assert_one_jen_join(
+            jen_by_workers[30],
+            hash_parts(l_part, query.hdfs_join_key, 30),
+            hash_parts(t_part, query.db_join_key, 30), query,
+            steal_threshold=SkewPolicy().steal_threshold)
         assert stats.stolen_tuples > 0
 
     @pytest.mark.parametrize("aggregates,ordered", [

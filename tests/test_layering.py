@@ -103,6 +103,16 @@ def test_the_observed_layers_do_not_import_the_adaptive_plane():
     assert observed <= {ALGORITHM_REGISTRY}, sorted(observed)
 
 
+def test_jen_imports_neither_the_skew_plane_nor_the_service():
+    """The run hands JEN its heavy-hitter detector, steal threshold and
+    join index on its execution context; JEN needs neither plane."""
+    jen = {module for module in IMPORTS
+           if module == "repro.jen" or module.startswith("repro.jen.")}
+    assert "repro.jen.engine" in jen
+    offenders = jen & (importers("repro.skew") | importers("repro.service"))
+    assert not offenders, sorted(offenders)
+
+
 #: All the oracle may take from ``repro``: the query's shape and the
 #: schema and table types.  No kernel, join operator, plan step or
 #: ``group_by_aggregate``, so a bug in one cannot cancel out between an

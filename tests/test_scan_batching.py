@@ -32,7 +32,6 @@ from repro.jen.worker import ScanRequest, ScanStats
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
 from repro.relational.table import Table
-from repro import skew
 from repro.skew import HeavyHitterDetector
 from repro.testkit import generator, oracle
 
@@ -45,9 +44,9 @@ def reference_scan(worker, meta, blocks, request, db_bloom=None,
     """filter -> project -> derive -> Bloom -> wire, block by block.
 
     Returns ``(wire, stats, feed)``; ``feed`` is what the per-block
-    observers are owed, in order: ``("keys", [...])`` to the detector,
-    then ``("block", rows, bytes, after_predicates, after_bloom,
-    applied)`` to the observer.
+    observers are owed, in order: ``("keys", [...])`` to a heavy-hitter
+    detector, then ``("block", rows, bytes, after_predicates,
+    after_bloom, applied)`` to a :class:`BlockLog` behind it.
     """
     row_bytes = meta.storage_format().scan_bytes_per_row(
         meta.schema, list(request.projection))
@@ -121,7 +120,8 @@ def new_local_bloom() -> BloomFilter:
 
 class BlockLog:
     """A scan observer logging each block's counts as a ``"block"``
-    event (the adaptive context's ``on_scan_*`` methods)."""
+    event (the adaptive context's ``on_scan_*`` methods); a detector
+    ahead of it logs the block's keys."""
 
     def __init__(self, events):
         self.events = events
@@ -130,8 +130,8 @@ class BlockLog:
     def on_scan_begin(self, total_blocks):
         self.total = total_blocks
 
-    def on_scan_block(self, *counts):
-        self.events.append(("block",) + counts)
+    def on_scan_block(self, *counts_and_keys):
+        self.events.append(("block",) + counts_and_keys[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +181,7 @@ class TestBatchEqualsPerBlock:
         assert any(entry[4] for entry in blocks_fed)
         seen = []
         worker.scan_filter_project(meta, blocks, narrow, db_bloom=db_bloom,
-                                   observer=BlockLog(seen))
+                                   observers=(BlockLog(seen),))
         assert seen == blocks_fed
 
     def test_worker_with_zero_blocks(self, scan_setup):
@@ -233,16 +233,16 @@ class TestBatchEqualsPerBlock:
 # ----------------------------------------------------------------------
 # Per-block observers are fed off the batch
 # ----------------------------------------------------------------------
-class _RecordingDetector:
-    """Forwards to a real detector, logging each observation."""
+class _RecordingDetector(HeavyHitterDetector):
+    """A real detector logging each observation."""
 
     def __init__(self, events, num_workers):
+        super().__init__(num_workers)
         self.events = events
-        self.detector = HeavyHitterDetector(num_workers)
 
     def observe(self, keys):
         self.events.append(("keys", np.asarray(keys).tolist()))
-        self.detector.observe(keys)
+        super().observe(keys)
 
 
 def _assert_feed_equals_the_per_block_feed(scan_setup, db_bloom):
@@ -252,7 +252,7 @@ def _assert_feed_equals_the_per_block_feed(scan_setup, db_bloom):
     events = []
     recorder = _RecordingDetector(events, num_workers=4)
     worker.scan_filter_project(meta, blocks, request, db_bloom=db_bloom,
-                               observer=BlockLog(events), detector=recorder)
+                               observers=(recorder, BlockLog(events)))
     assert events == feed
     assert len([e for e in events if e[0] == "block"]) == len(blocks)
 
@@ -291,7 +291,7 @@ class TestObserverReplay:
         for worker in jen.workers:
             worker.scan_filter_project(
                 meta, list(assignment.blocks_for(worker.worker_id)),
-                request, detector=detector)
+                request, observers=(detector,))
         actual = detector.hot_key_set()
         assert np.array_equal(actual.keys, expected.keys)
         assert np.array_equal(actual.fanouts, expected.fanouts)
@@ -314,7 +314,7 @@ class TestFaultHook:
             worker.scan_filter_project(
                 meta, blocks, request, db_bloom=db_bloom,
                 local_bloom=local_bloom, faults=ScanFaultHook(crash_at),
-                observer=BlockLog(observed))
+                observers=(BlockLog(observed),))
         partial = crash.value.stats
         assert partial.rows_scanned == expected.rows_scanned
         assert partial.stored_bytes_scanned == expected.stored_bytes_scanned
@@ -397,16 +397,15 @@ def test_forced_switch_fires_at_the_same_block():
 # One Bloom step per query against per-worker filters
 # ----------------------------------------------------------------------
 def reference_queue_scan(jen, request, db_bloom=None, insert=False,
-                         seed=11, observer=None):
+                         seed=11, observers=()):
     """The scan work queue with per-worker filters, merged at the end.
 
     Every task runs its worker's whole pipeline, Bloom step included
     (``scan_filter_project`` with that worker's own BF_H, feeding
-    ``observer`` and the query's heavy-hitter detector); a crashed
-    worker's partial output and filter are dropped and its blocks dealt
-    to the survivors; the per-worker filters are OR-merged with
-    ``BloomFilter.combine``.  Returns ``(wire_tables, stats, bf_h,
-    hot_keys)``.
+    ``observers``); a crashed worker's partial output and filter are
+    dropped and its blocks dealt to the survivors; the per-worker
+    filters are OR-merged with ``BloomFilter.combine``.  Returns
+    ``(wire_tables, stats, bf_h)``.
     """
     meta = jen.coordinator.table_meta("L")
     injector = jen.injector
@@ -428,9 +427,7 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
         for survivor, chunk in jen.coordinator.reassign_blocks(dead, blocks):
             tasks.append((by_id[survivor], chunk))
 
-    detector = (HeavyHitterDetector(len(jen.workers))
-                if skew.skew_handling_enabled() else None)
-    if observer is not None:
+    for observer in observers:
         observer.on_scan_begin(sum(len(blocks) for _worker, blocks in tasks))
     while tasks:
         worker, blocks = tasks.popleft()
@@ -447,7 +444,7 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
                 local_bloom=blooms.get(worker.worker_id),
                 faults=(ScanFaultHook(crash_at)
                         if crash_at is not None else None),
-                observer=observer, detector=detector)
+                observers=observers)
         except CrashSignal as crash:
             jen.fail_worker(worker.worker_id)
             pieces.pop(worker.worker_id)
@@ -466,14 +463,12 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
     merged = (BloomFilter.combine([blooms[worker.worker_id]
                                    for worker in jen.workers])
               if insert else None)
-    hot_keys = detector.hot_key_set() if detector is not None else None
-    return wire_tables, stats, merged, hot_keys
+    return wire_tables, stats, merged
 
 
 class _Feed(BlockLog):
-    """The per-block feed, in order: the skew detector's key slices
-    (every detector's, including the one the scan creates) and this
-    observer's block counts."""
+    """The per-block feed, in order: the key slices of every
+    heavy-hitter detector and this observer's block counts."""
 
     def __init__(self, monkeypatch):
         super().__init__([])
@@ -491,14 +486,6 @@ class _Feed(BlockLog):
         events = list(self.events)
         self.events.clear()
         return events
-
-
-@pytest.fixture
-def skew_on():
-    """Skew handling on, so the scan feeds a heavy-hitter detector."""
-    previous = skew.set_skew_handling_enabled(True)
-    yield
-    skew.set_skew_handling_enabled(previous)
 
 
 def _query_case(workers=4, l_rows=None):
@@ -524,21 +511,24 @@ def query_case():
 def _both_scans(warehouse, request, db_bloom, insert, feed, faults=None):
     """``[(result, feed, injector)]`` of the reference, then of the
     query-wide scan, each on a full cluster with ``faults`` armed
-    afresh."""
+    afresh, each watched by a heavy-hitter detector (whose hot keys end
+    the result) and then ``feed``."""
     sides = []
     for run in ("reference", "query-wide"):
         injector = (warehouse.arm_faults(FaultPlan.from_spec(faults))
                     if faults else None)
+        detector = HeavyHitterDetector(warehouse.jen.num_workers)
         try:
             if run == "reference":
                 result = reference_queue_scan(
-                    warehouse.jen, request, db_bloom, insert, observer=feed)
+                    warehouse.jen, request, db_bloom, insert,
+                    observers=(detector, feed))
             else:
                 scan = warehouse.jen.scan_with_request(
                     "L", request, db_bloom=db_bloom,
-                    build_hdfs_bloom=insert, observer=feed)
-                result = (scan.wire_tables, scan.stats,
-                          scan.hdfs_bloom, scan.hot_keys)
+                    build_hdfs_bloom=insert, observers=(detector, feed))
+                result = (scan.wire_tables, scan.stats, scan.hdfs_bloom)
+            result += (detector.hot_key_set(),)
             sides.append((result, feed.take(), injector))
         finally:
             if faults:
@@ -583,8 +573,8 @@ _MODES = [
 
 class TestQueryWideBloomStep:
     @pytest.mark.parametrize("probe,insert", _MODES)
-    def test_equals_per_worker_filters(self, query_case, skew_on,
-                                       monkeypatch, probe, insert):
+    def test_equals_per_worker_filters(self, query_case, monkeypatch,
+                                       probe, insert):
         warehouse, request, db_bloom = query_case
         reference, actual = _both_scans(
             warehouse, request, db_bloom if probe else None, insert,
@@ -595,8 +585,8 @@ class TestQueryWideBloomStep:
             assert 0 < stats.rows_after_bloom < stats.rows_after_predicates
 
     @pytest.mark.parametrize("probe,insert", _MODES)
-    def test_crash_with_recovery_tasks(self, query_case, skew_on,
-                                       monkeypatch, probe, insert):
+    def test_crash_with_recovery_tasks(self, query_case, monkeypatch,
+                                       probe, insert):
         warehouse, request, db_bloom = query_case
         reference, actual = _both_scans(
             warehouse, request, db_bloom if probe else None, insert,
@@ -608,7 +598,7 @@ class TestQueryWideBloomStep:
         assert len(actual[0][0]) == 3      # w2's wire table is gone
 
     @pytest.mark.parametrize("faults", [None, "crash:w6@scan"])
-    def test_workers_with_zero_blocks(self, skew_on, monkeypatch, faults):
+    def test_workers_with_zero_blocks(self, monkeypatch, faults):
         """Five blocks over eight workers: three scan nothing (and one
         of them crashes with nothing to hand over)."""
         warehouse, request, db_bloom = _query_case(workers=8, l_rows=500)
@@ -656,8 +646,8 @@ class TestQueryWideBloomStep:
         class SwitchAt(BlockLog):
             blocks = 0
 
-            def on_scan_block(self, *counts):
-                super().on_scan_block(*counts)
+            def on_scan_block(self, *counts_and_keys):
+                super().on_scan_block(*counts_and_keys)
                 self.blocks += 1
                 if self.blocks == switch_at:
                     raise SwitchSignal(SimpleNamespace(
@@ -669,11 +659,11 @@ class TestQueryWideBloomStep:
             with pytest.raises(SwitchSignal):
                 if run == "reference":
                     reference_queue_scan(warehouse.jen, request, db_bloom,
-                                         insert=True, observer=context)
+                                         insert=True, observers=(context,))
                 else:
                     warehouse.jen.scan_with_request(
                         "L", request, db_bloom=db_bloom,
-                        build_hdfs_bloom=True, observer=context)
+                        build_hdfs_bloom=True, observers=(context,))
             seen.append((context.blocks, feed.take()))
         assert seen[0] == seen[1]
         assert seen[1][0] == switch_at

@@ -183,12 +183,10 @@ class TestCaching:
         for ticket, (_query, expected) in zip(tickets, cases):
             oracle.assert_equivalent(ticket.result(), expected)
         # Even under one context key, matches() refuses the other kind.
-        provider = CachingJoinIndexProvider(jen=None,
-                                            cache=JoinIndexCache())
+        provider = CachingJoinIndexProvider(JoinIndexCache())
 
         def ask(*columns):
-            provider.set_context(keys[0])
-            return provider(*columns)
+            return provider.for_query(keys[0])(*columns)
 
         build_keys = np.array([4, 1, 4, 2], dtype=np.int64)
         days = np.array([7, 3, 5, 5], dtype=np.int32)
@@ -200,6 +198,8 @@ class TestCaching:
 
     def test_bloom_builder_uninstalled_after_drain(self, loaded_warehouse,
                                                    paper_query):
+        """The Bloom cache reaches each query on its context; nothing is
+        left on (or ever swapped onto) the shared database."""
         service = QueryService(loaded_warehouse)
         service.submit(paper_query, algorithm="broadcast")
         service.drain()

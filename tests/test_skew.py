@@ -19,29 +19,25 @@ import pytest
 
 from repro import algorithm_by_name, testkit
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
+from repro.core.joins import ExecutionContext
 from repro.core.joins.costing import HYBRID_SHUFFLE_SKEW_CAP, JoinCosting
 from repro.core.joins.repartition import _route_db_rows
 from repro.config import HybridConfig
 from repro.edw.partitioner import agreed_hash_partition
-from repro.errors import InvariantViolation, SimulationError
+from repro.errors import InvariantViolation, ServiceError, SimulationError
 from repro.faults import FaultPlan
 from repro.jen.scheduler import plan_work_stealing
 from repro.jen.worker import JenWorker
 from repro.kernels.sketch import CountMinSketch, TopKHeap
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
-from repro.skew import (
-    HeavyHitterDetector,
-    HotKeySet,
-    SkewPolicy,
-    set_skew_handling_enabled,
-    skew_handling_enabled,
-)
+from repro.skew import HeavyHitterDetector, HotKeySet, SkewPolicy
 from repro.testkit import generator, oracle
 from repro.workload.generator import zipf_skew_factor
 from tests.test_chaos import FAULT_SPECS
 
 SHUFFLE_ALGORITHMS = generator.SHUFFLE_ALGORITHMS
+SKEW_ON = ExecutionContext(skew_handling=True)
 #: Tier-1 fault representatives; the full grid is slow-marked.
 SMOKE_FAULTS = ("crash-shuffle", "crash-scan", "combo")
 
@@ -352,19 +348,14 @@ class TestSkewCosting:
 
     def test_advisor_discounts_repartition_when_skew_handled(self):
         config = dataclasses.replace(HybridConfig(), shuffle_skew=5.0)
-        advisor = JoinAdvisor(config)
         # Selective on T, not on L: the HDFS shuffle/build path is the
         # critical path, so the skew multiplier shows in the estimate.
         est = WorkloadEstimate(
             t_rows=2e8, l_rows=15e9, sigma_t=0.1, sigma_l=0.8,
             s_t=0.2, s_l=0.1,
         )
-        skewed = advisor.estimate_all(est)
-        previous = set_skew_handling_enabled(True)
-        try:
-            handled = advisor.estimate_all(est)
-        finally:
-            set_skew_handling_enabled(previous)
+        skewed = JoinAdvisor(config).estimate_all(est)
+        handled = JoinAdvisor(config, skew_handling=True).estimate_all(est)
         for name in ("repartition", "repartition(BF)", "zigzag"):
             assert handled[name] < skewed[name]
         # Algorithms without an L' shuffle are untouched.
@@ -373,25 +364,36 @@ class TestSkewCosting:
 
 
 # ----------------------------------------------------------------------
-# Toggle + generator plumbing
+# Context + generator plumbing
 # ----------------------------------------------------------------------
 class TestSkewPlumbing:
-    def test_toggle_returns_previous(self):
-        assert not skew_handling_enabled()
-        assert set_skew_handling_enabled(True) is False
-        try:
-            assert skew_handling_enabled()
-        finally:
-            assert set_skew_handling_enabled(False) is True
-        assert not skew_handling_enabled()
+    def test_context_defaults_to_skew_off(self):
+        context = ExecutionContext()
+        assert context.skew_handling is False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.skew_handling = True
 
-    def test_run_cell_restores_toggle(self):
+    def test_run_cell_leaves_no_skew_state(self):
+        """The cell's skew handling rides on its own run: a default run
+        on the same warehouse afterwards detects nothing."""
         case = generator.skewed_case(1.8)
         cell = generator.ConfigCell("repartition", workers=4,
                                     skew_handling=True)
         assert "skew" in cell.label()
-        generator.run_cell(case, cell)
-        assert not skew_handling_enabled()
+        warehouse = generator.build_cell_warehouse(case, 4, "parquet")
+        generator.run_cell(case, cell, warehouse=warehouse)
+        plain = algorithm_by_name("repartition").run(warehouse, case.query)
+        assert plain.stats.hot_keys_detected == 0
+
+    def test_warm_cache_cell_refuses_skew_handling(self):
+        """A warm cell runs through the query service, which has no
+        skew handling: the cell is refused, not silently run without."""
+        with pytest.raises(ServiceError, match="skew handling"):
+            generator.ConfigCell("repartition", cache_warm=True,
+                                 skew_handling=True)
+        grid = generator.default_grid()
+        assert not any(cell.cache_warm and cell.skew_handling
+                       for _case, cell in grid)
 
     def test_default_grid_sweeps_the_skew_axis(self):
         grid = generator.default_grid()
@@ -465,13 +467,10 @@ class TestSkewDifferential:
         )
         observed = []
         for skew_handling in (False, True):
-            previous = set_skew_handling_enabled(skew_handling)
-            try:
-                result = algorithm_by_name(algorithm).run(
-                    warehouse, case.query
-                )
-            finally:
-                set_skew_handling_enabled(previous)
+            result = algorithm_by_name(algorithm).run(
+                warehouse, case.query,
+                ExecutionContext(skew_handling=skew_handling),
+            )
             oracle.assert_equivalent(result.result, reference)
             loads = np.asarray(
                 result.trace.metadata["join_slot_loads"], dtype=float
@@ -498,13 +497,9 @@ class TestSkewDifferential:
         baseline = algorithm_by_name("repartition").run(
             warehouse, hot_case.query
         )
-        previous = set_skew_handling_enabled(True)
-        try:
-            detected = algorithm_by_name("repartition").run(
-                warehouse, hot_case.query
-            )
-        finally:
-            set_skew_handling_enabled(previous)
+        detected = algorithm_by_name("repartition").run(
+            warehouse, hot_case.query, SKEW_ON
+        )
         assert detected.stats.hdfs_rows_scanned == \
             baseline.stats.hdfs_rows_scanned
         assert detected.stats.hot_keys_detected > 0
@@ -521,26 +516,19 @@ def skew_chaos_warehouse(hot_case):
 @pytest.fixture(scope="module")
 def skew_baselines(skew_chaos_warehouse, hot_case):
     """Fault-free skew-handling runs, for exactly-once accounting."""
-    baselines = {}
-    previous = set_skew_handling_enabled(True)
-    try:
-        for name in SHUFFLE_ALGORITHMS:
-            baselines[name] = algorithm_by_name(name).run(
-                skew_chaos_warehouse, hot_case.query
-            )
-    finally:
-        set_skew_handling_enabled(previous)
-    return baselines
+    return {
+        name: algorithm_by_name(name).run(
+            skew_chaos_warehouse, hot_case.query, SKEW_ON)
+        for name in SHUFFLE_ALGORITHMS
+    }
 
 
 def run_skewed_with_faults(warehouse, query, algorithm, spec):
-    previous = set_skew_handling_enabled(True)
     warehouse.arm_faults(FaultPlan.from_spec(spec))
     try:
-        return algorithm_by_name(algorithm).run(warehouse, query)
+        return algorithm_by_name(algorithm).run(warehouse, query, SKEW_ON)
     finally:
         warehouse.disarm_faults()
-        set_skew_handling_enabled(previous)
 
 
 def check_skew_differential(result, baseline, reference_rows):
@@ -578,6 +566,52 @@ class TestSkewChaosSmoke:
         assert result.stats.hot_tuples_rerouted > 0
         check_skew_differential(result, skew_baselines["repartition"],
                                 hot_reference)
+
+
+#: (Zipf key skew, workers) whose hot keys fan out across the whole
+#: cluster, so a crash leaves fan-outs wider than the survivors.
+SMALL_CLUSTERS = ((1.8, 2), (2.5, 3))
+
+
+@pytest.fixture(scope="module")
+def small_cluster_cases():
+    return {
+        (key_skew, workers): (
+            case,
+            generator.build_cell_warehouse(case, workers, "parquet"),
+            case.oracle_rows(),
+        )
+        for key_skew, workers in SMALL_CLUSTERS
+        for case in [generator.skewed_case(key_skew)]
+    }
+
+
+class TestSmallClusterCrashes:
+    @pytest.mark.parametrize("algorithm", SHUFFLE_ALGORITHMS)
+    @pytest.mark.parametrize("phase", ["scan", "shuffle"])
+    @pytest.mark.parametrize("key_skew, workers", SMALL_CLUSTERS)
+    def test_fanout_capped_at_the_survivors(
+            self, small_cluster_cases, key_skew, workers, phase,
+            algorithm):
+        """A hot key spread over every worker at scan start loses one
+        to the crash: each survivor still gets one copy of its probe
+        rows, not two (the routing invariants check it)."""
+        case, warehouse, reference = small_cluster_cases[key_skew, workers]
+        with testkit.checking():
+            result = run_skewed_with_faults(
+                warehouse, case.query, algorithm,
+                f"crash:w{workers - 1}@{phase}")
+        assert result.stats.hot_keys_detected > 0
+        assert oracle.canonical_rows(result.result) == reference
+
+    def test_destination_lists_never_repeat_a_worker(self):
+        hot = HotKeySet(keys=np.array([3, 8], dtype=np.int64),
+                        fanouts=np.array([3, 2], dtype=np.int64))
+        for workers in (1, 2, 3, 4):
+            for dests in hot.destination_lists(workers,
+                                               agreed_hash_partition):
+                assert len(set(dests.tolist())) == dests.size
+                assert dests.size <= workers
 
 
 @pytest.mark.slow

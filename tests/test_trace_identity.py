@@ -36,10 +36,9 @@ import pytest
 
 from repro import HybridWarehouse, algorithm_by_name, default_config
 from repro.config import ClusterConfig
-from repro.core.joins.base import valid_algorithm_names
+from repro.core.joins.base import ExecutionContext, valid_algorithm_names
 from repro.faults import FaultPlan
 from repro.latemat import set_late_materialization_enabled
-from repro.skew import set_skew_handling_enabled
 from repro.testkit.generator import edge_case, skewed_case
 
 #: Every registered name, plus a forced adaptive switch (the 10x sigma_L
@@ -101,16 +100,16 @@ def run_cell(variant: str, setting: str):
     """One cell's :class:`JoinResult` (shared by the tests: read only)."""
     name, kwargs = VARIANTS[variant]
     warehouse, query = _warehouse(setting)
-    previous_skew = set_skew_handling_enabled(setting == "skew")
+    context = ExecutionContext(skew_handling=setting == "skew")
     previous_latemat = set_late_materialization_enabled(setting == "latemat")
     if setting == "crash":
         warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
     try:
-        return algorithm_by_name(name, **kwargs).run(warehouse, query)
+        return algorithm_by_name(name, **kwargs).run(warehouse, query,
+                                                      context)
     finally:
         if setting == "crash":
             warehouse.disarm_faults()
-        set_skew_handling_enabled(previous_skew)
         set_late_materialization_enabled(previous_latemat)
 
 
