@@ -75,6 +75,9 @@ class HdfsFileSystem:
             for node_id in range(self.cluster.hdfs_nodes)
         ]
         self.catalog = HCatalog()
+        #: Every file's table by catalog name; each block replica is a
+        #: zero-copy row range of it.
+        self._files: Dict[str, Table] = {}
 
     # ------------------------------------------------------------------
     def write_table(
@@ -127,14 +130,30 @@ class HdfsFileSystem:
                 num_rows=table.num_rows,
             )
         )
+        self._files[name] = table
         return blocks
 
     def read_block(self, block: Block, preferred_node: Optional[int] = None
                    ) -> Table:
-        """Read one block, preferring a given (usually local) replica."""
+        """Read one block, preferring a given (usually local) replica.
+
+        Without one, the read goes to the first replica still stored, so
+        a block whose primary replica was evicted is rerouted to another
+        node; it raises :class:`StorageError` only when every replica is
+        gone.
+        """
         if preferred_node is not None and preferred_node in block.replicas:
             return self.datanodes[preferred_node].read_block(block)
-        return self.datanodes[block.replicas[0]].read_block(block)
+        for node_id in block.replicas:
+            if self.datanodes[node_id].has_replica(block.block_id):
+                return self.datanodes[node_id].read_block(block)
+        raise StorageError(f"no stored replica of block {block.block_id}")
+
+    def file_table(self, name: str) -> Table:
+        """Every row of a registered table, in file order: block ``b``
+        is rows ``b.start_row`` to ``b.end_row`` of it."""
+        self.catalog.lookup(name)
+        return self._files[name]
 
     def table_blocks(self, name: str) -> List[Block]:
         """All blocks of a registered table."""

@@ -7,10 +7,13 @@ that yield the things they wait on — :class:`Timeout` for simulated time,
 engine drives everything from a single event heap, so simulated time is
 deterministic and completely decoupled from wall-clock time.
 
-This is the substrate the trace replayer (:mod:`repro.sim.replay`) builds
-on; it is also used directly by tests and by the pipelining ablation
-benchmark, which is why it is a general kernel rather than something
-specialised to join traces.
+The query service runs on it: its shared-cluster scheduler
+(:mod:`repro.service.scheduler`) contends whole traces for the
+cluster's resources, and admission (:mod:`repro.service.admission`)
+fires queue timeouts from its heap.  One query's own schedule does not
+need it — :func:`repro.sim.replay.replay_trace` computes that as a
+recurrence, and the tests keep the replay written on this kernel as
+its reference.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ straggler-aware redistribution):
    top-k heap, :mod:`repro.kernels.sketch`), created per scan by
    :meth:`repro.core.joins.base.JoinRun.hdfs_scan`, is fed each block's
    surviving join keys by the scan's per-block replay
-   (:meth:`repro.jen.worker.JenWorker.finish_batch`), so detection
+   (:func:`repro.jen.worker.finish_scan`), so detection
    costs no second pass over L.
 2. **Split** — the shuffle spreads build-side (L) rows of detected hot
    keys round-robin across each key's bounded destination set and

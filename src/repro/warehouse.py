@@ -8,7 +8,7 @@ the join algorithms and the advisor operate on.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.config import HybridConfig, default_config
 from repro.edw.database import ParallelDatabase
@@ -92,9 +92,7 @@ class HybridWarehouse:
 
     def gather_hdfs_table(self, name: str) -> Table:
         """All rows of an HDFS table in one in-memory table."""
-        blocks = self.hdfs.table_blocks(name)
-        pieces: List[Table] = [self.hdfs.read_block(block) for block in blocks]
-        return Table.concat(pieces)
+        return self.hdfs.file_table(name)
 
     # ------------------------------------------------------------------
     # The read_hdfs table UDF (paper Section 4.1.1)

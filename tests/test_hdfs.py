@@ -175,3 +175,18 @@ class TestFileSystem:
         block = fs.table_blocks("t")[0]
         local = fs.read_block(block, preferred_node=block.replicas[1])
         assert local.num_rows == block.num_rows
+
+    def test_evicted_primary_rerouted(self):
+        fs = HdfsFileSystem(small_cluster(block_size=1024))
+        fs.write_table("t", "/t", int_table(100), "text")
+        block = fs.table_blocks("t")[0]
+        primary, backup = block.replicas[:2]
+        expected = fs.read_block(block)
+        fs.datanodes[primary].evict(block.block_id)
+        assert fs.read_block(block) is \
+            fs.datanodes[backup].read_block(block)
+        assert fs.read_block(block).to_rows() == expected.to_rows()
+        for node_id in block.replicas:
+            fs.datanodes[node_id].evict(block.block_id)
+        with pytest.raises(StorageError, match="no stored replica"):
+            fs.read_block(block)
