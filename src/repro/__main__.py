@@ -132,10 +132,11 @@ def _cmd_serve(args) -> int:
                 confidence=args.approx_confidence,
                 max_error=args.approx_max_error,
             )
-        config = ServiceConfig(admission=AdmissionConfig(slots=args.slots),
-                               enable_adaptive=args.adaptive,
-                               approx_degrade=args.approx_degrade,
-                               approx_policy=approx_policy)
+        config = ServiceConfig(
+            admission=AdmissionConfig(
+                slots=args.slots, degrade_to_approx=args.approx_degrade),
+            enable_adaptive=args.adaptive,
+            approx_policy=approx_policy)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

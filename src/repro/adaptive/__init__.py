@@ -33,7 +33,6 @@ from __future__ import annotations
 
 _LAZY_MODULES = ("algorithm", "collector", "reoptimizer")
 _LAZY_ATTRS = {
-    "AdaptiveConfig": "reoptimizer",
     "AdaptiveContext": "collector",
     "AdaptiveJoin": "algorithm",
     "ArtifactBank": "collector",
@@ -43,7 +42,6 @@ _LAZY_ATTRS = {
 }
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveContext",
     "AdaptiveJoin",
     "ArtifactBank",

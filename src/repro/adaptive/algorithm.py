@@ -32,7 +32,11 @@ from repro.adaptive.collector import (
     RuntimeStatsCollector,
     SwitchSignal,
 )
-from repro.adaptive.reoptimizer import AdaptiveConfig, ReOptimizer
+from repro.adaptive.reoptimizer import (
+    MAX_SWITCHES,
+    SWITCH_PENALTY_SECONDS,
+    ReOptimizer,
+)
 from repro.core.joins.base import (
     ExecutionContext,
     JoinAlgorithm,
@@ -63,8 +67,7 @@ class AdaptiveJoin(JoinAlgorithm):
     name = "adaptive"
 
     def __init__(self, estimate: Optional[WorkloadEstimate] = None,
-                 estimate_errors: Optional[Tuple[float, float]] = None,
-                 config: Optional[AdaptiveConfig] = None):
+                 estimate_errors: Optional[Tuple[float, float]] = None):
         #: Planner estimate to start from; sampled when ``None``.
         self.estimate = estimate
         #: Injected estimate error ``(sigma_t_factor, sigma_l_factor)``
@@ -72,7 +75,6 @@ class AdaptiveJoin(JoinAlgorithm):
         #: testkit's deterministic way to force a mispick (0.1 on σ_L
         #: is the paper-style "10x underestimate").
         self.estimate_errors = estimate_errors
-        self.config = config or AdaptiveConfig()
 
     # ------------------------------------------------------------------
     def run(self, warehouse, query: HybridQuery,
@@ -95,8 +97,7 @@ class AdaptiveJoin(JoinAlgorithm):
         incumbent = advisor.decide(estimate).best
         initial = incumbent
 
-        injector = getattr(warehouse.jen, "injector", None)
-        fault_run = injector is not None and injector.armed
+        fault_run = warehouse.jen.injector is not None
 
         bank = ArtifactBank()
         abandoned: List[_AbandonedSegment] = []
@@ -107,14 +108,11 @@ class AdaptiveJoin(JoinAlgorithm):
             # The database filter's observation survives a switch (the
             # reused banked T' re-runs nothing to re-observe).
             collector.db_rows_scanned, collector.db_rows_out = db_carry
-            collect_only = (
-                fault_run or len(abandoned) >= self.config.max_switches
-            )
+            collect_only = fault_run or len(abandoned) >= MAX_SWITCHES
             reoptimizer = None
             if not collect_only:
                 reoptimizer = ReOptimizer(
                     advisor, incumbent, estimate,
-                    config=self.config,
                     exclude=frozenset(
                         segment.algorithm for segment in abandoned
                     ),
@@ -223,8 +221,7 @@ class AdaptiveJoin(JoinAlgorithm):
                 "switch" if len(abandoned) == 1 else f"switch{index + 1}"
             )
             trace.add(
-                switch_name, "latency",
-                self.config.switch_penalty_seconds,
+                switch_name, "latency", SWITCH_PENALTY_SECONDS,
                 after=segment_phases,
                 description=(
                     f"drain {segment.algorithm!r}, re-plan as "

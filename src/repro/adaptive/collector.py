@@ -32,6 +32,9 @@ from repro.core.advisor import WorkloadEstimate
 
 #: Observed selectivities are clamped to the advisor's legal floor.
 _SIGMA_FLOOR = 1e-5
+#: Fractional scan-progress marks where the re-optimizer runs (the
+#: named ``t_prime_built`` checkpoint always runs in addition).
+CHECKPOINTS = (0.25, 0.5, 0.75)
 
 
 class SwitchSignal(Exception):
@@ -229,7 +232,7 @@ class AdaptiveContext:
         if self.reoptimizer is None:
             return
         progress = collector.scan_progress()
-        for mark in self.reoptimizer.config.checkpoints:
+        for mark in CHECKPOINTS:
             if progress >= mark > 0 and mark not in self._fired \
                     and progress < 1.0:
                 self._fired.add(mark)

@@ -21,32 +21,25 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
 from repro.adaptive.collector import ArtifactBank, RuntimeStatsCollector
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Tuning knobs for the adaptive plane."""
-
-    #: Fractional scan-progress marks where the re-optimizer runs (the
-    #: named ``t_prime_built`` checkpoint always runs in addition).
-    checkpoints: Tuple[float, ...] = (0.25, 0.5, 0.75)
-    #: Below this scan progress the observed σ_L sample is too small to
-    #: trust for a switch (the T′ checkpoint, at progress 0, relies on
-    #: the exact observed σ_T instead and is exempt).
-    min_progress: float = 0.05
-    #: Fixed cost of a switch: drain in-flight stages, re-plan, restart
-    #: coordination (charged as a latency phase on the final trace).
-    switch_penalty_seconds: float = 5.0
-    #: Switch only when the alternative beats the incumbent's projected
-    #: remaining cost by this factor.
-    hysteresis: float = 0.9
-    #: Most switches allowed in one run (regret is bounded; after the
-    #: budget is spent the run continues collect-only).
-    max_switches: int = 1
+#: Below this scan progress the observed σ_L sample is too small to
+#: trust for a switch (the T′ checkpoint, at progress 0, relies on the
+#: exact observed σ_T instead and is exempt).
+MIN_PROGRESS = 0.05
+#: Fixed cost of a switch: drain in-flight stages, re-plan, restart
+#: coordination (charged as a latency phase on the final trace).
+SWITCH_PENALTY_SECONDS = 5.0
+#: Switch only when the alternative beats the incumbent's projected
+#: remaining cost by this factor.
+HYSTERESIS = 0.9
+#: Most switches allowed in one run (regret is bounded; after the
+#: budget is spent the run continues collect-only).
+MAX_SWITCHES = 1
 
 
 @dataclass(frozen=True)
@@ -70,13 +63,11 @@ class ReOptimizer:
 
     def __init__(self, advisor: JoinAdvisor, incumbent: str,
                  base_estimate: WorkloadEstimate,
-                 config: Optional[AdaptiveConfig] = None,
                  exclude: FrozenSet[str] = frozenset(),
                  bank: Optional[ArtifactBank] = None):
         self.advisor = advisor
         self.incumbent = incumbent
         self.base_estimate = base_estimate
-        self.config = config or AdaptiveConfig()
         #: Algorithms already tried this run — never switch back.
         self.exclude = frozenset(exclude) | {incumbent}
         self.bank = bank
@@ -86,7 +77,7 @@ class ReOptimizer:
     def evaluate(self, collector: RuntimeStatsCollector,
                  progress: float) -> Optional[SwitchDecision]:
         """Re-cost with observations; a decision means *switch now*."""
-        if 0.0 < progress < self.config.min_progress:
+        if 0.0 < progress < MIN_PROGRESS:
             return None
         observed = collector.observed_estimate(self.base_estimate)
         estimates = self.advisor.estimate_all(observed)
@@ -113,7 +104,7 @@ class ReOptimizer:
         for name, full in estimates.items():
             if name in self.exclude:
                 continue
-            cost = full + self.config.switch_penalty_seconds
+            cost = full + SWITCH_PENALTY_SECONDS
             if t_prime_banked:
                 cost -= db_filter
             if best_cost is None or (cost, name) < (best_cost, best_name):
@@ -128,7 +119,7 @@ class ReOptimizer:
             "estimates": dict(estimates),
         }
         self.evaluations.append(record)
-        if best_name is None or best_cost >= self.config.hysteresis * remaining:
+        if best_name is None or best_cost >= HYSTERESIS * remaining:
             return None
         return SwitchDecision(
             target=best_name,

@@ -91,7 +91,7 @@ class ApproxJoin(JoinAlgorithm):
     def run(self, warehouse, query: HybridQuery,
             context=None) -> JoinResult:
         jen = warehouse.jen
-        if jen._active_injector() is not None:
+        if jen.injector is not None:
             raise JoinError(
                 "approx join does not run under an armed fault plan; "
                 "use the exact tier for fault-injected queries"

@@ -164,8 +164,8 @@ class JoinAlgorithm:
         ``recovery`` phases first, so the replayed makespan pays for
         them and the Gantt timeline shows them.
         """
-        injector = getattr(warehouse.jen, "injector", None)
-        if injector is not None and injector.armed:
+        injector = warehouse.jen.injector
+        if injector is not None:
             injector.charge_trace(trace)
         trace.metadata["bytes_shipped"] = classify_bytes_shipped(trace)
         timing = replay_trace(trace)

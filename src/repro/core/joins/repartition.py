@@ -37,7 +37,7 @@ from repro.edw.partitioner import agreed_hash_partition
 from repro.kernels.partition import partition_table
 from repro.latemat import LateMatPlan, PayloadStore
 from repro.relational.table import Table
-from repro.skew import SkewPolicy
+from repro.skew import STEAL_THRESHOLD
 from repro.testkit import invariants
 from repro.query.query import HybridQuery
 
@@ -179,7 +179,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         * config.scale,
         latemat_plan=plan,
         index_for=run.context.index_for,
-        steal_threshold=(SkewPolicy().steal_threshold
+        steal_threshold=(STEAL_THRESHOLD
                          if run.context.skew_handling else None),
     )
     output = joined.join_output_tuples

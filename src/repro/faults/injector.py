@@ -9,7 +9,8 @@ One :class:`FaultInjector` is armed on a :class:`~repro.jen.engine.Jen`
   their scan but before their rows are safely exchanged;
 * every shuffle/transfer message goes through :meth:`deliver`, which
   rolls the plan's drop/trunc/dup probabilities with a per-message
-  seeded RNG and drives the :class:`~repro.net.transfer.RetryPolicy`;
+  seeded RNG and drives :func:`~repro.net.transfer.deliver_with_retry`
+  (timeout plus exponential backoff, four attempts per message);
 * phase entries call :meth:`check_abort` so ``abort:`` events can kill
   the whole query (the service plane re-admits it once).
 
@@ -30,12 +31,20 @@ is what lets a re-admitted query succeed where the first attempt died.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FaultSpecError, QueryAbortError
+from repro.errors import QueryAbortError
 from repro.faults.plan import FaultPlan
-from repro.net.transfer import RetryPolicy, deliver_with_retry
+from repro.net.transfer import (
+    TIMEOUT_SECONDS,
+    deliver_with_retry,
+    retry_overhead_seconds,
+)
+
+#: A straggler gets a speculative backup once it falls this fraction
+#: of its phase behind, which also caps what a straggler can cost.
+DETECT_FRACTION = 0.25
 
 
 class CrashSignal(Exception):
@@ -93,17 +102,8 @@ class RecoveryAction:
 class FaultInjector:
     """Arms a :class:`FaultPlan` and records the recovery it forces."""
 
-    def __init__(self, plan: FaultPlan,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 detect_fraction: float = 0.25):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.retry_policy = retry_policy or RetryPolicy()
-        if not 0.0 < detect_fraction <= 1.0:
-            raise FaultSpecError(
-                f"detect fraction must be in (0, 1], got {detect_fraction}"
-            )
-        self.detect_fraction = detect_fraction
-        self.armed = True
         #: Query attempt number; bumped by the service plane on retry so
         #: per-message RNG draws differ between attempts.
         self.epoch = 0
@@ -176,7 +176,7 @@ class FaultInjector:
                 "discarded)"
             ),
             anchor_kind="hdfs_scan",
-            seconds=self.retry_policy.timeout_seconds,
+            seconds=TIMEOUT_SECONDS,
             fraction=1.0 / max(1, survivors),
             tuples=rows_lost,
         ))
@@ -199,7 +199,7 @@ class FaultInjector:
                 f"rows lost with worker {worker_id} (died in shuffle)"
             ),
             anchor_kind="hdfs_scan",
-            seconds=self.retry_policy.timeout_seconds,
+            seconds=TIMEOUT_SECONDS,
             fraction=1.0,
             tuples=rows_lost,
         ))
@@ -220,15 +220,15 @@ class FaultInjector:
         """Account a straggler; ``backup`` is the speculative worker.
 
         Without speculation the phase would stretch by ``factor``; with
-        a backup launched once the worker falls ``detect_fraction``
-        behind, the stretch is capped at ``detect_fraction`` of the
+        a backup launched once the worker falls ``DETECT_FRACTION``
+        behind, the stretch is capped at ``DETECT_FRACTION`` of the
         phase.  The cheaper of the two is charged — speculation only
         helps once the straggler is slower than the backup path.
         """
-        extra = min(factor - 1.0, self.detect_fraction)
+        extra = min(factor - 1.0, DETECT_FRACTION)
         if extra <= 0:
             return
-        speculated = backup is not None and factor - 1.0 > self.detect_fraction
+        speculated = backup is not None and factor - 1.0 > DETECT_FRACTION
         if speculated:
             self.speculations += 1
             description = (
@@ -282,14 +282,11 @@ class FaultInjector:
         :class:`~repro.errors.TransferFaultError` once the retry budget
         is exhausted; the service plane handles that.
         """
-        if not self.armed:
-            return False, 0
         outcome, attempts = deliver_with_retry(
             None,
             lambda _payload, attempt: self.transfer_outcome(
                 channel, sender, destination, attempt
             ),
-            self.retry_policy,
             channel=channel, sender=sender, destination=destination,
         )
         failures = attempts - 1
@@ -302,7 +299,7 @@ class FaultInjector:
             waits = self._retry_waits.setdefault(channel, {})
             waits[destination] = (
                 waits.get(destination, 0.0)
-                + self.retry_policy.retry_overhead_seconds(failures)
+                + retry_overhead_seconds(failures)
             )
             self._retry_messages[channel] = (
                 self._retry_messages.get(channel, 0) + 1

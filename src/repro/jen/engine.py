@@ -38,7 +38,6 @@ from repro.jen.worker import (
 )
 from repro.kernels.joinindex import JoinBuildIndex
 from repro.latemat import LateMatPlan, StitchStats
-from repro.net.transfer import RetryPolicy
 from repro.relational.aggregates import merge_specs
 from repro.relational.table import Table
 from repro.query.plan import join_aggregate
@@ -137,7 +136,7 @@ class Jen:
             raise JoinError(f"no live JEN worker {worker_id}")
         if len(self.workers) == 1:
             raise JoinError("cannot fail the last JEN worker")
-        if self._scan_depth > 0 and self._active_injector() is None:
+        if self._scan_depth > 0 and self.injector is None:
             raise FaultError(
                 f"a scan is in flight: failing worker {worker_id} now has "
                 "no defined semantics — inject the crash through an armed "
@@ -163,9 +162,8 @@ class Jen:
         for worker_id in range(num_workers):
             self.coordinator.mark_worker(worker_id, up=True)
 
-    def arm_faults(self, plan: Union[FaultPlan, str], seed: int = 11,
-                   retry_policy: Optional[RetryPolicy] = None,
-                   detect_fraction: float = 0.25) -> FaultInjector:
+    def arm_faults(self, plan: Union[FaultPlan, str],
+                   seed: int = 11) -> FaultInjector:
         """Arm a fault plan (object or spec string) for subsequent runs.
 
         Returns the :class:`~repro.faults.FaultInjector`, whose fired
@@ -174,10 +172,7 @@ class Jen:
         """
         if isinstance(plan, str):
             plan = FaultPlan.from_spec(plan, seed=seed)
-        self._injector = FaultInjector(
-            plan, retry_policy=retry_policy,
-            detect_fraction=detect_fraction,
-        )
+        self._injector = FaultInjector(plan)
         return self._injector
 
     def disarm_faults(self) -> None:
@@ -186,13 +181,9 @@ class Jen:
 
     @property
     def injector(self) -> Optional[FaultInjector]:
-        """The armed fault injector, if any."""
+        """The armed fault injector, or ``None`` when no plan is armed
+        — the one question every plane asks before a fault-aware path."""
         return self._injector
-
-    def _active_injector(self) -> Optional[FaultInjector]:
-        if self._injector is not None and self._injector.armed:
-            return self._injector
-        return None
 
     def _remove_worker(self, worker_id: int) -> None:
         self.workers = [
@@ -241,7 +232,7 @@ class Jen:
         (``on_scan_block``, see :func:`~repro.jen.worker.finish_scan`),
         and may raise out of the scan to abandon it.
         """
-        injector = self._active_injector()
+        injector = self.injector
         if injector is not None:
             injector.check_abort("scan")
         meta = self.coordinator.table_meta(table_name)
@@ -279,7 +270,7 @@ class Jen:
         (approximate) run under injected faults would conflate two
         failure domains.  Callers fall back to the exact tier instead.
         """
-        if self._active_injector() is not None:
+        if self.injector is not None:
             raise JoinError(
                 "sampled scans do not support armed fault plans; run the "
                 "exact tier under fault injection instead"
@@ -469,7 +460,7 @@ class Jen:
         dedup, exactly-once accounting — is identical either way; only
         the senders' destination assignments change.
         """
-        injector = self._active_injector()
+        injector = self.injector
         wire_tables = list(wire_tables)
         if injector is not None:
             injector.check_abort("shuffle")
@@ -549,7 +540,7 @@ class Jen:
         join's index; ``steal_threshold`` arms work stealing (``None``:
         off).
         """
-        injector = self._active_injector()
+        injector = self.injector
         if injector is not None:
             injector.check_abort("join")
         if len(l_parts) != self.num_workers or len(t_parts) != self.num_workers:

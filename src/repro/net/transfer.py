@@ -16,7 +16,6 @@ Reproduces the volume math of the paper's Figure 6:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List
 
 from repro.errors import SimulationError, TransferFaultError
@@ -32,53 +31,39 @@ class TransferPattern(enum.Enum):
     AGREED_HASH_DIRECT = "agreed_hash_direct"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry discipline for unreliable transfers (fault injection).
+# Retry discipline for unreliable transfers (fault injection).  A lost
+# or truncated message is detected after the per-transfer timeout, then
+# re-sent after an exponentially growing backoff: failure *i* waits
+# ``BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER**(i-1)`` before the next
+# attempt.  After ``MAX_ATTEMPTS`` total attempts the transfer is
+# abandoned with :class:`~repro.errors.TransferFaultError`.
+MAX_ATTEMPTS = 4
+TIMEOUT_SECONDS = 2.0
+BACKOFF_BASE_SECONDS = 0.5
+BACKOFF_MULTIPLIER = 2.0
 
-    A lost or truncated message is detected after ``timeout_seconds``
-    (the per-transfer timeout), then re-sent after an exponentially
-    growing backoff: failure *i* waits
-    ``backoff_base_seconds * backoff_multiplier**(i-1)`` before the next
-    attempt.  After ``max_attempts`` total attempts the transfer is
-    abandoned with :class:`~repro.errors.TransferFaultError`.
+
+def backoff_seconds(failure_index: int) -> float:
+    """Backoff slept after the ``failure_index``-th (1-based) loss."""
+    if failure_index < 1:
+        raise SimulationError("failure index is 1-based")
+    return BACKOFF_BASE_SECONDS * BACKOFF_MULTIPLIER ** (failure_index - 1)
+
+
+def retry_overhead_seconds(failures: int) -> float:
+    """Extra seconds ``failures`` consecutive losses cost.
+
+    Each loss burns the detection timeout plus its backoff; the final
+    successful attempt's own transfer time is priced by the ordinary
+    cost model, not here.
     """
-
-    max_attempts: int = 4
-    timeout_seconds: float = 2.0
-    backoff_base_seconds: float = 0.5
-    backoff_multiplier: float = 2.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise SimulationError("retry policy needs at least one attempt")
-        if self.timeout_seconds < 0 or self.backoff_base_seconds < 0:
-            raise SimulationError("retry timings must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise SimulationError("backoff multiplier must be >= 1")
-
-    def backoff_seconds(self, failure_index: int) -> float:
-        """Backoff slept after the ``failure_index``-th (1-based) loss."""
-        if failure_index < 1:
-            raise SimulationError("failure index is 1-based")
-        return (self.backoff_base_seconds
-                * self.backoff_multiplier ** (failure_index - 1))
-
-    def retry_overhead_seconds(self, failures: int) -> float:
-        """Extra seconds ``failures`` consecutive losses cost.
-
-        Each loss burns the detection timeout plus its backoff; the
-        final successful attempt's own transfer time is priced by the
-        ordinary cost model, not here.
-        """
-        return sum(
-            self.timeout_seconds + self.backoff_seconds(index)
-            for index in range(1, failures + 1)
-        )
+    return sum(
+        TIMEOUT_SECONDS + backoff_seconds(index)
+        for index in range(1, failures + 1)
+    )
 
 
-def deliver_with_retry(payload, send, policy: RetryPolicy,
-                       channel: str = "transfer",
+def deliver_with_retry(payload, send, channel: str = "transfer",
                        sender: int = -1, destination: int = -1):
     """Drive ``send(payload, attempt)`` until it reports success.
 
@@ -87,8 +72,8 @@ def deliver_with_retry(payload, send, policy: RetryPolicy,
     twice — the receiver must deduplicate), or ``"drop"``/``"trunc"``
     (lost or cut short in flight; retry).  Returns
     ``(outcome, attempts)`` for the terminal attempt; raises
-    :class:`~repro.errors.TransferFaultError` once the policy's attempt
-    budget is exhausted.
+    :class:`~repro.errors.TransferFaultError` once ``MAX_ATTEMPTS``
+    attempts are spent.
     """
     attempts = 0
     while True:
@@ -98,7 +83,7 @@ def deliver_with_retry(payload, send, policy: RetryPolicy,
             return outcome, attempts
         if outcome not in ("drop", "trunc"):
             raise SimulationError(f"unknown delivery outcome {outcome!r}")
-        if attempts >= policy.max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             raise TransferFaultError(
                 f"{channel} transfer {sender}->{destination} lost "
                 f"{attempts} times (retry budget exhausted)",

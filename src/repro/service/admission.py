@@ -4,8 +4,6 @@ Every submitted query passes through one :class:`AdmissionController`
 before it may touch the shared cluster:
 
 * at most ``slots`` queries are in flight at once (bounded concurrency);
-* each tenant may hold at most ``tenant_quota`` of those slots, so one
-  noisy tenant cannot starve the rest;
 * excess queries wait in a bounded FIFO queue; a queue beyond
   ``max_queue`` rejects new arrivals outright (``queue_full``);
 * a queued query that is not granted a slot within ``queue_timeout``
@@ -16,9 +14,9 @@ before it may touch the shared cluster:
   immediately (``overload_shed``) so interactive traffic keeps its
   queue headroom.
 
-Which queued query gets a freed slot is decided by the scheduling
-policy (:class:`~repro.service.scheduler.FairSharePolicy` by default):
-priority, then fair share across tenants, then FIFO.
+Which queued query gets a freed slot is decided by
+:class:`~repro.service.scheduler.FairSharePolicy`: priority, then fair
+share across tenants (the tenant holding the fewest slots), then FIFO.
 
 The controller lives entirely in simulated time; it is driven from
 processes on the service's :class:`~repro.sim.engine.SimEngine` and
@@ -29,6 +27,8 @@ communicates through one-shot events whose value is an
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -48,28 +48,37 @@ class AdmissionConfig:
     max_queue: int = 32
     #: Simulated seconds a query may wait before it is rejected.
     queue_timeout: float = 300.0
-    #: Maximum in-flight queries per tenant (None = no per-tenant cap).
-    tenant_quota: Optional[int] = None
     #: Queue-depth fraction beyond which best-effort (priority > 0)
     #: arrivals are shed immediately.  None disables shedding.
     shed_fraction: Optional[float] = 0.75
     #: Turn shedding into a degraded tier: arrivals that would be
     #: rejected ``overload_shed`` are admitted (queued) for *approximate*
     #: execution instead.  Interactive (priority 0) traffic is never
-    #: shed, so the exact tier is unaffected either way.
+    #: shed, so the exact tier is unaffected either way.  Needs
+    #: ``shed_fraction``: nothing is shed, so nothing degrades, without.
     degrade_to_approx: bool = False
 
     def __post_init__(self):
-        if self.slots < 1:
-            raise ServiceError("admission needs at least one slot")
-        if self.max_queue < 0:
-            raise ServiceError("max_queue must be non-negative")
-        if self.queue_timeout <= 0:
-            raise ServiceError("queue_timeout must be positive")
-        if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise ServiceError("tenant_quota must be >= 1 when set")
+        if not isinstance(self.slots, numbers.Integral) or self.slots < 1:
+            raise ServiceError(
+                f"admission needs a whole number of slots >= 1, "
+                f"got {self.slots!r}")
+        if not isinstance(self.max_queue, numbers.Integral) \
+                or self.max_queue < 0:
+            raise ServiceError(
+                f"max_queue must be a non-negative whole number, "
+                f"got {self.max_queue!r}")
+        if not (math.isfinite(self.queue_timeout)
+                and self.queue_timeout > 0):
+            raise ServiceError(
+                f"queue_timeout must be finite and positive, "
+                f"got {self.queue_timeout!r}")
         if self.shed_fraction is not None and not 0 < self.shed_fraction <= 1:
             raise ServiceError("shed_fraction must be in (0, 1]")
+        if self.degrade_to_approx and self.shed_fraction is None:
+            raise ServiceError(
+                "degrade_to_approx needs a shed_fraction: without "
+                "shedding no query is ever degraded")
 
 
 @dataclass
@@ -114,11 +123,10 @@ class AdmissionController:
 
     def __init__(self, engine: SimEngine,
                  config: Optional[AdmissionConfig] = None,
-                 policy: Optional[FairSharePolicy] = None,
                  metrics: Optional[MetricsRegistry] = None):
         self.engine = engine
         self.config = config or AdmissionConfig()
-        self.policy = policy or FairSharePolicy()
+        self.policy = FairSharePolicy()
         self.metrics = metrics or MetricsRegistry()
         self._pending: List[_Pending] = []
         self._in_flight = 0
@@ -136,10 +144,6 @@ class AdmissionController:
     def in_flight(self) -> int:
         """Queries currently holding a slot."""
         return self._in_flight
-
-    def tenant_in_flight(self, tenant: str) -> int:
-        """Slots currently held by ``tenant``."""
-        return self._by_tenant.get(tenant, 0)
 
     @property
     def queue_depth(self) -> int:
@@ -163,7 +167,7 @@ class AdmissionController:
             degraded = True
             self.metrics.counter("admission.degraded_to_approx").inc()
         if len(self._pending) >= self.config.max_queue \
-                and not self._slot_available(tenant):
+                and self._in_flight >= self.config.slots:
             self._reject(event, "queue_full", 0.0)
             return event
         pending = _Pending(
@@ -197,13 +201,6 @@ class AdmissionController:
         self._dispatch()
 
     # ------------------------------------------------------------------
-    def _slot_available(self, tenant: str) -> bool:
-        under_quota = (
-            self.config.tenant_quota is None
-            or self.tenant_in_flight(tenant) < self.config.tenant_quota
-        )
-        return self._in_flight < self.config.slots and under_quota
-
     def _shed_now(self, priority: int) -> bool:
         if self.config.shed_fraction is None or priority <= 0:
             return False
@@ -230,16 +227,10 @@ class AdmissionController:
 
     def _dispatch(self) -> None:
         while self._in_flight < self.config.slots:
-            eligible = [
-                pending for pending in self._pending
-                if self.config.tenant_quota is None
-                or self.tenant_in_flight(pending.tenant)
-                < self.config.tenant_quota
-            ]
-            choice = self.policy.select(eligible, dict(self._by_tenant))
+            choice = self.policy.select(self._pending, self._by_tenant)
             if choice is None:
                 return
-            pending = eligible[choice]
+            pending = self._pending[choice]
             pending.resolved = True
             self._pending.remove(pending)
             self._in_flight += 1

@@ -2,8 +2,8 @@
 
 The single-query time plane (:mod:`repro.sim.replay`) replays one trace
 as if the whole cluster belonged to it.  The service plane replays many
-traces on *one* :class:`~repro.sim.engine.SimEngine`, with the cluster's
-three resource classes modelled as FIFO gang slots:
+traces on *one* :class:`~repro.sim.engine.SimEngine`, with each of the
+cluster's three resource classes modelled as one FIFO gang slot:
 
 ``edw``
     The parallel database workers — table scans, index re-accesses, the
@@ -15,7 +15,7 @@ three resource classes modelled as FIFO gang slots:
     The interconnect — JEN-to-JEN shuffles, DB exports/ingests over the
     20 Gbit switch, Bloom filter movements.
 
-Each trace phase occupies one slot of its class for its whole duration
+Each trace phase occupies its class's slot for its whole duration
 (gang scheduling: a phase was priced assuming every worker of that class
 participates, so two same-class phases cannot genuinely overlap and are
 serialised FIFO).  Phases of *different* classes — one query's HDFS scan
@@ -69,15 +69,12 @@ DEFAULT_CHUNKS = 32
 class SharedCluster:
     """The three contended resource classes, bound to one engine."""
 
-    def __init__(self, engine: SimEngine, edw_slots: int = 1,
-                 jen_slots: int = 1, net_slots: int = 1):
-        if min(edw_slots, jen_slots, net_slots) < 1:
-            raise ServiceError("every resource class needs >= 1 slot")
+    def __init__(self, engine: SimEngine):
         self.engine = engine
         self._resources: Dict[str, Resource] = {
-            "edw": engine.resource(edw_slots, name="edw-workers"),
-            "jen": engine.resource(jen_slots, name="jen-workers"),
-            "net": engine.resource(net_slots, name="interconnect"),
+            "edw": engine.resource(1, name="edw-workers"),
+            "jen": engine.resource(1, name="jen-workers"),
+            "net": engine.resource(1, name="interconnect"),
         }
 
     def resource_for(self, kind: str) -> Optional[Resource]:
@@ -192,9 +189,8 @@ class FairSharePolicy:
 
     Ordering: highest priority first (lower ``priority`` number wins),
     then the tenant currently holding the fewest in-flight queries
-    (fair share), then submission order.  The controller only offers
-    requests that are *eligible* (tenant under quota).  Any object
-    exposing ``priority`` / ``tenant`` / ``seq`` can be offered to
+    (fair share), then submission order.  Any object exposing
+    ``priority`` / ``tenant`` / ``seq`` can be offered to
     :meth:`select`.
     """
 

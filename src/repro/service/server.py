@@ -28,8 +28,9 @@ while simulated time restarts from zero for each batch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import List, Mapping, Optional, Union
+import math
+from dataclasses import dataclass, field
+from typing import List, Optional, Union
 
 from repro.approx.policy import ApproxPolicy
 from repro.core.joins import ExecutionContext, JoinResult, algorithm_by_name
@@ -53,40 +54,33 @@ from repro.sim.engine import SimEngine, Timeout
 from repro.sql import SqlSession
 
 
+#: Simulated coordinator latency of answering from the result cache.
+CACHE_HIT_SECONDS = 0.1
+#: How many times a query killed by an unrecoverable injected fault is
+#: re-admitted before the failure is surfaced to the client.
+FAULT_RETRIES = 1
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one query service."""
+    """Tunables of one query service.
+
+    The degraded (approximate) tier is switched on by the admission
+    config's ``degrade_to_approx``: under overload, best-effort arrivals
+    that would be shed are admitted for approximate execution instead.
+    Degraded results carry interval reports, never enter the result
+    cache, and never feed the advisor's feedback loop.
+    """
 
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    #: Gang slots per shared resource class (see scheduler module).
-    edw_slots: int = 1
-    jen_slots: int = 1
-    net_slots: int = 1
-    #: Streaming chunks per phase in the concurrent replay.
-    chunks: int = 32
     enable_result_cache: bool = True
-    enable_bloom_cache: bool = True
     enable_feedback: bool = True
     #: Run ``auto`` queries through the adaptive wrapper (mid-query
     #: re-optimization) instead of committing to the advisor's pick.
     enable_adaptive: bool = False
-    #: Simulated coordinator latency of answering from the result cache.
-    cache_hit_seconds: float = 0.1
-    #: How many times a query killed by an unrecoverable injected fault
-    #: is re-admitted before the failure is surfaced to the client.
-    fault_retries: int = 1
-    #: Degraded tier: under overload, best-effort arrivals that would be
-    #: shed are admitted for *approximate* execution instead — the
-    #: explicit latency/accuracy knob.  Degraded results carry interval
-    #: reports, never enter the result cache, and never feed the
-    #: advisor's feedback loop.
-    approx_degrade: bool = False
-    #: Service-wide accuracy target of the degraded tier (None = the
+    #: Accuracy target of the degraded tier (None = the
     #: :class:`~repro.approx.policy.ApproxPolicy` defaults).
     approx_policy: Optional[ApproxPolicy] = None
-    #: Per-tenant accuracy targets overriding ``approx_policy``.
-    approx_tenant_policies: Mapping[str, ApproxPolicy] = \
-        field(default_factory=dict)
 
 
 @dataclass
@@ -96,7 +90,7 @@ class QueryOutcome:
     ticket_id: int
     tenant: str
     #: "ok", "rejected" (admission control) or "failed" (unrecoverable
-    #: fault after the configured re-admissions).
+    #: fault after ``FAULT_RETRIES`` re-admissions).
     status: str
     reject_reason: str = ""
     #: Typed error of the terminal fault, e.g. "QueryAbortError: ...".
@@ -276,8 +270,9 @@ class QueryService:
         batch; ``priority`` 0 is interactive, larger values are
         best-effort (shed first under overload).
         """
-        if at < 0:
-            raise ServiceError("arrival offset must be non-negative")
+        if not (math.isfinite(at) and at >= 0):
+            raise ServiceError(
+                f"arrival offset must be finite and non-negative, got {at}")
         if isinstance(query, str):
             query = self._translate(query)
         if algorithm != "auto":
@@ -306,18 +301,9 @@ class QueryService:
         """Replay every pending submission on a fresh simulated clock."""
         batch, self._pending = self._pending, []
         engine = SimEngine()
-        cluster = SharedCluster(
-            engine,
-            edw_slots=self.config.edw_slots,
-            jen_slots=self.config.jen_slots,
-            net_slots=self.config.net_slots,
-        )
-        admission_config = self.config.admission
-        if self.config.approx_degrade:
-            admission_config = replace(admission_config,
-                                       degrade_to_approx=True)
+        cluster = SharedCluster(engine)
         admission = AdmissionController(
-            engine, admission_config, metrics=self.metrics)
+            engine, self.config.admission, metrics=self.metrics)
         outcomes: List[QueryOutcome] = []
         for submission in sorted(batch,
                                  key=lambda s: (s.ticket.at, s.ticket.id)):
@@ -334,9 +320,6 @@ class QueryService:
             (outcome.finished_at for outcome in outcomes), default=0.0)
         return ServiceReport(
             outcomes=outcomes, makespan=makespan, metrics=self.metrics)
-
-    #: drain() under its task-queue name, for submit/await call sites.
-    await_all = drain
 
     def execute(self, query: Union[HybridQuery, str],
                 algorithm: str = "auto") -> QueryOutcome:
@@ -359,8 +342,7 @@ class QueryService:
         if self.config.enable_result_cache:
             cached = self.result_cache.get(key)
             if cached is not None:
-                if self.config.cache_hit_seconds > 0:
-                    yield Timeout(self.config.cache_hit_seconds)
+                yield Timeout(CACHE_HIT_SECONDS)
                 outcome = QueryOutcome(
                     ticket_id=ticket.id, tenant=ticket.tenant,
                     status="ok", algorithm="cache", cache_hit=True,
@@ -384,7 +366,7 @@ class QueryService:
             return
 
         # Graceful degradation: an unrecoverable injected fault releases
-        # the slot and re-admits the query up to ``fault_retries`` times
+        # the slot and re-admits the query up to ``FAULT_RETRIES`` times
         # (the injector's fired-once crash/abort state persists, so the
         # retry typically runs clean); past that, the failure surfaces
         # with its typed FaultError.
@@ -396,7 +378,7 @@ class QueryService:
                 if admit.degraded:
                     algorithm, rationale, join_result, \
                         approx_report = self._execute_approx(
-                            submission.query, ticket.tenant)
+                            submission.query)
                 else:
                     algorithm, rationale, join_result = \
                         self._execute_data_plane(
@@ -405,10 +387,10 @@ class QueryService:
             except FaultError as exc:
                 admission.release(admit.grant)
                 self.metrics.counter("service.fault_aborts").inc()
-                injector = getattr(self.warehouse.jen, "injector", None)
+                injector = self.warehouse.jen.injector
                 if injector is not None:
                     injector.bump_epoch()
-                if retries_used >= self.config.fault_retries:
+                if retries_used >= FAULT_RETRIES:
                     outcome = QueryOutcome(
                         ticket_id=ticket.id, tenant=ticket.tenant,
                         status="failed",
@@ -437,10 +419,8 @@ class QueryService:
                     self._finish(ticket, outcome, outcomes)
                     return
                 queue_wait += admit.queued_seconds
-        run = schedule_trace(
-            engine, cluster, join_result.trace,
-            chunks=self.config.chunks, label=f"q{ticket.id}",
-        )
+        run = schedule_trace(engine, cluster, join_result.trace,
+                             label=f"q{ticket.id}")
         yield run.done
         admission.release(admit.grant)
 
@@ -481,7 +461,7 @@ class QueryService:
         self._record_bytes_shipped(join_result)
         return algorithm, rationale, join_result
 
-    def _execute_approx(self, query: HybridQuery, tenant: str):
+    def _execute_approx(self, query: HybridQuery):
         """The degraded tier: run the query approximately.
 
         Falls back to the exact tier (counting ``approx.unsupported``)
@@ -494,16 +474,11 @@ class QueryService:
         """
         from repro.approx import ApproxJoin
 
-        policy = (
-            self.config.approx_tenant_policies.get(tenant)
-            or self.config.approx_policy
-            or ApproxPolicy()
-        )
-        injector = getattr(self.warehouse.jen, "injector", None)
+        policy = self.config.approx_policy or ApproxPolicy()
         has_extremes = any(
             spec.function in ("min", "max") for spec in query.aggregates
         )
-        if (injector is not None and injector.armed) or has_extremes:
+        if self.warehouse.jen.injector is not None or has_extremes:
             self.metrics.counter("approx.unsupported").inc()
             algorithm, rationale, join_result = self._execute_data_plane(
                 query, "auto")
@@ -554,8 +529,7 @@ class QueryService:
         """One query's context: the service's Bloom and join-index
         caches, the index scoped to the query's build side."""
         return ExecutionContext(
-            bloom_builder=(self.bloom_builder
-                           if self.config.enable_bloom_cache else None),
+            bloom_builder=self.bloom_builder,
             index_for=self.join_index_provider.for_query(build_side_key(
                 query, self.warehouse.jen.num_workers, algorithm)),
         )

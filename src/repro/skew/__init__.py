@@ -31,13 +31,13 @@ swapped, and two queries in one process may differ.
 """
 
 from repro.skew.detector import (
+    STEAL_THRESHOLD,
     HeavyHitterDetector,
     HotKeySet,
-    SkewPolicy,
 )
 
 __all__ = [
+    "STEAL_THRESHOLD",
     "HeavyHitterDetector",
     "HotKeySet",
-    "SkewPolicy",
 ]

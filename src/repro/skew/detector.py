@@ -3,7 +3,7 @@
 The detector wraps the count-min sketch + top-k heap kernel and adds
 the one piece of policy the kernels cannot know: *what counts as hot*.
 A key is hot when routing all of its rows to one worker would leave
-that worker with more than its fair share of the shuffle — the default
+that worker with more than its fair share of the shuffle — the
 threshold is half a worker's fair share, ``1 / (2 * num_workers)`` of
 the stream, below which even a perfectly colliding key cannot create a
 meaningful straggler.
@@ -25,33 +25,20 @@ import numpy as np
 from repro.kernels.sketch import CountMinSketch, TopKHeap
 
 
-@dataclass(frozen=True)
-class SkewPolicy:
-    """Tuning knobs of the skew plane (defaults match the benchmarks)."""
-
-    #: Count-min sketch geometry; 1024 x 4 bounds overestimation to
-    #: ~e*N/1024 per key, far below the hot threshold at any tested N.
-    sketch_width: int = 1024
-    sketch_depth: int = 4
-    #: At most this many keys are treated as hot (broadcast has a cost).
-    top_k: int = 64
-    #: Minimum share of the scanned stream a hot key must carry; None
-    #: means half a worker's fair share, ``1 / (2 * num_workers)``.
-    hot_fraction: Optional[float] = None
-    #: Work stealing triggers when max load > threshold * mean load.
-    #: Stealing is the backstop for what the hybrid split missed: below
-    #: ~2x residual imbalance, moving key-aligned fragments across the
-    #: 1 Gbit HDFS NICs costs more wall clock than the build/probe skew
-    #: it removes (the transfer is priced honestly on the trace).
-    steal_threshold: float = 2.0
-    #: Seed for the sketch hashes (detection is fully deterministic).
-    seed: int = 11
-
-    def fraction_for(self, num_workers: int) -> float:
-        """The hot-key frequency threshold as a stream fraction."""
-        if self.hot_fraction is not None:
-            return self.hot_fraction
-        return 1.0 / (2.0 * max(2, num_workers))
+#: Count-min sketch geometry; 1024 x 4 bounds overestimation to
+#: ~e*N/1024 per key, far below the hot threshold at any tested N.
+SKETCH_WIDTH = 1024
+SKETCH_DEPTH = 4
+#: Seed for the sketch hashes (detection is fully deterministic).
+SKETCH_SEED = 11
+#: At most this many keys are treated as hot (broadcast has a cost).
+TOP_K = 64
+#: Work stealing triggers when max load > threshold * mean load.
+#: Stealing is the backstop for what the hybrid split missed: below
+#: ~2x residual imbalance, moving key-aligned fragments across the
+#: 1 Gbit HDFS NICs costs more wall clock than the build/probe skew
+#: it removes (the transfer is priced honestly on the trace).
+STEAL_THRESHOLD = 2.0
 
 
 @dataclass(frozen=True)
@@ -91,16 +78,14 @@ class HotKeySet:
 class HeavyHitterDetector:
     """Accumulates join-key batches; reports the final hot-key set."""
 
-    def __init__(self, num_workers: int, policy: SkewPolicy = None):
-        self.policy = policy or SkewPolicy()
+    def __init__(self, num_workers: int):
         self.num_workers = int(num_workers)
         self.sketch = CountMinSketch(
-            width=self.policy.sketch_width,
-            depth=self.policy.sketch_depth,
-            seed=self.policy.seed,
-        )
-        self.candidates = TopKHeap(self.policy.top_k)
-        self.fraction = self.policy.fraction_for(self.num_workers)
+            width=SKETCH_WIDTH, depth=SKETCH_DEPTH, seed=SKETCH_SEED)
+        self.candidates = TopKHeap(TOP_K)
+        #: Minimum share of the scanned stream a hot key must carry:
+        #: half a worker's fair share.
+        self.fraction = 1.0 / (2.0 * max(2, self.num_workers))
 
     @property
     def total(self) -> int:

@@ -73,10 +73,10 @@ class HybridWarehouse:
     # ------------------------------------------------------------------
     # Fault injection (chaos runs)
     # ------------------------------------------------------------------
-    def arm_faults(self, plan, seed: int = 11, **kwargs):
+    def arm_faults(self, plan, seed: int = 11):
         """Arm a :class:`~repro.faults.FaultPlan` (or spec string) on the
         JEN engine; see :meth:`repro.jen.engine.Jen.arm_faults`."""
-        return self.jen.arm_faults(plan, seed=seed, **kwargs)
+        return self.jen.arm_faults(plan, seed=seed)
 
     def disarm_faults(self) -> None:
         """Drop the armed fault plan and restore full worker strength."""

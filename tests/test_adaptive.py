@@ -21,11 +21,16 @@ import dataclasses
 import pytest
 
 from repro.adaptive import (
-    AdaptiveConfig,
     AdaptiveJoin,
     ArtifactBank,
     ReOptimizer,
     RuntimeStatsCollector,
+)
+from repro.adaptive.reoptimizer import (
+    HYSTERESIS,
+    MAX_SWITCHES,
+    MIN_PROGRESS,
+    SWITCH_PENALTY_SECONDS,
 )
 from repro.core.advisor import JoinAdvisor
 from repro.core.joins import algorithm_by_name
@@ -123,7 +128,7 @@ class TestForcedSwitch:
 
     def test_switch_penalty_is_a_trace_phase(self, switched_run):
         switch = switched_run.trace.phase("switch")
-        assert switch.seconds == AdaptiveConfig().switch_penalty_seconds
+        assert switch.seconds == SWITCH_PENALTY_SECONDS
         # The post-switch plan starts from the switch, not a fresh
         # startup: coordination is already up.
         assert "startup" not in switched_run.trace.names()
@@ -205,19 +210,23 @@ class TestNoFalseSwitch:
         assert oracle.compare_tables(
             result.result, flip_case.oracle_rows()) is None
 
-    def test_zero_switch_budget_runs_collect_only(self, flip_case):
-        config = AdaptiveConfig(max_switches=0)
-        result = AdaptiveJoin(
-            estimate_errors=UNDERESTIMATE, config=config
-        ).run(_warehouse(flip_case), flip_case.query)
-        assert not result.trace.metadata["adaptive"]["switched"]
+    def test_zero_switch_budget_runs_collect_only(self, switched_run):
+        """Once the run's one switch is spent, the budget left is zero:
+        the post-switch segment collects statistics but no checkpoint
+        consults a re-optimizer."""
+        report = switched_run.trace.metadata["adaptive"]
+        assert MAX_SWITCHES == 1 and len(report["switches"]) == 1
+        assert report["segments"][-1]["rows_scanned"] > 0  # stats flowed
+        assert report["evaluations"]
+        assert {record["incumbent"] for record in report["evaluations"]} \
+            == {report["initial_algorithm"]}
 
 
 # ----------------------------------------------------------------------
 # Re-optimizer unit behaviour
 # ----------------------------------------------------------------------
 class TestReOptimizer:
-    def _fixture(self, flip_case, **config_kwargs):
+    def _fixture(self, flip_case):
         warehouse = _warehouse(flip_case)
         estimate = sample_workload_estimate(warehouse, flip_case.query)
         wrong = dataclasses.replace(
@@ -238,10 +247,7 @@ class TestReOptimizer:
         collector.rows_after_predicates = int(
             collector.rows_scanned * estimate.sigma_l
         )
-        reoptimizer = ReOptimizer(
-            advisor, incumbent, wrong,
-            config=AdaptiveConfig(**config_kwargs),
-        )
+        reoptimizer = ReOptimizer(advisor, incumbent, wrong)
         return collector, reoptimizer
 
     def test_observed_truth_triggers_a_switch(self, flip_case):
@@ -254,8 +260,12 @@ class TestReOptimizer:
         )
 
     def test_below_min_progress_never_fires(self, flip_case):
-        collector, reoptimizer = self._fixture(flip_case, min_progress=0.9)
-        assert reoptimizer.evaluate(collector, 0.5) is None
+        # The observations that switch at 0.5 are not even costed below
+        # the gate; at the gate they are.
+        collector, reoptimizer = self._fixture(flip_case)
+        assert reoptimizer.evaluate(collector, MIN_PROGRESS / 2) is None
+        assert not reoptimizer.evaluations
+        assert reoptimizer.evaluate(collector, MIN_PROGRESS) is not None
         # progress == 0.0 (the T' checkpoint) is exempt from the gate.
         collector.rows_scanned = 0
         collector.rows_after_predicates = 0
@@ -263,9 +273,37 @@ class TestReOptimizer:
             or reoptimizer.evaluations
 
     def test_hysteresis_blocks_near_ties(self, flip_case):
-        # An absurd hysteresis factor demands the alternative be ~free.
-        collector, reoptimizer = self._fixture(flip_case, hysteresis=1e-6)
-        assert reoptimizer.evaluate(collector, 0.5) is None
+        """An alternative cheaper than the incumbent's projected
+        remaining cost, but inside the hysteresis margin, never fires."""
+        collector, reoptimizer = self._fixture(flip_case)
+        remaining = 100.0
+
+        class TwoPlans:
+            """Costs the incumbent at ``remaining`` (nothing sunk) and
+            the alternative at ``cost`` once the penalty is added."""
+
+            def __init__(self, cost):
+                self.cost = cost
+
+            def estimate_all(self, _observed):
+                return {"incumbent": remaining,
+                        "other": self.cost - SWITCH_PENALTY_SECONDS}
+
+            def db_filter_seconds(self, _observed):
+                return 0.0
+
+            def scan_seconds(self, _observed):
+                return 0.0
+
+        def evaluate(cost):
+            return ReOptimizer(TwoPlans(cost), "incumbent",
+                               reoptimizer.base_estimate).evaluate(
+                collector, 0.5)
+
+        near_tie = (1.0 + HYSTERESIS) / 2 * remaining
+        assert near_tie < remaining
+        assert evaluate(near_tie) is None
+        assert evaluate(0.99 * HYSTERESIS * remaining).target == "other"
 
     def test_excluded_algorithms_are_never_targets(self, flip_case):
         collector, reoptimizer = self._fixture(flip_case)
@@ -273,7 +311,7 @@ class TestReOptimizer:
         assert baseline is not None
         blocked = ReOptimizer(
             reoptimizer.advisor, reoptimizer.incumbent,
-            reoptimizer.base_estimate, config=reoptimizer.config,
+            reoptimizer.base_estimate,
             exclude=frozenset({baseline.target}),
         )
         decision = blocked.evaluate(collector, 0.5)
@@ -285,7 +323,7 @@ class TestReOptimizer:
         bank.bank_db_filter("T", parts=[], matched=1)
         credited = ReOptimizer(
             reoptimizer.advisor, reoptimizer.incumbent,
-            reoptimizer.base_estimate, config=reoptimizer.config,
+            reoptimizer.base_estimate,
             bank=bank,
         )
         plain = reoptimizer.evaluate(collector, 0.5)

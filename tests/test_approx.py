@@ -18,6 +18,7 @@ with the exact tier untouched).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -432,6 +433,9 @@ def test_policy_validation():
 #: the queue instead of expiring.
 _OVERLOAD = AdmissionConfig(
     slots=1, max_queue=4, shed_fraction=0.5, queue_timeout=1e9)
+#: The same admission with shed best-effort arrivals degraded to the
+#: approximate tier instead of rejected.
+_DEGRADE = dataclasses.replace(_OVERLOAD, degrade_to_approx=True)
 
 
 def _submit_overload(service, filler_query, probe_query,
@@ -451,7 +455,7 @@ class TestDegradedTier:
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case, _, _ = kind_fixtures["sum"]
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=True,
+            admission=_DEGRADE,
             enable_feedback=False,
         ))
         tickets = _submit_overload(
@@ -477,7 +481,7 @@ class TestDegradedTier:
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case, _, _ = kind_fixtures["sum"]
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=True,
+            admission=_DEGRADE,
             enable_feedback=False,
         ))
         _submit_overload(service, filler_case.query, probe_case.query)
@@ -494,7 +498,7 @@ class TestDegradedTier:
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case, _, _ = kind_fixtures["sum"]
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=False,
+            admission=_OVERLOAD,
             enable_feedback=False,
         ))
         tickets = _submit_overload(
@@ -509,7 +513,7 @@ class TestDegradedTier:
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case = generator.approx_case("minmax")
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=True,
+            admission=_DEGRADE,
             enable_feedback=False,
         ))
         tickets = _submit_overload(
@@ -529,18 +533,16 @@ class TestDegradedTier:
             oracle.assert_equivalent(
                 outcome.result, expected, label="minmax-fallback")
 
-    def test_tenant_policy_overrides_service_policy(self, kind_fixtures):
+    def test_service_policy_sets_the_sample_rate(self, kind_fixtures):
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case, _, _ = kind_fixtures["sum"]
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=True,
+            admission=_DEGRADE,
             enable_feedback=False,
-            approx_policy=ApproxPolicy(sample_rate=0.25),
-            approx_tenant_policies={"beta": ApproxPolicy(sample_rate=0.5)},
+            approx_policy=ApproxPolicy(sample_rate=0.5),
         ))
         tickets = _submit_overload(
-            service, filler_case.query, probe_case.query,
-            probe_tenant="beta")
+            service, filler_case.query, probe_case.query)
         report = service.drain()
         by_id = {outcome.ticket_id: outcome for outcome in report.outcomes}
         degraded = [o for o in (by_id[t.id] for t in tickets) if o.degraded]
@@ -551,7 +553,7 @@ class TestDegradedTier:
         filler_case, warehouse, _ = kind_fixtures["count"]
         probe_case, _, _ = kind_fixtures["sum"]
         service = QueryService(warehouse, ServiceConfig(
-            admission=_OVERLOAD, approx_degrade=True,
+            admission=_DEGRADE,
             enable_feedback=False, enable_result_cache=True,
         ))
         tickets = _submit_overload(

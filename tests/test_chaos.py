@@ -20,6 +20,7 @@ from repro import algorithm_by_name
 from repro.errors import FaultError, QueryAbortError, WorkerCrashError
 from repro.faults import FaultPlan
 from repro.service import AdmissionConfig, QueryService, ServiceConfig
+from repro.service.server import FAULT_RETRIES
 from repro.testkit import oracle
 from tests.conftest import build_test_warehouse
 
@@ -187,15 +188,13 @@ class TestRecoveryAccounting:
 
 class TestServiceReAdmission:
     @staticmethod
-    def _service(warehouse, fault_retries=1):
+    def _service(warehouse):
         return QueryService(warehouse, ServiceConfig(
             admission=AdmissionConfig(slots=4, max_queue=64,
                                       queue_timeout=1e9,
                                       shed_fraction=None),
             enable_result_cache=False,
-            enable_bloom_cache=False,
             enable_feedback=False,
-            fault_retries=fault_retries,
         ))
 
     def test_abort_is_re_admitted_once(self, paper_workload, paper_query,
@@ -217,12 +216,13 @@ class TestServiceReAdmission:
         warehouse = build_test_warehouse(paper_workload)
         warehouse.arm_faults(FaultPlan.from_spec("abort:scan:5"))
         try:
-            service = self._service(warehouse, fault_retries=2)
+            service = self._service(warehouse)
             outcome = service.execute(paper_query, algorithm="zigzag")
         finally:
             warehouse.disarm_faults()
+        # The first attempt and its one re-admission both abort.
         assert outcome.status == "failed"
-        assert outcome.fault_retries_used == 2
+        assert outcome.fault_retries_used == FAULT_RETRIES == 1
         assert "QueryAbortError" in outcome.error
         assert service.metrics.counter("service.query_failed").value == 1
 

@@ -9,6 +9,7 @@ from repro.errors import (
     TransferFaultError,
 )
 from repro.faults import FaultInjector, FaultPlan, ScanFaultHook, CrashSignal
+from repro.faults.injector import DETECT_FRACTION
 from repro.faults.plan import (
     AbortEvent,
     CrashEvent,
@@ -16,7 +17,13 @@ from repro.faults.plan import (
     SlowEvent,
     SpillEvent,
 )
-from repro.net.transfer import RetryPolicy, deliver_with_retry
+from repro.net.transfer import (
+    MAX_ATTEMPTS,
+    TIMEOUT_SECONDS,
+    backoff_seconds,
+    deliver_with_retry,
+    retry_overhead_seconds,
+)
 from repro.sim.trace import Trace
 
 
@@ -82,38 +89,41 @@ class TestFaultPlanParsing:
 
 class TestRetryPolicy:
     def test_backoff_grows_geometrically(self):
-        policy = RetryPolicy(backoff_base_seconds=0.5,
-                             backoff_multiplier=2.0)
-        assert policy.backoff_seconds(1) == 0.5
-        assert policy.backoff_seconds(2) == 1.0
-        assert policy.backoff_seconds(3) == 2.0
+        assert backoff_seconds(1) == 0.5
+        assert backoff_seconds(2) == 1.0
+        assert backoff_seconds(3) == 2.0
+        with pytest.raises(SimulationError, match="1-based"):
+            backoff_seconds(0)
 
     def test_retry_overhead_sums_timeouts_and_backoffs(self):
-        policy = RetryPolicy(max_attempts=4, timeout_seconds=2.0,
-                             backoff_base_seconds=0.5,
-                             backoff_multiplier=2.0)
+        assert TIMEOUT_SECONDS == 2.0
         # Two lost attempts: 2*(timeout) + (0.5 + 1.0) backoff.
-        assert policy.retry_overhead_seconds(2) == pytest.approx(5.5)
-        assert policy.retry_overhead_seconds(0) == 0.0
+        assert retry_overhead_seconds(2) == pytest.approx(5.5)
+        assert retry_overhead_seconds(0) == 0.0
 
     def test_deliver_with_retry_exhausts_budget(self):
-        policy = RetryPolicy(max_attempts=3)
+        sent = []
+
+        def send(_payload, attempt):
+            sent.append(attempt)
+            return "drop"
+
         with pytest.raises(TransferFaultError) as excinfo:
             deliver_with_retry(
-                None, lambda payload, attempt: "drop", policy,
-                channel="shuffle", sender=1, destination=2,
+                None, send, channel="shuffle", sender=1, destination=2,
             )
-        assert excinfo.value.attempts == 3
+        assert excinfo.value.attempts == MAX_ATTEMPTS == 4
+        assert sent == [1, 2, 3, 4]
 
     def test_deliver_with_retry_counts_attempts(self):
-        outcomes = iter(["drop", "trunc", "ok"])
+        # Three losses leave one attempt of the budget: it succeeds.
+        outcomes = iter(["drop", "trunc", "drop", "ok"])
         outcome, attempts = deliver_with_retry(
             None, lambda payload, attempt: next(outcomes),
-            RetryPolicy(max_attempts=4),
             channel="transfer", sender=0, destination=1,
         )
         assert outcome == "ok"
-        assert attempts == 3
+        assert attempts == MAX_ATTEMPTS
 
 
 class TestInjectorDeterminism:
@@ -192,24 +202,26 @@ class TestInjectorEvents:
         assert injector.aborts == 2
 
     def test_slow_factor_and_speculation_threshold(self):
-        injector = FaultInjector(FaultPlan.from_spec("slow:w3x5"),
-                                 detect_fraction=0.25)
+        injector = FaultInjector(FaultPlan.from_spec("slow:w3x5"))
         assert injector.slow_factor(3) == 5.0
         assert injector.slow_factor(4) == 1.0
         injector.record_straggler(3, 5.0, backup=1)
         assert injector.speculations == 1
         assert injector.stragglers == 0
         # Mild slowdown below the detection threshold: no speculation.
-        mild = FaultInjector(FaultPlan.from_spec("slow:w3x1.1"),
-                             detect_fraction=0.25)
+        mild = FaultInjector(FaultPlan.from_spec("slow:w3x1.1"))
         mild.record_straggler(3, 1.1, backup=1)
         assert mild.speculations == 0
         assert mild.stragglers == 1
-
-    def test_bad_detect_fraction_rejected(self):
-        with pytest.raises(FaultSpecError):
-            FaultInjector(FaultPlan.from_spec("slow:w1x2"),
-                          detect_fraction=0.0)
+        # At the threshold itself the straggler still finishes first;
+        # past it a backup runs.  Either way the charge is capped at the
+        # detection fraction of the phase.
+        edge = FaultInjector(FaultPlan.from_spec("slow:w3x2"))
+        edge.record_straggler(3, 1.0 + DETECT_FRACTION, backup=1)
+        edge.record_straggler(4, 1.0 + 2 * DETECT_FRACTION, backup=1)
+        assert (edge.stragglers, edge.speculations) == (1, 1)
+        assert [action.fraction for action in edge.actions] == \
+            [DETECT_FRACTION, DETECT_FRACTION]
 
     def test_spill_budget(self):
         injector = FaultInjector(FaultPlan.from_spec("spill:x0.5"))
@@ -250,7 +262,7 @@ class TestChargeTrace:
         trace = self._scan_trace()
         assert injector.charge_trace(trace) == 1
         phase = trace.phase("recovery_0_rescan")
-        expected = injector.retry_policy.timeout_seconds + 10.0 / 2
+        expected = TIMEOUT_SECONDS + 10.0 / 2
         assert phase.seconds == pytest.approx(expected)
         assert phase.kind == "recovery"
         # The action list drains: charging twice adds nothing.

@@ -60,7 +60,7 @@ from repro.relational.operators import joined_rows
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.service.cache import CachingJoinIndexProvider, JoinIndexCache
-from repro.skew import HotKeySet, SkewPolicy
+from repro.skew import STEAL_THRESHOLD, HotKeySet
 from repro.testkit import generator, oracle
 from tests.kernel_reference import naive_partition_table
 from tests.test_scan_batching import assert_same_table
@@ -1128,7 +1128,7 @@ class TestOneJoinPerQuery:
             jen_by_workers[30],
             hash_parts(l_part, query.hdfs_join_key, 30),
             hash_parts(t_part, query.db_join_key, 30), query,
-            steal_threshold=SkewPolicy().steal_threshold)
+            steal_threshold=STEAL_THRESHOLD)
         assert stats.stolen_tuples > 0
 
     @pytest.mark.parametrize("aggregates,ordered", [

@@ -1,17 +1,20 @@
-"""Import-graph rules over ``src/repro``, read with ``ast``.
+"""Import-graph and option-surface rules over ``src/repro``, read with
+``ast``.
 
 Nothing is imported to check them: every ``import`` / ``from ...
 import`` statement of every module — including the ones inside
 functions — is collected from the source.  A rule fails on the first
 module whose statements name a module it must not, or, for the oracle,
-on any name outside its allow-list.
+on any name outside its allow-list.  The option surface of the service,
+admission, skew, adaptive and fault planes is pinned field by field and
+parameter by parameter.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 import pytest
 
@@ -184,3 +187,77 @@ def test_each_stage_phase_is_priced_at_one_call_site():
             sites[name] = sites.get(name, 0) + count
     assert {name: sites.get(name, 0) for name in STAGE_PHASES} \
         == {name: 1 for name in STAGE_PHASES}
+
+
+#: Every settable field of the plane configs, and every parameter of the
+#: plane constructors that used to carry a tunable.  Each field has a
+#: caller outside ``tests/`` (the CLI, the benchmarks or the testkit);
+#: a tunable nobody sets is a named constant next to its reader.  A new
+#: knob needs such a caller, an entry here and a line in docs/api.md.
+CONFIG_FIELDS = {
+    ("service/server.py", "ServiceConfig"): [
+        "admission", "enable_result_cache", "enable_feedback",
+        "enable_adaptive", "approx_policy",
+    ],
+    ("service/admission.py", "AdmissionConfig"): [
+        "slots", "max_queue", "queue_timeout", "shed_fraction",
+        "degrade_to_approx",
+    ],
+}
+PARAMETERS = {
+    ("service/scheduler.py", "SharedCluster.__init__"): ["engine"],
+    ("service/admission.py", "AdmissionController.__init__"): [
+        "engine", "config", "metrics",
+    ],
+    ("skew/detector.py", "HeavyHitterDetector.__init__"): ["num_workers"],
+    ("adaptive/reoptimizer.py", "ReOptimizer.__init__"): [
+        "advisor", "incumbent", "base_estimate", "exclude", "bank",
+    ],
+    ("adaptive/algorithm.py", "AdaptiveJoin.__init__"): [
+        "estimate", "estimate_errors",
+    ],
+    ("faults/injector.py", "FaultInjector.__init__"): ["plan"],
+    ("jen/engine.py", "Jen.arm_faults"): ["plan", "seed"],
+    ("warehouse.py", "HybridWarehouse.arm_faults"): ["plan", "seed"],
+}
+
+
+def class_node(path: str, name: str) -> ast.ClassDef:
+    tree = ast.parse((SRC / "repro" / path).read_text(), path)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return node
+    raise AssertionError(f"no class {name} in {path}")
+
+
+def field_names(path: str, name: str) -> List[str]:
+    return [node.target.id for node in class_node(path, name).body
+            if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)]
+
+
+def parameter_names(path: str, qualname: str) -> List[str]:
+    """A method's parameters, ``self`` dropped, ``*args`` and
+    ``**kwargs`` kept with their stars."""
+    class_name, method = qualname.split(".")
+    for node in class_node(path, class_name).body:
+        if isinstance(node, ast.FunctionDef) and node.name == method:
+            args = node.args
+            names = [arg.arg for arg in args.posonlyargs + args.args]
+            if args.vararg:
+                names.append("*" + args.vararg.arg)
+            names += [arg.arg for arg in args.kwonlyargs]
+            if args.kwarg:
+                names.append("**" + args.kwarg.arg)
+            return names[1:]
+    raise AssertionError(f"no method {qualname} in {path}")
+
+
+@pytest.mark.parametrize("path, name", sorted(CONFIG_FIELDS))
+def test_config_fields_are_pinned(path, name):
+    assert field_names(path, name) == CONFIG_FIELDS[path, name]
+
+
+@pytest.mark.parametrize("path, qualname", sorted(PARAMETERS))
+def test_plane_constructor_parameters_are_pinned(path, qualname):
+    assert parameter_names(path, qualname) == PARAMETERS[path, qualname]

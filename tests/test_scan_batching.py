@@ -26,7 +26,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.adaptive import AdaptiveConfig, AdaptiveJoin, SwitchSignal
+from repro.adaptive import AdaptiveJoin, SwitchSignal
+from repro.adaptive.collector import CHECKPOINTS
 from repro.core.bloom import BloomFilter
 from repro.core.joins import algorithm_by_name
 from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
@@ -442,7 +443,7 @@ def test_forced_switch_fires_at_the_same_block():
         block for worker in jen.workers
         for block in assignment.blocks_for(worker.worker_id)
     ]
-    mark = AdaptiveConfig().checkpoints[0]
+    mark = CHECKPOINTS[0]
     switch_block = math.ceil(mark * len(queue_order))
     rows_until_switch = sum(
         warehouse.hdfs.read_block(block).num_rows

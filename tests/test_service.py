@@ -31,6 +31,7 @@ from repro.service.cache import (
     JoinIndexCache,
     build_side_key,
 )
+from repro.service.server import CACHE_HIT_SECONDS
 from repro.sim.engine import SimEngine
 from repro.sim.trace import Trace
 from repro.testkit import oracle
@@ -47,7 +48,6 @@ def _plain_config(slots: int) -> ServiceConfig:
         admission=AdmissionConfig(slots=slots, max_queue=64,
                                   queue_timeout=1e9, shed_fraction=None),
         enable_result_cache=False,
-        enable_bloom_cache=False,
         enable_feedback=False,
     )
 
@@ -132,8 +132,7 @@ class TestCaching:
         assert repeat.result().to_rows() == first.result().to_rows()
         oracle.assert_equivalent(repeat.result(), paper_oracle)
         # A cache hit never touches either cluster.
-        assert report.makespan == pytest.approx(
-            service.config.cache_hit_seconds)
+        assert report.makespan == pytest.approx(CACHE_HIT_SECONDS)
         assert service.result_cache.hit_rate() > 0
 
     def test_bloom_cache_shared_across_plans(self, paper_workload,
@@ -222,6 +221,16 @@ class TestSubmission:
         with pytest.raises(ServiceError):
             service.submit(paper_query, at=-1.0)
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, loaded_warehouse,
+                                         paper_query, at):
+        """A NaN arrival would run at t = 0 under a NaN ticket, and an
+        infinite one would finish at inf and make the makespan inf."""
+        service = QueryService(loaded_warehouse)
+        with pytest.raises(ServiceError, match="finite"):
+            service.submit(paper_query, at=at)
+        assert service.drain().outcomes == []
+
     def test_result_before_drain_raises(self, loaded_warehouse,
                                         paper_query):
         service = QueryService(loaded_warehouse)
@@ -233,7 +242,6 @@ class TestSubmission:
         config = ServiceConfig(
             admission=AdmissionConfig(slots=1, max_queue=0),
             enable_result_cache=False,
-            enable_bloom_cache=False,
             enable_feedback=False,
         )
         service = QueryService(loaded_warehouse, config)
@@ -282,20 +290,6 @@ class TestAdmission:
         assert not outcome.admitted and outcome.reason == "timeout"
         assert outcome.queued_seconds == pytest.approx(50.0)
 
-    def test_tenant_quota_queues_despite_free_slots(self):
-        engine = SimEngine()
-        controller = AdmissionController(engine, AdmissionConfig(
-            slots=4, max_queue=8, queue_timeout=1e9, tenant_quota=1,
-            shed_fraction=None))
-        first = controller.request("a")
-        assert _outcome(first).admitted
-        second = controller.request("a")
-        assert not second.triggered  # over quota, slots free
-        other = controller.request("b")
-        assert _outcome(other).admitted
-        controller.release(_outcome(first).grant)
-        assert _outcome(second).admitted
-
     def test_overload_sheds_best_effort_only(self):
         engine = SimEngine()
         controller = AdmissionController(engine, AdmissionConfig(
@@ -320,8 +314,13 @@ class TestAdmission:
         {"slots": 0},
         {"max_queue": -1},
         {"queue_timeout": 0.0},
-        {"tenant_quota": 0},
+        {"slots": 2.5},
         {"shed_fraction": 1.5},
+        {"queue_timeout": float("nan")},
+        {"queue_timeout": float("inf")},
+        {"max_queue": 2.5},
+        {"shed_fraction": float("nan")},
+        {"degrade_to_approx": True, "shed_fraction": None},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ServiceError):
@@ -409,8 +408,6 @@ class TestSharedScheduling:
 
     def test_rejects_bad_arguments(self):
         engine = SimEngine()
-        with pytest.raises(ServiceError):
-            SharedCluster(engine, edw_slots=0)
         cluster = SharedCluster(engine)
         with pytest.raises(ServiceError):
             schedule_trace(engine, cluster, Trace("x"), chunks=0)

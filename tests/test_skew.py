@@ -31,7 +31,7 @@ from repro.jen.worker import JenWorker
 from repro.kernels.sketch import CountMinSketch, TopKHeap
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
-from repro.skew import HeavyHitterDetector, HotKeySet, SkewPolicy
+from repro.skew import HeavyHitterDetector, HotKeySet
 from repro.testkit import generator, oracle
 from repro.workload.generator import zipf_skew_factor
 from tests.test_chaos import FAULT_SPECS
@@ -413,9 +413,9 @@ class TestSkewPlumbing:
         assert ("skew_handling", False) in _AXIS_DEFAULTS
 
     def test_policy_fraction_default(self):
-        policy = SkewPolicy()
-        assert policy.fraction_for(8) == pytest.approx(1 / 16)
-        assert SkewPolicy(hot_fraction=0.2).fraction_for(8) == 0.2
+        # Half a worker's fair share, counting at least two workers.
+        assert HeavyHitterDetector(8).fraction == pytest.approx(1 / 16)
+        assert HeavyHitterDetector(1).fraction == pytest.approx(1 / 4)
 
 
 # ----------------------------------------------------------------------
