@@ -23,6 +23,7 @@ from repro import (
     build_paper_query,
     default_config,
     generate_workload,
+    load_paper_tables,
 )
 from repro.sim.gantt import render_gantt
 from repro.testkit import oracle
@@ -31,13 +32,8 @@ SCALE = 1 / 25_000
 
 
 def build(workload, config):
-    warehouse = HybridWarehouse(config)
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
-    )
-    warehouse.load_hdfs_table("L", workload.l_table, "parquet")
-    return warehouse
+    return load_paper_tables(HybridWarehouse(config), workload.t_table,
+                             workload.l_table)
 
 
 def main():

@@ -17,6 +17,7 @@ from repro import (
     build_paper_query,
     default_config,
     generate_workload,
+    load_paper_tables,
     measure_selectivities,
 )
 from repro.testkit import oracle
@@ -42,13 +43,10 @@ def main():
     # 2. Stand up the hybrid warehouse: 30 DB2-style workers + 30 HDFS
     #    DataNodes running JEN workers, joined by a 20 Gbit switch.
     # ------------------------------------------------------------------
-    warehouse = HybridWarehouse(default_config(scale=1 / 25_000))
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
+    warehouse = load_paper_tables(
+        HybridWarehouse(default_config(scale=1 / 25_000)),
+        workload.t_table, workload.l_table,
     )
-    warehouse.load_hdfs_table("L", workload.l_table, "parquet")
 
     # ------------------------------------------------------------------
     # 3. Run every algorithm and compare with the single-node oracle

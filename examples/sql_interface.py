@@ -15,6 +15,7 @@ from repro import (
     WorkloadSpec,
     default_config,
     generate_workload,
+    load_paper_tables,
 )
 from repro.sql import SqlSession
 
@@ -24,12 +25,10 @@ def main():
         sigma_t=0.1, sigma_l=0.4, s_t=0.2, s_l=0.1,
         t_rows=64_000, l_rows=600_000, n_keys=640,
     ))
-    warehouse = HybridWarehouse(default_config(scale=1 / 25_000))
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
+    warehouse = load_paper_tables(
+        HybridWarehouse(default_config(scale=1 / 25_000)),
+        workload.t_table, workload.l_table,
     )
-    warehouse.load_hdfs_table("L", workload.l_table, "parquet")
     session = SqlSession(warehouse)
 
     tt, lt = workload.t_thresholds, workload.l_thresholds

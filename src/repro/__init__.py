@@ -13,16 +13,12 @@ filters and the five hybrid join algorithms including the zigzag join
 Quickstart::
 
     from repro import (HybridWarehouse, WorkloadSpec, generate_workload,
-                       build_paper_query, ZigzagJoin)
+                       build_paper_query, load_paper_tables, ZigzagJoin)
 
     workload = generate_workload(WorkloadSpec(
         sigma_t=0.1, sigma_l=0.4, s_t=0.2, s_l=0.1))
-    warehouse = HybridWarehouse()
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"])
-    warehouse.load_hdfs_table("L", workload.l_table, "parquet")
+    warehouse = load_paper_tables(
+        HybridWarehouse(), workload.t_table, workload.l_table)
 
     result = ZigzagJoin().run(warehouse, build_paper_query(workload))
     print(result.summary())
@@ -71,6 +67,7 @@ from repro.workload import (
     WorkloadSpec,
     build_paper_query,
     generate_workload,
+    load_paper_tables,
 )
 
 __version__ = "1.0.0"
@@ -109,6 +106,7 @@ __all__ = [
     "default_config",
     "generate_query_stream",
     "generate_workload",
+    "load_paper_tables",
     "measure_selectivities",
     "valid_algorithm_names",
     "__version__",

@@ -6,8 +6,10 @@ Usage::
     python -m repro sql "SELECT ..."          # run SQL on a demo warehouse
     python -m repro sql --algorithm zigzag -f query.sql
     python -m repro serve --queries 24 --slots 8  # concurrent stream
+    python -m repro serve --json              # its metrics summary as JSON
     python -m repro advise --sigma-t 0.1 --sigma-l 0.2
-    python -m repro experiments [ids...]      # same as python -m repro.bench
+    python -m repro experiments [ids...]      # the paper's tables/figures
+    python -m repro experiments --list        # the experiment ids
     python -m repro fuzz --seeds 2015 2016 --artifacts fuzz-artifacts
 
 The demo warehouse is the paper's Table-1 workload at 1/25,000 scale,
@@ -33,7 +35,7 @@ from repro import (
 from repro.errors import JoinError, ServiceError
 from repro.sql import SqlSession
 from repro.sql.lexer import SqlError
-from repro.workload import build_paper_query
+from repro.workload import build_paper_query, load_paper_tables
 
 
 def _demo_warehouse(scale: float = 1 / 25_000):
@@ -44,13 +46,8 @@ def _demo_warehouse(scale: float = 1 / 25_000):
         n_keys=max(100, int(16e6 * scale)),
     ))
     warehouse = HybridWarehouse(default_config(scale=scale))
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
-    )
-    warehouse.load_hdfs_table("L", workload.l_table, "parquet")
-    return warehouse, workload
+    return (load_paper_tables(warehouse, workload.t_table, workload.l_table),
+            workload)
 
 
 def _cmd_demo(_args) -> int:
@@ -107,6 +104,9 @@ def _cmd_sql(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import json
+
+    from repro.latemat import set_late_materialization_enabled
     from repro.service import (
         AdmissionConfig,
         QueryService,
@@ -153,55 +153,19 @@ def _cmd_serve(args) -> int:
     for item in generate_query_stream(workload, spec):
         service.submit(item.query, tenant=item.tenant, at=item.at,
                        algorithm=args.algorithm, priority=item.priority)
-    print(f"replaying {args.queries} queries "
-          f"({args.templates} templates, {args.tenants} tenants, "
-          f"{args.slots} admission slots)\n")
-    report = service.drain()
-    print(report.render())
-    return 0
-
-
-def _cmd_report(args) -> int:
-    import json
-
-    from repro.latemat import set_late_materialization_enabled
-    from repro.service import (
-        AdmissionConfig,
-        QueryService,
-        ServiceConfig,
-        StreamSpec,
-        generate_query_stream,
-    )
-
-    try:
-        spec = StreamSpec(
-            num_queries=args.queries, templates=args.templates,
-            arrival_gap=args.arrival_gap, tenants=args.tenants,
-            seed=args.seed,
-        )
-        config = ServiceConfig(admission=AdmissionConfig(slots=args.slots))
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    warehouse, workload = _demo_warehouse()
-    service = QueryService(warehouse, config)
-    for item in generate_query_stream(workload, spec):
-        service.submit(item.query, tenant=item.tenant, at=item.at,
-                       priority=item.priority)
+    if not args.json:
+        print(f"replaying {args.queries} queries "
+              f"({args.templates} templates, {args.tenants} tenants, "
+              f"{args.slots} admission slots)\n")
     previous = set_late_materialization_enabled(args.late_materialization)
     try:
-        service.drain()
+        report = service.drain()
     finally:
         set_late_materialization_enabled(previous)
     if args.json:
         print(json.dumps(service.metrics.summary(), indent=2, sort_keys=True))
-        return 0
-    print(f"metrics summary after {args.queries} queries "
-          f"({args.tenants} tenants"
-          + (", late materialization on" if args.late_materialization
-             else "")
-          + ")\n")
-    print(service.metrics.render_report())
+    else:
+        print(report.render())
     return 0
 
 
@@ -348,20 +312,36 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_experiments(args) -> int:
-    from repro.bench.__main__ import main as bench_main
+    import time
 
-    argv = list(args.ids)
-    if args.figures:
-        from repro.bench import EXPERIMENTS, WarehouseCache
-        from repro.bench.figures import render_experiment
+    from repro.bench import EXPERIMENTS, WarehouseCache, experiment_by_id
+    from repro.bench.figures import render_experiment
 
-        cache = WarehouseCache()
-        for experiment_id in (argv or list(EXPERIMENTS)):
-            result = EXPERIMENTS[experiment_id].run(cache)
-            print(render_experiment(result))
-            print()
+    if args.list:
+        for experiment_id, experiment in EXPERIMENTS.items():
+            print(f"{experiment_id:<28s} {experiment.title}")
         return 0
-    return bench_main(argv)
+    ids = args.ids or list(EXPERIMENTS)
+    cache = WarehouseCache(scale=1.0 / args.scale)
+    failures = 0
+    for experiment_id in ids:
+        experiment = experiment_by_id(experiment_id)
+        started = time.time()
+        result = experiment.run(cache)
+        failures += not result.all_passed()
+        if args.figures:
+            print(render_experiment(result), end="\n\n")
+        else:
+            print(f"\n=== {experiment.title} ===")
+            print(f"    ({experiment.paper_ref}; "
+                  f"ran in {time.time() - started:.1f}s wall)")
+            print(result.to_report())
+    if failures:
+        print(f"\n{failures} experiment(s) had failing shape checks",
+              file=sys.stderr)
+        return 1
+    print(f"\nall {len(ids)} experiments reproduced their paper claims")
+    return 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -431,28 +411,15 @@ def main(argv=None) -> int:
         "--approx-max-error", type=float, default=None,
         help="degraded-tier relative-error target (enables "
              "progressive refinement until met)")
-
-    report_parser = subparsers.add_parser(
-        "report", help="replay a query stream and summarize the metrics "
-                       "registry (per-tenant latency, cache hit rates, "
-                       "bytes shipped)"
-    )
-    report_parser.add_argument("--queries", type=int, default=24,
-                               help="stream length")
-    report_parser.add_argument("--templates", type=int, default=4,
-                               help="distinct query templates")
-    report_parser.add_argument("--tenants", type=int, default=2)
-    report_parser.add_argument("--slots", type=int, default=8,
-                               help="admission slots (max in-flight)")
-    report_parser.add_argument("--arrival-gap", type=float, default=5.0,
-                               help="simulated seconds between arrivals")
-    report_parser.add_argument("--seed", type=int, default=11)
-    report_parser.add_argument("--late-materialization",
-                               action="store_true",
-                               help="run the stream with thin-row "
-                                    "shipping + payload stitch enabled")
-    report_parser.add_argument("--json", action="store_true",
-                               help="emit the summary as JSON")
+    serve_parser.add_argument(
+        "--late-materialization", action="store_true",
+        help="run the stream with thin-row shipping + payload stitch "
+             "enabled")
+    serve_parser.add_argument(
+        "--json", action="store_true",
+        help="print the metrics registry's summary (per-tenant latency, "
+             "cache hit rates, bytes shipped) as JSON instead of the "
+             "stream report")
 
     approx_parser = subparsers.add_parser(
         "approx", help="run a sampled (approximate) join on the demo "
@@ -518,7 +485,15 @@ def main(argv=None) -> int:
     experiments_parser = subparsers.add_parser(
         "experiments", help="reproduce the paper's tables and figures"
     )
-    experiments_parser.add_argument("ids", nargs="*")
+    experiments_parser.add_argument("ids", nargs="*",
+                                    help="experiment ids (default: all)")
+    experiments_parser.add_argument("--list", action="store_true",
+                                    help="list the experiment ids and exit")
+    experiments_parser.add_argument(
+        "--scale", type=float, default=25_000,
+        help="data-plane scale divisor (default 25000, i.e. 1/25000 of "
+             "the paper's table sizes; ext_chaos and ext_service always "
+             "run at 1/50000)")
     experiments_parser.add_argument("--figures", action="store_true",
                                     help="render ASCII bar charts")
 
@@ -547,7 +522,6 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
         "sql": _cmd_sql,
         "serve": _cmd_serve,
-        "report": _cmd_report,
         "approx": _cmd_approx,
         "chaos": _cmd_chaos,
         "advise": _cmd_advise,

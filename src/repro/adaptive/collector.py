@@ -164,10 +164,6 @@ class ArtifactBank:
             self.bloom_reuses += 1
         return result
 
-    @property
-    def has_bloom(self) -> bool:
-        return bool(self._blooms)
-
     # -- filtered T' partitions ----------------------------------------
     def bank_db_filter(self, key: str, parts, matched: int) -> None:
         self._db_filters.setdefault(key, (parts, matched))

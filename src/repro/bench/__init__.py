@@ -1,10 +1,12 @@
-"""Benchmark harness: regenerate every table and figure of the paper.
+"""Reproduction harness: regenerate every table and figure of the paper.
 
 :mod:`repro.bench.experiments` defines one experiment per table/figure
-of the paper's Section 5; :mod:`repro.bench.harness` builds (and caches)
-the warehouses they run on; :mod:`repro.bench.reporting` prints the rows
-in the paper's layout.  The ``benchmarks/`` directory wraps these in
-pytest-benchmark entry points.
+of the paper's Section 5, per ablation and per extension (fault
+recovery and the query service included); :mod:`repro.bench.harness`
+builds (and caches) the warehouses they run on;
+:mod:`repro.bench.reporting` prints the rows in the paper's layout.
+``python -m repro experiments`` runs them and
+``scripts/generate_experiments_md.py`` writes them into EXPERIMENTS.md.
 """
 
 from repro.bench.harness import BenchSetup, WarehouseCache, run_algorithms

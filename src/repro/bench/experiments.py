@@ -1238,3 +1238,198 @@ def _ext_formats(cache: WarehouseCache) -> ExperimentResult:
         rows=rows,
         checks=checks,
     )
+
+
+# ---------------------------------------------------------------------------
+# Beyond the paper: fault recovery and the concurrent service plane.  Both
+# run on the test suite's 1/50,000 Table-1 workload, whatever the cache's
+# scale, each on a warehouse of its own.
+# ---------------------------------------------------------------------------
+#: One entry per recovery path the engine implements.
+FAULT_SPECS = (
+    ("crash-scan", "crash:w7@scan"),
+    ("crash-shuffle", "crash:w3@shuffle"),
+    ("straggler", "slow:w5x4"),
+    ("lossy-shuffle", "drop:shuffle:0.05"),
+    ("lossy-transfer", "drop:transfer:0.1"),
+    ("combo", "crash:w7@scan,slow:w5x4,drop:shuffle:0.02"),
+)
+
+CHAOS_ALGORITHMS = ("zigzag", "repartition(BF)", "db(BF)", "broadcast")
+
+
+def _plane_setup():
+    from repro.bench.harness import build_setup
+    from repro.workload import WorkloadSpec
+
+    spec = WorkloadSpec(
+        sigma_t=0.1, sigma_l=0.4, s_t=0.2, s_l=0.1,
+        t_rows=32_000, l_rows=300_000, n_keys=320, n_urls=120, seed=42,
+    )
+    return build_setup(spec, scale=1.0 / 50_000.0)
+
+
+@_register("ext_chaos",
+           "Extension: recovery overhead under injected faults",
+           "beyond the paper (Section 4.1 leaves worker state to the "
+           "coordinator; no failure is measured)")
+def _ext_chaos(cache: WarehouseCache) -> ExperimentResult:
+    """Each algorithm fault-free, then under every fault plan.
+
+    Measures the *cost* of surviving a fault (the chaos battery in
+    tests/test_chaos.py owns whether the engine survives): makespan,
+    overhead against the fault-free run, and the recovery phases and
+    work charged on the trace.
+    """
+    from repro.core.joins import algorithm_by_name
+    from repro.faults import FaultPlan
+
+    setup = _plane_setup()
+    warehouse, query = setup.warehouse, setup.query
+    rows = []
+    identical, never_faster, charges_work = [], [], []
+    for algorithm in CHAOS_ALGORITHMS:
+        baseline = algorithm_by_name(algorithm).run(warehouse, query)
+        fault_free = baseline.total_seconds
+        rows.append({"algorithm": algorithm, "fault": "fault-free",
+                     "makespan_s": f"{fault_free:.1f}"})
+        work = []
+        for fault, spec in FAULT_SPECS:
+            injector = warehouse.arm_faults(FaultPlan.from_spec(spec))
+            try:
+                faulted = algorithm_by_name(algorithm).run(warehouse, query)
+            finally:
+                warehouse.disarm_faults()
+            recovery = [p for p in faulted.trace if p.kind == "recovery"]
+            work.append(sum(p.seconds for p in recovery))
+            overhead = faulted.total_seconds - fault_free
+            identical.append(
+                faulted.result.to_rows() == baseline.result.to_rows()
+            )
+            never_faster.append(faulted.total_seconds >= fault_free - 1e-9)
+            rows.append({
+                "algorithm": algorithm,
+                "fault": fault,
+                "makespan_s": f"{faulted.total_seconds:.1f}",
+                "overhead_s": f"{overhead:+.1f}",
+                "rel": f"{overhead / fault_free:+.1%}",
+                "phases": len(recovery),
+                "work_s": f"{work[-1]:.1f}",
+                "counters": ", ".join(
+                    f"{name}={value}"
+                    for name, value in sorted(injector.counters().items())
+                    if value
+                ),
+            })
+        charges_work.append(any(seconds > 0 for seconds in work))
+    checks = [
+        ShapeCheck("every faulted result is identical to the fault-free "
+                   "one", all(identical)),
+        ShapeCheck("recovery never makes a query faster than fault-free",
+                   all(never_faster)),
+        ShapeCheck("every algorithm charges visible recovery work under "
+                   "at least one fault (some hide entirely under the "
+                   "other plane's critical path)", all(charges_work)),
+    ]
+    return ExperimentResult(
+        experiment_id="ext_chaos",
+        title="Extension — recovery overhead per fault plan "
+              "(Table-1 point, 1/50,000 data plane)",
+        headers=["algorithm", "fault", "makespan_s", "overhead_s", "rel",
+                 "phases", "work_s", "counters"],
+        rows=rows,
+        checks=checks,
+        notes="plans: " + "; ".join(
+            f"{fault} = {spec}" for fault, spec in FAULT_SPECS
+        ),
+    )
+
+
+@_register("ext_service",
+           "Extension: query-service throughput and tail latency vs "
+           "admission slots",
+           "beyond the paper (a repeated-template dashboard stream through "
+           "admission control and the semantic caches)")
+def _ext_service(cache: WarehouseCache) -> ExperimentResult:
+    """One stream replayed per slots value: cold, then warm caches.
+
+    The second pass answers from the result cache, the repeated-dashboard
+    workload semantic caching exists for.  A fresh service per slots
+    value, one warehouse for all three.
+    """
+    from repro.service import (
+        AdmissionConfig,
+        QueryService,
+        ServiceConfig,
+        StreamSpec,
+        generate_query_stream,
+    )
+
+    stream = StreamSpec(num_queries=12, templates=3, arrival_gap=5.0,
+                        tenants=2, seed=7, best_effort_fraction=0.0)
+    queries = stream.num_queries
+    claims = [
+        f"the cold pass completes all {queries} queries",
+        f"the warm pass completes all {queries} queries",
+        "latency percentiles are ordered: p99 >= p95 >= p50 > 0",
+        "the repeated-template stream hits the result cache",
+        "the repeated-template stream hits the Bloom-filter cache",
+        "with more than one slot, concurrency overlaps resource classes "
+        "(cold makespan < serial sum)",
+    ]
+    setup = _plane_setup()
+    columns, outcomes = {}, []
+    for slots in (1, 4, 8):
+        service = QueryService(setup.warehouse, ServiceConfig(
+            admission=AdmissionConfig(slots=slots, max_queue=64,
+                                      queue_timeout=1e6,
+                                      shed_fraction=None),
+        ))
+        passes = []
+        for _pass in ("cold", "warm"):
+            for item in generate_query_stream(setup.workload, stream):
+                service.submit(item.query, tenant=item.tenant, at=item.at,
+                               priority=item.priority)
+            passes.append(service.drain())
+        cold, warm = passes
+        latency = cold.metrics.get("service.latency_seconds")
+        result_hits = service.result_cache.hit_rate()
+        bloom_hits = service.bloom_builder.cache.hit_rate()
+        columns[f"slots={slots}"] = {
+            "cold completed": len(cold.completed()),
+            "cold rejected": len(cold.rejected()),
+            "cold makespan_s": f"{cold.makespan:.1f}",
+            "throughput q/min": f"{cold.throughput() * 60:.2f}",
+            "serial sum_s": f"{cold.serial_seconds():.1f}",
+            "latency p50_s": f"{latency.p50:.1f}",
+            "latency p95_s": f"{latency.p95:.1f}",
+            "latency p99_s": f"{latency.p99:.1f}",
+            "warm completed": len(warm.completed()),
+            "warm makespan_s": f"{warm.makespan:.1f}",
+            "result cache hit rate": f"{result_hits:.2f}",
+            "bloom cache hit rate": f"{bloom_hits:.2f}",
+            "feedback observations": service.feedback.observations,
+            "feedback known plans": service.feedback.known_plans(),
+        }
+        outcomes.append((
+            len(cold.completed()) == queries,
+            len(warm.completed()) == queries,
+            latency.p99 >= latency.p95 >= latency.p50 > 0,
+            result_hits > 0,
+            bloom_hits > 0,
+            slots == 1 or cold.makespan < cold.serial_seconds(),
+        ))
+    rows = [{"metric": metric,
+             **{column: values[metric] for column, values in columns.items()}}
+            for metric in columns["slots=1"]]
+    checks = [ShapeCheck(claim, all(held))
+              for claim, held in zip(claims, zip(*outcomes))]
+    return ExperimentResult(
+        experiment_id="ext_service",
+        title=f"Extension — service stream: {queries} queries, "
+              f"{stream.templates} templates, {stream.tenants} tenants "
+              "(1/50,000 data plane)",
+        headers=["metric"] + list(columns),
+        rows=rows,
+        checks=checks,
+    )

@@ -22,6 +22,7 @@ from repro.workload import (
     WorkloadSpec,
     build_paper_query,
     generate_workload,
+    load_paper_tables,
 )
 from repro.query.query import HybridQuery
 
@@ -61,17 +62,10 @@ def build_setup(spec: WorkloadSpec, format_name: str = "parquet",
     """Generate the workload and load both engines (uncached)."""
     config = config or default_config(scale=scale)
     workload = generate_workload(spec)
-    warehouse = HybridWarehouse(config)
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    # The paper's two indexes (Section 5): predicate evaluation and the
-    # index-only Bloom-filter plan.
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
-    )
-    warehouse.load_hdfs_table("L", workload.l_table, format_name)
     return BenchSetup(
-        warehouse=warehouse,
+        warehouse=load_paper_tables(HybridWarehouse(config),
+                                    workload.t_table, workload.l_table,
+                                    format_name),
         query=build_paper_query(workload),
         workload=workload,
     )

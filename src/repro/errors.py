@@ -52,10 +52,6 @@ class JoinError(ReproError):
     """A join algorithm was invoked with an unsupported configuration."""
 
 
-class OptimizerError(ReproError):
-    """The query optimizer could not produce a plan."""
-
-
 class UdfError(ReproError):
     """A user-defined function was misused (unknown name, bad arity)."""
 
@@ -133,12 +129,3 @@ class InvariantViolation(ReproError):
 
 class ServiceError(ReproError):
     """The query-service plane was misconfigured or misused."""
-
-
-class AdmissionError(ServiceError):
-    """A query was refused by admission control (queue full, quota,
-    timeout).  Carries the machine-readable rejection ``reason``."""
-
-    def __init__(self, message: str, reason: str = "rejected"):
-        super().__init__(message)
-        self.reason = reason

@@ -3,9 +3,9 @@
 Three responsibilities, reproduced directly:
 
 1. manage the worker registry (which workers are up);
-2. broker connections between DB2 workers and JEN workers — the grouped
-   endpoint mapping of Figure 5 — and expose the agreed shuffle hash so
-   database workers can address the right JEN worker directly;
+2. designate the worker that merges Bloom filters and final aggregates
+   (the grouped DB-to-JEN endpoint mapping of Figure 5 is
+   :func:`repro.net.transfer.grouped_assignment`);
 3. resolve HDFS table metadata from HCatalog, fetch block locations
    from the NameNode, and hand out locality-aware block assignments.
 """
@@ -17,7 +17,6 @@ from typing import Dict, List, Tuple
 from repro.errors import CatalogError
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.jen.scheduler import BlockAssignment, assign_blocks
-from repro.net.transfer import grouped_assignment
 
 
 class JenCoordinator:
@@ -109,13 +108,6 @@ class JenCoordinator:
                 blocks, live, locality=self.locality
             )
         return self._assignments[table_name]
-
-    # ------------------------------------------------------------------
-    # Connection brokering (paper Fig. 5)
-    # ------------------------------------------------------------------
-    def db_worker_groups(self, num_db_workers: int) -> List[List[int]]:
-        """JEN worker group each DB worker connects to for ingest."""
-        return grouped_assignment(len(self.live_workers()), num_db_workers)
 
     def designated_worker(self) -> int:
         """The worker that merges Bloom filters and final aggregates."""

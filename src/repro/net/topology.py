@@ -29,10 +29,6 @@ class Cluster:
         if self.nic_bytes_per_s <= 0:
             raise SimulationError(f"cluster {self.name!r} needs NIC bw > 0")
 
-    def aggregate_nic_bytes_per_s(self) -> float:
-        """Total NIC bandwidth across the cluster (one direction)."""
-        return self.nodes * self.nic_bytes_per_s
-
 
 @dataclass(frozen=True)
 class HybridTopology:
@@ -71,12 +67,6 @@ class HybridTopology:
             receivers * target.nic_bytes_per_s,
             self.switch_bytes_per_s,
         )
-
-    def intra_hdfs_bandwidth(self, nodes: int) -> float:
-        """Aggregate one-directional bandwidth for an all-to-all shuffle."""
-        nodes = min(nodes, self.hdfs.nodes)
-        return nodes * self.hdfs.nic_bytes_per_s
-
 
 def default_topology(cluster: ClusterConfig) -> HybridTopology:
     """Build the paper's topology from a :class:`ClusterConfig`.

@@ -222,24 +222,6 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics.items())
 
-    def as_dict(self) -> Dict[str, object]:
-        """Snapshot of every metric's headline value(s)."""
-        snapshot: Dict[str, object] = {}
-        for name, metric in self._snapshot_items():
-            if isinstance(metric, Counter):
-                snapshot[name] = metric.value
-            elif isinstance(metric, Gauge):
-                snapshot[name] = {"value": metric.value, "high": metric.high}
-            elif isinstance(metric, Histogram):
-                snapshot[name] = {
-                    "count": metric.count,
-                    "mean": metric.mean,
-                    "p50": metric.p50,
-                    "p95": metric.p95,
-                    "p99": metric.p99,
-                }
-        return snapshot
-
     def render(self) -> str:
         """Multi-line human-readable report of every metric."""
         lines = []
@@ -305,39 +287,3 @@ class MetricsRegistry:
             "caches": caches,
             "bytes_shipped": bytes_shipped,
         }
-
-    def render_report(self) -> str:
-        """Human-readable version of :meth:`summary`."""
-        summary = self.summary()
-        lines: List[str] = []
-        tenants = summary["tenants"]
-        lines.append("per-tenant latency (simulated seconds):")
-        if tenants:
-            for tenant, stats in sorted(tenants.items()):
-                lines.append(
-                    f"  {tenant:<18s} n={int(stats['count']):<5d} "
-                    f"mean={stats['mean']:9.2f} p50={stats['p50']:9.2f} "
-                    f"p95={stats['p95']:9.2f} p99={stats['p99']:9.2f}"
-                )
-        else:
-            lines.append("  (no completed queries)")
-        lines.append("cache hit rates:")
-        caches = summary["caches"]
-        if caches:
-            for cache_name, stats in sorted(caches.items()):
-                lines.append(
-                    f"  {cache_name:<18s} "
-                    f"hits={int(stats.get('hits', 0)):<7d} "
-                    f"misses={int(stats.get('misses', 0)):<7d} "
-                    f"hit_rate={stats['hit_rate']:6.1%}"
-                )
-        else:
-            lines.append("  (no cache lookups)")
-        lines.append("bytes shipped (scaled to paper size):")
-        shipped = summary["bytes_shipped"]
-        if shipped:
-            for category, value in sorted(shipped.items()):
-                lines.append(f"  {category:<18s} {value:16,.0f}")
-        else:
-            lines.append("  (no transfer phases recorded)")
-        return "\n".join(lines)

@@ -84,13 +84,6 @@ class SharedCluster:
             return None
         return self._resources[klass]
 
-    def utilisation(self) -> Dict[str, float]:
-        """Current in-use fraction per resource class."""
-        return {
-            name: resource.in_use / resource.capacity
-            for name, resource in self._resources.items()
-        }
-
 
 @dataclass
 class TraceRun:

@@ -2,8 +2,8 @@
 
 Under power-law key distributions the agreed-hash shuffle sends every
 occurrence of a hot key to one JEN worker, and the whole join waits on
-it — ``benchmarks/results/ext_skew.txt`` measures the damage.  This
-package coordinates the three-stage countermeasure (in the spirit of
+it — the ``ext_skew`` experiment in EXPERIMENTS.md measures the damage.
+This package coordinates the three-stage countermeasure (in the spirit of
 Metwally's broadcast-hot/hash-cold hybrid split and Chakraborty's
 straggler-aware redistribution):
 

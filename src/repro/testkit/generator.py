@@ -39,7 +39,12 @@ from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import BetweenDayDiff, compare
 from repro.relational.table import Table
-from repro.workload import WorkloadSpec, build_paper_query, generate_workload
+from repro.workload import (
+    WorkloadSpec,
+    build_paper_query,
+    generate_workload,
+    load_paper_tables,
+)
 
 #: Every registered join algorithm, including the exact baselines and
 #: the mid-query re-optimizing wrapper.
@@ -404,15 +409,8 @@ def build_cell_warehouse(case: DataCase, workers: int,
             hdfs_replication=min(2, workers),
         ),
     )
-    warehouse = HybridWarehouse(config)
-    warehouse.load_db_table("T", case.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred",
-                                    ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
-    )
-    warehouse.load_hdfs_table("L", case.l_table, format_name)
-    return warehouse
+    return load_paper_tables(HybridWarehouse(config), case.t_table,
+                             case.l_table, format_name)
 
 
 def _run_via_service(warehouse, case: DataCase, algorithm: str) -> Table:

@@ -16,6 +16,7 @@ from repro.workload.generator import (
 from repro.workload.cache import load_workload, save_workload
 from repro.workload.scenario import (
     build_paper_query,
+    load_paper_tables,
     log_schema,
     transaction_schema,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "WorkloadSpec",
     "build_paper_query",
     "generate_workload",
+    "load_paper_tables",
     "load_workload",
     "save_workload",
     "zipf_skew_factor",

@@ -73,6 +73,24 @@ def make_url_dictionary(n_urls: int) -> np.ndarray:
     return np.array(urls, dtype=object)
 
 
+def load_paper_tables(warehouse, t_table, l_table,
+                      format_name: str = "parquet"):
+    """Load T and L into ``warehouse`` the way Section 5 sets them up.
+
+    T is distributed on ``uniqKey`` with the paper's two indexes:
+    ``idx_pred`` for predicate evaluation and ``idx_bloom`` for the
+    index-only Bloom-filter plan.  L is written to HDFS in
+    ``format_name``.  Returns ``warehouse``.
+    """
+    warehouse.load_db_table("T", t_table, distribute_on="uniqKey")
+    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
+    warehouse.database.create_index(
+        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
+    )
+    warehouse.load_hdfs_table("L", l_table, format_name)
+    return warehouse
+
+
 def build_paper_query(workload: Workload) -> HybridQuery:
     """The Section 5 benchmark query over a generated workload.
 

@@ -15,6 +15,7 @@ from repro import (
     build_paper_query,
     default_config,
     generate_workload,
+    load_paper_tables,
 )
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
@@ -35,14 +36,8 @@ def make_test_spec(sigma_t=0.1, sigma_l=0.4, s_t=0.2, s_l=0.1, seed=42):
 def build_test_warehouse(workload, format_name="parquet",
                          scale=TEST_SCALE):
     """A loaded warehouse (fresh engines) for a generated workload."""
-    warehouse = HybridWarehouse(default_config(scale=scale))
-    warehouse.load_db_table("T", workload.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"]
-    )
-    warehouse.load_hdfs_table("L", workload.l_table, format_name)
-    return warehouse
+    return load_paper_tables(HybridWarehouse(default_config(scale=scale)),
+                             workload.t_table, workload.l_table, format_name)
 
 
 @pytest.fixture(scope="session")

@@ -62,28 +62,32 @@ class TestRenderer:
 
 
 class TestBenchCli:
+    """``repro experiments`` is the one runner of the registry."""
+
     def test_list(self, capsys):
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
+        from repro.bench import EXPERIMENTS
 
-        assert main(["--list"]) == 0
+        assert main(["experiments", "--list"]) == 0
+        ids = [line.split()[0]
+               for line in capsys.readouterr().out.splitlines()]
+        assert ids == list(EXPERIMENTS)
+        assert len(ids) == 22
+        assert {"table1", "fig15", "ext_chaos", "ext_service"} <= set(ids)
+
+    def test_single_experiment(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["experiments", "table1", "--scale", "100000"]) == 0
         captured = capsys.readouterr().out
-        assert "table1" in captured and "fig15" in captured
-
-    def test_single_experiment(self, capsys, tmp_path):
-        from repro.bench.__main__ import main
-
-        code = main(["table1", "--scale", "100000",
-                     "--output", str(tmp_path)])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "PASS" in captured
-        assert (tmp_path / "table1.txt").exists()
+        assert "[PASS]" in captured and "[FAIL]" not in captured
+        assert "all 1 experiments reproduced" in captured
 
     def test_unknown_experiment(self):
-        from repro.bench.__main__ import main
+        from repro.__main__ import main
 
-        with pytest.raises(Exception):
-            main(["fig99"])
+        with pytest.raises(ReproError, match="unknown experiment"):
+            main(["experiments", "fig99"])
 
 
 class TestTopLevelCli:
@@ -134,6 +138,47 @@ class TestTopLevelCli:
         captured = capsys.readouterr().out
         assert "algorithm: repartition" in captured
         assert "more rows" in captured
+
+
+class TestServeCli:
+    """``repro serve`` replays the stream; ``--json`` prints the metrics
+    summary the removed ``report`` subcommand printed."""
+
+    ARGV = ["serve", "--queries", "4", "--slots", "2"]
+
+    @pytest.fixture(autouse=True)
+    def small_warehouse(self, monkeypatch):
+        from repro import __main__ as cli
+
+        demo = cli._demo_warehouse
+        monkeypatch.setattr(cli, "_demo_warehouse",
+                            lambda: demo(scale=1 / 200_000))
+
+    def test_text_report(self, capsys):
+        from repro.__main__ import main
+
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out.startswith("replaying 4 queries")
+
+    def test_json_summary(self, capsys):
+        import json
+
+        from repro.__main__ import main
+
+        assert main(self.ARGV + ["--json", "--late-materialization"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert set(summary) == {"tenants", "caches", "bytes_shipped"}
+        assert set(summary["tenants"]) == {"tenant-0", "tenant-1"}
+        # Late materialization ships payloads through the stitch.
+        assert summary["bytes_shipped"]["stitch"] > 0
+
+    def test_report_subcommand_is_gone(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--json"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 class TestChaosCli:

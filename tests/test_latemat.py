@@ -426,11 +426,6 @@ class TestServiceCounters:
             assert stats["count"] == 1
             assert stats["p50"] <= stats["p95"] <= stats["p99"]
 
-    def test_render_report_sections(self, drained_service):
-        report = drained_service.metrics.render_report()
-        assert "per-tenant latency" in report
-        assert "bytes shipped" in report
-
 
 # ----------------------------------------------------------------------
 # What thin wires buy: pinned bytes and seconds on a constrained link

@@ -34,7 +34,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
-from repro import HybridWarehouse, algorithm_by_name, default_config
+from repro import (
+    HybridWarehouse,
+    algorithm_by_name,
+    default_config,
+    load_paper_tables,
+)
 from repro.config import ClusterConfig
 from repro.core.joins.base import ExecutionContext, valid_algorithm_names
 from repro.faults import FaultPlan
@@ -86,12 +91,8 @@ def _warehouse(setting: str):
         jen_memory_budget_rows=(
             SPILL_BUDGET_ROWS if setting == "spill" else 0.0),
     )
-    warehouse = HybridWarehouse(config)
-    warehouse.load_db_table("T", case.t_table, distribute_on="uniqKey")
-    warehouse.database.create_index("T", "idx_pred", ["corPred", "indPred"])
-    warehouse.database.create_index(
-        "T", "idx_bloom", ["corPred", "indPred", "joinKey"])
-    warehouse.load_hdfs_table("L", case.l_table, "parquet")
+    warehouse = load_paper_tables(HybridWarehouse(config), case.t_table,
+                                  case.l_table)
     return warehouse, case.query
 
 
