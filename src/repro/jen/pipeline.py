@@ -8,7 +8,7 @@ asserts that although there is only one process thread, "it is never
 the bottleneck".
 
 This module reconstructs that pipeline as a streaming stage graph and
-replays it on the discrete-event kernel, reporting per-stage busy time
+replays it with :mod:`repro.sim.replay`, reporting per-stage busy time
 and the bottleneck stage, so the claim can be checked quantitatively for
 any format/selectivity combination (see the ``ablation_process_thread``
 experiment).

@@ -3,7 +3,7 @@
 See :mod:`repro.service.server` for the top-level
 :class:`QueryService`; the other modules are its organs — admission
 control (:mod:`~repro.service.admission`), multi-query scheduling on
-the shared DES (:mod:`~repro.service.scheduler`), semantic caching
+the shared timeline (:mod:`~repro.service.scheduler`), semantic caching
 (:mod:`~repro.service.cache`), the execution feedback loop
 (:mod:`~repro.service.feedback`), metrics
 (:mod:`~repro.service.metrics`) and synthetic query streams
@@ -29,11 +29,7 @@ from repro.service.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.service.scheduler import (
-    FairSharePolicy,
-    SharedCluster,
-    schedule_trace,
-)
+from repro.service.scheduler import FairSharePolicy, SharedCluster, Timeline
 from repro.service.server import (
     QueryOutcome,
     QueryService,
@@ -70,10 +66,10 @@ __all__ = [
     "SharedCluster",
     "StreamSpec",
     "StreamedQuery",
+    "Timeline",
     "build_template_query",
     "generate_query_stream",
     "observe",
     "plan_key",
     "predicate_key",
-    "schedule_trace",
 ]

@@ -7,8 +7,8 @@ before it may touch the shared cluster:
 * excess queries wait in a bounded FIFO queue; a queue beyond
   ``max_queue`` rejects new arrivals outright (``queue_full``);
 * a queued query that is not granted a slot within ``queue_timeout``
-  simulated seconds is rejected (``timeout``) — its timer fires on the
-  DES heap via :meth:`~repro.sim.engine.SimEngine.call_at`;
+  simulated seconds is rejected (``timeout``) — its timer is a callback
+  on the service's timeline;
 * under overload the controller degrades gracefully: once the queue is
   ``shed_fraction`` full, *best-effort* arrivals (priority > 0) are shed
   immediately (``overload_shed``) so interactive traffic keeps its
@@ -18,10 +18,9 @@ Which queued query gets a freed slot is decided by
 :class:`~repro.service.scheduler.FairSharePolicy`: priority, then fair
 share across tenants (the tenant holding the fewest slots), then FIFO.
 
-The controller lives entirely in simulated time; it is driven from
-processes on the service's :class:`~repro.sim.engine.SimEngine` and
-communicates through one-shot events whose value is an
-:class:`AdmissionOutcome`.
+The controller lives in simulated time, on the service's
+:class:`~repro.service.scheduler.Timeline`; a request's callback gets
+its :class:`AdmissionOutcome` the moment it is decided.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ServiceError
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import FairSharePolicy
-from repro.sim.engine import Event, SimEngine
+from repro.service.scheduler import FairSharePolicy, Timeline
 
 
 @dataclass(frozen=True)
@@ -86,14 +84,12 @@ class AdmissionGrant:
     """A held slot; hand it back via :meth:`AdmissionController.release`."""
 
     tenant: str
-    seq: int
-    granted_at: float
     released: bool = False
 
 
 @dataclass(frozen=True)
 class AdmissionOutcome:
-    """Value carried by the event a request resolves to."""
+    """What a request resolves to."""
 
     admitted: bool
     #: "admitted", "queue_full", "overload_shed" or "timeout".
@@ -105,7 +101,7 @@ class AdmissionOutcome:
     degraded: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
     """One queued admission request."""
 
@@ -113,18 +109,17 @@ class _Pending:
     priority: int
     seq: int
     enqueued_at: float
-    event: Event
-    resolved: bool = False
+    on_outcome: Callable[[AdmissionOutcome], None]
     degraded: bool = False
 
 
 class AdmissionController:
     """Gate between submitted queries and the shared cluster."""
 
-    def __init__(self, engine: SimEngine,
+    def __init__(self, timeline: Timeline,
                  config: Optional[AdmissionConfig] = None,
                  metrics: Optional[MetricsRegistry] = None):
-        self.engine = engine
+        self.timeline = timeline
         self.config = config or AdmissionConfig()
         self.policy = FairSharePolicy()
         self.metrics = metrics or MetricsRegistry()
@@ -151,16 +146,16 @@ class AdmissionController:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    def request(self, tenant: str = "default", priority: int = 0) -> Event:
-        """Ask for a slot; the returned event resolves to an
-        :class:`AdmissionOutcome` (possibly immediately)."""
-        event = self.engine.event(f"admit-{tenant}")
-        now = self.engine.now
+    def request(self, on_outcome: Callable[[AdmissionOutcome], None],
+                tenant: str = "default", priority: int = 0) -> None:
+        """Ask for a slot; ``on_outcome`` gets the
+        :class:`AdmissionOutcome` once decided (possibly at once)."""
+        now = self.timeline.now
         degraded = False
         if self._shed_now(priority):
             if not self.config.degrade_to_approx:
-                self._reject(event, "overload_shed", 0.0)
-                return event
+                self._reject(on_outcome, "overload_shed", 0.0)
+                return
             # Degraded tier: the query keeps its place in line but will
             # execute approximately — overload buys latency/accuracy,
             # not a rejection.
@@ -168,24 +163,19 @@ class AdmissionController:
             self.metrics.counter("admission.degraded_to_approx").inc()
         if len(self._pending) >= self.config.max_queue \
                 and self._in_flight >= self.config.slots:
-            self._reject(event, "queue_full", 0.0)
-            return event
+            self._reject(on_outcome, "queue_full", 0.0)
+            return
         pending = _Pending(
             tenant=tenant, priority=priority, seq=next(self._seq),
-            enqueued_at=now, event=event, degraded=degraded,
+            enqueued_at=now, on_outcome=on_outcome, degraded=degraded,
         )
         self._pending.append(pending)
         self._gauge_queue.set(len(self._pending))
         self._dispatch()
-        if not pending.resolved:
-            # Only genuinely queued requests need an expiry timer (a
-            # timer for an admitted request would still sit on the DES
-            # heap, dragging the simulated clock out to the timeout).
-            self.engine.call_at(
-                now + self.config.queue_timeout,
-                lambda: self._expire(pending),
-            )
-        return event
+        if pending in self._pending:
+            # Only genuinely queued requests need an expiry timer.
+            self.timeline.after(self.config.queue_timeout,
+                                lambda: self._expire(pending))
 
     def release(self, grant: AdmissionGrant) -> None:
         """Return a slot; wakes the next eligible queued query."""
@@ -209,45 +199,39 @@ class AdmissionController:
         threshold = self.config.shed_fraction * self.config.max_queue
         return len(self._pending) >= threshold
 
-    def _reject(self, event: Event, reason: str, waited: float) -> None:
+    def _reject(self, on_outcome: Callable[[AdmissionOutcome], None],
+                reason: str, waited: float) -> None:
         self.metrics.counter(f"admission.rejected.{reason}").inc()
         self.metrics.counter("admission.rejected").inc()
-        event.succeed(AdmissionOutcome(
+        on_outcome(AdmissionOutcome(
             admitted=False, reason=reason, queued_seconds=waited,
         ))
 
     def _expire(self, pending: _Pending) -> None:
-        if pending.resolved:
+        if pending not in self._pending:
             return
-        pending.resolved = True
         self._pending.remove(pending)
         self._gauge_queue.set(len(self._pending))
-        self._reject(pending.event, "timeout",
-                     self.engine.now - pending.enqueued_at)
+        self._reject(pending.on_outcome, "timeout",
+                     self.timeline.now - pending.enqueued_at)
 
     def _dispatch(self) -> None:
         while self._in_flight < self.config.slots:
             choice = self.policy.select(self._pending, self._by_tenant)
             if choice is None:
                 return
-            pending = self._pending[choice]
-            pending.resolved = True
-            self._pending.remove(pending)
+            pending = self._pending.pop(choice)
             self._in_flight += 1
             self._by_tenant[pending.tenant] = (
                 self._by_tenant.get(pending.tenant, 0) + 1
             )
-            waited = self.engine.now - pending.enqueued_at
+            waited = self.timeline.now - pending.enqueued_at
             self._gauge_queue.set(len(self._pending))
             self._gauge_in_flight.set(self._in_flight)
             self._wait_histogram.observe(waited)
             self.metrics.counter("admission.admitted").inc()
-            grant = AdmissionGrant(
-                tenant=pending.tenant, seq=pending.seq,
-                granted_at=self.engine.now,
-            )
-            pending.event.succeed(AdmissionOutcome(
-                admitted=True, reason="admitted",
-                queued_seconds=waited, grant=grant,
+            pending.on_outcome(AdmissionOutcome(
+                admitted=True, reason="admitted", queued_seconds=waited,
+                grant=AdmissionGrant(tenant=pending.tenant),
                 degraded=pending.degraded,
             ))

@@ -1,9 +1,9 @@
 """Multi-query scheduling on the shared simulated cluster.
 
 The single-query time plane (:mod:`repro.sim.replay`) replays one trace
-as if the whole cluster belonged to it.  The service plane replays many
-traces on *one* :class:`~repro.sim.engine.SimEngine`, with each of the
-cluster's three resource classes modelled as one FIFO gang slot:
+as if the whole cluster belonged to it.  The service plane runs many
+traces on one :class:`Timeline`, with each of the cluster's three
+resource classes one FIFO gang slot:
 
 ``edw``
     The parallel database workers — table scans, index re-accesses, the
@@ -15,19 +15,18 @@ cluster's three resource classes modelled as one FIFO gang slot:
     The interconnect — JEN-to-JEN shuffles, DB exports/ingests over the
     20 Gbit switch, Bloom filter movements.
 
-Each trace phase occupies its class's slot for its whole duration
-(gang scheduling: a phase was priced assuming every worker of that class
+Each trace phase holds its class's slot for its whole duration (gang
+scheduling: a phase was priced assuming every worker of that class
 participates, so two same-class phases cannot genuinely overlap and are
 serialised FIFO).  Phases of *different* classes — one query's HDFS scan
 against another's database export — overlap freely, which is exactly
 where a concurrent stream beats serial execution.
 
 Within one query the ``streams_from`` pipelining of
-:mod:`repro.sim.replay` is preserved chunk for chunk, with one extra
-rule: a phase only *starts* (and starts streaming) once it holds its
-slot, so a producer always acquires before its consumers request —
-which makes the cross-query wait graph provably acyclic (consumers
-block only on upstream producers; a started phase never re-requests).
+:mod:`repro.sim.replay` is kept chunk for chunk, with one extra rule: a
+phase only *starts* (and starts streaming) once it holds its slot.  So
+a phase's chunks are known when it is granted: the same
+:func:`~repro.sim.replay.chunk_ends` of its start and its producers'.
 
 :class:`FairSharePolicy` is the admission-order policy the controller
 in :mod:`repro.service.admission` consults: highest priority first,
@@ -36,12 +35,12 @@ then the tenant with the fewest queries in flight, then FIFO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+import functools
+import heapq
+import itertools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ServiceError
-from repro.sim.engine import AllOf, Resource, SimEngine, Timeout
-from repro.sim.replay import PhaseTiming
+from repro.sim.replay import PhaseTiming, chunk_ends
 from repro.sim.trace import Phase, Trace
 
 #: Trace phase kind -> shared resource class (None = coordinator-side
@@ -62,119 +61,108 @@ CLASS_OF_KIND: Dict[str, Optional[str]] = {
 }
 
 #: Chunks per streamed phase; coarser than the single-query replay's 64
-#: because the service replays many traces on one heap.
-DEFAULT_CHUNKS = 32
+#: because the service replays many traces on one timeline.
+CHUNKS = 32
+
+#: A point on the timeline: (simulated time, causal depth).
+Step = Tuple[float, int]
+
+
+class Timeline:
+    """One drain's simulated clock: a heap of plain callbacks, run in
+    (time, causal depth, push order).  Causal depth counts the steps
+    since time last advanced (``docs/architecture.md`` states the rule).
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.depth = 0
+        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
+        self._pushes = itertools.count()
+
+    def at(self, step: Step, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` at ``step``."""
+        heapq.heappush(self._heap, (*step, next(self._pushes), callback))
+
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` ``delay`` simulated seconds from now: one
+        step later if that is still now, at depth 0 otherwise."""
+        when = self.now + delay
+        self.at((when, self.depth + 1 if when == self.now else 0), callback)
+
+    def run(self) -> None:
+        """Run callbacks until none is left."""
+        while self._heap:
+            self.now, self.depth, _, callback = heapq.heappop(self._heap)
+            callback()
 
 
 class SharedCluster:
-    """The three contended resource classes, bound to one engine."""
+    """The three contended resource classes, one FIFO gang slot each."""
 
-    def __init__(self, engine: SimEngine):
-        self.engine = engine
-        self._resources: Dict[str, Resource] = {
-            "edw": engine.resource(1, name="edw-workers"),
-            "jen": engine.resource(1, name="jen-workers"),
-            "net": engine.resource(1, name="interconnect"),
-        }
+    def __init__(self):
+        #: Class -> the step its slot frees: the end of its last grant.
+        self._frees: Dict[str, Step] = dict.fromkeys(("edw", "jen", "net"),
+                                                     (0.0, 0))
 
-    def resource_for(self, kind: str) -> Optional[Resource]:
-        """The resource a phase of ``kind`` contends on (None = free)."""
-        klass = CLASS_OF_KIND.get(kind)
-        if klass is None:
-            return None
-        return self._resources[klass]
+    def schedule(self, timeline: Timeline, trace: Trace,
+                 on_done: Callable[[Dict[str, PhaseTiming]], None]) -> None:
+        """Run ``trace``'s phases from the timeline's current step.
 
+        A phase requests its slot one step after the last of its
+        barriers (its ``after`` phases' ends, its producers' starts).
+        It starts one step after the later of that request and the end
+        that frees its slot; a latency phase starts at its request.  A
+        phase that takes time ends at depth 0; a zero-second one at its
+        start, or one step after its producers' latest end.  ``on_done``
+        gets the phase timings one step after the last phase ends.
+        """
+        spawn = (timeline.now, timeline.depth + 1)
+        starts: Dict[str, Step] = {}
+        ends: Dict[str, Step] = {}
+        marks: Dict[str, List[float]] = {}
+        timings: Dict[str, PhaseTiming] = {}
 
-@dataclass
-class TraceRun:
-    """One trace being replayed on the shared cluster."""
+        def grant(phase: Phase) -> None:
+            start = (timeline.now, timeline.depth)
+            klass = CLASS_OF_KIND.get(phase.kind)
+            if klass is not None:
+                when, depth = max(start, self._frees[klass])
+                start = (when, depth + 1)
+            marks[phase.name] = chunk_ends(
+                start[0], phase.seconds,
+                [marks[name] for name in phase.streams_from], CHUNKS)
+            end = max([start] + [(ends[name][0], ends[name][1] + 1)
+                                 for name in phase.streams_from])
+            if phase.seconds > 0:
+                end = (marks[phase.name][-1], 0)
+            starts[phase.name], ends[phase.name] = start, end
+            if klass is not None:
+                self._frees[klass] = end
+            timings[phase.name] = PhaseTiming(
+                name=phase.name, kind=phase.kind, start=start[0],
+                end=end[0])
+            for consumer in trace:
+                barriers = consumer.after + consumer.streams_from
+                if phase.name in barriers \
+                        and all(name in ends for name in barriers):
+                    when, depth = max(
+                        [spawn] + [ends[name] for name in consumer.after]
+                        + [starts[name] for name in consumer.streams_from])
+                    timeline.at((when, depth + 1),
+                                functools.partial(grant, consumer))
+            if len(timings) == len(trace):
+                finish()
 
-    label: str
-    trace: Trace
-    #: Triggered when every phase finished; value is the makespan end.
-    done: object
-    #: Filled in as phases complete.
-    timings: Dict[str, PhaseTiming]
+        def finish() -> None:
+            when, depth = max([spawn, *ends.values()])
+            timeline.at((when, depth + 1), lambda: on_done(timings))
 
-    @property
-    def finished(self) -> bool:
-        """Whether the whole trace has completed."""
-        return self.done.triggered
-
-    @property
-    def end_time(self) -> float:
-        """Simulated completion time (only valid once finished)."""
-        if not self.finished:
-            raise ServiceError(f"trace {self.label!r} still running")
-        return self.done.value
-
-    def elapsed(self, start: float) -> float:
-        """Makespan of this trace measured from ``start``."""
-        return self.end_time - start
-
-
-def schedule_trace(engine: SimEngine, cluster: SharedCluster, trace: Trace,
-                   chunks: int = DEFAULT_CHUNKS, label: str = "") -> TraceRun:
-    """Spawn ``trace``'s phases as contending processes; returns the run.
-
-    Must be called while the engine is at the simulated time the query
-    starts executing (i.e. from an admission callback or before
-    ``engine.run()``).  The returned :class:`TraceRun`'s ``done`` event
-    triggers at the query's completion time.
-    """
-    if chunks <= 0:
-        raise ServiceError("chunks must be positive")
-    run_label = label or trace.label
-    started = {phase.name: engine.event(f"{run_label}:{phase.name}-start")
-               for phase in trace}
-    finished = {phase.name: engine.event(f"{run_label}:{phase.name}-finish")
-                for phase in trace}
-    chunk_events = {
-        phase.name: [engine.event(f"{run_label}:{phase.name}-chunk{i}")
-                     for i in range(chunks)]
-        for phase in trace
-    }
-    run = TraceRun(label=run_label, trace=trace,
-                   done=engine.event(f"{run_label}-done"), timings={})
-
-    def run_phase(phase: Phase):
-        barriers = [finished[name] for name in phase.after]
-        barriers += [started[name] for name in phase.streams_from]
-        if barriers:
-            yield AllOf(barriers)
-        resource = cluster.resource_for(phase.kind)
-        request = None
-        if resource is not None:
-            request = resource.request(1.0)
-            yield request
-        start_time = engine.now
-        started[phase.name].succeed()
-        slice_seconds = phase.seconds / chunks
-        for index in range(chunks):
-            if phase.streams_from:
-                yield AllOf(
-                    [chunk_events[name][index]
-                     for name in phase.streams_from]
-                )
-            if slice_seconds > 0:
-                yield Timeout(slice_seconds)
-            chunk_events[phase.name][index].succeed()
-        finished[phase.name].succeed()
-        if request is not None:
-            resource.release(request)
-        run.timings[phase.name] = PhaseTiming(
-            name=phase.name, kind=phase.kind,
-            start=start_time, end=engine.now,
-        )
-
-    def completion():
-        yield AllOf([finished[name] for name in trace.names()])
-        run.done.succeed(engine.now)
-
-    for phase in trace:
-        engine.process(run_phase(phase), name=f"{run_label}:{phase.name}")
-    engine.process(completion(), name=f"{run_label}-completion")
-    return run
+        for phase in trace:
+            if not phase.after and not phase.streams_from:
+                timeline.at(spawn, functools.partial(grant, phase))
+        if not len(trace):
+            finish()
 
 
 class FairSharePolicy:
@@ -192,15 +180,8 @@ class FairSharePolicy:
         """Index into ``pending`` of the request to admit next."""
         if not pending:
             return None
-        best_index = None
-        best_key = None
-        for index, request in enumerate(pending):
-            key = (
-                request.priority,
-                in_flight_by_tenant.get(request.tenant, 0),
-                request.seq,
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        return best_index
+        return min(range(len(pending)), key=lambda index: (
+            pending[index].priority,
+            in_flight_by_tenant.get(pending[index].tenant, 0),
+            pending[index].seq,
+        ))

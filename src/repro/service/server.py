@@ -2,15 +2,15 @@
 
 :class:`QueryService` is the third plane of the reproduction, next to
 the data plane (real rows moving between the simulated engines) and the
-time plane (one trace replayed on the DES).  It accepts *many* queries
+time plane (one trace's schedule).  It accepts *many* queries
 — submitted ahead of time with simulated arrival offsets — and runs
 them concurrently over one :class:`~repro.warehouse.HybridWarehouse`:
 
 1. ``submit()`` records a query (a :class:`~repro.query.query.HybridQuery`
    or SQL text) and returns a :class:`QueryTicket`;
 2. ``drain()`` replays the whole stream on a fresh
-   :class:`~repro.sim.engine.SimEngine`: arrivals fire at their offsets,
-   the admission controller gates entry to the cluster, admitted
+   :class:`~repro.service.scheduler.Timeline`: arrivals fire at their
+   offsets, the admission controller gates entry to the cluster, admitted
    queries execute the real data plane (through the semantic caches)
    and their traces contend for the shared EDW / JEN / interconnect
    resources of :class:`~repro.service.scheduler.SharedCluster`;
@@ -27,6 +27,7 @@ while simulated time restarts from zero for each batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,7 +38,11 @@ from repro.core.joins import ExecutionContext, JoinResult, algorithm_by_name
 from repro.errors import FaultError, ServiceError
 from repro.query.query import HybridQuery
 from repro.relational.table import Table
-from repro.service.admission import AdmissionConfig, AdmissionController
+from repro.service.admission import (
+    AdmissionConfig,
+    AdmissionController,
+    AdmissionOutcome,
+)
 from repro.service.cache import (
     BloomCache,
     CachingBloomBuilder,
@@ -49,8 +54,7 @@ from repro.service.cache import (
 )
 from repro.service.feedback import FeedbackLoop
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import SharedCluster, schedule_trace
-from repro.sim.engine import SimEngine, Timeout
+from repro.service.scheduler import SharedCluster, Timeline
 from repro.sql import SqlSession
 
 
@@ -300,21 +304,17 @@ class QueryService:
     def drain(self) -> ServiceReport:
         """Replay every pending submission on a fresh simulated clock."""
         batch, self._pending = self._pending, []
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
+        timeline = Timeline()
+        cluster = SharedCluster()
         admission = AdmissionController(
-            engine, self.config.admission, metrics=self.metrics)
-        outcomes: List[QueryOutcome] = []
+            timeline, self.config.admission, metrics=self.metrics)
         for submission in sorted(batch,
                                  key=lambda s: (s.ticket.at, s.ticket.id)):
-            engine.process(
-                self._query_process(engine, cluster, admission,
-                                    submission, outcomes),
-                name=f"q{submission.ticket.id}",
-            )
-        engine.run()
-        outcomes.sort(key=lambda outcome: outcome.ticket_id)
-        # The engine's final clock includes queue-timeout timers that
+            timeline.after(submission.ticket.at, functools.partial(
+                self._arrive, timeline, cluster, admission, submission))
+        timeline.run()
+        outcomes = [submission.ticket.outcome for submission in batch]
+        # The timeline's final clock includes queue-timeout timers that
         # fired as no-ops; the batch makespan is the last completion.
         makespan = max(
             (outcome.finished_at for outcome in outcomes), default=0.0)
@@ -329,51 +329,47 @@ class QueryService:
         return ticket.outcome
 
     # ------------------------------------------------------------------
-    def _query_process(self, engine, cluster, admission,
-                       submission: _Submission,
-                       outcomes: List[QueryOutcome]):
-        """The per-query generator process driven by the DES."""
+    def _arrive(self, timeline: Timeline, cluster: SharedCluster,
+                admission: AdmissionController,
+                submission: _Submission) -> None:
+        """One query from its arrival on: a chain of callbacks on the
+        drain's timeline, each run one step after what it waited for."""
         ticket = submission.ticket
-        if ticket.at > 0:
-            yield Timeout(ticket.at)
-        submitted_at = engine.now
+        submitted_at = timeline.now
         key = plan_key(submission.query)
-
-        if self.config.enable_result_cache:
-            cached = self.result_cache.get(key)
-            if cached is not None:
-                yield Timeout(CACHE_HIT_SECONDS)
-                outcome = QueryOutcome(
-                    ticket_id=ticket.id, tenant=ticket.tenant,
-                    status="ok", algorithm="cache", cache_hit=True,
-                    submitted_at=submitted_at, admitted_at=submitted_at,
-                    finished_at=engine.now, result=cached,
-                )
-                self._finish(ticket, outcome, outcomes)
-                return
-
-        admit = yield admission.request(ticket.tenant, submission.priority)
-        if not admit.admitted:
-            outcome = QueryOutcome(
-                ticket_id=ticket.id, tenant=ticket.tenant,
-                status="rejected", reject_reason=admit.reason,
-                submitted_at=submitted_at,
-                admitted_at=submitted_at + admit.queued_seconds,
-                finished_at=submitted_at + admit.queued_seconds,
-                queue_wait=admit.queued_seconds,
-            )
-            self._finish(ticket, outcome, outcomes)
-            return
-
-        # Graceful degradation: an unrecoverable injected fault releases
-        # the slot and re-admits the query up to ``FAULT_RETRIES`` times
-        # (the injector's fired-once crash/abort state persists, so the
-        # retry typically runs clean); past that, the failure surfaces
-        # with its typed FaultError.
-        queue_wait = admit.queued_seconds
+        queue_wait = 0.0
         retries_used = 0
-        approx_report = None
-        while True:
+
+        def finish(status: str, **fields) -> None:
+            self._finish(ticket, QueryOutcome(
+                ticket_id=ticket.id, tenant=ticket.tenant, status=status,
+                fault_retries_used=retries_used, submitted_at=submitted_at,
+                finished_at=timeline.now, **fields))
+
+        def request(error: str = "") -> None:
+            admission.request(
+                lambda admit: timeline.after(0.0, lambda: admitted(
+                    admit, error)),
+                ticket.tenant, submission.priority)
+
+        def admitted(admit: AdmissionOutcome, error: str) -> None:
+            nonlocal queue_wait
+            queue_wait += admit.queued_seconds
+            if admit.admitted:
+                execute(admit)
+            else:
+                finish("rejected", reject_reason=admit.reason, error=error,
+                       admitted_at=submitted_at + queue_wait,
+                       queue_wait=queue_wait)
+
+        def execute(admit: AdmissionOutcome) -> None:
+            # Graceful degradation: an unrecoverable injected fault
+            # releases the slot and re-admits the query up to
+            # ``FAULT_RETRIES`` times (the injector's fired-once
+            # crash/abort state persists, so the retry typically runs
+            # clean); past that, the failure surfaces with its typed
+            # FaultError.
+            nonlocal retries_used
             try:
                 if admit.degraded:
                     algorithm, rationale, join_result, \
@@ -383,70 +379,57 @@ class QueryService:
                     algorithm, rationale, join_result = \
                         self._execute_data_plane(
                             submission.query, submission.algorithm)
-                break
+                    approx_report = None
             except FaultError as exc:
                 admission.release(admit.grant)
                 self.metrics.counter("service.fault_aborts").inc()
                 injector = self.warehouse.jen.injector
                 if injector is not None:
                     injector.bump_epoch()
+                error = f"{type(exc).__name__}: {exc}"
                 if retries_used >= FAULT_RETRIES:
-                    outcome = QueryOutcome(
-                        ticket_id=ticket.id, tenant=ticket.tenant,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        fault_retries_used=retries_used,
-                        submitted_at=submitted_at,
-                        admitted_at=submitted_at + queue_wait,
-                        finished_at=engine.now, queue_wait=queue_wait,
-                    )
-                    self._finish(ticket, outcome, outcomes)
-                    return
-                retries_used += 1
-                self.metrics.counter("service.fault_retries").inc()
-                admit = yield admission.request(ticket.tenant,
-                                               submission.priority)
-                if not admit.admitted:
-                    outcome = QueryOutcome(
-                        ticket_id=ticket.id, tenant=ticket.tenant,
-                        status="rejected", reject_reason=admit.reason,
-                        error=f"{type(exc).__name__}: {exc}",
-                        fault_retries_used=retries_used,
-                        submitted_at=submitted_at,
-                        finished_at=engine.now,
-                        queue_wait=queue_wait + admit.queued_seconds,
-                    )
-                    self._finish(ticket, outcome, outcomes)
-                    return
-                queue_wait += admit.queued_seconds
-        run = schedule_trace(engine, cluster, join_result.trace,
-                             label=f"q{ticket.id}")
-        yield run.done
-        admission.release(admit.grant)
+                    finish("failed", error=error,
+                           admitted_at=submitted_at + queue_wait,
+                           queue_wait=queue_wait)
+                else:
+                    retries_used += 1
+                    self.metrics.counter("service.fault_retries").inc()
+                    request(error)
+                return
 
-        # A degraded run's answer is an estimate: it must not poison the
-        # result cache (a later exact query would get a sampled answer)
-        # nor the advisor's feedback loop (its observed volumes reflect
-        # the sample, not the query).
-        degraded = approx_report is not None
-        if self.config.enable_feedback and not degraded:
-            self.feedback.record(
-                key, plan_key(submission.query, literals=False),
-                self.session.sample_estimate(submission.query), join_result,
-            )
-        if self.config.enable_result_cache and not degraded:
-            self.result_cache.put(key, join_result.result)
-        outcome = QueryOutcome(
-            ticket_id=ticket.id, tenant=ticket.tenant, status="ok",
-            algorithm=algorithm, advisor_rationale=rationale,
-            fault_retries_used=retries_used,
-            submitted_at=submitted_at,
-            admitted_at=submitted_at + queue_wait,
-            finished_at=engine.now, queue_wait=queue_wait,
-            result=join_result.result, join_result=join_result,
-            degraded=degraded, approx_report=approx_report,
-        )
-        self._finish(ticket, outcome, outcomes)
+            def done() -> None:
+                admission.release(admit.grant)
+                # A degraded run's answer is an estimate: it must not
+                # poison the result cache (a later exact query would get
+                # a sampled answer) nor the advisor's feedback loop (its
+                # observed volumes reflect the sample, not the query).
+                degraded = approx_report is not None
+                if self.config.enable_feedback and not degraded:
+                    self.feedback.record(
+                        key, plan_key(submission.query, literals=False),
+                        self.session.sample_estimate(submission.query),
+                        join_result,
+                    )
+                if self.config.enable_result_cache and not degraded:
+                    self.result_cache.put(key, join_result.result)
+                finish("ok", algorithm=algorithm,
+                       advisor_rationale=rationale,
+                       admitted_at=submitted_at + queue_wait,
+                       queue_wait=queue_wait, result=join_result.result,
+                       join_result=join_result, degraded=degraded,
+                       approx_report=approx_report)
+
+            cluster.schedule(timeline, join_result.trace,
+                             lambda _timings: timeline.after(0.0, done))
+
+        cached = (self.result_cache.get(key)
+                  if self.config.enable_result_cache else None)
+        if cached is None:
+            request()
+        else:
+            timeline.after(CACHE_HIT_SECONDS, lambda: finish(
+                "ok", algorithm="cache", cache_hit=True,
+                admitted_at=submitted_at, result=cached))
 
     def _execute_data_plane(self, query: HybridQuery, algorithm: str):
         """Run the real data plane; returns (algorithm, rationale, run)."""
@@ -560,10 +543,8 @@ class QueryService:
         return self.feedback.refine(
             plan_key(query), plan_key(query, literals=False), estimate)
 
-    def _finish(self, ticket: QueryTicket, outcome: QueryOutcome,
-                outcomes: List[QueryOutcome]) -> None:
+    def _finish(self, ticket: QueryTicket, outcome: QueryOutcome) -> None:
         ticket.outcome = outcome
-        outcomes.append(outcome)
         if outcome.ok:
             self.metrics.counter("service.completed").inc()
             label = "cache" if outcome.cache_hit else outcome.algorithm

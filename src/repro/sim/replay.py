@@ -13,11 +13,11 @@ Every phase:
 These rules are a recurrence over the phase graph, so
 :func:`replay_trace` evaluates them in one pass in dependency order,
 with no event queue: a phase starts at the latest of its barriers, and
-its chunk ``i`` ends one slice after the later of its own chunk
-``i - 1`` and its producers' chunk ``i``.  (``tests/test_trace_replay.py``
-keeps the event-by-event simulation of the same rules on
-:class:`~repro.sim.engine.SimEngine` as the reference, and every start
-and end must equal it bit for bit.)
+:func:`chunk_ends` gives its chunk ends — chunk ``i`` ends one slice
+after the later of its own chunk ``i - 1`` and its producers' chunk
+``i``, the rule the query service's shared cluster schedules on too.
+(``tests/test_trace_replay.py`` holds every start and end to the
+event-by-event kernel of ``tests/engine_reference.py``, bit for bit.)
 
 The result records per-phase start and end times plus the makespan; the
 difference between the makespan and :meth:`Trace.total_work_seconds` is
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.trace import Phase, Trace
@@ -151,12 +151,9 @@ def replay_trace(
 
     One pass over the phases in trace order, which :meth:`Trace.add`
     makes dependency order: a phase starts once its ``after`` phases
-    have ended and its streaming producers have started, and chunk
-    ``i`` ends ``seconds / chunks`` after the later of its own chunk
-    ``i - 1`` and every producer's chunk ``i``.  The chunk ends are
-    summed one slice at a time, so every time is the float an
-    event-by-event simulation of the same rules reaches.  The timings
-    are listed as :attr:`TimingResult.phases` describes.
+    have ended and its streaming producers have started, and its chunks
+    end at :func:`chunk_ends`.  The timings are listed as
+    :attr:`TimingResult.phases` describes.
 
     Raises :class:`SimulationError` naming both phases when a phase
     depends on one missing from the trace, and a "deadlock" one when a
@@ -172,35 +169,51 @@ def replay_trace(
     gates = starts if pipelining else ends
     for phase in trace:
         try:
-            start = now = max([ends[name] for name in phase.after]
-                              + [gates[name] for name in phase.streams_from],
-                              default=0.0)
+            start = max([ends[name] for name in phase.after]
+                        + [gates[name] for name in phase.streams_from],
+                        default=0.0)
         except KeyError as missing:
             raise _unscheduled(trace, phase, missing.args[0]) from None
         starts[phase.name] = start
-        slice_seconds = phase.seconds / chunks
-        if pipelining and phase.streams_from:
-            chunk_ends = []
-            for ready in zip(*(marks[name] for name in phase.streams_from)):
-                now = max(now, *ready)
-                if slice_seconds > 0:
-                    now += slice_seconds
-                chunk_ends.append(now)
-        elif slice_seconds > 0:
-            chunk_ends = list(accumulate(repeat(slice_seconds, chunks),
-                                         initial=now))[1:]
-        else:
-            chunk_ends = [now] * chunks
-        marks[phase.name] = chunk_ends
-        ends[phase.name] = chunk_ends[-1]
+        producers = ([marks[name] for name in phase.streams_from]
+                     if pipelining else [])
+        marks[phase.name] = chunk_ends(start, phase.seconds, producers,
+                                       chunks)
+        ends[phase.name] = marks[phase.name][-1]
         timings.append(PhaseTiming(name=phase.name, kind=phase.kind,
-                                   start=start, end=chunk_ends[-1]))
+                                   start=start, end=ends[phase.name]))
     timings.sort(key=lambda timing: timing.end)
     return TimingResult(
         label=trace.label,
         total_seconds=max(ends.values(), default=0.0),
         phases={timing.name: timing for timing in timings},
     )
+
+
+def chunk_ends(start: float, seconds: float,
+               producers: Sequence[List[float]], chunks: int) -> List[float]:
+    """When each of a phase's ``chunks`` chunks ends, the phase starting
+    at ``start`` and streaming from phases with chunk ends ``producers``.
+
+    Chunk ``i`` ends ``seconds / chunks`` after the later of its own
+    chunk ``i - 1`` and every producer's chunk ``i``.  The slices are
+    summed one at a time, so every end is the float an event-by-event
+    simulation of the same rule reaches.
+    """
+    slice_seconds = seconds / chunks
+    now = start
+    if producers:
+        ends = []
+        for ready in zip(*producers):
+            now = max(now, *ready)
+            if slice_seconds > 0:
+                now += slice_seconds
+            ends.append(now)
+        return ends
+    if slice_seconds > 0:
+        return list(accumulate(repeat(slice_seconds, chunks),
+                               initial=start))[1:]
+    return [start] * chunks
 
 
 def _unscheduled(trace: Trace, phase: Phase,

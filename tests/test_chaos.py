@@ -226,6 +226,33 @@ class TestServiceReAdmission:
         assert "QueryAbortError" in outcome.error
         assert service.metrics.counter("service.query_failed").value == 1
 
+    def test_retry_timed_out_in_the_queue_keeps_its_clock(
+            self, paper_workload, paper_query):
+        """The first query aborts and the second takes the freed slot,
+        so the first's re-admission times out in the queue."""
+        warehouse = build_test_warehouse(paper_workload)
+        warehouse.arm_faults(FaultPlan.from_spec("abort:scan:1"))
+        try:
+            service = QueryService(warehouse, ServiceConfig(
+                admission=AdmissionConfig(slots=1, queue_timeout=10.0,
+                                          shed_fraction=None),
+                enable_result_cache=False, enable_feedback=False))
+            aborted, other = (
+                service.submit(paper_query, at=5.0, algorithm="zigzag")
+                for _ in range(2))
+            service.drain()
+        finally:
+            warehouse.disarm_faults()
+        outcome = aborted.outcome
+        assert other.outcome.ok
+        assert (outcome.status, outcome.reject_reason) \
+            == ("rejected", "timeout")
+        assert outcome.fault_retries_used == 1
+        assert outcome.submitted_at <= outcome.admitted_at \
+            <= outcome.finished_at
+        assert outcome.queue_wait \
+            == outcome.finished_at - outcome.submitted_at
+
     def test_abort_error_is_typed(self, paper_workload, paper_query):
         warehouse = build_test_warehouse(paper_workload)
         warehouse.arm_faults(FaultPlan.from_spec("abort:join:1"))

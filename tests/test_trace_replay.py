@@ -2,86 +2,52 @@
 
 ``replay_trace`` computes the schedule in one pass over the phases.
 ``engine_replay`` below is the same schedule written as a
-discrete-event simulation on :class:`~repro.sim.engine.SimEngine` — a
-process per phase that waits on barrier events and emits one event per
-chunk — and every ``PhaseTiming`` start and end of the one-pass replay
-must equal it bit for bit: on every registered algorithm's trace
+discrete-event simulation on the reference kernel
+(``tests/engine_reference.py``) — a process per phase that waits on
+barrier events and emits one event per chunk — and every
+``PhaseTiming`` start and end of the one-pass replay must equal it bit
+for bit: on every registered algorithm's trace
 (fault-spliced, adaptive-grafted and sampled ones included), pipelining
 on and off, at 1, 7 and 64 chunks, on random phase graphs, and across
 the seeded differential grid (``slow``).
 """
 
 import dataclasses
-from typing import Dict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, SimEngine, Timeout
 from repro.sim.replay import (
     DEFAULT_CHUNKS,
-    PhaseTiming,
     TimingResult,
     replay_trace,
 )
-from repro.sim.trace import Phase, Trace
+from repro.sim.trace import Trace
 from tests import test_trace_identity
+from tests.engine_reference import SimEngine, schedule_trace
 
 
 def engine_replay(trace, chunks=DEFAULT_CHUNKS, pipelining=True):
-    """The reference: ``trace`` simulated event by event.
-
-    Every phase becomes a process that waits for its ``after`` phases
-    to finish and its streaming producers to start (to finish, without
-    pipelining), then works through ``chunks`` slices, slice ``i``
-    waiting for every producer's chunk ``i``.
-    """
+    """The reference: ``trace`` simulated event by event — the
+    reference ``schedule_trace``, one process per phase, on a cluster
+    that never contends.  Without pipelining every stream edge is a
+    barrier."""
+    if not pipelining:
+        materialised = Trace(trace.label)
+        materialised._phases = {
+            phase.name: dataclasses.replace(
+                phase, after=phase.after + phase.streams_from,
+                streams_from=())
+            for phase in trace}
+        trace = materialised
     engine = SimEngine()
-    started = {phase.name: engine.event(f"{phase.name}-start")
-               for phase in trace}
-    finished = {phase.name: engine.event(f"{phase.name}-finish")
-                for phase in trace}
-    chunk_events = {
-        phase.name: [engine.event(f"{phase.name}-chunk{i}")
-                     for i in range(chunks)]
-        for phase in trace
-    }
-    timings: Dict[str, PhaseTiming] = {}
-
-    def run_phase(phase: Phase):
-        barriers = [finished[name] for name in phase.after]
-        stream_producers = list(phase.streams_from)
-        if pipelining:
-            barriers += [started[name] for name in stream_producers]
-        else:
-            barriers += [finished[name] for name in stream_producers]
-        if barriers:
-            yield AllOf(barriers)
-        start_time = engine.now
-        started[phase.name].succeed()
-
-        slice_seconds = phase.seconds / chunks
-        for index in range(chunks):
-            if pipelining and stream_producers:
-                yield AllOf(
-                    [chunk_events[name][index] for name in stream_producers]
-                )
-            if slice_seconds > 0:
-                yield Timeout(slice_seconds)
-            chunk_events[phase.name][index].succeed()
-        finished[phase.name].succeed()
-        timings[phase.name] = PhaseTiming(
-            name=phase.name, kind=phase.kind,
-            start=start_time, end=engine.now,
-        )
-
-    for phase in trace:
-        engine.process(run_phase(phase), name=phase.name)
-    total = engine.run()
-    return TimingResult(label=trace.label, total_seconds=total,
-                        phases=timings)
+    run = schedule_trace(engine, SimpleNamespace(resource_for=lambda _: None),
+                         trace, chunks=chunks)
+    return TimingResult(label=trace.label, total_seconds=engine.run(),
+                        phases=run.timings)
 
 
 def assert_same_schedule(trace, chunks, pipelining, same_path=True):
