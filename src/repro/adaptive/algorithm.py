@@ -41,9 +41,11 @@ from repro.core.joins.base import (
     ExecutionContext,
     JoinAlgorithm,
     JoinResult,
+    add_scan_phase,
     algorithm_by_name,
     register_algorithm,
 )
+from repro.jen.worker import ScanStats
 from repro.query.query import HybridQuery
 
 
@@ -200,21 +202,15 @@ class AdaptiveJoin(JoinAlgorithm):
                     if prefix + "bf_db_send" in segment_phases
                     else [prefix + "startup"]
                 )
-                trace.add(
-                    prefix + "hdfs_scan", "hdfs_scan",
-                    costing.hdfs_scan_seconds(
-                        collector.stored_bytes_scanned,
-                        collector.rows_scanned,
-                        meta.format_name,
-                        remote_fraction=0.0,
+                add_scan_phase(
+                    trace, costing, prefix + "hdfs_scan",
+                    ScanStats(
+                        rows_scanned=collector.rows_scanned,
+                        stored_bytes_scanned=collector.stored_bytes_scanned,
                     ),
-                    after=scan_gate,
-                    description=(
-                        f"partial scan abandoned at "
-                        f"{segment.decision.at_progress:.0%}"
-                    ),
-                    volume_bytes=collector.stored_bytes_scanned,
-                    tuples=collector.rows_scanned,
+                    meta.format_name, scan_gate,
+                    f"partial scan abandoned at "
+                    f"{segment.decision.at_progress:.0%}",
                 )
                 segment_phases.append(prefix + "hdfs_scan")
             switch_name = (

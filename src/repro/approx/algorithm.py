@@ -35,6 +35,7 @@ from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
     JoinRun,
+    add_scan_phase,
     register_algorithm,
 )
 from repro.errors import JoinError
@@ -160,22 +161,12 @@ class ApproxJoin(JoinAlgorithm):
         stats.result_rows = estimate.result.num_rows
 
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
-        total_read = scanned.local_blocks + scanned.remote_blocks
-        remote_fraction = (scanned.remote_blocks / total_read
-                           if total_read else 0.0)
-        trace.add("hdfs_scan", "hdfs_scan",
-                  costing.hdfs_scan_seconds(
-                      stats.hdfs_stored_bytes_scanned,
-                      stats.hdfs_rows_scanned, meta.format_name,
-                      remote_fraction=remote_fraction,
-                  ),
-                  after=list(scan_gate),
-                  description=f"sampled scan of L ({meta.format_name}): "
-                              f"{estimate.blocks_scanned}/"
-                              f"{estimate.blocks_total} blocks"
-                              + (", BF_DB" if db_bloom is not None else ""),
-                  volume_bytes=stats.hdfs_stored_bytes_scanned,
-                  tuples=stats.hdfs_rows_scanned)
+        add_scan_phase(trace, costing, "hdfs_scan", scanned,
+                       meta.format_name, scan_gate,
+                       f"sampled scan of L ({meta.format_name}): "
+                       f"{estimate.blocks_scanned}/"
+                       f"{estimate.blocks_total} blocks"
+                       + (", BF_DB" if db_bloom is not None else ""))
         l_wire_bytes = (
             first_wire.row_bytes() if first_wire is not None else 0
         )

@@ -156,6 +156,14 @@ class CostModel:
     #: Returning the small final aggregate to the database side.
     result_return_seconds: float = 0.5
 
+    def scan_bytes_per_s(self, format_name: str) -> float:
+        """Warm scan throughput per DataNode for a storage format
+        (an unknown format scans at the text rate)."""
+        return {
+            "parquet": self.parquet_scan_bytes_per_s,
+            "orc": self.orc_scan_bytes_per_s,
+        }.get(format_name, self.text_scan_bytes_per_s)
+
 
 @dataclass(frozen=True)
 class PaperScale:

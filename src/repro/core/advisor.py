@@ -40,33 +40,6 @@ class WorkloadEstimate:
     l_scan_bytes: float = 30.0
     format_name: str = "parquet"
     bloom_fpr: float = 0.05
-    #: Whether each side's storage clusters rows by the join key.  Late
-    #: materialization's payload fetch reads whole pages, so surviving
-    #: row ids on a key-clustered table land in few pages (amplification
-    #: ~1) while a scattered table pays up to the full page factor.
-    t_key_clustered: bool = False
-    l_key_clustered: bool = False
-
-
-@dataclass(frozen=True)
-class LateMatDecision:
-    """Whether late materialization is predicted to pay for a query.
-
-    The advisor compares the classic full-row transfer cost against the
-    thin-plus-stitch cost on the repartition-family shape (the paper's
-    robust default, and where late materialization changes the most
-    bytes).  ``use`` is False whenever the toggle is off, the payloads
-    are too narrow to beat the 12-byte thin row, or the join is so
-    unselective (near-cartesian) that fetching almost every payload
-    back — with page amplification — costs more than shipping full rows
-    once.
-    """
-
-    enabled: bool
-    use: bool
-    classic_seconds: float
-    latemat_seconds: float
-    rationale: str
 
 
 @dataclass(frozen=True)
@@ -76,9 +49,6 @@ class AdvisorDecision:
     best: str
     estimated_seconds: Dict[str, float]
     rationale: str
-    #: Per-query late-materialization verdict (None when the advisor
-    #: was asked only for the algorithm ranking).
-    latemat: Optional[LateMatDecision] = None
 
     def ranking(self) -> List[Tuple[str, float]]:
         """Algorithms from fastest to slowest estimate.
@@ -128,110 +98,15 @@ class JoinAdvisor:
     def db_filter_seconds(self, est: WorkloadEstimate) -> float:
         """Estimated database filter time — sunk once T′ is built, and
         credited back when banked T′ partitions make it reusable."""
-        return self._costing.db_table_scan_seconds(est.t_rows * 65.0)
+        return self._costing.db_table_scan_seconds(
+            est.t_rows * self.config.paper.t_row_bytes)
 
     def decide(self, est: WorkloadEstimate) -> AdvisorDecision:
         """Pick the cheapest algorithm (ties on name) and explain it."""
         estimates = self.estimate_all(est)
         best = min(estimates, key=lambda name: (estimates[name], name))
-        rationale = self._rationale(est, best)
-        return AdvisorDecision(
-            best=best, estimated_seconds=estimates, rationale=rationale,
-            latemat=self.late_materialization_decision(est),
-        )
-
-    def late_materialization_decision(
-        self, est: WorkloadEstimate,
-        observed_s_t: Optional[float] = None,
-        observed_s_l: Optional[float] = None,
-    ) -> LateMatDecision:
-        """Should this query ship thin rows and stitch, or full rows?
-
-        Compares, with the same :class:`JoinCosting` primitives the
-        traces pay, the repartition-shape transfer bill of the classic
-        plan (full rows once) against the late-materialized plan (thin
-        rows plus a page-amplified payload fetch of the join
-        survivors).  ``observed_s_t``/``observed_s_l`` let the adaptive
-        plane refine the planner's join-key selectivities with what the
-        run actually measured; estimates are used where no observation
-        exists.
-        """
-        from repro.latemat import (
-            PAGE_ROWS,
-            ROWID_BYTES,
-            late_materialization_enabled,
-        )
-
-        enabled = late_materialization_enabled()
-        c = self._costing
-        key_bytes = 4.0
-        thin_bytes = key_bytes + ROWID_BYTES
-        s_t = est.s_t if observed_s_t is None else observed_s_t
-        s_l = est.s_l if observed_s_l is None else observed_s_l
-        t_prime = est.t_rows * est.sigma_t
-        l_prime = est.l_rows * est.sigma_l
-        skew = self._shuffle_skew()
-
-        classic = (
-            c.jen_shuffle_seconds(l_prime, est.l_wire_bytes, skew=skew)
-            + c.db_export_seconds(t_prime, est.t_wire_bytes)
-        )
-
-        # Thin rows move first; survivors of the join fetch their
-        # payload back in whole 64-row pages.  On a key-clustered store
-        # the survivors sit in few pages (amplification ~1); scattered
-        # row ids touch roughly min(PAGE_ROWS, 1/s) rows per returned
-        # row.
-        def amplification(survivor_fraction: float,
-                          clustered: bool) -> float:
-            if clustered or survivor_fraction <= 0:
-                return 1.0
-            return min(float(PAGE_ROWS),
-                       max(1.0, 1.0 / survivor_fraction))
-
-        surv_l_frac = min(1.0, s_l)
-        surv_t_frac = min(1.0, s_t)
-        l_payload = max(0.0, est.l_wire_bytes - key_bytes) + ROWID_BYTES
-        t_payload = max(0.0, est.t_wire_bytes - key_bytes) + ROWID_BYTES
-        latemat = (
-            c.jen_shuffle_seconds(l_prime, thin_bytes, skew=skew)
-            + c.db_export_seconds(t_prime, thin_bytes)
-            + c.payload_fetch_seconds(
-                l_prime * surv_l_frac, l_payload,
-                amplification=amplification(
-                    surv_l_frac, est.l_key_clustered
-                ),
-            )
-            + c.payload_fetch_seconds(
-                t_prime * surv_t_frac, t_payload,
-                amplification=amplification(
-                    surv_t_frac, est.t_key_clustered
-                ),
-                cross_cluster=True,
-            )
-        )
-
-        wide_enough = (est.l_wire_bytes > thin_bytes
-                       or est.t_wire_bytes > thin_bytes)
-        use = enabled and wide_enough and latemat < classic
-        if not enabled:
-            rationale = "late materialization is disabled"
-        elif not wide_enough:
-            rationale = (f"payload rows are no wider than the "
-                         f"{thin_bytes:.0f}-byte thin row; nothing to "
-                         "defer")
-        elif use:
-            rationale = (f"selective join (S_T={s_t:g}, S_L={s_l:g}) on "
-                         "wide payloads: thin shuffle + stitch beats "
-                         "full-row shipping")
-        else:
-            rationale = (f"join keeps most rows (S_T={s_t:g}, "
-                         f"S_L={s_l:g}): page-amplified payload fetches "
-                         "would out-cost the full-row transfer")
-        return LateMatDecision(
-            enabled=enabled, use=use, classic_seconds=classic,
-            latemat_seconds=latemat, rationale=rationale,
-        )
+        return AdvisorDecision(best=best, estimated_seconds=estimates,
+                               rationale=self._rationale(est, best))
 
     # ------------------------------------------------------------------
     # Per-algorithm analytic estimates.  These intentionally use the same
@@ -254,15 +129,10 @@ class JoinAdvisor:
         )
 
     def _common(self, est: WorkloadEstimate):
-        c = self._costing
         t_prime = est.t_rows * est.sigma_t
         l_prime = est.l_rows * est.sigma_l
-        scan = c.hdfs_scan_seconds(
-            est.l_rows * est.l_scan_bytes, est.l_rows, est.format_name
-        )
-        t_meta_bytes = est.t_rows * 65.0
-        db_filter = c.db_table_scan_seconds(t_meta_bytes)
-        return c, t_prime, l_prime, scan, db_filter
+        return (self._costing, t_prime, l_prime, self.scan_seconds(est),
+                self.db_filter_seconds(est))
 
     def _estimate_repartition(self, est: WorkloadEstimate,
                               use_bloom: bool) -> float:

@@ -308,11 +308,11 @@ def probe_and_insert(keys: np.ndarray, probe: BloomFilter,
     pass: the survivors are hashed a second time, and that cannot be
     shared — the two filters never agree on positions in any
     registered algorithm (BF_DB is built with seed 7 in
-    ``database.build_global_bloom``, BF_H with ``bloom_seed=11`` in
-    ``jen/engine.py``).  For integer join keys from a small domain
-    each step hashes distinct keys only: ``contains`` the distinct
-    probed keys, ``add`` the distinct survivors.  Returns the keep
-    mask.
+    ``database.build_global_bloom``, BF_H with seed 11,
+    ``jen.engine.BF_H_SEED``).  For integer join keys from a small
+    domain each step hashes distinct keys only: ``contains`` the
+    distinct probed keys, ``add`` the distinct survivors.  Returns the
+    keep mask.
     """
     keys = np.asarray(keys)
     if keys.size == 0:

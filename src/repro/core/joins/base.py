@@ -184,8 +184,8 @@ class JoinRun:
 
     Opening a run prices its ``startup`` phase.  The methods below are
     the steps most algorithms share: filtering T locally, building and
-    multicasting BF_DB, the distributed HDFS scan, and thinning what a
-    transfer ships.  The algorithm modules add the other stages
+    multicasting BF_DB, and the distributed HDFS scan.  The algorithm
+    modules add the other stages
     (:func:`~repro.core.joins.repartition.shuffle_l`,
     :func:`~repro.core.joins.repartition.ship_t`,
     :func:`~repro.core.joins.repartition.jen_tail`,
@@ -353,55 +353,34 @@ class JoinRun:
         stats.hdfs_rows_after_predicates = scan.stats.rows_after_predicates
         stats.hdfs_rows_after_bloom = scan.stats.rows_after_bloom
         stats.hdfs_rows_discarded += scan.stats.rows_discarded
-        meta = self.warehouse.hdfs.table_meta(query.hdfs_table)
-        total_blocks = scan.stats.local_blocks + scan.stats.remote_blocks
-        remote_fraction = (
-            scan.stats.remote_blocks / total_blocks if total_blocks else 0.0
-        )
-        self.trace.add("hdfs_scan", "hdfs_scan",
-                       self.costing.hdfs_scan_seconds(
-                           scan.stats.stored_bytes_scanned,
-                           scan.stats.rows_scanned,
-                           meta.format_name,
-                           remote_fraction=remote_fraction,
-                       ),
-                       after=list(gate),
-                       description=f"scan L ({meta.format_name}): "
-                                   "predicates, projection"
-                                   + (", BF_DB" if db_bloom is not None
-                                      else "")
-                                   + (", build BF_H" if build_hdfs_bloom
-                                      else ""),
-                       volume_bytes=scan.stats.stored_bytes_scanned,
-                       tuples=scan.stats.rows_scanned)
+        format_name = self.warehouse.hdfs.table_meta(
+            query.hdfs_table).format_name
+        add_scan_phase(self.trace, self.costing, "hdfs_scan", scan.stats,
+                       format_name, gate,
+                       f"scan L ({format_name}): predicates, projection"
+                       + (", BF_DB" if db_bloom is not None else "")
+                       + (", build BF_H" if build_hdfs_bloom else ""))
         return scan
 
-    def thin(self, tables: List[Table], side: str):
-        """What one transfer edge ships, and the price of a row of it.
 
-        Returns ``(store, tables_to_ship, row_bytes)``.  When late
-        materialization thins the edge, the store keeps the payloads
-        and thin ``(key, rowid)`` twins travel; otherwise the store is
-        ``None`` and ``tables`` travel as they are.  While late
-        materialization is on a row is priced at
-        :meth:`Table.wire_row_bytes` (dictionary columns as ids), else
-        at its logical :meth:`Table.row_bytes`.
-        """
-        from repro.latemat import (
-            late_materialization_enabled,
-            thin_for_transfer,
-        )
-        from repro.query.plan import needed_wire_columns
+def add_scan_phase(trace: Trace, costing: JoinCosting, name: str, scan,
+                   format_name: str, gate, description: str) -> None:
+    """Price one distributed scan of L as the phase ``name``.
 
-        key = (self.query.hdfs_join_key if side == "hdfs"
-               else self.query.db_join_key)
-        store = thin_for_transfer(
-            tables, key, needed=needed_wire_columns(self.query, side)
-        )
-        ship = list(tables) if store is None else store.thin_tables()
-        if late_materialization_enabled():
-            return store, ship, ship[0].wire_row_bytes()
-        return store, ship, float(ship[0].row_bytes())
+    ``scan`` is the scan's :class:`~repro.jen.worker.ScanStats`: the
+    stored bytes and rows it read, and the share of its blocks read
+    off a remote replica, which pays the NIC-capped rate.  The phase
+    waits for ``gate``.
+    """
+    blocks = scan.local_blocks + scan.remote_blocks
+    remote_fraction = scan.remote_blocks / blocks if blocks else 0.0
+    trace.add(name, "hdfs_scan",
+              costing.hdfs_scan_seconds(scan.stored_bytes_scanned,
+                                        scan.rows_scanned, format_name,
+                                        remote_fraction),
+              after=list(gate), description=description,
+              volume_bytes=scan.stored_bytes_scanned,
+              tuples=scan.rows_scanned)
 
 
 #: Phase name -> (bytes-shipped category, crosses the EDW<->HDFS

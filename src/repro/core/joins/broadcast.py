@@ -21,6 +21,7 @@ from repro.core.joins.base import (
     register_algorithm,
 )
 from repro.core.joins.repartition import Delivery, jen_tail
+from repro.latemat import transfer_edge
 from repro.net.transfer import TransferPattern
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
@@ -48,7 +49,7 @@ class BroadcastJoin(JoinAlgorithm):
 
         # -- Step 2: broadcast T' to every JEN worker --------------------
         t_full = Table.concat(t_parts)
-        t_store, t_ship, t_wire_bytes = run.thin([t_full], "db")
+        t_store, t_ship, t_wire_bytes = transfer_edge([t_full], query, "db")
         t_tuples = t_full.num_rows
         stats.db_tuples_sent = t_tuples
         stats.db_send_copies = workers

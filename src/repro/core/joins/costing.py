@@ -178,12 +178,7 @@ class JoinCosting:
         NIC, which is what the locality-aware scheduler (Section 4.2)
         exists to avoid.
         """
-        rates = {
-            "text": self.cost.text_scan_bytes_per_s,
-            "parquet": self.cost.parquet_scan_bytes_per_s,
-            "orc": self.cost.orc_scan_bytes_per_s,
-        }
-        rate = rates.get(format_name, self.cost.text_scan_bytes_per_s)
+        rate = self.cost.scan_bytes_per_s(format_name)
         remote_rate = min(rate, self.topology.hdfs.nic_bytes_per_s)
         scaled = raw_stored_bytes * self.scale_up
         local_bytes = scaled * (1.0 - remote_fraction)

@@ -35,7 +35,7 @@ from repro.core.joins.base import (
     register_algorithm,
 )
 from repro.edw.optimizer import choose_db_join_strategy
-from repro.latemat import StitchStats, stitch_parts
+from repro.latemat import StitchStats, stitch_parts, transfer_edge
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
 
@@ -77,7 +77,7 @@ def edw_tail(run: JoinRun, name: str, wire_tables: List[Table],
     """
     costing, stats, trace = run.costing, run.stats, run.trace
     query, database = run.query, run.warehouse.database
-    store, ship, row_bytes = run.thin(wire_tables, "hdfs")
+    store, ship, row_bytes = transfer_edge(wire_tables, query, "hdfs")
     ingested = _group_ingest(ship, database.num_workers)
     l_tuples = sum(part.num_rows for part in ingested)
     stats.hdfs_tuples_to_db = l_tuples

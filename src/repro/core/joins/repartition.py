@@ -35,7 +35,7 @@ from repro.core.joins.base import (
 )
 from repro.edw.partitioner import agreed_hash_partition
 from repro.kernels.partition import partition_table
-from repro.latemat import LateMatPlan, PayloadStore
+from repro.latemat import LateMatPlan, PayloadStore, transfer_edge
 from repro.relational.table import Table
 from repro.skew import STEAL_THRESHOLD
 from repro.testkit import invariants
@@ -99,7 +99,7 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
     balance it measured.
     """
     costing, stats = run.costing, run.stats
-    store, ship, row_bytes = run.thin(tables, "hdfs")
+    store, ship, row_bytes = transfer_edge(tables, run.query, "hdfs")
     shuffled = run.warehouse.jen.shuffle_by_key(
         ship, run.query.hdfs_join_key, hot_keys=hot_keys)
     tuples = shuffled.tuples_shuffled
@@ -133,7 +133,7 @@ def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
     spread set (``jen_hot_relay``).
     """
     costing, stats, trace = run.costing, run.stats, run.trace
-    store, ship, row_bytes = run.thin(t_parts, "db")
+    store, ship, row_bytes = transfer_edge(t_parts, run.query, "db")
     t_dest, hot_rows, hot_copies = _route_db_rows(
         ship, run.query.db_join_key, run.warehouse.jen.num_workers,
         hot_keys=hot_keys)

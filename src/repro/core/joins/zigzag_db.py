@@ -30,6 +30,7 @@ from repro.core.joins.base import (
     JoinAlgorithm,
     JoinResult,
     JoinRun,
+    add_scan_phase,
     register_algorithm,
 )
 from repro.core.joins.db_side import edw_tail
@@ -61,15 +62,9 @@ class ZigzagDbJoin(JoinAlgorithm):
         run.stats.hdfs_rows_scanned += second_scan.stats.rows_scanned
         run.stats.hdfs_stored_bytes_scanned += \
             second_scan.stats.stored_bytes_scanned
-        run.trace.add("hdfs_scan_2", "hdfs_scan",
-                      run.costing.hdfs_scan_seconds(
-                          second_scan.stats.stored_bytes_scanned,
-                          second_scan.stats.rows_scanned,
-                          meta.format_name,
-                      ),
-                      after=["hdfs_scan"],
-                      description="second full scan of L (no indexes on "
-                                  "HDFS): predicates + BF_DB again",
-                      tuples=second_scan.stats.rows_scanned)
+        add_scan_phase(run.trace, run.costing, "hdfs_scan_2",
+                       second_scan.stats, meta.format_name, ["hdfs_scan"],
+                       "second full scan of L (no indexes on HDFS): "
+                       "predicates + BF_DB again")
         return edw_tail(run, "L''", second_scan.wire_tables, "hdfs_scan_2",
                         t_pruned, "db_second_access")

@@ -43,6 +43,11 @@ from repro.relational.table import Table
 from repro.query.plan import join_aggregate
 from repro.query.query import HybridQuery
 
+#: Hash seed of BF_H, the filter a scan builds over its surviving join
+#: keys.  BF_DB is built with seed 7, so the two filters never agree on
+#: positions.
+BF_H_SEED = 11
+
 
 @dataclass
 class DistributedScanResult:
@@ -198,7 +203,6 @@ class Jen:
         query: HybridQuery,
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
-        bloom_seed: int = 11,
         observers: Tuple = (),
     ) -> DistributedScanResult:
         """Scan the query's HDFS table on every worker.
@@ -212,7 +216,6 @@ class Jen:
             ScanRequest.from_query(query),
             db_bloom=db_bloom,
             build_hdfs_bloom=build_hdfs_bloom,
-            bloom_seed=bloom_seed,
             observers=observers,
         )
 
@@ -222,7 +225,6 @@ class Jen:
         request: ScanRequest,
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
-        bloom_seed: int = 11,
         observers: Tuple = (),
     ) -> DistributedScanResult:
         """Query-independent distributed scan (the read_hdfs path).
@@ -239,8 +241,8 @@ class Jen:
         self._scan_depth += 1
         try:
             return self._run_scan_queue(
-                meta, request, db_bloom, build_hdfs_bloom,
-                bloom_seed, injector, observers,
+                meta, request, db_bloom, build_hdfs_bloom, injector,
+                observers,
             )
         finally:
             self._scan_depth -= 1
@@ -300,7 +302,6 @@ class Jen:
         request: ScanRequest,
         db_bloom: Optional[BloomFilter],
         build_hdfs_bloom: bool,
-        bloom_seed: int,
         injector: Optional[FaultInjector],
         observers: Tuple,
     ) -> DistributedScanResult:
@@ -368,7 +369,7 @@ class Jen:
             hdfs_bloom = BloomFilter(
                 self.config.bloom_bits(),
                 self.config.bloom.num_hashes,
-                seed=bloom_seed,
+                seed=BF_H_SEED,
             )
         wires = finish_scan(
             selection, [batch for _worker, batch in batches], request,

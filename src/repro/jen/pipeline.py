@@ -79,13 +79,8 @@ def simulate_worker_pipeline(inputs: PipelineInputs,
     cost = config.cost
     cluster = config.cluster
 
-    rates = {
-        "text": cost.text_scan_bytes_per_s,
-        "parquet": cost.parquet_scan_bytes_per_s,
-        "orc": cost.orc_scan_bytes_per_s,
-    }
-    scan_rate = rates.get(inputs.format_name, cost.text_scan_bytes_per_s)
-    read_seconds = inputs.stored_bytes / scan_rate
+    read_seconds = (inputs.stored_bytes
+                    / cost.scan_bytes_per_s(inputs.format_name))
     process_seconds = inputs.rows_scanned / cost.jen_process_tuples_per_s
     outbound = inputs.rows_out * inputs.wire_row_bytes
     inbound = inputs.rows_in * inputs.wire_row_bytes

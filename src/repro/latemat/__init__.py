@@ -30,8 +30,9 @@ fetch-amplification model below: scattered row ids touch whole pages
 more bytes than it returns.
 
 Everything is gated behind :func:`set_late_materialization_enabled`,
-mirroring the skew toggle, so before/after comparisons run genuinely
-identical code paths with only the wire discipline swapped.
+which only this module reads (:func:`transfer_edge`), so before/after
+comparisons run genuinely identical code paths with only the wire
+discipline swapped.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.query.plan import needed_wire_columns
+from repro.query.query import HybridQuery
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 
@@ -213,6 +216,28 @@ def thin_for_transfer(tables: Sequence[Table], key: str,
     return PayloadStore(tables, key)
 
 
+def transfer_edge(tables: Sequence[Table], query: HybridQuery, side: str,
+                  ) -> Tuple[Optional[PayloadStore], List[Table], float]:
+    """What one transfer edge ships, and the price of a row of it.
+
+    ``side`` is ``"hdfs"`` for L's rows and ``"db"`` for T's.  Returns
+    ``(store, tables_to_ship, row_bytes)``.  When
+    :func:`thin_for_transfer` thins the edge, the store keeps the
+    payloads and thin ``(key, rowid)`` twins travel; otherwise the store
+    is ``None`` and ``tables`` travel as they are.  While late
+    materialization is on a row is priced at
+    :meth:`Table.wire_row_bytes` (dictionary columns as ids), else at
+    its logical :meth:`Table.row_bytes`.
+    """
+    key = query.hdfs_join_key if side == "hdfs" else query.db_join_key
+    store = thin_for_transfer(
+        tables, key, needed=needed_wire_columns(query, side))
+    ship = list(tables) if store is None else store.thin_tables()
+    if late_materialization_enabled():
+        return store, ship, ship[0].wire_row_bytes()
+    return store, ship, float(ship[0].row_bytes())
+
+
 @dataclass
 class StitchStats:
     """Volume accounting of one stitch (filled by the engine)."""
@@ -338,4 +363,5 @@ __all__ = [
     "set_late_materialization_enabled",
     "thin_for_transfer",
     "thin_table",
+    "transfer_edge",
 ]

@@ -2,11 +2,10 @@
 
 Covers the toggle, the thin/prune/stitch primitives, the
 dictionary-aware wire accounting, the fetch-amplification model, the
-advisor's accept/decline decision, the service plane's bytes-shipped
-counters, the bytes and seconds thin wires buy on a constrained link
-(pinned), and — the load-bearing part — oracle identity of every
-algorithm with the toggle on, including the skew and fault
-interactions.
+service plane's bytes-shipped counters, the bytes and seconds thin
+wires buy on a constrained link (pinned), and — the load-bearing part
+— oracle identity of every algorithm with the toggle on, including the
+skew and fault interactions.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config import HybridConfig
-from repro.core.advisor import JoinAdvisor, WorkloadEstimate
 from repro.latemat import (
     PAGE_ROWS,
     ROWID_BYTES,
@@ -31,6 +28,7 @@ from repro.latemat import (
     stitch_parts,
     thin_for_transfer,
     thin_table,
+    transfer_edge,
 )
 from repro.query.plan import needed_wire_columns
 from repro.relational.schema import Column, DataType, Schema
@@ -169,6 +167,40 @@ class TestThin:
         assert out[0] is table
 
 
+class TestTransferEdge:
+    """What a transfer edge ships, and what a row of it costs."""
+
+    @pytest.fixture
+    def l_wire(self, loaded_warehouse, paper_query):
+        return loaded_warehouse.jen.distributed_scan(paper_query).wire_tables
+
+    def test_off_ships_full_rows_at_logical_width(self, l_wire,
+                                                  paper_query):
+        store, ship, row_bytes = transfer_edge(l_wire, paper_query, "hdfs")
+        assert store is None
+        assert all(sent is wire for sent, wire in zip(ship, l_wire))
+        assert row_bytes == float(l_wire[0].row_bytes())
+
+    def test_on_ships_thin_twins_at_wire_width(self, l_wire, paper_query):
+        set_late_materialization_enabled(True)
+        store, ship, row_bytes = transfer_edge(l_wire, paper_query, "hdfs")
+        assert store is not None
+        assert all(is_thin(table) for table in ship)
+        assert row_bytes == ship[0].wire_row_bytes() \
+            < l_wire[0].wire_row_bytes()
+
+    def test_on_narrow_side_ships_full_rows_at_wire_width(
+            self, paper_workload, paper_query):
+        # T' is (joinKey, predAfterJoin): no wider than a thin row.
+        set_late_materialization_enabled(True)
+        t_prime = paper_workload.t_table.project(
+            list(paper_query.db_projection))
+        store, ship, row_bytes = transfer_edge([t_prime], paper_query, "db")
+        assert store is None
+        assert ship[0] is t_prime
+        assert row_bytes == t_prime.wire_row_bytes()
+
+
 # ----------------------------------------------------------------------
 # Fetch amplification
 # ----------------------------------------------------------------------
@@ -245,77 +277,6 @@ class TestNeededWireColumns:
     def test_bad_side_rejected(self, paper_query):
         with pytest.raises(ValueError):
             needed_wire_columns(paper_query, "edw")
-
-
-# ----------------------------------------------------------------------
-# Advisor decision
-# ----------------------------------------------------------------------
-class TestAdvisorDecision:
-    @staticmethod
-    def _advisor() -> JoinAdvisor:
-        """Advisor on a volume-bound (constrained-switch) link."""
-        config = HybridConfig()
-        cluster = dataclasses.replace(
-            config.cluster, switch_bytes_per_s=25.0 * 1024 * 1024)
-        return JoinAdvisor(dataclasses.replace(config, cluster=cluster))
-
-    @staticmethod
-    def _estimate(**overrides) -> WorkloadEstimate:
-        base = dict(
-            t_rows=200e6, l_rows=600e6, sigma_t=0.3, sigma_l=0.1,
-            s_t=0.3, s_l=0.2, t_wire_bytes=50.0, l_wire_bytes=32.0,
-            t_key_clustered=True, l_key_clustered=True,
-        )
-        base.update(overrides)
-        return WorkloadEstimate(**base)
-
-    def test_accepts_selective_wide_clustered(self):
-        set_late_materialization_enabled(True)
-        decision = self._advisor().late_materialization_decision(
-            self._estimate())
-        assert decision.use
-        assert decision.latemat_seconds < decision.classic_seconds
-
-    def test_declines_low_selectivity(self):
-        set_late_materialization_enabled(True)
-        decision = self._advisor().late_materialization_decision(
-            self._estimate(s_t=0.9, s_l=0.9, t_key_clustered=False,
-                           l_key_clustered=False))
-        assert not decision.use
-        assert "keeps most rows" in decision.rationale
-
-    def test_declines_when_toggle_off(self):
-        decision = self._advisor().late_materialization_decision(
-            self._estimate())
-        assert not decision.enabled
-        assert not decision.use
-        assert "disabled" in decision.rationale
-
-    def test_declines_narrow_payload(self):
-        set_late_materialization_enabled(True)
-        decision = self._advisor().late_materialization_decision(
-            self._estimate(t_wire_bytes=10.0, l_wire_bytes=12.0))
-        assert not decision.use
-        assert "thin row" in decision.rationale
-
-    def test_observed_selectivity_overrides_estimate(self):
-        set_late_materialization_enabled(True)
-        advisor = self._advisor()
-        optimistic = self._estimate(s_t=0.05, s_l=0.05)
-        assert advisor.late_materialization_decision(optimistic).use
-        refined = advisor.late_materialization_decision(
-            optimistic, observed_s_t=1.0, observed_s_l=1.0)
-        assert refined.latemat_seconds > refined.classic_seconds
-
-    def test_clustering_lowers_latemat_cost(self):
-        set_late_materialization_enabled(True)
-        advisor = self._advisor()
-        clustered = advisor.late_materialization_decision(
-            self._estimate())
-        scattered = advisor.late_materialization_decision(
-            self._estimate(t_key_clustered=False,
-                           l_key_clustered=False))
-        assert clustered.latemat_seconds < scattered.latemat_seconds
 
 
 # ----------------------------------------------------------------------

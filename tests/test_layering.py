@@ -67,9 +67,34 @@ def importers(target: str) -> Set[str]:
     }
 
 
+def called_names(path: Path) -> List[str]:
+    """The name of every function or method a file calls, once per
+    call site (``f(...)`` is ``f``, ``x.f(...)`` is ``f``)."""
+    names: List[str] = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.append(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.append(node.func.attr)
+    return names
+
+
+CALLS: Dict[str, List[str]] = {
+    module_name(path): called_names(path)
+    for path in sorted((SRC / "repro").rglob("*.py"))
+}
+
+
+def callers(function: str) -> Dict[str, int]:
+    """Module -> call sites of ``function`` in it."""
+    return {module: names.count(function)
+            for module, names in CALLS.items() if function in names}
+
+
 def test_the_scan_sees_function_local_imports():
     # They are how most cross-layer edges are made.
-    assert "repro.core.joins.base" in importers("repro.latemat")
+    assert "repro.core.joins.base" in importers("repro.skew")
     assert "repro.kernels" in importers("repro.kernels.partition")
 
 
@@ -85,6 +110,20 @@ def test_nothing_imports_the_wire_codec():
 def test_data_movement_does_not_import_late_materialization(module):
     assert module in IMPORTS
     assert module not in importers("repro.latemat")
+
+
+def test_only_latemat_reads_the_late_materialization_toggle():
+    """``repro.latemat`` decides and prices every transfer edge's late
+    materialization (``transfer_edge``); nothing else asks the toggle."""
+    assert set(callers("late_materialization_enabled")) \
+        == {"repro.latemat"}
+
+
+def test_one_scan_pricer():
+    """Every executed scan of L is priced by ``add_scan_phase``; the
+    advisor's estimate is the only other caller."""
+    assert callers("hdfs_scan_seconds") \
+        == {"repro.core.advisor": 1, "repro.core.joins.base": 1}
 
 
 #: The layers the adaptive plane observes.  Its context reaches them as
@@ -187,18 +226,26 @@ STAGE_PHASES = (
 
 
 def trace_add_sites(path: Path) -> Dict[str, int]:
-    """Literal phase name -> ``trace.add`` call sites in one file."""
+    """Literal phase name -> ``trace.add`` (or scan pricer
+    ``add_scan_phase(trace, costing, name, ...)``) call sites in one
+    file."""
     sites: Dict[str, int] = {}
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add" and node.args
-                and isinstance(node.args[0], ast.Constant)):
+        if not isinstance(node, ast.Call):
             continue
-        owner = node.func.value
-        if (isinstance(owner, ast.Name) and owner.id == "trace") or (
-                isinstance(owner, ast.Attribute) and owner.attr == "trace"):
-            name = node.args[0].value
+        func, name = node.func, None
+        if (isinstance(func, ast.Attribute) and func.attr == "add"
+                and node.args and isinstance(node.args[0], ast.Constant)):
+            owner = func.value
+            if (isinstance(owner, ast.Name) and owner.id == "trace") or (
+                    isinstance(owner, ast.Attribute)
+                    and owner.attr == "trace"):
+                name = node.args[0].value
+        elif (isinstance(func, ast.Name) and func.id == "add_scan_phase"
+                and len(node.args) > 2
+                and isinstance(node.args[2], ast.Constant)):
+            name = node.args[2].value
+        if name is not None:
             sites[name] = sites.get(name, 0) + 1
     return sites
 

@@ -200,7 +200,7 @@ PINS: Dict[str, str] = {
     "repartition(BF)/classic": "3d60b6de50eb9ea92ea1b8f903c027d1e2a184e3ff551636d23347ef20811779",
     "semijoin/classic": "cb1c15b8de14ebf988500fddf16fd46d42f2a0b50ccc19d698b1e37d8e020af9",
     "zigzag/classic": "4bb4fc1931629edec3f1167c6350b2d23069bd7a6f6eb310d4cda00f13c1b0d7",
-    "zigzag-db/classic": "3f673559fb351d0ed1c6024c23b61847e6185c545507c4ac88cd5f183af53382",
+    "zigzag-db/classic": "32d593ff226e37bbf4a7ac248a3da1e33b297f8a75d5c10be77c4bfe10c0d19e",
     "adaptive[switch]/classic": "9f3230aac156f452f4740d8772aacf70088739276e59daaecabb762a0e7ec275",
     "approx@0.25/classic": "686967076a4522d5236ffc2918a83ad907e973b0d4c29cbf4b5ed7737519484e",
     "adaptive/latemat": "ce0bd7a8c3420220d745f1acc17e1edf4acdb3abff9ec41bcd59880b3034bea9",
@@ -214,7 +214,7 @@ PINS: Dict[str, str] = {
     "repartition(BF)/latemat": "95830e0936e5e89b32dee41d76c78864b9b441a1d0e48cd05b0f794501e72a1b",
     "semijoin/latemat": "24f9e7ceec1438e22d9a775959fbaaed24eac91c4c2e29ebaa8745f9f1d6bee3",
     "zigzag/latemat": "97743e8da4a9121482e3298caab4b9806e2ebb3a33982625ba817b0c1b919305",
-    "zigzag-db/latemat": "ad3c82a2bc61b7cc39fcc66fdd1c5842cbdb6d7f0ad8f5523251d48333bf1360",
+    "zigzag-db/latemat": "70f158af3420624623756ec2fe8087ee10241bd9fc4f0c44b6c4e82706fa11cd",
     "adaptive[switch]/latemat": "22b0c4c6ff798df10cb761713f7f883f2bd0a051cf7683cb7650576c51389f56",
     "approx@0.25/latemat": "2de830fb26938566a894a588d744b02a1e9118bc6844c78f07d27b5d3bdc6266",
     "adaptive/skew": "cfc4ab6ec47d30e8b7256099f75062e531a1e72723b69aa4503ba85113c55c9b",
@@ -228,7 +228,7 @@ PINS: Dict[str, str] = {
     "repartition(BF)/skew": "7e27c9120e070b43a3e6a07be46cfac9d95f70543fad36fe9e4ad437c7248eda",
     "semijoin/skew": "53985438132f2f27a82d7575535616f7f781c165cb5cc55f1f8112a52ae34a55",
     "zigzag/skew": "b83ef386b39976405234e9f2284fa624083eab3214c1703dffd849f898d768fa",
-    "zigzag-db/skew": "945582f092dec391eb9a4ac31662b1b358d68142913be8ec46d767d39ddcc85a",
+    "zigzag-db/skew": "6b33f7d47064d629a025dab40e59dc0bfa74da136047112090bf51c10910e957",
     "adaptive[switch]/skew": "9716d668d79a7b670d496f0f0817ec1ea6988afe342163d1fb2987e66abb1968",
     "approx@0.25/skew": "1c68bc243455f2204e0afe59fb7fb9ee7e38dad883620659c7b07dcf4417046d",
     "adaptive/spill": "befd4575dd6cd90897986ae4c6a6534fe00d6ace4596714aca1b1c2d222abac8",
@@ -242,7 +242,7 @@ PINS: Dict[str, str] = {
     "repartition(BF)/spill": "90832ce9521962e137aef29d1397109964f5642e59b03f8c97f67b50387ffc78",
     "semijoin/spill": "9920a5d6d3c7334d0b00b6c1b5a4936fc84ba1e10eac699ad7a2b2e7bd2d00b8",
     "zigzag/spill": "806e021868cf9f27c15198011da09b8231d1b30aacaa0e88034b805a53dce952",
-    "zigzag-db/spill": "3f673559fb351d0ed1c6024c23b61847e6185c545507c4ac88cd5f183af53382",
+    "zigzag-db/spill": "32d593ff226e37bbf4a7ac248a3da1e33b297f8a75d5c10be77c4bfe10c0d19e",
     "adaptive[switch]/spill": "1468be455a4709bd24ef07b64c7bf72523d367b19591972470e3d51dab99b534",
     "approx@0.25/spill": "686967076a4522d5236ffc2918a83ad907e973b0d4c29cbf4b5ed7737519484e",
     "adaptive/crash": "65d0b95a41495e3e246241bfc80a3e2818f2832e9ff7c7a55131d2684e0160b5",
@@ -254,7 +254,7 @@ PINS: Dict[str, str] = {
     "repartition(BF)/crash": "583eba2cd4dea99e58e5e0ba76c1471325b0a6c7d54c69cc1d0a50661c222709",
     "semijoin/crash": "e918caaf6b9e791e62ba03e82d3b301f96305b6b564ef667b515b33a5d0e0f55",
     "zigzag/crash": "e40fca2f135019ab2204ac49f63f0e925b655439dce157c028f2d8b6f51430fb",
-    "zigzag-db/crash": "88dc31877bb80988c6f8d5f4ff48d07d6a971d6e22423310527f7c982da4d507",
+    "zigzag-db/crash": "bc3836ba22546532fa75f873cba07eb72b83582e5306e62a12df243bdac7c49f",
     "adaptive[switch]/crash": "beb35ab990190edf314a136f31cfd582a6d3531a168b5826d8e79ae5754aa83c",
 }
 
@@ -293,6 +293,17 @@ def test_every_phase_says_what_it_did(variant, setting):
         assert phases["aggregate"].tuples == run.stats.join_output_tuples
     if "db_join" in phases:
         assert phases["db_join"].tuples > 0
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_the_second_scan_is_priced_like_the_first(setting):
+    """zigzag-db reads L twice, and both scans record what they read."""
+    phases = {phase.name: phase
+              for phase in run_cell("zigzag-db", setting).trace}
+    first, second = phases["hdfs_scan"], phases["hdfs_scan_2"]
+    assert first.volume_bytes > 0
+    assert second.volume_bytes == pytest.approx(first.volume_bytes)
+    assert second.tuples == first.tuples
 
 
 def test_the_settings_engage():
