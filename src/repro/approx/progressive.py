@@ -19,7 +19,7 @@ half-widths, estimate identical to the oracle answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.approx.estimator import ApproxEstimate, CellEstimate, CellKey
 from repro.approx.policy import ApproxPolicy
@@ -83,7 +83,3 @@ def error_target_met(snapshot: Snapshot, policy: ApproxPolicy) -> bool:
     if snapshot.blocks_scanned < policy.min_blocks:
         return False
     return snapshot.max_relative_error() <= policy.max_error
-
-
-def latest(snapshots: List[Snapshot]) -> Optional[Snapshot]:
-    return snapshots[-1] if snapshots else None

@@ -225,10 +225,6 @@ class HybridConfig:
         """Rows of L to materialise at the configured scale."""
         return max(1, int(self.paper.l_rows * self.scale))
 
-    def join_keys(self) -> int:
-        """Unique join keys at the configured scale."""
-        return max(1, int(self.paper.unique_join_keys * self.scale))
-
     def bloom_bits(self) -> int:
         """Bloom filter bits scaled with the key universe.
 

@@ -232,7 +232,7 @@ class BloomFilter:
 
         Word-level popcount (hardware ``popcnt`` where numpy exposes
         it).  Off the data plane: no engine, advisor or service path
-        calls this, :meth:`fill_ratio` or :meth:`estimated_fpr` — only
+        calls this or :meth:`fill_ratio` — only
         ``__repr__`` and the tests do.
         """
         return popcount(self._words)
@@ -263,17 +263,6 @@ class BloomFilter:
             return 0.0
         exponent = -num_hashes * num_keys / num_bits
         return float((1.0 - math.exp(exponent)) ** num_hashes)
-
-    def estimated_fpr(self) -> float:
-        """FPR estimate from the observed fill ratio."""
-        return float(self.fill_ratio() ** self.num_hashes)
-
-    @staticmethod
-    def optimal_num_hashes(num_bits: int, num_keys: int) -> int:
-        """FPR-minimising hash count ``(m/n) ln 2`` (at least 1)."""
-        if num_keys <= 0:
-            return 1
-        return max(1, round(num_bits / num_keys * math.log(2.0)))
 
     # ------------------------------------------------------------------
     def _check_compatible(self, other: "BloomFilter") -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import JoinError
 from repro.kernels.joinindex import JoinBuildIndex
@@ -147,6 +147,11 @@ class JoinAlgorithm:
     #: Whether this algorithm uses an HDFS-side Bloom filter.
     uses_hdfs_bloom: bool = False
 
+    @property
+    def display_name(self) -> str:
+        """Paper-style label; a variant (``db(BF)``) overrides it."""
+        return self.name
+
     def run(self, warehouse, query: HybridQuery,
             context: Optional[ExecutionContext] = None) -> JoinResult:
         """Execute the algorithm end to end under ``context``."""
@@ -213,8 +218,7 @@ class JoinRun:
         self.observers = self.context.observers
         self.costing = algorithm._costing(warehouse)
         self.stats = JoinStats()
-        self.trace = Trace(
-            label=getattr(algorithm, "display_name", algorithm.name))
+        self.trace = Trace(label=algorithm.display_name)
         for observer in self.observers:
             observer.trace = self.trace
         self.trace.add("startup", "latency", self.costing.startup_seconds(),
@@ -225,14 +229,6 @@ class JoinRun:
         return self.algorithm._finish(self.warehouse, result, self.stats,
                                       self.trace)
 
-    def _banked(self, lookup: str, key):
-        """The first artifact an observer's bank kept under ``key``."""
-        for observer in self.observers:
-            banked = getattr(observer.bank, lookup)(key)
-            if banked is not None:
-                return banked
-        return None
-
     def db_filter(self) -> List[Table]:
         """Step 1 on the database: local predicates + projection on T."""
         query, trace = self.query, self.trace
@@ -240,7 +236,8 @@ class JoinRun:
         database = self.warehouse.database
         t_meta = database.table_meta(query.db_table)
         self.stats.db_rows_scanned = t_meta.num_rows
-        banked = self._banked("banked_db_filter", query.db_table)
+        banked = _first(observer.bank.banked_db_filter(query.db_table)
+                        for observer in self.observers)
         if banked is not None:
             # A switched-away plan already materialised T' for this
             # query; the data plane is deterministic, so the partitions
@@ -280,7 +277,8 @@ class JoinRun:
         query, costing = self.query, self.costing
         config = self.warehouse.config
         bank_key = (query.db_table, query.db_join_key, config.bloom_bits())
-        banked = self._banked("banked_bloom", bank_key)
+        banked = _first(observer.bank.banked_bloom(bank_key)
+                        for observer in self.observers)
         if banked is not None:
             # BF_DB built by a switched-away plan: the same bits would
             # come out of a rebuild, so reuse the object (its invariant
@@ -361,6 +359,11 @@ class JoinRun:
                        + (", BF_DB" if db_bloom is not None else "")
                        + (", build BF_H" if build_hdfs_bloom else ""))
         return scan
+
+
+def _first(artifacts: Iterable):
+    """The first artifact an observer's bank kept (``None`` if none)."""
+    return next((found for found in artifacts if found is not None), None)
 
 
 def add_scan_phase(trace: Trace, costing: JoinCosting, name: str, scan,

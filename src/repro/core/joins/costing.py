@@ -110,24 +110,32 @@ class JoinCosting:
         )
         volume = base_tuples * copies * row_bytes
         export_time = effective / (self._m * self.cost.db_export_tuples_per_s)
-        network = self.topology.inter_cluster_bandwidth(
-            senders=self.cluster.db_servers,
-            receivers=self._n,
-            sender_side="db",
-        )
-        return max(export_time, volume / network)
+        return self._cross_cluster_seconds(export_time, volume, to_db=False)
 
     def db_ingest_seconds(self, raw_tuples: float, row_bytes: float) -> float:
         """HDFS rows arriving into the database through UDF readers."""
         tuples = raw_tuples * self.scale_up
         volume = tuples * row_bytes
         ingest_time = tuples / (self._m * self.cost.db_ingest_tuples_per_s)
-        network = self.topology.inter_cluster_bandwidth(
-            senders=self._n,
-            receivers=self.cluster.db_servers,
-            sender_side="hdfs",
-        )
-        return max(ingest_time, volume / network)
+        return self._cross_cluster_seconds(ingest_time, volume, to_db=True)
+
+    def _cross_cluster_seconds(self, serve_time: float, volume: float,
+                               to_db: bool) -> float:
+        """The slower of the endpoints' serve time and ``volume`` over
+        the inter-cluster link, EDW->JEN (HDFS->EDW when ``to_db``)."""
+        if to_db:
+            network = self.topology.inter_cluster_bandwidth(
+                senders=self._n,
+                receivers=self.cluster.db_servers,
+                sender_side="hdfs",
+            )
+        else:
+            network = self.topology.inter_cluster_bandwidth(
+                senders=self.cluster.db_servers,
+                receivers=self._n,
+                sender_side="db",
+            )
+        return max(serve_time, volume / network)
 
     def db_internal_shuffle_seconds(self, raw_bytes: float) -> float:
         """Reshuffling rows among DB workers (the optimizer's plan)."""
@@ -225,27 +233,21 @@ class JoinCosting:
         )
         return min(configured, cap)
 
-    def jen_duplicate_seconds(self, raw_tuples: float,
-                              row_bytes: float) -> float:
-        """Extra hot-key probe-row copies relayed inside the JEN cluster.
+    def jen_relay_seconds(self, raw_tuples: float,
+                          row_bytes: float) -> float:
+        """Rows re-sent worker-to-worker inside the JEN cluster, bounded
+        by one HDFS-side NIC (the skew plane's two relays).
 
-        The first copy of a hot T row crosses the inter-cluster link on
-        the agreed hash like any other row (priced in ``db_export``);
-        the key's home worker then re-sends it to the other workers of
-        the key's spread set over the HDFS-side NICs — the cheap link,
-        which is the whole point of relaying instead of asking the DB
-        to export every copy.
-        """
-        volume = raw_tuples * self.scale_up * row_bytes
-        return volume / self.topology.hdfs.nic_bytes_per_s
-
-    def work_steal_seconds(self, raw_tuples: float,
-                           row_bytes: float) -> float:
-        """Straggler fragments re-dealt worker-to-worker (skew plane).
-
-        Stolen work moves point-to-point over the HDFS-side NICs — the
-        straggler streams its surplus fragments out while the idle
-        workers receive, so the transfer is bounded by one NIC.
+        * Extra hot-key probe-row copies (``jen_hot_relay``): the first
+          copy of a hot T row crosses the inter-cluster link on the
+          agreed hash like any other row (priced in ``db_export``); the
+          key's home worker then re-sends it to the other workers of
+          the key's spread set — the cheap link, which is the whole
+          point of relaying instead of asking the DB to export every
+          copy.
+        * Straggler fragments re-dealt by work stealing
+          (``work_steal``): the straggler streams its surplus fragments
+          out while the idle workers receive.
         """
         volume = raw_tuples * self.scale_up * row_bytes
         return volume / self.topology.hdfs.nic_bytes_per_s
@@ -299,7 +301,7 @@ class JoinCosting:
 
         The store side serves fetches in whole pages, so scattered row
         ids read ``amplification``× the returned volume (see
-        :func:`repro.latemat.fetch_amplification`).  A cross-cluster
+        :class:`repro.latemat.StitchStats`).  A cross-cluster
         fetch moves over the same export/ingest path and inter-cluster
         link ``db_export``/``db_ingest`` price (``to_db`` picks the
         HDFS->EDW direction); an intra-HDFS fetch is an all-to-all
@@ -308,25 +310,10 @@ class JoinCosting:
         tuples = raw_tuples * self.scale_up
         volume = tuples * row_bytes * max(1.0, amplification)
         if cross_cluster:
-            if to_db:
-                serve_time = tuples / (
-                    self._m * self.cost.db_ingest_tuples_per_s
-                )
-                network = self.topology.inter_cluster_bandwidth(
-                    senders=self._n,
-                    receivers=self.cluster.db_servers,
-                    sender_side="hdfs",
-                )
-            else:
-                serve_time = tuples / (
-                    self._m * self.cost.db_export_tuples_per_s
-                )
-                network = self.topology.inter_cluster_bandwidth(
-                    senders=self.cluster.db_servers,
-                    receivers=self._n,
-                    sender_side="db",
-                )
-            return max(serve_time, volume / network)
+            rate = (self.cost.db_ingest_tuples_per_s if to_db
+                    else self.cost.db_export_tuples_per_s)
+            return self._cross_cluster_seconds(
+                tuples / (self._m * rate), volume, to_db)
         return shuffle_seconds(
             volume, self.topology, self._n, self.cost.shuffle_bytes_per_s
         )

@@ -150,7 +150,7 @@ def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
     extra = hot_copies - hot_rows
     if extra > 0:
         trace.add("jen_hot_relay", "transfer",
-                  costing.jen_duplicate_seconds(extra, row_bytes),
+                  costing.jen_relay_seconds(extra, row_bytes),
                   streams_from=["db_export"],
                   description=f"home workers relay hot-key {name} rows "
                               "to their spread worker sets",
@@ -194,7 +194,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         if stolen > 0:
             stats.stolen_tuples = float(stolen)
             trace.add("work_steal", "shuffle",
-                      costing.work_steal_seconds(stolen, l_side.row_bytes),
+                      costing.jen_relay_seconds(stolen, l_side.row_bytes),
                       streams_from=["jen_shuffle"],
                       description="re-deal straggler join fragments to "
                                   "idle workers",

@@ -283,8 +283,7 @@ class FaultInjector:
         is exhausted; the service plane handles that.
         """
         outcome, attempts = deliver_with_retry(
-            None,
-            lambda _payload, attempt: self.transfer_outcome(
+            lambda attempt: self.transfer_outcome(
                 channel, sender, destination, attempt
             ),
             channel=channel, sender=sender, destination=destination,

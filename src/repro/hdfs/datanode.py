@@ -56,7 +56,3 @@ class DataNode:
     def evict(self, block_id: BlockId) -> None:
         """Drop a replica if present."""
         self._replicas.pop(block_id, None)
-
-    def stored_blocks(self) -> int:
-        """Number of replicas this node holds."""
-        return len(self._replicas)

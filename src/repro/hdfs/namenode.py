@@ -79,17 +79,3 @@ class NameNode:
             return list(self._files[path])
         except KeyError:
             raise StorageError(f"no such file: {path!r}") from None
-
-    def exists(self, path: str) -> bool:
-        """True if the file is known."""
-        return path in self._files
-
-    def delete(self, path: str) -> List[Block]:
-        """Forget a file, returning its blocks so DataNodes can evict."""
-        if path not in self._files:
-            raise StorageError(f"no such file: {path!r}")
-        return self._files.pop(path)
-
-    def files(self) -> List[str]:
-        """All known file paths."""
-        return sorted(self._files)

@@ -1,13 +1,15 @@
 """The JEN coordinator (paper Section 4.1).
 
-Three responsibilities, reproduced directly:
+Two responsibilities, reproduced directly:
 
 1. manage the worker registry (which workers are up);
-2. designate the worker that merges Bloom filters and final aggregates
-   (the grouped DB-to-JEN endpoint mapping of Figure 5 is
-   :func:`repro.net.transfer.grouped_assignment`);
-3. resolve HDFS table metadata from HCatalog, fetch block locations
+2. resolve HDFS table metadata from HCatalog, fetch block locations
    from the NameNode, and hand out locality-aware block assignments.
+
+The paper's coordinator also designates the worker that merges Bloom
+filters and final aggregates and pairs JEN workers with DB workers for
+the grouped ingest of Figure 5; the join algorithms do both themselves
+(``repro.core.joins.db_side._group_ingest`` is the pairing).
 """
 
 from __future__ import annotations
@@ -108,10 +110,3 @@ class JenCoordinator:
                 blocks, live, locality=self.locality
             )
         return self._assignments[table_name]
-
-    def designated_worker(self) -> int:
-        """The worker that merges Bloom filters and final aggregates."""
-        live = self.live_workers()
-        if not live:
-            raise CatalogError("no live JEN workers")
-        return live[0]

@@ -53,10 +53,6 @@ class PipelineReport:
         """The stage with the largest busy time."""
         return max(self.stage_seconds, key=self.stage_seconds.get)
 
-    def process_thread_is_bottleneck(self) -> bool:
-        """The paper claims this is never true in practice."""
-        return self.bottleneck() == "process"
-
     def describe(self) -> str:
         """Multi-line summary."""
         lines = [f"worker pipeline: {self.makespan:.1f}s makespan, "

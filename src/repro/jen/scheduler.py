@@ -44,15 +44,6 @@ class BlockAssignment:
         total = self.local_blocks + self.remote_blocks
         return self.local_blocks / total if total else 1.0
 
-    def max_rows_per_worker(self) -> int:
-        """Largest per-worker row count (the scan straggler)."""
-        if not self.per_worker:
-            return 0
-        return max(
-            sum(block.num_rows for block in blocks)
-            for blocks in self.per_worker.values()
-        )
-
 
 @dataclass
 class StealPlan:

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from repro.kernels.bloomops import popcount, scatter_or, test_bits
 from repro.kernels.joinindex import JoinBuildIndex, probe_join
-from repro.kernels.partition import partition_indices, partition_table
+from repro.kernels.partition import partition_table
 from repro.kernels.sketch import CountMinSketch, TopKHeap
 
 __all__ = [
     "CountMinSketch",
     "JoinBuildIndex",
     "TopKHeap",
-    "partition_indices",
     "partition_table",
     "popcount",
     "probe_join",

@@ -65,25 +65,6 @@ def sorted_bounds(assignments: np.ndarray, num_partitions: int
     return order, np.concatenate(([0], inner, [keys.size]))
 
 
-def partition_indices(assignments: np.ndarray,
-                      num_partitions: int) -> List[np.ndarray]:
-    """Per-destination row-index arrays from one stable sort.
-
-    Equivalent to ``[np.flatnonzero(assignments == d) for d in
-    range(num_partitions)]`` — indices ascend within each destination —
-    at O(n log n) total instead of O(n·p).
-    """
-    assignments = np.asarray(assignments)
-    if assignments.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return [empty] * num_partitions
-    order, bounds = sorted_bounds(assignments, num_partitions)
-    return [
-        order[bounds[partition]:bounds[partition + 1]]
-        for partition in range(num_partitions)
-    ]
-
-
 def partition_table(table, assignments: np.ndarray,
                     num_partitions: int) -> List:
     """Split ``table`` into per-destination tables in one pass.

@@ -55,7 +55,7 @@ ROWID_COLUMN = "__rowid__"
 
 #: Store-side fetch granularity: a batched payload fetch reads whole
 #: pages of this many rows, so scattered row ids amplify the fetched
-#: volume (see :func:`fetch_amplification`).
+#: volume (see :class:`StitchStats`).
 PAGE_ROWS = 64
 
 #: Wire width of the rowid component of a thin row (int64).
@@ -76,23 +76,6 @@ def set_late_materialization_enabled(enabled: bool) -> bool:
     previous = _ENABLED
     _ENABLED = bool(enabled)
     return previous
-
-
-def fetch_amplification(rowids: np.ndarray) -> float:
-    """Fetched-bytes inflation for a batch of scattered row ids.
-
-    The store serves fetches in pages of :data:`PAGE_ROWS` rows, so a
-    batch touching ``p`` distinct pages reads ``p * PAGE_ROWS`` rows to
-    return ``len(rowids)`` of them.  Dense batches (every page fully
-    used) cost 1.0; a fully scattered batch degrades to
-    :data:`PAGE_ROWS`.
-    """
-    rowids = np.asarray(rowids)
-    if rowids.size == 0:
-        return 1.0
-    pages = np.unique(rowids // PAGE_ROWS)
-    touched = pages.size * PAGE_ROWS
-    return float(min(PAGE_ROWS, max(1.0, touched / rowids.size)))
 
 
 class PayloadStore:
@@ -248,9 +231,20 @@ class StitchStats:
     #: Surviving rows whose payloads were fetched, per side.
     l_fetched_tuples: int = 0
     t_fetched_tuples: int = 0
-    #: Tuple-weighted fetch amplification actually measured, per side.
-    l_amplification: float = 1.0
-    t_amplification: float = 1.0
+    #: Store rows the fetches read, whole :data:`PAGE_ROWS` pages, per
+    #: side.
+    l_touched_rows: int = 0
+    t_touched_rows: int = 0
+
+    @property
+    def l_amplification(self) -> float:
+        """Tuple-weighted fetch amplification measured on L."""
+        return _amplification(self.l_touched_rows, self.l_fetched_tuples)
+
+    @property
+    def t_amplification(self) -> float:
+        """Tuple-weighted fetch amplification measured on T."""
+        return _amplification(self.t_touched_rows, self.t_fetched_tuples)
 
     def merge_side(self, side: str, thin: int, fetched: int,
                    touched_rows: int) -> None:
@@ -258,17 +252,20 @@ class StitchStats:
         if side == "l":
             self.l_thin_tuples += thin
             self.l_fetched_tuples += fetched
-            self._l_touched = getattr(self, "_l_touched", 0) + touched_rows
-            if self.l_fetched_tuples:
-                self.l_amplification = float(min(PAGE_ROWS, max(
-                    1.0, self._l_touched / self.l_fetched_tuples)))
+            self.l_touched_rows += touched_rows
         else:
             self.t_thin_tuples += thin
             self.t_fetched_tuples += fetched
-            self._t_touched = getattr(self, "_t_touched", 0) + touched_rows
-            if self.t_fetched_tuples:
-                self.t_amplification = float(min(PAGE_ROWS, max(
-                    1.0, self._t_touched / self.t_fetched_tuples)))
+            self.t_touched_rows += touched_rows
+
+
+def _amplification(touched_rows: int, fetched: int) -> float:
+    """Fetched-bytes inflation of scattered row ids: 1.0 when every
+    touched page is fully used, up to :data:`PAGE_ROWS` when each
+    fetched row sits on its own page."""
+    if not fetched:
+        return 1.0
+    return float(min(PAGE_ROWS, max(1.0, touched_rows / fetched)))
 
 
 @dataclass
@@ -357,7 +354,6 @@ __all__ = [
     "ROWID_BYTES",
     "ROWID_COLUMN",
     "StitchStats",
-    "fetch_amplification",
     "is_thin",
     "late_materialization_enabled",
     "set_late_materialization_enabled",

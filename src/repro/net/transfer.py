@@ -1,22 +1,17 @@
 """Data-transfer patterns between DB2 workers and JEN workers.
 
-Reproduces the volume math of the paper's Figure 6:
-
-* **DB-side join**: the ``n`` JEN workers are split into ``m`` roughly
-  even groups and each DB worker ingests from one group in parallel.
-* **Broadcast join**: every DB worker sends its filtered partition to
-  *every* JEN worker (the paper found the direct scheme beats relaying
-  through one worker), so the bytes crossing the switch are
-  ``|T'| * n``.
-* **Repartition/zigzag joins**: DB workers use the agreed hash function
-  and send each record directly to the JEN worker that will join it, so
-  ``|T'|`` crosses the switch exactly once.
+:class:`TransferPattern` names the paper's Figure 6 patterns (grouped
+DB-side ingest, broadcast direct or through a relay, agreed-hash direct
+sends).  The engine prices them in
+:class:`~repro.core.joins.costing.JoinCosting` and groups the DB-side
+ingest in ``repro.core.joins.db_side``.  This module also holds the
+retry discipline of unreliable transfers and the all-to-all shuffle
+inside HDFS.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List
 
 from repro.errors import SimulationError, TransferFaultError
 from repro.net.topology import HybridTopology
@@ -63,9 +58,9 @@ def retry_overhead_seconds(failures: int) -> float:
     )
 
 
-def deliver_with_retry(payload, send, channel: str = "transfer",
+def deliver_with_retry(send, channel: str = "transfer",
                        sender: int = -1, destination: int = -1):
-    """Drive ``send(payload, attempt)`` until it reports success.
+    """Drive ``send(attempt)`` until it reports success.
 
     ``send`` returns an outcome string: ``"ok"`` (delivered), ``"dup"``
     (delivered but the acknowledgement was lost, so the payload arrives
@@ -78,7 +73,7 @@ def deliver_with_retry(payload, send, channel: str = "transfer",
     attempts = 0
     while True:
         attempts += 1
-        outcome = send(payload, attempts)
+        outcome = send(attempts)
         if outcome in ("ok", "dup"):
             return outcome, attempts
         if outcome not in ("drop", "trunc"):
@@ -90,70 +85,6 @@ def deliver_with_retry(payload, send, channel: str = "transfer",
                 channel=channel, sender=sender, destination=destination,
                 attempts=attempts,
             )
-
-
-def grouped_assignment(num_jen_workers: int, num_db_workers: int
-                       ) -> List[List[int]]:
-    """Partition JEN workers into one group per DB worker.
-
-    The paper's coordinator "evenly divides the n workers into m groups"
-    (Section 4.1.1, assuming m <= n).  When there are more DB workers
-    than JEN workers, groups of size one are reused round-robin so every
-    DB worker still has an endpoint.
-    """
-    if num_jen_workers <= 0 or num_db_workers <= 0:
-        raise SimulationError("both worker counts must be positive")
-    if num_db_workers <= num_jen_workers:
-        groups: List[List[int]] = [[] for _ in range(num_db_workers)]
-        for worker in range(num_jen_workers):
-            groups[worker % num_db_workers].append(worker)
-        return groups
-    return [[db % num_jen_workers] for db in range(num_db_workers)]
-
-
-def broadcast_volume(
-    filtered_db_bytes: float,
-    num_jen_workers: int,
-    pattern: TransferPattern = TransferPattern.BROADCAST_DIRECT,
-) -> float:
-    """Bytes crossing the inter-cluster switch for a broadcast of T'.
-
-    The relay variant moves T' across the switch once but then pays an
-    intra-HDFS re-broadcast (accounted separately by the cost layer);
-    the direct variant multiplies the switch traffic by the number of
-    JEN workers.
-    """
-    if pattern is TransferPattern.BROADCAST_DIRECT:
-        return filtered_db_bytes * num_jen_workers
-    if pattern is TransferPattern.BROADCAST_RELAY:
-        return filtered_db_bytes
-    raise SimulationError(f"not a broadcast pattern: {pattern}")
-
-
-def parallel_transfer_seconds(
-    volume_bytes: float,
-    topology: HybridTopology,
-    senders: int,
-    receivers: int,
-    sender_side: str,
-    per_endpoint_bytes_per_s: float = float("inf"),
-) -> float:
-    """Seconds to move ``volume_bytes`` between the clusters in parallel.
-
-    ``per_endpoint_bytes_per_s`` caps each sending endpoint's goodput
-    below its NIC line rate — this is how the deliberately constrained
-    UDF-based export/ingest paths of the EDW enter the model.
-    """
-    if volume_bytes < 0:
-        raise SimulationError("negative transfer volume")
-    if volume_bytes == 0:
-        return 0.0
-    network = topology.inter_cluster_bandwidth(senders, receivers, sender_side)
-    endpoint_cap = senders * per_endpoint_bytes_per_s
-    bandwidth = min(network, endpoint_cap)
-    if bandwidth <= 0:
-        raise SimulationError("transfer has zero available bandwidth")
-    return volume_bytes / bandwidth
 
 
 def shuffle_seconds(

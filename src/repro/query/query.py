@@ -120,10 +120,6 @@ class HybridQuery:
             raise ExpressionError("the two side prefixes must differ")
 
     # ------------------------------------------------------------------
-    def prefixed_db_key(self) -> str:
-        """Join-key column name on the joined (prefixed) schema, T side."""
-        return f"{self.db_prefix}{self.db_join_key}"
-
     def prefixed_hdfs_key(self) -> str:
         """Join-key column name on the joined (prefixed) schema, L side."""
         return f"{self.hdfs_prefix}{self.hdfs_join_key}"

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.advisor import WorkloadEstimate
-from repro.relational.expressions import Predicate
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
 
@@ -150,10 +149,3 @@ def sample_workload_estimate(warehouse, query: HybridQuery,
         l_scan_bytes=l_scan_bytes,
         format_name=hdfs_meta.format_name,
     )
-
-
-def predicate_selectivity(table: Table, predicate: Predicate) -> float:
-    """Fraction of rows of ``table`` satisfying ``predicate``."""
-    if table.num_rows == 0:
-        return 0.0
-    return float(predicate.evaluate(table).mean())

@@ -95,14 +95,11 @@ class Schema:
             if column.name in self._by_name:
                 raise SchemaError(f"duplicate column name: {column.name!r}")
             self._by_name[column.name] = column
-        # names/positions are asked for on every projection, shuffle and
+        # names are asked for on every projection, shuffle and
         # serialization step; schemas are immutable, so compute once.
         self._names: Tuple[str, ...] = tuple(
             column.name for column in self._columns
         )
-        self._positions: Dict[str, int] = {
-            name: index for index, name in enumerate(self._names)
-        }
 
     def __iter__(self) -> Iterator[Column]:
         return iter(self._columns)
@@ -136,11 +133,6 @@ class Schema:
     def has_column(self, name: str) -> bool:
         """True if the schema contains ``name``."""
         return name in self._by_name
-
-    def index_of(self, name: str) -> int:
-        """Position of ``name`` in declaration order."""
-        self.column(name)
-        return self._positions[name]
 
     def project(self, names: Sequence[str]) -> "Schema":
         """A new schema with only ``names``, in the requested order."""

@@ -322,14 +322,6 @@ class Table:
         return list(zip(*[arr.tolist() for arr in materialized])) \
             if materialized else []
 
-    def sorted_by(self, names: Sequence[str]) -> "Table":
-        """Rows ordered lexicographically by ``names`` (stable)."""
-        if not names:
-            return self
-        keys = [self._columns[name] for name in reversed(list(names))]
-        order = np.lexsort(keys)
-        return self.take(order)
-
 
 def table_from_rows(schema: Schema, rows: Iterable[Tuple],
                     dictionaries: Optional[Mapping[str, np.ndarray]] = None

@@ -228,13 +228,6 @@ class _LruCache:
             self._entries.popitem(last=False)
             self.evictions.inc()
 
-    def invalidate(self, key: Optional[str] = None) -> None:
-        """Drop one entry (or everything, when ``key`` is None)."""
-        if key is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(key, None)
-
     def __len__(self) -> int:
         return len(self._entries)
 

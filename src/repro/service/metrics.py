@@ -57,7 +57,7 @@ class Gauge:
 
     Tracks the high watermark alongside the current value — the peak
     concurrency a service run sustained is a gauge's ``high`` reading.
-    ``set``/``inc``/``dec`` update level and watermark under one lock,
+    ``set`` and ``inc`` update level and watermark under one lock,
     so the watermark never misses a concurrent spike.
     """
 
@@ -91,10 +91,6 @@ class Gauge:
         with self._lock:
             self._value += float(amount)
             self._high = max(self._high, self._value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Shorthand for ``inc(-amount)``."""
-        self.inc(-amount)
 
     def __repr__(self) -> str:
         with self._lock:

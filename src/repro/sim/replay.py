@@ -20,7 +20,7 @@ after the later of its own chunk ``i - 1`` and its producers' chunk
 event-by-event kernel of ``tests/engine_reference.py``, bit for bit.)
 
 The result records per-phase start and end times plus the makespan; the
-difference between the makespan and :meth:`Trace.total_work_seconds` is
+difference between the makespan and the sum of the phase durations is
 precisely the time saved by pipelining, which the pipelining ablation
 benchmark measures directly.
 """

@@ -183,10 +183,6 @@ class Trace:
         """Phase names in insertion order."""
         return list(self._phases)
 
-    def total_work_seconds(self) -> float:
-        """Sum of phase durations (an upper bound on the critical path)."""
-        return sum(phase.seconds for phase in self)
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the trace."""
         lines = [f"Trace {self.label or '(unlabelled)'}:"]

@@ -70,71 +70,6 @@ class SqlSession:
         """Parse and translate without executing."""
         return translate(parse_select(sql), self.warehouse)
 
-    def explain_text(self, sql: str) -> str:
-        """A human-readable plan, in the spirit of a database EXPLAIN."""
-        translation = self.explain(sql)
-        query = translation.query
-        lines = ["HYBRID QUERY PLAN", "================="]
-        if translation.needs_prejoin():
-            lines.append("in-database pre-joins (star schema):")
-            current = translation.fact_table
-            lines.append(
-                f"  fact {current}: predicate on "
-                f"{list(translation.fact_predicate.columns()) or 'none'}, "
-                f"project {list(translation.fact_projection)}"
-            )
-            for step in translation.prejoins:
-                lines.append(
-                    f"  join {current} -> {step.right_table} on "
-                    f"{step.left_key} = {step.right_key}, project "
-                    f"{list(step.right_projection)}"
-                )
-                current = f"({current} x {step.right_table})"
-            lines.append("")
-        db_label = (translation.fact_table or query.db_table)
-        lines.append(f"database side:  {db_label}")
-        lines.append(
-            f"  predicate columns: "
-            f"{list(query.db_predicate.columns()) or '(none)'}"
-        )
-        lines.append(f"  ships: {list(query.db_projection)}")
-        lines.append(f"HDFS side:      {query.hdfs_table}")
-        lines.append(
-            f"  predicate columns: "
-            f"{list(query.hdfs_predicate.columns()) or '(none)'}"
-        )
-        if query.hdfs_derived:
-            lines.append(
-                "  scan-time UDFs: "
-                + ", ".join(
-                    f"{d.udf_name}({d.source}) -> {d.name}"
-                    for d in query.hdfs_derived
-                )
-            )
-        lines.append(f"  ships: {list(query.hdfs_wire_columns())}")
-        lines.append(
-            f"equi-join:      {query.db_join_key} = {query.hdfs_join_key}"
-        )
-        if query.post_join_predicate is not None:
-            lines.append(
-                "post-join:      over "
-                f"{list(query.post_join_predicate.columns())}"
-            )
-        lines.append(f"group by:       {list(query.group_by)}")
-        lines.append(
-            "aggregates:     "
-            + ", ".join(spec.output_name() for spec in query.aggregates)
-        )
-        if translation.ordering:
-            rendered = ", ".join(
-                f"{name} {'DESC' if desc else 'ASC'}"
-                for name, desc in translation.ordering
-            )
-            lines.append(f"order by:       {rendered}")
-        if translation.limit is not None:
-            lines.append(f"limit:          {translation.limit}")
-        return "\n".join(lines)
-
     def execute(self, sql: str, algorithm: str = "auto") -> SqlResult:
         """Run ``sql`` end to end with the given (or advised) algorithm.
 

@@ -84,17 +84,6 @@ class HybridWarehouse:
         self.jen.restore_workers()
 
     # ------------------------------------------------------------------
-    # Convenience accessors (tests, reference runs)
-    # ------------------------------------------------------------------
-    def gather_db_table(self, name: str) -> Table:
-        """All rows of a database table in one in-memory table."""
-        return self.database.gather_table(name)
-
-    def gather_hdfs_table(self, name: str) -> Table:
-        """All rows of an HDFS table in one in-memory table."""
-        return self.hdfs.file_table(name)
-
-    # ------------------------------------------------------------------
     # The read_hdfs table UDF (paper Section 4.1.1)
     # ------------------------------------------------------------------
     def _read_hdfs(self, table_name: str, predicate_sql: str = "",

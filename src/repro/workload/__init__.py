@@ -13,7 +13,6 @@ from repro.workload.generator import (
     generate_workload,
     zipf_skew_factor,
 )
-from repro.workload.cache import load_workload, save_workload
 from repro.workload.scenario import (
     build_paper_query,
     load_paper_tables,
@@ -28,8 +27,6 @@ __all__ = [
     "build_paper_query",
     "generate_workload",
     "load_paper_tables",
-    "load_workload",
-    "save_workload",
     "zipf_skew_factor",
     "log_schema",
     "transaction_schema",

@@ -69,17 +69,6 @@ class TestFalsePositiveRate:
         )
         assert 0.04 < fpr < 0.06
 
-    def test_estimated_fpr_tracks_fill(self):
-        bloom = BloomFilter(1024, num_hashes=2)
-        assert bloom.estimated_fpr() == 0.0
-        bloom.add(np.arange(200))
-        assert 0.0 < bloom.estimated_fpr() < 1.0
-
-    def test_optimal_hash_count(self):
-        # m/n = 8 bits per key -> k* = 8 ln 2 ~ 5.5
-        assert BloomFilter.optimal_num_hashes(8000, 1000) in (5, 6)
-        assert BloomFilter.optimal_num_hashes(10, 0) == 1
-
 
 class TestMerge:
     def test_union_sees_both_sides(self):

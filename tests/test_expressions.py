@@ -7,7 +7,6 @@ from repro.errors import ExpressionError
 from repro.relational.expressions import (
     Band,
     BetweenDayDiff,
-    CompareOp,
     Conjunction,
     Disjunction,
     TruePredicate,

@@ -104,13 +104,13 @@ class TestRetryPolicy:
     def test_deliver_with_retry_exhausts_budget(self):
         sent = []
 
-        def send(_payload, attempt):
+        def send(attempt):
             sent.append(attempt)
             return "drop"
 
         with pytest.raises(TransferFaultError) as excinfo:
             deliver_with_retry(
-                None, send, channel="shuffle", sender=1, destination=2,
+                send, channel="shuffle", sender=1, destination=2,
             )
         assert excinfo.value.attempts == MAX_ATTEMPTS == 4
         assert sent == [1, 2, 3, 4]
@@ -119,7 +119,7 @@ class TestRetryPolicy:
         # Three losses leave one attempt of the budget: it succeeds.
         outcomes = iter(["drop", "trunc", "drop", "ok"])
         outcome, attempts = deliver_with_retry(
-            None, lambda payload, attempt: next(outcomes),
+            lambda attempt: next(outcomes),
             channel="transfer", sender=0, destination=1,
         )
         assert outcome == "ok"

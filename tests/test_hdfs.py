@@ -37,7 +37,6 @@ class TestNameNode:
         assert [b.num_rows for b in blocks] == [10, 10, 4]
         assert blocks[1].start_row == 10
         assert namenode.blocks("/f") == blocks
-        assert namenode.exists("/f")
 
     def test_replication_distinct_nodes(self):
         namenode = NameNode(5, replication=3)
@@ -60,12 +59,6 @@ class TestNameNode:
     def test_missing_file(self):
         with pytest.raises(StorageError, match="no such file"):
             NameNode(3).blocks("/ghost")
-
-    def test_delete(self):
-        namenode = NameNode(3)
-        namenode.allocate_blocks("/f", [1], 1.0)
-        namenode.delete("/f")
-        assert not namenode.exists("/f")
 
     def test_impossible_replication(self):
         with pytest.raises(StorageError):
@@ -94,7 +87,6 @@ class TestDataNode:
         node.store_replica(block, rows)
         assert node.has_replica(7)
         assert node.read_block(block).num_rows == 3
-        assert node.stored_blocks() == 1
 
     def test_wrong_target_rejected(self):
         node = DataNode(5)

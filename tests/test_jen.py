@@ -60,10 +60,6 @@ class TestCoordinator:
         assert assigned == len(warehouse.hdfs.table_blocks(query.hdfs_table))
         coordinator.mark_worker(3, up=True)
 
-    def test_designated_worker(self, env):
-        _workload, warehouse, _query = env
-        assert warehouse.jen.coordinator.designated_worker() == 0
-
     def test_table_meta_via_coordinator(self, env):
         workload, warehouse, query = env
         meta = warehouse.jen.coordinator.table_meta(query.hdfs_table)

@@ -154,7 +154,7 @@ class TestTraceStructure:
                 setup.warehouse, setup.query
             )
             assert result.total_seconds < \
-                result.trace.total_work_seconds()
+                sum(phase.seconds for phase in result.trace)
 
     def test_simulated_time_independent_of_data_scale(self):
         """The same paper-scale experiment simulated from two different

@@ -13,7 +13,6 @@ import pytest
 
 from repro.kernels import (
     JoinBuildIndex,
-    partition_indices,
     partition_table,
     popcount,
     probe_join,
@@ -62,6 +61,15 @@ def _random_table(rng, rows):
 # ----------------------------------------------------------------------
 # Partitioning
 # ----------------------------------------------------------------------
+def _routed_rows(assignments, parts):
+    """Each destination's source row numbers, as ``partition_table``
+    routes them."""
+    rows = Table(Schema([Column("row", DataType.INT64)]),
+                 {"row": np.arange(len(assignments), dtype=np.int64)})
+    return [part.column("row")
+            for part in partition_table(rows, assignments, parts)]
+
+
 class TestPartition:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("rows,parts", [
@@ -71,21 +79,23 @@ class TestPartition:
         rng = np.random.default_rng(seed)
         assignments = rng.integers(0, parts, rows).astype(np.int64)
         expected = naive_partition_indices(assignments, parts)
-        actual = partition_indices(assignments, parts)
+        actual = _routed_rows(assignments, parts)
         assert len(actual) == len(expected) == parts
         for got, want in zip(actual, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_out_of_range_assignments_dropped(self):
         assignments = np.array([-3, 0, 5, 1, 99, 1, -1, 4], dtype=np.int64)
-        expected = naive_partition_indices(assignments, 5)
-        actual = partition_indices(assignments, 5)
+        table = _random_table(np.random.default_rng(6), assignments.size)
+        expected = naive_partition_table(table, assignments, 5)
+        actual = partition_table(table, assignments, 5)
         for got, want in zip(actual, expected):
-            np.testing.assert_array_equal(got, want)
+            _assert_tables_equal(got, want)
+        assert sum(part.num_rows for part in actual) == 4
 
     def test_all_rows_one_destination(self):
         assignments = np.full(400, 2, dtype=np.int64)
-        actual = partition_indices(assignments, 4)
+        actual = _routed_rows(assignments, 4)
         np.testing.assert_array_equal(actual[2], np.arange(400))
         assert all(actual[d].size == 0 for d in (0, 1, 3))
 
@@ -106,12 +116,14 @@ class TestPartition:
         # > uint16 range forces the comparison-sort path.
         rng = np.random.default_rng(5)
         parts = (1 << 16) + 10
+        table = _random_table(rng, 500)
         assignments = rng.integers(0, parts, 500).astype(np.int64)
-        expected = naive_partition_indices(assignments, parts)
-        actual = partition_indices(assignments, parts)
+        actual = partition_table(table, assignments, parts)
         occupied = np.flatnonzero(np.bincount(assignments, minlength=parts))
         for d in occupied[:50]:
-            np.testing.assert_array_equal(actual[d], expected[d])
+            _assert_tables_equal(actual[d],
+                                 table.filter(assignments == d))
+        assert sum(part.num_rows for part in actual) == 500
 
     def test_length_mismatch_rejected(self):
         table = _random_table(np.random.default_rng(0), 10)

@@ -17,11 +17,9 @@ import pytest
 
 from repro.latemat import (
     PAGE_ROWS,
-    ROWID_BYTES,
     ROWID_COLUMN,
     PayloadStore,
     StitchStats,
-    fetch_amplification,
     is_thin,
     late_materialization_enabled,
     set_late_materialization_enabled,
@@ -204,23 +202,44 @@ class TestTransferEdge:
 # ----------------------------------------------------------------------
 # Fetch amplification
 # ----------------------------------------------------------------------
+def _stitched_amplification(rowids, slots: int = 1) -> float:
+    """L's fetch amplification after ``stitch_parts`` fetches exactly
+    ``rowids`` from a store whose keys are its row ids, with the thin
+    rows split over ``slots`` parts."""
+    rows = 64 * PAGE_ROWS
+    schema = Schema([Column("joinKey", DataType.INT64),
+                     Column("val", DataType.INT64)])
+    ids = np.arange(rows, dtype=np.int64)
+    store = PayloadStore([Table(schema, {"joinKey": ids, "val": ids})],
+                         "joinKey")
+    thin = store.thin_tables()[0]
+    bounds = [rows * slot // slots for slot in range(slots + 1)]
+    parts = [thin.slice(start, stop)
+             for start, stop in zip(bounds[:-1], bounds[1:])]
+    stats = StitchStats()
+    stitch_parts(store, parts, "joinKey", np.asarray(rowids), stats)
+    assert stats.l_fetched_tuples == np.asarray(rowids).size
+    return stats.l_amplification
+
+
 class TestAmplification:
     def test_empty_batch(self):
-        assert fetch_amplification(np.asarray([], dtype=np.int64)) == 1.0
+        assert _stitched_amplification(np.asarray([], dtype=np.int64)) \
+            == 1.0
 
     def test_dense_page_costs_one(self):
-        assert fetch_amplification(np.arange(PAGE_ROWS)) == 1.0
+        assert _stitched_amplification(np.arange(PAGE_ROWS)) == 1.0
 
     def test_one_rowid_per_page_costs_page_rows(self):
         scattered = np.arange(0, 10 * PAGE_ROWS, PAGE_ROWS)
-        assert fetch_amplification(scattered) == float(PAGE_ROWS)
+        assert _stitched_amplification(scattered) == float(PAGE_ROWS)
 
     def test_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             ids = rng.choice(4096, size=rng.integers(1, 300),
                              replace=False)
-            amp = fetch_amplification(ids)
+            amp = _stitched_amplification(ids, slots=3)
             assert 1.0 <= amp <= float(PAGE_ROWS)
 
 

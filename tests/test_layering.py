@@ -7,7 +7,8 @@ functions — is collected from the source.  A rule fails on the first
 module whose statements name a module it must not, or, for the oracle,
 on any name outside its allow-list.  The option surface of the service,
 admission, skew, adaptive and fault planes is pinned field by field and
-parameter by parameter.
+parameter by parameter, and every definition must have a caller outside
+``tests/``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Dict, List, Set
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def module_name(path: Path) -> str:
@@ -331,3 +333,107 @@ def test_config_fields_are_pinned(path, name):
 @pytest.mark.parametrize("path, qualname", sorted(PARAMETERS))
 def test_plane_constructor_parameters_are_pinned(path, qualname):
     assert parameter_names(path, qualname) == PARAMETERS[path, qualname]
+
+
+#: Definitions under ``src/repro`` that only ``tests/`` calls, and why
+#: each stays.  Anything else a test alone needs lives in ``tests/``
+#: (``kernel_reference``, ``engine_reference``) or in ``repro.testkit``.
+REFERENCE_MODEL = "reference model a test compares the engine against"
+ACCESSOR = "accessor a test observes kept behaviour through"
+TEST_ONLY = {
+    "repro.core.bloom.BloomFilter.expected_fpr": REFERENCE_MODEL,
+    "repro.core.bloom.BloomFilter.num_added": ACCESSOR,
+    "repro.core.bloom.BloomFilter.is_empty": ACCESSOR,
+    "repro.edw.database.ParallelDatabase.gather_table": ACCESSOR,
+    "repro.hdfs.datanode.DataNode.evict": ACCESSOR,
+    "repro.service.admission.AdmissionController.in_flight": ACCESSOR,
+    "repro.service.admission.AdmissionController.queue_depth": ACCESSOR,
+}
+#: Decorators that register what they wrap: the registry is its caller.
+REGISTRARS = {"register_algorithm", "_register"}
+
+
+def definitions(path: Path):
+    """``(qualname, node)`` of every module-level function and class and
+    every method or class nested in a class."""
+    found = []
+    pending = [("", ast.parse(path.read_text(), str(path)).body)]
+    while pending:
+        prefix, body = pending.pop()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                found.append((prefix + node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    pending.append((f"{prefix}{node.name}.", node.body))
+    return found
+
+
+def references(path: Path):
+    """``(name, line)`` of every name a file reads (``f``, ``x.f``) or
+    imports; a package ``__init__``'s re-exports do not count."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno))
+        elif (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.ImportFrom)
+                and path.name != "__init__.py"):
+            found.extend((alias.name, node.lineno) for alias in node.names)
+    return found
+
+
+def caller_files():
+    """Where a caller counts: the package, the benchmarks (not their
+    self-tests), the examples and the scripts."""
+    yield from (SRC / "repro").rglob("*.py")
+    harness_tests = ROOT / "benchmarks" / "e2e" / "tests"
+    yield from (path for path in (ROOT / "benchmarks").rglob("*.py")
+                if harness_tests not in path.parents)
+    yield from (ROOT / "examples").rglob("*.py")
+    yield from (ROOT / "scripts").rglob("*.py")
+
+
+def registered(node) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        if isinstance(target, ast.Name) and target.id in REGISTRARS:
+            return True
+    return False
+
+
+def uncalled_definitions() -> Set[str]:
+    """Qualified names of the definitions outside ``repro.testkit`` that
+    nothing in :func:`caller_files` names outside the definition."""
+    sites: Dict[str, List[tuple]] = {}
+    for path in caller_files():
+        for name, line in references(path):
+            sites.setdefault(name, []).append((path, line))
+    uncalled = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = module_name(path)
+        if module.startswith("repro.testkit"):
+            continue
+        for qualname, node in definitions(path):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) \
+                    or registered(node):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(site != path or line not in own
+                       for site, line in sites.get(name, ())):
+                uncalled.add(f"{module}.{qualname}")
+    return uncalled
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """A function, method or class nobody outside ``tests/`` names is
+    deleted, its test with it; ``TEST_ONLY`` is the exact exception
+    list, so a stale entry fails too."""
+    uncalled = uncalled_definitions()
+    assert sorted(uncalled - set(TEST_ONLY)) == []
+    assert sorted(set(TEST_ONLY) - uncalled) == []
+    assert set(TEST_ONLY.values()) <= {REFERENCE_MODEL, ACCESSOR}

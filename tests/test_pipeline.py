@@ -51,7 +51,7 @@ class TestPipelineModel:
             report = simulate_worker_pipeline(
                 make_inputs(format_name=format_name), default_config()
             )
-            assert not report.process_thread_is_bottleneck(), format_name
+            assert report.bottleneck() != "process", format_name
 
     def test_text_is_read_bound(self):
         config = default_config()

@@ -9,8 +9,7 @@ from repro.errors import ExpressionError
 from repro.kernels.joinindex import probe_join
 from repro.query.plan import join_aggregate, merge_partials
 from repro.query.query import DerivedColumn, HybridQuery
-from repro.query.stats import measure_selectivities, predicate_selectivity
-from repro.relational.expressions import compare
+from repro.query.stats import measure_selectivities
 from repro.relational.operators import joined_rows
 from repro.relational.schema import DataType
 from repro.relational.table import Table
@@ -42,7 +41,6 @@ class TestHybridQueryValidation:
 
     def test_valid(self):
         query = HybridQuery(**self.base_kwargs())
-        assert query.prefixed_db_key() == "t_joinKey"
         assert query.prefixed_hdfs_key() == "l_joinKey"
 
     def test_join_key_must_be_projected(self):
@@ -88,14 +86,12 @@ class TestSelectivityMeasurement:
         text = report.describe()
         assert "sigma_T" in text and "S_L'" in text
 
-    def test_predicate_selectivity(self, small_table):
-        assert predicate_selectivity(
-            small_table, compare("k", "<=", 2)
-        ) == pytest.approx(3 / 5)
-
-    def test_empty_table(self, small_table):
-        empty = small_table.slice(0, 0)
-        assert predicate_selectivity(empty, compare("k", "<=", 2)) == 0.0
+    def test_empty_table(self, paper_workload, paper_query):
+        report = measure_selectivities(
+            paper_workload.t_table.slice(0, 0),
+            paper_workload.l_table.slice(0, 0), paper_query)
+        assert (report.sigma_t, report.sigma_l, report.s_t, report.s_l) \
+            == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestPlanSteps:

@@ -51,16 +51,10 @@ class TestAssignment:
     def test_empty_blocks(self):
         assignment = assign_blocks([], 4)
         assert assignment.locality_fraction() == 1.0
-        assert assignment.max_rows_per_worker() == 0
 
     def test_invalid_worker_count(self):
         with pytest.raises(SimulationError):
             assign_blocks([], 0)
-
-    def test_max_rows_per_worker(self):
-        blocks = make_blocks([(0,), (1,), (0,)])
-        assignment = assign_blocks(blocks, 2)
-        assert assignment.max_rows_per_worker() == 20
 
     @given(
         num_workers=st.integers(1, 12),

@@ -55,9 +55,6 @@ class TestSchema:
         assert self.schema.has_column("a")
         assert not self.schema.has_column("zzz")
 
-    def test_index_of(self):
-        assert self.schema.index_of("b") == 1
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
             Schema([Column("a", DataType.INT32),

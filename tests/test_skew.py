@@ -342,9 +342,9 @@ class TestSkewCosting:
             2.0, hybrid=True, measured=3.1) == pytest.approx(2.0)
 
     def test_transfer_phases_scale_with_volume(self):
-        assert self.costing.work_steal_seconds(1e6, 32.0) > 0
-        assert self.costing.jen_duplicate_seconds(2e6, 32.0) == \
-            pytest.approx(2 * self.costing.jen_duplicate_seconds(1e6, 32.0))
+        assert self.costing.jen_relay_seconds(1e6, 32.0) > 0
+        assert self.costing.jen_relay_seconds(2e6, 32.0) == \
+            pytest.approx(2 * self.costing.jen_relay_seconds(1e6, 32.0))
 
     def test_advisor_discounts_repartition_when_skew_handled(self):
         config = dataclasses.replace(HybridConfig(), shuffle_skew=5.0)

@@ -48,6 +48,27 @@ class TestTranslation:
         assert isinstance(post, BetweenDayDiff)
         assert (post.low, post.high) == (0, 1)
 
+    def test_paper_query_plan_sides(self, session, paper_workload):
+        # The facts a rendered plan of the paper query shows: which table
+        # sits on each side, the equi-join, the scan-time UDF and that a
+        # post-join predicate exists.
+        query = session.explain(paper_sql(paper_workload)).query
+        assert (query.db_table, query.hdfs_table) == ("T", "L")
+        assert (query.db_join_key, query.hdfs_join_key) \
+            == ("joinKey", "joinKey")
+        assert [(d.udf_name, d.source) for d in query.hdfs_derived] \
+            == [("extract_group", "groupByExtractCol")]
+        assert query.post_join_predicate is not None
+
+    def test_order_and_limit_translated(self, session):
+        translation = session.explain("""
+            SELECT L.joinKey, COUNT(*) FROM T, L
+            WHERE T.joinKey = L.joinKey
+            GROUP BY L.joinKey ORDER BY COUNT(*) DESC LIMIT 3
+        """)
+        assert translation.ordering == [("count", True)]
+        assert translation.limit == 3
+
     def test_literal_on_left_normalised(self, session, paper_workload):
         tt = paper_workload.t_thresholds
         translation = session.explain(f"""
@@ -315,26 +336,6 @@ class TestOrderByLimit:
             GROUP BY L.joinKey LIMIT 0
         """, algorithm="repartition")
         assert result.rows() == []
-
-
-class TestExplainText:
-    def test_paper_query_plan_rendering(self, session, paper_workload):
-        text = session.explain_text(paper_sql(paper_workload))
-        assert "HYBRID QUERY PLAN" in text
-        assert "database side:  T" in text
-        assert "HDFS side:      L" in text
-        assert "equi-join:      joinKey = joinKey" in text
-        assert "extract_group(groupByExtractCol)" in text
-        assert "post-join:" in text
-
-    def test_order_and_limit_rendered(self, session):
-        text = session.explain_text("""
-            SELECT L.joinKey, COUNT(*) FROM T, L
-            WHERE T.joinKey = L.joinKey
-            GROUP BY L.joinKey ORDER BY COUNT(*) DESC LIMIT 3
-        """)
-        assert "order by:       count DESC" in text
-        assert "limit:          3" in text
 
 
 class TestInListPredicates:

@@ -110,7 +110,7 @@ class TestJoinLocal:
             join_output_tuples=expected.num_rows,
             result_rows=expected.num_rows,
         )
-        gathered = star_warehouse.gather_db_table("F_enriched")
+        gathered = star_warehouse.database.gather_table("F_enriched")
         assert gathered.schema == expected.schema
         oracle.assert_equivalent(gathered, expected)
 

@@ -130,12 +130,6 @@ class TestOperations:
         with pytest.raises(TableError):
             small_table.split(0)
 
-    def test_sorted_by(self, small_table):
-        out = small_table.sorted_by(["v"])
-        assert out.column("v").tolist() == sorted(
-            small_table.column("v").tolist()
-        )
-
     def test_to_rows(self):
         table = make_dict_table()
         rows = table.to_rows()

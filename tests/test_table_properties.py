@@ -59,18 +59,6 @@ def test_project_then_project_is_project(rows):
     assert twice.to_rows() == once.to_rows()
 
 
-@given(rows=rows_strategy)
-@settings(max_examples=60, deadline=None)
-def test_sorted_by_is_permutation_and_ordered(rows):
-    keys = [r[0] for r in rows] or [0]
-    values = [r[1] for r in rows] or [0]
-    table = make_table(keys, values)
-    ordered = table.sorted_by(["k", "v"])
-    assert sorted(ordered.to_rows()) == sorted(table.to_rows())
-    pairs = ordered.to_rows()
-    assert pairs == sorted(pairs)
-
-
 @given(rows=rows_strategy, seed=st.integers(0, 100))
 @settings(max_examples=40, deadline=None)
 def test_take_gather_matches_python(rows, seed):

@@ -109,9 +109,6 @@ class TestTraceConstruction:
         with pytest.raises(SimulationError):
             trace.phase("nope")
 
-    def test_total_work(self):
-        assert linear_trace(1, 2, 3).total_work_seconds() == 6
-
     def test_describe_mentions_phases(self):
         text = linear_trace(1, 2).describe()
         assert "p0" in text and "p1" in text

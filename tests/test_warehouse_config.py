@@ -37,7 +37,6 @@ class TestConfig:
         config = default_config(scale=1 / 1000)
         assert config.t_rows() == 1_600_000
         assert config.l_rows() == 15_000_000
-        assert config.join_keys() == 16_000
 
     def test_scaled_copy(self):
         config = HybridConfig()
@@ -62,9 +61,9 @@ class TestWarehouse:
         assert "cal_filter" in loaded_warehouse.udfs.names()
 
     def test_gather_round_trips(self, loaded_warehouse, paper_workload):
-        t = loaded_warehouse.gather_db_table("T")
+        t = loaded_warehouse.database.gather_table("T")
         assert t.num_rows == paper_workload.t_table.num_rows
-        l_table = loaded_warehouse.gather_hdfs_table("L")
+        l_table = loaded_warehouse.hdfs.file_table("L")
         assert l_table.num_rows == paper_workload.l_table.num_rows
 
     def test_duplicate_db_table(self, paper_workload):

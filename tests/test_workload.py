@@ -224,52 +224,3 @@ class TestKeySkew:
         for name in ("zigzag", "repartition(BF)", "db(BF)"):
             result = algorithm_by_name(name).run(warehouse, query)
             oracle.assert_equivalent(result.result, expected, label=name)
-
-
-class TestWorkloadCache:
-    def test_round_trip(self, tmp_path, paper_workload):
-        from repro.workload import load_workload, save_workload
-
-        path = save_workload(paper_workload, tmp_path / "wl.npz")
-        loaded = load_workload(path)
-        assert loaded.spec == paper_workload.spec
-        assert loaded.layout == paper_workload.layout
-        assert loaded.t_thresholds == paper_workload.t_thresholds
-        assert (loaded.t_table.column("joinKey")
-                == paper_workload.t_table.column("joinKey")).all()
-        assert loaded.l_table.to_rows()[:5] == \
-            paper_workload.l_table.to_rows()[:5]
-
-    def test_loaded_workload_queries_identically(self, tmp_path,
-                                                 paper_workload,
-                                                 paper_oracle):
-        from repro.testkit import oracle
-        from repro.workload import load_workload, save_workload
-
-        path = save_workload(paper_workload, tmp_path / "wl.npz")
-        loaded = load_workload(path)
-        query = build_paper_query(loaded)
-        oracle.assert_equivalent(
-            oracle.oracle_execute(loaded.t_table, loaded.l_table, query),
-            paper_oracle)
-
-    def test_missing_file(self, tmp_path):
-        from repro.workload import load_workload
-
-        with pytest.raises(WorkloadError, match="no workload bundle"):
-            load_workload(tmp_path / "ghost.npz")
-
-    def test_version_guard(self, tmp_path, paper_workload):
-        import json
-        import numpy as np
-        from repro.workload import load_workload, save_workload
-
-        path = save_workload(paper_workload, tmp_path / "wl.npz")
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        meta = json.loads(str(arrays["__meta__"]))
-        meta["format_version"] = 99
-        arrays["__meta__"] = np.array(json.dumps(meta))
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(WorkloadError, match="version"):
-            load_workload(path)
