@@ -2,7 +2,8 @@
 
 The algorithm advises an initial plan from the (possibly wrong) workload
 estimate, then executes it with an :class:`~repro.adaptive.collector.
-AdaptiveContext` among its context's observers.  When a decision
+AdaptiveContext` and the run's :class:`~repro.adaptive.collector.
+ArtifactBank` among its context's observers.  When a decision
 checkpoint's re-costing votes to switch, the in-flight segment is
 abandoned via :class:`~repro.adaptive.collector.SwitchSignal`
 (the engines' ``finally`` blocks drain cleanly), its materialised
@@ -121,13 +122,13 @@ class AdaptiveJoin(JoinAlgorithm):
                     bank=bank,
                 )
                 reoptimizers.append(reoptimizer)
-            observer = AdaptiveContext(collector, reoptimizer, bank)
+            observer = AdaptiveContext(collector, reoptimizer)
             inner = algorithm_by_name(incumbent)
             try:
                 inner_result = inner.run(warehouse, query, context=(
                     dataclasses.replace(
                         context,
-                        observers=context.observers + (observer,))))
+                        observers=context.observers + (bank, observer))))
             except SwitchSignal as signal:
                 abandoned.append(_AbandonedSegment(
                     algorithm=incumbent,

@@ -9,17 +9,17 @@ observed-so-far rates to the whole table — the input the re-optimizer
 feeds back through the advisor's cost model.
 
 :class:`ArtifactBank` keeps materialised artifacts that stay legal
-across a plan switch: the merged BF(T′) (bit-identical reuse, shadow
-sets and all) and the filtered T′ partitions.  One bank outlives every
-segment of one adaptive run.
+across a plan switch: the merged BF(T′) (bit-identical reuse, by
+object) and the filtered T′ partitions.  One bank outlives every
+segment of one adaptive run and observes each.
 
-:class:`AdaptiveContext` is the observer :class:`~repro.adaptive.
-algorithm.AdaptiveJoin` adds to one segment's run (one of the
-``observers`` of its :class:`~repro.core.joins.base.ExecutionContext`):
-it owns
-one collector, the shared bank, the run's trace (whose phases and
-shuffle sizes it reads back) and, unless the run is collect-only, the
-re-optimizer consulted at checkpoints.  :class:`SwitchSignal` is what it
+:class:`AdaptiveContext` is the other run observer (:class:`repro.
+observer.RunObserver`) :class:`~repro.adaptive.algorithm.AdaptiveJoin`
+adds to one segment's run (the ``observers`` of its
+:class:`~repro.core.joins.base.ExecutionContext`): it owns one
+collector, the run's trace (whose shuffle sizes it reads back) and,
+unless the run is collect-only, the re-optimizer consulted at
+checkpoints.  :class:`SwitchSignal` is what it
 raises to abandon the run.
 """
 
@@ -29,6 +29,7 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.advisor import WorkloadEstimate
+from repro.observer import RunObserver
 
 #: Observed selectivities are clamped to the advisor's legal floor.
 _SIGMA_FLOOR = 1e-5
@@ -138,14 +139,15 @@ class RuntimeStatsCollector:
         }
 
 
-class ArtifactBank:
+class ArtifactBank(RunObserver):
     """Materialised artifacts that survive a plan switch legally.
 
     Reuse is legal because the data plane is deterministic and the
     query is unchanged within one adaptive run: the filtered T′
     partitions and the merged BF(T′) a new segment would build are
     bit-identical to the banked ones.  Banked Bloom filters are reused
-    *by object*, so the testkit's shadow key sets stay attached.
+    *by object*.  Each segment's run banks and borrows through the
+    bank's run-observer hooks.
     """
 
     def __init__(self):
@@ -186,7 +188,7 @@ class ArtifactBank:
         }
 
 
-class AdaptiveContext:
+class AdaptiveContext(RunObserver):
     """The observer of one plan segment's run.
 
     ``reoptimizer`` is ``None`` for collect-only segments (statistics
@@ -197,17 +199,18 @@ class AdaptiveContext:
     """
 
     def __init__(self, collector: RuntimeStatsCollector,
-                 reoptimizer=None,
-                 bank: Optional[ArtifactBank] = None):
+                 reoptimizer=None):
         self.collector = collector
         self.reoptimizer = reoptimizer
-        self.bank = bank if bank is not None else ArtifactBank()
-        #: The observed run's trace; the run sets it when it opens.
+        #: The observed run's trace; the run hands it over when it opens.
         self.trace = None
         #: Fractional checkpoints already evaluated (fire each once).
         self._fired: set = set()
 
     # -- what the run reports ------------------------------------------
+    def on_run_begin(self, trace) -> None:
+        self.trace = trace
+
     def on_db_filter(self, rows_scanned: int, rows_out: int) -> None:
         self.collector.db_rows_scanned += rows_scanned
         self.collector.db_rows_out += rows_out

@@ -102,7 +102,7 @@ class ApproxJoin(JoinAlgorithm):
         run = JoinRun(self, warehouse, query, context=context)
         costing, stats, trace = run.costing, run.stats, run.trace
         t_parts = run.db_filter()
-        db_bloom = run.bf_db() if self.use_bloom else None
+        db_bloom = run.bf_db(t_parts) if self.use_bloom else None
         scan_gate = (["startup", "bf_db_send"] if self.use_bloom
                      else ["startup"])
         t_prime = Table.concat(t_parts)
@@ -130,7 +130,8 @@ class ApproxJoin(JoinAlgorithm):
         join_output = 0
         first_wire: Optional[Table] = None
         stream = jen.scan_sampled_blocks(
-            query.hdfs_table, request, sample.ordering, db_bloom=db_bloom
+            query.hdfs_table, request, sample.ordering, db_bloom=db_bloom,
+            observers=run.observers,
         )
         try:
             for wire, block_stats in stream:

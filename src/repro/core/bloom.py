@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.errors import BloomFilterError
 from repro.kernels.bloomops import popcount, scatter_or, test_bits
-from repro.testkit import invariants
 
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
@@ -156,16 +155,12 @@ class BloomFilter:
         hashed = keys if dense is None else dense[0]
         scatter_or(self._words, self._positions(hashed))
         self._num_added += len(keys)
-        if invariants.checking_enabled():
-            invariants.record_bloom_add(self, keys)
 
     def union_in_place(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise-OR ``other`` into this filter (the global-merge step)."""
         self._check_compatible(other)
         self._words |= other._words
         self._num_added += other._num_added
-        if invariants.checking_enabled():
-            invariants.record_bloom_merge(self, other)
         return self
 
     @classmethod
@@ -189,8 +184,6 @@ class BloomFilter:
         duplicate = BloomFilter(self.num_bits, self.num_hashes, self.seed)
         duplicate._words = self._words.copy()
         duplicate._num_added = self._num_added
-        if invariants.checking_enabled():
-            invariants.record_bloom_merge(duplicate, self)
         return duplicate
 
     # ------------------------------------------------------------------
@@ -209,15 +202,10 @@ class BloomFilter:
             return np.zeros(0, dtype=bool)
         dense = _distinct_keys(keys)
         if dense is None:
-            mask = test_bits(self._words, self._positions(keys))
-        else:
-            distinct, present, occupied, offsets = dense
-            present[occupied] = test_bits(
-                self._words, self._positions(distinct))
-            mask = present[offsets]
-        if invariants.checking_enabled():
-            invariants.check_bloom_contains(self, keys, mask)
-        return mask
+            return test_bits(self._words, self._positions(keys))
+        distinct, present, occupied, offsets = dense
+        present[occupied] = test_bits(self._words, self._positions(distinct))
+        return present[offsets]
 
     def __contains__(self, key: int) -> bool:
         return bool(self.contains(np.asarray([key]))[0])

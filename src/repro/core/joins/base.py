@@ -125,7 +125,7 @@ class ExecutionContext:
 
     (The paper's ``read_hdfs`` UDF, too, ships it with each request.)
     ``skew_handling`` arms the skew plane (:mod:`repro.skew`);
-    ``observers`` watch the run (see :class:`JoinRun`);
+    ``observers`` (:class:`repro.observer.RunObserver`) watch the run;
     ``bloom_builder`` replaces ``ParallelDatabase.build_global_bloom``
     and ``index_for`` builds the local join's index (the query service
     fills both from its caches).
@@ -198,13 +198,11 @@ class JoinRun:
     :func:`~repro.core.joins.db_side.edw_tail`).  Each phase is priced
     at one place only, so every algorithm prices a step identically.
 
-    The context's ``observers`` watch the run
-    (:class:`repro.adaptive.collector.AdaptiveContext` is one).  The run
-    hands each its trace, the database filter's counts and the
-    ``t_prime_built`` checkpoint, and the HDFS scans feed each per block
-    (``on_scan_begin`` / ``on_scan_block``, after the scan's heavy-hitter
-    detector); their ``bank`` lends the run the artifacts kept from an
-    abandoned plan.  Any call into one may raise to abandon the run.
+    The context's ``observers`` (:class:`repro.observer.RunObserver`)
+    watch the run: it hands each its trace, T′'s counts, checkpoints and
+    Bloom filters and banks artifacts with them; the HDFS scans feed
+    each per block (after the scan's heavy-hitter detector), and the
+    data-plane steps hand each their invariants.
     """
 
     def __init__(self, algorithm: JoinAlgorithm, warehouse,
@@ -220,7 +218,7 @@ class JoinRun:
         self.stats = JoinStats()
         self.trace = Trace(label=algorithm.display_name)
         for observer in self.observers:
-            observer.trace = self.trace
+            observer.on_run_begin(self.trace)
         self.trace.add("startup", "latency", self.costing.startup_seconds(),
                        description=startup)
 
@@ -236,7 +234,7 @@ class JoinRun:
         database = self.warehouse.database
         t_meta = database.table_meta(query.db_table)
         self.stats.db_rows_scanned = t_meta.num_rows
-        banked = _first(observer.bank.banked_db_filter(query.db_table)
+        banked = _first(observer.banked_db_filter(query.db_table)
                         for observer in self.observers)
         if banked is not None:
             # A switched-away plan already materialised T' for this
@@ -258,8 +256,7 @@ class JoinRun:
             for observer in self.observers:
                 observer.on_db_filter(
                     sum(s.rows_scanned for s in worker_stats), matched)
-                observer.bank.bank_db_filter(query.db_table, t_parts,
-                                             matched)
+                observer.bank_db_filter(query.db_table, t_parts, matched)
             seconds = self.costing.db_table_scan_seconds(
                 raw_t_bytes, matched, index_available
             )
@@ -272,17 +269,17 @@ class JoinRun:
             observer.on_checkpoint("t_prime_built")
         return t_parts
 
-    def bf_db(self):
-        """Build BF_DB (index-only when possible) and multicast it."""
+    def bf_db(self, t_parts: List[Table]):
+        """Build BF_DB over T′ (index-only when possible), multicast it."""
         query, costing = self.query, self.costing
         config = self.warehouse.config
         bank_key = (query.db_table, query.db_join_key, config.bloom_bits())
-        banked = _first(observer.bank.banked_bloom(bank_key)
+        banked = _first(observer.banked_bloom(bank_key)
                         for observer in self.observers)
         if banked is not None:
             # BF_DB built by a switched-away plan: the same bits would
-            # come out of a rebuild, so reuse the object (its invariant
-            # shadow keys included) and charge nothing for the build.
+            # come out of a rebuild, so reuse the object and charge
+            # nothing for the build.
             bloom_result = banked
             build_seconds = 0.0
             build_description = "reuse BF_DB banked before the switch"
@@ -297,7 +294,7 @@ class JoinRun:
                 num_hashes=config.bloom.num_hashes,
             )
             for observer in self.observers:
-                observer.bank.bank_bloom(bank_key, bloom_result)
+                observer.bank_bloom(bank_key, bloom_result)
             build_seconds = costing.db_bloom_build_seconds(
                 bloom_result.rows_accessed * 16.0,
                 bloom_result.keys_added,
@@ -319,6 +316,9 @@ class JoinRun:
         self.stats.bloom_bytes_moved += (
             costing.bloom_bytes() * self.warehouse.jen.num_workers
         )
+        for observer in self.observers:
+            observer.on_bloom_built(bloom_result.bloom, [
+                part.column(query.db_join_key) for part in t_parts])
         return bloom_result.bloom
 
     def hdfs_scan(self, db_bloom=None, build_hdfs_bloom: bool = False,
@@ -346,6 +346,11 @@ class JoinRun:
         )
         if detector is not None:
             scan.hot_keys = detector.hot_key_set()
+        if build_hdfs_bloom:
+            for observer in self.observers:
+                observer.on_bloom_built(scan.hdfs_bloom, [
+                    wire.column(query.hdfs_join_key)
+                    for wire in scan.wire_tables])
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
         stats.hdfs_stored_bytes_scanned = scan.stats.stored_bytes_scanned
         stats.hdfs_rows_after_predicates = scan.stats.rows_after_predicates

@@ -35,9 +35,6 @@ class BroadcastJoin(JoinAlgorithm):
 
     def __init__(self,
                  pattern: TransferPattern = TransferPattern.BROADCAST_DIRECT):
-        if pattern not in (TransferPattern.BROADCAST_DIRECT,
-                           TransferPattern.BROADCAST_RELAY):
-            raise ValueError(f"not a broadcast pattern: {pattern}")
         self.pattern = pattern
 
     def run(self, warehouse, query: HybridQuery,

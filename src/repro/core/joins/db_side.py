@@ -61,7 +61,7 @@ class DbSideJoin(JoinAlgorithm):
                       startup="read_hdfs UDF, coordinator handshakes",
                       context=context)
         t_parts = run.db_filter()
-        db_bloom = run.bf_db() if self.use_bloom else None
+        db_bloom = run.bf_db(t_parts) if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)
         return edw_tail(run, "L", scan.wire_tables, "hdfs_scan", t_parts,
                         "db_filter")

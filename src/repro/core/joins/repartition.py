@@ -38,7 +38,6 @@ from repro.kernels.partition import partition_table
 from repro.latemat import LateMatPlan, PayloadStore, transfer_edge
 from repro.relational.table import Table
 from repro.skew import STEAL_THRESHOLD
-from repro.testkit import invariants
 from repro.query.query import HybridQuery
 
 
@@ -61,7 +60,7 @@ class RepartitionJoin(JoinAlgorithm):
             context=None) -> JoinResult:
         run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
-        db_bloom = run.bf_db() if self.use_bloom else None
+        db_bloom = run.bf_db(t_parts) if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)
         l_side = shuffle_l(run, "L'", scan.wire_tables, scan.hot_keys)
         t_side = ship_t(run, "T'", t_parts, scan.hot_keys,
@@ -101,7 +100,8 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
     costing, stats = run.costing, run.stats
     store, ship, row_bytes = transfer_edge(tables, run.query, "hdfs")
     shuffled = run.warehouse.jen.shuffle_by_key(
-        ship, run.query.hdfs_join_key, hot_keys=hot_keys)
+        ship, run.query.hdfs_join_key, hot_keys=hot_keys,
+        observers=run.observers)
     tuples = shuffled.tuples_shuffled
     stats.hdfs_tuples_shuffled = tuples
     run.trace.metadata["shuffle_partition_rows"] = [
@@ -136,7 +136,7 @@ def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
     store, ship, row_bytes = transfer_edge(t_parts, run.query, "db")
     t_dest, hot_rows, hot_copies = _route_db_rows(
         ship, run.query.db_join_key, run.warehouse.jen.num_workers,
-        hot_keys=hot_keys)
+        hot_keys=hot_keys, observers=run.observers)
     tuples = sum(part.num_rows for part in ship)
     stats.db_tuples_sent = tuples
     stats.hot_tuples_broadcast += hot_copies
@@ -181,6 +181,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         index_for=run.context.index_for,
         steal_threshold=(STEAL_THRESHOLD
                          if run.context.skew_handling else None),
+        observers=run.observers,
     )
     output = joined.join_output_tuples
     stats.join_output_tuples = output
@@ -267,8 +268,8 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
 
 
 def _route_db_rows(t_parts: List[Table], key: str,
-                   num_jen_workers: int,
-                   hot_keys=None) -> Tuple[List[Table], int, int]:
+                   num_jen_workers: int, hot_keys=None,
+                   observers: Tuple = ()) -> Tuple[List[Table], int, int]:
     """Regroup DB workers' outgoing rows by the agreed hash destination.
 
     The senders' rows are concatenated once and split by one pass of
@@ -281,7 +282,8 @@ def _route_db_rows(t_parts: List[Table], key: str,
     the matching build-side rows; the cold tail keeps the agreed hash.
     Returns the per-destination tables, the number of hot rows (each
     counted once), and the total delivered hot copies (what the
-    duplication actually costs on the wire).
+    duplication actually costs on the wire).  Each of ``observers``
+    checks the routing.
     """
     combined = Table.concat(t_parts)
     keys = combined.column(key)
@@ -307,15 +309,15 @@ def _route_db_rows(t_parts: List[Table], key: str,
         combined = combined.take(np.concatenate(rows))
         assignments = np.concatenate(targets)
     destinations = partition_table(combined, assignments, num_jen_workers)
-    if invariants.checking_enabled():
+    for observer in observers:
         if use_hybrid:
-            invariants.check_broadcast_routing(
+            observer.check_broadcast_routing(
                 t_parts, key, destinations, num_jen_workers,
                 agreed_hash_partition, hot_keys.keys,
                 fanouts=hot_keys.fanouts,
             )
         else:
-            invariants.check_hash_partition(
+            observer.check_hash_partition(
                 combined, key, destinations, num_jen_workers,
                 agreed_hash_partition,
             )

@@ -50,7 +50,7 @@ class ZigzagJoin(JoinAlgorithm):
             context=None) -> JoinResult:
         run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
-        db_bloom = run.bf_db()
+        db_bloom = run.bf_db(t_parts)
         scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)
         l_side = shuffle_l(run, "L''", scan.wire_tables, scan.hot_keys)
         t_pruned = bf_h(run, scan, t_parts)
@@ -79,7 +79,7 @@ def bf_h(run: JoinRun, scan, t_parts: List[Table]) -> List[Table]:
         + costing.bloom_bytes() * run.warehouse.database.num_workers
     )
     t_pruned = DbWorker.apply_bloom(t_parts, run.query.db_join_key,
-                                    hdfs_bloom)
+                                    hdfs_bloom, run.observers)
     t_prime_tuples = sum(part.num_rows for part in t_parts)
     trace.add("db_second_access", "db_scan",
               costing.db_second_access_seconds(t_prime_tuples),

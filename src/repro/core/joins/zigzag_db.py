@@ -50,7 +50,7 @@ class ZigzagDbJoin(JoinAlgorithm):
             context=None) -> JoinResult:
         run = JoinRun(self, warehouse, query, context=context)
         t_parts = run.db_filter()
-        db_bloom = run.bf_db()
+        db_bloom = run.bf_db(t_parts)
         # -- First HDFS scan: only to build BF_H ---------------------------
         first_scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)
         t_pruned = bf_h(run, first_scan, t_parts)

@@ -148,15 +148,19 @@ class DbWorker:
     # ------------------------------------------------------------------
     @staticmethod
     def apply_bloom(tables: Sequence[Table], key_column: str,
-                    bloom: BloomFilter) -> List[Table]:
+                    bloom: BloomFilter, observers: Tuple = ()
+                    ) -> List[Table]:
         """Keep only rows whose key may be in ``bloom``, part by part.
 
         ``tables`` are every worker's parts (T′); one ``contains`` call
-        tests all their keys and each part keeps its slice of the mask.
+        tests all their keys, each of ``observers`` checks the mask, and
+        each part keeps its slice of it.
         """
         tables = list(tables)
-        mask = bloom.contains(np.concatenate(
-            [table.column(key_column) for table in tables]))
+        keys = np.concatenate([table.column(key_column) for table in tables])
+        mask = bloom.contains(keys)
+        for observer in observers:
+            observer.check_bloom_contains(bloom, keys, mask)
         bounds = np.cumsum([0] + [table.num_rows for table in tables])
         return [
             table.filter(mask[start:stop])

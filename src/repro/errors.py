@@ -119,11 +119,11 @@ class QueryAbortError(FaultError):
 class InvariantViolation(ReproError):
     """An engine-internal invariant check failed (:mod:`repro.testkit`).
 
-    Only raised while :func:`repro.testkit.checking` is active: the
-    testkit's assertion hooks inside the shuffle, the partitioners, the
-    Bloom filters and the spill path verify exactly-once delivery,
-    partition completeness/disjointness, no-false-negative membership
-    and spill round-trip fidelity.  Production runs never see this.
+    Only raised by :class:`repro.testkit.InvariantChecker`, for a run
+    whose context carries one: exactly-once delivery, partition
+    completeness/disjointness, no-false-negative membership and spill
+    round-trip fidelity, as the engines report them to the run's
+    observers.  A run without a checker never sees this.
     """
 
 

@@ -253,6 +253,7 @@ class Jen:
         request: ScanRequest,
         blocks,
         db_bloom: Optional[BloomFilter] = None,
+        observers: Tuple = (),
     ):
         """Scan individual blocks one at a time, yielding per-block wire
         tables (the approximate tier's morsel stream).
@@ -265,7 +266,8 @@ class Jen:
         decides when to stop drawing, which is what makes progressive
         refinement possible.  The predicate runs over each drawn
         block's rows alone, so a stream that stops early evaluates no
-        more rows than it read.
+        more rows than it read.  ``observers`` hear each block (and
+        check its Bloom step) as in the full scan.
 
         Fault plans are deliberately unsupported: the block-at-a-time
         stream has no work-queue recovery semantics, and a degraded
@@ -291,6 +293,7 @@ class Jen:
             for block in blocks:
                 wire, stats = owner(block).scan_filter_project(
                     meta, [block], request, db_bloom=db_bloom,
+                    observers=observers,
                 )
                 yield wire, stats
         finally:
@@ -446,7 +449,8 @@ class Jen:
 
     # ------------------------------------------------------------------
     def shuffle_by_key(self, wire_tables: List[Table], key: str,
-                       hot_keys=None) -> ShuffleResult:
+                       hot_keys=None, observers: Tuple = ()
+                       ) -> ShuffleResult:
         """All-to-all shuffle of the wire tables on the agreed hash.
 
         With an armed fault plan: workers crashing at shuffle time lose
@@ -459,7 +463,8 @@ class Jen:
         all (surviving) workers instead of hashing onto one receiver,
         while the cold tail keeps the agreed hash.  Delivery — retries,
         dedup, exactly-once accounting — is identical either way; only
-        the senders' destination assignments change.
+        the senders' destination assignments change.  ``observers``
+        check the split and the delivery.
         """
         injector = self.injector
         wire_tables = list(wire_tables)
@@ -469,9 +474,10 @@ class Jen:
                 wire_tables = self._shuffle_crashes(wire_tables, injector)
         per_destination, routed, hot_tuples = \
             JenWorker.partition_for_exchange(
-                wire_tables, key, self.num_workers, hot_keys
+                wire_tables, key, self.num_workers, hot_keys, observers
             )
-        result = shuffle(per_destination, routed, faults=injector)
+        result = shuffle(per_destination, routed, faults=injector,
+                         observers=observers)
         result.hot_tuples = hot_tuples
         return result
 
@@ -514,6 +520,7 @@ class Jen:
         latemat_plan: Optional[LateMatPlan] = None,
         index_for=JoinBuildIndex,
         steal_threshold: Optional[float] = None,
+        observers: Tuple = (),
     ) -> Tuple[Table, LocalJoinStats]:
         """Local hash joins on every worker, then the final aggregate.
 
@@ -539,7 +546,7 @@ class Jen:
 
         ``index_for(build_keys, band_values, slot_bounds)`` builds the
         join's index; ``steal_threshold`` arms work stealing (``None``:
-        off).
+        off); ``observers`` check every spill and steal fragmenting.
         """
         injector = self.injector
         if injector is not None:
@@ -580,7 +587,8 @@ class Jen:
             [(l_part, t_part)]
             for l_part, t_part in zip(l_parts, t_parts)
         ]
-        self._steal_stragglers(work_lists, query, stats, steal_threshold)
+        self._steal_stragglers(work_lists, query, stats, steal_threshold,
+                               observers)
         stats.per_slot_loads = [
             sum(l_unit.num_rows + t_unit.num_rows
                 for l_unit, t_unit in units)
@@ -601,7 +609,7 @@ class Jen:
                     (probe_frag, build_frag)
                     for build_frag, probe_frag in fragment_tables(
                         l_part, t_part, query.hdfs_join_key,
-                        query.db_join_key, plan.num_fragments,
+                        query.db_join_key, plan.num_fragments, observers,
                     ))
         # Every unit joins in one slot-keyed build, probe and group-by.
         result, stats.join_output_tuples = join_aggregate(
@@ -615,6 +623,7 @@ class Jen:
         query: HybridQuery,
         stats: LocalJoinStats,
         threshold: Optional[float],
+        observers: Tuple = (),
     ) -> None:
         """Re-deal straggler join partitions across workers (in place)
         once the largest load passes ``threshold`` times the mean.
@@ -645,7 +654,7 @@ class Jen:
         for slot, (l_part, t_part) in enumerate(originals):
             pieces = fragment_tables(
                 l_part, t_part, query.hdfs_join_key, query.db_join_key,
-                plan.fragments[slot],
+                plan.fragments[slot], observers,
             )
             for index, piece in enumerate(pieces):
                 destination = plan.assignments[(slot, index)]

@@ -15,13 +15,12 @@ aggregates inside the one local join
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import JoinError
 from repro.relational.table import Table
-from repro.testkit import invariants
 
 
 @dataclass
@@ -58,7 +57,7 @@ class ShuffleResult:
 
 
 def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
-            faults=None) -> ShuffleResult:
+            faults=None, observers: Tuple = ()) -> ShuffleResult:
     """Deliver a partitioned all-to-all exchange exactly once.
 
     ``per_destination[destination]`` holds the rows addressed there via
@@ -73,7 +72,7 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
     (drops and truncations are re-sent after a timeout) and delivery is
     idempotent: each receiver accepts one copy per sender, so a
     message re-delivered because its acknowledgement was lost does
-    *not* duplicate rows.
+    *not* duplicate rows.  Each of ``observers`` checks the delivery.
     """
     routed = np.asarray(routed)
     if routed.ndim != 2 or routed.shape[0] == 0:
@@ -89,10 +88,8 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
     tuples_remote = 0
     retries = 0
     duplicates_suppressed = 0
-    delivery_counts = (
-        np.zeros((num_senders, num_destinations), dtype=np.int64)
-        if invariants.checking_enabled() else None
-    )
+    # accepted[destination][sender]: copies of the message accepted.
+    accepted = [[0] * num_senders for _ in range(num_destinations)]
     for destination, sizes in enumerate(routed.T.tolist()):
         seen_senders = set()
         for sender, size in enumerate(sizes):
@@ -111,15 +108,13 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
                     duplicates_suppressed += 1
                     continue
                 seen_senders.add(sender)
-                if delivery_counts is not None:
-                    delivery_counts[sender, destination] += 1
+                accepted[destination][sender] += 1
                 tuples_shuffled += size
                 if sender != destination:
                     tuples_remote += size
-    if delivery_counts is not None:
-        invariants.check_shuffle_delivery(
-            routed, per_destination, delivery_counts
-        )
+    for observer in observers:
+        observer.check_shuffle_delivery(routed, per_destination,
+                                        np.array(accepted).T)
     return ShuffleResult(
         per_destination=list(per_destination),
         tuples_shuffled=tuples_shuffled,

@@ -22,7 +22,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import JoinError
-from repro.testkit import invariants
 
 _FRAGMENT_MULT = np.uint64(0xD6E8FEB86659FD93)
 
@@ -75,14 +74,16 @@ def plan_spill(build_rows: int, probe_rows: int,
 
 
 def fragment_tables(build, probe, build_key: str, probe_key: str,
-                    num_fragments: int) -> List[Tuple[object, object]]:
+                    num_fragments: int, observers: Tuple = ()
+                    ) -> List[Tuple[object, object]]:
     """Split both join inputs into co-aligned fragments.
 
     Rows with equal keys always land in the same fragment, so joining
     fragment-wise is exactly equivalent to the in-memory join.  Both
     sides go through the single-pass partition kernel — one sort + one
     gather each, with fragments as zero-copy views — so spill re-reads
-    do not rescan either input once per fragment.
+    do not rescan either input once per fragment.  Each of
+    ``observers`` checks the round trip.
     """
     from repro.kernels.partition import partition_table
 
@@ -97,8 +98,8 @@ def fragment_tables(build, probe, build_key: str, probe_key: str,
     build_fragments = partition_table(build, build_assignment, num_fragments)
     probe_fragments = partition_table(probe, probe_assignment, num_fragments)
     fragments = list(zip(build_fragments, probe_fragments))
-    if invariants.checking_enabled():
-        invariants.check_spill_fragments(
+    for observer in observers:
+        observer.check_spill_fragments(
             build, probe, build_key, probe_key, fragments,
             num_fragments, fragment_hash_partition,
         )

@@ -32,7 +32,6 @@ from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.relational.expressions import Predicate
 from repro.relational.table import Table
 from repro.query.query import DerivedColumn, HybridQuery
-from repro.testkit import invariants
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,10 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
 
     One ``take`` per projected column gathers the batches' survivors,
     in batch and block order, out of the file table; then one Bloom
-    step (:func:`bloom_step`), one filter, the derivations and the
-    projection to the wire columns.  Returns each batch's wire table —
-    a zero-copy slice of the result — and sets its
-    ``stats.rows_after_bloom``.
+    step (:func:`bloom_step`, whose BF_DB mask each observer checks),
+    one filter, the derivations and the projection to the wire columns.
+    Returns each batch's wire table — a zero-copy slice of the result —
+    and sets its ``stats.rows_after_bloom``.
 
     The ``observers`` are then fed block by block, in batch order:
     ``on_scan_block(rows, stored_bytes, after_predicates, after_bloom,
@@ -245,6 +244,10 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
     if request.join_key is not None:
         keep = bloom_step(rows.column(request.join_key), db_bloom,
                           hdfs_bloom)
+        if keep is not None:
+            for observer in observers:
+                observer.check_bloom_contains(
+                    db_bloom, rows.column(request.join_key), keep)
     selected = [hi - lo for lo, hi in spans]
     # Where each block's rows start: in the gathered rows, then, past
     # the Bloom step, in the wire.
@@ -414,7 +417,7 @@ class JenWorker:
     @staticmethod
     def partition_for_exchange(
         wire_tables: Sequence[Table], key: str, num_workers: int,
-        hot_keys=None,
+        hot_keys=None, observers: Tuple = (),
     ) -> Tuple[List[Table], np.ndarray, int]:
         """Route every sender's wire table and split them in one pass.
 
@@ -430,7 +433,8 @@ class JenWorker:
         ``routed[sender, destination]`` counts the rows sender addressed
         to destination, so message ``(sender, destination)`` is rows
         ``routed[:sender, destination].sum()`` onwards of
-        ``per_destination[destination]``.
+        ``per_destination[destination]``.  Each of ``observers`` checks
+        the split.
         """
         if not wire_tables:
             raise JoinError("shuffle needs at least one sender")
@@ -464,15 +468,15 @@ class JenWorker:
         per_destination = partition_table(
             combined, np.concatenate(per_sender), num_workers
         )
-        if invariants.checking_enabled():
+        for observer in observers:
             if hybrid:
-                invariants.check_hybrid_partition(
+                observer.check_hybrid_partition(
                     combined, key, per_destination, num_workers,
                     agreed_hash_partition, hot_keys.keys,
                     fanouts=hot_keys.fanouts,
                 )
             else:
-                invariants.check_hash_partition(
+                observer.check_hash_partition(
                     combined, key, per_destination, num_workers,
                     agreed_hash_partition,
                 )

@@ -1,8 +1,9 @@
 """Data-transfer patterns between DB2 workers and JEN workers.
 
-:class:`TransferPattern` names the paper's Figure 6 patterns (grouped
-DB-side ingest, broadcast direct or through a relay, agreed-hash direct
-sends).  The engine prices them in
+:class:`TransferPattern` names the broadcast join's two schemes of the
+paper's Figure 6 (direct, or through a relay); the other two, grouped
+DB-side ingest and agreed-hash direct sends, are simply what the
+DB-side and repartition joins do.  The engine prices every pattern in
 :class:`~repro.core.joins.costing.JoinCosting` and groups the DB-side
 ingest in ``repro.core.joins.db_side``.  This module also holds the
 retry discipline of unreliable transfers and the all-to-all shuffle
@@ -18,12 +19,11 @@ from repro.net.topology import HybridTopology
 
 
 class TransferPattern(enum.Enum):
-    """How database data reaches JEN workers (paper Fig. 6)."""
+    """How the broadcast join's T′ reaches every JEN worker (paper
+    Fig. 6)."""
 
-    GROUPED_INGEST = "grouped_ingest"
     BROADCAST_DIRECT = "broadcast_direct"
     BROADCAST_RELAY = "broadcast_relay"
-    AGREED_HASH_DIRECT = "agreed_hash_direct"
 
 
 # Retry discipline for unreliable transfers (fault injection).  A lost

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.kernels.sketch import CountMinSketch, TopKHeap
+from repro.observer import RunObserver
 
 
 #: Count-min sketch geometry; 1024 x 4 bounds overestimation to
@@ -75,7 +76,7 @@ class HotKeySet:
         ]
 
 
-class HeavyHitterDetector:
+class HeavyHitterDetector(RunObserver):
     """Accumulates join-key batches; reports the final hot-key set."""
 
     def __init__(self, num_workers: int):
@@ -95,9 +96,6 @@ class HeavyHitterDetector:
     def threshold(self) -> int:
         """Current absolute hot-key count threshold (grows with N)."""
         return max(1, math.ceil(self.fraction * self.sketch.total))
-
-    def on_scan_begin(self, total_blocks: int) -> None:
-        """Scan observer protocol: the block count needs no action."""
 
     def on_scan_block(self, rows_scanned, stored_bytes,
                       rows_after_predicates, rows_after_bloom,

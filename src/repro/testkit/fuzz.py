@@ -2,8 +2,8 @@
 
 The driver behind ``python -m repro fuzz`` and the CI ``fuzz-smoke``
 job: for each seed it generates a fresh data case, samples config cells
-across every metamorphic axis, runs each cell with the engine invariant
-hooks armed, and compares the result against the single-node oracle.
+across every metamorphic axis, runs each cell under an invariant
+checker, and compares the result against the single-node oracle.
 Every failure is shrunk to a minimal repro
 (:mod:`repro.testkit.shrink`) and — when an artifact directory is given
 — written out as a JSON record plus a ready-to-run ``.py`` snippet so
@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.testkit import invariants, oracle, shrink
+from repro.testkit import oracle, shrink
 from repro.testkit.generator import (
     ALL_ALGORITHMS,
     FAULT_AXIS,
@@ -173,7 +173,7 @@ def run_fuzz(seeds: Sequence[int], cells_per_seed: int = 10,
              shrink_budget: int = 150) -> FuzzReport:
     """Fuzz ``cells_per_seed`` sampled cells for every seed.
 
-    Each cell runs with invariant checking armed; any divergence,
+    Each cell runs under an invariant checker; any divergence,
     invariant violation, or crash becomes a :class:`FuzzFailure`,
     shrunk within ``shrink_budget`` evaluations.  ``rows_scale``
     scales the generated table sizes (CI smoke uses < 1).
@@ -181,33 +181,32 @@ def run_fuzz(seeds: Sequence[int], cells_per_seed: int = 10,
     report = FuzzReport(seeds=list(seeds))
     directory = pathlib.Path(artifact_dir) if artifact_dir else None
     started = time.perf_counter()
-    with invariants.checking():
-        cases: List[DataCase] = [
-            generate_data_case(
-                seed,
-                t_rows=max(60, int(1_500 * rows_scale)),
-                l_rows=max(240, int(6_000 * rows_scale)),
+    cases: List[DataCase] = [
+        generate_data_case(
+            seed,
+            t_rows=max(60, int(1_500 * rows_scale)),
+            l_rows=max(240, int(6_000 * rows_scale)),
+        )
+        for seed in seeds
+    ]
+    if include_edge_cases:
+        cases.extend(edge_cases())
+    for case_index, case in enumerate(cases):
+        seed = seeds[case_index % len(seeds)]
+        rng = np.random.default_rng(seed * 1_000 + case_index)
+        for _ in range(cells_per_seed):
+            cell = sample_cell(rng)
+            failure = _check_cell(case, cell)
+            report.cells_run += 1
+            if failure is None:
+                continue
+            failure.shrunk = shrink.shrink(
+                case, cell, max_evaluations=shrink_budget
             )
-            for seed in seeds
-        ]
-        if include_edge_cases:
-            cases.extend(edge_cases())
-        for case_index, case in enumerate(cases):
-            seed = seeds[case_index % len(seeds)]
-            rng = np.random.default_rng(seed * 1_000 + case_index)
-            for _ in range(cells_per_seed):
-                cell = sample_cell(rng)
-                failure = _check_cell(case, cell)
-                report.cells_run += 1
-                if failure is None:
-                    continue
-                failure.shrunk = shrink.shrink(
-                    case, cell, max_evaluations=shrink_budget
-                )
-                if directory is not None:
-                    report.artifact_paths.extend(_write_artifacts(
-                        directory, len(report.failures), failure
-                    ))
-                report.failures.append(failure)
+            if directory is not None:
+                report.artifact_paths.extend(_write_artifacts(
+                    directory, len(report.failures), failure
+                ))
+            report.failures.append(failure)
     report.elapsed_seconds = time.perf_counter() - started
     return report

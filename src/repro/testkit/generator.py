@@ -17,7 +17,8 @@ no SQL NULLs; the closest analogue — join keys that match nothing —
 is covered by the disjoint-key-region construction of the workload
 generator and the zero-selectivity edge case.
 
-:func:`run_cell` executes one cell end to end, restoring the
+:func:`run_cell` executes one cell end to end under an
+:class:`~repro.testkit.invariants.InvariantChecker`, restoring the
 late-materialization toggle afterwards, and :func:`default_grid`
 builds the seeded cross-axis grid the tier-1 differential test sweeps.
 """
@@ -39,6 +40,7 @@ from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import BetweenDayDiff, compare
 from repro.relational.table import Table
+from repro.testkit.invariants import InvariantChecker
 from repro.workload import (
     WorkloadSpec,
     build_paper_query,
@@ -413,11 +415,17 @@ def build_cell_warehouse(case: DataCase, workers: int,
                              case.l_table, format_name)
 
 
-def _run_via_service(warehouse, case: DataCase, algorithm: str) -> Table:
+def _run_via_service(warehouse, case: DataCase, algorithm: str,
+                     checker: InvariantChecker) -> Table:
     """Cold run then warm run through the semantic caches."""
     from repro.service import QueryService, ServiceConfig
 
-    service = QueryService(warehouse, ServiceConfig(
+    class CheckedService(QueryService):
+        def _context(self, query, algorithm):
+            return dataclasses.replace(super()._context(query, algorithm),
+                                       observers=(checker,))
+
+    service = CheckedService(warehouse, ServiceConfig(
         enable_result_cache=False,  # a result-cache hit would be trivial
         enable_feedback=False,
     ))
@@ -431,13 +439,17 @@ def _run_via_service(warehouse, case: DataCase, algorithm: str) -> Table:
 
 
 def run_cell(case: DataCase, cell: ConfigCell,
-             warehouse: Optional[HybridWarehouse] = None) -> Table:
+             warehouse: Optional[HybridWarehouse] = None,
+             checker: Optional[InvariantChecker] = None) -> Table:
     """Execute one (case, cell) pair and return the result table.
 
-    Global state (the late-materialization toggle, armed fault plans)
-    is restored on every exit path, so grid sweeps cannot leak
-    configuration between cells.  Pass a ``warehouse`` (matching the
-    cell's worker count and format) to amortise loading across cells.
+    Every run of the cell is observed by ``checker`` (a fresh
+    :class:`~repro.testkit.invariants.InvariantChecker` by default),
+    so a broken engine invariant raises.  Global state (the
+    late-materialization toggle, armed fault plans) is restored on
+    every exit path, so grid sweeps cannot leak configuration between
+    cells.  Pass a ``warehouse`` (matching the cell's worker count and
+    format) to amortise loading across cells.
     """
     if warehouse is None:
         warehouse = build_cell_warehouse(
@@ -445,7 +457,9 @@ def run_cell(case: DataCase, cell: ConfigCell,
         )
     from repro.latemat import set_late_materialization_enabled
 
-    context = ExecutionContext(skew_handling=cell.skew_handling)
+    checker = checker or InvariantChecker()
+    context = ExecutionContext(skew_handling=cell.skew_handling,
+                               observers=(checker,))
     previous_latemat = set_late_materialization_enabled(
         cell.late_materialization)
     algorithm_kwargs = {}
@@ -455,7 +469,8 @@ def run_cell(case: DataCase, cell: ConfigCell,
         algorithm_kwargs["sample_rate"] = cell.approx
     try:
         if cell.cache_warm:
-            return _run_via_service(warehouse, case, cell.algorithm)
+            return _run_via_service(warehouse, case, cell.algorithm,
+                                    checker)
         if cell.fault_spec:
             warehouse.arm_faults(FaultPlan.from_spec(cell.fault_spec))
             try:

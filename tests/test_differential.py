@@ -2,9 +2,10 @@
 
 Tier-1 runs the seeded 218-cell :func:`repro.testkit.generator.
 default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
-formats, fault plans, cold/warm caches — with the
-engine invariant hooks armed, asserting each cell's result equals the
-single-node oracle's row multiset.  The ``slow``-marked wide sweep
+formats, fault plans, cold/warm caches — each run under an
+invariant checker, asserting each cell's result equals the
+single-node oracle's row multiset and that every invariant was checked
+somewhere on the grid.  The ``slow``-marked wide sweep
 (``pytest -m slow``) crosses the full matrix over extra seeds and is
 the nightly fuzz entry point.
 
@@ -16,7 +17,10 @@ trail, and the join-index cache's verified collision-rebuild path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import Counter
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -24,13 +28,16 @@ import pytest
 from repro import algorithm_by_name
 from repro.core.bloom import BloomFilter
 from repro.core.joins import ExecutionContext
+from repro.edw.database import ParallelDatabase
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import InvariantViolation
+from repro.jen.engine import BF_H_SEED
 from repro.kernels.joinindex import JoinBuildIndex
 from repro.kernels.partition import partition_table
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import table_from_rows
-from repro.testkit import checking, fuzz, generator, oracle, shrink
+from repro.testkit import fuzz, generator, oracle, shrink
+from repro.testkit.invariants import InvariantChecker
 from repro.testkit.generator import (
     ALL_ALGORITHMS,
     ConfigCell,
@@ -43,6 +50,11 @@ GRID = default_grid()
 GRID_IDS = [
     f"{case.name}:{cell.label()}" for case, cell in GRID
 ]
+#: The six engine invariants an :class:`InvariantChecker` counts.
+INVARIANTS = {"shuffle_delivery", "hash_partition", "hybrid_partition",
+              "broadcast_routing", "bloom_contains", "spill_fragments"}
+#: Each grid cell's checker counts, by cell id, as its test ran it.
+GRID_CHECKS: Dict[str, Counter] = {}
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +146,28 @@ class TestDefaultGrid:
 
     @pytest.mark.parametrize(("case", "cell"), GRID, ids=GRID_IDS)
     def test_cell_matches_oracle(self, case, cell, warehouse_cache):
-        with checking():
-            result = run_cell(
-                case, cell, warehouse=warehouse_cache.get(case, cell)
-            )
+        result = _run_grid_cell(case, cell, warehouse_cache)
         oracle.assert_equivalent(
             result, case.oracle_rows(), label=f"{case.name}:{cell.label()}"
         )
+
+    def test_every_invariant_is_checked_on_the_grid(self, warehouse_cache):
+        """Summed over the grid's checkers, each of the six checks ran
+        (cells whose test did not run in this session run here)."""
+        for (case, cell), label in zip(GRID, GRID_IDS):
+            if label not in GRID_CHECKS:
+                _run_grid_cell(case, cell, warehouse_cache)
+        total = sum(GRID_CHECKS.values(), Counter())
+        assert set(total) == INVARIANTS
+        assert min(total.values()) >= 1, total
+
+
+def _run_grid_cell(case, cell, warehouse_cache):
+    checker = InvariantChecker()
+    result = run_cell(case, cell, warehouse=warehouse_cache.get(case, cell),
+                      checker=checker)
+    GRID_CHECKS[f"{case.name}:{cell.label()}"] = checker.counts
+    return result
 
 
 @pytest.mark.slow
@@ -151,17 +178,16 @@ class TestWideSweep:
     def test_wide_grid_matches_oracle(self, seed):
         cache = WarehouseCache()
         failures = []
-        with checking():
-            for case, cell in generator.wide_grid([seed]):
-                result = run_cell(
-                    case, cell, warehouse=cache.get(case, cell)
-                )
-                diff = oracle.compare_tables(
-                    result, case.oracle_rows(),
-                    label=f"{case.name}:{cell.label()}",
-                )
-                if diff is not None:
-                    failures.append(diff)
+        for case, cell in generator.wide_grid([seed]):
+            result = run_cell(
+                case, cell, warehouse=cache.get(case, cell)
+            )
+            diff = oracle.compare_tables(
+                result, case.oracle_rows(),
+                label=f"{case.name}:{cell.label()}",
+            )
+            if diff is not None:
+                failures.append(diff)
         assert not failures, "\n\n".join(failures)
 
 
@@ -205,65 +231,118 @@ class TestOracleComparison:
 # ----------------------------------------------------------------------
 # Invariant hooks
 # ----------------------------------------------------------------------
+#: A small case whose T′ and L share join keys, and the three runs a
+#: corrupt Bloom filter must fail: the two BF(T′) probes of the data
+#: plane and the query service's warm-cache path.
+BLOOM_CASE = generator.generate_data_case(seed=31, t_rows=400, l_rows=1_600)
+BLOOM_CELLS = [
+    ConfigCell("zigzag", workers=4),
+    ConfigCell("repartition(BF)", workers=4),
+    ConfigCell("db(BF)", workers=4, cache_warm=True),
+]
+
+
+def _answer_from_zeroed_words(monkeypatch, seed=None):
+    """Plant a ``BloomFilter.contains`` that answers from zeroed words,
+    losing every key (only for filters hashed with ``seed``, if given)."""
+    original = BloomFilter.contains
+
+    def contains(self, keys):
+        if seed is None or self.seed == seed:
+            return original(BloomFilter(self.num_bits, self.num_hashes,
+                                        self.seed), keys)
+        return original(self, keys)
+
+    monkeypatch.setattr(BloomFilter, "contains", contains)
+
+
 class TestInvariantHooks:
     def test_double_delivery_is_caught(self):
         counts = np.array([[1, 2]], dtype=np.int64)
-        with checking(), pytest.raises(InvariantViolation,
-                                       match="not exactly-once"):
-            from repro.testkit import invariants
-            invariants.check_shuffle_delivery([], [], counts)
+        with pytest.raises(InvariantViolation, match="not exactly-once"):
+            InvariantChecker().check_shuffle_delivery([], [], counts)
 
     def test_partition_row_loss_is_caught(self):
-        from repro.testkit import invariants
-
         table = _int_table(range(40))
         assignments = agreed_hash_partition(table.column("k"), 4)
         parts = partition_table(table, assignments, 4)
         parts[0] = parts[0].take(np.arange(max(parts[0].num_rows - 1, 0)))
-        with checking(), pytest.raises(InvariantViolation,
-                                       match="completeness"):
-            invariants.check_hash_partition(
+        with pytest.raises(InvariantViolation, match="completeness"):
+            InvariantChecker().check_hash_partition(
                 table, "k", parts, 4, agreed_hash_partition
             )
 
     def test_misrouted_partition_row_is_caught(self):
-        from repro.testkit import invariants
-
         table = _int_table(range(40))
         assignments = agreed_hash_partition(table.column("k"), 4)
         parts = partition_table(table, assignments, 4)
         parts[0], parts[1] = parts[1], parts[0]
-        with checking(), pytest.raises(InvariantViolation,
-                                       match="disjointness"):
-            invariants.check_hash_partition(
+        with pytest.raises(InvariantViolation, match="disjointness"):
+            InvariantChecker().check_hash_partition(
                 table, "k", parts, 4, agreed_hash_partition
             )
 
-    def test_bloom_false_negative_is_caught(self):
-        keys = np.arange(50, dtype=np.int64)
-        with checking():
-            bloom = BloomFilter(num_bits=1024)
-            bloom.add(keys)
-            bloom._words[:] = 0  # corrupt: silently lose every bit
-            with pytest.raises(InvariantViolation,
-                               match="false negative"):
-                bloom.contains(keys)
+    def test_bloom_false_negative_is_caught(self, monkeypatch):
+        """Every filter answers from zeroed words: the first probe of
+        BF(T′) loses keys T′ holds, and each run fails."""
+        _answer_from_zeroed_words(monkeypatch)
+        for cell in BLOOM_CELLS:
+            with pytest.raises(InvariantViolation, match="false negative"):
+                run_cell(BLOOM_CASE, cell)
+        # The approximate tier's sampled scan probes BF(T′) too.
+        with pytest.raises(InvariantViolation, match="false negative"):
+            run_cell(generator.approx_case("count"),
+                     ConfigCell("approx(BF)", workers=4, approx=1.0))
 
-    def test_bloom_shadow_survives_merge(self):
-        keys = np.arange(30, dtype=np.int64)
-        with checking():
-            source = BloomFilter(num_bits=1024)
-            source.add(keys)
-            merged = BloomFilter(num_bits=1024)
-            merged.union_in_place(source)
-            merged._words[:] = 0
-            with pytest.raises(InvariantViolation,
-                               match="false negative"):
-                merged.contains(keys)
+    def test_bf_h_false_negative_is_caught(self, monkeypatch):
+        """Only BF_H answers from zeroed words: the scan passes, and
+        pruning T′ by BF_H (``DbWorker.apply_bloom``) fails the run."""
+        _answer_from_zeroed_words(monkeypatch, seed=BF_H_SEED)
+        for algorithm in ("zigzag", "zigzag-db"):
+            with pytest.raises(InvariantViolation, match="false negative"):
+                run_cell(BLOOM_CASE, ConfigCell(algorithm, workers=4))
+
+    def test_bloom_check_survives_merge(self, monkeypatch):
+        """BF(T′) is the OR-merge of one filter per database worker (the
+        paper's ``combine_filter``) and drops one key it was built
+        over; the checker knows the keys from T′, not from the filter,
+        so the merge hides nothing."""
+        build, contains = (ParallelDatabase.build_global_bloom,
+                           BloomFilter.contains)
+        built = {}
+
+        def merged_build(database, table, predicate, key_column, num_bits,
+                         num_hashes=2, seed=7):
+            result = build(database, table, predicate, key_column,
+                           num_bits, num_hashes, seed)
+            keys = [worker.bloom_keys(table, predicate, key_column)[0]
+                    for worker in database.workers]
+            filters = []
+            for worker_keys in keys:
+                filters.append(BloomFilter(num_bits, num_hashes, seed))
+                filters[-1].add(worker_keys)
+            merged = BloomFilter.combine(filters)
+            built[merged] = np.concatenate(keys)
+            return dataclasses.replace(result, bloom=merged)
+
+        def dropping_contains(self, keys):
+            mask = contains(self, keys)
+            if self in built:
+                inserted = np.flatnonzero(np.isin(keys, built[self]))
+                mask[inserted[:1]] = False
+            return mask
+
+        monkeypatch.setattr(ParallelDatabase, "build_global_bloom",
+                            merged_build)
+        monkeypatch.setattr(BloomFilter, "contains", dropping_contains)
+        for cell in BLOOM_CELLS:
+            built.clear()
+            with pytest.raises(InvariantViolation, match="false negative"):
+                run_cell(BLOOM_CASE, cell)
+            assert built
 
     def test_spill_misalignment_is_caught(self):
         from repro.jen.spill import fragment_hash_partition
-        from repro.testkit import invariants
 
         build = _int_table(range(60))
         probe = _int_table(range(60))
@@ -271,23 +350,21 @@ class TestInvariantHooks:
         build_parts = partition_table(build, assignment, 3)
         probe_parts = partition_table(probe, assignment, 3)
         fragments = list(zip(build_parts, reversed(probe_parts)))
-        with checking(), pytest.raises(InvariantViolation,
-                                       match="misalignment"):
-            invariants.check_spill_fragments(
+        with pytest.raises(InvariantViolation, match="misalignment"):
+            InvariantChecker().check_spill_fragments(
                 build, probe, "k", "k", fragments, 3,
                 fragment_hash_partition,
             )
 
-    def test_hooks_are_inert_outside_checking(self):
-        """Production pays one flag test; corrupt inputs never raise."""
-        from repro.testkit import invariants
-
-        counts = np.array([[7]], dtype=np.int64)
-        invariants.check_shuffle_delivery([], [], counts)
-        table = _int_table(range(10))
-        invariants.check_hash_partition(
-            table, "k", [], 4, agreed_hash_partition
-        )
+    def test_a_run_without_a_checker_runs_no_check(self, monkeypatch):
+        """The same zeroed filters, but the context carries no checker:
+        nothing is checked, and the run returns a wrong answer."""
+        _answer_from_zeroed_words(monkeypatch)
+        warehouse = generator.build_cell_warehouse(BLOOM_CASE, 4, "parquet")
+        result = algorithm_by_name("zigzag").run(
+            warehouse, BLOOM_CASE.query, ExecutionContext()).result
+        assert oracle.compare_tables(result, BLOOM_CASE.oracle_rows()) \
+            is not None
 
     def test_exactly_once_holds_under_message_duplication(self):
         """The fault injector re-sends and duplicates shuffle messages;
@@ -296,10 +373,11 @@ class TestInvariantHooks:
                                             l_rows=1_600)
         cell = ConfigCell(algorithm="repartition", workers=30,
                           fault_spec="drop:shuffle:0.05,dup:shuffle:0.2")
-        with checking():
-            result = run_cell(case, cell)
+        checker = InvariantChecker()
+        result = run_cell(case, cell, checker=checker)
         oracle.assert_equivalent(result, case.oracle_rows(),
                                  label=cell.label())
+        assert checker.counts["shuffle_delivery"] == 1
 
 
 # ----------------------------------------------------------------------

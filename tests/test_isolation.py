@@ -1,8 +1,8 @@
 """Two queries running at once in one process keep to themselves.
 
 Everything a run applies — skew handling, its observers (the adaptive
-context, the scan's heavy-hitter detector), the service's Bloom builder
-and join index — travels on that run's own
+context, the scan's heavy-hitter detector, an invariant checker), the
+service's Bloom builder and join index — travels on that run's own
 :class:`~repro.core.joins.base.ExecutionContext`, never parked in a
 module-level slot or swapped onto the warehouse, so a query on another
 thread can neither see nor change it.  The threads here switch every
@@ -22,8 +22,11 @@ from repro.adaptive import AdaptiveJoin
 from repro.core.joins import ExecutionContext, algorithm_by_name
 from repro.service import QueryService, ServiceConfig
 from repro.testkit import generator, oracle
+from repro.testkit.invariants import InvariantChecker
 
 ADAPTIVE_RUNS = 5
+#: Runs under an invariant checker beside the unchecked thread.
+CHECKED_RUNS = 5
 #: Repartition runs per thread: enough for the two scans to overlap.
 SKEW_RUNS = 8
 #: Far above the second or so both threads need together.
@@ -99,6 +102,50 @@ def test_adaptive_run_beside_a_plain_run(fast_switching):
                for result in plain_results)
     assert [result.trace.metadata["adaptive"] for result in adaptive_results] \
         == [alone] * ADAPTIVE_RUNS
+
+
+def test_checked_run_beside_an_unchecked_run(fast_switching):
+    """Zigzag runs under invariant checkers on one thread, unchecked
+    zigzag runs on another until they are done: each checker counts the
+    checks of its own run alone, none of the other thread's."""
+    case = generator.skewed_case(1.8)
+    expected = case.oracle_rows()
+    zigzag = algorithm_by_name("zigzag")
+
+    def checked_context():
+        return ExecutionContext(skew_handling=True,
+                                observers=(InvariantChecker(),))
+
+    context = checked_context()
+    zigzag.run(_loaded(case), case.query, context)
+    alone = context.observers[0].counts
+    assert set(alone) == {"shuffle_delivery", "hybrid_partition",
+                          "broadcast_routing", "bloom_contains"}
+
+    checked_warehouse, plain_warehouse = _loaded(case), _loaded(case)
+    checked, plain = [], []
+    done = threading.Event()
+
+    def checked_thread():
+        try:
+            for _ in range(CHECKED_RUNS):
+                context = checked_context()
+                result = zigzag.run(checked_warehouse, case.query, context)
+                checked.append((result, context.observers[0].counts))
+        finally:
+            done.set()
+
+    def plain_thread():
+        context = ExecutionContext(skew_handling=True)
+        while not done.is_set():
+            plain.append(zigzag.run(plain_warehouse, case.query, context))
+
+    assert _in_threads(checked_thread, plain_thread) == []
+    assert len(checked) == CHECKED_RUNS and plain
+    for result in [result for result, _counts in checked] + plain:
+        assert oracle.compare_tables(result.result, expected) is None
+    assert [counts for _result, counts in checked] \
+        == [alone] * CHECKED_RUNS
 
 
 def test_two_skew_detecting_scans(fast_switching):

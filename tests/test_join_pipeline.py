@@ -27,7 +27,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import testkit
 from repro.core.joins.repartition import _route_db_rows
 from repro.edw.database import DbJoinRunStats
 from repro.edw.optimizer import DbJoinChoice, DbJoinStrategy
@@ -62,6 +61,7 @@ from repro.relational.table import Table
 from repro.service.cache import CachingJoinIndexProvider, JoinIndexCache
 from repro.skew import STEAL_THRESHOLD, HotKeySet
 from repro.testkit import generator, oracle
+from repro.testkit.invariants import InvariantChecker
 from tests.kernel_reference import naive_partition_table
 from tests.test_scan_batching import assert_same_table
 
@@ -323,11 +323,12 @@ def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
 
 
 def one_pass_exchange(wire_tables, key, num_workers, hot_keys=None,
-                      faults=None) -> ShuffleResult:
+                      faults=None, observers=()) -> ShuffleResult:
     """What ``Jen.shuffle_by_key`` runs once crashes are dealt with."""
     per_destination, routed, hot_tuples = JenWorker.partition_for_exchange(
-        wire_tables, key, num_workers, hot_keys)
-    result = shuffle(per_destination, routed, faults=faults)
+        wire_tables, key, num_workers, hot_keys, observers)
+    result = shuffle(per_destination, routed, faults=faults,
+                     observers=observers)
     result.hot_tuples = hot_tuples
     return result
 
@@ -366,12 +367,11 @@ class TestOnePassExchange:
                                hot_key=42, hot_share=0.4)
         hot = HOT if hybrid else None
         expected = reference_exchange(tables, "k", 6, hot)
-        if checked:
-            with testkit.checking():
-                actual = one_pass_exchange(tables, "k", 6, hot)
-        else:
-            actual = one_pass_exchange(tables, "k", 6, hot)
+        checker = InvariantChecker()
+        actual = one_pass_exchange(tables, "k", 6, hot,
+                                   observers=(checker,) if checked else ())
         assert_same_shuffle(actual, expected)
+        assert sum(checker.counts.values()) == (2 if checked else 0)
         assert actual.tuples_shuffled == sum(SENDER_SHAPES[shape])
         if hybrid and sum(SENDER_SHAPES[shape]):
             assert actual.hot_tuples > 0
@@ -391,9 +391,8 @@ class TestOnePassExchange:
         injector = FaultInjector(FaultPlan.from_spec(spec, seed=9))
         expected = reference_exchange(tables, "k", 6, hot,
                                       faults=reference_injector)
-        with testkit.checking():
-            actual = one_pass_exchange(tables, "k", 6, hot,
-                                       faults=injector)
+        actual = one_pass_exchange(tables, "k", 6, hot, faults=injector,
+                                   observers=(InvariantChecker(),))
         assert_same_shuffle(actual, expected)
         assert expected.retries + expected.duplicates_suppressed > 0
         assert injector.fired == reference_injector.fired
@@ -411,15 +410,15 @@ class TestOnePassExchange:
         tables = sender_tables([50, 50, 50], seed=6)
         per_destination, routed, _hot = JenWorker.partition_for_exchange(
             tables, "k", 3)
-        with testkit.checking():
-            result = shuffle(per_destination, routed,
-                             faults=AlwaysDuplicate())
-            assert result.duplicates_suppressed == 6
-            assert result.tuples_shuffled == 150
-            short = [per_destination[0].slice(1, per_destination[0].num_rows)
-                     ] + per_destination[1:]
-            with pytest.raises(InvariantViolation, match="conservation"):
-                shuffle(short, routed)
+        checker = InvariantChecker()
+        result = shuffle(per_destination, routed, faults=AlwaysDuplicate(),
+                         observers=(checker,))
+        assert result.duplicates_suppressed == 6
+        assert result.tuples_shuffled == 150
+        short = [per_destination[0].slice(1, per_destination[0].num_rows)
+                 ] + per_destination[1:]
+        with pytest.raises(InvariantViolation, match="conservation"):
+            shuffle(short, routed, observers=(checker,))
 
 
 def reference_route_db_rows(t_parts, key, num_workers, hot_keys=None):
@@ -456,8 +455,10 @@ class TestRouteDbRows:
     def test_plain_routing_is_row_identical(self, shape):
         tables = sender_tables(SENDER_SHAPES[shape], seed=8)
         expected, _hot, _copies = reference_route_db_rows(tables, "k", 6)
-        with testkit.checking():
-            actual, hot, copies = _route_db_rows(tables, "k", 6)
+        checker = InvariantChecker()
+        actual, hot, copies = _route_db_rows(tables, "k", 6,
+                                             observers=(checker,))
+        assert checker.counts["hash_partition"] == 1
         assert (hot, copies) == (0, 0)
         for got, want in zip(actual, expected):
             assert_same_table(got, want)
@@ -468,9 +469,10 @@ class TestRouteDbRows:
                                hot_key=42, hot_share=0.35)
         expected, want_hot, want_copies = reference_route_db_rows(
             tables, "k", 6, HOT)
-        with testkit.checking():
-            actual, hot, copies = _route_db_rows(tables, "k", 6,
-                                                 hot_keys=HOT)
+        checker = InvariantChecker()
+        actual, hot, copies = _route_db_rows(tables, "k", 6, hot_keys=HOT,
+                                             observers=(checker,))
+        assert checker.counts["broadcast_routing"] == 1
         assert (hot, copies) == (want_hot, want_copies)
         if sum(SENDER_SHAPES[shape]):
             assert copies > hot > 0

@@ -100,6 +100,19 @@ def test_the_scan_sees_function_local_imports():
     assert "repro.kernels" in importers("repro.kernels.partition")
 
 
+def test_the_runtime_does_not_import_the_testkit():
+    """A run's invariant checker reaches it on its execution context;
+    no runtime module imports the test kit (the CLI's ``chaos`` and
+    ``fuzz`` commands import it inside their functions)."""
+    offenders = {
+        module for module in importers("repro.testkit")
+        if not (module == "repro.__main__"
+                or module.split(".")[:2] in (["repro", "testkit"],
+                                             ["repro", "bench"]))
+    }
+    assert not offenders, sorted(offenders)
+
+
 def test_nothing_imports_the_wire_codec():
     assert importers("repro.kernels.wirecodec") \
         <= {"repro.kernels.wirecodec"}

@@ -113,10 +113,6 @@ class TestBroadcastVolume:
         relay = shipped[TransferPattern.BROADCAST_RELAY]
         assert relay["relay"] == (workers - 1) * relay["cross_cluster"]
 
-    def test_non_broadcast_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            BroadcastJoin(TransferPattern.GROUPED_INGEST)
-
 
 class TestTransferSeconds:
     """A cross-cluster transfer takes the slower of the endpoints'

@@ -32,6 +32,7 @@ from repro.core.bloom import BloomFilter
 from repro.core.joins import algorithm_by_name
 from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
 from repro.jen.worker import ScanRequest, ScanStats
+from repro.observer import RunObserver
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
 from repro.relational.table import Table
@@ -121,7 +122,7 @@ def new_local_bloom() -> BloomFilter:
     return BloomFilter(BLOOM_BITS, 2, seed=11)
 
 
-class BlockLog:
+class BlockLog(RunObserver):
     """A scan observer logging each block's counts as a ``"block"``
     event (the adaptive context's ``on_scan_*`` methods); a detector
     ahead of it logs the block's keys."""

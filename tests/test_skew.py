@@ -6,7 +6,7 @@ determinism), unit tests for the bounded-fan-out hybrid split and the
 straggler steal planner, and the differential battery: every
 shuffle-using algorithm on heavily skewed data, skew handling on and
 off, with and without injected faults, must reproduce the oracle's row
-multiset under armed invariants while the measured worker balance
+multiset under an invariant checker while the measured worker balance
 improves.
 """
 
@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import algorithm_by_name, testkit
+from repro import algorithm_by_name
 from repro.core.advisor import JoinAdvisor, WorkloadEstimate
 from repro.core.joins import ExecutionContext
 from repro.core.joins.costing import HYBRID_SHUFFLE_SKEW_CAP, JoinCosting
@@ -33,6 +33,7 @@ from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.skew import HeavyHitterDetector, HotKeySet
 from repro.testkit import generator, oracle
+from repro.testkit.invariants import InvariantChecker
 from repro.workload.generator import zipf_skew_factor
 from tests.test_chaos import FAULT_SPECS
 
@@ -219,10 +220,11 @@ class TestHybridRouting:
                         fanouts=np.array([3], dtype=np.int64))
         # The third sender (its deal starts at offset 2) holds the rows.
         senders = [table.slice(0, 0), table.slice(0, 0), table]
-        with testkit.checking():  # invariants armed: containment etc.
-            parts, routed, hot_rows = JenWorker.partition_for_exchange(
-                senders, "k", 6, hot
-            )
+        checker = InvariantChecker()  # containment etc.
+        parts, routed, hot_rows = JenWorker.partition_for_exchange(
+            senders, "k", 6, hot, (checker,)
+        )
+        assert checker.counts["hybrid_partition"] == 1
         assert hot_rows == 300
         assert routed[:2].sum() == 0 and routed[2].sum() == table.num_rows
         home = int(agreed_hash_partition(
@@ -244,10 +246,11 @@ class TestHybridRouting:
         parts_in = [_key_table(keys[:70]), _key_table(keys[70:])]
         hot = HotKeySet(keys=np.array([42], dtype=np.int64),
                         fanouts=np.array([3], dtype=np.int64))
-        with testkit.checking():
-            dests, hot_tuples, copy_tuples = _route_db_rows(
-                parts_in, "k", 6, hot_keys=hot
-            )
+        checker = InvariantChecker()
+        dests, hot_tuples, copy_tuples = _route_db_rows(
+            parts_in, "k", 6, hot_keys=hot, observers=(checker,)
+        )
+        assert checker.counts["broadcast_routing"] == 1
         assert hot_tuples == 40
         assert copy_tuples == 120  # fan-out 3 copies of each hot row
         total_delivered = sum(t.num_rows for t in dests)
@@ -264,12 +267,11 @@ class TestHybridRouting:
         empty = table.slice(0, 0)
         dests = [empty, empty, empty, empty]
         dests[home] = table
-        with testkit.checking():
-            with pytest.raises(InvariantViolation):
-                testkit.invariants.check_broadcast_routing(
-                    [table], "k", dests, 4, agreed_hash_partition,
-                    hot_keys, fanouts=fanouts,
-                )
+        with pytest.raises(InvariantViolation):
+            InvariantChecker().check_broadcast_routing(
+                [table], "k", dests, 4, agreed_hash_partition,
+                hot_keys, fanouts=fanouts,
+            )
 
     def test_off_path_identical_without_hot_keys(self):
         rng = np.random.default_rng(16)
@@ -450,8 +452,7 @@ class TestSkewDifferential:
                                            algorithm, skew_handling):
         cell = generator.ConfigCell(algorithm, workers=4,
                                     skew_handling=skew_handling)
-        with testkit.checking():
-            result = generator.run_cell(hot_case, cell)
+        result = generator.run_cell(hot_case, cell)
         assert oracle.canonical_rows(result) == hot_reference
 
     @pytest.mark.parametrize("algorithm, key_skew", list(BALANCE_PINS))
@@ -523,10 +524,11 @@ def skew_baselines(skew_chaos_warehouse, hot_case):
     }
 
 
-def run_skewed_with_faults(warehouse, query, algorithm, spec):
+def run_skewed_with_faults(warehouse, query, algorithm, spec,
+                           context=SKEW_ON):
     warehouse.arm_faults(FaultPlan.from_spec(spec))
     try:
-        return algorithm_by_name(algorithm).run(warehouse, query, SKEW_ON)
+        return algorithm_by_name(algorithm).run(warehouse, query, context)
     finally:
         warehouse.disarm_faults()
 
@@ -597,10 +599,12 @@ class TestSmallClusterCrashes:
         to the crash: each survivor still gets one copy of its probe
         rows, not two (the routing invariants check it)."""
         case, warehouse, reference = small_cluster_cases[key_skew, workers]
-        with testkit.checking():
-            result = run_skewed_with_faults(
-                warehouse, case.query, algorithm,
-                f"crash:w{workers - 1}@{phase}")
+        checker = InvariantChecker()
+        result = run_skewed_with_faults(
+            warehouse, case.query, algorithm,
+            f"crash:w{workers - 1}@{phase}",
+            dataclasses.replace(SKEW_ON, observers=(checker,)))
+        assert checker.counts["broadcast_routing"] == 1
         assert result.stats.hot_keys_detected > 0
         assert oracle.canonical_rows(result.result) == reference
 
@@ -637,6 +641,5 @@ class TestSkewChaosFullGrid:
                 cell = generator.ConfigCell(
                     algorithm, workers=30, skew_handling=skew_handling,
                 )
-                with testkit.checking():
-                    result = generator.run_cell(case, cell)
+                result = generator.run_cell(case, cell)
                 assert oracle.canonical_rows(result) == reference
