@@ -5,12 +5,14 @@ Usage:  python scripts/bench_pairs.py PARENT_REV --workload W
                 [--pairs 10] [--seconds 15] [--first-seed 100]
 
 Extracts ``PARENT_REV`` into a temporary directory (``git archive``, so
-the repository itself is not touched), then runs ``BENCHMARK.json``'s
-command in driver form (``--workload W --seed N --seconds S --trace 0``)
-once per side per pair: the working tree is the change, the extracted
-tree the parent.  The side that runs first flips every pair and each
-pair gets its own seed, so drift on a shared host and any one seed's
-data hit both sides alike.
+the repository itself is not touched) and copies the working tree —
+tracked files, and untracked ones git does not ignore — into another,
+so both sides run from fresh directories alike, then runs
+``BENCHMARK.json``'s command in driver form (``--workload W --seed N
+--seconds S --trace 0``) once per side per pair: the copied working
+tree is the change, the extracted tree the parent.  The side that runs
+first flips every pair and each pair gets its own seed, so drift on a
+shared host and any one seed's data hit both sides alike.
 
 Prints, per end-to-end metric of ``BENCHMARK.json``: both medians with
 their quartiles, the pairs the change won (ties — values equal to nine
@@ -30,6 +32,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,23 @@ def extract_revision(revision: str, destination: pathlib.Path) -> None:
     )
     subprocess.run(["tar", "-x", "-C", str(destination)],
                    input=archive.stdout, check=True)
+
+
+def copy_working_tree(destination: pathlib.Path) -> None:
+    """The working tree's files, tracked or untracked but not ignored,
+    under ``destination``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        stdout=subprocess.PIPE, check=True,
+    ).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, listed)):
+        source = ROOT / name
+        if not source.is_file():
+            continue  # deleted in the working tree, still in the index
+        target = destination / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
 
 
 def run_once(command: Sequence[str], tree: pathlib.Path, workload: str,
@@ -134,9 +154,12 @@ def main(argv=None) -> int:
               for side in ("parent", "change")}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
-        parent_tree = pathlib.Path(scratch)
-        extract_revision(args.parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: pathlib.Path(scratch) / side
+                 for side in ("parent", "change")}
+        for tree in trees.values():
+            tree.mkdir()
+        extract_revision(args.parent_rev, trees["parent"])
+        copy_working_tree(trees["change"])
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             order = ("parent", "change") if pair % 2 == 0 \

@@ -19,7 +19,7 @@ from repro.edw.optimizer import DbJoinChoice, DbJoinStrategy
 from repro.edw.partitioner import db_internal_partition
 from repro.edw.worker import DbWorker, WorkerAccessStats
 from repro.errors import CatalogError
-from repro.kernels.partition import partition_table
+from repro.kernels.partition import partition_table, sorted_bounds
 from repro.relational.aggregates import merge_specs
 from repro.relational.expressions import Predicate
 from repro.relational.schema import Schema
@@ -55,7 +55,6 @@ class GlobalBloomResult:
     bloom: BloomFilter
     index_only: bool
     rows_accessed: int
-    bytes_accessed: float
     keys_added: int
 
 
@@ -72,6 +71,10 @@ class ParallelDatabase:
             for worker_id in range(self.cluster.db_workers)
         ]
         self._catalog: Dict[str, DbTableMeta] = {}
+        #: Each table as one worker-ordered table and its worker bounds:
+        #: worker ``w``'s partition is rows ``bounds[w]:bounds[w + 1]``,
+        #: a zero-copy slice.
+        self._stored: Dict[str, Tuple[Table, np.ndarray]] = {}
 
     @property
     def num_workers(self) -> int:
@@ -87,20 +90,10 @@ class ParallelDatabase:
         if name in self._catalog:
             raise CatalogError(f"database table already exists: {name!r}")
         table.schema.column(distribute_on)
-        assignments = db_internal_partition(
+        order, bounds = sorted_bounds(db_internal_partition(
             table.column(distribute_on), self.num_workers
-        )
-        partitions = partition_table(table, assignments, self.num_workers)
-        for worker, partition in zip(self.workers, partitions):
-            worker.store_partition(name, partition)
-        meta = DbTableMeta(
-            name=name,
-            schema=table.schema,
-            distribute_on=distribute_on,
-            num_rows=table.num_rows,
-        )
-        self._catalog[name] = meta
-        return meta
+        ), self.num_workers)
+        return self._store(name, table.take(order), bounds, distribute_on)
 
     def create_index(self, table_name: str, index_name: str,
                      columns: Sequence[str]) -> None:
@@ -126,13 +119,20 @@ class ParallelDatabase:
             raise CatalogError(
                 f"expected {self.num_workers} partitions, got {len(parts)}"
             )
-        for worker, part in zip(self.workers, parts):
-            worker.store_partition(name, part)
+        bounds = np.cumsum([0] + [part.num_rows for part in parts])
+        return self._store(name, Table.concat(parts), bounds, distribute_on)
+
+    def _store(self, name: str, table: Table, bounds: np.ndarray,
+               distribute_on: str) -> DbTableMeta:
+        """Install ``table`` (worker-ordered, cut at ``bounds``)."""
+        for worker, lo, hi in zip(self.workers, bounds[:-1], bounds[1:]):
+            worker.store_partition(name, table.slice(int(lo), int(hi)))
+        self._stored[name] = (table, bounds)
         meta = DbTableMeta(
             name=name,
-            schema=parts[0].schema,
+            schema=table.schema,
             distribute_on=distribute_on,
-            num_rows=sum(part.num_rows for part in parts),
+            num_rows=table.num_rows,
         )
         self._catalog[name] = meta
         return meta
@@ -220,15 +220,23 @@ class ParallelDatabase:
         self, table_name: str, predicate: Predicate,
         projection: Sequence[str],
     ) -> Tuple[List[Table], List[WorkerAccessStats]]:
-        """Apply local predicates + projection on every worker."""
-        parts = []
-        stats = []
-        for worker in self.workers:
-            part, worker_stats = worker.filter_project(
-                table_name, predicate, projection
-            )
-            parts.append(part)
-            stats.append(worker_stats)
+        """Apply local predicates + projection on every worker.
+
+        One pass over the stored table: the predicate is evaluated
+        once, the survivors are cut at the worker bounds with one
+        ``searchsorted``, and only the projected columns are gathered,
+        once; each worker's part is a slice of that gather.
+        """
+        self.table_meta(table_name)
+        table, bounds = self._stored[table_name]
+        rows = np.flatnonzero(predicate.evaluate(table))
+        cuts = np.searchsorted(rows, bounds)
+        projected = table.project(list(projection)).take(rows)
+        parts = [projected.slice(int(lo), int(hi))
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
+        stats = [WorkerAccessStats(rows_scanned=int(hi - lo),
+                                   rows_out=part.num_rows)
+                 for lo, hi, part in zip(bounds[:-1], bounds[1:], parts)]
         return parts, stats
 
     def build_global_bloom(
@@ -262,7 +270,6 @@ class ParallelDatabase:
             bloom=bloom,
             index_only=all(stats.index_only for stats in all_stats),
             rows_accessed=sum(stats.rows_scanned for stats in all_stats),
-            bytes_accessed=sum(stats.bytes_scanned for stats in all_stats),
             keys_added=sum(stats.rows_out for stats in all_stats),
         )
 

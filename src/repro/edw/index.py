@@ -8,9 +8,9 @@ cheap, which is central to why two-way Bloom filters pay off in the
 hybrid warehouse but not in a homogeneous one (Section 3.4).
 
 The index is a real data structure (sorted projection with binary
-search), not a cost-model flag: lookups return row ids without touching
-the base table, and :attr:`covers` reports whether a requested column
-list can be answered index-only.
+search), not a cost-model flag: a lookup returns a materialised
+column's entries without touching the base table, and :attr:`covers`
+reports whether a requested column list can be answered index-only.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class SecondaryIndex:
         # Sort row ids by the leading key column; the entries arrays are
         # the index's leaf pages.
         leading = table.column(self.key_columns[0])
-        self._order = np.argsort(leading, kind="stable").astype(np.int64)
-        self._leading_sorted = leading[self._order]
+        order = np.argsort(leading, kind="stable")
+        self._leading_sorted = leading[order]
         self._entries: Dict[str, np.ndarray] = {
-            column: table.column(column)[self._order]
+            column: table.column(column)[order]
             for column in self.key_columns
         }
         self.num_entries = table.num_rows
@@ -55,23 +55,24 @@ class SecondaryIndex:
         """True if all ``columns`` are materialised in the index."""
         return set(columns) <= set(self.key_columns)
 
-    def entry_bytes(self, table: Table) -> int:
-        """Logical width of one index entry (for cost accounting)."""
-        return table.schema.row_width(self.key_columns) + 8  # plus row id
-
     # ------------------------------------------------------------------
-    def lookup_rows(self, predicate: Optional[Predicate],
-                    source: Table) -> np.ndarray:
-        """Row ids (into the base partition) satisfying ``predicate``.
+    def lookup(self, predicate: Optional[Predicate],
+               column: str) -> np.ndarray:
+        """``column``'s entries for the rows satisfying ``predicate``,
+        in index order — an index-only fetch.
 
         Uses a range scan on the leading column when the predicate allows
         it, then filters the remaining conjuncts against the index
-        entries; conjuncts on non-indexed columns raise, since this index
-        cannot answer them alone.
+        entries; a column the index does not materialise, or a conjunct
+        it cannot evaluate alone, raises.
         """
-        if predicate is None or isinstance(predicate, TruePredicate):
-            return self._order.copy()
-        conjuncts = _flatten_conjuncts(predicate)
+        if column not in self.key_columns:
+            raise CatalogError(
+                f"index {self.name!r} does not materialise {column!r}"
+            )
+        conjuncts = ([] if predicate is None
+                     or isinstance(predicate, TruePredicate)
+                     else _flatten_conjuncts(predicate))
         for conjunct in conjuncts:
             if not isinstance(conjunct, ColumnPredicate):
                 raise CatalogError(
@@ -83,23 +84,11 @@ class SecondaryIndex:
                     f"{conjunct.column!r}"
                 )
         lo, hi = self._leading_range(conjuncts)
-        candidates = slice(lo, hi)
         mask = np.ones(hi - lo, dtype=bool)
         for conjunct in conjuncts:
-            values = self._entries[conjunct.column][candidates]
+            values = self._entries[conjunct.column][lo:hi]
             mask &= conjunct.op.apply(values, conjunct.literal)
-        return self._order[candidates][mask]
-
-    def entries_for_rows(self, column: str, rows: np.ndarray) -> np.ndarray:
-        """Index-only fetch of ``column`` values for base-table row ids."""
-        if column not in self.key_columns:
-            raise CatalogError(
-                f"index {self.name!r} does not materialise {column!r}"
-            )
-        # Invert the order permutation lazily.
-        inverse = np.empty_like(self._order)
-        inverse[self._order] = np.arange(len(self._order))
-        return self._entries[column][inverse[rows]]
+        return self._entries[column][lo:hi][mask]
 
     def _leading_range(self, conjuncts) -> Tuple[int, int]:
         lo, hi = 0, self.num_entries

@@ -1,10 +1,12 @@
 """One shared-nothing database worker.
 
-A worker owns a hash-distributed partition of each database table plus
-any secondary indexes built on it.  The operations mirror what the
-paper's C UDFs drive inside DB2: local filter/project scans, local
-Bloom-filter builds (index-only when a covering index exists), and
-applying a remote Bloom filter to the partition.  Outgoing rows are
+A worker owns a hash-distributed partition of each database table — a
+slice of the table :class:`~repro.edw.database.ParallelDatabase`
+stores, which also runs every worker's filter/project scan in one pass
+— plus any secondary indexes built on it.  The operations mirror what
+the paper's C UDFs drive inside DB2: local Bloom-filter builds
+(index-only when a covering index exists), and applying a remote Bloom
+filter to the partition.  Outgoing rows are
 routed with the agreed hash function by the exchange itself
 (:func:`repro.core.joins.repartition._route_db_rows`).
 """
@@ -28,7 +30,6 @@ class WorkerAccessStats:
     """What one worker operation touched (for the cost layer)."""
 
     rows_scanned: int = 0
-    bytes_scanned: float = 0.0
     index_only: bool = False
     rows_out: int = 0
 
@@ -82,24 +83,6 @@ class DbWorker:
         return None
 
     # ------------------------------------------------------------------
-    # Scans
-    # ------------------------------------------------------------------
-    def filter_project(
-        self, table_name: str, predicate: Predicate,
-        projection: Sequence[str],
-    ) -> Tuple[Table, WorkerAccessStats]:
-        """Local predicates plus projection over the partition."""
-        partition = self.partition(table_name)
-        mask = predicate.evaluate(partition)
-        result = partition.filter(mask).project(list(projection))
-        stats = WorkerAccessStats(
-            rows_scanned=partition.num_rows,
-            bytes_scanned=float(partition.total_bytes()),
-            rows_out=result.num_rows,
-        )
-        return result, stats
-
-    # ------------------------------------------------------------------
     # Bloom filters (the paper's cal_filter/get_filter pipeline)
     # ------------------------------------------------------------------
     def bloom_keys(
@@ -113,21 +96,19 @@ class DbWorker:
         Uses an index-only plan when a covering index exists — the paper
         builds an index on ``(corPred, indPred, joinKey)`` precisely to
         "enable calculations of Bloom filters on T using an index-only
-        access plan" (Section 5).  The caller hashes every worker's keys
-        into one filter (:meth:`ParallelDatabase.build_global_bloom`).
+        access plan" (Section 5); the index hands its keys out in index
+        order, which the filter, an OR of bits, does not see.  The
+        caller hashes every worker's keys into one filter
+        (:meth:`ParallelDatabase.build_global_bloom`).
         """
         partition = self.partition(table_name)
         needed = list(predicate.columns()) + [key_column]
         index = self.find_covering_index(table_name, needed)
         if index is not None:
             try:
-                rows = index.lookup_rows(predicate, partition)
-                keys = index.entries_for_rows(key_column, rows)
+                keys = index.lookup(predicate, key_column)
                 stats = WorkerAccessStats(
                     rows_scanned=index.num_entries,
-                    bytes_scanned=float(
-                        index.num_entries * index.entry_bytes(partition)
-                    ),
                     index_only=True,
                     rows_out=len(keys),
                 )
@@ -138,7 +119,6 @@ class DbWorker:
         keys = partition.column(key_column)[mask]
         stats = WorkerAccessStats(
             rows_scanned=partition.num_rows,
-            bytes_scanned=float(partition.total_bytes()),
             rows_out=len(keys),
         )
         return keys, stats

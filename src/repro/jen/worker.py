@@ -11,8 +11,10 @@ The predicate runs once over the blocks a scan reads — for the
 distributed scan, once over the whole file (:class:`FileSelection`);
 the scan then comes in two halves: :meth:`JenWorker.read_batch` reads
 a task's blocks — locality, rerouting, fault hook and counts stay per
-block — and :func:`finish_scan` gathers every task's survivors and
-runs the Bloom step, derive and projection once per query.
+block — and :func:`finish_scan` runs once per query: it gathers the
+join key at every task's survivors, runs the Bloom step on it, then
+gathers the other columns at the Bloom survivors, derives and
+projects.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.hdfs.blocks import Block
 from repro.kernels.partition import partition_table
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.relational.expressions import Predicate
+from repro.relational.schema import DataType
 from repro.relational.table import Table
 from repro.query.query import DerivedColumn, HybridQuery
 
@@ -187,11 +190,19 @@ class ScanBatch:
     stats: ScanStats
 
 
-def _derive_first(request: ScanRequest) -> bool:
-    """Deriving after the Bloom step touches only its survivors; the
-    order flips only when the filter is keyed on a derived column."""
-    return any(derived.name == request.join_key
-               for derived in request.derived)
+def _key_derivation(request: ScanRequest) -> Optional[DerivedColumn]:
+    """The derived column the Bloom step is keyed on, if any."""
+    return next((derived for derived in request.derived
+                 if derived.name == request.join_key), None)
+
+
+def _with_column(rows: Table, table: Table, name: str,
+                 values: np.ndarray) -> Table:
+    """``rows`` plus ``table``'s column ``name``, holding ``values``."""
+    column = table.schema.column(name)
+    dictionary = (table.dictionary(name)
+                  if column.dtype is DataType.DICT_STRING else None)
+    return rows.with_column(column, values, dictionary)
 
 
 def bloom_step(keys: np.ndarray, db_bloom: Optional[BloomFilter] = None,
@@ -220,12 +231,15 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
                 observers: Tuple = ()) -> List[Table]:
     """Everything after the block reads, once over every batch.
 
-    One ``take`` per projected column gathers the batches' survivors,
-    in batch and block order, out of the file table; then one Bloom
-    step (:func:`bloom_step`, whose BF_DB mask each observer checks),
-    one filter, the derivations and the projection to the wire columns.
-    Returns each batch's wire table — a zero-copy slice of the result —
-    and sets its ``stats.rows_after_bloom``.
+    The Bloom step reads the join key alone, so that column (the
+    derived key's source) is gathered first, at the predicate
+    survivors, in batch and block order, out of the file table; one
+    Bloom step (:func:`bloom_step`, whose BF_DB mask each observer
+    checks) runs on it; then every other projected column is gathered
+    once, at the Bloom survivors, and the derivations and the
+    projection to the wire columns follow.  Returns each batch's wire
+    table — a zero-copy slice of the result — and sets its
+    ``stats.rows_after_bloom``.
 
     The ``observers`` are then fed block by block, in batch order:
     ``on_scan_block(rows, stored_bytes, after_predicates, after_bloom,
@@ -236,29 +250,35 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
     ids = np.concatenate(
         [selection.rows[lo:hi] for lo, hi in spans]
         or [selection.rows[:0]])
-    rows = selection.table.project(request.projection).take(ids)
-    derive_first = _derive_first(request)
-    if derive_first:
-        rows = request.apply_derivations(rows)
+    table = selection.table.project(request.projection)
+    derivation = _key_derivation(request)
+    source = request.join_key if derivation is None else derivation.source
     keep = None
-    if request.join_key is not None:
-        keep = bloom_step(rows.column(request.join_key), db_bloom,
-                          hdfs_bloom)
+    if source is not None:
+        values = table.column(source).take(ids)
+        keyed = _with_column(table.project([]), table, source, values)
+        if derivation is not None:
+            keyed = derivation.apply(keyed)
+        keys = keyed.column(request.join_key)
+        keep = bloom_step(keys, db_bloom, hdfs_bloom)
         if keep is not None:
             for observer in observers:
-                observer.check_bloom_contains(
-                    db_bloom, rows.column(request.join_key), keep)
+                observer.check_bloom_contains(db_bloom, keys, keep)
     selected = [hi - lo for lo, hi in spans]
     # Where each block's rows start: in the gathered rows, then, past
     # the Bloom step, in the wire.
     offsets = list(accumulate(selected, initial=0))
     if keep is not None:
         survivors = np.flatnonzero(keep)
-        rows = rows.take(survivors)
+        ids = ids[survivors]
+        values = values[survivors]
         offsets = np.searchsorted(survivors, offsets).tolist()
-    if not derive_first:
-        rows = request.apply_derivations(rows)
-    wire = rows.project(list(request.wire_columns))
+    rows = table.project([name for name in request.projection
+                          if name != source]).take(ids)
+    if source is not None:
+        rows = _with_column(rows, table, source, values)
+    wire = request.apply_derivations(rows).project(
+        list(request.wire_columns))
 
     wires = []
     block = 0

@@ -201,10 +201,6 @@ class Table:
         """
         return self.schema.row_width(names)
 
-    def total_bytes(self, names: Optional[Sequence[str]] = None) -> int:
-        """Logical bytes of the whole (optionally projected) table."""
-        return self.row_bytes(names) * self._num_rows
-
     def wire_row_bytes(self,
                        names: Optional[Sequence[str]] = None) -> float:
         """Dictionary-aware bytes of one row on the compact wire.

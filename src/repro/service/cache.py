@@ -330,8 +330,7 @@ class CachingBloomBuilder:
         cached = self.cache.get(key)
         if cached is not None:
             return dataclasses.replace(
-                cached, index_only=True, rows_accessed=0,
-                bytes_accessed=0.0, keys_added=0,
+                cached, index_only=True, rows_accessed=0, keys_added=0,
             )
         result = self._database.build_global_bloom(
             table_name, predicate, key_column, num_bits,

@@ -9,9 +9,9 @@ from repro.core.bloom import BloomFilter
 from repro.edw.database import ParallelDatabase
 from repro.edw.optimizer import DbJoinStrategy, choose_db_join_strategy
 from repro.edw.udf import default_udf_registry
-from repro.edw.worker import DbWorker
+from repro.edw.worker import DbWorker, WorkerAccessStats
 from repro.errors import CatalogError, UdfError
-from repro.relational.expressions import compare
+from repro.relational.expressions import TruePredicate, compare
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 
@@ -118,6 +118,123 @@ class TestParallelOps:
         probes = np.arange(0, 200)
         assert (plain.bloom.contains(probes)
                 == indexed.bloom.contains(probes)).all()
+        assert np.array_equal(plain.bloom._words, indexed.bloom._words)
+        assert plain.keys_added == indexed.keys_added
+
+
+def per_worker_filter_project(db, table_name, predicate, projection):
+    """The per-worker loop the one-pass filter replaced: each worker
+    evaluates the predicate on its own partition, filters all of its
+    columns, then projects."""
+    parts, stats = [], []
+    for worker in db.workers:
+        partition = worker.partition(table_name)
+        part = partition.filter(predicate.evaluate(partition)).project(
+            list(projection))
+        parts.append(part)
+        stats.append(WorkerAccessStats(rows_scanned=partition.num_rows,
+                                       rows_out=part.num_rows))
+    return parts, stats
+
+
+def tagged_table(rows, seed):
+    """``sample_table`` plus a dictionary-encoded column."""
+    table = sample_table(rows, seed)
+    tags = np.array(["a", "b", "c"], dtype=object)
+    codes = np.random.default_rng(seed).integers(0, 3, rows)
+    return table.with_column(Column("tag", DataType.DICT_STRING, 8),
+                             codes.astype(np.int32), dictionary=tags)
+
+
+def random_predicate(rng):
+    """One to three range conjuncts, sometimes OR-ed with another."""
+    ops = ["<=", "<", ">", ">=", "=="]
+    columns = ["corPred", "indPred", "joinKey"]
+    predicate = compare(rng.choice(columns), rng.choice(ops),
+                        int(rng.integers(-5, 105)))
+    for _ in range(int(rng.integers(0, 3))):
+        predicate = predicate & compare(rng.choice(columns),
+                                        rng.choice(ops),
+                                        int(rng.integers(-5, 105)))
+    if rng.random() < 0.3:
+        predicate = predicate | compare("corPred", "<", 5)
+    return predicate
+
+
+class TestOnePassFilter:
+    """``ParallelDatabase.filter_project`` against the per-worker loop:
+    part for part bit-equal, stats field-equal."""
+
+    PROJECTIONS = (["joinKey"], ["joinKey", "indPred"], ["tag", "uniqKey"],
+                   ["corPred", "tag", "joinKey", "indPred", "uniqKey"])
+
+    def assert_same_filter(self, db, name, predicate, projection):
+        parts, stats = db.filter_project(name, predicate, projection)
+        expected_parts, expected_stats = per_worker_filter_project(
+            db, name, predicate, projection)
+        assert stats == expected_stats
+        assert len(parts) == len(expected_parts) == db.num_workers
+        for part, expected in zip(parts, expected_parts):
+            assert part.schema == expected.schema
+            for column in projection:
+                assert part.column(column).dtype == \
+                    expected.column(column).dtype
+                assert np.array_equal(part.column(column),
+                                      expected.column(column))
+            if "tag" in projection:
+                assert part.dictionary("tag") is expected.dictionary("tag")
+
+    def test_random_predicates(self):
+        rng = np.random.default_rng(42)
+        db = small_db(workers=6, servers=3)
+        db.create_table("T", tagged_table(600, seed=3), "uniqKey")
+        for trial in range(60):
+            self.assert_same_filter(
+                db, "T", random_predicate(rng),
+                self.PROJECTIONS[trial % len(self.PROJECTIONS)])
+
+    def test_empty_partitions(self):
+        db = small_db(workers=6, servers=3)
+        db.create_table("T", tagged_table(4, seed=5), "uniqKey")
+        sizes = [worker.partition("T").num_rows for worker in db.workers]
+        assert 0 in sizes and sum(sizes) == 4
+        for projection in self.PROJECTIONS:
+            self.assert_same_filter(db, "T", compare("corPred", "<=", 60),
+                                    projection)
+        db.create_table("E", tagged_table(0, seed=5), "uniqKey")
+        self.assert_same_filter(db, "E", TruePredicate(), ["joinKey", "tag"])
+
+    def test_all_pass_and_none_pass(self):
+        db = small_db(workers=6, servers=3)
+        db.create_table("T", tagged_table(600, seed=3), "uniqKey")
+        for predicate in (TruePredicate(), compare("corPred", "<", 1000),
+                          compare("corPred", ">", 1000)):
+            for projection in self.PROJECTIONS:
+                self.assert_same_filter(db, "T", predicate, projection)
+        parts, stats = db.filter_project("T", compare("corPred", ">", 1000),
+                                         ["joinKey"])
+        assert sum(part.num_rows for part in parts) == 0
+        assert sum(s.rows_scanned for s in stats) == 600
+
+    def test_registered_partitioned_table(self):
+        """Pre-partitioned parts, some empty: the filter sees each as
+        its worker's partition."""
+        db = small_db(workers=4, servers=2)
+        table = tagged_table(300, seed=11)
+        parts = [table.slice(0, 0), table.slice(0, 120),
+                 table.slice(120, 120), table.slice(120, 300)]
+        db.register_partitioned_table("D", parts, distribute_on="joinKey")
+        for worker, part in zip(db.workers, parts):
+            assert worker.partition("D").to_rows() == part.to_rows()
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            self.assert_same_filter(
+                db, "D", random_predicate(rng),
+                self.PROJECTIONS[trial % len(self.PROJECTIONS)])
+
+    def test_unknown_table(self):
+        with pytest.raises(CatalogError, match="unknown database table"):
+            small_db().filter_project("ghost", TruePredicate(), ["joinKey"])
 
 
 class TestWorker:

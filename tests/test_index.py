@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.bloom import BloomFilter
 from repro.edw.index import SecondaryIndex
 from repro.errors import CatalogError
 from repro.relational.expressions import TruePredicate, compare
@@ -41,11 +44,6 @@ class TestConstruction:
         assert index.covers(["corPred", "joinKey"])
         assert not index.covers(["payload"])
 
-    def test_entry_bytes(self):
-        table = make_partition()
-        index = SecondaryIndex("idx", table, ["corPred", "joinKey"])
-        assert index.entry_bytes(table) == 4 + 4 + 8
-
 
 class TestLookups:
     def setup_method(self):
@@ -55,9 +53,14 @@ class TestLookups:
         )
 
     def _check(self, predicate):
-        expected = np.flatnonzero(predicate.evaluate(self.table))
-        got = self.index.lookup_rows(predicate, self.table)
-        assert sorted(got.tolist()) == expected.tolist()
+        """The index's entries of the matching rows, as a multiset of
+        ``(corPred, indPred, joinKey)`` triples, are the base table's."""
+        mask = predicate.evaluate(self.table)
+        expected = sorted(zip(*(self.table.column(name)[mask].tolist()
+                                for name in self.index.key_columns)))
+        got = sorted(zip(*(self.index.lookup(predicate, name).tolist()
+                           for name in self.index.key_columns)))
+        assert got == expected
 
     def test_le_range(self):
         self._check(compare("corPred", "<=", 30))
@@ -76,36 +79,64 @@ class TestLookups:
         )
 
     def test_none_and_true_predicate_return_all(self):
-        assert len(self.index.lookup_rows(None, self.table)) == \
+        assert len(self.index.lookup(None, "joinKey")) == \
             self.table.num_rows
-        assert len(self.index.lookup_rows(TruePredicate(), self.table)) == \
+        assert len(self.index.lookup(TruePredicate(), "joinKey")) == \
             self.table.num_rows
 
     def test_uncovered_column_raises(self):
         with pytest.raises(CatalogError, match="does not cover"):
-            self.index.lookup_rows(compare("payload", "<=", 5), self.table)
+            self.index.lookup(compare("payload", "<=", 5), "joinKey")
 
     def test_non_column_predicate_raises(self):
         from repro.relational.expressions import Negation
         with pytest.raises(CatalogError, match="cannot evaluate"):
-            self.index.lookup_rows(
-                Negation(compare("corPred", "<=", 5)), self.table
+            self.index.lookup(
+                Negation(compare("corPred", "<=", 5)), "joinKey"
             )
 
     def test_index_only_column_fetch(self):
-        rows = self.index.lookup_rows(
-            compare("corPred", "<=", 50), self.table
-        )
-        keys = self.index.entries_for_rows("joinKey", rows)
-        expected = self.table.column("joinKey")[rows]
-        assert (keys == expected).all()
+        """The keys come out in index order: the rows stably sorted
+        on the leading column, then filtered."""
+        predicate = compare("corPred", "<=", 50)
+        order = np.argsort(self.table.column("corPred"), kind="stable")
+        in_index_order = self.table.take(order)
+        expected = in_index_order.column("joinKey")[
+            predicate.evaluate(in_index_order)]
+        keys = self.index.lookup(predicate, "joinKey")
+        assert np.array_equal(keys, expected)
 
     def test_fetch_unmaterialised_column_raises(self):
         with pytest.raises(CatalogError, match="does not materialise"):
-            self.index.entries_for_rows("payload", np.array([0]))
+            self.index.lookup(None, "payload")
 
     def test_empty_result_range(self):
-        got = self.index.lookup_rows(
-            compare("corPred", ">", 10_000), self.table
-        )
+        got = self.index.lookup(compare("corPred", ">", 10_000), "joinKey")
         assert len(got) == 0
+
+
+@given(rows=st.integers(0, 300), seed=st.integers(0, 2**16),
+       key_span=st.sampled_from([40, 10**9]),
+       op=st.sampled_from(["<=", "<", ">", ">=", "=="]),
+       lead=st.integers(-5, 105), ind=st.integers(-5, 105))
+@settings(max_examples=80, deadline=None)
+def test_bloom_from_index_order_keys_equals_row_order(rows, seed, key_span,
+                                                       op, lead, ind):
+    """BF_DB hashed from the index's keys, in index order, has the
+    words of one hashed from the base rows' keys in row order (a
+    narrow key span takes the distinct-key path, a wide one hashes
+    every key)."""
+    table = make_partition(rows, seed)
+    keys = np.random.default_rng(seed).integers(0, key_span, rows)
+    table = Table(table.schema, {
+        **{name: table.column(name) for name in table.schema.names},
+        "joinKey": keys.astype(np.int32),
+    })
+    index = SecondaryIndex("idx", table, ["corPred", "indPred", "joinKey"])
+    predicate = compare("corPred", op, lead) & compare("indPred", "<=", ind)
+    from_index = BloomFilter(1024, 2, seed=7)
+    from_index.add(index.lookup(predicate, "joinKey"))
+    from_rows = BloomFilter(1024, 2, seed=7)
+    from_rows.add(table.column("joinKey")[predicate.evaluate(table)])
+    assert np.array_equal(from_index._words, from_rows._words)
+    assert from_index.num_added == from_rows.num_added

@@ -31,10 +31,12 @@ from repro.adaptive.collector import CHECKPOINTS
 from repro.core.bloom import BloomFilter
 from repro.core.joins import algorithm_by_name
 from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
-from repro.jen.worker import ScanRequest, ScanStats
+from repro.jen.worker import (FileSelection, ScanRequest, ScanStats,
+                              finish_scan)
 from repro.observer import RunObserver
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
+from repro.relational.schema import DataType
 from repro.relational.table import Table
 from repro.skew import HeavyHitterDetector
 from repro.testkit import generator, oracle
@@ -265,6 +267,100 @@ class TestBatchEqualsPerBlock:
         assert stats == expected_stats
         assert stats.remote_blocks == before_stats.remote_blocks + 1
         assert stats.local_blocks == before_stats.local_blocks - 1
+
+
+class GatheredColumn(np.ndarray):
+    """A file-table column logging ``(column, rows)`` for every gather
+    out of it — ``ndarray.take`` (what ``Table.take`` runs per column)
+    and fancy indexing alike."""
+
+    def take(self, indices, *args, **kwargs):
+        self.log.append((self.name, len(indices)))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            self.log.append((self.name, int(
+                index.sum() if index.dtype == bool else len(index))))
+        return np.asarray(self)[index]
+
+
+def spied_finish(scan_setup, request, db_bloom, hdfs_bloom):
+    """One worker's scan through :func:`finish_scan` over a file table
+    whose columns log their gathers; ``(wire, stats, log)``."""
+    worker, meta, blocks, _request, _bloom = scan_setup
+    selection = FileSelection.over_blocks(worker.filesystem, meta, request,
+                                          blocks)
+    batch = worker.read_batch(blocks, selection)
+    log = []
+    table = selection.table
+    columns = {}
+    for name in table.schema.names:
+        column = table.column(name).view(GatheredColumn)
+        column.name, column.log = name, log
+        columns[name] = column
+    # ``Table.__init__`` would strip the subclass; the view keeps it.
+    dictionaries = {column.name: table.dictionary(column.name)
+                    for column in table.schema
+                    if column.dtype is DataType.DICT_STRING}
+    spied = dataclasses.replace(selection, table=Table._view(
+        table.schema, columns, dictionaries))
+    [wire] = finish_scan(spied, [batch], request, db_bloom, hdfs_bloom)
+    return wire, batch.stats, log
+
+
+class TestGatherAtFinalRows:
+    """The scan gathers the Bloom key's column alone at the predicate
+    survivors, and every other projected column once, at the Bloom
+    survivors: no column twice, none at rows the Bloom step drops."""
+
+    @pytest.mark.parametrize("probe,insert", [
+        (True, True),     # zigzag: BF_DB and BF_H
+        (True, False),    # BF_DB only
+        (False, True),    # BF_H only
+        (False, False),   # no Bloom filter
+    ])
+    def test_key_first_then_the_rest_at_the_survivors(
+            self, scan_setup, probe, insert):
+        worker, meta, blocks, request, db_bloom = scan_setup
+        db_bloom = db_bloom if probe else None
+        expected, expected_stats, _feed = reference_scan(
+            worker, meta, blocks, request, db_bloom,
+            new_local_bloom() if insert else None)
+        wire, stats, log = spied_finish(
+            scan_setup, request, db_bloom,
+            new_local_bloom() if insert else None)
+        assert_same_table(wire, expected)
+        assert stats.rows_after_bloom == expected_stats.rows_after_bloom
+        key = request.join_key
+        others = [name for name in request.projection if name != key]
+        assert others
+        assert sorted(log) == sorted(
+            [(key, expected_stats.rows_after_predicates)]
+            + [(name, expected_stats.rows_after_bloom) for name in others])
+        if probe:
+            assert expected_stats.rows_after_bloom \
+                < expected_stats.rows_after_predicates
+
+    def test_derived_key_gathers_its_source_first(self, scan_setup):
+        _worker, _meta, _blocks, request, _bloom = scan_setup
+        derived = DerivedColumn("urlClass", "groupByExtractCol",
+                                "url_class", lambda url: url[-1])
+        keyed = dataclasses.replace(
+            request, derived=(derived,),
+            wire_columns=("joinKey", "urlClass"), join_key="urlClass")
+        unfiltered, _stats, _log = spied_finish(scan_setup, keyed, None,
+                                                None)
+        codes = np.unique(unfiltered.column("urlClass"))
+        db_bloom = BloomFilter(BLOOM_BITS, 2, seed=7)
+        db_bloom.add(codes[::2])
+        wire, stats, log = spied_finish(scan_setup, keyed, db_bloom,
+                                        new_local_bloom())
+        assert 0 < stats.rows_after_bloom < stats.rows_after_predicates
+        assert sorted(log) == sorted(
+            [("groupByExtractCol", stats.rows_after_predicates)]
+            + [(name, stats.rows_after_bloom) for name in request.projection
+               if name != "groupByExtractCol"])
 
 
 def test_sampled_scan_evaluates_only_the_blocks_it_reads(loaded_warehouse,

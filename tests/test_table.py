@@ -69,10 +69,9 @@ class TestAccess:
         with pytest.raises(TableError, match="not dictionary-encoded"):
             table.dictionary("k")
 
-    def test_row_and_total_bytes(self, small_table):
+    def test_row_bytes(self, small_table):
         assert small_table.row_bytes() == 12
-        assert small_table.total_bytes() == 60
-        assert small_table.total_bytes(["v"]) == 20
+        assert small_table.row_bytes(["v"]) == 4
 
 
 class TestOperations:

@@ -70,13 +70,3 @@ def test_take_gather_matches_python(rows, seed):
     gathered = table.take(indices)
     expected = [table.to_rows()[i] for i in indices.tolist()]
     assert gathered.to_rows() == expected
-
-
-@given(rows=rows_strategy)
-@settings(max_examples=40, deadline=None)
-def test_total_bytes_additive_under_split(rows):
-    keys = [r[0] for r in rows] or [0]
-    values = [r[1] for r in rows] or [0]
-    table = make_table(keys, values)
-    parts = table.split(4)
-    assert sum(p.total_bytes() for p in parts) == table.total_bytes()
