@@ -48,8 +48,9 @@ def main():
     # ------------------------------------------------------------------
     print("=== drill 1: JEN workers failing ===")
     warehouse = build(workload, config)
+    coordinator = warehouse.jen.coordinator
     baseline = algorithm_by_name("zigzag").run(warehouse, query)
-    plan = warehouse.jen.coordinator.plan_scan("L")
+    plan = coordinator.plan_scan("L", coordinator.live_workers())
     print(f"healthy:  30 workers, locality "
           f"{plan.locality_fraction():.0%}, "
           f"{baseline.total_seconds:.1f}s simulated")
@@ -57,7 +58,7 @@ def main():
     for victim in (3, 11, 27):
         warehouse.jen.fail_worker(victim)
     degraded = algorithm_by_name("zigzag").run(warehouse, query)
-    plan = warehouse.jen.coordinator.plan_scan("L")
+    plan = coordinator.plan_scan("L", coordinator.live_workers())
     correct = oracle.compare_tables(degraded.result, truth) is None
     print(f"3 dead:   {warehouse.jen.num_workers} workers, locality "
           f"{plan.locality_fraction():.0%}, "

@@ -222,8 +222,9 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    from repro.core.joins import ExecutionContext
     from repro.errors import FaultError, FaultSpecError
-    from repro.faults import FaultPlan
+    from repro.faults import FaultInjector, FaultPlan
     from repro.testkit.oracle import compare_tables, oracle_execute
 
     try:
@@ -244,14 +245,13 @@ def _cmd_chaos(args) -> int:
     mismatches = 0
     for name in args.algorithms:
         baseline = algorithm_by_name(name).run(warehouse, query)
-        injector = warehouse.arm_faults(plan)
+        injector = FaultInjector(plan)
         try:
-            faulted = algorithm_by_name(name).run(warehouse, query)
+            faulted = algorithm_by_name(name).run(
+                warehouse, query, ExecutionContext(faults=injector))
         except FaultError as exc:
             print(f"{name:<18s} UNRECOVERABLE: {type(exc).__name__}: {exc}")
-            warehouse.disarm_faults()
             continue
-        warehouse.disarm_faults()
         diff = compare_tables(faulted.result, expected, label=name)
         identical = diff is None
         if not identical:

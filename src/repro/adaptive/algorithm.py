@@ -14,7 +14,7 @@ carries the abandoned segment's priced phases (``abandoned_`` prefix), a
 post-switch plan, so the simulated makespan honestly pays for being
 wrong first.
 
-With a fault plan armed the run is *collect-only*: statistics flow but
+With a fault plan on its context the run is *collect-only*: statistics flow but
 checkpoints never fire, because abandoning a half-recovered scan has no
 defined semantics (and the fault machinery already guarantees the
 result).
@@ -100,7 +100,7 @@ class AdaptiveJoin(JoinAlgorithm):
         incumbent = advisor.decide(estimate).best
         initial = incumbent
 
-        fault_run = warehouse.jen.injector is not None
+        fault_run = context.faults is not None
 
         bank = ArtifactBank()
         abandoned: List[_AbandonedSegment] = []

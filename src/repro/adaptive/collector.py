@@ -192,8 +192,8 @@ class AdaptiveContext(RunObserver):
     """The observer of one plan segment's run.
 
     ``reoptimizer`` is ``None`` for collect-only segments (statistics
-    flow, checkpoints never fire) — the mode used when a fault plan is
-    armed, where abandoning a half-recovered scan has no defined
+    flow, checkpoints never fire) — the mode used when the run carries a
+    fault plan, where abandoning a half-recovered scan has no defined
     semantics, and for the final segment after the switch budget is
     spent.
     """

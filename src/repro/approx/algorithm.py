@@ -91,8 +91,7 @@ class ApproxJoin(JoinAlgorithm):
     # ------------------------------------------------------------------
     def run(self, warehouse, query: HybridQuery,
             context=None) -> JoinResult:
-        jen = warehouse.jen
-        if jen.injector is not None:
+        if context is not None and context.faults is not None:
             raise JoinError(
                 "approx join does not run under an armed fault plan; "
                 "use the exact tier for fault-injected queries"
@@ -129,9 +128,9 @@ class ApproxJoin(JoinAlgorithm):
         wire_tuples = 0
         join_output = 0
         first_wire: Optional[Table] = None
-        stream = jen.scan_sampled_blocks(
-            query.hdfs_table, request, sample.ordering, db_bloom=db_bloom,
-            observers=run.observers,
+        stream = warehouse.jen.scan_sampled_blocks(
+            query.hdfs_table, request, sample.ordering, run.cluster,
+            db_bloom=db_bloom, observers=run.observers,
         )
         try:
             for wire, block_stats in stream:

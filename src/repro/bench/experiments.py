@@ -730,7 +730,9 @@ def _ablation_locality(cache: WarehouseCache) -> ExperimentResult:
         )
         warehouse.load_hdfs_table("L", workload.l_table, "parquet")
         result = algorithm_by_name("zigzag").run(warehouse, query)
-        assignment = warehouse.jen.coordinator.plan_scan("L")
+        jen = warehouse.jen
+        assignment = jen.coordinator.plan_scan(
+            "L", jen.coordinator.live_workers())
         rows.append({
             "locality": "on" if locality else "off",
             "local_fraction": assignment.locality_fraction(),
@@ -1281,8 +1283,8 @@ def _ext_chaos(cache: WarehouseCache) -> ExperimentResult:
     overhead against the fault-free run, and the recovery phases and
     work charged on the trace.
     """
-    from repro.core.joins import algorithm_by_name
-    from repro.faults import FaultPlan
+    from repro.core.joins import ExecutionContext, algorithm_by_name
+    from repro.faults import FaultInjector, FaultPlan
 
     setup = _plane_setup()
     warehouse, query = setup.warehouse, setup.query
@@ -1295,11 +1297,9 @@ def _ext_chaos(cache: WarehouseCache) -> ExperimentResult:
                      "makespan_s": f"{fault_free:.1f}"})
         work = []
         for fault, spec in FAULT_SPECS:
-            injector = warehouse.arm_faults(FaultPlan.from_spec(spec))
-            try:
-                faulted = algorithm_by_name(algorithm).run(warehouse, query)
-            finally:
-                warehouse.disarm_faults()
+            injector = FaultInjector(FaultPlan.from_spec(spec))
+            faulted = algorithm_by_name(algorithm).run(
+                warehouse, query, ExecutionContext(faults=injector))
             recovery = [p for p in faulted.trace if p.kind == "recovery"]
             work.append(sum(p.seconds for p in recovery))
             overhead = faulted.total_seconds - fault_free

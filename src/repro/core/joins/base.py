@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import JoinError
+from repro.faults import FaultInjector
 from repro.kernels.joinindex import JoinBuildIndex
 from repro.relational.table import Table
 from repro.sim.replay import TimingResult, replay_trace
@@ -128,13 +129,16 @@ class ExecutionContext:
     ``observers`` (:class:`repro.observer.RunObserver`) watch the run;
     ``bloom_builder`` replaces ``ParallelDatabase.build_global_bloom``
     and ``index_for`` builds the local join's index (the query service
-    fills both from its caches).
+    fills both from its caches); ``faults`` injects the failures of a
+    :class:`~repro.faults.FaultPlan` into the run, and its recovery
+    lands on the run's trace.
     """
 
     skew_handling: bool = False
     observers: Tuple = ()
     bloom_builder: Optional[Callable] = None
     index_for: Callable = JoinBuildIndex
+    faults: Optional[FaultInjector] = None
 
 
 class JoinAlgorithm:
@@ -162,16 +166,7 @@ class JoinAlgorithm:
 
     def _finish(self, warehouse, result: Table, stats: JoinStats,
                 trace: Trace) -> JoinResult:
-        """Replay the trace and assemble the result object.
-
-        If a fault plan is armed, the recovery actions the engine
-        accumulated (re-scans, retries, speculation) are materialised as
-        ``recovery`` phases first, so the replayed makespan pays for
-        them and the Gantt timeline shows them.
-        """
-        injector = warehouse.jen.injector
-        if injector is not None:
-            injector.charge_trace(trace)
+        """Replay the trace and assemble the result object."""
         trace.metadata["bytes_shipped"] = classify_bytes_shipped(trace)
         timing = replay_trace(trace)
         return JoinResult(
@@ -187,7 +182,11 @@ class JoinAlgorithm:
 class JoinRun:
     """One run of one algorithm: what every stage reads and writes.
 
-    Opening a run prices its ``startup`` phase.  The methods below are
+    Opening a run opens its view of the JEN cluster
+    (:class:`~repro.jen.engine.RunCluster`, under the context's fault
+    injector) and prices its ``startup`` phase.  Every stage reads the
+    cluster's size off that view, so a worker a crash took out of the
+    run is missing from the rest of the run.  The methods below are
     the steps most algorithms share: filtering T locally, building and
     multicasting BF_DB, and the distributed HDFS scan.  The algorithm
     modules add the other stages
@@ -214,6 +213,7 @@ class JoinRun:
         self.query = query
         self.context = context or ExecutionContext()
         self.observers = self.context.observers
+        self.cluster = warehouse.jen.open_cluster(self.context.faults)
         self.costing = algorithm._costing(warehouse)
         self.stats = JoinStats()
         self.trace = Trace(label=algorithm.display_name)
@@ -223,7 +223,15 @@ class JoinRun:
                        description=startup)
 
     def finish(self, result: Table) -> JoinResult:
-        """Replay the trace; the run's :class:`JoinResult`."""
+        """Replay the trace; the run's :class:`JoinResult`.
+
+        Under a fault injector, the recovery actions the engine
+        accumulated (re-scans, retries, speculation) are materialised as
+        ``recovery`` phases first, so the replayed makespan pays for
+        them and the Gantt timeline shows them.
+        """
+        if self.cluster.faults is not None:
+            self.cluster.faults.charge_trace(self.trace)
         return self.algorithm._finish(self.warehouse, result, self.stats,
                                       self.trace)
 
@@ -314,7 +322,7 @@ class JoinRun:
                        after=["bf_db_build"],
                        description="multicast BF_DB to JEN workers")
         self.stats.bloom_bytes_moved += (
-            costing.bloom_bytes() * self.warehouse.jen.num_workers
+            costing.bloom_bytes() * self.cluster.num_workers
         )
         for observer in self.observers:
             observer.on_bloom_built(bloom_result.bloom, [
@@ -334,15 +342,16 @@ class JoinRun:
             gate = (["startup"] if db_bloom is None
                     else ["startup", "bf_db_send"])
         query, stats = self.query, self.stats
-        jen, observers, detector = self.warehouse.jen, self.observers, None
-        if self.context.skew_handling and jen.num_workers > 1:
+        observers, detector = self.observers, None
+        workers = self.cluster.num_workers
+        if self.context.skew_handling and workers > 1:
             from repro.skew import HeavyHitterDetector
 
-            detector = HeavyHitterDetector(jen.num_workers)
+            detector = HeavyHitterDetector(workers)
             observers = (detector,) + observers
-        scan = jen.distributed_scan(
-            query, db_bloom=db_bloom, build_hdfs_bloom=build_hdfs_bloom,
-            observers=observers,
+        scan = self.warehouse.jen.distributed_scan(
+            query, self.cluster, db_bloom=db_bloom,
+            build_hdfs_bloom=build_hdfs_bloom, observers=observers,
         )
         if detector is not None:
             scan.hot_keys = detector.hot_key_set()

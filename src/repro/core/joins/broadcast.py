@@ -41,7 +41,7 @@ class BroadcastJoin(JoinAlgorithm):
             context=None) -> JoinResult:
         run = JoinRun(self, warehouse, query, context=context)
         costing, stats, trace = run.costing, run.stats, run.trace
-        workers = warehouse.jen.num_workers
+        workers = run.cluster.num_workers
         t_parts = run.db_filter()
 
         # -- Step 2: broadcast T' to every JEN worker --------------------
@@ -94,6 +94,6 @@ class BroadcastJoin(JoinAlgorithm):
                           scan.stats.rows_after_predicates,
                           scan.wire_tables[0].row_bytes(), ["hdfs_scan"])
         # A crash during the scan can leave fewer workers to join on.
-        t_side = Delivery("T'", [t_ship[0]] * warehouse.jen.num_workers,
+        t_side = Delivery("T'", [t_ship[0]] * run.cluster.num_workers,
                           t_store, t_tuples, t_wire_bytes, ["hash_build_t"])
         return jen_tail(run, l_side, t_side, broadcast=True)

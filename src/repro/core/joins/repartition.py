@@ -100,7 +100,7 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
     costing, stats = run.costing, run.stats
     store, ship, row_bytes = transfer_edge(tables, run.query, "hdfs")
     shuffled = run.warehouse.jen.shuffle_by_key(
-        ship, run.query.hdfs_join_key, hot_keys=hot_keys,
+        ship, run.query.hdfs_join_key, run.cluster, hot_keys=hot_keys,
         observers=run.observers)
     tuples = shuffled.tuples_shuffled
     stats.hdfs_tuples_shuffled = tuples
@@ -135,7 +135,7 @@ def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
     costing, stats, trace = run.costing, run.stats, run.trace
     store, ship, row_bytes = transfer_edge(t_parts, run.query, "db")
     t_dest, hot_rows, hot_copies = _route_db_rows(
-        ship, run.query.db_join_key, run.warehouse.jen.num_workers,
+        ship, run.query.db_join_key, run.cluster.num_workers,
         hot_keys=hot_keys, observers=run.observers)
     tuples = sum(part.num_rows for part in ship)
     stats.db_tuples_sent = tuples
@@ -174,7 +174,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
     config = run.warehouse.config
     plan = LateMatPlan(l_store=l_side.store, t_store=t_side.store)
     result, joined = run.warehouse.jen.join_and_aggregate(
-        l_side.parts, t_side.parts, run.query,
+        l_side.parts, t_side.parts, run.query, run.cluster,
         memory_budget_rows=max(0.0, config.jen_memory_budget_rows)
         * config.scale,
         latemat_plan=plan,

@@ -55,7 +55,7 @@ class _ExactFilterJoin(JoinAlgorithm):
         ]))
         key_list_bytes = (
             len(t_keys) * run.costing.scale_up * KEY_BYTES
-            * warehouse.jen.num_workers
+            * run.cluster.num_workers
         )
         run.trace.add("keys_db_send", "transfer",
                       key_list_bytes

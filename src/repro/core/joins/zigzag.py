@@ -75,7 +75,7 @@ def bf_h(run: JoinRun, scan, t_parts: List[Table]) -> List[Table]:
               after=["bf_h_merge"],
               description="broadcast BF_H to all DB workers")
     run.stats.bloom_bytes_moved += (
-        costing.bloom_bytes() * max(0, run.warehouse.jen.num_workers - 1)
+        costing.bloom_bytes() * max(0, run.cluster.num_workers - 1)
         + costing.bloom_bytes() * run.warehouse.database.num_workers
     )
     t_pruned = DbWorker.apply_bloom(t_parts, run.query.db_join_key,

@@ -57,7 +57,7 @@ class ZigzagDbJoin(JoinAlgorithm):
 
         # -- Second HDFS scan: no indexes, pay the full scan again ---------
         second_scan = warehouse.jen.distributed_scan(
-            query, db_bloom=db_bloom, observers=run.observers)
+            query, run.cluster, db_bloom=db_bloom, observers=run.observers)
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
         run.stats.hdfs_rows_scanned += second_scan.stats.rows_scanned
         run.stats.hdfs_stored_bytes_scanned += \

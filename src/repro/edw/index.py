@@ -55,6 +55,23 @@ class SecondaryIndex:
         """True if all ``columns`` are materialised in the index."""
         return set(columns) <= set(self.key_columns)
 
+    def evaluates(self, predicate: Optional[Predicate]) -> bool:
+        """True if the index alone can evaluate ``predicate``: every
+        conjunct compares a materialised column with a literal, the
+        rule :meth:`lookup` enforces."""
+        return self._unanswerable(_conjuncts(predicate)) is None
+
+    def _unanswerable(self, conjuncts) -> Optional[str]:
+        """Why the index cannot evaluate ``conjuncts`` alone (``None``
+        when it can)."""
+        for conjunct in conjuncts:
+            if not isinstance(conjunct, ColumnPredicate):
+                return f"index {self.name!r} cannot evaluate {conjunct!r}"
+            if conjunct.column not in self.key_columns:
+                return (f"index {self.name!r} does not cover column "
+                        f"{conjunct.column!r}")
+        return None
+
     # ------------------------------------------------------------------
     def lookup(self, predicate: Optional[Predicate],
                column: str) -> np.ndarray:
@@ -70,19 +87,10 @@ class SecondaryIndex:
             raise CatalogError(
                 f"index {self.name!r} does not materialise {column!r}"
             )
-        conjuncts = ([] if predicate is None
-                     or isinstance(predicate, TruePredicate)
-                     else _flatten_conjuncts(predicate))
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, ColumnPredicate):
-                raise CatalogError(
-                    f"index {self.name!r} cannot evaluate {conjunct!r}"
-                )
-            if conjunct.column not in self.key_columns:
-                raise CatalogError(
-                    f"index {self.name!r} does not cover column "
-                    f"{conjunct.column!r}"
-                )
+        conjuncts = _conjuncts(predicate)
+        reason = self._unanswerable(conjuncts)
+        if reason is not None:
+            raise CatalogError(reason)
         lo, hi = self._leading_range(conjuncts)
         mask = np.ones(hi - lo, dtype=bool)
         for conjunct in conjuncts:
@@ -115,6 +123,13 @@ class SecondaryIndex:
                 hi = min(hi, int(np.searchsorted(
                     self._leading_sorted, literal, side="right")))
         return lo, max(lo, hi)
+
+
+def _conjuncts(predicate: Optional[Predicate]):
+    """``predicate``'s conjuncts; none for no predicate or ``TRUE``."""
+    if predicate is None or isinstance(predicate, TruePredicate):
+        return []
+    return _flatten_conjuncts(predicate)
 
 
 def _flatten_conjuncts(predicate: Predicate):

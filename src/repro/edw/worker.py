@@ -97,24 +97,22 @@ class DbWorker:
         builds an index on ``(corPred, indPred, joinKey)`` precisely to
         "enable calculations of Bloom filters on T using an index-only
         access plan" (Section 5); the index hands its keys out in index
-        order, which the filter, an OR of bits, does not see.  The
+        order, which the filter, an OR of bits, does not see.  A
+        predicate the index cannot evaluate alone (a negation, a UDF, a
+        disjunction) scans the partition, and the stats say so.  The
         caller hashes every worker's keys into one filter
         (:meth:`ParallelDatabase.build_global_bloom`).
         """
         partition = self.partition(table_name)
         needed = list(predicate.columns()) + [key_column]
         index = self.find_covering_index(table_name, needed)
-        if index is not None:
-            try:
-                keys = index.lookup(predicate, key_column)
-                stats = WorkerAccessStats(
-                    rows_scanned=index.num_entries,
-                    index_only=True,
-                    rows_out=len(keys),
-                )
-                return keys, stats
-            except CatalogError:
-                pass  # Fall back to a base-table scan.
+        if index is not None and index.evaluates(predicate):
+            keys = index.lookup(predicate, key_column)
+            return keys, WorkerAccessStats(
+                rows_scanned=index.num_entries,
+                index_only=True,
+                rows_out=len(keys),
+            )
         mask = predicate.evaluate(partition)
         keys = partition.column(key_column)[mask]
         stats = WorkerAccessStats(

@@ -1,13 +1,16 @@
 """Deterministic fault injection and recovery (chaos layer).
 
-Arm a plan on a warehouse and run any algorithm; the engine recovers
-from the injected crashes, stragglers and lost messages, the results
-stay bit-identical to the fault-free run, and the trace gains
-``recovery`` phases pricing the detection timeouts, re-scans, backoffs
-and speculative backups::
+Hand a run a plan's injector on its context and run any algorithm;
+the engine recovers from the injected crashes, stragglers and lost
+messages, the results stay bit-identical to the fault-free run, and the
+trace gains ``recovery`` phases pricing the detection timeouts,
+re-scans, backoffs and speculative backups.  A crash takes its worker
+out of that run alone::
 
-    injector = warehouse.arm_faults("crash:w2@scan,drop:shuffle:0.05")
-    result = algorithm_by_name("zigzag").run(warehouse, query)
+    injector = FaultInjector(
+        FaultPlan.from_spec("crash:w2@scan,drop:shuffle:0.05"))
+    result = algorithm_by_name("zigzag").run(
+        warehouse, query, ExecutionContext(faults=injector))
     print(injector.report())
 """
 

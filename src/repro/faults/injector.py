@@ -1,7 +1,9 @@
 """The fault injector: fires a :class:`FaultPlan` during execution.
 
-One :class:`FaultInjector` is armed on a :class:`~repro.jen.engine.Jen`
-(via ``arm_faults``) and consulted from the engine's hook points:
+One :class:`FaultInjector` rides a run's
+:class:`~repro.core.joins.base.ExecutionContext` (``faults``) into the
+run's :class:`~repro.jen.engine.RunCluster` and is consulted from the
+engine's hook points:
 
 * the distributed scan asks :meth:`scan_crash_block` whether a worker
   dies mid-scan and at which block;

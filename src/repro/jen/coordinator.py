@@ -14,7 +14,7 @@ the grouped ingest of Figure 5; the join algorithms do both themselves
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CatalogError
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
@@ -29,12 +29,12 @@ class JenCoordinator:
         if num_workers <= 0:
             raise CatalogError("JEN needs at least one worker")
         self.filesystem = filesystem
-        self.num_workers = num_workers
         self.locality = locality
         self._live_workers: Dict[int, bool] = {
             worker: True for worker in range(num_workers)
         }
-        self._assignments: Dict[str, BlockAssignment] = {}
+        self._assignments: Dict[Tuple[str, Tuple[int, ...]],
+                                BlockAssignment] = {}
 
     # ------------------------------------------------------------------
     # Worker registry
@@ -48,21 +48,19 @@ class JenCoordinator:
         if worker_id not in self._live_workers:
             raise CatalogError(f"unknown JEN worker {worker_id}")
         self._live_workers[worker_id] = up
-        # Any cached assignment is invalid once membership changes.
-        self._assignments.clear()
 
-    def reassign_blocks(self, dead_worker: int, blocks
-                        ) -> List[Tuple[int, List]]:
+    def reassign_blocks(self, dead_worker: int, blocks,
+                        live: Sequence[int]) -> List[Tuple[int, List]]:
         """Redistribute a crashed worker's blocks over the survivors.
 
         Called mid-scan when a fault plan kills ``dead_worker``: its
         partial output is discarded, so *all* of its blocks (scanned and
-        un-scanned alike) are dealt round-robin to the live workers.
-        Returns ``(survivor_id, blocks)`` pairs, deterministically
-        ordered, omitting survivors with nothing to do.
+        un-scanned alike) are dealt round-robin to the run's ``live``
+        workers.  Returns ``(survivor_id, blocks)`` pairs,
+        deterministically ordered, omitting survivors with nothing to
+        do.
         """
-        survivors = [worker for worker in self.live_workers()
-                     if worker != dead_worker]
+        survivors = [worker for worker in live if worker != dead_worker]
         if not survivors:
             raise CatalogError(
                 f"no survivors to take over worker {dead_worker}'s blocks"
@@ -73,14 +71,15 @@ class JenCoordinator:
         return [(worker, assigned)
                 for worker, assigned in per_survivor.items() if assigned]
 
-    def speculative_worker(self, straggler: int) -> int:
+    def speculative_worker(self, straggler: int,
+                           live: Sequence[int]) -> int:
         """The worker that runs a backup copy of a straggler's task.
 
         The least-loaded policy degenerates to "lowest live id that is
         not the straggler" here, because scan assignments are balanced;
         raises when the straggler is the only worker left.
         """
-        for worker in self.live_workers():
+        for worker in live:
             if worker != straggler:
                 return worker
         raise CatalogError(
@@ -94,19 +93,21 @@ class JenCoordinator:
         """HCatalog lookup on behalf of the DB2 workers."""
         return self.filesystem.table_meta(table_name)
 
-    def plan_scan(self, table_name: str) -> BlockAssignment:
-        """Block assignment for a scan of ``table_name`` (cached).
+    def plan_scan(self, table_name: str,
+                  live: Sequence[int]) -> BlockAssignment:
+        """Block assignment for a scan of ``table_name`` over the
+        ``live`` workers (cached per table and membership).
 
-        Only live workers receive blocks; after a failure the plan is
-        recomputed and blocks whose replicas sat on the dead node become
-        remote reads on the survivors.
+        Only live workers receive blocks; after a failure the survivors
+        get a plan of their own, in which blocks whose replicas sat on
+        the dead node become remote reads.
         """
-        if table_name not in self._assignments:
-            blocks = self.filesystem.table_blocks(table_name)
-            live = self.live_workers()
+        key = (table_name, tuple(live))
+        if key not in self._assignments:
             if not live:
                 raise CatalogError("no live JEN workers")
-            self._assignments[table_name] = assign_blocks(
-                blocks, live, locality=self.locality
+            self._assignments[key] = assign_blocks(
+                self.filesystem.table_blocks(table_name), live,
+                locality=self.locality,
             )
-        return self._assignments[table_name]
+        return self._assignments[key]

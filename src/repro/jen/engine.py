@@ -5,26 +5,29 @@ workers, runs distributed scans (optionally with a pushed-down database
 Bloom filter and/or a BF_H build), executes the agreed-hash shuffle, and
 finishes local joins with partial plus final aggregation.
 
-Fault tolerance: arming a :class:`~repro.faults.FaultPlan` (via
-:meth:`Jen.arm_faults`) turns on mid-query failure handling.  Scans run
-as a work queue — when an injected crash kills a worker, its partial
-output is discarded and the coordinator deals its blocks to the
-survivors; shuffle-time crashes re-produce the victim's filtered rows on
-a survivor; message drops retry with backoff and re-delivered partitions
-are suppressed by the receivers.  Results stay bit-identical to the
-fault-free run while every recovery is charged on the trace.
+Each run works on its own :class:`RunCluster`: the workers the
+coordinator had up when the run opened it, and the run's fault
+injector (``ExecutionContext.faults``).  Under a
+:class:`~repro.faults.FaultInjector` the engine handles mid-query
+failures.  Scans run as a work queue — when an injected crash kills a
+worker, it leaves the run's view, its partial output is discarded and
+the coordinator deals its blocks to the survivors; shuffle-time crashes
+re-produce the victim's filtered rows on a survivor; message drops
+retry with backoff and re-delivered partitions are suppressed by the
+receivers.  Results stay bit-identical to the fault-free run while
+every recovery is charged on the trace.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import HybridConfig
 from repro.core.bloom import BloomFilter
-from repro.errors import CatalogError, FaultError, JoinError, WorkerCrashError
-from repro.faults import CrashSignal, FaultInjector, FaultPlan, ScanFaultHook
+from repro.errors import CatalogError, JoinError, WorkerCrashError
+from repro.faults import CrashSignal, FaultInjector, ScanFaultHook
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.jen.coordinator import JenCoordinator
 from repro.jen.exchange import ShuffleResult, shuffle
@@ -98,8 +101,35 @@ class LocalJoinStats:
     stitch: Optional[StitchStats] = None
 
 
+@dataclass
+class RunCluster:
+    """One run's view of the JEN cluster.
+
+    ``live`` holds the ids of the workers the coordinator's registry
+    had up when the run opened it (paper Section 4.1: the coordinator
+    tracks which workers are up); ``faults`` is the run's
+    :class:`~repro.faults.FaultInjector`, ``None`` for a fault-free run.
+    A crash the injector fires removes its victim from this view alone:
+    every stage of the run after it sees the smaller cluster, while a
+    run on another thread, and every later run, sees the registry's.
+    """
+
+    live: List[int]
+    faults: Optional[FaultInjector] = None
+
+    @property
+    def num_workers(self) -> int:
+        """Number of workers up for this run."""
+        return len(self.live)
+
+
 class Jen:
-    """Coordinator + workers of the HDFS-side execution engine."""
+    """Coordinator + workers of the HDFS-side execution engine.
+
+    The coordinator's registry is the one membership record; each run
+    works on its own :class:`RunCluster`, so nothing here changes while
+    a query runs.
+    """
 
     def __init__(self, filesystem: HdfsFileSystem, config: HybridConfig,
                  locality: bool = True):
@@ -109,103 +139,48 @@ class Jen:
         self.coordinator = JenCoordinator(
             filesystem, num_workers, locality=locality
         )
-        self.workers = [
+        #: One stateless worker per configured id, up or not.
+        self._workers = tuple(
             JenWorker(worker_id, filesystem)
             for worker_id in range(num_workers)
-        ]
-        self._scan_depth = 0
-        self._injector: Optional[FaultInjector] = None
+        )
 
     @property
     def num_workers(self) -> int:
-        """Number of live JEN workers."""
-        return len(self.workers)
+        """Number of JEN workers the registry has up."""
+        return len(self.coordinator.live_workers())
 
-    # ------------------------------------------------------------------
-    # Worker membership + fault plans
-    # ------------------------------------------------------------------
+    def open_cluster(self, faults: Optional[FaultInjector] = None
+                     ) -> RunCluster:
+        """A new run's view: the registry's live workers and ``faults``."""
+        return RunCluster(self.coordinator.live_workers(), faults)
+
     def fail_worker(self, worker_id: int) -> None:
         """Take one worker out of service (paper Section 4.1: the
         coordinator manages worker state "so that workers know which
         other workers are up and running").
 
-        Subsequent scans re-plan over the survivors; blocks whose only
-        local replica sat on the dead node are read remotely.
-
-        Mid-scan failures must be driven by an armed
-        :class:`~repro.faults.FaultPlan` (``crash:w<id>@scan``) so the
-        engine can recover deterministically; calling this while a scan
-        is in flight without one raises :class:`~repro.errors.FaultError`.
+        Runs opened afterwards plan their scans over the survivors;
+        blocks whose only local replica sat on the dead node are read
+        remotely.  A run already in flight keeps the view it opened.
         """
-        if not any(w.worker_id == worker_id for w in self.workers):
+        live = self.coordinator.live_workers()
+        if worker_id not in live:
             raise JoinError(f"no live JEN worker {worker_id}")
-        if len(self.workers) == 1:
+        if len(live) == 1:
             raise JoinError("cannot fail the last JEN worker")
-        if self._scan_depth > 0 and self.injector is None:
-            raise FaultError(
-                f"a scan is in flight: failing worker {worker_id} now has "
-                "no defined semantics — inject the crash through an armed "
-                "FaultPlan (Jen.arm_faults('crash:w"
-                f"{worker_id}@scan')) so the engine can recover, or fail "
-                "the worker between queries"
-            )
-        self._remove_worker(worker_id)
-
-    def restore_workers(self) -> None:
-        """Bring the cluster back to full strength (chaos-run helper).
-
-        Re-creates the configured worker set and marks everyone up, so
-        one warehouse can host many fault scenarios back to back.
-        """
-        if self._scan_depth > 0:
-            raise JoinError("cannot restore workers mid-scan")
-        num_workers = self.config.cluster.jen_workers()
-        self.workers = [
-            JenWorker(worker_id, self.filesystem)
-            for worker_id in range(num_workers)
-        ]
-        for worker_id in range(num_workers):
-            self.coordinator.mark_worker(worker_id, up=True)
-
-    def arm_faults(self, plan: Union[FaultPlan, str],
-                   seed: int = 11) -> FaultInjector:
-        """Arm a fault plan (object or spec string) for subsequent runs.
-
-        Returns the :class:`~repro.faults.FaultInjector`, whose fired
-        log, counters and :meth:`~repro.faults.FaultInjector.report`
-        describe everything that happened.
-        """
-        if isinstance(plan, str):
-            plan = FaultPlan.from_spec(plan, seed=seed)
-        self._injector = FaultInjector(plan)
-        return self._injector
-
-    def disarm_faults(self) -> None:
-        """Drop the armed fault plan (fault-free runs again)."""
-        self._injector = None
-
-    @property
-    def injector(self) -> Optional[FaultInjector]:
-        """The armed fault injector, or ``None`` when no plan is armed
-        — the one question every plane asks before a fault-aware path."""
-        return self._injector
-
-    def _remove_worker(self, worker_id: int) -> None:
-        self.workers = [
-            worker for worker in self.workers
-            if worker.worker_id != worker_id
-        ]
         self.coordinator.mark_worker(worker_id, up=False)
 
     # ------------------------------------------------------------------
     def distributed_scan(
         self,
         query: HybridQuery,
+        cluster: RunCluster,
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         observers: Tuple = (),
     ) -> DistributedScanResult:
-        """Scan the query's HDFS table on every worker.
+        """Scan the query's HDFS table on every worker of ``cluster``.
 
         ``db_bloom`` is the pushed-down database Bloom filter;
         ``build_hdfs_bloom`` additionally populates BF_H with the join
@@ -214,6 +189,7 @@ class Jen:
         return self.scan_with_request(
             query.hdfs_table,
             ScanRequest.from_query(query),
+            cluster,
             db_bloom=db_bloom,
             build_hdfs_bloom=build_hdfs_bloom,
             observers=observers,
@@ -223,6 +199,7 @@ class Jen:
         self,
         table_name: str,
         request: ScanRequest,
+        cluster: RunCluster,
         db_bloom: Optional[BloomFilter] = None,
         build_hdfs_bloom: bool = False,
         observers: Tuple = (),
@@ -234,24 +211,19 @@ class Jen:
         (``on_scan_block``, see :func:`~repro.jen.worker.finish_scan`),
         and may raise out of the scan to abandon it.
         """
-        injector = self.injector
-        if injector is not None:
-            injector.check_abort("scan")
-        meta = self.coordinator.table_meta(table_name)
-        self._scan_depth += 1
-        try:
-            return self._run_scan_queue(
-                meta, request, db_bloom, build_hdfs_bloom, injector,
-                observers,
-            )
-        finally:
-            self._scan_depth -= 1
+        if cluster.faults is not None:
+            cluster.faults.check_abort("scan")
+        return self._run_scan_queue(
+            self.coordinator.table_meta(table_name), request, db_bloom,
+            build_hdfs_bloom, cluster, observers,
+        )
 
     def scan_sampled_blocks(
         self,
         table_name: str,
         request: ScanRequest,
         blocks,
+        cluster: RunCluster,
         db_bloom: Optional[BloomFilter] = None,
         observers: Tuple = (),
     ):
@@ -269,35 +241,23 @@ class Jen:
         more rows than it read.  ``observers`` hear each block (and
         check its Bloom step) as in the full scan.
 
-        Fault plans are deliberately unsupported: the block-at-a-time
-        stream has no work-queue recovery semantics, and a degraded
-        (approximate) run under injected faults would conflate two
-        failure domains.  Callers fall back to the exact tier instead.
+        The stream has no work-queue recovery, so the approximate tier
+        refuses a run with a fault plan before it opens one.
         """
-        if self.injector is not None:
-            raise JoinError(
-                "sampled scans do not support armed fault plans; run the "
-                "exact tier under fault injection instead"
-            )
         meta = self.coordinator.table_meta(table_name)
-        by_id = {worker.worker_id: worker for worker in self.workers}
+        live = cluster.live
 
         def owner(block):
             for node_id in block.replicas:
-                if node_id in by_id:
-                    return by_id[node_id]
-            return self.workers[block.block_id % len(self.workers)]
+                if node_id in live:
+                    return self._workers[node_id]
+            return self._workers[live[block.block_id % len(live)]]
 
-        self._scan_depth += 1
-        try:
-            for block in blocks:
-                wire, stats = owner(block).scan_filter_project(
-                    meta, [block], request, db_bloom=db_bloom,
-                    observers=observers,
-                )
-                yield wire, stats
-        finally:
-            self._scan_depth -= 1
+        for block in blocks:
+            yield owner(block).scan_filter_project(
+                meta, [block], request, db_bloom=db_bloom,
+                observers=observers,
+            )
 
     def _run_scan_queue(
         self,
@@ -305,16 +265,17 @@ class Jen:
         request: ScanRequest,
         db_bloom: Optional[BloomFilter],
         build_hdfs_bloom: bool,
-        injector: Optional[FaultInjector],
+        cluster: RunCluster,
         observers: Tuple,
     ) -> DistributedScanResult:
         """The scan as a work queue of (worker, blocks) tasks.
 
-        Fault-free this degenerates to one task per worker, exactly the
-        original single-pass scan.  With an armed injector, a crashing
-        worker's task raises mid-loop: its partial output is discarded
-        and its blocks come back as recovery tasks on the survivors, so
-        every block is scanned into the result exactly once.
+        Fault-free this degenerates to one task per live worker, exactly
+        the original single-pass scan.  Under the run's fault injector,
+        a crashing worker's task raises mid-loop: the worker leaves the
+        run's view, its partial output is discarded and its blocks come
+        back as recovery tasks on the survivors, so every block is
+        scanned into the result exactly once.
 
         The predicate runs once, over the whole file
         (:class:`~repro.jen.worker.FileSelection`), and each task reads
@@ -328,43 +289,43 @@ class Jen:
         is a slice of the result; task order is also the order the
         per-block observers see.
         """
-        assignment = self.coordinator.plan_scan(meta.name)
+        live, injector = cluster.live, cluster.faults
+        assignment = self.coordinator.plan_scan(meta.name, live)
         selection = FileSelection.evaluate(self.filesystem, meta, request)
         tasks = deque(
-            (worker, list(assignment.blocks_for(worker.worker_id)))
-            for worker in self.workers
+            (worker_id, list(assignment.blocks_for(worker_id)))
+            for worker_id in live
         )
         for observer in observers:
             observer.on_scan_begin(
                 sum(len(blocks) for _worker, blocks in tasks))
-        batches: List[Tuple[JenWorker, ScanBatch]] = []
+        batches: List[Tuple[int, ScanBatch]] = []
         merged = ScanStats()
         while tasks:
-            worker, blocks = tasks.popleft()
-            if worker not in self.workers:
+            worker_id, blocks = tasks.popleft()
+            if worker_id not in live:
                 # The owner of this recovery task died after it was
                 # queued (a second crash event); deal its blocks out
                 # again.
-                self._requeue(worker.worker_id, blocks, tasks)
+                self._requeue(worker_id, blocks, tasks, live)
                 continue
             hook = None
             if injector is not None:
-                crash_at = injector.scan_crash_block(
-                    worker.worker_id, len(blocks)
-                )
+                crash_at = injector.scan_crash_block(worker_id, len(blocks))
                 if crash_at is not None:
                     if not blocks:
-                        self._scan_crash(worker, blocks, ScanStats(),
-                                         injector, tasks, merged)
+                        self._scan_crash(worker_id, blocks, ScanStats(),
+                                         cluster, tasks, merged)
                         continue
                     hook = ScanFaultHook(crash_at)
             try:
-                batch = worker.read_batch(blocks, selection, faults=hook)
+                batch = self._workers[worker_id].read_batch(
+                    blocks, selection, faults=hook)
             except CrashSignal as signal:
-                self._scan_crash(worker, blocks, signal.stats, injector,
+                self._scan_crash(worker_id, blocks, signal.stats, cluster,
                                  tasks, merged)
                 continue
-            batches.append((worker, batch))
+            batches.append((worker_id, batch))
             merged = merged.merge(batch.stats)
 
         hdfs_bloom = None
@@ -378,85 +339,79 @@ class Jen:
             selection, [batch for _worker, batch in batches], request,
             db_bloom, hdfs_bloom, observers,
         )
-        pieces: Dict[int, List[Table]] = {
-            worker.worker_id: [] for worker in self.workers
-        }
-        for (worker, _batch), wire in zip(batches, wires):
-            pieces[worker.worker_id].append(wire)
+        pieces: Dict[int, List[Table]] = {worker_id: [] for worker_id in live}
+        for (worker_id, _batch), wire in zip(batches, wires):
+            pieces[worker_id].append(wire)
             merged.rows_after_bloom += wire.num_rows
 
         if injector is not None:
-            self._record_stragglers(injector)
-        wire_tables = [
-            Table.concat(pieces[worker.worker_id])
-            for worker in self.workers
-        ]
+            self._record_stragglers(cluster)
+        wire_tables = [Table.concat(pieces[worker_id]) for worker_id in live]
         return DistributedScanResult(
             wire_tables=wire_tables,
             stats=merged,
             hdfs_bloom=hdfs_bloom,
         )
 
-    def _scan_crash(self, worker: JenWorker, blocks, partial: ScanStats,
-                    injector: FaultInjector, tasks,
+    def _scan_crash(self, worker_id: int, blocks, partial: ScanStats,
+                    cluster: RunCluster, tasks,
                     merged: ScanStats) -> None:
         """Recover from a mid-scan crash (or raise if unrecoverable)."""
-        survivors = len(self.workers) - 1
+        survivors = cluster.num_workers - 1
         if survivors == 0:
             # The crash event has fired, so a service-plane retry of the
             # whole query runs fault-free.
             raise WorkerCrashError(
-                f"worker {worker.worker_id} crashed during scan and no "
+                f"worker {worker_id} crashed during scan and no "
                 "survivors remain",
-                worker_id=worker.worker_id, phase="scan",
+                worker_id=worker_id, phase="scan",
                 rows_lost=partial.rows_scanned,
             )
-        self._remove_worker(worker.worker_id)
+        cluster.live.remove(worker_id)
         # The partial batch dies with the worker before it reaches the
         # Bloom step (a worker crashes at most once, in its first task,
         # so it has no earlier batch either); the rescanned blocks
         # rebuild it on the survivors.
         merged.rows_discarded += partial.rows_scanned
         merged.blocks_reassigned += len(blocks)
-        injector.record_scan_crash(
-            worker.worker_id, partial.rows_scanned, len(blocks), survivors
+        cluster.faults.record_scan_crash(
+            worker_id, partial.rows_scanned, len(blocks), survivors
         )
-        self._requeue(worker.worker_id, blocks, tasks)
+        self._requeue(worker_id, blocks, tasks, cluster.live)
 
-    def _requeue(self, dead_worker: int, blocks, tasks) -> None:
-        """Deal a dead worker's blocks to the survivors as new tasks."""
-        if not blocks:
-            return
-        by_id = {worker.worker_id: worker for worker in self.workers}
-        for survivor_id, chunk in self.coordinator.reassign_blocks(
-            dead_worker, blocks
-        ):
-            tasks.append((by_id[survivor_id], chunk))
+    def _requeue(self, dead_worker: int, blocks, tasks, live) -> None:
+        """Deal a dead worker's blocks to the ``live`` workers as new
+        tasks."""
+        if blocks:
+            tasks.extend(self.coordinator.reassign_blocks(
+                dead_worker, blocks, live))
 
-    def _record_stragglers(self, injector: FaultInjector) -> None:
+    def _record_stragglers(self, cluster: RunCluster) -> None:
         """Account straggler slowdowns + speculative backups post-scan."""
-        for worker in self.workers:
-            factor = injector.slow_factor(worker.worker_id)
+        injector = cluster.faults
+        for worker_id in cluster.live:
+            factor = injector.slow_factor(worker_id)
             if factor <= 1.0:
                 continue
             try:
                 backup = self.coordinator.speculative_worker(
-                    worker.worker_id
-                )
+                    worker_id, cluster.live)
             except CatalogError:
                 backup = None
-            injector.record_straggler(worker.worker_id, factor, backup)
+            injector.record_straggler(worker_id, factor, backup)
 
     # ------------------------------------------------------------------
     def shuffle_by_key(self, wire_tables: List[Table], key: str,
-                       hot_keys=None, observers: Tuple = ()
-                       ) -> ShuffleResult:
-        """All-to-all shuffle of the wire tables on the agreed hash.
+                       cluster: RunCluster, hot_keys=None,
+                       observers: Tuple = ()) -> ShuffleResult:
+        """All-to-all shuffle of the wire tables among ``cluster``'s
+        workers on the agreed hash.
 
-        With an armed fault plan: workers crashing at shuffle time lose
-        their filtered rows, which a survivor re-produces (charged as a
-        recovery re-scan) before the exchange runs over the remaining
-        workers; individual messages go through retry/dedup delivery.
+        Under the run's fault injector: workers crashing at shuffle time
+        leave the run's view and lose their filtered rows, which a
+        survivor re-produces (charged as a recovery re-scan) before the
+        exchange runs over the remaining workers; individual messages go
+        through retry/dedup delivery.
 
         A non-empty ``hot_keys`` array switches to the hybrid split:
         rows of detected heavy-hitter keys are dealt round-robin across
@@ -466,44 +421,40 @@ class Jen:
         the senders' destination assignments change.  ``observers``
         check the split and the delivery.
         """
-        injector = self.injector
+        injector = cluster.faults
         wire_tables = list(wire_tables)
         if injector is not None:
             injector.check_abort("shuffle")
-            if len(wire_tables) == len(self.workers):
-                wire_tables = self._shuffle_crashes(wire_tables, injector)
+            if len(wire_tables) == cluster.num_workers:
+                wire_tables = self._shuffle_crashes(wire_tables, cluster)
         per_destination, routed, hot_tuples = \
             JenWorker.partition_for_exchange(
-                wire_tables, key, self.num_workers, hot_keys, observers
+                wire_tables, key, cluster.num_workers, hot_keys, observers
             )
         result = shuffle(per_destination, routed, faults=injector,
                          observers=observers)
         result.hot_tuples = hot_tuples
         return result
 
-    def _shuffle_crashes(self, wire_tables: List[Table],
-                         injector: FaultInjector) -> List[Table]:
+    @staticmethod
+    def _shuffle_crashes(wire_tables: List[Table],
+                         cluster: RunCluster) -> List[Table]:
         """Kill shuffle-time crash victims and salvage their rows."""
-        for victim_id in injector.shuffle_crashes(
-            [worker.worker_id for worker in self.workers]
-        ):
-            if len(self.workers) == 1:
+        injector = cluster.faults
+        for victim_id in injector.shuffle_crashes(list(cluster.live)):
+            if cluster.num_workers == 1:
                 raise WorkerCrashError(
                     f"worker {victim_id} crashed during shuffle and no "
                     "survivors remain",
                     worker_id=victim_id, phase="shuffle",
                     rows_lost=wire_tables[0].num_rows,
                 )
-            position = next(
-                index for index, worker in enumerate(self.workers)
-                if worker.worker_id == victim_id
-            )
-            victim_wire = wire_tables.pop(position)
-            self._remove_worker(victim_id)
+            victim_wire = wire_tables.pop(cluster.live.index(victim_id))
+            cluster.live.remove(victim_id)
             # The survivor re-runs the victim's scan share; in the
             # deterministic data plane that re-produces exactly the
             # victim's filtered rows, so attach them to the survivor.
-            survivor_id = self.workers[0].worker_id
+            survivor_id = cluster.live[0]
             wire_tables[0] = Table.concat([wire_tables[0], victim_wire])
             injector.record_shuffle_crash(
                 victim_id, victim_wire.num_rows, survivor_id
@@ -516,13 +467,15 @@ class Jen:
         l_parts: List[Table],
         t_parts: List[Table],
         query: HybridQuery,
+        cluster: RunCluster,
         memory_budget_rows: float = 0.0,
         latemat_plan: Optional[LateMatPlan] = None,
         index_for=JoinBuildIndex,
         steal_threshold: Optional[float] = None,
         observers: Tuple = (),
     ) -> Tuple[Table, LocalJoinStats]:
-        """Local hash joins on every worker, then the final aggregate.
+        """Local hash joins on every worker of ``cluster``, then the
+        final aggregate.
 
         ``l_parts[i]`` is worker *i*'s build side (filtered HDFS rows it
         received), ``t_parts[i]`` its probe side (database rows that
@@ -535,8 +488,9 @@ class Jen:
         the data-plane scale; workers whose build side exceeds it spill
         via Grace-hash fragmenting (:mod:`repro.jen.spill`).  Zero means
         unlimited — the paper's current JEN, which "requires that all
-        data fit in memory".  An armed ``spill:x<f>`` fault event
-        squeezes the budget to ``f`` times the largest build side.
+        data fit in memory".  A ``spill:x<f>`` event of the run's fault
+        injector squeezes the budget to ``f`` times the largest build
+        side.
 
         ``latemat_plan`` says which sides arrived as thin
         ``(key, rowid)`` tables; the stitch (prune + payload fetch) runs
@@ -548,10 +502,11 @@ class Jen:
         join's index; ``steal_threshold`` arms work stealing (``None``:
         off); ``observers`` check every spill and steal fragmenting.
         """
-        injector = self.injector
+        injector = cluster.faults
         if injector is not None:
             injector.check_abort("join")
-        if len(l_parts) != self.num_workers or len(t_parts) != self.num_workers:
+        if len(l_parts) != cluster.num_workers \
+                or len(t_parts) != cluster.num_workers:
             raise JoinError(
                 "join_and_aggregate needs one part per worker on both sides"
             )
@@ -561,8 +516,8 @@ class Jen:
         if injector is not None:
             # The probe-side partitions arrive over the DB->JEN transfer
             # channel; lost ones retry, duplicated ones are suppressed.
-            for worker in self.workers:
-                injector.deliver("transfer", -1, worker.worker_id)
+            for worker_id in cluster.live:
+                injector.deliver("transfer", -1, worker_id)
             pressure = injector.spill_budget_rows(
                 max((part.num_rows for part in l_parts), default=0)
             )
@@ -617,8 +572,8 @@ class Jen:
         stats.result_rows = result.num_rows
         return result, stats
 
+    @staticmethod
     def _steal_stragglers(
-        self,
         work_lists: List[List[Tuple[Table, Table]]],
         query: HybridQuery,
         stats: LocalJoinStats,
@@ -633,7 +588,7 @@ class Jen:
         aggregate is bit-identical no matter which worker executes a
         fragment — only the load distribution changes.
         """
-        if threshold is None or self.num_workers <= 1:
+        if threshold is None or len(work_lists) <= 1:
             return
         from repro.jen.scheduler import plan_work_stealing
         from repro.jen.spill import fragment_tables

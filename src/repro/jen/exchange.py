@@ -67,8 +67,8 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
     produces both).  One message travels per (sender, destination)
     pair.
 
-    ``faults`` is an optional :class:`~repro.faults.FaultInjector`;
-    when armed, every remote message goes through its retry machinery
+    ``faults`` is the run's :class:`~repro.faults.FaultInjector`, or
+    ``None``; when given, every remote message goes through its retry machinery
     (drops and truncations are re-sent after a timeout) and delivery is
     idempotent: each receiver accepts one copy per sender, so a
     message re-delivered because its acknowledgement was lost does

@@ -383,7 +383,8 @@ class QueryService:
             except FaultError as exc:
                 admission.release(admit.grant)
                 self.metrics.counter("service.fault_aborts").inc()
-                injector = self.warehouse.jen.injector
+                injector = self._context(submission.query,
+                                         submission.algorithm).faults
                 if injector is not None:
                     injector.bump_epoch()
                 error = f"{type(exc).__name__}: {exc}"
@@ -450,8 +451,8 @@ class QueryService:
         Falls back to the exact tier (counting ``approx.unsupported``)
         when the query or environment is outside the approximate
         contract: min/max aggregates have no closed-form interval, and
-        an armed fault plan has no recovery semantics in the
-        block-at-a-time sampled scan.  Returns ``(algorithm, rationale,
+        a fault plan on the query's context has no recovery semantics
+        in the block-at-a-time sampled scan.  Returns ``(algorithm, rationale,
         join_result, approx_report)`` with ``approx_report=None`` on
         fallback.
         """
@@ -461,7 +462,8 @@ class QueryService:
         has_extremes = any(
             spec.function in ("min", "max") for spec in query.aggregates
         )
-        if self.warehouse.jen.injector is not None or has_extremes:
+        context = self._context(query, "approx")
+        if context.faults is not None or has_extremes:
             self.metrics.counter("approx.unsupported").inc()
             algorithm, rationale, join_result = self._execute_data_plane(
                 query, "auto")
@@ -469,8 +471,7 @@ class QueryService:
 
         algo = ApproxJoin.from_policy(
             policy, progressive=policy.max_error is not None)
-        join_result = algo.run(self.warehouse, query,
-                               self._context(query, "approx"))
+        join_result = algo.run(self.warehouse, query, context)
         self._record_bytes_shipped(join_result)
         self.metrics.counter("approx.runs").inc()
         report = join_result.trace.metadata.get("approx", {})
@@ -510,7 +511,8 @@ class QueryService:
     def _context(self, query: HybridQuery,
                  algorithm: str) -> ExecutionContext:
         """One query's context: the service's Bloom and join-index
-        caches, the index scoped to the query's build side."""
+        caches, the index scoped to the query's build side.  The retry
+        and the degraded tier read the query's fault injector off it."""
         return ExecutionContext(
             bloom_builder=self.bloom_builder,
             index_for=self.join_index_provider.for_query(build_side_key(

@@ -35,7 +35,7 @@ from repro import HybridWarehouse, algorithm_by_name, default_config
 from repro.config import ClusterConfig
 from repro.core.joins import ExecutionContext
 from repro.errors import ServiceError, WorkloadError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import BetweenDayDiff, compare
@@ -445,8 +445,8 @@ def run_cell(case: DataCase, cell: ConfigCell,
 
     Every run of the cell is observed by ``checker`` (a fresh
     :class:`~repro.testkit.invariants.InvariantChecker` by default),
-    so a broken engine invariant raises.  Global state (the
-    late-materialization toggle, armed fault plans) is restored on
+    so a broken engine invariant raises, and a fault cell's plan rides
+    the run's context.  The late-materialization toggle is restored on
     every exit path, so grid sweeps cannot leak configuration between
     cells.  Pass a ``warehouse`` (matching the cell's worker count and
     format) to amortise loading across cells.
@@ -458,8 +458,10 @@ def run_cell(case: DataCase, cell: ConfigCell,
     from repro.latemat import set_late_materialization_enabled
 
     checker = checker or InvariantChecker()
-    context = ExecutionContext(skew_handling=cell.skew_handling,
-                               observers=(checker,))
+    context = ExecutionContext(
+        skew_handling=cell.skew_handling, observers=(checker,),
+        faults=(FaultInjector(FaultPlan.from_spec(cell.fault_spec))
+                if cell.fault_spec else None))
     previous_latemat = set_late_materialization_enabled(
         cell.late_materialization)
     algorithm_kwargs = {}
@@ -471,15 +473,6 @@ def run_cell(case: DataCase, cell: ConfigCell,
         if cell.cache_warm:
             return _run_via_service(warehouse, case, cell.algorithm,
                                     checker)
-        if cell.fault_spec:
-            warehouse.arm_faults(FaultPlan.from_spec(cell.fault_spec))
-            try:
-                result = algorithm_by_name(
-                    cell.algorithm, **algorithm_kwargs
-                ).run(warehouse, case.query, context)
-            finally:
-                warehouse.disarm_faults()
-            return result.result
         return algorithm_by_name(cell.algorithm, **algorithm_kwargs).run(
             warehouse, case.query, context
         ).result

@@ -71,19 +71,6 @@ class HybridWarehouse:
         )
 
     # ------------------------------------------------------------------
-    # Fault injection (chaos runs)
-    # ------------------------------------------------------------------
-    def arm_faults(self, plan, seed: int = 11):
-        """Arm a :class:`~repro.faults.FaultPlan` (or spec string) on the
-        JEN engine; see :meth:`repro.jen.engine.Jen.arm_faults`."""
-        return self.jen.arm_faults(plan, seed=seed)
-
-    def disarm_faults(self) -> None:
-        """Drop the armed fault plan and restore full worker strength."""
-        self.jen.disarm_faults()
-        self.jen.restore_workers()
-
-    # ------------------------------------------------------------------
     # The read_hdfs table UDF (paper Section 4.1.1)
     # ------------------------------------------------------------------
     def _read_hdfs(self, table_name: str, predicate_sql: str = "",
@@ -120,6 +107,6 @@ class HybridWarehouse:
             wire_columns=names,
             join_key=key_column,
         )
-        scan = self.jen.scan_with_request(table_name, request,
-                                          db_bloom=bloom)
+        scan = self.jen.scan_with_request(
+            table_name, request, self.jen.open_cluster(), db_bloom=bloom)
         return Table.concat(scan.wire_tables)

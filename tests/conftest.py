@@ -6,6 +6,8 @@ session-scoped; tests must treat them as read-only.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from repro import (
     generate_workload,
     load_paper_tables,
 )
+from repro.faults import FaultInjector, FaultPlan
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from repro.service import QueryService
 from repro.testkit import oracle
 
 #: Small but non-trivial test scale: 1/50,000 of the paper's tables.
@@ -38,6 +42,20 @@ def build_test_warehouse(workload, format_name="parquet",
     """A loaded warehouse (fresh engines) for a generated workload."""
     return load_paper_tables(HybridWarehouse(default_config(scale=scale)),
                              workload.t_table, workload.l_table, format_name)
+
+
+def faulted_service(warehouse, config, spec):
+    """A query service whose every query runs under one fault plan's
+    injector; the same injector serves every re-admission, so an event
+    that fired stays fired.  Returns ``(service, injector)``."""
+    injector = FaultInjector(FaultPlan.from_spec(spec))
+
+    class FaultedService(QueryService):
+        def _context(self, query, algorithm):
+            return dataclasses.replace(super()._context(query, algorithm),
+                                       faults=injector)
+
+    return FaultedService(warehouse, config), injector
 
 
 @pytest.fixture(scope="session")

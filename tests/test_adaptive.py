@@ -33,8 +33,8 @@ from repro.adaptive.reoptimizer import (
     SWITCH_PENALTY_SECONDS,
 )
 from repro.core.advisor import JoinAdvisor
-from repro.core.joins import algorithm_by_name
-from repro.faults import FaultPlan
+from repro.core.joins import ExecutionContext, algorithm_by_name
+from repro.faults import FaultInjector, FaultPlan
 from repro.query.stats import sample_workload_estimate
 from repro.testkit import generator, oracle
 
@@ -195,14 +195,10 @@ class TestNoFalseSwitch:
         assert not result.trace.metadata["adaptive"]["switched"]
 
     def test_fault_plan_runs_collect_only(self, flip_case):
-        warehouse = _warehouse(flip_case)
-        warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
-        try:
-            result = AdaptiveJoin(estimate_errors=UNDERESTIMATE).run(
-                warehouse, flip_case.query
-            )
-        finally:
-            warehouse.disarm_faults()
+        injector = FaultInjector(FaultPlan.from_spec("crash:w2@scan"))
+        result = AdaptiveJoin(estimate_errors=UNDERESTIMATE).run(
+            _warehouse(flip_case), flip_case.query,
+            ExecutionContext(faults=injector))
         report = result.trace.metadata["adaptive"]
         assert not report["switched"]
         assert not report["evaluations"]  # checkpoints never consulted

@@ -31,7 +31,8 @@ from repro.approx import (
 )
 from repro.approx.sampler import _primary_node
 from repro.errors import JoinError, ServiceError
-from repro.faults import FaultPlan
+from repro.core.joins import ExecutionContext
+from repro.faults import FaultInjector, FaultPlan
 from repro.service import QueryService, ServiceConfig
 from repro.service.admission import AdmissionConfig
 from repro.testkit import generator, oracle
@@ -321,8 +322,8 @@ def test_sampled_shuffle_ships_its_bytes(kind_fixtures):
     case, warehouse, _ = kind_fixtures["count"]
     run = ApproxJoin(sample_rate=0.25, seed=11).run(warehouse, case.query)
     shuffle = run.trace.phase("jen_shuffle")
-    width = warehouse.jen.distributed_scan(case.query) \
-        .wire_tables[0].row_bytes()
+    width = warehouse.jen.distributed_scan(
+        case.query, warehouse.jen.open_cluster()).wire_tables[0].row_bytes()
     assert shuffle.tuples == run.stats.hdfs_tuples_shuffled > 0
     assert run.trace.metadata["bytes_shipped"]["shuffle"] \
         == shuffle.tuples * width
@@ -401,12 +402,11 @@ def test_approx_empty_join_matches_oracle(sample_rate):
 def test_armed_fault_plan_rejects_approx(kind_fixtures):
     case, _, _ = kind_fixtures["count"]
     warehouse = generator.build_cell_warehouse(case, 30, "parquet")
-    warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
-    try:
-        with pytest.raises(JoinError, match="armed fault plan"):
-            ApproxJoin(sample_rate=0.5, seed=1).run(warehouse, case.query)
-    finally:
-        warehouse.disarm_faults()
+    context = ExecutionContext(
+        faults=FaultInjector(FaultPlan.from_spec("crash:w2@scan")))
+    with pytest.raises(JoinError, match="armed fault plan"):
+        ApproxJoin(sample_rate=0.5, seed=1).run(warehouse, case.query,
+                                                context)
 
 
 def test_policy_validation():

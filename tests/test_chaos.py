@@ -17,12 +17,13 @@ from __future__ import annotations
 import pytest
 
 from repro import algorithm_by_name
+from repro.core.joins import ExecutionContext
 from repro.errors import FaultError, QueryAbortError, WorkerCrashError
-from repro.faults import FaultPlan
-from repro.service import AdmissionConfig, QueryService, ServiceConfig
+from repro.faults import FaultInjector, FaultPlan
+from repro.service import AdmissionConfig, ServiceConfig
 from repro.service.server import FAULT_RETRIES
 from repro.testkit import oracle
-from tests.conftest import build_test_warehouse
+from tests.conftest import build_test_warehouse, faulted_service
 
 #: name -> fault spec; one entry per fault class the engine recovers from.
 FAULT_SPECS = {
@@ -47,7 +48,7 @@ SMOKE_ALGORITHMS = ["zigzag", "db(BF)"]
 
 @pytest.fixture(scope="module")
 def chaos_warehouse(paper_workload):
-    """A private warehouse the chaos tests may arm and disarm."""
+    """A private warehouse the chaos tests run their fault plans on."""
     return build_test_warehouse(paper_workload)
 
 
@@ -68,14 +69,17 @@ def baselines(chaos_warehouse, paper_query):
     }
 
 
+def faults(spec, seed=11):
+    """A run's context carrying a fault plan's injector."""
+    return ExecutionContext(
+        faults=FaultInjector(FaultPlan.from_spec(spec, seed=seed)))
+
+
 def run_with_faults(warehouse, query, algorithm, spec, seed=11):
-    """Run one algorithm under a fault plan; always disarm after."""
-    injector = warehouse.arm_faults(FaultPlan.from_spec(spec, seed=seed))
-    try:
-        result = algorithm_by_name(algorithm).run(warehouse, query)
-    finally:
-        warehouse.disarm_faults()
-    return result, injector
+    """Run one algorithm under a fault plan; the run and its injector."""
+    context = faults(spec, seed=seed)
+    result = algorithm_by_name(algorithm).run(warehouse, query, context)
+    return result, context.faults
 
 
 def check_differential(result, baseline, reference_rows):
@@ -178,34 +182,28 @@ class TestRecoveryAccounting:
             f"crash:w{worker}@scan"
             for worker in range(warehouse.jen.num_workers)
         )
-        warehouse.arm_faults(FaultPlan.from_spec(spec))
-        try:
-            with pytest.raises(WorkerCrashError):
-                algorithm_by_name("zigzag").run(warehouse, paper_query)
-        finally:
-            warehouse.disarm_faults()
+        with pytest.raises(WorkerCrashError):
+            algorithm_by_name("zigzag").run(warehouse, paper_query,
+                                            faults(spec))
 
 
 class TestServiceReAdmission:
     @staticmethod
-    def _service(warehouse):
-        return QueryService(warehouse, ServiceConfig(
+    def _service(warehouse, spec):
+        service, _injector = faulted_service(warehouse, ServiceConfig(
             admission=AdmissionConfig(slots=4, max_queue=64,
                                       queue_timeout=1e9,
                                       shed_fraction=None),
             enable_result_cache=False,
             enable_feedback=False,
-        ))
+        ), spec)
+        return service
 
     def test_abort_is_re_admitted_once(self, paper_workload, paper_query,
                                        reference_rows):
-        warehouse = build_test_warehouse(paper_workload)
-        warehouse.arm_faults(FaultPlan.from_spec("abort:scan:1"))
-        try:
-            service = self._service(warehouse)
-            outcome = service.execute(paper_query, algorithm="zigzag")
-        finally:
-            warehouse.disarm_faults()
+        service = self._service(build_test_warehouse(paper_workload),
+                                "abort:scan:1")
+        outcome = service.execute(paper_query, algorithm="zigzag")
         assert outcome.status == "ok"
         assert outcome.fault_retries_used == 1
         assert oracle.canonical_rows(outcome.result) == reference_rows
@@ -213,13 +211,9 @@ class TestServiceReAdmission:
 
     def test_persistent_abort_fails_with_typed_error(self, paper_workload,
                                                      paper_query):
-        warehouse = build_test_warehouse(paper_workload)
-        warehouse.arm_faults(FaultPlan.from_spec("abort:scan:5"))
-        try:
-            service = self._service(warehouse)
-            outcome = service.execute(paper_query, algorithm="zigzag")
-        finally:
-            warehouse.disarm_faults()
+        service = self._service(build_test_warehouse(paper_workload),
+                                "abort:scan:5")
+        outcome = service.execute(paper_query, algorithm="zigzag")
         # The first attempt and its one re-admission both abort.
         assert outcome.status == "failed"
         assert outcome.fault_retries_used == FAULT_RETRIES == 1
@@ -230,19 +224,16 @@ class TestServiceReAdmission:
             self, paper_workload, paper_query):
         """The first query aborts and the second takes the freed slot,
         so the first's re-admission times out in the queue."""
-        warehouse = build_test_warehouse(paper_workload)
-        warehouse.arm_faults(FaultPlan.from_spec("abort:scan:1"))
-        try:
-            service = QueryService(warehouse, ServiceConfig(
+        service, _injector = faulted_service(
+            build_test_warehouse(paper_workload), ServiceConfig(
                 admission=AdmissionConfig(slots=1, queue_timeout=10.0,
                                           shed_fraction=None),
-                enable_result_cache=False, enable_feedback=False))
-            aborted, other = (
-                service.submit(paper_query, at=5.0, algorithm="zigzag")
-                for _ in range(2))
-            service.drain()
-        finally:
-            warehouse.disarm_faults()
+                enable_result_cache=False, enable_feedback=False),
+            "abort:scan:1")
+        aborted, other = (
+            service.submit(paper_query, at=5.0, algorithm="zigzag")
+            for _ in range(2))
+        service.drain()
         outcome = aborted.outcome
         assert other.outcome.ok
         assert (outcome.status, outcome.reject_reason) \
@@ -255,42 +246,52 @@ class TestServiceReAdmission:
 
     def test_abort_error_is_typed(self, paper_workload, paper_query):
         warehouse = build_test_warehouse(paper_workload)
-        warehouse.arm_faults(FaultPlan.from_spec("abort:join:1"))
-        try:
-            with pytest.raises(QueryAbortError) as excinfo:
-                algorithm_by_name("zigzag").run(warehouse, paper_query)
-        finally:
-            warehouse.disarm_faults()
+        with pytest.raises(QueryAbortError) as excinfo:
+            algorithm_by_name("zigzag").run(warehouse, paper_query,
+                                            faults("abort:join:1"))
         assert excinfo.value.phase == "join"
 
 
 class TestFailWorkerGuard:
-    def test_fail_worker_mid_scan_rejected_without_plan(self,
-                                                        paper_workload,
-                                                        paper_query):
-        """Regression: ad-hoc fail_worker during a scan must be refused.
-
-        Killing a worker underneath an in-flight scan (e.g. from a
-        filesystem read hook) used to corrupt the work queue; now the
-        engine demands the crash go through an armed FaultPlan so the
-        recovery path runs.
-        """
+    def test_fail_worker_mid_scan_changes_later_runs_only(
+            self, paper_workload, paper_query, baselines, reference_rows):
+        """``fail_worker`` from a read hook while a scan is in flight:
+        the in-flight run finishes on the view it opened, exactly as
+        without the failure, and the next run plans without the
+        worker."""
         warehouse = build_test_warehouse(paper_workload)
-        original = warehouse.hdfs.read_block
-        state = {"fired": False}
+        coordinator = warehouse.jen.coordinator
+        planned = []
+        plan_scan = coordinator.plan_scan
+
+        def recording_plan(table_name, live):
+            planned.append(tuple(live))
+            return plan_scan(table_name, live)
+
+        read_block = warehouse.hdfs.read_block
 
         def sabotage(*args, **kwargs):
-            if not state["fired"]:
-                state["fired"] = True
+            if 7 in coordinator.live_workers():
                 warehouse.jen.fail_worker(7)
-            return original(*args, **kwargs)
+            return read_block(*args, **kwargs)
 
+        coordinator.plan_scan = recording_plan
         warehouse.hdfs.read_block = sabotage
         try:
-            with pytest.raises(FaultError, match="armed FaultPlan"):
-                warehouse.jen.distributed_scan(paper_query)
+            in_flight = algorithm_by_name("zigzag").run(warehouse,
+                                                        paper_query)
         finally:
-            warehouse.hdfs.read_block = original
+            warehouse.hdfs.read_block = read_block
+        after = algorithm_by_name("zigzag").run(warehouse, paper_query)
+        baseline = baselines["zigzag"]
+        assert oracle.canonical_rows(in_flight.result) == reference_rows
+        assert in_flight.stats == baseline.stats
+        assert in_flight.total_seconds == baseline.total_seconds
+        assert 7 in planned[0] and 7 not in coordinator.live_workers()
+        assert planned[1:] == [tuple(coordinator.live_workers())]
+        assert oracle.canonical_rows(after.result) == reference_rows
+        assert after.stats.hdfs_rows_scanned \
+            == baseline.stats.hdfs_rows_scanned
 
     def test_fail_worker_between_queries_still_allowed(self,
                                                        paper_workload,

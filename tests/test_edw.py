@@ -11,7 +11,7 @@ from repro.edw.optimizer import DbJoinStrategy, choose_db_join_strategy
 from repro.edw.udf import default_udf_registry
 from repro.edw.worker import DbWorker, WorkerAccessStats
 from repro.errors import CatalogError, UdfError
-from repro.relational.expressions import TruePredicate, compare
+from repro.relational.expressions import Negation, TruePredicate, compare
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 
@@ -120,6 +120,25 @@ class TestParallelOps:
                 == indexed.bloom.contains(probes)).all()
         assert np.array_equal(plain.bloom._words, indexed.bloom._words)
         assert plain.keys_added == indexed.keys_added
+
+    def test_predicate_the_index_cannot_evaluate_scans(self):
+        """A negation over covered columns: the covering index cannot
+        evaluate it alone, so every worker scans its partition, the
+        build says so, and BF_DB holds the scan-built filter's bits."""
+        predicate = Negation(self.predicate)
+        plain = self.db.build_global_bloom(
+            "T", predicate, "joinKey", num_bits=4096
+        )
+        self.db.create_index("T", "idx",
+                             ["corPred", "indPred", "joinKey"])
+        indexed = self.db.build_global_bloom(
+            "T", predicate, "joinKey", num_bits=4096
+        )
+        assert not indexed.index_only
+        assert np.array_equal(plain.bloom._words, indexed.bloom._words)
+        assert indexed.keys_added == int(
+            predicate.evaluate(self.table).sum())
+        assert indexed.rows_accessed == self.table.num_rows
 
 
 def per_worker_filter_project(db, table_name, predicate, projection):

@@ -14,7 +14,8 @@ class TestJenWorkerFailure:
         warehouse = build_test_warehouse(paper_workload)
         warehouse.jen.fail_worker(7)
         assert warehouse.jen.num_workers == 29
-        scan = warehouse.jen.distributed_scan(paper_query)
+        scan = warehouse.jen.distributed_scan(
+            paper_query, warehouse.jen.open_cluster())
         # Every row of L is still scanned exactly once.
         assert scan.stats.rows_scanned == paper_workload.l_table.num_rows
 
@@ -30,12 +31,13 @@ class TestJenWorkerFailure:
     def test_locality_degrades_but_survives(self, paper_workload,
                                             paper_query):
         warehouse = build_test_warehouse(paper_workload)
-        healthy = warehouse.jen.coordinator.plan_scan(
-            paper_query.hdfs_table
+        coordinator = warehouse.jen.coordinator
+        healthy = coordinator.plan_scan(
+            paper_query.hdfs_table, coordinator.live_workers()
         ).locality_fraction()
         warehouse.jen.fail_worker(3)
-        degraded = warehouse.jen.coordinator.plan_scan(
-            paper_query.hdfs_table
+        degraded = coordinator.plan_scan(
+            paper_query.hdfs_table, coordinator.live_workers()
         ).locality_fraction()
         assert degraded <= healthy
         # Replication factor 2 keeps most blocks locally readable.

@@ -2,13 +2,14 @@
 
 Everything a run applies — skew handling, its observers (the adaptive
 context, the scan's heavy-hitter detector, an invariant checker), the
-service's Bloom builder and join index — travels on that run's own
-:class:`~repro.core.joins.base.ExecutionContext`, never parked in a
-module-level slot or swapped onto the warehouse, so a query on another
-thread can neither see nor change it.  The threads here switch every
-10 µs; every run must equal the oracle and report exactly what it
-reports alone.  The algorithm runs each get their own warehouse; the
-two query services share one.
+service's Bloom builder and join index, its fault plan — travels on
+that run's own :class:`~repro.core.joins.base.ExecutionContext`, never
+parked in a module-level slot or swapped onto the warehouse, and a
+crash takes its worker out of that run's view of the cluster alone; so
+a query on another thread can neither see nor change it.  The threads
+here switch every 10 µs; every run must equal the oracle and report
+exactly what it reports alone.  Runs may share a warehouse: the two
+query services share one, and so do a faulted and a fault-free run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.adaptive import AdaptiveJoin
 from repro.core.joins import ExecutionContext, algorithm_by_name
+from repro.faults import FaultInjector, FaultPlan
 from repro.service import QueryService, ServiceConfig
 from repro.testkit import generator, oracle
 from repro.testkit.invariants import InvariantChecker
@@ -29,6 +31,8 @@ ADAPTIVE_RUNS = 5
 CHECKED_RUNS = 5
 #: Repartition runs per thread: enough for the two scans to overlap.
 SKEW_RUNS = 8
+#: Runs under a fault plan beside the fault-free thread.
+FAULTED_RUNS = 8
 #: Far above the second or so both threads need together.
 JOIN_TIMEOUT_S = 60.0
 
@@ -169,6 +173,65 @@ def test_skew_on_beside_skew_off(fast_switching):
     assert alone[0].hot_tuples_rerouted > 0
     assert alone[1].hot_keys_detected == 0 == alone[1].hot_tuples_rerouted
     _assert_each_run_as_alone([case] * 2, alone, runs)
+
+
+def test_faulted_run_beside_a_fault_free_run(fast_switching):
+    """One warehouse: repartition runs under a ``crash:w2@scan`` plan on
+    one thread, fault-free repartition runs on the other until they are
+    done.  Each crash shrinks its own run's cluster only, so every
+    fault-free run prices its solo trace phase by phase and second by
+    second, and every faulted run fires what it fires alone."""
+    case = generator.skewed_case(1.8)
+    expected = case.oracle_rows()
+    repartition = algorithm_by_name("repartition")
+
+    def faulted():
+        return ExecutionContext(
+            faults=FaultInjector(FaultPlan.from_spec("crash:w2@scan")))
+
+    plain_alone = _priced(repartition.run(_loaded(case), case.query))
+    context = faulted()
+    faulted_alone = _priced(
+        repartition.run(_loaded(case), case.query, context))
+    counters_alone = context.faults.counters()
+    assert counters_alone["crashes"] == 1
+    assert any(phase.kind == "recovery" for phase in faulted_alone[0])
+
+    shared = _loaded(case)
+    faulted_runs, plain_runs = [], []
+    done = threading.Event()
+
+    def faulted_thread():
+        try:
+            for _ in range(FAULTED_RUNS):
+                context = faulted()
+                result = repartition.run(shared, case.query, context)
+                faulted_runs.append((result, context.faults.counters()))
+        finally:
+            done.set()
+
+    def plain_thread():
+        while not done.is_set():
+            plain_runs.append(repartition.run(shared, case.query))
+
+    assert _in_threads(faulted_thread, plain_thread) == []
+    assert len(faulted_runs) == FAULTED_RUNS and plain_runs
+    for result in [result for result, _counters in faulted_runs] \
+            + plain_runs:
+        assert oracle.compare_tables(result.result, expected) is None
+    assert [counters for _result, counters in faulted_runs] \
+        == [counters_alone] * FAULTED_RUNS
+    for result, _counters in faulted_runs:
+        assert _priced(result) == faulted_alone
+    for result in plain_runs:
+        assert _priced(result) == plain_alone
+
+
+def _priced(result):
+    """A run's phases in trace order, their simulated start and end
+    seconds, and its movement statistics."""
+    return (list(result.trace), list(result.timing.phases.values()),
+            result.stats)
 
 
 def _repartitions_alone_and_together(cases, contexts):

@@ -13,6 +13,17 @@ from tests.conftest import build_test_warehouse, make_test_spec
 from repro import generate_workload, build_paper_query
 
 
+def plan(coordinator, table_name):
+    """The coordinator's scan plan over the workers it has up."""
+    return coordinator.plan_scan(table_name, coordinator.live_workers())
+
+
+def full_scan(warehouse, query, **kwargs):
+    """A fault-free distributed scan of the query's HDFS table."""
+    return warehouse.jen.distributed_scan(
+        query, warehouse.jen.open_cluster(), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def env():
     workload = generate_workload(make_test_spec())
@@ -23,7 +34,7 @@ def env():
 class TestCoordinator:
     def test_plan_scan_covers_all_blocks(self, env):
         _workload, warehouse, query = env
-        assignment = warehouse.jen.coordinator.plan_scan(query.hdfs_table)
+        assignment = plan(warehouse.jen.coordinator, query.hdfs_table)
         blocks = warehouse.hdfs.table_blocks(query.hdfs_table)
         assigned = sum(
             len(assignment.blocks_for(w))
@@ -33,13 +44,13 @@ class TestCoordinator:
 
     def test_plan_scan_cached(self, env):
         _workload, warehouse, query = env
-        first = warehouse.jen.coordinator.plan_scan(query.hdfs_table)
-        second = warehouse.jen.coordinator.plan_scan(query.hdfs_table)
+        first = plan(warehouse.jen.coordinator, query.hdfs_table)
+        second = plan(warehouse.jen.coordinator, query.hdfs_table)
         assert first is second
 
     def test_locality_is_high(self, env):
         _workload, warehouse, query = env
-        assignment = warehouse.jen.coordinator.plan_scan(query.hdfs_table)
+        assignment = plan(warehouse.jen.coordinator, query.hdfs_table)
         assert assignment.locality_fraction() >= 0.9
 
     def test_worker_registry(self, env):
@@ -52,10 +63,10 @@ class TestCoordinator:
     def test_membership_change_invalidates_plans(self, env):
         _workload, warehouse, query = env
         coordinator = JenCoordinator(warehouse.hdfs, 4)
-        coordinator.plan_scan(query.hdfs_table)
+        plan(coordinator, query.hdfs_table)
         coordinator.mark_worker(3, up=False)
         assert len(coordinator.live_workers()) == 3
-        replanned = coordinator.plan_scan(query.hdfs_table)
+        replanned = plan(coordinator, query.hdfs_table)
         assigned = sum(len(replanned.blocks_for(w)) for w in range(3))
         assert assigned == len(warehouse.hdfs.table_blocks(query.hdfs_table))
         coordinator.mark_worker(3, up=True)
@@ -69,7 +80,7 @@ class TestCoordinator:
 class TestDistributedScan:
     def test_scan_equals_reference_filter(self, env):
         workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query)
+        scan = full_scan(warehouse, query)
         expected_mask = query.hdfs_predicate.evaluate(workload.l_table)
         assert scan.stats.rows_scanned == workload.l_table.num_rows
         assert scan.stats.rows_after_predicates == int(expected_mask.sum())
@@ -79,7 +90,7 @@ class TestDistributedScan:
 
     def test_wire_schema_matches_query(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query)
+        scan = full_scan(warehouse, query)
         assert scan.wire_tables[0].schema.names == query.hdfs_wire_columns()
 
     def test_scan_with_bloom_prunes_but_never_drops_joiners(self, env):
@@ -91,8 +102,8 @@ class TestDistributedScan:
             warehouse.config.bloom.num_hashes,
         )
         bloom.add(t_keys)
-        plain = warehouse.jen.distributed_scan(query)
-        pruned = warehouse.jen.distributed_scan(query, db_bloom=bloom)
+        plain = full_scan(warehouse, query)
+        pruned = full_scan(warehouse, query, db_bloom=bloom)
         assert pruned.stats.rows_after_bloom < plain.stats.rows_after_bloom
         # Joining rows always survive.
         kept_keys = np.unique(np.concatenate([
@@ -108,7 +119,7 @@ class TestDistributedScan:
 
     def test_local_bloom_build_during_scan(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query, build_hdfs_bloom=True)
+        scan = full_scan(warehouse, query, build_hdfs_bloom=True)
         merged = scan.global_bloom()
         assert merged is scan.hdfs_bloom
         assert merged.num_added == scan.stats.rows_after_bloom
@@ -119,7 +130,7 @@ class TestDistributedScan:
 
     def test_global_bloom_requires_build_flag(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query)
+        scan = full_scan(warehouse, query)
         with pytest.raises(JoinError):
             scan.global_bloom()
 
@@ -127,9 +138,10 @@ class TestDistributedScan:
 class TestShuffleExchange:
     def test_shuffle_conserves_and_partitions_by_key(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query)
+        scan = full_scan(warehouse, query)
         shuffled = warehouse.jen.shuffle_by_key(
-            scan.wire_tables, query.hdfs_join_key
+            scan.wire_tables, query.hdfs_join_key,
+            warehouse.jen.open_cluster()
         )
         total = sum(t.num_rows for t in shuffled.per_destination)
         assert total == shuffled.tuples_shuffled
@@ -142,7 +154,7 @@ class TestShuffleExchange:
 
     def test_ragged_shuffle_rejected(self, env):
         _workload, warehouse, query = env
-        scan = warehouse.jen.distributed_scan(query)
+        scan = full_scan(warehouse, query)
         with pytest.raises(JoinError, match="ragged"):
             shuffle([scan.wire_tables[0]], np.zeros((2, 3), dtype=np.int64))
 
@@ -190,7 +202,8 @@ class TestScanRequest:
             wire_columns=("joinKey",),
             join_key=None,
         )
-        scan = warehouse.jen.scan_with_request("L", request)
+        scan = warehouse.jen.scan_with_request(
+            "L", request, warehouse.jen.open_cluster())
         total = sum(w.num_rows for w in scan.wire_tables)
         expected = int(
             (workload.l_table.column("corPred") <= 1000).sum()
@@ -213,7 +226,7 @@ class TestScanRequest:
             join_key=None,
         )
         scan = warehouse.jen.scan_with_request(
-            "L", request, db_bloom=empty_bloom
+            "L", request, warehouse.jen.open_cluster(), db_bloom=empty_bloom
         )
         # No join key declared: the Bloom filter cannot apply.
         assert scan.stats.rows_after_bloom == \

@@ -953,16 +953,17 @@ class IndexRecorder:
         return [(index.num_keys, index.num_slots) for index in self.indexes]
 
 
-def assert_one_jen_join(jen, l_parts, t_parts, query, **kwargs):
-    """The engine's one join equals the per-unit loop, and builds one
-    index over every build row."""
+def assert_one_jen_join(jen, l_parts, t_parts, query, faults=None,
+                        **kwargs):
+    """The engine's one join (under the fault injector ``faults``)
+    equals the per-unit loop, and builds one index over every build
+    row."""
     with IndexRecorder() as recorder:
-        result, stats = jen.join_and_aggregate(l_parts, t_parts, query,
-                                               **kwargs)
+        result, stats = jen.join_and_aggregate(
+            l_parts, t_parts, query, jen.open_cluster(faults), **kwargs)
     budget = kwargs.get("memory_budget_rows", 0.0)
-    injector = jen.injector
-    if injector is not None:
-        budget = injector.spill_budget_rows(
+    if faults is not None:
+        budget = faults.spill_budget_rows(
             max(part.num_rows for part in l_parts)) or budget
     expected, expected_stats = reference_jen_join(
         jen, l_parts, t_parts, query, memory_budget_rows=budget,
@@ -1112,14 +1113,10 @@ class TestOneJoinPerQuery:
         case = generator.generate_data_case(2035, t_rows=900, l_rows=3_000)
         t_part, l_part = join_inputs(case)
         query = case.query
-        jen = jen_by_workers[4]
-        jen.arm_faults("spill:x0.4")
-        try:
-            stats, _recorder = assert_one_jen_join(
-                jen, hash_parts(l_part, query.hdfs_join_key, 4),
-                hash_parts(t_part, query.db_join_key, 4), query)
-        finally:
-            jen.disarm_faults()
+        stats, _recorder = assert_one_jen_join(
+            jen_by_workers[4], hash_parts(l_part, query.hdfs_join_key, 4),
+            hash_parts(t_part, query.db_join_key, 4), query,
+            faults=FaultInjector(FaultPlan.from_spec("spill:x0.4")))
         assert stats.spilled_tuples > 0
 
     def test_stealing_with_skew_on(self, jen_by_workers):
@@ -1188,8 +1185,10 @@ class TestOneJoinPerQuery:
         ]
         for workers, l_parts, t_parts, budget in jen_layouts:
             with pytest.raises(ExpressionError, match="avg cannot be merged"):
-                jen_by_workers[workers].join_and_aggregate(
-                    l_parts, t_parts, query, memory_budget_rows=budget)
+                jen = jen_by_workers[workers]
+                jen.join_and_aggregate(l_parts, t_parts, query,
+                                       jen.open_cluster(),
+                                       memory_budget_rows=budget)
         case = generator.generate_data_case(seed=5, t_rows=60, l_rows=200)
         database = generator.build_cell_warehouse(case, 1, "parquet").database
         for strategy in DbJoinStrategy:

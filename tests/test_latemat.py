@@ -170,7 +170,9 @@ class TestTransferEdge:
 
     @pytest.fixture
     def l_wire(self, loaded_warehouse, paper_query):
-        return loaded_warehouse.jen.distributed_scan(paper_query).wire_tables
+        jen = loaded_warehouse.jen
+        return jen.distributed_scan(
+            paper_query, jen.open_cluster()).wire_tables
 
     def test_off_ships_full_rows_at_logical_width(self, l_wire,
                                                   paper_query):

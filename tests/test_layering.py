@@ -6,9 +6,10 @@ import`` statement of every module — including the ones inside
 functions — is collected from the source.  A rule fails on the first
 module whose statements name a module it must not, or, for the oracle,
 on any name outside its allow-list.  The option surface of the service,
-admission, skew, adaptive and fault planes is pinned field by field and
-parameter by parameter, and every definition must have a caller outside
-``tests/``.
+admission, skew, adaptive and fault planes and of a run's execution
+context is pinned field by field and parameter by parameter, ``Jen``
+keeps no state across runs, and every definition must have a caller
+outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -288,6 +289,10 @@ CONFIG_FIELDS = {
         "slots", "max_queue", "queue_timeout", "shed_fraction",
         "degrade_to_approx",
     ],
+    ("core/joins/base.py", "ExecutionContext"): [
+        "skew_handling", "observers", "bloom_builder", "index_for",
+        "faults",
+    ],
 }
 PARAMETERS = {
     ("service/scheduler.py", "SharedCluster.__init__"): [],
@@ -302,8 +307,6 @@ PARAMETERS = {
         "estimate", "estimate_errors",
     ],
     ("faults/injector.py", "FaultInjector.__init__"): ["plan"],
-    ("jen/engine.py", "Jen.arm_faults"): ["plan", "seed"],
-    ("warehouse.py", "HybridWarehouse.arm_faults"): ["plan", "seed"],
 }
 
 
@@ -336,6 +339,38 @@ def parameter_names(path: str, qualname: str) -> List[str]:
                 names.append("**" + args.kwarg.arg)
             return names[1:]
     raise AssertionError(f"no method {qualname} in {path}")
+
+
+def self_assignments(path: str, name: str) -> Dict[str, List[str]]:
+    """Method -> the attributes of ``self`` it assigns or aug-assigns,
+    for every method of class ``name`` but ``__init__``."""
+    found: Dict[str, List[str]] = {}
+    for method in class_node(path, name).body:
+        if not isinstance(method, ast.FunctionDef) \
+                or method.name == "__init__":
+            continue
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for part in ast.walk(target):
+                    if (isinstance(part, ast.Attribute)
+                            and isinstance(part.ctx, ast.Store)
+                            and isinstance(part.value, ast.Name)
+                            and part.value.id == "self"):
+                        found.setdefault(method.name, []).append(part.attr)
+    return found
+
+
+def test_jen_keeps_no_state_across_runs():
+    """A run's membership and fault plan ride its own ``RunCluster``;
+    past its constructor, ``Jen`` never changes an attribute, so two
+    runs on one warehouse cannot see each other's crashes."""
+    assert self_assignments("jen/engine.py", "Jen") == {}
 
 
 @pytest.mark.parametrize("path, name", sorted(CONFIG_FIELDS))

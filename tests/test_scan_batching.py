@@ -29,10 +29,10 @@ import pytest
 from repro.adaptive import AdaptiveJoin, SwitchSignal
 from repro.adaptive.collector import CHECKPOINTS
 from repro.core.bloom import BloomFilter
-from repro.core.joins import algorithm_by_name
-from repro.faults import CrashSignal, FaultPlan, ScanFaultHook
-from repro.jen.worker import (FileSelection, ScanRequest, ScanStats,
-                              finish_scan)
+from repro.core.joins import ExecutionContext, algorithm_by_name
+from repro.faults import CrashSignal, FaultInjector, FaultPlan, ScanFaultHook
+from repro.jen.worker import (FileSelection, JenWorker, ScanRequest,
+                              ScanStats, finish_scan)
 from repro.observer import RunObserver
 from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
@@ -43,6 +43,18 @@ from repro.testkit import generator, oracle
 
 BLOOM_BITS = 1 << 14
 WORKER = 3
+
+
+def live_workers(jen):
+    """A worker for each id the coordinator has up (workers hold no
+    state, so a fresh one is the engine's)."""
+    return [JenWorker(worker_id, jen.filesystem)
+            for worker_id in jen.coordinator.live_workers()]
+
+
+def live_plan(jen):
+    """The scan plan of L over the workers the coordinator has up."""
+    return jen.coordinator.plan_scan("L", jen.coordinator.live_workers())
 
 
 def reference_scan(worker, meta, blocks, request, db_bloom=None,
@@ -109,9 +121,9 @@ def scan_setup(loaded_warehouse, paper_query, paper_workload):
     """Worker, table metadata, its block list, the query's request and
     a BF_DB (seed 7, as the EDW builds it) over a fifth of the keys."""
     jen = loaded_warehouse.jen
-    worker = jen.workers[WORKER]
+    worker = JenWorker(WORKER, jen.filesystem)
     meta = jen.coordinator.table_meta("L")
-    blocks = list(jen.coordinator.plan_scan("L").blocks_for(WORKER))
+    blocks = list(live_plan(jen).blocks_for(WORKER))
     assert len(blocks) >= 3
     keys = np.unique(paper_workload.l_table.column("joinKey"))
     db_bloom = BloomFilter(BLOOM_BITS, 2, seed=7)
@@ -382,14 +394,14 @@ def test_sampled_scan_evaluates_only_the_blocks_it_reads(loaded_warehouse,
             "count_calls", "joinKey", counted))
     drawn = blocks[:-1]
     stream = jen.scan_sampled_blocks("L", counting, blocks,
-                                     db_bloom=db_bloom)
+                                     jen.open_cluster(), db_bloom=db_bloom)
     sampled = [next(stream) for _block in drawn]
     stream.close()
     assert calls == [block.num_rows for block in drawn]
     for block, (wire, stats) in zip(drawn, sampled):
         expected, expected_stats, _feed = reference_scan(
-            jen.workers[block.replicas[0]], meta, [block], request,
-            db_bloom)
+            JenWorker(block.replicas[0], jen.filesystem), meta, [block],
+            request, db_bloom)
         assert_same_table(wire, expected)
         assert stats == expected_stats
 
@@ -439,9 +451,9 @@ class TestObserverReplay:
         jen = warehouse.jen
         meta = jen.coordinator.table_meta("L")
         request = ScanRequest.from_query(case.query)
-        assignment = jen.coordinator.plan_scan("L")
-        reference = HeavyHitterDetector(len(jen.workers))
-        for worker in jen.workers:
+        assignment = live_plan(jen)
+        reference = HeavyHitterDetector(jen.num_workers)
+        for worker in live_workers(jen):
             blocks = list(assignment.blocks_for(worker.worker_id))
             _wire, _stats, feed = reference_scan(
                 worker, meta, blocks, request)
@@ -451,8 +463,8 @@ class TestObserverReplay:
         expected = reference.hot_key_set()
         assert expected is not None and len(expected) > 0
 
-        detector = HeavyHitterDetector(len(jen.workers))
-        for worker in jen.workers:
+        detector = HeavyHitterDetector(jen.num_workers)
+        for worker in live_workers(jen):
             worker.scan_filter_project(
                 meta, list(assignment.blocks_for(worker.worker_id)),
                 request, observers=(detector,))
@@ -512,11 +524,9 @@ class TestFaultHook:
     def test_armed_scan_crash_still_equals_the_oracle(self, algorithm):
         case = generator.generate_data_case(2005)
         warehouse = generator.build_cell_warehouse(case, 4, "parquet")
-        injector = warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
-        try:
-            result = algorithm_by_name(algorithm).run(warehouse, case.query)
-        finally:
-            warehouse.disarm_faults()
+        injector = FaultInjector(FaultPlan.from_spec("crash:w2@scan"))
+        result = algorithm_by_name(algorithm).run(
+            warehouse, case.query, ExecutionContext(faults=injector))
         assert injector.crashes == 1
         assert injector.blocks_reassigned > 0
         assert oracle.compare_tables(
@@ -535,10 +545,10 @@ def test_forced_switch_fires_at_the_same_block():
     case = generator.generate_data_case(2005)
     warehouse = generator.build_cell_warehouse(case, 4, "parquet")
     jen = warehouse.jen
-    assignment = jen.coordinator.plan_scan("L")
+    assignment = live_plan(jen)
     queue_order = [
-        block for worker in jen.workers
-        for block in assignment.blocks_for(worker.worker_id)
+        block for worker_id in jen.coordinator.live_workers()
+        for block in assignment.blocks_for(worker_id)
     ]
     mark = CHECKPOINTS[0]
     switch_block = math.ceil(mark * len(queue_order))
@@ -563,71 +573,69 @@ def test_forced_switch_fires_at_the_same_block():
 # One Bloom step per query against per-worker filters
 # ----------------------------------------------------------------------
 def reference_queue_scan(jen, request, db_bloom=None, insert=False,
-                         seed=11, observers=()):
+                         seed=11, observers=(), faults=None):
     """The scan work queue with per-worker filters, merged at the end.
 
-    Every task runs its worker's whole pipeline, Bloom step included
-    (``scan_filter_project`` with that worker's own BF_H, feeding
-    ``observers``); a crashed worker's partial output and filter are
-    dropped and its blocks dealt to the survivors; the per-worker
-    filters are OR-merged with ``BloomFilter.combine``.  Returns
-    ``(wire_tables, stats, bf_h)``.
+    The queue runs over an explicit list of live worker ids, the
+    coordinator's when the scan starts.  Every task runs its worker's
+    whole pipeline, Bloom step included (``scan_filter_project`` with
+    that worker's own BF_H, feeding ``observers``); a worker the fault
+    injector ``faults`` crashes leaves the list, its partial output and
+    filter are dropped and its blocks dealt to the survivors; the
+    per-worker filters are OR-merged with ``BloomFilter.combine``.
+    Returns ``(wire_tables, stats, bf_h)``.
     """
     meta = jen.coordinator.table_meta("L")
-    injector = jen.injector
-    assignment = jen.coordinator.plan_scan("L")
+    live = jen.coordinator.live_workers()
+    assignment = jen.coordinator.plan_scan("L", live)
+    workers = {worker_id: JenWorker(worker_id, jen.filesystem)
+               for worker_id in live}
     blooms = {
-        worker.worker_id: BloomFilter(jen.config.bloom_bits(),
-                                      jen.config.bloom.num_hashes, seed)
-        for worker in jen.workers
+        worker_id: BloomFilter(jen.config.bloom_bits(),
+                               jen.config.bloom.num_hashes, seed)
+        for worker_id in live
     } if insert else {}
-    tasks = deque((worker, list(assignment.blocks_for(worker.worker_id)))
-                  for worker in jen.workers)
-    pieces = {worker.worker_id: [] for worker in jen.workers}
+    tasks = deque((worker_id, list(assignment.blocks_for(worker_id)))
+                  for worker_id in live)
+    pieces = {worker_id: [] for worker_id in live}
     stats = ScanStats()
 
     def deal(dead, blocks):
-        if not blocks:
-            return
-        by_id = {worker.worker_id: worker for worker in jen.workers}
-        for survivor, chunk in jen.coordinator.reassign_blocks(dead, blocks):
-            tasks.append((by_id[survivor], chunk))
+        if blocks:
+            tasks.extend(jen.coordinator.reassign_blocks(dead, blocks, live))
 
     for observer in observers:
         observer.on_scan_begin(sum(len(blocks) for _worker, blocks in tasks))
     while tasks:
-        worker, blocks = tasks.popleft()
-        if worker not in jen.workers:
-            deal(worker.worker_id, blocks)
+        worker_id, blocks = tasks.popleft()
+        if worker_id not in live:
+            deal(worker_id, blocks)
             continue
-        crash_at = (injector.scan_crash_block(worker.worker_id, len(blocks))
-                    if injector is not None else None)
+        crash_at = (faults.scan_crash_block(worker_id, len(blocks))
+                    if faults is not None else None)
         try:
             if crash_at is not None and not blocks:
-                raise CrashSignal(worker.worker_id, ScanStats())
-            wire, task_stats = worker.scan_filter_project(
+                raise CrashSignal(worker_id, ScanStats())
+            wire, task_stats = workers[worker_id].scan_filter_project(
                 meta, blocks, request, db_bloom=db_bloom,
-                local_bloom=blooms.get(worker.worker_id),
+                local_bloom=blooms.get(worker_id),
                 faults=(ScanFaultHook(crash_at)
                         if crash_at is not None else None),
                 observers=observers)
         except CrashSignal as crash:
-            jen.fail_worker(worker.worker_id)
-            pieces.pop(worker.worker_id)
-            blooms.pop(worker.worker_id, None)
+            live.remove(worker_id)
+            pieces.pop(worker_id)
+            blooms.pop(worker_id, None)
             stats.rows_discarded += crash.stats.rows_scanned
             stats.blocks_reassigned += len(blocks)
-            injector.record_scan_crash(
-                worker.worker_id, crash.stats.rows_scanned,
-                len(blocks), len(jen.workers))
-            deal(worker.worker_id, blocks)
+            faults.record_scan_crash(
+                worker_id, crash.stats.rows_scanned, len(blocks), len(live))
+            deal(worker_id, blocks)
             continue
-        pieces[worker.worker_id].append(wire)
+        pieces[worker_id].append(wire)
         stats = stats.merge(task_stats)
-    wire_tables = [Table.concat(pieces[worker.worker_id])
-                   for worker in jen.workers]
-    merged = (BloomFilter.combine([blooms[worker.worker_id]
-                                   for worker in jen.workers])
+    wire_tables = [Table.concat(pieces[worker_id]) for worker_id in live]
+    merged = (BloomFilter.combine([blooms[worker_id] for worker_id in live])
               if insert else None)
     return wire_tables, stats, merged
 
@@ -676,29 +684,25 @@ def query_case():
 
 def _both_scans(warehouse, request, db_bloom, insert, feed, faults=None):
     """``[(result, feed, injector)]`` of the reference, then of the
-    query-wide scan, each on a full cluster with ``faults`` armed
-    afresh, each watched by a heavy-hitter detector (whose hot keys end
-    the result) and then ``feed``."""
-    sides = []
+    query-wide scan, each on a full cluster under a fresh injector of
+    the plan ``faults``, each watched by a heavy-hitter detector (whose
+    hot keys end the result) and then ``feed``."""
+    jen, sides = warehouse.jen, []
     for run in ("reference", "query-wide"):
-        injector = (warehouse.arm_faults(FaultPlan.from_spec(faults))
+        injector = (FaultInjector(FaultPlan.from_spec(faults))
                     if faults else None)
-        detector = HeavyHitterDetector(warehouse.jen.num_workers)
-        try:
-            if run == "reference":
-                result = reference_queue_scan(
-                    warehouse.jen, request, db_bloom, insert,
-                    observers=(detector, feed))
-            else:
-                scan = warehouse.jen.scan_with_request(
-                    "L", request, db_bloom=db_bloom,
-                    build_hdfs_bloom=insert, observers=(detector, feed))
-                result = (scan.wire_tables, scan.stats, scan.hdfs_bloom)
-            result += (detector.hot_key_set(),)
-            sides.append((result, feed.take(), injector))
-        finally:
-            if faults:
-                warehouse.disarm_faults()
+        detector = HeavyHitterDetector(jen.num_workers)
+        if run == "reference":
+            result = reference_queue_scan(
+                jen, request, db_bloom, insert,
+                observers=(detector, feed), faults=injector)
+        else:
+            scan = jen.scan_with_request(
+                "L", request, jen.open_cluster(injector), db_bloom=db_bloom,
+                build_hdfs_bloom=insert, observers=(detector, feed))
+            result = (scan.wire_tables, scan.stats, scan.hdfs_bloom)
+        result += (detector.hot_key_set(),)
+        sides.append((result, feed.take(), injector))
     return sides
 
 
@@ -768,9 +772,9 @@ class TestQueryWideBloomStep:
         """Five blocks over eight workers: three scan nothing (and one
         of them crashes with nothing to hand over)."""
         warehouse, request, db_bloom = _query_case(workers=8, l_rows=500)
-        assignment = warehouse.jen.coordinator.plan_scan("L")
-        counts = [len(list(assignment.blocks_for(worker.worker_id)))
-                  for worker in warehouse.jen.workers]
+        assignment = live_plan(warehouse.jen)
+        counts = [len(list(assignment.blocks_for(worker_id)))
+                  for worker_id in warehouse.jen.coordinator.live_workers()]
         assert counts.count(0) >= 3 and counts[6] == 0
         reference, actual = _both_scans(
             warehouse, request, db_bloom, True, _Feed(monkeypatch),
@@ -793,7 +797,8 @@ class TestQueryWideBloomStep:
 
             monkeypatch.setattr(BloomFilter, name, counted)
         scan = warehouse.jen.scan_with_request(
-            "L", request, db_bloom=db_bloom, build_hdfs_bloom=True)
+            "L", request, warehouse.jen.open_cluster(), db_bloom=db_bloom,
+            build_hdfs_bloom=True)
         assert [(name, seed) for name, seed, _keys in calls] == [
             ("contains", 7), ("add", 11)]
         assert calls[0][2] == scan.stats.rows_after_predicates
@@ -805,8 +810,7 @@ class TestQueryWideBloomStep:
         worker's task: both scans stop replaying there, having shown
         the observer exactly the same blocks."""
         warehouse, request, db_bloom = query_case
-        assignment = warehouse.jen.coordinator.plan_scan("L")
-        switch_at = len(list(assignment.blocks_for(0))) + 3
+        switch_at = len(list(live_plan(warehouse.jen).blocks_for(0))) + 3
         feed = _Feed(monkeypatch)
 
         class SwitchAt(BlockLog):
@@ -828,10 +832,10 @@ class TestQueryWideBloomStep:
                                          insert=True, observers=(context,))
                 else:
                     warehouse.jen.scan_with_request(
-                        "L", request, db_bloom=db_bloom,
-                        build_hdfs_bloom=True, observers=(context,))
+                        "L", request, warehouse.jen.open_cluster(),
+                        db_bloom=db_bloom, build_hdfs_bloom=True,
+                        observers=(context,))
             seen.append((context.blocks, feed.take()))
         assert seen[0] == seen[1]
         assert seen[1][0] == switch_at
         assert len(seen[1][1]) == switch_at
-        assert warehouse.jen._scan_depth == 0

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan
 from repro.service import (
     AdmissionConfig,
     AdmissionController,
@@ -37,7 +36,7 @@ from repro.service.scheduler import CLASS_OF_KIND
 from repro.service.server import CACHE_HIT_SECONDS, FAULT_RETRIES
 from repro.sim.trace import Trace
 from tests import engine_reference as reference
-from tests.conftest import build_test_warehouse
+from tests.conftest import build_test_warehouse, faulted_service
 
 _OVERLOAD = AdmissionConfig(slots=1, max_queue=3, queue_timeout=150.0,
                             shed_fraction=0.5)
@@ -83,10 +82,10 @@ def drains(paper_workload):
         patch.setattr(SharedCluster, "schedule", recording)
         for name, (admission, faults, spec) in STREAMS.items():
             warehouse = build_test_warehouse(paper_workload)
-            if faults:
-                warehouse.arm_faults(FaultPlan.from_spec(faults))
-            service = QueryService(warehouse, ServiceConfig(
-                admission=admission, enable_result_cache=faults is None))
+            config = ServiceConfig(admission=admission,
+                                   enable_result_cache=faults is None)
+            service = (faulted_service(warehouse, config, faults)[0]
+                       if faults else QueryService(warehouse, config))
             stream = generate_query_stream(paper_workload, spec)
             for item in stream:
                 service.submit(item.query, tenant=item.tenant, at=item.at,

@@ -25,7 +25,7 @@ from repro.core.joins.repartition import _route_db_rows
 from repro.config import HybridConfig
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import InvariantViolation, ServiceError, SimulationError
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.jen.scheduler import plan_work_stealing
 from repro.jen.worker import JenWorker
 from repro.kernels.sketch import CountMinSketch, TopKHeap
@@ -526,11 +526,9 @@ def skew_baselines(skew_chaos_warehouse, hot_case):
 
 def run_skewed_with_faults(warehouse, query, algorithm, spec,
                            context=SKEW_ON):
-    warehouse.arm_faults(FaultPlan.from_spec(spec))
-    try:
-        return algorithm_by_name(algorithm).run(warehouse, query, context)
-    finally:
-        warehouse.disarm_faults()
+    return algorithm_by_name(algorithm).run(
+        warehouse, query, dataclasses.replace(
+            context, faults=FaultInjector(FaultPlan.from_spec(spec))))
 
 
 def check_skew_differential(result, baseline, reference_rows):

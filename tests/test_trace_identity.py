@@ -42,7 +42,7 @@ from repro import (
 )
 from repro.config import ClusterConfig
 from repro.core.joins.base import ExecutionContext, valid_algorithm_names
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.latemat import set_late_materialization_enabled
 from repro.testkit.generator import edge_case, skewed_case
 
@@ -101,16 +101,15 @@ def run_cell(variant: str, setting: str):
     """One cell's :class:`JoinResult` (shared by the tests: read only)."""
     name, kwargs = VARIANTS[variant]
     warehouse, query = _warehouse(setting)
-    context = ExecutionContext(skew_handling=setting == "skew")
+    context = ExecutionContext(
+        skew_handling=setting == "skew",
+        faults=(FaultInjector(FaultPlan.from_spec("crash:w2@scan"))
+                if setting == "crash" else None))
     previous_latemat = set_late_materialization_enabled(setting == "latemat")
-    if setting == "crash":
-        warehouse.arm_faults(FaultPlan.from_spec("crash:w2@scan"))
     try:
         return algorithm_by_name(name, **kwargs).run(warehouse, query,
                                                       context)
     finally:
-        if setting == "crash":
-            warehouse.disarm_faults()
         set_late_materialization_enabled(previous_latemat)
 
 
