@@ -185,18 +185,18 @@ def _cmd_approx(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = join.run(warehouse, query)
-    report = result.trace.metadata["approx"]
+    report, estimate = result.approx, result.approx.estimate
 
     print(f"approximate {'progressive ' if progressive else ''}join on "
           f"the demo warehouse (rate {args.rate:g}, "
           f"confidence {args.confidence:g})")
-    print(f"scanned {report['blocks_scanned']}/{report['blocks_total']} "
-          f"blocks ({report['fraction_scanned']:.0%}), "
+    print(f"scanned {estimate.blocks_scanned}/{estimate.blocks_total} "
+          f"blocks ({estimate.fraction_scanned:.0%}), "
           f"simulated {result.total_seconds:.1f}s"
-          + (" — exact" if report["exact"] else ""))
+          + (" — exact" if estimate.exact else ""))
     if progressive:
         print("\nrefinement stream:")
-        for snap in join.last_snapshots:
+        for snap in report.snapshots:
             error = snap.max_relative_error()
             error_text = f"{error:8.1%}" if error != float("inf") \
                 else "     inf"
@@ -204,20 +204,19 @@ def _cmd_approx(args) -> int:
                   f"({snap.fraction_scanned:4.0%})  "
                   f"max relative error {error_text}")
     print("\nestimates:")
-    for cell in report["cells"]:
-        group = ",".join(str(v) for v in cell["group"])
-        if cell["exact"]:
+    for (group, aggregate), cell in sorted(report.cells.items()):
+        if cell.exact:
             interval = "exact"
-        elif cell["half_width"] == float("inf"):
+        elif cell.half_width == float("inf"):
             interval = "no interval yet"
         else:
-            interval = (f"[{cell['lower']:.1f}, {cell['upper']:.1f}] "
+            interval = (f"[{cell.lower:.1f}, {cell.upper:.1f}] "
                         f"@ {args.confidence:.0%}")
-        print(f"  {group:<24s} {cell['aggregate']:<22s} "
-              f"{cell['estimate']:12.1f}  {interval}")
-    if report["unsupported"]:
+        print(f"  {','.join(str(v) for v in group):<24s} "
+              f"{aggregate:<22s} {cell.estimate:12.1f}  {interval}")
+    if estimate.unsupported:
         print("\nno closed-form interval (sampled extremes): "
-              + ", ".join(report["unsupported"]))
+              + ", ".join(estimate.unsupported))
     return 0
 
 

@@ -12,7 +12,8 @@ the banked BF(T′) and T′ partitions where legal.  The final trace
 carries the abandoned segment's priced phases (``abandoned_`` prefix), a
 ``switch`` latency phase for the drain/re-plan overhead, and the full
 post-switch plan, so the simulated makespan honestly pays for being
-wrong first.
+wrong first.  What the run observed and decided rides the returned
+record as an :class:`AdaptiveReport` (``JoinResult.adaptive``).
 
 With a fault plan on its context the run is *collect-only*: statistics flow but
 checkpoints never fire, because abandoning a half-recovered scan has no
@@ -37,6 +38,7 @@ from repro.adaptive.reoptimizer import (
     MAX_SWITCHES,
     SWITCH_PENALTY_SECONDS,
     ReOptimizer,
+    SwitchDecision,
 )
 from repro.core.joins.base import (
     ExecutionContext,
@@ -56,7 +58,30 @@ class _AbandonedSegment:
 
     algorithm: str
     context: AdaptiveContext
-    decision: object  # SwitchDecision
+    decision: SwitchDecision
+
+
+@dataclasses.dataclass(frozen=True)
+class AdaptiveReport:
+    """What one adaptive run observed and decided
+    (:attr:`JoinResult.adaptive`)."""
+
+    #: The algorithm of every segment, the switched-away ones first.
+    path: Tuple[str, ...]
+    #: The checkpoint vote behind each switch, in order.
+    switches: Tuple[SwitchDecision, ...]
+    #: Each segment's observed statistics, in ``path`` order.
+    segments: Tuple[RuntimeStatsCollector, ...]
+    #: Every checkpoint evaluation, whether it voted to switch or not.
+    evaluations: Tuple[dict, ...]
+    #: Banked BF(T′) and T′ partitions a later segment reused.
+    bloom_reuses: int
+    db_filter_reuses: int
+
+    @property
+    def switched(self) -> bool:
+        """Whether the run abandoned a plan."""
+        return bool(self.switches)
 
 
 def _clamped(value: float) -> float:
@@ -98,7 +123,6 @@ class AdaptiveJoin(JoinAlgorithm):
                 sigma_l=_clamped(estimate.sigma_l * l_factor),
             )
         incumbent = advisor.decide(estimate).best
-        initial = incumbent
 
         fault_run = context.faults is not None
 
@@ -144,33 +168,37 @@ class AdaptiveJoin(JoinAlgorithm):
                 continue
             break
 
-        report = self._report(initial, incumbent, abandoned, observer,
-                              bank, reoptimizers)
+        report = AdaptiveReport(
+            path=tuple(segment.algorithm for segment in abandoned)
+            + (incumbent,),
+            switches=tuple(segment.decision for segment in abandoned),
+            segments=tuple(segment.context.collector
+                           for segment in abandoned)
+            + (observer.collector,),
+            evaluations=tuple(record for reoptimizer in reoptimizers
+                              for record in reoptimizer.evaluations),
+            bloom_reuses=bank.bloom_reuses,
+            db_filter_reuses=bank.db_filter_reuses,
+        )
         if not abandoned:
-            inner_result.trace.metadata["adaptive"] = report
-            return JoinResult(
-                algorithm=f"adaptive[{incumbent}]",
-                result=inner_result.result,
-                stats=inner_result.stats,
-                trace=inner_result.trace,
-                timing=inner_result.timing,
-                scale_up=inner_result.scale_up,
-            )
+            return dataclasses.replace(
+                inner_result, algorithm=f"adaptive[{incumbent}]",
+                adaptive=report)
         return self._assemble_switched(
-            warehouse, query, abandoned, incumbent, inner_result, report
+            warehouse, query, abandoned, inner_result, report
         )
 
     # ------------------------------------------------------------------
     def _assemble_switched(self, warehouse, query: HybridQuery,
                            abandoned: List[_AbandonedSegment],
-                           final_name: str, final_result: JoinResult,
-                           report: dict) -> JoinResult:
+                           final_result: JoinResult,
+                           report: AdaptiveReport) -> JoinResult:
         """One trace carrying the abandoned work, the switch overhead
-        and the full post-switch plan."""
+        and the full post-switch plan; the final segment's record with
+        that trace."""
         costing = self._costing(warehouse)
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
-        path = [segment.algorithm for segment in abandoned] + [final_name]
-        label = f"adaptive[{'->'.join(path)}]"
+        label = f"adaptive[{'->'.join(report.path)}]"
         trace = Trace(label=label)
         gate = None  # previous segment's switch phase
         for index, segment in enumerate(abandoned):
@@ -230,53 +258,13 @@ class AdaptiveJoin(JoinAlgorithm):
         # phase: coordination is already up, the penalty covers re-plan.
         trace.graft(final_result.trace, drop=("startup",),
                     remap={"startup": gate})
-        trace.metadata.update(final_result.trace.metadata)
-        trace.metadata["adaptive"] = report
 
         stats = final_result.stats
         stats.hdfs_rows_discarded += sum(
-            segment.context.collector.rows_scanned for segment in abandoned
+            collector.rows_scanned for collector in report.segments[:-1]
         )
-        result = self._finish(warehouse, final_result.result, stats, trace)
-        result.algorithm = label
-        return result
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _report(initial: str, final: str,
-                abandoned: List[_AbandonedSegment],
-                final_context: AdaptiveContext,
-                bank: ArtifactBank,
-                reoptimizers: List[ReOptimizer]) -> dict:
-        """The adaptive run's full story, for ``trace.metadata``."""
-        return {
-            "initial_algorithm": initial,
-            "final_algorithm": final,
-            "path": [seg.algorithm for seg in abandoned] + [final],
-            "switched": bool(abandoned),
-            "switches": [
-                {
-                    "from": segment.algorithm,
-                    "to": segment.decision.target,
-                    "at_progress": segment.decision.at_progress,
-                    "reason": segment.decision.reason,
-                    "projected_remaining":
-                        segment.decision.projected_remaining,
-                    "target_seconds": segment.decision.target_seconds,
-                    "observed_sigma_t": segment.decision.observed_sigma_t,
-                    "observed_sigma_l": segment.decision.observed_sigma_l,
-                    "observed_bloom_hit_rate":
-                        segment.decision.observed_bloom_hit_rate,
-                }
-                for segment in abandoned
-            ],
-            "segments": [
-                segment.context.report() for segment in abandoned
-            ] + [final_context.report()],
-            "bank": bank.report(),
-            "evaluations": [
-                record
-                for reoptimizer in reoptimizers
-                for record in reoptimizer.evaluations
-            ],
-        }
+        timing = self._finish(warehouse, final_result.result, stats,
+                              trace).timing
+        return dataclasses.replace(final_result, algorithm=label,
+                                   trace=trace, timing=timing,
+                                   adaptive=report)

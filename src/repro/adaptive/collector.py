@@ -17,10 +17,10 @@ segment of one adaptive run and observes each.
 observer.RunObserver`) :class:`~repro.adaptive.algorithm.AdaptiveJoin`
 adds to one segment's run (the ``observers`` of its
 :class:`~repro.core.joins.base.ExecutionContext`): it owns one
-collector, the run's trace (whose shuffle sizes it reads back) and,
-unless the run is collect-only, the re-optimizer consulted at
-checkpoints.  :class:`SwitchSignal` is what it
-raises to abandon the run.
+collector, the run's trace (the adaptive wrapper grafts an abandoned
+segment's priced phases from it) and, unless the run is collect-only,
+the re-optimizer consulted at checkpoints.  :class:`SwitchSignal` is
+what it raises to abandon the run.
 """
 
 from __future__ import annotations
@@ -56,21 +56,21 @@ class SwitchSignal(Exception):
         self.decision = decision
 
 
+@dataclasses.dataclass
 class RuntimeStatsCollector:
     """Observed-so-far statistics of one executing plan segment."""
 
-    def __init__(self):
-        # Database side (observed sigma_T).
-        self.db_rows_scanned = 0
-        self.db_rows_out = 0
-        # HDFS scan progress.
-        self.total_blocks = 0
-        self.blocks_done = 0
-        self.rows_scanned = 0
-        self.stored_bytes_scanned = 0.0
-        self.rows_after_predicates = 0
-        self.rows_after_bloom = 0
-        self.bloom_applied = False
+    # Database side (observed sigma_T).
+    db_rows_scanned: int = 0
+    db_rows_out: int = 0
+    # HDFS scan progress.
+    total_blocks: int = 0
+    blocks_done: int = 0
+    rows_scanned: int = 0
+    stored_bytes_scanned: float = 0.0
+    rows_after_predicates: int = 0
+    rows_after_bloom: int = 0
+    bloom_applied: bool = False
 
     # ------------------------------------------------------------------
     # Derived observations
@@ -126,18 +126,6 @@ class RuntimeStatsCollector:
             return base
         return dataclasses.replace(base, **replacements)
 
-    def report(self) -> Dict[str, object]:
-        """Everything observed, for the trace metadata."""
-        return {
-            "scan_progress": round(self.scan_progress(), 4),
-            "blocks_done": self.blocks_done,
-            "total_blocks": self.total_blocks,
-            "rows_scanned": self.rows_scanned,
-            "sigma_t": self.observed_sigma_t(),
-            "sigma_l": self.observed_sigma_l(),
-            "bloom_hit_rate": self.bloom_hit_rate(),
-        }
-
 
 class ArtifactBank(RunObserver):
     """Materialised artifacts that survive a plan switch legally.
@@ -179,13 +167,6 @@ class ArtifactBank(RunObserver):
     @property
     def has_db_filter(self) -> bool:
         return bool(self._db_filters)
-
-    def report(self) -> Dict[str, int]:
-        """Reuse counters for the trace metadata."""
-        return {
-            "bloom_reuses": self.bloom_reuses,
-            "db_filter_reuses": self.db_filter_reuses,
-        }
 
 
 class AdaptiveContext(RunObserver):
@@ -249,13 +230,3 @@ class AdaptiveContext(RunObserver):
         )
         if decision is not None:
             raise SwitchSignal(decision)
-
-    # -- what is read back off the run's trace --------------------------
-    def report(self) -> Dict[str, object]:
-        """The collector's report plus the per-destination partition
-        sizes of the run's JEN shuffle (none if it never shuffled)."""
-        sizes = self.trace.metadata.get("shuffle_partition_rows")
-        return dict(
-            self.collector.report(),
-            shuffle_partition_sizes=[] if sizes is None else [list(sizes)],
-        )

@@ -44,18 +44,33 @@ MAX_SWITCHES = 1
 
 @dataclass(frozen=True)
 class SwitchDecision:
-    """One checkpoint's vote to abandon the incumbent plan."""
+    """One checkpoint's vote to abandon the incumbent plan.
 
+    The statistics it was costed on are the abandoned segment's
+    :class:`~repro.adaptive.collector.RuntimeStatsCollector` as it
+    stood at ``at_progress``.
+    """
+
+    incumbent: str
     target: str
-    reason: str
     at_progress: float
+    #: The incumbent's re-costed cost minus the work already behind it.
     projected_remaining: float
+    #: The target's full cost, switch penalty and banked-artifact
+    #: credits included.
     target_seconds: float
     #: Full re-costed estimates (every algorithm, uncredited).
     estimates: Dict[str, float] = field(default_factory=dict)
-    observed_sigma_t: Optional[float] = None
-    observed_sigma_l: Optional[float] = None
-    observed_bloom_hit_rate: Optional[float] = None
+
+    @property
+    def reason(self) -> str:
+        """The vote in one line."""
+        return (
+            f"projected remaining {self.projected_remaining:.1f}s on "
+            f"{self.incumbent!r} vs {self.target_seconds:.1f}s full re-run "
+            f"of {self.target!r} (switch penalty and banked-artifact "
+            "credits included)"
+        )
 
 
 class ReOptimizer:
@@ -71,7 +86,7 @@ class ReOptimizer:
         #: Algorithms already tried this run — never switch back.
         self.exclude = frozenset(exclude) | {incumbent}
         self.bank = bank
-        #: Every evaluation, for the trace metadata.
+        #: Every evaluation, for the run's report.
         self.evaluations: list = []
 
     def evaluate(self, collector: RuntimeStatsCollector,
@@ -122,18 +137,10 @@ class ReOptimizer:
         if best_name is None or best_cost >= HYSTERESIS * remaining:
             return None
         return SwitchDecision(
+            incumbent=self.incumbent,
             target=best_name,
-            reason=(
-                f"projected remaining {remaining:.1f}s on "
-                f"{self.incumbent!r} vs {best_cost:.1f}s full re-run of "
-                f"{best_name!r} (switch penalty and banked-artifact "
-                "credits included)"
-            ),
             at_progress=progress,
             projected_remaining=remaining,
             target_seconds=best_cost,
             estimates=dict(estimates),
-            observed_sigma_t=collector.observed_sigma_t(),
-            observed_sigma_l=collector.observed_sigma_l(),
-            observed_bloom_hit_rate=collector.bloom_hit_rate(),
         )

@@ -18,6 +18,9 @@ phase.  Row/byte accounting adds up the per-block
 not a parallel bookkeeping path, so ``approx`` cannot under-report its
 scan.
 
+The run's :class:`ApproxReport` — policy, final estimate and
+snapshots — rides the returned record (``JoinResult.approx``).
+
 A run that happens to consume every block (rate 1.0, tiny tables, or a
 progressive run that never met its error target) is *exact*: integer
 result dtypes, zero-width intervals, bit-equal to the oracle.
@@ -25,9 +28,15 @@ result dtypes, zero-width intervals, bit-equal to the oracle.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from repro.approx.estimator import ApproxEstimate, JoinAggregateEstimator
+from repro.approx.estimator import (
+    ApproxEstimate,
+    CellEstimate,
+    CellKey,
+    JoinAggregateEstimator,
+)
 from repro.approx.policy import ApproxPolicy
 from repro.approx.progressive import Snapshot, SnapshotTracker, error_target_met
 from repro.approx.sampler import plan_block_sample
@@ -42,6 +51,29 @@ from repro.errors import JoinError
 from repro.jen.worker import ScanRequest, ScanStats
 from repro.relational.table import Table
 from repro.query.query import HybridQuery
+
+
+@dataclass(frozen=True)
+class ApproxReport:
+    """What one sampled run estimated (:attr:`JoinResult.approx`)."""
+
+    policy: ApproxPolicy
+    progressive: bool
+    #: The raw estimate after the last consumed block.
+    estimate: ApproxEstimate
+    #: The refinement stream, one snapshot per consumed block
+    #: (progressive runs only).
+    snapshots: Tuple[Snapshot, ...] = ()
+
+    @property
+    def cells(self) -> Dict[CellKey, CellEstimate]:
+        """The reported cells: the final snapshot's (monotone, clamped
+        intervals) when there is one, else the raw estimate's — one-shot
+        runs report unclamped intervals so the stated coverage stays
+        honest."""
+        if self.snapshots:
+            return self.snapshots[-1].cells
+        return self.estimate.cells
 
 
 @register_algorithm
@@ -64,12 +96,6 @@ class ApproxJoin(JoinAlgorithm):
         )
         self.progressive = progressive
         self.use_bloom = use_bloom
-        self.uses_db_bloom = use_bloom
-        #: Populated by :meth:`run` — the final estimate and (in
-        #: progressive mode) every snapshot, for callers who want the
-        #: statistics as objects rather than via trace metadata.
-        self.last_estimate: Optional[ApproxEstimate] = None
-        self.last_snapshots: List[Snapshot] = []
 
     @classmethod
     def from_policy(cls, policy: ApproxPolicy, progressive: bool = False,
@@ -144,14 +170,10 @@ class ApproxJoin(JoinAlgorithm):
         finally:
             stream.close()
 
-        snapshot = tracker.snapshots[-1] if tracker.snapshots else None
         estimate = estimator.estimate()
-        self.last_estimate = estimate
-        self.last_snapshots = list(tracker.snapshots)
 
         # -- Honest pricing of the sampled pipeline ----------------------
         stats.hdfs_rows_scanned = float(scanned.rows_scanned)
-        stats.hdfs_stored_bytes_scanned = scanned.stored_bytes_scanned
         stats.hdfs_rows_after_predicates = float(
             scanned.rows_after_predicates)
         stats.hdfs_rows_after_bloom = float(scanned.rows_after_bloom)
@@ -212,8 +234,8 @@ class ApproxJoin(JoinAlgorithm):
                   description="return estimates + intervals to the "
                               "database")
 
-        trace.metadata["approx"] = self._report(estimate, snapshot)
-        return run.finish(estimate.result)
+        return run.finish(estimate.result, approx=ApproxReport(
+            policy, self.progressive, estimate, tuple(tracker.snapshots)))
 
     # ------------------------------------------------------------------
     def _should_stop(self, estimator: JoinAggregateEstimator,
@@ -242,42 +264,3 @@ class ApproxJoin(JoinAlgorithm):
             estimate.exact
             or estimate.max_relative_error() <= policy.max_error
         )
-
-    def _report(self, estimate: ApproxEstimate,
-                snapshot: Optional[Snapshot]) -> dict:
-        """The ``trace.metadata["approx"]`` payload.
-
-        Cells come from the final progressive snapshot when one exists
-        (monotone, clamped intervals) and from the raw estimate
-        otherwise — one-shot runs report unclamped intervals so the
-        stated coverage stays honest.
-        """
-        cells = snapshot.cells if snapshot is not None else estimate.cells
-        policy = self.policy
-        return {
-            "sample_rate": policy.sample_rate,
-            "confidence": policy.confidence,
-            "max_error": policy.max_error,
-            "seed": policy.seed,
-            "progressive": self.progressive,
-            "blocks_total": estimate.blocks_total,
-            "blocks_scanned": estimate.blocks_scanned,
-            "fraction_scanned": estimate.fraction_scanned,
-            "exact": estimate.exact,
-            "unsupported": list(estimate.unsupported),
-            "cells": [
-                {
-                    "group": list(key[0]),
-                    "aggregate": key[1],
-                    "estimate": cell.estimate,
-                    "lower": cell.lower,
-                    "upper": cell.upper,
-                    "half_width": cell.half_width,
-                    "raw_half_width": cell.raw_half_width,
-                    "exact": cell.exact,
-                }
-                for key, cell in sorted(cells.items(),
-                                        key=lambda item: item[0])
-            ],
-            "snapshots": list(self.last_snapshots),
-        }

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 #: Number of bytes in one mebibyte; volumes inside the cost model are kept
 #: in plain bytes and converted at the edges.
 MB = 1024 * 1024
-GB = 1024 * MB
 
 
 @dataclass(frozen=True)
@@ -177,10 +176,6 @@ class PaperScale:
     unique_join_keys: int = 16_000_000
     #: Bytes per T row in database storage (97 GB / 1.6 B rows).
     t_row_bytes: float = 65.0
-    #: Bytes per L row in text format (about 1 TB / 15 B rows).
-    l_text_row_bytes: float = 71.0
-    #: Bytes per L row in Parquet with Snappy (421 GB / 15 B rows).
-    l_parquet_row_bytes: float = 30.0
 
 
 @dataclass(frozen=True)

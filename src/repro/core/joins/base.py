@@ -36,22 +36,15 @@ class JoinStats:
     """
 
     hdfs_rows_scanned: float = 0.0
-    hdfs_stored_bytes_scanned: float = 0.0
     hdfs_rows_after_predicates: float = 0.0
     hdfs_rows_after_bloom: float = 0.0
     #: Tuples entering the JEN-to-JEN shuffle (Table 1, column 1).
     hdfs_tuples_shuffled: float = 0.0
-    #: Filtered HDFS tuples shipped into the database (DB-side join).
-    hdfs_tuples_to_db: float = 0.0
     #: Database tuples shipped to the HDFS side (Table 1, column 2).
     db_tuples_sent: float = 0.0
-    #: Copies each exported DB tuple takes (broadcast join: one per JEN
-    #: worker).  Not rescaled.
-    db_send_copies: float = 1.0
     db_rows_scanned: float = 0.0
     #: Bloom filter bytes moved, already at paper scale.
     bloom_bytes_moved: float = 0.0
-    db_internal_shuffle_bytes: float = 0.0
     join_output_tuples: float = 0.0
     result_rows: float = 0.0
     #: Tuples written to and re-read from disk by spilling JEN joins.
@@ -65,17 +58,12 @@ class JoinStats:
     #: Build-side (L) rows spread off the agreed hash by the hybrid
     #: shuffle.
     hot_tuples_rerouted: float = 0.0
-    #: Probe-side (T′) copies of hot-key rows delivered to the key's
-    #: bounded destination set (every copy counted; the ones past the
-    #: first travel in the trace's ``jen_hot_relay`` phase).
-    hot_tuples_broadcast: float = 0.0
     #: Build + probe rows re-dealt across workers by work stealing.
     stolen_tuples: float = 0.0
 
     def scaled(self, multiplier: float) -> "JoinStats":
         """Counts multiplied up to paper scale (Bloom bytes unchanged)."""
-        unscaled = {"bloom_bytes_moved", "db_send_copies",
-                    "hot_keys_detected"}
+        unscaled = {"bloom_bytes_moved", "hot_keys_detected"}
         values: Dict[str, float] = {}
         for spec in fields(self):
             value = getattr(self, spec.name)
@@ -87,7 +75,12 @@ class JoinStats:
 
 @dataclass
 class JoinResult:
-    """Everything one algorithm run produced."""
+    """Everything one algorithm run produced: the one per-run record.
+
+    What a plane observed rides here as a typed field, ``None`` when
+    the plane did not run; ``trace.metadata`` carries only the
+    ``bytes_shipped`` classification.
+    """
 
     algorithm: str
     result: Table
@@ -95,6 +88,15 @@ class JoinResult:
     trace: Trace
     timing: TimingResult
     scale_up: float
+    #: Build + probe rows per slot of the JEN-side local join, after any
+    #: work stealing (the repartition-style joins only).
+    join_slot_loads: Optional[List[int]] = None
+    #: What the adaptive wrapper observed and decided
+    #: (:class:`repro.adaptive.algorithm.AdaptiveReport`).
+    adaptive: Optional[object] = None
+    #: The sampled run's policy, estimate and refinement stream
+    #: (:class:`repro.approx.algorithm.ApproxReport`).
+    approx: Optional[object] = None
 
     @property
     def total_seconds(self) -> float:
@@ -146,10 +148,6 @@ class JoinAlgorithm:
 
     #: Registry / display name (e.g. ``"zigzag"``).
     name: str = "base"
-    #: Whether this algorithm uses a database-side Bloom filter.
-    uses_db_bloom: bool = False
-    #: Whether this algorithm uses an HDFS-side Bloom filter.
-    uses_hdfs_bloom: bool = False
 
     @property
     def display_name(self) -> str:
@@ -165,8 +163,9 @@ class JoinAlgorithm:
         return JoinCosting(warehouse.config, warehouse.topology)
 
     def _finish(self, warehouse, result: Table, stats: JoinStats,
-                trace: Trace) -> JoinResult:
-        """Replay the trace and assemble the result object."""
+                trace: Trace, **planes) -> JoinResult:
+        """Replay the trace and assemble the result object; ``planes``
+        are the record's plane fields."""
         trace.metadata["bytes_shipped"] = classify_bytes_shipped(trace)
         timing = replay_trace(trace)
         return JoinResult(
@@ -176,6 +175,7 @@ class JoinAlgorithm:
             trace=trace,
             timing=timing,
             scale_up=1.0 / warehouse.config.scale,
+            **planes,
         )
 
 
@@ -222,8 +222,9 @@ class JoinRun:
         self.trace.add("startup", "latency", self.costing.startup_seconds(),
                        description=startup)
 
-    def finish(self, result: Table) -> JoinResult:
-        """Replay the trace; the run's :class:`JoinResult`.
+    def finish(self, result: Table, **planes) -> JoinResult:
+        """Replay the trace; the run's :class:`JoinResult`, carrying
+        ``planes`` (its plane fields).
 
         Under a fault injector, the recovery actions the engine
         accumulated (re-scans, retries, speculation) are materialised as
@@ -233,7 +234,7 @@ class JoinRun:
         if self.cluster.faults is not None:
             self.cluster.faults.charge_trace(self.trace)
         return self.algorithm._finish(self.warehouse, result, self.stats,
-                                      self.trace)
+                                      self.trace, **planes)
 
     def db_filter(self) -> List[Table]:
         """Step 1 on the database: local predicates + projection on T."""
@@ -361,7 +362,6 @@ class JoinRun:
                     wire.column(query.hdfs_join_key)
                     for wire in scan.wire_tables])
         stats.hdfs_rows_scanned = scan.stats.rows_scanned
-        stats.hdfs_stored_bytes_scanned = scan.stats.stored_bytes_scanned
         stats.hdfs_rows_after_predicates = scan.stats.rows_after_predicates
         stats.hdfs_rows_after_bloom = scan.stats.rows_after_bloom
         stats.hdfs_rows_discarded += scan.stats.rows_discarded

@@ -49,7 +49,6 @@ class BroadcastJoin(JoinAlgorithm):
         t_store, t_ship, t_wire_bytes = transfer_edge([t_full], query, "db")
         t_tuples = t_full.num_rows
         stats.db_tuples_sent = t_tuples
-        stats.db_send_copies = workers
         if self.pattern is TransferPattern.BROADCAST_DIRECT:
             trace.add("db_broadcast", "transfer",
                       costing.db_export_seconds(

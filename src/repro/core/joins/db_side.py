@@ -48,7 +48,6 @@ class DbSideJoin(JoinAlgorithm):
 
     def __init__(self, use_bloom: bool = False):
         self.use_bloom = use_bloom
-        self.uses_db_bloom = use_bloom
 
     @property
     def display_name(self) -> str:
@@ -80,7 +79,6 @@ def edw_tail(run: JoinRun, name: str, wire_tables: List[Table],
     store, ship, row_bytes = transfer_edge(wire_tables, query, "hdfs")
     ingested = _group_ingest(ship, database.num_workers)
     l_tuples = sum(part.num_rows for part in ingested)
-    stats.hdfs_tuples_to_db = l_tuples
     trace.add("hdfs_to_db", "transfer",
               costing.db_ingest_seconds(l_tuples, row_bytes),
               streams_from=[scan_phase],
@@ -126,7 +124,6 @@ def edw_tail(run: JoinRun, name: str, wire_tables: List[Table],
         sum(part.num_rows * part.row_bytes() for part in ingested),
         database.num_workers,
     )
-    stats.db_internal_shuffle_bytes = choice.internal_bytes
     trace.add("db_internal_shuffle", "db_shuffle",
               costing.db_internal_shuffle_seconds(choice.internal_bytes),
               after=[t_phase],

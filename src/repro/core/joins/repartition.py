@@ -49,7 +49,6 @@ class RepartitionJoin(JoinAlgorithm):
 
     def __init__(self, use_bloom: bool = False):
         self.use_bloom = use_bloom
-        self.uses_db_bloom = use_bloom
 
     @property
     def display_name(self) -> str:
@@ -104,9 +103,6 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
         observers=run.observers)
     tuples = shuffled.tuples_shuffled
     stats.hdfs_tuples_shuffled = tuples
-    run.trace.metadata["shuffle_partition_rows"] = [
-        table.num_rows for table in shuffled.per_destination
-    ]
     skew = costing.effective_shuffle_skew(
         run.warehouse.config.shuffle_skew, hybrid=hot_keys is not None,
         measured=shuffled.balance_factor())
@@ -139,7 +135,6 @@ def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
         hot_keys=hot_keys, observers=run.observers)
     tuples = sum(part.num_rows for part in ship)
     stats.db_tuples_sent = tuples
-    stats.hot_tuples_broadcast += hot_copies
     trace.add("db_export", "transfer",
               costing.db_export_seconds(tuples, row_bytes),
               after=after, streams_from=streams_from,
@@ -186,6 +181,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
     output = joined.join_output_tuples
     stats.join_output_tuples = output
     stats.result_rows = joined.result_rows
+    slot_loads = None
     if broadcast:
         gate, probe = ["hash_build_t"], l_side
     else:
@@ -212,7 +208,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
                               f"{l_side.name} rows",
                   tuples=l_side.tuples)
         if joined.per_slot_loads is not None:
-            trace.metadata["join_slot_loads"] = list(joined.per_slot_loads)
+            slot_loads = list(joined.per_slot_loads)
     if joined.spilled_tuples > 0:
         stats.spilled_tuples = joined.spilled_tuples
         trace.add("spill_io", "disk",
@@ -264,7 +260,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
               costing.result_return_seconds(),
               after=["aggregate"],
               description="return final aggregate to the database")
-    return run.finish(result)
+    return run.finish(result, join_slot_loads=slot_loads)
 
 
 def _route_db_rows(t_parts: List[Table], key: str,

@@ -43,8 +43,6 @@ class ZigzagJoin(JoinAlgorithm):
     """The paper's new algorithm: Bloom filters both ways."""
 
     name = "zigzag"
-    uses_db_bloom = True
-    uses_hdfs_bloom = True
 
     def run(self, warehouse, query: HybridQuery,
             context=None) -> JoinResult:

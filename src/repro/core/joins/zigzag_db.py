@@ -43,8 +43,6 @@ class ZigzagDbJoin(JoinAlgorithm):
     """Two-way Bloom filters, but the final join runs in the EDW."""
 
     name = "zigzag-db"
-    uses_db_bloom = True
-    uses_hdfs_bloom = True
 
     def run(self, warehouse, query: HybridQuery,
             context=None) -> JoinResult:
@@ -60,8 +58,6 @@ class ZigzagDbJoin(JoinAlgorithm):
             query, run.cluster, db_bloom=db_bloom, observers=run.observers)
         meta = warehouse.hdfs.table_meta(query.hdfs_table)
         run.stats.hdfs_rows_scanned += second_scan.stats.rows_scanned
-        run.stats.hdfs_stored_bytes_scanned += \
-            second_scan.stats.stored_bytes_scanned
         add_scan_phase(run.trace, run.costing, "hdfs_scan_2",
                        second_scan.stats, meta.format_name, ["hdfs_scan"],
                        "second full scan of L (no indexes on HDFS): "

@@ -88,9 +88,8 @@ class LocalJoinStats:
     max_fragments: int = 1
     #: Build + probe rows re-dealt to other workers by work stealing.
     stolen_tuples: int = 0
-    #: max/mean per-worker join load before and after stealing
-    #: (1.0 both when stealing never armed or never triggered).
-    pre_steal_balance: float = 1.0
+    #: max/mean per-worker join load after stealing (1.0 when stealing
+    #: never armed or never triggered).
     post_steal_balance: float = 1.0
     #: Per-worker build + probe rows after any stealing (the bench
     #: derives worker-finish spread from it).
@@ -599,7 +598,6 @@ class Jen:
              for l_part, t_part in originals],
             threshold=threshold,
         )
-        stats.pre_steal_balance = plan.pre_balance
         stats.post_steal_balance = plan.pre_balance
         if not plan.has_moves():
             return

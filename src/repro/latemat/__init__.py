@@ -225,9 +225,6 @@ def transfer_edge(tables: Sequence[Table], query: HybridQuery, side: str,
 class StitchStats:
     """Volume accounting of one stitch (filled by the engine)."""
 
-    #: Thin rows that arrived at the join (before pruning), per side.
-    l_thin_tuples: int = 0
-    t_thin_tuples: int = 0
     #: Surviving rows whose payloads were fetched, per side.
     l_fetched_tuples: int = 0
     t_fetched_tuples: int = 0
@@ -246,15 +243,13 @@ class StitchStats:
         """Tuple-weighted fetch amplification measured on T."""
         return _amplification(self.t_touched_rows, self.t_fetched_tuples)
 
-    def merge_side(self, side: str, thin: int, fetched: int,
+    def merge_side(self, side: str, fetched: int,
                    touched_rows: int) -> None:
-        """Accumulate one slot's prune/fetch numbers for ``side``."""
+        """Accumulate one slot's fetch numbers for ``side``."""
         if side == "l":
-            self.l_thin_tuples += thin
             self.l_fetched_tuples += fetched
             self.l_touched_rows += touched_rows
         else:
-            self.t_thin_tuples += thin
             self.t_fetched_tuples += fetched
             self.t_touched_rows += touched_rows
 
@@ -324,7 +319,7 @@ def _stitch_side(store: Optional[PayloadStore], parts: List[Table],
         rowids = np.sort(part.column(ROWID_COLUMN)[keep])
         touched = int(np.unique(rowids // PAGE_ROWS).size * PAGE_ROWS) \
             if rowids.size else 0
-        stats.merge_side(side, part.num_rows, int(rowids.size), touched)
+        stats.merge_side(side, int(rowids.size), touched)
         stitched.append(store.fetch(rowids))
     return stitched
 

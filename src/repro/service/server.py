@@ -110,11 +110,13 @@ class QueryOutcome:
     queue_wait: float = 0.0
     result: Optional[Table] = None
     join_result: Optional[JoinResult] = None
-    #: True when the query executed on the degraded (approximate) tier.
-    degraded: bool = False
-    #: The approximate run's interval report (the
-    #: ``trace.metadata["approx"]`` payload); ``None`` for exact runs.
-    approx_report: Optional[dict] = None
+
+    @property
+    def degraded(self) -> bool:
+        """Whether the query executed on the degraded (approximate)
+        tier: its run carries an approximate report."""
+        return self.join_result is not None \
+            and self.join_result.approx is not None
 
     @property
     def ok(self) -> bool:
@@ -216,11 +218,8 @@ class ServiceReport:
             if outcome.ok:
                 source = "cache" if outcome.cache_hit else outcome.algorithm
                 if outcome.degraded:
-                    report = outcome.approx_report or {}
-                    source = (
-                        f"~{source}@"
-                        f"{report.get('fraction_scanned', 1.0):.0%}"
-                    )
+                    estimate = outcome.join_result.approx.estimate
+                    source = f"~{source}@{estimate.fraction_scanned:.0%}"
                 lines.append(
                     f"  q{outcome.ticket_id:<4d} {outcome.tenant:<10s} "
                     f"{source:<18s} wait={outcome.queue_wait:7.1f}s "
@@ -372,14 +371,12 @@ class QueryService:
             nonlocal retries_used
             try:
                 if admit.degraded:
-                    algorithm, rationale, join_result, \
-                        approx_report = self._execute_approx(
-                            submission.query)
+                    algorithm, rationale, join_result = \
+                        self._execute_approx(submission.query)
                 else:
                     algorithm, rationale, join_result = \
                         self._execute_data_plane(
                             submission.query, submission.algorithm)
-                    approx_report = None
             except FaultError as exc:
                 admission.release(admit.grant)
                 self.metrics.counter("service.fault_aborts").inc()
@@ -404,7 +401,7 @@ class QueryService:
                 # poison the result cache (a later exact query would get
                 # a sampled answer) nor the advisor's feedback loop (its
                 # observed volumes reflect the sample, not the query).
-                degraded = approx_report is not None
+                degraded = join_result.approx is not None
                 if self.config.enable_feedback and not degraded:
                     self.feedback.record(
                         key, plan_key(submission.query, literals=False),
@@ -417,8 +414,7 @@ class QueryService:
                        advisor_rationale=rationale,
                        admitted_at=submitted_at + queue_wait,
                        queue_wait=queue_wait, result=join_result.result,
-                       join_result=join_result, degraded=degraded,
-                       approx_report=approx_report)
+                       join_result=join_result)
 
             cluster.schedule(timeline, join_result.trace,
                              lambda _timings: timeline.after(0.0, done))
@@ -452,9 +448,9 @@ class QueryService:
         when the query or environment is outside the approximate
         contract: min/max aggregates have no closed-form interval, and
         a fault plan on the query's context has no recovery semantics
-        in the block-at-a-time sampled scan.  Returns ``(algorithm, rationale,
-        join_result, approx_report)`` with ``approx_report=None`` on
-        fallback.
+        in the block-at-a-time sampled scan.  Returns ``(algorithm,
+        rationale, join_result)``; the result's ``approx`` report is
+        ``None`` on fallback.
         """
         from repro.approx import ApproxJoin
 
@@ -465,25 +461,22 @@ class QueryService:
         context = self._context(query, "approx")
         if context.faults is not None or has_extremes:
             self.metrics.counter("approx.unsupported").inc()
-            algorithm, rationale, join_result = self._execute_data_plane(
-                query, "auto")
-            return algorithm, rationale, join_result, None
+            return self._execute_data_plane(query, "auto")
 
         algo = ApproxJoin.from_policy(
             policy, progressive=policy.max_error is not None)
         join_result = algo.run(self.warehouse, query, context)
         self._record_bytes_shipped(join_result)
         self.metrics.counter("approx.runs").inc()
-        report = join_result.trace.metadata.get("approx", {})
         self.metrics.histogram("approx.fraction_scanned").observe(
-            report.get("fraction_scanned", 1.0))
+            join_result.approx.estimate.fraction_scanned)
         rationale = (
             f"shed to degraded tier: sample_rate={policy.sample_rate:g}, "
             f"confidence={policy.confidence:g}"
             + (f", max_error={policy.max_error:g}"
                if policy.max_error is not None else "")
         )
-        return join_result.algorithm, rationale, join_result, report
+        return join_result.algorithm, rationale, join_result
 
     def _execute_adaptive(self, query: HybridQuery):
         """Auto mode with mid-query re-optimization.
@@ -501,11 +494,11 @@ class QueryService:
             self.warehouse, query, context)
         self._record_bytes_shipped(join_result)
         self.metrics.counter("adaptive.runs").inc()
-        report = join_result.trace.metadata.get("adaptive", {})
+        report = join_result.adaptive
         rationale = ""
-        if report.get("switched"):
+        if report.switched:
             self.metrics.counter("adaptive.switches").inc()
-            rationale = report["switches"][-1]["reason"]
+            rationale = report.switches[-1].reason
         return join_result.algorithm, rationale, join_result
 
     def _context(self, query: HybridQuery,

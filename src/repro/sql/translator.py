@@ -79,7 +79,6 @@ class PrejoinStep:
     """One in-database dimension join of the star pre-join chain."""
 
     right_table: str          # real catalog name of the dimension
-    right_binding: str        # FROM-clause binding (for error messages)
     left_key: str             # key column on the accumulated fact side
     right_key: str            # key column on the dimension
     right_predicate: Predicate
@@ -169,7 +168,6 @@ class _Binder:
             )
         self.hdfs_binding = hdfs_tables[0].binding_name()
         self.hdfs_name = hdfs_tables[0].name
-        self.hdfs_schema = self.sides[self.hdfs_binding][1]
 
     def _db_has(self, name: str) -> bool:
         try:
@@ -477,7 +475,6 @@ def _plan_prejoins(binder, fact_binding, db_joins, db_predicates,
             needed[inner.binding].add(inner.column)
             steps.append(PrejoinStep(
                 right_table=binder.sides[outer.binding][2],
-                right_binding=outer.binding,
                 left_key=inner.column,
                 right_key=outer.column,
                 right_predicate=conjunction_of(

@@ -201,7 +201,6 @@ class PredicateThresholds:
 
     cor_threshold: int
     ind_threshold: int
-    cor_scale: int  # corPred = rank * cor_scale + noise
 
 
 @dataclass
@@ -270,7 +269,6 @@ def _thresholds(
     return PredicateThresholds(
         cor_threshold=region_keys * scale - 1,
         ind_threshold=max(0, round(sigma_ind * IND_DOMAIN) - 1),
-        cor_scale=scale,
     )
 
 

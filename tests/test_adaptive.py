@@ -97,13 +97,13 @@ class TestForcedSwitch:
         assert not advisor.decide(estimate).best.startswith("db")
 
     def test_switches_mid_query(self, switched_run):
-        report = switched_run.trace.metadata["adaptive"]
-        assert report["switched"]
-        assert report["initial_algorithm"].startswith("db")
-        assert not report["final_algorithm"].startswith("db")
-        (switch,) = report["switches"]
-        assert 0.0 < switch["at_progress"] < 1.0
-        assert switch["target_seconds"] < switch["projected_remaining"]
+        report = switched_run.adaptive
+        assert report.switched
+        assert report.path[0].startswith("db")
+        assert not report.path[-1].startswith("db")
+        (switch,) = report.switches
+        assert 0.0 < switch.at_progress < 1.0
+        assert switch.target_seconds < switch.projected_remaining
 
     def test_result_identical_to_oracle(self, switched_run, flip_case):
         diff = oracle.compare_tables(
@@ -112,8 +112,8 @@ class TestForcedSwitch:
         assert diff is None
 
     def test_label_names_the_path(self, switched_run):
-        report = switched_run.trace.metadata["adaptive"]
-        path = "->".join(report["path"])
+        report = switched_run.adaptive
+        path = "->".join(report.path)
         assert switched_run.algorithm == f"adaptive[{path}]"
 
     def test_abandoned_work_is_priced_on_the_trace(self, switched_run):
@@ -134,14 +134,14 @@ class TestForcedSwitch:
         assert "startup" not in switched_run.trace.names()
 
     def test_abandoned_rows_counted_as_discarded(self, switched_run):
-        report = switched_run.trace.metadata["adaptive"]
-        abandoned_rows = report["segments"][0]["rows_scanned"]
+        report = switched_run.adaptive
+        abandoned_rows = report.segments[0].rows_scanned
         assert abandoned_rows > 0
         assert switched_run.stats.hdfs_rows_discarded >= abandoned_rows
 
     def test_banked_t_prime_is_reused(self, switched_run):
-        report = switched_run.trace.metadata["adaptive"]
-        assert report["bank"]["db_filter_reuses"] >= 1
+        report = switched_run.adaptive
+        assert report.db_filter_reuses >= 1
         db_filter = switched_run.trace.phase("db_filter")
         assert db_filter.seconds == 0.0
         assert "banked" in db_filter.description
@@ -159,9 +159,9 @@ class TestForcedSwitch:
                 case.query)
 
         adaptive = run(AdaptiveJoin(estimate_errors=UNDERESTIMATE))
-        report = adaptive.trace.metadata["adaptive"]
-        assert tuple(report["path"]) == path
-        assert report["switches"][0]["at_progress"] == at_progress
+        report = adaptive.adaptive
+        assert report.path == path
+        assert report.switches[0].at_progress == at_progress
         correct = run(algorithm_by_name(path[-1]))
         mispick = run(algorithm_by_name(path[0]))
         seconds = tuple(result.timing.total_seconds
@@ -178,13 +178,11 @@ class TestForcedSwitch:
 class TestNoFalseSwitch:
     def test_accurate_estimates_never_switch(self, flip_case):
         result = AdaptiveJoin().run(_warehouse(flip_case), flip_case.query)
-        report = result.trace.metadata["adaptive"]
-        assert not report["switched"]
-        assert result.algorithm == (
-            f"adaptive[{report['final_algorithm']}]"
-        )
+        report = result.adaptive
+        assert not report.switched
+        assert result.algorithm == f"adaptive[{report.path[-1]}]"
         # Checkpoints still evaluated — and all voted to stay.
-        assert report["evaluations"]
+        assert report.evaluations
         assert oracle.compare_tables(
             result.result, flip_case.oracle_rows()) is None
 
@@ -192,17 +190,17 @@ class TestNoFalseSwitch:
         result = AdaptiveJoin(estimate_errors=(1.0, 1.0)).run(
             _warehouse(flip_case), flip_case.query
         )
-        assert not result.trace.metadata["adaptive"]["switched"]
+        assert not result.adaptive.switched
 
     def test_fault_plan_runs_collect_only(self, flip_case):
         injector = FaultInjector(FaultPlan.from_spec("crash:w2@scan"))
         result = AdaptiveJoin(estimate_errors=UNDERESTIMATE).run(
             _warehouse(flip_case), flip_case.query,
             ExecutionContext(faults=injector))
-        report = result.trace.metadata["adaptive"]
-        assert not report["switched"]
-        assert not report["evaluations"]  # checkpoints never consulted
-        assert report["segments"][0]["rows_scanned"] > 0  # stats flowed
+        report = result.adaptive
+        assert not report.switched
+        assert not report.evaluations  # checkpoints never consulted
+        assert report.segments[0].rows_scanned > 0  # stats flowed
         assert oracle.compare_tables(
             result.result, flip_case.oracle_rows()) is None
 
@@ -210,12 +208,12 @@ class TestNoFalseSwitch:
         """Once the run's one switch is spent, the budget left is zero:
         the post-switch segment collects statistics but no checkpoint
         consults a re-optimizer."""
-        report = switched_run.trace.metadata["adaptive"]
-        assert MAX_SWITCHES == 1 and len(report["switches"]) == 1
-        assert report["segments"][-1]["rows_scanned"] > 0  # stats flowed
-        assert report["evaluations"]
-        assert {record["incumbent"] for record in report["evaluations"]} \
-            == {report["initial_algorithm"]}
+        report = switched_run.adaptive
+        assert MAX_SWITCHES == 1 and len(report.switches) == 1
+        assert report.segments[-1].rows_scanned > 0  # stats flowed
+        assert report.evaluations
+        assert {record["incumbent"] for record in report.evaluations} \
+            == {report.path[0]}
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +249,13 @@ class TestReOptimizer:
         decision = reoptimizer.evaluate(collector, 0.5)
         assert decision is not None
         assert decision.target not in reoptimizer.exclude
-        assert decision.observed_sigma_l == pytest.approx(
+        # Costed on the observed sigma_L, not the underestimate.
+        observed = collector.observed_estimate(reoptimizer.base_estimate)
+        assert observed.sigma_l == pytest.approx(
             collector.rows_after_predicates / collector.rows_scanned
         )
+        assert decision.estimates \
+            == reoptimizer.advisor.estimate_all(observed)
 
     def test_below_min_progress_never_fires(self, flip_case):
         # The observations that switch at 0.5 are not even costed below
@@ -337,7 +339,7 @@ class TestHookSeam:
         result = algorithm_by_name("repartition").run(
             warehouse, flip_case.query
         )
-        assert "adaptive" not in result.trace.metadata
+        assert result.adaptive is None
         assert oracle.compare_tables(
             result.result, flip_case.oracle_rows()) is None
 

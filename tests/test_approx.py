@@ -221,8 +221,7 @@ def test_full_sample_reproduces_oracle(kind, algorithm):
 def test_full_sample_cells_are_exact(kind_fixtures):
     case, warehouse, exact_cells = kind_fixtures["sum"]
     join = ApproxJoin(sample_rate=1.0, seed=3)
-    join.run(warehouse, case.query)
-    estimate = join.last_estimate
+    estimate = join.run(warehouse, case.query).approx.estimate
     assert estimate.exact
     assert estimate.cells.keys() == exact_cells.keys()
     for key, cell in estimate.cells.items():
@@ -252,8 +251,7 @@ def test_interval_coverage_battery(kind_fixtures):
         for seed in BATTERY_SEEDS:
             join = ApproxJoin(sample_rate=BATTERY_RATE, confidence=0.95,
                               seed=seed)
-            join.run(warehouse, case.query)
-            estimate = join.last_estimate
+            estimate = join.run(warehouse, case.query).approx.estimate
             supported = supported_names - set(estimate.unsupported)
             tracker.record_cells(estimate.cells, exact_cells,
                                  supported=supported)
@@ -303,7 +301,7 @@ def test_sampled_speedup_over_exact_repartition(scan_dominated, rate):
         assert exact_seconds / run.total_seconds >= 1.0
     # One seeded draw, not a coverage rate (the battery above owns
     # that): sample seed 11 happens to cover every cell.
-    estimate = join.last_estimate
+    estimate = run.approx.estimate
     contained = [
         key in estimate.cells and estimate.cells[key].contains(truth)
         for key, truth in exact_cells.items()
@@ -336,7 +334,7 @@ def test_progressive_refines_monotonically_to_exact(kind_fixtures):
     case, warehouse, _ = kind_fixtures["count"]
     join = ApproxJoin(sample_rate=1.0, progressive=True, seed=4)
     run = join.run(warehouse, case.query)
-    snapshots = join.last_snapshots
+    snapshots = run.approx.snapshots
     assert len(snapshots) == snapshots[-1].blocks_total
 
     fractions = [snap.fraction_scanned for snap in snapshots]
@@ -358,11 +356,11 @@ def test_progressive_stops_early_on_error_target(kind_fixtures):
     case, warehouse, _ = kind_fixtures["count"]
     join = ApproxJoin(sample_rate=1.0, progressive=True, seed=11,
                       max_error=0.5)
-    join.run(warehouse, case.query)
-    estimate = join.last_estimate
+    report = join.run(warehouse, case.query).approx
+    estimate = report.estimate
     assert estimate.blocks_scanned < estimate.blocks_total
     assert estimate.blocks_scanned >= join.policy.min_blocks
-    assert join.last_snapshots[-1].max_relative_error() <= 0.5
+    assert report.snapshots[-1].max_relative_error() <= 0.5
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +385,7 @@ def test_approx_empty_join_matches_oracle(sample_rate):
     join = ApproxJoin(sample_rate=sample_rate, seed=2)
     run = join.run(warehouse, case.query)
     assert run.result.num_rows == 0
-    assert join.last_estimate.cells == {}
+    assert run.approx.estimate.cells == {}
     diff = oracle.compare_tables(
         run.result,
         oracle.oracle_execute(case.t_table, case.l_table, case.query),
@@ -469,9 +467,9 @@ class TestDegradedTier:
         for outcome in degraded:
             assert outcome.status == "ok"
             assert outcome.algorithm == "approx"
-            assert outcome.approx_report is not None
-            assert outcome.approx_report["cells"]
-            assert 0.0 < outcome.approx_report["fraction_scanned"] <= 1.0
+            approx = outcome.join_result.approx
+            assert approx.cells
+            assert 0.0 < approx.estimate.fraction_scanned <= 1.0
         assert "~approx@" in report.render()
         assert service.metrics.counter(
             "admission.degraded_to_approx").value >= len(degraded)
@@ -547,7 +545,8 @@ class TestDegradedTier:
         by_id = {outcome.ticket_id: outcome for outcome in report.outcomes}
         degraded = [o for o in (by_id[t.id] for t in tickets) if o.degraded]
         assert degraded
-        assert all(o.approx_report["sample_rate"] == 0.5 for o in degraded)
+        assert all(o.join_result.approx.policy.sample_rate == 0.5
+                   for o in degraded)
 
     def test_degraded_results_never_enter_result_cache(self, kind_fixtures):
         filler_case, warehouse, _ = kind_fixtures["count"]

@@ -181,6 +181,76 @@ class TestServeCli:
         assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
+class TestApproxCli:
+    """``repro approx`` prints what its sampled run scanned, the
+    refinement stream and one estimate line per cell."""
+
+    @pytest.fixture(autouse=True)
+    def small_warehouse(self, monkeypatch):
+        from repro import __main__ as cli
+
+        demo = cli._demo_warehouse
+        monkeypatch.setattr(cli, "_demo_warehouse",
+                            lambda: demo(scale=1 / 200_000))
+
+    @staticmethod
+    def expected():
+        """The demo query's blocks and its exact answer per group."""
+        from repro import __main__ as cli
+        from repro import build_paper_query
+        from repro.testkit.oracle import oracle_execute
+
+        warehouse, workload = cli._demo_warehouse()
+        query = build_paper_query(workload)
+        blocks = warehouse.hdfs.table_blocks(query.hdfs_table)
+        exact = oracle_execute(workload.t_table, workload.l_table, query)
+        return blocks, query, {str(row[0]): row[1:]
+                               for row in exact.to_rows()}
+
+    @staticmethod
+    def sections(out):
+        """Header lines, refinement-stream lines, estimate lines."""
+        head, _, estimates = out.partition("\nestimates:\n")
+        head, _, stream = head.partition("\nrefinement stream:\n")
+        return head.splitlines(), stream.splitlines(), \
+            estimates.splitlines()
+
+    def test_one_shot(self, capsys):
+        from repro.__main__ import main
+        from repro.approx import plan_block_sample
+
+        assert main(["approx"]) == 0
+        head, stream, estimates = self.sections(capsys.readouterr().out)
+        blocks, query, exact = self.expected()
+        sample = plan_block_sample(blocks, 0.25, 11, 4)
+        assert head[1].startswith(
+            f"scanned {sample.target_blocks}/{len(blocks)} blocks (25%), "
+            "simulated ")
+        assert stream == []
+        # The seed-11 quarter sample meets every group.
+        assert len(estimates) == len(exact) * len(query.aggregates)
+        for line, group in zip(estimates, sorted(exact)):
+            assert line.split()[0] == group
+            assert line.endswith(" @ 95%")
+
+    def test_progressive_full_rate(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["approx", "--progressive", "--rate", "1.0"]) == 0
+        head, stream, estimates = self.sections(capsys.readouterr().out)
+        blocks, query, exact = self.expected()
+        total = len(blocks)
+        assert head[1].startswith(f"scanned {total}/{total} blocks (100%)")
+        assert head[1].endswith(" — exact")
+        assert [line.split()[0] for line in stream] \
+            == [f"{scanned}/{total}" for scanned in range(1, total + 1)]
+        assert len(estimates) == len(exact) * len(query.aggregates)
+        for line, group in zip(estimates, sorted(exact)):
+            name, _aggregate, value, interval = line.split()
+            assert (name, interval) == (group, "exact")
+            assert float(value) == exact[group][0]
+
+
 class TestChaosCli:
     """``repro chaos`` checks every faulted run against the oracle."""
 

@@ -78,8 +78,8 @@ def test_adaptive_run_beside_a_plain_run(fast_switching):
     case = generator.edge_case("zipf-skew")
     expected = case.oracle_rows()
     adaptive = AdaptiveJoin(estimate_errors=(1.0, 0.1))
-    alone = adaptive.run(_loaded(case), case.query).trace.metadata["adaptive"]
-    assert alone["switched"]
+    alone = adaptive.run(_loaded(case), case.query).adaptive
+    assert alone.switched
 
     adaptive_warehouse, plain_warehouse = _loaded(case), _loaded(case)
     adaptive_results, plain_results = [], []
@@ -102,9 +102,8 @@ def test_adaptive_run_beside_a_plain_run(fast_switching):
     assert len(adaptive_results) == ADAPTIVE_RUNS and plain_results
     for result in adaptive_results + plain_results:
         assert oracle.compare_tables(result.result, expected) is None
-    assert all("adaptive" not in result.trace.metadata
-               for result in plain_results)
-    assert [result.trace.metadata["adaptive"] for result in adaptive_results] \
+    assert all(result.adaptive is None for result in plain_results)
+    assert [result.adaptive for result in adaptive_results] \
         == [alone] * ADAPTIVE_RUNS
 
 

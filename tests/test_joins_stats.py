@@ -88,13 +88,15 @@ class TestAccountingConsistency:
 
     def test_db_side_join_moves_hdfs_rows_to_db(self, results):
         stats = results["db"].stats
-        assert stats.hdfs_tuples_to_db == stats.hdfs_rows_after_bloom
+        assert results["db"].trace.phase("hdfs_to_db").tuples \
+            == stats.hdfs_rows_after_bloom
         assert stats.hdfs_tuples_shuffled == 0
         assert stats.db_tuples_sent == 0
 
     def test_broadcast_copies_recorded(self, results):
         stats = results["broadcast"].stats
-        assert stats.db_send_copies == 30
+        copies = results["broadcast"].trace.phase("db_broadcast").tuples
+        assert copies / stats.db_tuples_sent == 30
         assert stats.hdfs_tuples_shuffled == 0
 
     def test_bloom_bytes_at_paper_scale(self, results):
@@ -125,13 +127,13 @@ class TestJoinStatsScaling:
             hdfs_tuples_shuffled=100.0,
             db_tuples_sent=10.0,
             bloom_bytes_moved=16.0,
-            db_send_copies=30.0,
+            hot_keys_detected=30.0,
         )
         scaled = stats.scaled(1000.0)
         assert scaled.hdfs_tuples_shuffled == 100_000.0
         assert scaled.db_tuples_sent == 10_000.0
         assert scaled.bloom_bytes_moved == 16.0
-        assert scaled.db_send_copies == 30.0
+        assert scaled.hot_keys_detected == 30.0
 
     def test_summary_mentions_algorithm(self, results):
         assert "zigzag" in results["zigzag"].summary()

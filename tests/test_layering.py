@@ -8,8 +8,9 @@ module whose statements name a module it must not, or, for the oracle,
 on any name outside its allow-list.  The option surface of the service,
 admission, skew, adaptive and fault planes and of a run's execution
 context is pinned field by field and parameter by parameter, ``Jen``
-keeps no state across runs, and every definition must have a caller
-outside ``tests/``.
+keeps no state across runs, a trace's metadata carries only
+``bytes_shipped``, every definition must have a caller outside
+``tests/`` and every field, constant and ``self`` store a reader there.
 """
 
 from __future__ import annotations
@@ -366,6 +367,38 @@ def self_assignments(path: str, name: str) -> Dict[str, List[str]]:
     return found
 
 
+def metadata_writes() -> List[tuple]:
+    """``(module, line, key)`` of every ``<x>.metadata[key] = ...``
+    store and every ``<x>.metadata.update`` / ``.setdefault`` call
+    (its method name as the key) under ``src/repro``."""
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = module_name(path)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "metadata"):
+                key = node.slice.value \
+                    if isinstance(node.slice, ast.Constant) else None
+                found.append((module, node.lineno, key))
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("update", "setdefault")
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "metadata"):
+                found.append((module, node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_trace_metadata_carries_only_bytes_shipped():
+    """What a run's planes observed rides its ``JoinResult`` as typed
+    fields; the trace's metadata holds only the ``bytes_shipped``
+    classification, written where every run is finished."""
+    assert [(module, key) for module, _, key in metadata_writes()] \
+        == [("repro.core.joins.base", "bytes_shipped")]
+
+
 def test_jen_keeps_no_state_across_runs():
     """A run's membership and fault plan ride its own ``RunCluster``;
     past its constructor, ``Jen`` never changes an attribute, so two
@@ -485,3 +518,96 @@ def test_every_definition_has_a_caller_outside_tests():
     assert sorted(uncalled - set(TEST_ONLY)) == []
     assert sorted(set(TEST_ONLY) - uncalled) == []
     assert set(TEST_ONLY.values()) <= {REFERENCE_MODEL, ACCESSOR}
+
+
+#: Fields, class attributes, constants and ``self`` stores under
+#: ``src/repro`` that only ``tests/`` reads, and why each stays.
+TEST_ONLY_FIELDS = {
+    "repro.core.joins.base.JoinResult.join_slot_loads": ACCESSOR,
+    "repro.core.joins.base.JoinStats.hdfs_rows_after_bloom": ACCESSOR,
+    "repro.core.joins.base.JoinStats.hdfs_rows_discarded": ACCESSOR,
+    "repro.core.joins.base.JoinStats.hot_keys_detected": ACCESSOR,
+    "repro.core.joins.base.JoinStats.hot_tuples_rerouted": ACCESSOR,
+    "repro.edw.worker.DbWorker.server_id": ACCESSOR,
+    "repro.jen.scheduler.StealPlan.post_balance": ACCESSOR,
+}
+
+
+def stored_names(node) -> List[str]:
+    """The plain names an assignment statement binds."""
+    targets = node.targets if isinstance(node, ast.Assign) \
+        else [node.target]
+    return [part.id for target in targets for part in ast.walk(target)
+            if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Store)]
+
+
+def field_definitions(path: Path):
+    """``(qualname, name, statement)`` of every module constant, every
+    field or attribute a class body assigns (enum members included) and
+    every ``self.<attr>`` a method stores."""
+    found = []
+    tree = ast.parse(path.read_text(), str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found += [(name, name, node) for name in stored_names(node)]
+    pending = [("", node) for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    while pending:
+        prefix, cls = pending.pop()
+        qualname = prefix + cls.name
+        for node in cls.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                found += [(f"{qualname}.{name}", name, node)
+                          for name in stored_names(node)]
+            elif isinstance(node, ast.ClassDef):
+                pending.append((qualname + ".", node))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for statement in ast.walk(node):
+                    if not isinstance(statement, (ast.Assign, ast.AnnAssign,
+                                                  ast.AugAssign)):
+                        continue
+                    targets = statement.targets \
+                        if isinstance(statement, ast.Assign) \
+                        else [statement.target]
+                    found += [
+                        (f"{qualname}.{part.attr}", part.attr, statement)
+                        for target in targets for part in ast.walk(target)
+                        if isinstance(part, ast.Attribute)
+                        and isinstance(part.ctx, ast.Store)
+                        and isinstance(part.value, ast.Name)
+                        and part.value.id == "self"]
+    return found
+
+
+def unread_fields() -> Set[str]:
+    """Qualified names of the fields, constants and ``self`` stores
+    outside ``repro.testkit`` whose name nothing in
+    :func:`caller_files` reads outside the statement that binds it."""
+    sites: Dict[str, List[tuple]] = {}
+    for path in caller_files():
+        for name, line in references(path):
+            sites.setdefault(name, []).append((path, line))
+    unread = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = module_name(path)
+        if module.startswith("repro.testkit"):
+            continue
+        for qualname, name, node in field_definitions(path):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(site != path or line not in own
+                       for site, line in sites.get(name, ())):
+                unread.add(f"{module}.{qualname}")
+    return unread
+
+
+def test_every_field_has_a_reader_outside_tests():
+    """A field, class attribute, constant or ``self`` store nobody
+    outside ``tests/`` reads is deleted with its writers;
+    ``TEST_ONLY_FIELDS`` is the exact exception list, so a stale entry
+    fails too."""
+    unread = unread_fields()
+    assert sorted(unread - set(TEST_ONLY_FIELDS)) == []
+    assert sorted(set(TEST_ONLY_FIELDS) - unread) == []
+    assert set(TEST_ONLY_FIELDS.values()) <= {REFERENCE_MODEL, ACCESSOR}

@@ -558,13 +558,13 @@ def test_forced_switch_fires_at_the_same_block():
 
     result = AdaptiveJoin(estimate_errors=(1.0, 0.1)).run(
         warehouse, case.query)
-    report = result.trace.metadata["adaptive"]
-    assert report["switched"]
-    abandoned = report["segments"][0]
-    assert abandoned["total_blocks"] == len(queue_order)
-    assert abandoned["blocks_done"] == switch_block
-    assert abandoned["rows_scanned"] == rows_until_switch
-    assert report["switches"][0]["at_progress"] == pytest.approx(
+    report = result.adaptive
+    assert report.switched
+    abandoned = report.segments[0]
+    assert abandoned.total_blocks == len(queue_order)
+    assert abandoned.blocks_done == switch_block
+    assert abandoned.rows_scanned == rows_until_switch
+    assert report.switches[0].at_progress == pytest.approx(
         switch_block / len(queue_order))
     assert oracle.compare_tables(result.result, case.oracle_rows()) is None
 

@@ -474,7 +474,7 @@ class TestSkewDifferential:
             )
             oracle.assert_equivalent(result.result, reference)
             loads = np.asarray(
-                result.trace.metadata["join_slot_loads"], dtype=float
+                result.join_slot_loads, dtype=float
             )
             observed.append((
                 np.percentile(loads, 99) / max(np.percentile(loads, 50), 1),

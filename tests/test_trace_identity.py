@@ -1,8 +1,12 @@
 """Pinned traces: every algorithm under every plane, hashed.
 
 Each cell runs one algorithm under one setting and hashes a canonical
-dump of everything the run produced: the result rows in engine order,
-the :class:`~repro.core.joins.base.JoinStats`, the trace metadata and
+dump of its :class:`~repro.core.joins.base.JoinResult` record: the
+result rows in engine order, the
+:class:`~repro.core.joins.base.JoinStats`, the trace's
+``bytes_shipped`` classification, the plane fields (``join_slot_loads``
+and the ``adaptive`` and ``approx`` reports, down to every switch
+decision, segment statistic and snapshot cell, as plain values) and
 every phase in trace order (name, kind, ``repr`` of the simulated
 seconds, after, streams_from, volume_bytes, tuples, description).  A
 change to the join pipeline that moves any of them fails here.
@@ -44,6 +48,7 @@ from repro.config import ClusterConfig
 from repro.core.joins.base import ExecutionContext, valid_algorithm_names
 from repro.faults import FaultInjector, FaultPlan
 from repro.latemat import set_late_materialization_enabled
+from repro.relational.table import Table
 from repro.testkit.generator import edge_case, skewed_case
 
 #: Every registered name, plus a forced adaptive switch (the 10x sigma_L
@@ -114,7 +119,11 @@ def run_cell(variant: str, setting: str):
 
 
 def _plain(value):
-    """``value`` as JSON-ready builtins, deterministically."""
+    """``value`` as JSON-ready builtins, deterministically: a table is
+    its rows, and an object with no plain form is an error, never its
+    ``repr``."""
+    if isinstance(value, Table):
+        return _plain(value.to_rows())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {field.name: _plain(getattr(value, field.name))
                 for field in dataclasses.fields(value)}
@@ -129,7 +138,7 @@ def _plain(value):
         return value.item()
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    return repr(value)
+    raise TypeError(f"no plain form for a {type(value).__name__}")
 
 
 def dump(result) -> dict:
@@ -138,7 +147,10 @@ def dump(result) -> dict:
         "algorithm": result.algorithm,
         "rows": _plain(result.result.to_rows()),
         "stats": _plain(result.stats),
-        "metadata": _plain(result.trace.metadata),
+        "bytes_shipped": _plain(result.trace.metadata["bytes_shipped"]),
+        "join_slot_loads": _plain(result.join_slot_loads),
+        "adaptive": _plain(result.adaptive),
+        "approx": _plain(result.approx),
         "phases": [
             [phase.name, phase.kind, repr(phase.seconds),
              list(phase.after), list(phase.streams_from),
@@ -188,81 +200,81 @@ def benchmark_op(workload: str) -> dict:
 
 
 PINS: Dict[str, str] = {
-    "adaptive/classic": "fbdea7b75a242e1d09e90138dd8eba1fd426d9ce87136a996af6e5b783c77b0d",
-    "approx/classic": "f85b3dad40a54c12fb5c3ca0d557d6a693f2e0f0b86b434b681b640f59038b76",
-    "approx(BF)/classic": "846a5e4853331e29904e7673f6046b05a39a5c955d5db87f0c12ff63306b816e",
-    "broadcast/classic": "4c0341139955ee8c448a49bdd385354467fa95bf3335fb7c4484ca7f7bad52f5",
-    "db/classic": "a3283776c660f3c641f65ceae113fca11390cdfd6d4808a4e30e4dea2eb27f7d",
-    "db(BF)/classic": "e0c8a9baf9b549f62ce5c4c50808a7716a34e5dd926717e0f625c22607e28dfe",
-    "perf/classic": "1e4797a760c9cf7a3e895e883d3d40d7b21cca77e44c7ef67d319f742348929b",
-    "repartition/classic": "43275ab5f77bbc65b523df2f2836756d9d5eb71e4fd8bb72cfd9322ec2ee50fd",
-    "repartition(BF)/classic": "3d60b6de50eb9ea92ea1b8f903c027d1e2a184e3ff551636d23347ef20811779",
-    "semijoin/classic": "cb1c15b8de14ebf988500fddf16fd46d42f2a0b50ccc19d698b1e37d8e020af9",
-    "zigzag/classic": "4bb4fc1931629edec3f1167c6350b2d23069bd7a6f6eb310d4cda00f13c1b0d7",
-    "zigzag-db/classic": "32d593ff226e37bbf4a7ac248a3da1e33b297f8a75d5c10be77c4bfe10c0d19e",
-    "adaptive[switch]/classic": "9f3230aac156f452f4740d8772aacf70088739276e59daaecabb762a0e7ec275",
-    "approx@0.25/classic": "686967076a4522d5236ffc2918a83ad907e973b0d4c29cbf4b5ed7737519484e",
-    "adaptive/latemat": "ce0bd7a8c3420220d745f1acc17e1edf4acdb3abff9ec41bcd59880b3034bea9",
-    "approx/latemat": "abbb5f57515558239f6a634577bd3a1deca123523dc052dae22b02efea3fd807",
-    "approx(BF)/latemat": "806e8b23e27457ccb121ab61b124b04a54362c5a9f36818fdbccc36bd338c2b1",
-    "broadcast/latemat": "6b35ddbaef50be1b856da5a01ad0d9045abf85ca19cabc7789005f4da52f464e",
-    "db/latemat": "1c3d16a13eaa2127c314e06a3392599eba86d28f862bec655ea259c1249c320f",
-    "db(BF)/latemat": "4a8f201c1d4af4b85119f740989b97073c6a7d0a660811eed2ac05d1e9f010fd",
-    "perf/latemat": "2b14582a4fb46e2a71d294d29d9cd2f4dd7acf1c8bb8067481c766d69e4aa12b",
-    "repartition/latemat": "1a69bf1fb06343e29c479e58290452eeec9713d66af7a3fe322ba7fc350e7d3c",
-    "repartition(BF)/latemat": "95830e0936e5e89b32dee41d76c78864b9b441a1d0e48cd05b0f794501e72a1b",
-    "semijoin/latemat": "24f9e7ceec1438e22d9a775959fbaaed24eac91c4c2e29ebaa8745f9f1d6bee3",
-    "zigzag/latemat": "97743e8da4a9121482e3298caab4b9806e2ebb3a33982625ba817b0c1b919305",
-    "zigzag-db/latemat": "70f158af3420624623756ec2fe8087ee10241bd9fc4f0c44b6c4e82706fa11cd",
-    "adaptive[switch]/latemat": "22b0c4c6ff798df10cb761713f7f883f2bd0a051cf7683cb7650576c51389f56",
-    "approx@0.25/latemat": "2de830fb26938566a894a588d744b02a1e9118bc6844c78f07d27b5d3bdc6266",
-    "adaptive/skew": "cfc4ab6ec47d30e8b7256099f75062e531a1e72723b69aa4503ba85113c55c9b",
-    "approx/skew": "2f72f4014f28bbe76211bc4a2fc00975fea6ebb822794be71534703250872cc7",
-    "approx(BF)/skew": "a3bbeeb4ca2f9b5df9a7639b704bea79178153e37433ca199b7eaace5f031d14",
-    "broadcast/skew": "7eeb1679576880f2284cf48a4dc1753bcd993c7b70b36f2686fed9a4495b6b13",
-    "db/skew": "6d71874ab167c5317ca361a5113b2bd6c71a9ee7548f2342638cc7fa9a607595",
-    "db(BF)/skew": "fb0bc882894020f1f30041dcebeb88e60b6dcf655b6eb3033cc5dc0b69131837",
-    "perf/skew": "4745516e0cbd204695932e74235f09b10e6c26d479100a1c26de43269a522a2d",
-    "repartition/skew": "ceb43b69397565591370033ef1f977ad370004637c45d403272f048fcad49909",
-    "repartition(BF)/skew": "7e27c9120e070b43a3e6a07be46cfac9d95f70543fad36fe9e4ad437c7248eda",
-    "semijoin/skew": "53985438132f2f27a82d7575535616f7f781c165cb5cc55f1f8112a52ae34a55",
-    "zigzag/skew": "b83ef386b39976405234e9f2284fa624083eab3214c1703dffd849f898d768fa",
-    "zigzag-db/skew": "6b33f7d47064d629a025dab40e59dc0bfa74da136047112090bf51c10910e957",
-    "adaptive[switch]/skew": "9716d668d79a7b670d496f0f0817ec1ea6988afe342163d1fb2987e66abb1968",
-    "approx@0.25/skew": "1c68bc243455f2204e0afe59fb7fb9ee7e38dad883620659c7b07dcf4417046d",
-    "adaptive/spill": "befd4575dd6cd90897986ae4c6a6534fe00d6ace4596714aca1b1c2d222abac8",
-    "approx/spill": "f85b3dad40a54c12fb5c3ca0d557d6a693f2e0f0b86b434b681b640f59038b76",
-    "approx(BF)/spill": "846a5e4853331e29904e7673f6046b05a39a5c955d5db87f0c12ff63306b816e",
-    "broadcast/spill": "d8d5e5d40d8173edbb55faee9de808ea2e6eae2099e6683910dbeb559a24ca1c",
-    "db/spill": "a3283776c660f3c641f65ceae113fca11390cdfd6d4808a4e30e4dea2eb27f7d",
-    "db(BF)/spill": "e0c8a9baf9b549f62ce5c4c50808a7716a34e5dd926717e0f625c22607e28dfe",
-    "perf/spill": "0010501479fd72e7a548f7207826f049b107a670dea2237f8d1c245e8b7d31d8",
-    "repartition/spill": "a49dd302623edf646a3eee9a40f013374bedc559b3578498fbb5ff814adcb523",
-    "repartition(BF)/spill": "90832ce9521962e137aef29d1397109964f5642e59b03f8c97f67b50387ffc78",
-    "semijoin/spill": "9920a5d6d3c7334d0b00b6c1b5a4936fc84ba1e10eac699ad7a2b2e7bd2d00b8",
-    "zigzag/spill": "806e021868cf9f27c15198011da09b8231d1b30aacaa0e88034b805a53dce952",
-    "zigzag-db/spill": "32d593ff226e37bbf4a7ac248a3da1e33b297f8a75d5c10be77c4bfe10c0d19e",
-    "adaptive[switch]/spill": "1468be455a4709bd24ef07b64c7bf72523d367b19591972470e3d51dab99b534",
-    "approx@0.25/spill": "686967076a4522d5236ffc2918a83ad907e973b0d4c29cbf4b5ed7737519484e",
-    "adaptive/crash": "65d0b95a41495e3e246241bfc80a3e2818f2832e9ff7c7a55131d2684e0160b5",
-    "broadcast/crash": "1a562baef1015a0834f51a0317b0efc272195f501ea78c79de150da8f01215b1",
-    "db/crash": "fa543ba61049ea587be9081048e7a1d702febde713ecfbe79bcaf36a043bdc10",
-    "db(BF)/crash": "71ab9244fddcfc42c79c5df050b050dee5adf8a0304e00cad7f2d9ac0d6d9948",
-    "perf/crash": "a5cc184e31dc551ec8deef60cd0bc6845c27e6f34d59e53338743e06c6aa0cb5",
-    "repartition/crash": "3dc6674826daf20c8ce60a46f9ff4cebdcc566ca309880932c94b15b0665bf06",
-    "repartition(BF)/crash": "583eba2cd4dea99e58e5e0ba76c1471325b0a6c7d54c69cc1d0a50661c222709",
-    "semijoin/crash": "e918caaf6b9e791e62ba03e82d3b301f96305b6b564ef667b515b33a5d0e0f55",
-    "zigzag/crash": "e40fca2f135019ab2204ac49f63f0e925b655439dce157c028f2d8b6f51430fb",
-    "zigzag-db/crash": "bc3836ba22546532fa75f873cba07eb72b83582e5306e62a12df243bdac7c49f",
-    "adaptive[switch]/crash": "beb35ab990190edf314a136f31cfd582a6d3531a168b5826d8e79ae5754aa83c",
+    "adaptive/classic": "02e478ab1b67486dd4e1fe852a0b92ccd786a8e41031fe9f65852da3d8919bd0",
+    "approx/classic": "854809b0f3b86a4fe0b85ab145f50d65878079bddc11402beadff5ac09c50e5b",
+    "approx(BF)/classic": "d95a3194a7a1b4d3e9c667cc8ef0b6e3321b801fc0334d80103be3984c1d17a3",
+    "broadcast/classic": "2573b6dbf2298a22c7e7edb78f3172aae319df693c879a092ae78883a714e5c5",
+    "db/classic": "1701b54abcfff134203acce78d31247f2b45fbeef33e8042e983c8bbd4272cb3",
+    "db(BF)/classic": "ece60d56f764ac013312d7093cd0939a08dd4121b4a2da6a09d8b4fd7465b4c1",
+    "perf/classic": "82bc37db5fcdfe43216be41fdcd445c36e2fd1033102dbebf823b0ad95f24027",
+    "repartition/classic": "5dfd210148911d9d3db5efd581771ef2550939470664602cab4ff9a91ed1fab4",
+    "repartition(BF)/classic": "8762b59a408443d814d3938a11b9229193c806da296c053187bee0a6a263a00d",
+    "semijoin/classic": "d401b8f8909fd414cd0c5dd8cd295e0a455e529598230be307329eb798101a55",
+    "zigzag/classic": "95d357a6325243f4b6ae2812aaad34a6be667051e9ca194a697a71b495f22e48",
+    "zigzag-db/classic": "39c71615863ee4e2547c75b3b07c70201e0f201d5acfa44b82e4b5c13b846890",
+    "adaptive[switch]/classic": "532b20d2a1a6162e7a7158eec722cdfc84a0ffc442429cc778370cc9f4744878",
+    "approx@0.25/classic": "a1833a3cead1f3784e40529ad4dd57ca13b5c039b8dcf7a478c83d2b8c325648",
+    "adaptive/latemat": "6265177546816bdeb5438bbaf74af30d062a7e19146e507b0658e8fa8b911bda",
+    "approx/latemat": "a4f607814fde46a980ef08b1b38ac01779cfcdfd01a4ceb653ed4e1cf8cfe260",
+    "approx(BF)/latemat": "335d61ff28b25a5184af1b32b864bdd06045e9f5c5f70f0975409f59118e1e63",
+    "broadcast/latemat": "bd9e3aec6301b5aee53831481b86f93d1556b611cb26c492c320f696eb6c708a",
+    "db/latemat": "2b2dceedb52b9727f0ed82c8e283ff149acdacdc3ae57c447e2fd4f3510cfb3d",
+    "db(BF)/latemat": "f06527b9dd446f395000bd0b1b223657018a9f1ee8897cc0bc19b297a84d3292",
+    "perf/latemat": "2c5eafd412e8baf266486fbfea16f5216b7699f9970617598b0cf36a0f53a72b",
+    "repartition/latemat": "a754560b42fa1356e20a52a0f22e3fdcbf47459a39f6f00764df91eedcaa9c17",
+    "repartition(BF)/latemat": "083258a4736a443651051d5ea87a1fbbfe7428e23dd943305ed67438584a9b98",
+    "semijoin/latemat": "c370d3e31bde5551bd7827183a030104a5b87772697659a4efcd8bb1a1ea93d3",
+    "zigzag/latemat": "35472c420c2c00cf6b23eeb5e20b878ffd10289c1adc8ce0297dc2828fcc5b70",
+    "zigzag-db/latemat": "b69e4f15e45e6fab5fcfd273f2ef3dfada1f7e714e9f53322cfb3c3838466856",
+    "adaptive[switch]/latemat": "a4e88af06af1406ff64900b8ec3689f56cb7113be6603fbae108de4365a1f4ba",
+    "approx@0.25/latemat": "c3785aa4f9dadfc3c3dfcc2bc9bead3a59938cf7a76a7cee851c7acfac8beb31",
+    "adaptive/skew": "12a8c2e2614ec60bdfe7954ecbc3ea166da6d0d223dbcefeb0f562b6d2a5734c",
+    "approx/skew": "de97f187dc836e3b9eb3fdb48bf5b8091066dc08875aea6171ff9bb9f76992be",
+    "approx(BF)/skew": "b7f0da22eafcfcc8772944636fdbb1232ec8a3a196d7af1dd62c23dcc6967284",
+    "broadcast/skew": "8196c7b264863ea02907b73317c02a19bb920a65e59a7d719b8c3b2adec25011",
+    "db/skew": "02b5bef7811da5376cc474a6de8254f4d854ed892c5f53508a283926e89b4ea2",
+    "db(BF)/skew": "8780584700cb526bb35554df096f569d7c2d70242100e065fabc251d32d0a50e",
+    "perf/skew": "c48b4a0ec70cd4c27bf7c333afcef9f68dcec003424c9806c278aa3646351079",
+    "repartition/skew": "a45155236b3dc06da2ac4448cec3308c87c72cdb91bb842aab88e85dce8815c9",
+    "repartition(BF)/skew": "47a9b1be0d29ec1bfe7570d03413ac6514a3970c329c4b16073ca3eeed29020e",
+    "semijoin/skew": "981e90e01a343be67023047769e5e27ba6fa3f1da45a80433f8f434baa513ee3",
+    "zigzag/skew": "be25dafcf6561b8d8be082975ec8e324c6ecb3e9af5e0da03312d12236b8a252",
+    "zigzag-db/skew": "a8f105867ecb62ae8b79af16aea41000aa97a5fb1fb3bb33db3664d9b45e8af5",
+    "adaptive[switch]/skew": "88156282e02ab941a3f5e8684b27a01ea1a7afa1cfb63365d1b6f200f7aedc7e",
+    "approx@0.25/skew": "fef444daf021605970fa9df50b216ba28643d493692f5366d9aa751ab9a3e1a8",
+    "adaptive/spill": "f7a24941ba370772c37231878fe913ff4b6b79b13e57268f31794b8dfa50cc5c",
+    "approx/spill": "854809b0f3b86a4fe0b85ab145f50d65878079bddc11402beadff5ac09c50e5b",
+    "approx(BF)/spill": "d95a3194a7a1b4d3e9c667cc8ef0b6e3321b801fc0334d80103be3984c1d17a3",
+    "broadcast/spill": "9721eaba87a0caf75c0fab684c564fc19226e50a22c54a96a2ec9ef46d9d562b",
+    "db/spill": "1701b54abcfff134203acce78d31247f2b45fbeef33e8042e983c8bbd4272cb3",
+    "db(BF)/spill": "ece60d56f764ac013312d7093cd0939a08dd4121b4a2da6a09d8b4fd7465b4c1",
+    "perf/spill": "b23d7cf7e94220dae3006cdb6a286927f171c3d774e4fe4c7ea6f7526ee122cf",
+    "repartition/spill": "fef819c157f33313eb73c98a72330904cfb496ec1c2d7cbf7a5209062d3833d4",
+    "repartition(BF)/spill": "6afe4e9048b6fe4c87feaacd84ae95f9f3d0fa2f213aafc1f1f61fad68d05dc5",
+    "semijoin/spill": "315f2e1867a92b2987ea86d3447a9dbd20a42effe0963b8239f339e863c7d3d4",
+    "zigzag/spill": "5ceac930cd28ed671820c0eb49386e289eb8208db02f3f44a1d53b83539ba253",
+    "zigzag-db/spill": "39c71615863ee4e2547c75b3b07c70201e0f201d5acfa44b82e4b5c13b846890",
+    "adaptive[switch]/spill": "7004c1e81c48d2a7edd418978f9ef43ff40b4cafaf3c99455950f5bd149ddda4",
+    "approx@0.25/spill": "a1833a3cead1f3784e40529ad4dd57ca13b5c039b8dcf7a478c83d2b8c325648",
+    "adaptive/crash": "c1493e84768efbb4f06af6f1f9b06b67438958b2a945f2ad70838c38a99249d3",
+    "broadcast/crash": "b27c2086b59d4cb333a990c0aed0b7a0c0d082570f31404460e794d354d85f60",
+    "db/crash": "65a215ddd58737eace6fda8aca7d567c1d2e3b00a77268e50999b120bf69719f",
+    "db(BF)/crash": "3ccffd1e698ad14c28f115c4f99070dcd7c9f26f22b56ecb3d60967312edfb81",
+    "perf/crash": "e073f3c9986280afaeddebce229ba76e92585247abee42217934f0168421780f",
+    "repartition/crash": "606e73cd01547727ff0db0bfd065bcedef9de0f2fc75cc8363b67fdd4076bfa7",
+    "repartition(BF)/crash": "9c5eeaeb152490443b9c8f5d406318ba0fa41434255f75671c53ec89f9003962",
+    "semijoin/crash": "f04c5f5f75e31dd2cbf460cb900174e57641e10229ca574b7c00b1c1d4577228",
+    "zigzag/crash": "21ba68c02824d58187541567233432408fd68744316ecb4ede5f91255fc6ff24",
+    "zigzag-db/crash": "7278f8132c267ecd2f88049a6e2d5b6fbeece50c1ae6d48a6cbcbd3f6ed969c9",
+    "adaptive[switch]/crash": "40875d5c9aea99d235e0a92639088f41083555b2ebf24fc1fc0ca8d3ceb5dd4e",
 }
 
 
 BENCHMARK_PINS: Dict[str, str] = {
-    "scan_zigzag": "2472136027aa2b01e59de9eb8fa33a8f6fdaa10ef16a895aa748f4a73c7f2b5a",
-    "shuffle_repartition": "2e378cf81ec22d3c3640011a2c5fa615bfe6bf7cb53a4fe8a9d24dc5f4392c1d",
-    "db_thin_text": "8037b2c50eac218b52bb226638c9c2da5b82ccfc07c612f95e5a169a1ece65fc",
-    "service_stream": "9060b59478719bb3e8a774a89725d4a21c483ff7bcee2a783b238434ad2d833f",
+    "scan_zigzag": "58056103d1bfc472ee4c5a88503e7656aee8ce54a8c46472a0b655decf355e71",
+    "shuffle_repartition": "53be4f9b9a7da5c3f3119622746dad5a2cd0cf102f317aac196da082cd8ac11e",
+    "db_thin_text": "6399aa71ff27a1ed8e80413d6ac8074346262a8307c30ef765e0206ed4764660",
+    "service_stream": "bb253f482d1cbe24ace8bcfb2e518ae4336b5693badb735394724b36f61d4e16",
 }
 
 
@@ -308,7 +320,7 @@ def test_the_second_scan_is_priced_like_the_first(setting):
 def test_the_settings_engage():
     """Each setting changes what it is meant to change."""
     assert run_cell("adaptive[switch]", "classic") \
-        .trace.metadata["adaptive"]["switched"]
+        .adaptive.switched
     skewed = run_cell("repartition", "skew")
     assert skewed.stats.hot_keys_detected > 0
     assert {"jen_hot_relay", "work_steal"} <= set(skewed.trace.names())

@@ -322,13 +322,12 @@ class TestEngineReference:
         assert_same_schedule(trace, chunks, pipelining)
 
     def test_cells_cover_spliced_grafted_and_sampled_traces(self):
-        traces = [test_trace_identity.run_cell(*cell).trace
-                  for cell in CELLS]
+        runs = [test_trace_identity.run_cell(*cell) for cell in CELLS]
         assert any(phase.kind == "recovery"
-                   for trace in traces for phase in trace)
-        assert any(trace.metadata.get("adaptive", {}).get("switched")
-                   for trace in traces)
-        assert any("approx" in trace.metadata for trace in traces)
+                   for run in runs for phase in run.trace)
+        assert any(run.adaptive is not None and run.adaptive.switched
+                   for run in runs)
+        assert any(run.approx is not None for run in runs)
 
     @given(graph=st.lists(
         st.tuples(
