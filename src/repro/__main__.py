@@ -132,9 +132,13 @@ def _cmd_serve(args) -> int:
                 confidence=args.approx_confidence,
                 max_error=args.approx_max_error,
             )
+        # A degrading service queues four rounds of its slots (32 at the
+        # default 8), so a narrow cluster degrades past three queued.
         config = ServiceConfig(
             admission=AdmissionConfig(
-                slots=args.slots, degrade_to_approx=args.approx_degrade),
+                slots=args.slots, degrade_to_approx=args.approx_degrade,
+                max_queue=(4 * args.slots if args.approx_degrade
+                           else AdmissionConfig.max_queue)),
             enable_adaptive=args.adaptive,
             approx_policy=approx_policy)
     except ServiceError as exc:

@@ -84,37 +84,26 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
             f"row counts for {num_destinations}"
         )
 
-    tuples_shuffled = 0
-    tuples_remote = 0
-    retries = 0
-    duplicates_suppressed = 0
-    # accepted[destination][sender]: copies of the message accepted.
-    accepted = [[0] * num_senders for _ in range(num_destinations)]
-    for destination, sizes in enumerate(routed.T.tolist()):
-        seen_senders = set()
-        for sender, size in enumerate(sizes):
-            copies = 1
-            if faults is not None and sender != destination:
-                # Local messages never touch the network; remote ones
-                # can be dropped (re-sent) or duplicated (lost ACK).
-                duplicated, failures = faults.deliver(
-                    "shuffle", sender, destination
-                )
-                retries += failures
-                if duplicated:
-                    copies = 2
-            for _ in range(copies):
-                if sender in seen_senders:
-                    duplicates_suppressed += 1
-                    continue
-                seen_senders.add(sender)
-                accepted[destination][sender] += 1
-                tuples_shuffled += size
+    # Every receiver accepts exactly one copy of each message, so the
+    # counts follow from ``routed``; a faulted run walks the remote
+    # messages through the injector for its retries and duplicates.
+    tuples_shuffled = int(routed.sum())
+    tuples_remote = tuples_shuffled - int(np.trace(routed))
+    retries = duplicates_suppressed = 0
+    if faults is not None:
+        for destination in range(num_destinations):
+            for sender in range(num_senders):
                 if sender != destination:
-                    tuples_remote += size
+                    # Local messages never touch the network; remote
+                    # ones can be dropped (re-sent) or duplicated (lost
+                    # ACK, the copy suppressed).
+                    duplicated, failures = faults.deliver(
+                        "shuffle", sender, destination)
+                    retries += failures
+                    duplicates_suppressed += bool(duplicated)
     for observer in observers:
         observer.check_shuffle_delivery(routed, per_destination,
-                                        np.array(accepted).T)
+                                        np.ones_like(routed))
     return ShuffleResult(
         per_destination=list(per_destination),
         tuples_shuffled=tuples_shuffled,

@@ -443,7 +443,8 @@ class JenWorker:
 
         Senders contribute destination assignments only (the agreed
         hash, or each sender's hybrid routing when ``hot_keys`` is
-        non-empty); their rows are concatenated once and partitioned
+        non-empty); their rows are concatenated once (a slice of the
+        scan's wire, when they are its task wires) and partitioned
         once.  The partition kernel's stable sort by destination over
         the sender-ordered concatenation leaves each destination's rows
         grouped by sender, in sender order — row for row what

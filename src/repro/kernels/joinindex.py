@@ -82,6 +82,36 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
+def reachable_rows(build_keys: np.ndarray, probe_keys: np.ndarray
+                   ) -> Optional[np.ndarray]:
+    """The build rows, ascending, whose key some probe key equals, or
+    ``None`` (index every row) unless both sides have rows, the keys
+    are integers, the build keys span at most one value per row and at
+    most half the rows are reachable.  A presence table over the span
+    is filled from the probe keys; offsets are taken in the build keys'
+    dtype and read as unsigned, exact as every true offset is below the
+    span."""
+    count = len(build_keys)
+    if not (count and probe_keys.size and build_keys.dtype.kind in "iu"
+            and probe_keys.dtype.kind in "iu"):
+        return None
+    low, high = build_keys.min(), build_keys.max()
+    span = int(high) - int(low) + 1
+    if span > count:
+        return None
+    if not np.can_cast(probe_keys.dtype, build_keys.dtype):
+        probe_keys = probe_keys[(probe_keys >= int(low))
+                                & (probe_keys <= int(high))]
+    unsigned = f"u{build_keys.itemsize}"
+    offsets = (probe_keys.astype(build_keys.dtype) - low).view(unsigned)
+    present = np.zeros(span, dtype=bool)
+    present[offsets[offsets < span]] = True
+    hit = present.take((build_keys - low).view(unsigned))
+    if 2 * np.count_nonzero(hit) > count:
+        return None
+    return np.flatnonzero(hit)
+
+
 def fits_band(keys: np.ndarray, band_values: np.ndarray) -> bool:
     """Whether one join side's columns suit a banded index: integer
     keys that convert to int64 exactly and integer band values of at

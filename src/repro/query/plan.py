@@ -28,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.joinindex import JoinBuildIndex, fits_band
+from repro.kernels.joinindex import (
+    JoinBuildIndex, fits_band, reachable_rows)
 from repro.relational.aggregates import (
     group_by_aggregate,
     merge_partial_aggregates,
@@ -260,11 +261,20 @@ def _join_group(units: Sequence[Tuple[Table, Table]], query: HybridQuery,
     """:func:`join_aggregate` of one group of units."""
     stacked = StackedUnits.stack(units)
     build, probe = stacked.build, stacked.probe
+    slot_bounds = stacked.slot_bounds
+    keep = reachable_rows(build.column(query.hdfs_join_key),
+                          probe.column(query.db_join_key))
+    if keep is not None:
+        # Only these build rows can meet a probe row.  ``keep`` ascends,
+        # so every probe row's pairs come out in the same order.
+        build = build.take(keep)
+        if slot_bounds is not None:
+            slot_bounds = np.searchsorted(keep, slot_bounds)
     band = join_band(probe, build, query)
     index = index_for(
         build.column(query.hdfs_join_key),
         None if band is None else build.column(band.build_column),
-        stacked.slot_bounds)
+        slot_bounds)
     probe_keys = stacked.probe_column(query.db_join_key)
     predicate = query.post_join_predicate
     grouped = list(query.group_by) + [

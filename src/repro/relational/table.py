@@ -32,6 +32,9 @@ class Table:
         values its int32 codes index into.
     """
 
+    #: A slice's ``(table it was cut from, first row there)``.
+    _source: Optional[Tuple["Table", int]] = None
+
     def __init__(
         self,
         schema: Schema,
@@ -114,9 +117,11 @@ class Table:
         which this substrate deliberately does not attempt.
 
         Fast paths keep shuffles cheap: a single input comes back
-        unchanged, and when every row lives in one part (the common
-        skewed-shuffle case) that part is returned as-is instead of
-        being copied.
+        unchanged, when every row lives in one part (the common
+        skewed-shuffle case) that part is returned as-is, and
+        consecutive slices of one table (a scan's task wires, a
+        shuffle's destinations) come back as one slice of it.  Either
+        way the result shares memory with its parts, as a slice does.
         """
         if not tables:
             raise TableError("cannot concatenate zero tables")
@@ -137,6 +142,14 @@ class Table:
             # same source, no dictionary conflicts: drop them before
             # paying for their (empty) array concatenations.
             tables = non_empty
+        source, start = tables[0]._source or (None, 0)
+        end = start
+        for table in tables:
+            if source is None or table._source != (source, end):
+                break
+            end += table.num_rows
+        else:
+            return source.slice(start, end)
         columns = {
             name: np.concatenate([t.column(name) for t in tables])
             for name in schema.names
@@ -295,7 +308,11 @@ class Table:
         columns = {
             name: arr[start:stop] for name, arr in self._columns.items()
         }
-        return Table._view(self.schema, columns, self._dictionaries)
+        table = Table._view(self.schema, columns, self._dictionaries)
+        if 0 <= start <= stop <= self._num_rows:
+            source, offset = self._source or (self, 0)
+            table._source = (source, offset + start)
+        return table
 
     def split(self, parts: int) -> List["Table"]:
         """Split into ``parts`` contiguous, roughly equal row ranges."""

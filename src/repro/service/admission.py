@@ -8,11 +8,12 @@ before it may touch the shared cluster:
   ``max_queue`` rejects new arrivals outright (``queue_full``);
 * a queued query that is not granted a slot within ``queue_timeout``
   simulated seconds is rejected (``timeout``) — its timer is a callback
-  on the service's timeline;
+  on the service's timeline — unless it was degraded (below);
 * under overload the controller degrades gracefully: once the queue is
   ``shed_fraction`` full, *best-effort* arrivals (priority > 0) are shed
   immediately (``overload_shed``) so interactive traffic keeps its
-  queue headroom.
+  queue headroom — or, with ``degrade_to_approx``, queued for the
+  approximate tier.
 
 Which queued query gets a freed slot is decided by
 :class:`~repro.service.scheduler.FairSharePolicy`: priority, then fair
@@ -172,8 +173,9 @@ class AdmissionController:
         self._pending.append(pending)
         self._gauge_queue.set(len(self._pending))
         self._dispatch()
-        if pending in self._pending:
-            # Only genuinely queued requests need an expiry timer.
+        if pending in self._pending and not degraded:
+            # Only genuinely queued requests need an expiry timer; a
+            # degraded one is already overload's answer, and waits.
             self.timeline.after(self.config.queue_timeout,
                                 lambda: self._expire(pending))
 

@@ -495,6 +495,12 @@ class QueryService:
         self._record_bytes_shipped(join_result)
         self.metrics.counter("adaptive.runs").inc()
         report = join_result.adaptive
+        self.metrics.counter("adaptive.evaluations").inc(
+            len(report.evaluations))
+        self.metrics.counter("adaptive.bloom_reuses").inc(
+            report.bloom_reuses)
+        self.metrics.counter("adaptive.db_filter_reuses").inc(
+            report.db_filter_reuses)
         rationale = ""
         if report.switched:
             self.metrics.counter("adaptive.switches").inc()

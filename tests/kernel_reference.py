@@ -3,9 +3,10 @@
 These are the formulations the vectorised kernels replaced: one
 full-table boolean filter per destination, ``np.bitwise_or.at``
 scatter, per-hash probe loops, ``np.unpackbits`` popcount, and a
-per-probe re-sort of the join build side.  They live with the tests,
-not in the package: ``tests/test_kernels.py`` and
-``tests/test_join_pipeline.py`` prove each kernel *bit-identical* to
+per-probe re-sort of the join build side, and a Python set for the
+semi-join cut of the build side.  They live with the tests, not in the
+package: ``tests/test_kernels.py``, ``tests/test_join_pipeline.py``
+and ``tests/test_build_cut.py`` prove each kernel *bit-identical* to
 its reference on seeded grids of adversarial inputs, and nothing at
 runtime can route through them.
 """
@@ -107,3 +108,24 @@ def naive_sorted_join(build_keys: np.ndarray, probe_keys: np.ndarray
     within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     build_idx = order[np.repeat(lo.astype(np.int64), counts) + within]
     return build_idx, probe_idx
+
+
+def naive_reachable_rows(build_keys: np.ndarray, probe_keys: np.ndarray):
+    """The build rows the semi-join cut keeps, by a Python set of the
+    probe keys — or ``None`` where the cut declines: an empty side, a
+    non-integer key, a build key span past the build's row count, or
+    more than half the build rows reachable."""
+    build_keys = np.asarray(build_keys)
+    probe_keys = np.asarray(probe_keys)
+    if not (build_keys.size and probe_keys.size) \
+            or build_keys.dtype.kind not in "iu" \
+            or probe_keys.dtype.kind not in "iu":
+        return None
+    values = build_keys.tolist()
+    if max(values) - min(values) + 1 > len(values):
+        return None
+    probed = set(probe_keys.tolist())
+    keep = [row for row, key in enumerate(values) if key in probed]
+    if 2 * len(keep) > len(values):
+        return None
+    return np.asarray(keep, dtype=np.int64)

@@ -390,6 +390,14 @@ class TestServiceIntegration:
         assert service.metrics.counter("adaptive.runs").value == 1
         assert oracle.compare_tables(
             outcome.result, flip_case.oracle_rows()) is None
+        # The run report's counts reach the service's counters.
+        report = outcome.join_result.adaptive
+        assert report.evaluations
+        for name, value in (
+                ("adaptive.evaluations", len(report.evaluations)),
+                ("adaptive.bloom_reuses", report.bloom_reuses),
+                ("adaptive.db_filter_reuses", report.db_filter_reuses)):
+            assert service.metrics.counter(name).value == value
 
     def test_observed_stats_feed_the_refinement_loop(self, flip_case):
         from repro.service import QueryService, ServiceConfig

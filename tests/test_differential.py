@@ -4,8 +4,9 @@ Tier-1 runs the seeded 218-cell :func:`repro.testkit.generator.
 default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
 formats, fault plans, cold/warm caches — each run under an
 invariant checker, asserting each cell's result equals the
-single-node oracle's row multiset and that every invariant was checked
-somewhere on the grid.  The ``slow``-marked wide sweep
+single-node oracle's row multiset, that every invariant was checked
+somewhere on the grid, and that the local join's semi-join cut of its
+build side both fired and declined somewhere on it.  The ``slow``-marked wide sweep
 (``pytest -m slow``) crosses the full matrix over extra seeds and is
 the nightly fuzz entry point.
 
@@ -21,6 +22,7 @@ import dataclasses
 import json
 from collections import Counter
 from typing import Dict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from repro.edw.database import ParallelDatabase
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import InvariantViolation
 from repro.jen.engine import BF_H_SEED
-from repro.kernels.joinindex import JoinBuildIndex
+from repro.kernels.joinindex import JoinBuildIndex, reachable_rows
 from repro.kernels.partition import partition_table
+from repro.query import plan
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import table_from_rows
 from repro.testkit import fuzz, generator, oracle, shrink
@@ -55,6 +58,9 @@ INVARIANTS = {"shuffle_delivery", "hash_partition", "hybrid_partition",
               "broadcast_routing", "bloom_contains", "spill_fragments"}
 #: Each grid cell's checker counts, by cell id, as its test ran it.
 GRID_CHECKS: Dict[str, Counter] = {}
+#: Each grid cell's semi-join cuts of the build side, fired and
+#: declined, by cell id.
+GRID_CUTS: Dict[str, Counter] = {}
 
 
 @pytest.fixture(scope="module")
@@ -161,12 +167,33 @@ class TestDefaultGrid:
         assert set(total) == INVARIANTS
         assert min(total.values()) >= 1, total
 
+    def test_the_build_cut_fires_and_declines_on_the_grid(
+            self, warehouse_cache):
+        """Summed over the grid, the local join cut its build side to
+        the rows a probe can reach somewhere, and kept every row
+        somewhere else — and every such cell matched the oracle."""
+        for (case, cell), label in zip(GRID, GRID_IDS):
+            if label not in GRID_CUTS:
+                _run_grid_cell(case, cell, warehouse_cache)
+        total = sum(GRID_CUTS.values(), Counter())
+        assert total["fired"] >= 1 and total["declined"] >= 1, total
+
 
 def _run_grid_cell(case, cell, warehouse_cache):
     checker = InvariantChecker()
-    result = run_cell(case, cell, warehouse=warehouse_cache.get(case, cell),
-                      checker=checker)
+    cuts = Counter()
+
+    def counted(build_keys, probe_keys):
+        keep = reachable_rows(build_keys, probe_keys)
+        cuts["declined" if keep is None else "fired"] += 1
+        return keep
+
+    with mock.patch.object(plan, "reachable_rows", counted):
+        result = run_cell(case, cell,
+                          warehouse=warehouse_cache.get(case, cell),
+                          checker=checker)
     GRID_CHECKS[f"{case.name}:{cell.label()}"] = checker.counts
+    GRID_CUTS[f"{case.name}:{cell.label()}"] = cuts
     return result
 
 

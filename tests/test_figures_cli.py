@@ -172,6 +172,20 @@ class TestServeCli:
         # Late materialization ships payloads through the stitch.
         assert summary["bytes_shipped"]["stitch"] > 0
 
+    def test_approx_degrade_answers_overload_approximately(self, capsys):
+        """One slot and the CLI's stream: best-effort arrivals past
+        three queued degrade, and wait for their approximate answer
+        instead of timing out."""
+        import re
+
+        from repro.__main__ import main
+
+        assert main(["serve", "--queries", "12", "--slots", "1",
+                     "--approx-degrade"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r" ~\w+@\d+% +wait=", out)
+        assert "admission.degraded_to_approx" in out
+
     def test_report_subcommand_is_gone(self, capsys):
         from repro.__main__ import main
 

@@ -62,7 +62,10 @@ from repro.service.cache import CachingJoinIndexProvider, JoinIndexCache
 from repro.skew import STEAL_THRESHOLD, HotKeySet
 from repro.testkit import generator, oracle
 from repro.testkit.invariants import InvariantChecker
-from tests.kernel_reference import naive_partition_table
+from tests.kernel_reference import (
+    naive_partition_table,
+    naive_reachable_rows,
+)
 from tests.test_scan_batching import assert_same_table
 
 
@@ -191,14 +194,24 @@ class TestFusedJoinAggregate:
             )
             assert partial.num_rows == 0
 
+    @staticmethod
+    def cut_index_columns(t_part, l_part, query):
+        """The columns the one index is asked for: the build rows the
+        semi-join cut keeps (:func:`naive_reachable_rows`)."""
+        keep = naive_reachable_rows(l_part.column(query.hdfs_join_key),
+                                    t_part.column(query.db_join_key))
+        build = l_part if keep is None else l_part.take(keep)
+        band = join_band(t_part, build, query)
+        return (build.column(query.hdfs_join_key),
+                None if band is None else build.column(band.build_column))
+
     def test_supplied_and_stale_build_index(self, base):
         """The service's caching provider serves a cached index only
         when it matches the build columns; a stale one is rebuilt."""
         case, t_part, l_part = base
-        key = case.query.hdfs_join_key
-        band = join_band(t_part, l_part, case.query)
-        columns = (l_part.column(key),
-                   None if band is None else l_part.column(band.build_column))
+        columns = self.cut_index_columns(t_part, l_part, case.query)
+        # The base case's probes reach 74 of its 594 build rows.
+        assert (len(columns[0]), l_part.num_rows) == (74, 594)
         fresh = JoinBuildIndex(*columns)
         stale = JoinBuildIndex(columns[0][::-1].copy(), columns[1])
         assert not stale.matches(*columns)
@@ -211,17 +224,42 @@ class TestFusedJoinAggregate:
             )
             assert (provider.cache.get("query") is index) == (index is fresh)
 
-    def test_supplied_index_skips_the_build(self, base):
+    def test_repeated_query_reuses_the_cut_index(self, base):
+        """The cut depends only on the query's own rows, so a repeated
+        identical query asks for the same columns and gets the index
+        its first run cached."""
         case, t_part, l_part = base
-        band = join_band(t_part, l_part, case.query)
-        index = JoinBuildIndex(
-            l_part.column(case.query.hdfs_join_key),
-            None if band is None else l_part.column(band.build_column))
+        provider = CachingJoinIndexProvider(JoinIndexCache())
+        first = assert_fused_equals_reference(
+            t_part, l_part, case.query, index_for=provider.for_query("q"))
+        cached = provider.cache.get("q")
+        assert cached.num_keys == 74 < l_part.num_rows
         with mock.patch.object(
                 joinindex.JoinBuildIndex, "__init__",
                 side_effect=AssertionError("rebuilt")):
-            join_aggregate([(t_part, l_part)], case.query,
-                           index_for=lambda *columns: index)
+            again, _pairs = join_aggregate(
+                [(t_part, l_part)], case.query,
+                index_for=provider.for_query("q"))
+        assert_same_table(again, first)
+        assert provider.cache.get("q") is cached
+
+    def test_supplied_index_skips_the_build(self, base):
+        case, t_part, l_part = base
+        columns = self.cut_index_columns(t_part, l_part, case.query)
+        index = JoinBuildIndex(*columns)
+        assert index.num_keys == 74
+
+        def supplied(*asked):
+            assert index.matches(*asked)
+            return index
+
+        with mock.patch.object(
+                joinindex.JoinBuildIndex, "__init__",
+                side_effect=AssertionError("rebuilt")):
+            partial, _pairs = join_aggregate([(t_part, l_part)], case.query,
+                                             index_for=supplied)
+        assert_same_table(partial,
+                          reference_partial(t_part, l_part, case.query)[0])
 
     def test_errors_fire_as_in_the_materialising_join(self, base):
         case, t_part, l_part = base
@@ -355,23 +393,63 @@ SENDER_SHAPES = {
 }
 
 
+class QuietFaults:
+    """An injector whose every message arrives once, first time: the
+    message walk with nothing to retry or suppress."""
+
+    def __init__(self):
+        self.messages = 0
+
+    def deliver(self, _channel, _sender, _destination):
+        self.messages += 1
+        return False, 0
+
+
+class AcceptedLog(InvariantChecker):
+    """An invariant checker that also keeps each delivery's accepted
+    matrix."""
+
+    def __init__(self):
+        super().__init__()
+        self.accepted = []
+
+    def check_shuffle_delivery(self, routed, per_destination, accepted):
+        self.accepted.append(np.asarray(accepted))
+        super().check_shuffle_delivery(routed, per_destination, accepted)
+
+
 class TestOnePassExchange:
+    @pytest.mark.parametrize("faults", [None, QuietFaults],
+                             ids=["fault-free", "quiet-injector"])
     @pytest.mark.parametrize("shape", sorted(SENDER_SHAPES))
     @pytest.mark.parametrize("hybrid", [False, True],
                              ids=["plain", "hybrid"])
     @pytest.mark.parametrize("checked", [False, True],
                              ids=["unchecked", "invariants-on"])
     def test_rows_and_accounting_match_the_matrix_walk(
-            self, shape, hybrid, checked):
+            self, shape, hybrid, checked, faults):
+        """The counts come off the routed matrix; with an injector (one
+        that never fires) every remote message also goes through it.
+        Both forms equal the reference walk and check the delivery
+        once, every message accepted once."""
         tables = sender_tables(SENDER_SHAPES[shape], seed=3,
                                hot_key=42, hot_share=0.4)
         hot = HOT if hybrid else None
         expected = reference_exchange(tables, "k", 6, hot)
-        checker = InvariantChecker()
-        actual = one_pass_exchange(tables, "k", 6, hot,
+        checker = AcceptedLog()
+        injector = None if faults is None else faults()
+        actual = one_pass_exchange(tables, "k", 6, hot, faults=injector,
                                    observers=(checker,) if checked else ())
         assert_same_shuffle(actual, expected)
         assert sum(checker.counts.values()) == (2 if checked else 0)
+        assert checker.counts["shuffle_delivery"] == (1 if checked else 0)
+        for accepted in checker.accepted:
+            assert accepted.shape == (len(tables), 6)
+            assert (accepted == 1).all()
+        if injector is not None:
+            # Every remote message went through the injector.
+            assert injector.messages == len(tables) * 6 - min(len(tables),
+                                                              6)
         assert actual.tuples_shuffled == sum(SENDER_SHAPES[shape])
         if hybrid and sum(SENDER_SHAPES[shape]):
             assert actual.hot_tuples > 0
@@ -970,10 +1048,24 @@ def assert_one_jen_join(jen, l_parts, t_parts, query, faults=None,
         steal_threshold=kwargs.get("steal_threshold"))
     assert_bit_equal(result, expected)
     assert dataclasses.asdict(stats) == dataclasses.asdict(expected_stats)
-    # Spill and stolen fragments split the build rows; none is copied.
+    # Spill and stolen fragments split the build rows; none is copied,
+    # and the one index covers the rows the cut keeps.
     assert [size for size, _slots in recorder.sizes] \
-        == [sum(part.num_rows for part in l_parts)]
+        == [indexed_build_rows(l_parts, t_parts, query)]
     return stats, recorder
+
+
+def indexed_build_rows(l_parts, t_parts, query):
+    """The build rows one index over every unit covers: those the
+    semi-join cut keeps (:func:`naive_reachable_rows`), or all when it
+    declines."""
+    keep = naive_reachable_rows(
+        np.concatenate([part.column(query.hdfs_join_key)
+                        for part in l_parts]),
+        np.concatenate([part.column(query.db_join_key)
+                        for part in t_parts]))
+    return (sum(part.num_rows for part in l_parts) if keep is None
+            else len(keep))
 
 
 def key_tables(t_keys, l_keys, rng, key_type=DataType.INT64,
@@ -1024,6 +1116,10 @@ class TestOneJoinPerQuery:
             hash_parts(t_part, query.db_join_key, workers), query)
         assert len(recorder.indexes) == 1
         assert stats.build_tuples == l_part.num_rows
+        # Seeds 2015 and 2017 reach at most half their build rows, so
+        # the cut fires; the other seeds' probes reach more of them.
+        assert (recorder.sizes[0][0] < l_part.num_rows) \
+            == (seed in (2015, 2017))
 
     @pytest.mark.parametrize("name", [
         "empty-t-prime", "all-duplicate-keys", "zipf-skew",
@@ -1033,10 +1129,14 @@ class TestOneJoinPerQuery:
         case = generator.edge_case(name)
         t_part, l_part = join_inputs(case)
         query = case.query
-        assert_one_jen_join(
+        _stats, recorder = assert_one_jen_join(
             jen_by_workers[4],
             hash_parts(l_part, query.hdfs_join_key, 4),
             hash_parts(t_part, query.db_join_key, 4), query)
+        # An empty probe side, and probes reaching most build rows,
+        # keep every row; the other two cases' probes reach few.
+        assert (recorder.sizes[0][0] < l_part.num_rows) \
+            == (name in ("empty-result", "wide-dtypes"))
 
     def test_empty_units_and_all_units_empty(self, jen_by_workers):
         case = generator.generate_data_case(2031, t_rows=900, l_rows=3_000)
