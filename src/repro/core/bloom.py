@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import BloomFilterError
 from repro.kernels.bloomops import popcount, scatter_or, test_bits
+from repro.kernels.joinindex import span_offsets
 
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
@@ -76,14 +77,7 @@ def _distinct_keys(
     span = int(keys.max()) - int(low) + 1
     if span > 2 * keys.size:
         return None
-    # Offsets in the keys' own dtype: the subtraction wraps, but every
-    # true offset is below the span, so reading the result as unsigned
-    # is exact (as int64 for 8-byte keys: the span is far below 2**63).
-    offsets = keys - low
-    if offsets.itemsize == 8:
-        offsets = offsets.view(np.int64)
-    else:
-        offsets = offsets.view(f"u{offsets.itemsize}").astype(np.intp)
+    offsets = span_offsets(keys, low).astype(np.intp, copy=False)
     present = np.zeros(span, dtype=bool)
     present[offsets] = True
     occupied = np.flatnonzero(present)

@@ -61,7 +61,8 @@ class RepartitionJoin(JoinAlgorithm):
         t_parts = run.db_filter()
         db_bloom = run.bf_db(t_parts) if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)
-        l_side = shuffle_l(run, "L'", scan.wire_tables, scan.hot_keys)
+        l_side = shuffle_l(run, "L'", scan.wire_tables, scan.hot_keys,
+                           t_parts)
         t_side = ship_t(run, "T'", t_parts, scan.hot_keys,
                         after=["db_filter"])
         return jen_tail(run, l_side, t_side)
@@ -85,11 +86,16 @@ class Delivery:
     phases: List[str]
     #: Receiver skew the build pays (the shuffled L only).
     skew: float = 1.0
+    #: Rows each worker's build is priced at (the shuffled L only).
+    build_rows: Optional[List[int]] = None
 
 
 def shuffle_l(run: JoinRun, name: str, tables: List[Table],
-              hot_keys) -> Delivery:
+              hot_keys, t_parts: List[Table]) -> Delivery:
     """Step 3: shuffle the scan survivors among the JEN workers.
+
+    Every row is priced; only those whose key T′ (``t_parts``) holds
+    travel, unless skew handling may steal (it re-deals what arrived).
 
     ``hot_keys`` is ``None`` when skew handling is off: the trace pays
     the configured shuffle skew.  Otherwise the hybrid shuffle ran (even
@@ -98,9 +104,11 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
     """
     costing, stats = run.costing, run.stats
     store, ship, row_bytes = transfer_edge(tables, run.query, "hdfs")
+    probe_keys = None if run.context.skew_handling else np.concatenate(
+        [part.column(run.query.db_join_key) for part in t_parts])
     shuffled = run.warehouse.jen.shuffle_by_key(
         ship, run.query.hdfs_join_key, run.cluster, hot_keys=hot_keys,
-        observers=run.observers)
+        observers=run.observers, probe_keys=probe_keys)
     tuples = shuffled.tuples_shuffled
     stats.hdfs_tuples_shuffled = tuples
     skew = costing.effective_shuffle_skew(
@@ -117,7 +125,8 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
                   tuples=tuples,
                   volume_bytes=tuples * row_bytes)
     return Delivery(name, shuffled.per_destination, store, tuples,
-                    row_bytes, ["jen_shuffle"], skew)
+                    row_bytes, ["jen_shuffle"], skew,
+                    shuffled.routed.sum(axis=0).tolist())
 
 
 def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
@@ -177,6 +186,7 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         steal_threshold=(STEAL_THRESHOLD
                          if run.context.skew_handling else None),
         observers=run.observers,
+        build_rows=l_side.build_rows,
     )
     output = joined.join_output_tuples
     stats.join_output_tuples = output

@@ -74,7 +74,8 @@ class _ExactFilterJoin(JoinAlgorithm):
             for wire in scan.wire_tables
         ]
         run.stats.hdfs_rows_after_bloom = sum(p.num_rows for p in pruned)
-        l_side = shuffle_l(run, "exactly pruned L'", pruned, scan.hot_keys)
+        l_side = shuffle_l(run, "exactly pruned L'", pruned, scan.hot_keys,
+                           t_parts)
         if self.two_way:
             t_side = ship_t(run, "T''",
                             self._perf_second_phase(run, t_parts, pruned),

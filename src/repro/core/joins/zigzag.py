@@ -50,7 +50,8 @@ class ZigzagJoin(JoinAlgorithm):
         t_parts = run.db_filter()
         db_bloom = run.bf_db(t_parts)
         scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)
-        l_side = shuffle_l(run, "L''", scan.wire_tables, scan.hot_keys)
+        l_side = shuffle_l(run, "L''", scan.wire_tables, scan.hot_keys,
+                           t_parts)
         t_pruned = bf_h(run, scan, t_parts)
         t_side = ship_t(run, "T''", t_pruned, scan.hot_keys,
                         streams_from=["db_second_access"])

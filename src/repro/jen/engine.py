@@ -77,8 +77,6 @@ class DistributedScanResult:
 class LocalJoinStats:
     """Volume accounting of the distributed local-join stage."""
 
-    build_tuples: int = 0
-    probe_tuples: int = 0
     join_output_tuples: int = 0
     result_rows: int = 0
     #: Tuples written to and re-read from disk by spilling workers
@@ -402,7 +400,8 @@ class Jen:
     # ------------------------------------------------------------------
     def shuffle_by_key(self, wire_tables: List[Table], key: str,
                        cluster: RunCluster, hot_keys=None,
-                       observers: Tuple = ()) -> ShuffleResult:
+                       observers: Tuple = (),
+                       probe_keys=None) -> ShuffleResult:
         """All-to-all shuffle of the wire tables among ``cluster``'s
         workers on the agreed hash.
 
@@ -418,7 +417,8 @@ class Jen:
         while the cold tail keeps the agreed hash.  Delivery — retries,
         dedup, exactly-once accounting — is identical either way; only
         the senders' destination assignments change.  ``observers``
-        check the split and the delivery.
+        check the split and the delivery; ``probe_keys`` (T′'s join
+        keys) let it deliver only the rows a probe can reach.
         """
         injector = cluster.faults
         wire_tables = list(wire_tables)
@@ -426,11 +426,12 @@ class Jen:
             injector.check_abort("shuffle")
             if len(wire_tables) == cluster.num_workers:
                 wire_tables = self._shuffle_crashes(wire_tables, cluster)
-        per_destination, routed, hot_tuples = \
+        per_destination, routed, kept, hot_tuples = \
             JenWorker.partition_for_exchange(
-                wire_tables, key, cluster.num_workers, hot_keys, observers
+                wire_tables, key, cluster.num_workers, hot_keys, observers,
+                probe_keys,
             )
-        result = shuffle(per_destination, routed, faults=injector,
+        result = shuffle(per_destination, routed, kept, faults=injector,
                          observers=observers)
         result.hot_tuples = hot_tuples
         return result
@@ -472,6 +473,7 @@ class Jen:
         index_for=JoinBuildIndex,
         steal_threshold: Optional[float] = None,
         observers: Tuple = (),
+        build_rows: Optional[List[int]] = None,
     ) -> Tuple[Table, LocalJoinStats]:
         """Local hash joins on every worker of ``cluster``, then the
         final aggregate.
@@ -500,6 +502,9 @@ class Jen:
         ``index_for(build_keys, band_values, slot_bounds)`` builds the
         join's index; ``steal_threshold`` arms work stealing (``None``:
         off); ``observers`` check every spill and steal fragmenting.
+        ``build_rows[i]``, when the shuffle delivered only the rows a
+        probe can reach, is the rows worker *i*'s build is priced at:
+        spill plans, their budget and the slot loads read it.
         """
         injector = cluster.faults
         if injector is not None:
@@ -512,14 +517,13 @@ class Jen:
         # The result merges the workers' partials, and AVG cannot merge
         # (the query layer decomposes it), however the rows fall.
         merge_specs(query.aggregates)
+        priced = build_rows or [part.num_rows for part in l_parts]
         if injector is not None:
             # The probe-side partitions arrive over the DB->JEN transfer
             # channel; lost ones retry, duplicated ones are suppressed.
             for worker_id in cluster.live:
                 injector.deliver("transfer", -1, worker_id)
-            pressure = injector.spill_budget_rows(
-                max((part.num_rows for part in l_parts), default=0)
-            )
+            pressure = injector.spill_budget_rows(max(priced, default=0))
             if pressure > 0:
                 memory_budget_rows = (
                     pressure if memory_budget_rows <= 0
@@ -531,6 +535,14 @@ class Jen:
                 l_parts, t_parts, query.hdfs_join_key, query.db_join_key
             )
             stitch_stats = latemat_plan.stats
+        # The build rows each worker was priced at but never received;
+        # stitched L rows are what the stitch's exact semi-join leaves
+        # of either.  Stealing re-deals what arrived, so it needs all.
+        thin = stitch_stats is not None and latemat_plan.l_store is not None
+        uncut = [0 if thin else rows - part.num_rows
+                 for rows, part in zip(priced, l_parts)]
+        if steal_threshold is not None and any(uncut):
+            raise JoinError("work stealing needs every routed build row")
         from repro.jen.spill import fragment_tables, plan_spill
 
         stats = LocalJoinStats(stitch=stitch_stats)
@@ -544,21 +556,20 @@ class Jen:
         self._steal_stragglers(work_lists, query, stats, steal_threshold,
                                observers)
         stats.per_slot_loads = [
-            sum(l_unit.num_rows + t_unit.num_rows
-                for l_unit, t_unit in units)
-            for units in work_lists
+            extra + sum(l_unit.num_rows + t_unit.num_rows
+                        for l_unit, t_unit in units)
+            for units, extra in zip(work_lists, uncut)
         ]
         join_units: List[Tuple[Table, Table]] = []
-        for units in work_lists:
+        for units, extra in zip(work_lists, uncut):
             for l_part, t_part in units:
                 plan = plan_spill(
-                    l_part.num_rows, t_part.num_rows, memory_budget_rows
+                    l_part.num_rows + extra, t_part.num_rows,
+                    memory_budget_rows
                 )
                 stats.spilled_tuples += plan.spilled_tuples()
                 stats.max_fragments = max(stats.max_fragments,
                                           plan.num_fragments)
-                stats.build_tuples += l_part.num_rows
-                stats.probe_tuples += t_part.num_rows
                 join_units.extend(
                     (probe_frag, build_frag)
                     for build_frag, probe_frag in fragment_tables(

@@ -15,7 +15,7 @@ aggregates inside the one local join
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class ShuffleResult:
     tuples_shuffled: int
     #: Tuples that actually crossed the network (sender != receiver).
     tuples_remote: int
+    #: Rows each sender addressed to each destination (those a probe
+    #: can reach travel), as ``routed[sender, destination]``.
+    routed: np.ndarray
     #: Lost messages that had to be re-sent (fault injection).
     retries: int = 0
     #: Re-delivered partitions the receivers suppressed (lost ACKs).
@@ -43,13 +46,14 @@ class ShuffleResult:
     hot_tuples: int = 0
 
     def balance_factor(self) -> float:
-        """Hottest receiver's row count relative to the mean (>= 1.0).
+        """Rows addressed to the hottest receiver relative to the mean
+        (>= 1.0).
 
         This is the measured data-plane analogue of the analytic
         ``HybridConfig.shuffle_skew`` multiplier: the shuffle finishes
         when the most-loaded receiver has everything addressed to it.
         """
-        sizes = [table.num_rows for table in self.per_destination]
+        sizes = self.routed.sum(axis=0).tolist()
         total = sum(sizes)
         if not sizes or total == 0:
             return 1.0
@@ -57,14 +61,16 @@ class ShuffleResult:
 
 
 def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
-            faults=None, observers: Tuple = ()) -> ShuffleResult:
+            kept: Optional[np.ndarray] = None, faults=None,
+            observers: Tuple = ()) -> ShuffleResult:
     """Deliver a partitioned all-to-all exchange exactly once.
 
     ``per_destination[destination]`` holds the rows addressed there via
     the agreed hash, grouped by sender in sender order, and
-    ``routed[sender, destination]`` how many of them each sender
-    contributed (:meth:`repro.jen.worker.JenWorker.partition_for_exchange`
-    produces both).  One message travels per (sender, destination)
+    ``routed[sender, destination]`` how many rows each sender addressed
+    there, ``kept`` how many of them it delivers (``routed`` when
+    ``None``; :meth:`repro.jen.worker.JenWorker.partition_for_exchange`
+    produces all three).  One message travels per (sender, destination)
     pair.
 
     ``faults`` is the run's :class:`~repro.faults.FaultInjector`, or
@@ -102,12 +108,14 @@ def shuffle(per_destination: Sequence[Table], routed: np.ndarray,
                     retries += failures
                     duplicates_suppressed += bool(duplicated)
     for observer in observers:
-        observer.check_shuffle_delivery(routed, per_destination,
-                                        np.ones_like(routed))
+        observer.check_shuffle_delivery(
+            routed if kept is None else kept, per_destination,
+            np.ones_like(routed))
     return ShuffleResult(
         per_destination=list(per_destination),
         tuples_shuffled=tuples_shuffled,
         tuples_remote=tuples_remote,
+        routed=routed,
         retries=retries,
         duplicates_suppressed=duplicates_suppressed,
     )

@@ -29,6 +29,7 @@ from repro.core.bloom import BloomFilter, probe_and_insert
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import JoinError
 from repro.hdfs.blocks import Block
+from repro.kernels.joinindex import key_presence, span_offsets
 from repro.kernels.partition import partition_table
 from repro.hdfs.filesystem import HdfsFileSystem, HdfsTableMeta
 from repro.relational.expressions import Predicate
@@ -437,8 +438,8 @@ class JenWorker:
     @staticmethod
     def partition_for_exchange(
         wire_tables: Sequence[Table], key: str, num_workers: int,
-        hot_keys=None, observers: Tuple = (),
-    ) -> Tuple[List[Table], np.ndarray, int]:
+        hot_keys=None, observers: Tuple = (), probe_keys=None,
+    ) -> Tuple[List[Table], np.ndarray, np.ndarray, int]:
         """Route every sender's wire table and split them in one pass.
 
         Senders contribute destination assignments only (the agreed
@@ -448,12 +449,15 @@ class JenWorker:
         once.  The partition kernel's stable sort by destination over
         the sender-ordered concatenation leaves each destination's rows
         grouped by sender, in sender order — row for row what
-        concatenating per-sender partitions gives.
+        concatenating per-sender partitions gives.  Given
+        ``probe_keys`` (T′'s join keys), :func:`_key_domain_codes` may
+        route instead, and only the rows a probe can reach are split.
 
-        Returns ``(per_destination, routed, hot_rows)``:
+        Returns ``(per_destination, routed, kept, hot_rows)``:
         ``routed[sender, destination]`` counts the rows sender addressed
-        to destination, so message ``(sender, destination)`` is rows
-        ``routed[:sender, destination].sum()`` onwards of
+        to destination, and ``kept`` (``routed`` unless rows were cut)
+        those it delivers, so message ``(sender, destination)`` is rows
+        ``kept[:sender, destination].sum()`` onwards of
         ``per_destination[destination]``.  Each of ``observers`` checks
         the split.
         """
@@ -461,34 +465,42 @@ class JenWorker:
             raise JoinError("shuffle needs at least one sender")
         hybrid = hot_keys is not None and len(hot_keys) > 0
         hot_rows = 0
-        # Destinations travel in the narrowest dtype that holds them —
-        # what the partition kernel sorts on anyway.  As int64 they
-        # would be the exchange's largest array, and megabyte-sized
-        # temporaries are fresh pages on every query (the allocator
-        # returns them to the system in between; docs/performance.md).
-        narrow = np.min_scalar_type(num_workers - 1)
-        per_sender = []
-        for sender, wire in enumerate(wire_tables):
-            if hybrid:
-                assignments, sender_hot = \
-                    JenWorker.hybrid_shuffle_assignments(
-                        wire, key, num_workers, hot_keys,
-                        sender_offset=sender,
-                    )
-                hot_rows += sender_hot
-            else:
-                assignments = agreed_hash_partition(
-                    wire.column(key), num_workers
-                )
-            per_sender.append(assignments.astype(narrow))
-        routed = np.stack([
-            np.bincount(assignments, minlength=num_workers)
-            for assignments in per_sender
-        ])
         combined = Table.concat(wire_tables)
+        codes = None if hybrid or probe_keys is None else \
+            _key_domain_codes(combined.column(key), num_workers, probe_keys)
+        cut = codes is not None
+        if not cut:
+            # Destinations travel in the narrowest dtype that holds
+            # them — what the partition kernel sorts on anyway.  As
+            # int64 they would be the exchange's largest array, and
+            # megabyte-sized temporaries are fresh pages on every query
+            # (the allocator returns them to the system in between;
+            # docs/performance.md).
+            narrow = np.min_scalar_type(num_workers - 1)
+            per_sender = []
+            for sender, wire in enumerate(wire_tables):
+                if hybrid:
+                    assignments, sender_hot = \
+                        JenWorker.hybrid_shuffle_assignments(
+                            wire, key, num_workers, hot_keys,
+                            sender_offset=sender,
+                        )
+                    hot_rows += sender_hot
+                else:
+                    assignments = agreed_hash_partition(
+                        wire.column(key), num_workers
+                    )
+                per_sender.append(assignments.astype(narrow))
+            codes = np.concatenate(per_sender)
+        bounds = [0, *accumulate(wire.num_rows for wire in wire_tables)]
+        counts = np.stack([np.bincount(codes[lo:hi], minlength=2 * num_workers)
+                           for lo, hi in zip(bounds, bounds[1:])])
+        kept = counts[:, :num_workers]
+        routed = kept + counts[:, num_workers:]
+        rows = np.flatnonzero(codes < num_workers) if cut else None
         per_destination = partition_table(
-            combined, np.concatenate(per_sender), num_workers
-        )
+            combined, codes if rows is None else codes.take(rows),
+            num_workers, rows=rows)
         for observer in observers:
             if hybrid:
                 observer.check_hybrid_partition(
@@ -499,6 +511,27 @@ class JenWorker:
             else:
                 observer.check_hash_partition(
                     combined, key, per_destination, num_workers,
-                    agreed_hash_partition,
+                    agreed_hash_partition, routed=routed,
+                    probe_keys=probe_keys if cut else None,
                 )
-        return per_destination, routed, hot_rows
+        return per_destination, routed, kept, hot_rows
+
+
+def _key_domain_codes(keys: np.ndarray, num_workers: int,
+                      probe_keys: np.ndarray) -> Optional[np.ndarray]:
+    """Each row's agreed-hash destination, plus ``num_workers`` where no
+    probe key equals its key: the span's values are hashed and coded
+    once, then one ``take`` codes the rows.  ``None`` unless both sides
+    are integers and ``keys`` span at most two values per row."""
+    if not (keys.size and keys.dtype.kind in "iu"
+            and probe_keys.dtype.kind in "iu"):
+        return None
+    low = keys.min()
+    span = int(keys.max()) - int(low) + 1
+    if span > 2 * keys.size:
+        return None
+    codes = agreed_hash_partition(
+        np.arange(span).astype(keys.dtype) + low, num_workers)
+    codes[~key_presence(probe_keys, low, span)] += num_workers
+    return codes.astype(np.min_scalar_type(2 * num_workers - 1)).take(
+        span_offsets(keys, low))

@@ -82,31 +82,42 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
+def span_offsets(keys: np.ndarray, low) -> np.ndarray:
+    """``keys - low`` (``low`` a scalar of the keys' dtype, every key in
+    a span from it) in the keys' dtype, read as unsigned (8-byte keys as
+    int64): exact, as every true offset is below the span."""
+    offsets = keys - low
+    return offsets.view(np.int64 if offsets.itemsize == 8
+                        else f"u{offsets.itemsize}")
+
+
+def key_presence(probe_keys: np.ndarray, low, span: int) -> np.ndarray:
+    """Which of the ``span`` values from ``low`` (as above) some integer
+    probe key equals."""
+    inside = probe_keys[(probe_keys >= int(low))
+                        & (probe_keys < int(low) + span)]
+    present = np.zeros(span, dtype=bool)
+    present[span_offsets(inside.astype(low.dtype), low)] = True
+    return present
+
+
 def reachable_rows(build_keys: np.ndarray, probe_keys: np.ndarray
                    ) -> Optional[np.ndarray]:
     """The build rows, ascending, whose key some probe key equals, or
     ``None`` (index every row) unless both sides have rows, the keys
     are integers, the build keys span at most one value per row and at
-    most half the rows are reachable.  A presence table over the span
-    is filled from the probe keys; offsets are taken in the build keys'
-    dtype and read as unsigned, exact as every true offset is below the
-    span."""
+    most half the rows are reachable (:func:`key_presence` over the
+    build keys' span)."""
     count = len(build_keys)
     if not (count and probe_keys.size and build_keys.dtype.kind in "iu"
             and probe_keys.dtype.kind in "iu"):
         return None
-    low, high = build_keys.min(), build_keys.max()
-    span = int(high) - int(low) + 1
+    low = build_keys.min()
+    span = int(build_keys.max()) - int(low) + 1
     if span > count:
         return None
-    if not np.can_cast(probe_keys.dtype, build_keys.dtype):
-        probe_keys = probe_keys[(probe_keys >= int(low))
-                                & (probe_keys <= int(high))]
-    unsigned = f"u{build_keys.itemsize}"
-    offsets = (probe_keys.astype(build_keys.dtype) - low).view(unsigned)
-    present = np.zeros(span, dtype=bool)
-    present[offsets[offsets < span]] = True
-    hit = present.take((build_keys - low).view(unsigned))
+    hit = key_presence(probe_keys, low, span).take(
+        span_offsets(build_keys, low))
     if 2 * np.count_nonzero(hit) > count:
         return None
     return np.flatnonzero(hit)

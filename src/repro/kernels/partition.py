@@ -66,25 +66,27 @@ def sorted_bounds(assignments: np.ndarray, num_partitions: int
 
 
 def partition_table(table, assignments: np.ndarray,
-                    num_partitions: int) -> List:
+                    num_partitions: int, rows=None) -> List:
     """Split ``table`` into per-destination tables in one pass.
 
     One stable argsort plus one full-table gather; each returned table
     is a zero-copy row-range view of the gathered table, so downstream
     re-slicing (shuffle concatenation, spill fragmenting) copies no
     partition twice.  Bit-identical to filtering per destination.
+    ``rows`` (ascending) limits the split to those rows of ``table``.
     """
     assignments = np.asarray(assignments)
-    if len(assignments) != table.num_rows:
+    count = table.num_rows if rows is None else len(rows)
+    if len(assignments) != count:
         raise ValueError(
             f"assignments length {len(assignments)} != table rows "
-            f"{table.num_rows}"
+            f"{count}"
         )
-    if table.num_rows == 0:
+    if count == 0:
         empty = table.slice(0, 0)
         return [empty] * num_partitions
     order, bounds = sorted_bounds(assignments, num_partitions)
-    in_order = table.take(order)
+    in_order = table.take(order if rows is None else rows.take(order))
     return [
         in_order.slice(int(bounds[partition]), int(bounds[partition + 1]))
         for partition in range(num_partitions)

@@ -57,7 +57,8 @@ class RunObserver:
         pass
 
     def check_hash_partition(self, table, key: str, parts,
-                             num_partitions: int, hash_fn) -> None:
+                             num_partitions: int, hash_fn, routed=None,
+                             probe_keys=None) -> None:
         pass
 
     def check_hybrid_partition(self, table, key: str, parts,

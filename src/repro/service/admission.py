@@ -161,11 +161,12 @@ class AdmissionController:
             # execute approximately — overload buys latency/accuracy,
             # not a rejection.
             degraded = True
-            self.metrics.counter("admission.degraded_to_approx").inc()
         if len(self._pending) >= self.config.max_queue \
                 and self._in_flight >= self.config.slots:
             self._reject(on_outcome, "queue_full", 0.0)
             return
+        if degraded:
+            self.metrics.counter("admission.degraded_to_approx").inc()
         pending = _Pending(
             tenant=tenant, priority=priority, seq=next(self._seq),
             enqueued_at=now, on_outcome=on_outcome, degraded=degraded,

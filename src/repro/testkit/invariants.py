@@ -50,19 +50,19 @@ def _hot_destination_sets(hot_keys: np.ndarray,
     }
 
 
-def _check_complete(kind: str, table, key: str, parts: Sequence,
+def _check_complete(kind: str, rows: int, key: str, parts: Sequence,
                     num_partitions: int) -> None:
-    """``num_partitions`` parts whose rows add up to the input's."""
+    """``num_partitions`` parts whose rows add up to ``rows``."""
     if len(parts) != num_partitions:
         raise InvariantViolation(
             f"{kind}partitioner returned {len(parts)} parts for "
             f"{num_partitions} partitions"
         )
     total = sum(part.num_rows for part in parts)
-    if total != table.num_rows:
+    if total != rows:
         raise InvariantViolation(
             f"{kind}partition completeness broken on key {key!r}: "
-            f"{table.num_rows} input rows became {total} partitioned rows"
+            f"{rows} input rows became {total} partitioned rows"
         )
 
 
@@ -128,27 +128,49 @@ class InvariantChecker(RunObserver):
                 )
 
     def check_hash_partition(self, table, key: str, parts: Sequence,
-                             num_partitions: int, hash_fn) -> None:
+                             num_partitions: int, hash_fn, routed=None,
+                             probe_keys=None) -> None:
         """Partition completeness and disjointness.
 
         * completeness — the partition row counts sum to the input rows
           (no row dropped, none duplicated);
         * disjointness — every row of partition ``i`` re-hashes to ``i``
-          under the agreed hash, so no row could also belong elsewhere.
+          under the agreed hash, so no row could also belong elsewhere;
+        * routing — given ``routed``, each of its rows is the hash
+          histogram of one sender's rows (consecutive in ``table``);
+        * the cut — given ``probe_keys``, the input is only the rows
+          whose key one of them equals, and the parts hold their keys.
         """
         self.counts["hash_partition"] += 1
-        _check_complete("", table, key, parts, num_partitions)
+        keys = table.column(key)
+        if routed is not None and not np.array_equal(routed, [
+                np.bincount(sender, minlength=num_partitions)
+                for sender in np.split(hash_fn(keys, num_partitions),
+                                       np.cumsum(np.sum(routed, 1))[:-1])]):
+            raise InvariantViolation(
+                "routed matrix broken: it is not the agreed-hash "
+                f"histogram of each sender's {key!r} rows")
+        if probe_keys is not None:
+            keys = keys[np.isin(keys, probe_keys)]
+        _check_complete("", keys.size, key, parts, num_partitions)
+        if probe_keys is not None:
+            delivered = np.concatenate(
+                [keys[:0]] + [part.column(key) for part in parts])
+            if not np.array_equal(np.sort(keys), np.sort(delivered)):
+                raise InvariantViolation(
+                    f"partition cut broken on key {key!r}: the parts do "
+                    "not hold the keys of the rows a probe can reach")
         for index, part in enumerate(parts):
             if part.num_rows == 0:
                 continue
-            routed = hash_fn(part.column(key), num_partitions)
-            wrong = np.flatnonzero(routed != index)
+            hashed = hash_fn(part.column(key), num_partitions)
+            wrong = np.flatnonzero(hashed != index)
             if wrong.size:
                 key_value = part.column(key)[wrong[0]]
                 raise InvariantViolation(
                     f"partition disjointness broken: row with {key}="
                     f"{key_value!r} landed in partition {index} but hashes "
-                    f"to {int(routed[wrong[0]])}"
+                    f"to {int(hashed[wrong[0]])}"
                 )
 
     def check_hybrid_partition(self, table, key: str, parts: Sequence,
@@ -169,7 +191,8 @@ class InvariantChecker(RunObserver):
           hash home; every worker when ``fanouts`` is ``None``).
         """
         self.counts["hybrid_partition"] += 1
-        _check_complete("hybrid ", table, key, parts, num_partitions)
+        _check_complete("hybrid ", table.num_rows, key, parts,
+                        num_partitions)
         hot_keys = np.asarray(hot_keys, dtype=np.int64)
         allowed = _hot_destination_sets(hot_keys, fanouts, num_partitions,
                                         hash_fn)

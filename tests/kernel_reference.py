@@ -4,9 +4,10 @@ These are the formulations the vectorised kernels replaced: one
 full-table boolean filter per destination, ``np.bitwise_or.at``
 scatter, per-hash probe loops, ``np.unpackbits`` popcount, and a
 per-probe re-sort of the join build side, and a Python set for the
-semi-join cut of the build side.  They live with the tests, not in the
-package: ``tests/test_kernels.py``, ``tests/test_join_pipeline.py``
-and ``tests/test_build_cut.py`` prove each kernel *bit-identical* to
+semi-join cut of the build side and of the shuffle.  They live with
+the tests, not in the package: ``tests/test_kernels.py``,
+``tests/test_join_pipeline.py``, ``tests/test_build_cut.py`` and
+``tests/test_exchange_cut.py`` prove each kernel *bit-identical* to
 its reference on seeded grids of adversarial inputs, and nothing at
 runtime can route through them.
 """
@@ -129,3 +130,29 @@ def naive_reachable_rows(build_keys: np.ndarray, probe_keys: np.ndarray):
     if 2 * len(keep) > len(values):
         return None
     return np.asarray(keep, dtype=np.int64)
+
+
+def naive_exchange_cut(wire_tables, key: str, num_workers: int,
+                       probe_keys: np.ndarray, hash_fn):
+    """The shuffle's cut, row by row: each sender's rows hashed
+    (``routed``), kept where a Python set of the probe keys holds their
+    key (``kept``), and split by one filter per destination, the
+    senders' rows in sender order.  Returns ``(per_destination, routed,
+    kept)``, each destination's rows as a list of per-sender tables."""
+    probed = set(np.asarray(probe_keys).tolist())
+    routed = np.zeros((len(wire_tables), num_workers), dtype=np.int64)
+    kept = np.zeros_like(routed)
+    per_destination: List[List] = [[] for _ in range(num_workers)]
+    for sender, wire in enumerate(wire_tables):
+        destinations = hash_fn(wire.column(key), num_workers)
+        reachable = np.array([value in probed
+                              for value in wire.column(key).tolist()],
+                             dtype=bool)
+        for destination, hit in zip(destinations.tolist(), reachable):
+            routed[sender, destination] += 1
+            kept[sender, destination] += hit
+        parts = naive_partition_table(wire.filter(reachable),
+                                      destinations[reachable], num_workers)
+        for destination, part in enumerate(parts):
+            per_destination[destination].append(part)
+    return per_destination, routed, kept

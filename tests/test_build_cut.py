@@ -17,8 +17,9 @@ need, each checked here against the form it replaced:
    anything else — and no engine writes into a concat result.
 
 A spy on the file table's columns then pins every copy of an L column
-from the file to the index: one gather at the scan's final rows, one
-in destination order, one at the rows a probe can reach.
+from the file to the index: one gather at the scan's final rows, and
+one of the rows a probe can reach, in destination order, by the
+shuffle (``tests/test_exchange_cut.py`` proves that cut).
 """
 
 from __future__ import annotations
@@ -433,11 +434,12 @@ class CopiedColumn(np.ndarray):
         return super().__array_function__(func, types, args, kwargs)
 
 
-def test_each_l_column_is_copied_three_times_before_the_index():
+def test_each_l_column_is_copied_twice_before_the_index():
     """Repartition without a Bloom filter: each wire column of L is
-    gathered once at the scan's final rows, once in destination order,
-    and once at the rows a probe can reach — the task wires, the
-    shuffle's destinations and the stacked units are slices."""
+    gathered once at the scan's final rows and once at the rows a probe
+    can reach, in destination order, by the shuffle — the task wires,
+    the shuffle's destinations and the stacked units are slices, and
+    the join's own cut, with every row reachable, declines."""
     case = generator.generate_data_case(2015)
     warehouse = generator.build_cell_warehouse(case, 4, "parquet")
     filesystem = warehouse.jen.filesystem
@@ -479,11 +481,10 @@ def test_each_l_column_is_copied_three_times_before_the_index():
             if name in projected]
     assert case.query.hdfs_join_key in wire
     kept = len(build_keys)
-    assert 0 < kept < scanned    # the cut fired
+    assert 0 < kept < scanned    # the shuffle's cut fired
     assert Counter(copies) == Counter(
         [(name, scanned) for name in projected]
-        + [entry for name in wire
-           for entry in ((name, scanned), (name, kept))])
+        + [(name, kept) for name in wire])
     # The index holds the cut's own copy of the file's column.
     assert isinstance(build_keys, CopiedColumn)
     assert band_values is None or isinstance(band_values, CopiedColumn)

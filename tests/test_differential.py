@@ -5,8 +5,9 @@ default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
 formats, fault plans, cold/warm caches — each run under an
 invariant checker, asserting each cell's result equals the
 single-node oracle's row multiset, that every invariant was checked
-somewhere on the grid, and that the local join's semi-join cut of its
-build side both fired and declined somewhere on it.  The ``slow``-marked wide sweep
+somewhere on the grid, and that the semi-join cuts — the shuffle's
+key-domain route and the local join's cut of its build side — each
+fired and declined somewhere on it.  The ``slow``-marked wide sweep
 (``pytest -m slow``) crosses the full matrix over extra seeds and is
 the nightly fuzz entry point.
 
@@ -33,12 +34,15 @@ from repro.core.joins import ExecutionContext
 from repro.edw.database import ParallelDatabase
 from repro.edw.partitioner import agreed_hash_partition
 from repro.errors import InvariantViolation
+from repro.jen import worker
 from repro.jen.engine import BF_H_SEED
+from repro.jen.exchange import shuffle
+from repro.jen.worker import JenWorker
 from repro.kernels.joinindex import JoinBuildIndex, reachable_rows
 from repro.kernels.partition import partition_table
 from repro.query import plan
 from repro.relational.schema import Column, DataType, Schema
-from repro.relational.table import table_from_rows
+from repro.relational.table import Table, table_from_rows
 from repro.testkit import fuzz, generator, oracle, shrink
 from repro.testkit.invariants import InvariantChecker
 from repro.testkit.generator import (
@@ -58,8 +62,9 @@ INVARIANTS = {"shuffle_delivery", "hash_partition", "hybrid_partition",
               "broadcast_routing", "bloom_contains", "spill_fragments"}
 #: Each grid cell's checker counts, by cell id, as its test ran it.
 GRID_CHECKS: Dict[str, Counter] = {}
-#: Each grid cell's semi-join cuts of the build side, fired and
-#: declined, by cell id.
+#: Each grid cell's semi-join cuts, fired and declined, of the local
+#: join's build side (``"fired"``, ``"declined"``) and of the shuffle
+#: (``"exchange fired"``, ``"exchange declined"``), by cell id.
 GRID_CUTS: Dict[str, Counter] = {}
 
 
@@ -171,12 +176,15 @@ class TestDefaultGrid:
             self, warehouse_cache):
         """Summed over the grid, the local join cut its build side to
         the rows a probe can reach somewhere, and kept every row
-        somewhere else — and every such cell matched the oracle."""
+        somewhere else; the shuffle's key-domain route did the same —
+        and every such cell matched the oracle."""
         for (case, cell), label in zip(GRID, GRID_IDS):
             if label not in GRID_CUTS:
                 _run_grid_cell(case, cell, warehouse_cache)
         total = sum(GRID_CUTS.values(), Counter())
         assert total["fired"] >= 1 and total["declined"] >= 1, total
+        assert total["exchange fired"] >= 1, total
+        assert total["exchange declined"] >= 1, total
 
 
 def _run_grid_cell(case, cell, warehouse_cache):
@@ -188,7 +196,16 @@ def _run_grid_cell(case, cell, warehouse_cache):
         cuts["declined" if keep is None else "fired"] += 1
         return keep
 
-    with mock.patch.object(plan, "reachable_rows", counted):
+    route = worker._key_domain_codes
+
+    def routed(*args):
+        codes = route(*args)
+        cuts["exchange declined" if codes is None
+             else "exchange fired"] += 1
+        return codes
+
+    with mock.patch.object(plan, "reachable_rows", counted), \
+            mock.patch.object(worker, "_key_domain_codes", routed):
         result = run_cell(case, cell,
                           warehouse=warehouse_cache.get(case, cell),
                           checker=checker)
@@ -367,6 +384,57 @@ class TestInvariantHooks:
             with pytest.raises(InvariantViolation, match="false negative"):
                 run_cell(BLOOM_CASE, cell)
             assert built
+
+    @staticmethod
+    def _cut_exchange():
+        """Four senders' wires cut to the rows whose key a probe key
+        equals, and what the checker is handed for them."""
+        table = _int_table(np.arange(120) % 40)
+        probe = np.arange(0, 40, 3)
+        parts, routed, kept, _hot = JenWorker.partition_for_exchange(
+            table.split(4), "k", 4, probe_keys=probe)
+        assert 0 < kept.sum() < routed.sum()
+        return table, parts, routed, kept, probe
+
+    @staticmethod
+    def _check_cut(table, parts, routed, probe):
+        InvariantChecker().check_hash_partition(
+            table, "k", parts, 4, agreed_hash_partition, routed=routed,
+            probe_keys=probe)
+
+    def test_the_cut_exchange_passes_every_check(self):
+        table, parts, routed, kept, probe = self._cut_exchange()
+        self._check_cut(table, parts, routed, probe)
+        checker = InvariantChecker()
+        shuffle(parts, routed, kept, observers=(checker,))
+        # Conservation reads the rows kept, not the rows routed.
+        with pytest.raises(InvariantViolation, match="conservation"):
+            shuffle(parts, routed, observers=(checker,))
+
+    def test_a_dropped_reachable_row_is_caught(self):
+        table, parts, routed, _kept, probe = self._cut_exchange()
+        index = next(d for d, part in enumerate(parts) if part.num_rows)
+        parts[index] = parts[index].slice(1, parts[index].num_rows)
+        with pytest.raises(InvariantViolation, match="completeness"):
+            self._check_cut(table, parts, routed, probe)
+
+    def test_a_wrong_routed_cell_is_caught(self):
+        table, parts, routed, _kept, probe = self._cut_exchange()
+        routed = routed.copy()
+        routed[1, 0] += 1
+        routed[1, 1] -= 1
+        with pytest.raises(InvariantViolation, match="routed matrix"):
+            self._check_cut(table, parts, routed, probe)
+
+    def test_a_kept_row_sent_to_the_wrong_destination_is_caught(self):
+        table, parts, routed, _kept, probe = self._cut_exchange()
+        source = next(d for d, part in enumerate(parts) if part.num_rows)
+        target = (source + 1) % 4
+        moved = parts[source].slice(0, 1)
+        parts[source] = parts[source].slice(1, parts[source].num_rows)
+        parts[target] = Table.concat([parts[target], moved])
+        with pytest.raises(InvariantViolation, match="disjointness"):
+            self._check_cut(table, parts, routed, probe)
 
     def test_spill_misalignment_is_caught(self):
         from repro.jen.spill import fragment_hash_partition

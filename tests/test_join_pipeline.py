@@ -45,7 +45,8 @@ from repro.jen.worker import JenWorker
 from repro.kernels import joinindex
 from repro.kernels.joinindex import JoinBuildIndex
 from repro.kernels.partition import partition_table
-from repro.query.plan import join_aggregate, join_band, merge_partials
+from repro.query.plan import (
+    GROUP_BUILD_ROWS, join_aggregate, join_band, merge_partials)
 from repro.query.query import HybridQuery
 from repro.relational.aggregates import AggregateSpec, group_by_aggregate
 from repro.relational.expressions import (
@@ -335,8 +336,12 @@ def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
                                                 num_workers)
         outgoing.append(
             naive_partition_table(wire, assignments, num_workers))
+    routed = np.array([[part.num_rows for part in parts]
+                       for parts in outgoing],
+                      dtype=np.int64).reshape(len(outgoing), num_workers)
     result = ShuffleResult(per_destination=[], tuples_shuffled=0,
-                           tuples_remote=0, hot_tuples=hot_tuples)
+                           tuples_remote=0, routed=routed,
+                           hot_tuples=hot_tuples)
     for destination in range(num_workers):
         accepted, seen = [], set()
         for sender, parts in enumerate(outgoing):
@@ -363,9 +368,10 @@ def reference_exchange(wire_tables, key, num_workers, hot_keys=None,
 def one_pass_exchange(wire_tables, key, num_workers, hot_keys=None,
                       faults=None, observers=()) -> ShuffleResult:
     """What ``Jen.shuffle_by_key`` runs once crashes are dealt with."""
-    per_destination, routed, hot_tuples = JenWorker.partition_for_exchange(
-        wire_tables, key, num_workers, hot_keys, observers)
-    result = shuffle(per_destination, routed, faults=faults,
+    per_destination, routed, kept, hot_tuples = \
+        JenWorker.partition_for_exchange(
+            wire_tables, key, num_workers, hot_keys, observers)
+    result = shuffle(per_destination, routed, kept, faults=faults,
                      observers=observers)
     result.hot_tuples = hot_tuples
     return result
@@ -375,8 +381,9 @@ def assert_same_shuffle(actual: ShuffleResult, expected: ShuffleResult):
     assert len(actual.per_destination) == len(expected.per_destination)
     for got, want in zip(actual.per_destination, expected.per_destination):
         assert_same_table(got, want)
+    assert np.array_equal(actual.routed, expected.routed)
     for field in dataclasses.fields(ShuffleResult):
-        if field.name != "per_destination":
+        if field.name not in ("per_destination", "routed"):
             assert (getattr(actual, field.name)
                     == getattr(expected, field.name)), field.name
 
@@ -486,8 +493,8 @@ class TestOnePassExchange:
                 return True, 0
 
         tables = sender_tables([50, 50, 50], seed=6)
-        per_destination, routed, _hot = JenWorker.partition_for_exchange(
-            tables, "k", 3)
+        per_destination, routed, _kept, _hot = \
+            JenWorker.partition_for_exchange(tables, "k", 3)
         checker = InvariantChecker()
         result = shuffle(per_destination, routed, faults=AlwaysDuplicate(),
                          observers=(checker,))
@@ -892,9 +899,10 @@ class TestBandProbe:
         """The simulated cost model prices the join's output before the
         band predicate: on the benchmark's ``shuffle_repartition`` data
         (seed 42) that stays the full key-only count, 2 957 280, though
-        the band probe never produces those pairs — and the 30
-        workers' 600 k build rows join in five groups of at most
-        ``GROUP_BUILD_ROWS``, each one banded build and one probe."""
+        the band probe never produces those pairs — and of the 600 k
+        shuffled build rows, the 60 078 a probe can reach arrive, which
+        fit one group of at most ``GROUP_BUILD_ROWS``: one banded build
+        and one probe."""
         from repro import (
             HybridWarehouse,
             WorkloadSpec,
@@ -913,12 +921,15 @@ class TestBandProbe:
         query = build_paper_query(workload)
         with BranchCounter() as counter:
             run = algorithm_by_name("repartition").run(warehouse, query)
-        assert counter.builds == counter.probes == 5
         t_keys, l_keys = (
             table.filter(predicate.evaluate(table)).column("joinKey")
             for table, predicate in (
                 (workload.t_table, query.db_predicate),
                 (workload.l_table, query.hdfs_predicate)))
+        assert l_keys.size == run.stats.hdfs_tuples_shuffled == 600_264
+        reachable = int(np.isin(l_keys, t_keys).sum())
+        assert reachable == 60_078 <= GROUP_BUILD_ROWS
+        assert counter.builds == counter.probes == 1
         size = int(max(t_keys.max(), l_keys.max())) + 1
         key_only_pairs = int(np.dot(np.bincount(t_keys, minlength=size),
                                     np.bincount(l_keys, minlength=size)))
@@ -945,24 +956,33 @@ def hash_parts(table, key, workers):
 
 
 def reference_jen_join(jen, l_parts, t_parts, query,
-                       memory_budget_rows=0.0, steal_threshold=None):
+                       memory_budget_rows=0.0, steal_threshold=None,
+                       build_rows=None):
     """``Jen.join_and_aggregate`` as the per-unit loop it replaced:
     every worker's unit (or spill fragment, or stolen fragment) joined
     on its own, materialising, merged per worker, then across
-    workers."""
+    workers.  ``build_rows[i]`` is worker *i*'s priced build size (its
+    part's rows when ``None``): its spill plan and load read it."""
     stats = LocalJoinStats()
+    priced = build_rows or [part.num_rows for part in l_parts]
     work_lists = [[(l_part, t_part)]
                   for l_part, t_part in zip(l_parts, t_parts)]
     jen._steal_stragglers(work_lists, query, stats, steal_threshold)
+    if build_rows is not None:
+        assert all(len(units) == 1 for units in work_lists)
+        work_lists = [[(l_part, t_part, rows)] for [(l_part, t_part)], rows
+                      in zip(work_lists, priced)]
+    else:
+        work_lists = [[(l_part, t_part, l_part.num_rows)
+                       for l_part, t_part in units] for units in work_lists]
     stats.per_slot_loads = [
-        sum(l_unit.num_rows + t_unit.num_rows for l_unit, t_unit in units)
+        sum(rows + t_unit.num_rows for _l_unit, t_unit, rows in units)
         for units in work_lists]
     partials = []
     for units in work_lists:
         worker_partials = []
-        for l_part, t_part in units:
-            plan = plan_spill(l_part.num_rows, t_part.num_rows,
-                              memory_budget_rows)
+        for l_part, t_part, rows in units:
+            plan = plan_spill(rows, t_part.num_rows, memory_budget_rows)
             stats.spilled_tuples += plan.spilled_tuples()
             stats.max_fragments = max(stats.max_fragments,
                                       plan.num_fragments)
@@ -973,8 +993,6 @@ def reference_jen_join(jen, l_parts, t_parts, query,
                                                    query)
                 stats.join_output_tuples += pairs
                 worker_partials.append(partial)
-            stats.build_tuples += l_part.num_rows
-            stats.probe_tuples += t_part.num_rows
         partials.append(merge_partials(worker_partials, query))
     result = merge_partials(partials, query)
     stats.result_rows = result.num_rows
@@ -1040,12 +1058,14 @@ def assert_one_jen_join(jen, l_parts, t_parts, query, faults=None,
         result, stats = jen.join_and_aggregate(
             l_parts, t_parts, query, jen.open_cluster(faults), **kwargs)
     budget = kwargs.get("memory_budget_rows", 0.0)
+    build_rows = kwargs.get("build_rows")
     if faults is not None:
-        budget = faults.spill_budget_rows(
-            max(part.num_rows for part in l_parts)) or budget
+        budget = faults.spill_budget_rows(max(
+            build_rows or [part.num_rows for part in l_parts])) or budget
     expected, expected_stats = reference_jen_join(
         jen, l_parts, t_parts, query, memory_budget_rows=budget,
-        steal_threshold=kwargs.get("steal_threshold"))
+        steal_threshold=kwargs.get("steal_threshold"),
+        build_rows=build_rows)
     assert_bit_equal(result, expected)
     assert dataclasses.asdict(stats) == dataclasses.asdict(expected_stats)
     # Spill and stolen fragments split the build rows; none is copied,
@@ -1115,7 +1135,8 @@ class TestOneJoinPerQuery:
             hash_parts(l_part, query.hdfs_join_key, workers),
             hash_parts(t_part, query.db_join_key, workers), query)
         assert len(recorder.indexes) == 1
-        assert stats.build_tuples == l_part.num_rows
+        assert sum(stats.per_slot_loads) \
+            == l_part.num_rows + t_part.num_rows
         # Seeds 2015 and 2017 reach at most half their build rows, so
         # the cut fires; the other seeds' probes reach more of them.
         assert (recorder.sizes[0][0] < l_part.num_rows) \
@@ -1164,7 +1185,8 @@ class TestOneJoinPerQuery:
         l_parts = hash_parts(l_part, query.hdfs_join_key, 4)
         stats, _recorder = assert_one_jen_join(
             jen_by_workers[4], l_parts, [t_part] * 4, query)
-        assert stats.probe_tuples == 4 * t_part.num_rows
+        assert sum(stats.per_slot_loads) \
+            == l_part.num_rows + 4 * t_part.num_rows
 
     @pytest.mark.parametrize("strategy", list(DbJoinStrategy))
     def test_each_db_join_strategy(self, strategy):

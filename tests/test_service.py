@@ -255,6 +255,31 @@ class TestSubmission:
             loser.result()
 
 
+    def test_degraded_counter_counts_approximate_answers(
+            self, loaded_warehouse, paper_query):
+        """One slot, a queue of four, shedding at two queued: of eight
+        best-effort arrivals two queue exactly, two degrade and queue,
+        and four would degrade but find the queue full.  Only the two
+        that queued run approximately, and the counter says two."""
+        service = QueryService(loaded_warehouse, ServiceConfig(
+            admission=AdmissionConfig(
+                slots=1, max_queue=4, queue_timeout=1e9, shed_fraction=0.5,
+                degrade_to_approx=True),
+            enable_result_cache=False, enable_feedback=False))
+        service.submit(paper_query, at=0.0, algorithm="zigzag")
+        for _ in range(8):
+            service.submit(paper_query, at=0.0, algorithm="zigzag",
+                           priority=1)
+        report = service.drain()
+        degraded = [outcome for outcome in report.outcomes
+                    if outcome.degraded]
+        full = [outcome for outcome in report.rejected()
+                if outcome.reject_reason == "queue_full"]
+        assert len(degraded) == 2 and len(full) == 4
+        assert report.metrics.get(
+            "admission.degraded_to_approx").value == len(degraded)
+
+
 # ----------------------------------------------------------------------
 # Admission control (driven directly, no data plane)
 # ----------------------------------------------------------------------

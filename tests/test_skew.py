@@ -221,12 +221,13 @@ class TestHybridRouting:
         # The third sender (its deal starts at offset 2) holds the rows.
         senders = [table.slice(0, 0), table.slice(0, 0), table]
         checker = InvariantChecker()  # containment etc.
-        parts, routed, hot_rows = JenWorker.partition_for_exchange(
+        parts, routed, kept, hot_rows = JenWorker.partition_for_exchange(
             senders, "k", 6, hot, (checker,)
         )
         assert checker.counts["hybrid_partition"] == 1
         assert hot_rows == 300
         assert routed[:2].sum() == 0 and routed[2].sum() == table.num_rows
+        assert np.array_equal(kept, routed)  # hybrid routing cuts nothing
         home = int(agreed_hash_partition(
             np.array([42], dtype=np.int64), 6)[0])
         spread_set = {home, (home + 1) % 6, (home + 2) % 6}
