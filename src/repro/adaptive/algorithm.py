@@ -108,8 +108,7 @@ class AdaptiveJoin(JoinAlgorithm):
     def run(self, warehouse, query: HybridQuery,
             context: Optional[ExecutionContext] = None) -> JoinResult:
         context = context or ExecutionContext()
-        advisor = JoinAdvisor(warehouse.config,
-                              skew_handling=context.skew_handling)
+        advisor = JoinAdvisor(warehouse.config)
         estimate = self.estimate
         if estimate is None:
             from repro.query.stats import sample_workload_estimate

@@ -201,7 +201,7 @@ class AdaptiveContext(RunObserver):
 
     def on_scan_block(self, rows_scanned: int, stored_bytes: float,
                       rows_after_predicates: int, rows_after_bloom: int,
-                      bloom_applied: bool, keys) -> None:
+                      bloom_applied: bool) -> None:
         collector = self.collector
         collector.blocks_done += 1
         collector.rows_scanned += rows_scanned

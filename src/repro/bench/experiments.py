@@ -1119,13 +1119,16 @@ def _ext_skew(cache: WarehouseCache) -> ExperimentResult:
     hottest-worker factor at paper-scale key counts
     (:func:`repro.workload.generator.zipf_skew_factor`), since shuffles
     and hash builds finish only when the worker owning the hot keys
-    does.
+    does.  A shuffle priced above skew 1 splits its hot keys where that
+    beats the factor (:mod:`repro.skew`); ``hot_keys`` counts them and
+    ``paid_skew`` is the receiver skew its shuffle was priced at.
     """
     from dataclasses import replace as dc_replace
 
     from repro.bench.harness import build_setup, make_spec
     from repro.config import default_config
     from repro.core.joins import algorithm_by_name
+    from repro.core.joins.costing import JoinCosting
     from repro.workload.generator import zipf_skew_factor
 
     # Hot keys join hot keys, so the join output grows quadratically
@@ -1142,10 +1145,14 @@ def _ext_skew(cache: WarehouseCache) -> ExperimentResult:
         factor = zipf_skew_factor(key_skew, paper_keys, workers)
         config = dc_replace(base_config, shuffle_skew=factor)
         setup = build_setup(spec, scale=scale, config=config)
+        costing = JoinCosting(config, setup.warehouse.topology)
         for name in ("repartition(BF)", "zigzag"):
             result = algorithm_by_name(name).run(
                 setup.warehouse, setup.query
             )
+            shuffle = result.trace.phase("jen_shuffle")
+            balanced = costing.jen_shuffle_seconds(
+                shuffle.tuples, shuffle.volume_bytes / shuffle.tuples)
             rows.append({
                 "key_skew": key_skew,
                 "skew_factor": factor,
@@ -1153,12 +1160,14 @@ def _ext_skew(cache: WarehouseCache) -> ExperimentResult:
                 "shuffled_M": (
                     result.paper_stats().hdfs_tuples_shuffled / 1e6
                 ),
+                "hot_keys": int(result.stats.hot_keys_detected),
+                "paid_skew": shuffle.seconds / balanced,
                 "seconds": result.total_seconds,
             })
             reference_rows.setdefault(key_skew, result.result.num_rows)
     zig = [r["seconds"] for r in rows if r["algorithm"] == "zigzag"]
-    rep = [r["seconds"] for r in rows
-           if r["algorithm"] == "repartition(BF)"]
+    rep_rows = [r for r in rows if r["algorithm"] == "repartition(BF)"]
+    rep = [r["seconds"] for r in rep_rows]
     checks = [
         ShapeCheck(
             "skew slows both repartition-based joins (hot workers gate "
@@ -1177,12 +1186,19 @@ def _ext_skew(cache: WarehouseCache) -> ExperimentResult:
             max(r["shuffled_M"] for r in rows)
             > 2.0 * min(r["shuffled_M"] for r in rows),
         ),
+        ShapeCheck(
+            "at key skew 0.9 the hybrid split beats hash routing: "
+            "repartition(BF) splits its hot keys, and its shuffle is "
+            "priced below the skew factor a hash-routed run pays",
+            rep_rows[-1]["hot_keys"] > 0
+            and rep_rows[-1]["paid_skew"] < rep_rows[-1]["skew_factor"],
+        ),
     ]
     return ExperimentResult(
         experiment_id="ext_skew",
         title="Extension — Zipf key skew (Table-1 point)",
         headers=["key_skew", "skew_factor", "algorithm", "shuffled_M",
-                 "seconds"],
+                 "hot_keys", "paid_skew", "seconds"],
         rows=rows,
         checks=checks,
     )

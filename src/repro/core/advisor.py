@@ -62,16 +62,10 @@ class AdvisorDecision:
 
 
 class JoinAdvisor:
-    """Rank the algorithms for an estimated workload.
+    """Rank the algorithms for an estimated workload."""
 
-    ``skew_handling`` says whether the runs it advises will have the
-    skew plane on (their :class:`~repro.core.joins.base.ExecutionContext`).
-    """
-
-    def __init__(self, config: Optional[HybridConfig] = None,
-                 skew_handling: bool = False):
+    def __init__(self, config: Optional[HybridConfig] = None):
         self.config = config or HybridConfig()
-        self.skew_handling = skew_handling
         # Estimation happens at paper scale directly: scale factor 1.
         self._costing = JoinCosting(self.config.scaled(1.0))
 
@@ -117,16 +111,14 @@ class JoinAdvisor:
         """Skew multiplier the HDFS-side shuffle/build estimates pay.
 
         Mirrors the executed algorithms: the configured analytic factor,
-        capped by :meth:`JoinCosting.effective_shuffle_skew` when the
-        skew plane is on (the hybrid shuffle spreads the hot keys, so
-        the advisor must not over-penalise the repartition family).  No
-        measured balance exists at planning time, so the cap is the
-        constant :data:`~repro.core.joins.costing.HYBRID_SHUFFLE_SKEW_CAP`.
+        capped by :meth:`JoinCosting.effective_shuffle_skew` (a skewed
+        shuffle splits its hot keys, so the advisor must not
+        over-penalise the repartition family).  No measured balance
+        exists at planning time, so the cap is the constant
+        :data:`~repro.core.joins.costing.HYBRID_SHUFFLE_SKEW_CAP`.
         """
         return self._costing.effective_shuffle_skew(
-            max(1.0, self.config.shuffle_skew),
-            hybrid=self.skew_handling,
-        )
+            self.config.shuffle_skew, hybrid=True)
 
     def _common(self, est: WorkloadEstimate):
         t_prime = est.t_rows * est.sigma_t

@@ -127,7 +127,6 @@ class ExecutionContext:
     """Everything one run applies beyond its query, for that run alone.
 
     (The paper's ``read_hdfs`` UDF, too, ships it with each request.)
-    ``skew_handling`` arms the skew plane (:mod:`repro.skew`);
     ``observers`` (:class:`repro.observer.RunObserver`) watch the run;
     ``bloom_builder`` replaces ``ParallelDatabase.build_global_bloom``
     and ``index_for`` builds the local join's index (the query service
@@ -136,7 +135,6 @@ class ExecutionContext:
     lands on the run's trace.
     """
 
-    skew_handling: bool = False
     observers: Tuple = ()
     bloom_builder: Optional[Callable] = None
     index_for: Callable = JoinBuildIndex
@@ -200,8 +198,8 @@ class JoinRun:
     The context's ``observers`` (:class:`repro.observer.RunObserver`)
     watch the run: it hands each its trace, T′'s counts, checkpoints and
     Bloom filters and banks artifacts with them; the HDFS scans feed
-    each per block (after the scan's heavy-hitter detector), and the
-    data-plane steps hand each their invariants.
+    each per block, and the data-plane steps hand each their
+    invariants.
     """
 
     def __init__(self, algorithm: JoinAlgorithm, warehouse,
@@ -214,6 +212,10 @@ class JoinRun:
         self.context = context or ExecutionContext()
         self.observers = self.context.observers
         self.cluster = warehouse.jen.open_cluster(self.context.faults)
+        #: Workers up when the run opened, so when its scan started: the
+        #: shuffle plans its hot-key split for them, and a crash only
+        #: caps the fan-outs at the survivors.
+        self.planned_workers = self.cluster.num_workers
         self.costing = algorithm._costing(warehouse)
         self.stats = JoinStats()
         self.trace = Trace(label=algorithm.display_name)
@@ -335,27 +337,16 @@ class JoinRun:
         """Distributed scan of L through the JEN process pipeline.
 
         The scan waits for ``gate``: by default the startup, and the
-        BF_DB multicast when it applies BF_DB.  With skew handling on,
-        a heavy-hitter detector watches the scan ahead of the observers
-        and sets the result's ``hot_keys``.
+        BF_DB multicast when it applies BF_DB.
         """
         if gate is None:
             gate = (["startup"] if db_bloom is None
                     else ["startup", "bf_db_send"])
         query, stats = self.query, self.stats
-        observers, detector = self.observers, None
-        workers = self.cluster.num_workers
-        if self.context.skew_handling and workers > 1:
-            from repro.skew import HeavyHitterDetector
-
-            detector = HeavyHitterDetector(workers)
-            observers = (detector,) + observers
         scan = self.warehouse.jen.distributed_scan(
             query, self.cluster, db_bloom=db_bloom,
-            build_hdfs_bloom=build_hdfs_bloom, observers=observers,
+            build_hdfs_bloom=build_hdfs_bloom, observers=self.observers,
         )
-        if detector is not None:
-            scan.hot_keys = detector.hot_key_set()
         if build_hdfs_bloom:
             for observer in self.observers:
                 observer.on_bloom_built(scan.hdfs_bloom, [

@@ -37,7 +37,7 @@ from repro.edw.partitioner import agreed_hash_partition
 from repro.kernels.partition import partition_table
 from repro.latemat import LateMatPlan, PayloadStore, transfer_edge
 from repro.relational.table import Table
-from repro.skew import STEAL_THRESHOLD
+from repro.skew import STEAL_THRESHOLD, HotKeySet, hot_key_set
 from repro.query.query import HybridQuery
 
 
@@ -61,9 +61,8 @@ class RepartitionJoin(JoinAlgorithm):
         t_parts = run.db_filter()
         db_bloom = run.bf_db(t_parts) if self.use_bloom else None
         scan = run.hdfs_scan(db_bloom)
-        l_side = shuffle_l(run, "L'", scan.wire_tables, scan.hot_keys,
-                           t_parts)
-        t_side = ship_t(run, "T'", t_parts, scan.hot_keys,
+        l_side = shuffle_l(run, "L'", scan.wire_tables, t_parts)
+        t_side = ship_t(run, "T'", t_parts, l_side.hot_keys,
                         after=["db_filter"])
         return jen_tail(run, l_side, t_side)
 
@@ -88,31 +87,43 @@ class Delivery:
     skew: float = 1.0
     #: Rows each worker's build is priced at (the shuffled L only).
     build_rows: Optional[List[int]] = None
+    #: The keys the shuffled L split, ``None`` when it hashed every row.
+    hot_keys: Optional[HotKeySet] = None
 
 
 def shuffle_l(run: JoinRun, name: str, tables: List[Table],
-              hot_keys, t_parts: List[Table]) -> Delivery:
+              t_parts: List[Table]) -> Delivery:
     """Step 3: shuffle the scan survivors among the JEN workers.
 
-    Every row is priced; only those whose key T′ (``t_parts``) holds
-    travel, unless skew handling may steal (it re-deals what arrived).
-
-    ``hot_keys`` is ``None`` when skew handling is off: the trace pays
-    the configured shuffle skew.  Otherwise the hybrid shuffle ran (even
-    if it found nothing hot), so the skew is capped at the receiver
-    balance it measured.
+    The trace prices the shuffle and its build at the configured skew.
+    Only above 1 can the hybrid split shorten them, so only then are
+    the keys about to be routed counted (:func:`repro.skew.hot_key_set`),
+    for the workers the scan started on (``JoinRun.planned_workers``).
+    A run whose count found a hot key splits it, pays the receiver
+    balance it measured (never more than the configured skew) and ships
+    every routed row, since its stealing re-deals what arrived.  Any
+    other run routes every row by the agreed hash, and only the rows
+    whose key T′ (``t_parts``) holds travel.
     """
     costing, stats = run.costing, run.stats
+    configured = run.warehouse.config.shuffle_skew
+    key = run.query.hdfs_join_key
     store, ship, row_bytes = transfer_edge(tables, run.query, "hdfs")
-    probe_keys = None if run.context.skew_handling else np.concatenate(
-        [part.column(run.query.db_join_key) for part in t_parts])
+    hot_keys = probe_keys = None
+    if configured > 1.0:
+        hot_keys = hot_key_set(
+            np.concatenate([part.column(key) for part in ship]),
+            run.planned_workers, configured)
+    if hot_keys is None:
+        probe_keys = np.concatenate(
+            [part.column(run.query.db_join_key) for part in t_parts])
     shuffled = run.warehouse.jen.shuffle_by_key(
-        ship, run.query.hdfs_join_key, run.cluster, hot_keys=hot_keys,
+        ship, key, run.cluster, hot_keys=hot_keys,
         observers=run.observers, probe_keys=probe_keys)
     tuples = shuffled.tuples_shuffled
     stats.hdfs_tuples_shuffled = tuples
     skew = costing.effective_shuffle_skew(
-        run.warehouse.config.shuffle_skew, hybrid=hot_keys is not None,
+        configured, hybrid=hot_keys is not None,
         measured=shuffled.balance_factor())
     if hot_keys is not None:
         stats.hot_keys_detected = float(len(hot_keys))
@@ -126,16 +137,18 @@ def shuffle_l(run: JoinRun, name: str, tables: List[Table],
                   volume_bytes=tuples * row_bytes)
     return Delivery(name, shuffled.per_destination, store, tuples,
                     row_bytes, ["jen_shuffle"], skew,
-                    shuffled.routed.sum(axis=0).tolist())
+                    shuffled.routed.sum(axis=0).tolist(), hot_keys)
 
 
 def ship_t(run: JoinRun, name: str, t_parts: List[Table], hot_keys,
            after=(), streams_from=()) -> Delivery:
     """Step 2: DB workers send their rows by the agreed hash.
 
-    A hot key's rows cross the inter-cluster link once, to the key's
-    home worker, which relays the extra copies to the rest of the key's
-    spread set (``jen_hot_relay``).
+    ``hot_keys`` are the keys the shuffled L split
+    (:attr:`Delivery.hot_keys`).  A hot key's rows cross the
+    inter-cluster link once, to the key's home worker, which relays the
+    extra copies to the rest of the key's spread set
+    (``jen_hot_relay``).
     """
     costing, stats, trace = run.costing, run.stats, run.trace
     store, ship, row_bytes = transfer_edge(t_parts, run.query, "db")
@@ -172,7 +185,8 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
     rows.  The broadcast join's workers instead probe the full T′ each
     of them built (``hash_build_t``) with their own scan output.  Work
     stealing, the build and spilling are priced after the joins ran,
-    from what they measured.
+    from what they measured.  Stealing is armed only when the shuffle
+    split a hot key: that shuffle shipped every routed row.
     """
     costing, stats, trace = run.costing, run.stats, run.trace
     config = run.warehouse.config
@@ -183,8 +197,8 @@ def jen_tail(run: JoinRun, l_side: Delivery, t_side: Delivery,
         * config.scale,
         latemat_plan=plan,
         index_for=run.context.index_for,
-        steal_threshold=(STEAL_THRESHOLD
-                         if run.context.skew_handling else None),
+        steal_threshold=(None if l_side.hot_keys is None
+                         else STEAL_THRESHOLD),
         observers=run.observers,
         build_rows=l_side.build_rows,
     )

@@ -74,15 +74,14 @@ class _ExactFilterJoin(JoinAlgorithm):
             for wire in scan.wire_tables
         ]
         run.stats.hdfs_rows_after_bloom = sum(p.num_rows for p in pruned)
-        l_side = shuffle_l(run, "exactly pruned L'", pruned, scan.hot_keys,
-                           t_parts)
+        l_side = shuffle_l(run, "exactly pruned L'", pruned, t_parts)
         if self.two_way:
             t_side = ship_t(run, "T''",
                             self._perf_second_phase(run, t_parts, pruned),
-                            scan.hot_keys,
+                            l_side.hot_keys,
                             after=["perf_bitmap_send", "db_filter"])
         else:
-            t_side = ship_t(run, "T'", t_parts, scan.hot_keys,
+            t_side = ship_t(run, "T'", t_parts, l_side.hot_keys,
                             after=["db_filter"])
         return jen_tail(run, l_side, t_side)
 

@@ -50,10 +50,9 @@ class ZigzagJoin(JoinAlgorithm):
         t_parts = run.db_filter()
         db_bloom = run.bf_db(t_parts)
         scan = run.hdfs_scan(db_bloom, build_hdfs_bloom=True)
-        l_side = shuffle_l(run, "L''", scan.wire_tables, scan.hot_keys,
-                           t_parts)
+        l_side = shuffle_l(run, "L''", scan.wire_tables, t_parts)
         t_pruned = bf_h(run, scan, t_parts)
-        t_side = ship_t(run, "T''", t_pruned, scan.hot_keys,
+        t_side = ship_t(run, "T''", t_pruned, l_side.hot_keys,
                         streams_from=["db_second_access"])
         return jen_tail(run, l_side, t_side)
 

@@ -61,10 +61,6 @@ class DistributedScanResult:
     #: BF_H over the join keys of every surviving row; ``None`` unless
     #: the scan was asked to build it.
     hdfs_bloom: Optional[BloomFilter] = None
-    #: Heavy-hitter join keys (:class:`repro.skew.HotKeySet`) a run's
-    #: detector found while watching the scan; ``None`` when no
-    #: detector watched or nothing was hot.
-    hot_keys: Optional[object] = None
 
     def global_bloom(self) -> BloomFilter:
         """BF_H, the filter zigzag step 4 sends to the database."""
@@ -411,10 +407,11 @@ class Jen:
         exchange runs over the remaining workers; individual messages go
         through retry/dedup delivery.
 
-        A non-empty ``hot_keys`` array switches to the hybrid split:
-        rows of detected heavy-hitter keys are dealt round-robin across
-        all (surviving) workers instead of hashing onto one receiver,
-        while the cold tail keeps the agreed hash.  Delivery — retries,
+        A non-empty ``hot_keys`` (:class:`repro.skew.HotKeySet`)
+        switches to the hybrid split: each hot key's rows are dealt
+        round-robin across the key's destination set (capped at the
+        surviving workers) instead of hashing onto one receiver, while
+        the cold tail keeps the agreed hash.  Delivery — retries,
         dedup, exactly-once accounting — is identical either way; only
         the senders' destination assignments change.  ``observers``
         check the split and the delivery; ``probe_keys`` (T′'s join

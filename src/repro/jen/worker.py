@@ -244,8 +244,7 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
 
     The ``observers`` are then fed block by block, in batch order:
     ``on_scan_block(rows, stored_bytes, after_predicates, after_bloom,
-    bloom_applied, keys)``, ``keys`` being the block's surviving join
-    keys (``None`` when the wire has no join key).
+    bloom_applied)``.
     """
     spans = [span for batch in batches for span in batch.spans]
     ids = np.concatenate(
@@ -289,20 +288,16 @@ def finish_scan(selection: FileSelection, batches: Sequence[ScanBatch],
         wires.append(wire.slice(start, stop))
         batch.stats.rows_after_bloom = stop - start
     if observers:
-        # One block per call (the heavy-hitter detector prunes per
-        # call; the adaptive context may raise SwitchSignal to end the
-        # scan).
-        keys = (wire.column(request.join_key)
-                if request.join_key in wire.schema.names else None)
+        # One block per call (the adaptive context may raise
+        # SwitchSignal to end the scan).
         block_rows = [count for batch in batches
                       for count in batch.block_rows]
         for index, (num_rows, count) in enumerate(zip(block_rows, selected)):
-            start, stop = offsets[index], offsets[index + 1]
-            block_keys = None if keys is None else keys[start:stop]
             for observer in observers:
                 observer.on_scan_block(
                     num_rows, num_rows * selection.scan_row_bytes,
-                    count, stop - start, keep is not None, block_keys,
+                    count, offsets[index + 1] - offsets[index],
+                    keep is not None,
                 )
     return wires
 

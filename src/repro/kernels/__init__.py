@@ -18,11 +18,6 @@ differential battery in ``tests/test_kernels.py`` pins the equivalence:
 * :mod:`repro.kernels.bloomops` — word-level Bloom-filter operations:
   duplicate-collapsing scatter-OR insert, vectorised multi-hash bit
   tests, and popcount without materialising individual bits.
-* :mod:`repro.kernels.sketch` — the seeded count-min sketch and top-k
-  candidate heap behind heavy-hitter detection (:mod:`repro.skew`);
-  streaming primitives with no naive twin — their contract (no
-  underestimation, bounded overestimation, determinism) is pinned by
-  property tests against exact counts instead.
 
 :mod:`repro.kernels.wirecodec` is not a kernel any engine calls: it
 prices nothing and is kept only for the benchmark's tracer hooks (see
@@ -34,12 +29,9 @@ from __future__ import annotations
 from repro.kernels.bloomops import popcount, scatter_or, test_bits
 from repro.kernels.joinindex import JoinBuildIndex, probe_join
 from repro.kernels.partition import partition_table
-from repro.kernels.sketch import CountMinSketch, TopKHeap
 
 __all__ = [
-    "CountMinSketch",
     "JoinBuildIndex",
-    "TopKHeap",
     "partition_table",
     "popcount",
     "probe_join",

@@ -41,14 +41,13 @@ class RunObserver:
     def bank_bloom(self, key, result) -> None:
         pass
 
-    # The scan: its block count, then every block with its surviving
-    # join keys (``None`` when the wire carries no join key).
+    # The scan: its block count, then every block's row counts.
     def on_scan_begin(self, total_blocks: int) -> None:
         pass
 
     def on_scan_block(self, rows_scanned: int, stored_bytes: float,
                       rows_after_predicates: int, rows_after_bloom: int,
-                      bloom_applied: bool, keys) -> None:
+                      bloom_applied: bool) -> None:
         pass
 
     # The engine invariants.

@@ -1,39 +1,36 @@
-"""Streaming heavy-hitter detection over the scan's join-key batches.
+"""Exact heavy-hitter detection over the rows a shuffle is about to route.
 
-The detector wraps the count-min sketch + top-k heap kernel and adds
-the one piece of policy the kernels cannot know: *what counts as hot*.
-A key is hot when routing all of its rows to one worker would leave
-that worker with more than its fair share of the shuffle — the
-threshold is half a worker's fair share, ``1 / (2 * num_workers)`` of
-the stream, below which even a perfectly colliding key cannot create a
-meaningful straggler.
+The trace prices a hash shuffle at the configured skew: its hottest
+receiver gets that many times the mean.  A split can only shorten the
+shuffle if its receivers balance better than that, so the hot line is
+derived from the priced skew and the exact key counts (one
+:func:`numpy.unique` over the routed keys):
 
-The no-false-negative guarantee is inherited from the sketch: its
-estimates never underestimate and only grow, so a key whose final
-frequency clears the threshold survives every prune from its last
-observation onward and is present in :meth:`hot_keys`.
+* Cut every key into pieces of at most one worker's fair share of the
+  rows (``total / num_workers``): a key's fan-out is ``ceil(count /
+  piece)``, capped at the worker count and at its own rows, and a key
+  whose fan-out is 1 stays on the agreed hash.
+* Predict each receiver's rows under that split — each key spread over
+  its fan-out consecutive workers from its agreed-hash home.  If the
+  hottest receiver beats the priced skew, split; else halve the piece
+  and try again, down to one row.  A split that cannot beat the priced
+  skew is not made.
+
+The coarsest split that gains is the one with the fewest probe-row
+copies.  On a heavily skewed shuffle the first piece, one fair share,
+already gains; when few keys meet many workers, only finer pieces do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.kernels.sketch import CountMinSketch, TopKHeap
-from repro.observer import RunObserver
+from repro.edw.partitioner import agreed_hash_partition
 
 
-#: Count-min sketch geometry; 1024 x 4 bounds overestimation to
-#: ~e*N/1024 per key, far below the hot threshold at any tested N.
-SKETCH_WIDTH = 1024
-SKETCH_DEPTH = 4
-#: Seed for the sketch hashes (detection is fully deterministic).
-SKETCH_SEED = 11
-#: At most this many keys are treated as hot (broadcast has a cost).
-TOP_K = 64
 #: Work stealing triggers when max load > threshold * mean load.
 #: Stealing is the backstop for what the hybrid split missed: below
 #: ~2x residual imbalance, moving key-aligned fragments across the
@@ -76,80 +73,36 @@ class HotKeySet:
         ]
 
 
-class HeavyHitterDetector(RunObserver):
-    """Accumulates join-key batches; reports the final hot-key set."""
+def hot_key_set(keys: np.ndarray, num_workers: int,
+                priced_skew: float) -> Optional[HotKeySet]:
+    """The keys among ``keys`` whose split lets ``num_workers``
+    receivers balance better than ``priced_skew``, with their fan-outs;
+    ``None`` when no split does, or none is needed.
 
-    def __init__(self, num_workers: int):
-        self.num_workers = int(num_workers)
-        self.sketch = CountMinSketch(
-            width=SKETCH_WIDTH, depth=SKETCH_DEPTH, seed=SKETCH_SEED)
-        self.candidates = TopKHeap(TOP_K)
-        #: Minimum share of the scanned stream a hot key must carry:
-        #: half a worker's fair share.
-        self.fraction = 1.0 / (2.0 * max(2, self.num_workers))
-
-    @property
-    def total(self) -> int:
-        """Join keys observed so far."""
-        return self.sketch.total
-
-    def threshold(self) -> int:
-        """Current absolute hot-key count threshold (grows with N)."""
-        return max(1, math.ceil(self.fraction * self.sketch.total))
-
-    def on_scan_block(self, rows_scanned, stored_bytes,
-                      rows_after_predicates, rows_after_bloom,
-                      bloom_applied, keys) -> None:
-        """Scan observer protocol: observe the block's join keys."""
-        if keys is not None:
-            self.observe(keys)
-
-    def observe(self, keys) -> None:
-        """One scanned block's join keys."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        unique, counts = np.unique(keys, return_counts=True)
-        self.sketch.add(unique, counts)
-        self.candidates.offer(unique, self.sketch.estimate(unique))
-        self.candidates.prune(self.threshold())
-
-    def hot_keys(self) -> np.ndarray:
-        """Keys whose estimated frequency clears the final threshold.
-
-        Candidates are re-estimated against the finished sketch before
-        the final cut: a key offered early carries a stale (smaller)
-        estimate, and the threshold kept growing after it was admitted.
-        Sorted ascending so downstream ``np.isin`` calls and the
-        invariant checks see one canonical order.
-        """
-        candidates = self.candidates.keys()
-        if candidates.size == 0 or self.sketch.total == 0:
-            return np.zeros(0, dtype=np.int64)
-        estimates = self.sketch.estimate(candidates)
-        return candidates[estimates >= self.threshold()]
-
-    def hot_key_set(self) -> Optional[HotKeySet]:
-        """The actionable hot keys with their spread fan-outs.
-
-        A key's fan-out is how many fair shares of the stream its
-        estimated frequency occupies, ``ceil(est / (total / workers))``
-        capped at the worker count — spreading wider than that buys no
-        balance but multiplies the probe-side duplication.  Keys whose
-        fan-out rounds to 1 are dropped: hash routing already handles
-        them, and keeping them hot would duplicate probe rows for
-        nothing.
-        """
-        keys = self.hot_keys()
-        if keys.size == 0:
+    Keys come out sorted ascending, so downstream ``np.isin`` calls and
+    the invariant checks see one canonical order.
+    """
+    if num_workers < 2 or keys.size == 0:
+        return None
+    unique, counts = np.unique(keys, return_counts=True)
+    homes = agreed_hash_partition(unique, num_workers)
+    # The piece is keys.size / pieces rows: one fair share, then halves.
+    pieces = num_workers
+    while True:
+        fanouts = np.minimum(np.minimum(counts, num_workers),
+                             -(-counts * pieces // keys.size))
+        offsets = np.arange(fanouts.sum()) - np.repeat(
+            np.cumsum(fanouts) - fanouts, fanouts)
+        loads = np.bincount(
+            (np.repeat(homes, fanouts) + offsets) % num_workers,
+            weights=np.repeat(-(-counts // fanouts), fanouts),
+            minlength=num_workers)
+        if loads.max() * num_workers < priced_skew * keys.size:
+            hot = fanouts >= 2
+            if not hot.any():
+                return None
+            return HotKeySet(keys=unique[hot].astype(np.int64),
+                             fanouts=fanouts[hot].astype(np.int64))
+        if pieces >= keys.size:
             return None
-        estimates = self.sketch.estimate(keys).astype(np.float64)
-        fair = max(1.0, self.sketch.total / float(self.num_workers))
-        fanouts = np.minimum(
-            self.num_workers,
-            np.ceil(estimates / fair).astype(np.int64),
-        )
-        spread = fanouts >= 2
-        if not spread.any():
-            return None
-        return HotKeySet(keys=keys[spread], fanouts=fanouts[spread])
+        pieces *= 2

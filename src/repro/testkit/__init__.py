@@ -8,9 +8,10 @@ One harness for every correctness question the reproduction asks:
   with readable first-divergence diffs;
 * :mod:`repro.testkit.generator` — seeded data/query/config generation
   spanning the metamorphic axes (algorithms, worker counts, HDFS
-  formats, fault plans, cache cold/warm, estimate errors, skew
-  handling, approximate sampling, late materialization) and a runner
-  executing one grid cell under an invariant checker;
+  formats, fault plans, cache cold/warm, estimate errors, approximate
+  sampling, late materialization) and a runner executing one grid cell
+  under an invariant checker, on a warehouse that prices the case's
+  key skew;
 * :mod:`repro.testkit.invariants` — :class:`InvariantChecker`, the run
   observer that checks the engine invariants (exactly-once shuffle
   delivery, partition completeness/disjointness, Bloom

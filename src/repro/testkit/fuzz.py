@@ -16,7 +16,7 @@ import json
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,6 +166,29 @@ def _write_artifacts(directory: pathlib.Path, index: int,
     return paths
 
 
+def fuzz_cells(seeds: Sequence[int], cells_per_seed: int = 10,
+               rows_scale: float = 1.0,
+               include_edge_cases: bool = False
+               ) -> Iterator[Tuple[DataCase, ConfigCell]]:
+    """Every ``(case, cell)`` a fuzz run over ``seeds`` checks, in
+    order: ``cells_per_seed`` sampled cells per case."""
+    cases: List[DataCase] = [
+        generate_data_case(
+            seed,
+            t_rows=max(60, int(1_500 * rows_scale)),
+            l_rows=max(240, int(6_000 * rows_scale)),
+        )
+        for seed in seeds
+    ]
+    if include_edge_cases:
+        cases.extend(edge_cases())
+    for case_index, case in enumerate(cases):
+        seed = seeds[case_index % len(seeds)]
+        rng = np.random.default_rng(seed * 1_000 + case_index)
+        for _ in range(cells_per_seed):
+            yield case, sample_cell(rng)
+
+
 def run_fuzz(seeds: Sequence[int], cells_per_seed: int = 10,
              rows_scale: float = 1.0,
              include_edge_cases: bool = False,
@@ -181,32 +204,19 @@ def run_fuzz(seeds: Sequence[int], cells_per_seed: int = 10,
     report = FuzzReport(seeds=list(seeds))
     directory = pathlib.Path(artifact_dir) if artifact_dir else None
     started = time.perf_counter()
-    cases: List[DataCase] = [
-        generate_data_case(
-            seed,
-            t_rows=max(60, int(1_500 * rows_scale)),
-            l_rows=max(240, int(6_000 * rows_scale)),
+    for case, cell in fuzz_cells(seeds, cells_per_seed, rows_scale,
+                                 include_edge_cases):
+        failure = _check_cell(case, cell)
+        report.cells_run += 1
+        if failure is None:
+            continue
+        failure.shrunk = shrink.shrink(
+            case, cell, max_evaluations=shrink_budget
         )
-        for seed in seeds
-    ]
-    if include_edge_cases:
-        cases.extend(edge_cases())
-    for case_index, case in enumerate(cases):
-        seed = seeds[case_index % len(seeds)]
-        rng = np.random.default_rng(seed * 1_000 + case_index)
-        for _ in range(cells_per_seed):
-            cell = sample_cell(rng)
-            failure = _check_cell(case, cell)
-            report.cells_run += 1
-            if failure is None:
-                continue
-            failure.shrunk = shrink.shrink(
-                case, cell, max_evaluations=shrink_budget
-            )
-            if directory is not None:
-                report.artifact_paths.extend(_write_artifacts(
-                    directory, len(report.failures), failure
-                ))
-            report.failures.append(failure)
+        if directory is not None:
+            report.artifact_paths.extend(_write_artifacts(
+                directory, len(report.failures), failure
+            ))
+        report.failures.append(failure)
     report.elapsed_seconds = time.perf_counter() - started
     return report

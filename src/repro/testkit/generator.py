@@ -3,8 +3,8 @@
 A *data case* is (T table, L table, hybrid query) plus the provenance
 expression that rebuilds it; a *config cell* is one point on the
 metamorphic axes — algorithm, worker count, HDFS storage format,
-fault plan, cache cold/warm, estimate error, skew handling, approximate
-sampling, late materialization.  Every (case, cell) pair
+fault plan, cache cold/warm, estimate error, approximate sampling,
+late materialization.  Every (case, cell) pair
 must produce exactly the row multiset of
 :func:`repro.testkit.oracle.oracle_execute` on the same case.
 
@@ -46,6 +46,7 @@ from repro.workload import (
     build_paper_query,
     generate_workload,
     load_paper_tables,
+    zipf_skew_factor,
 )
 
 #: Every registered join algorithm, including the exact baselines and
@@ -76,7 +77,7 @@ ESTIMATE_ERROR_AXIS = (
     (1.0, 0.1), (0.1, 1.0), (1.0, 10.0), (10.0, 1.0),
 )
 #: The algorithms whose plan shuffles L' with the agreed hash — the
-#: only ones the skew-handling axis can change.
+#: only ones a skewed case's hybrid split can change.
 SHUFFLE_ALGORITHMS = (
     "repartition", "repartition(BF)", "semijoin", "perf", "zigzag",
 )
@@ -96,10 +97,6 @@ class ConfigCell:
     #: ``(sigma_t_factor, sigma_l_factor)`` injected into the adaptive
     #: wrapper's initial estimate (only meaningful for ``"adaptive"``).
     estimate_error: Optional[Tuple[float, float]] = None
-    #: Heavy-hitter detection + hybrid shuffle + work stealing
-    #: (:mod:`repro.skew`); only shuffle-using algorithms react.  The
-    #: query service runs without it, so a warm-cache cell refuses it.
-    skew_handling: bool = False
     #: Block-sampling rate for the approximate tier (only meaningful
     #: for ``"approx"``/``"approx(BF)"`` cells).  ``1.0`` scans every
     #: block, so the cell must be row-identical to the oracle; rates
@@ -109,13 +106,6 @@ class ConfigCell:
     #: Thin-row shipping + batched payload stitch (:mod:`repro.latemat`);
     #: results must stay row-identical whatever side defers its payload.
     late_materialization: bool = False
-
-    def __post_init__(self):
-        if self.cache_warm and self.skew_handling:
-            raise ServiceError(
-                "a warm-cache cell runs through the query service, which "
-                "has no skew handling; drop cache_warm or skew_handling"
-            )
 
     def label(self) -> str:
         """Compact cell id for test parametrisation and repro output.
@@ -133,8 +123,6 @@ class ConfigCell:
                 f"esterr[{self.estimate_error[0]:g}x,"
                 f"{self.estimate_error[1]:g}x]"
             )
-        if self.skew_handling:
-            parts.append("skew")
         if self.approx is not None:
             parts.append(f"approx{self.approx:g}")
         if self.late_materialization:
@@ -151,6 +139,9 @@ class DataCase:
     l_table: Table
     query: HybridQuery
     provenance: str
+    #: What the tables were drawn from: its key skew and key count
+    #: price the shuffle of a warehouse loaded with them.
+    spec: WorkloadSpec
 
     def oracle_rows(self) -> List[Tuple]:
         """The trusted answer for this case, as canonical rows."""
@@ -217,6 +208,7 @@ def generate_data_case(seed: int, t_rows: int = 1_500,
         l_table=workload.l_table,
         query=query,
         provenance=f"generator.generate_data_case(seed={seed})",
+        spec=workload.spec,
     )
 
 
@@ -286,7 +278,7 @@ def _edge_case_builders() -> Dict[str, "callable"]:
 
 
 def skewed_case(key_skew: float, seed: int = 7) -> DataCase:
-    """A pinned heavily Zipf-skewed case for the skew-handling axis.
+    """A pinned heavily Zipf-skewed case, where the hybrid split runs.
 
     Selectivities are kept moderate so the hot keys survive both
     predicates and dominate the shuffle; infeasible draws (high skew
@@ -316,6 +308,7 @@ def skewed_case(key_skew: float, seed: int = 7) -> DataCase:
         provenance=(
             f"generator.skewed_case({key_skew!r}, seed={seed})"
         ),
+        spec=workload.spec,
     )
 
 
@@ -354,6 +347,7 @@ def approx_case(kind: str, seed: Optional[int] = None) -> DataCase:
         l_table=case.l_table,
         query=query,
         provenance=f"generator.approx_case({kind!r}, seed={seed!r})",
+        spec=case.spec,
     )
 
 
@@ -371,6 +365,7 @@ def edge_case(name: str) -> DataCase:
         l_table=workload.l_table,
         query=query,
         provenance=f"generator.edge_case({name!r})",
+        spec=workload.spec,
     )
 
 
@@ -393,6 +388,7 @@ def with_rows(case: DataCase, t_rows: Sequence[int],
             f"generator.with_rows({case.provenance}, "
             f"t_rows={t_idx.tolist()!r}, l_rows={l_idx.tolist()!r})"
         ),
+        spec=case.spec,
     )
 
 
@@ -401,9 +397,12 @@ def with_rows(case: DataCase, t_rows: Sequence[int],
 # ----------------------------------------------------------------------
 def build_cell_warehouse(case: DataCase, workers: int,
                          format_name: str) -> HybridWarehouse:
-    """A loaded warehouse sized to one cell's worker axis."""
+    """A loaded warehouse sized to one cell's worker axis, its shuffle
+    priced at the case's key skew (:func:`zipf_skew_factor`)."""
     config = dataclasses.replace(
         default_config(scale=1.0 / 50_000.0),
+        shuffle_skew=zipf_skew_factor(case.spec.key_skew,
+                                      case.spec.n_keys, workers),
         cluster=ClusterConfig(
             hdfs_nodes=workers,
             db_workers=workers,
@@ -459,7 +458,7 @@ def run_cell(case: DataCase, cell: ConfigCell,
 
     checker = checker or InvariantChecker()
     context = ExecutionContext(
-        skew_handling=cell.skew_handling, observers=(checker,),
+        observers=(checker,),
         faults=(FaultInjector(FaultPlan.from_spec(cell.fault_spec))
                 if cell.fault_spec else None))
     previous_latemat = set_late_materialization_enabled(
@@ -503,7 +502,7 @@ class WarehouseCache:
 # Grids
 # ----------------------------------------------------------------------
 def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
-    """The seeded tier-1 grid: 218 cells across every axis.
+    """The seeded tier-1 grid: 213 cells across every axis.
 
     The first seeded case sweeps the full cross of algorithms x worker
     counts, plus the format, fault and warm-cache axes; a second seeded
@@ -536,27 +535,22 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
     for case in extra_cases:
         for algorithm in ALL_ALGORITHMS:
             grid.append((case, ConfigCell(algorithm, workers=4)))
-    # Skew axis: every shuffle-using algorithm, hybrid shuffle on and
-    # off, on the pinned heavily skewed case — plus every fault plan
-    # with skew handling armed (detection, broadcast split and work
-    # stealing must all survive crashes, stragglers, lossy links and
-    # spill pressure without changing a row).
+    # Skewed data: every shuffle-using algorithm on the pinned heavily
+    # skewed case, where the hybrid split runs — plus every fault plan
+    # (detection, broadcast split and work stealing must all survive
+    # crashes, stragglers, lossy links and spill pressure without
+    # changing a row).
     hot = skewed_case(1.8)
     for algorithm in SHUFFLE_ALGORITHMS:
-        for skew_handling in (False, True):
-            grid.append((hot, ConfigCell(
-                algorithm, workers=4, skew_handling=skew_handling,
-            )))
+        grid.append((hot, ConfigCell(algorithm, workers=4)))
         for fault_spec in FAULT_AXIS:
             grid.append((hot, ConfigCell(
                 algorithm, workers=30, fault_spec=fault_spec,
-                skew_handling=True,
             )))
     # Late-materialization axis: thin-row shipping + payload stitch
     # must be row-identical everywhere it can activate — every
     # algorithm on a wide-payload case (where both stores engage),
-    # across formats, with skew handling on the hot case, and under a
-    # fault plan.
+    # across formats, on the hot case, and under a fault plan.
     wide = edge_case("wide-dtypes")
     for algorithm in ALL_ALGORITHMS:
         grid.append((wide, ConfigCell(
@@ -569,8 +563,7 @@ def default_grid(seed: int = 2015) -> List[Tuple[DataCase, ConfigCell]]:
         )))
     for algorithm in ("repartition(BF)", "zigzag"):
         grid.append((hot, ConfigCell(
-            algorithm, workers=4, skew_handling=True,
-            late_materialization=True,
+            algorithm, workers=4, late_materialization=True,
         )))
     grid.append((wide, ConfigCell(
         "zigzag", workers=30, fault_spec=FAULT_AXIS[0],
@@ -622,11 +615,8 @@ def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
             hot = skewed_case(key_skew, seed=seed)
             for algorithm in SHUFFLE_ALGORITHMS:
                 for workers in WORKER_AXIS:
-                    for skew_handling in (False, True):
-                        grid.append((hot, ConfigCell(
-                            algorithm, workers=workers,
-                            skew_handling=skew_handling,
-                        )))
+                    grid.append((hot, ConfigCell(algorithm,
+                                                 workers=workers)))
         # Crashes on two- and three-worker clusters, where a hot key's
         # fan-out (sized at scan start) can outgrow the survivors.
         for key_skew in (1.8, 2.5):
@@ -634,10 +624,8 @@ def wide_grid(seeds: Sequence[int]) -> List[Tuple[DataCase, ConfigCell]]:
             for workers in (2, 3):
                 for phase in ("scan", "shuffle"):
                     for algorithm in SHUFFLE_ALGORITHMS:
-                        for skew_handling in (False, True):
-                            grid.append((hot, ConfigCell(
-                                algorithm, workers=workers,
-                                fault_spec=f"crash:w{workers - 1}@{phase}",
-                                skew_handling=skew_handling,
-                            )))
+                        grid.append((hot, ConfigCell(
+                            algorithm, workers=workers,
+                            fault_spec=f"crash:w{workers - 1}@{phase}",
+                        )))
     return grid

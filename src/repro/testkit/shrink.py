@@ -38,7 +38,6 @@ _AXIS_DEFAULTS = (
     ("fault_spec", None),
     ("cache_warm", False),
     ("estimate_error", None),
-    ("skew_handling", False),
     ("approx", None),
     ("late_materialization", False),
     ("format_name", "parquet"),

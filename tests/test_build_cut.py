@@ -44,6 +44,7 @@ from repro.relational.operators import joined_rows
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
 from repro.testkit import generator, oracle
+from repro.testkit.invariants import InvariantChecker
 from tests.kernel_reference import naive_join_indices, naive_reachable_rows
 from tests.test_join_pipeline import assert_bit_equal
 
@@ -358,12 +359,16 @@ def read_only_concat(concat):
     return classmethod(guarded)
 
 
+#: The grid's heavily skewed case, whose shuffles split hot keys.
+HOT_CASE = generator.skewed_case(1.8)
+
+
 def audit_cells():
     """One grid cell per algorithm and axis combination."""
     seen, cells = set(), []
     for case, cell in generator.default_grid():
         shape = (cell.algorithm, cell.fault_spec is not None,
-                 cell.cache_warm, cell.skew_handling,
+                 cell.cache_warm, case.name == HOT_CASE.name,
                  cell.late_materialization, cell.workers)
         if shape not in seen:
             seen.add(shape)
@@ -384,14 +389,18 @@ def warehouse_cache():
                               for case, cell in AUDIT_CELLS])
 def test_no_engine_writes_into_a_concat_result(case, cell, warehouse_cache):
     """A concat result may share memory with its parts, so every engine
-    path (each algorithm, faults, warm caches, skew handling, late
-    materialization) runs with read-only concat results, and still
-    answers as the oracle does."""
+    path (each algorithm, faults, warm caches, the hot-key split and
+    work stealing, late materialization) runs with read-only concat
+    results, and still answers as the oracle does."""
     warehouse = warehouse_cache.get(case, cell)
+    checker = InvariantChecker()
     with mock.patch.object(Table, "concat",
                            read_only_concat(Table.concat)):
-        result = generator.run_cell(case, cell, warehouse=warehouse)
+        result = generator.run_cell(case, cell, warehouse=warehouse,
+                                    checker=checker)
     oracle.assert_equivalent(result, case.oracle_rows())
+    if case.name == HOT_CASE.name:
+        assert checker.counts["hybrid_partition"] >= 1
 
 
 # ----------------------------------------------------------------------

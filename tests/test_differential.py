@@ -1,8 +1,8 @@
 """Differential tests: the metamorphic config grid vs. the oracle.
 
-Tier-1 runs the seeded 218-cell :func:`repro.testkit.generator.
+Tier-1 runs the seeded 213-cell :func:`repro.testkit.generator.
 default_grid` — every algorithm, worker counts {1, 4, 30}, all HDFS
-formats, fault plans, cold/warm caches — each run under an
+formats, fault plans, cold/warm caches, skewed keys — each run under an
 invariant checker, asserting each cell's result equals the
 single-node oracle's row multiset, that every invariant was checked
 somewhere on the grid, and that the semi-join cuts — the shuffle's
@@ -110,8 +110,7 @@ class TestDefaultGrid:
             expected |= labels(base, ALL_ALGORITHMS, workers=30,
                                fault_spec=fault_spec)
             expected |= labels(hot, generator.SHUFFLE_ALGORITHMS,
-                               workers=30, fault_spec=fault_spec,
-                               skew_handling=True)
+                               workers=30, fault_spec=fault_spec)
         expected |= labels(base, ALL_ALGORITHMS, cache_warm=True)
         for estimate_error in generator.ESTIMATE_ERROR_AXIS:
             expected |= labels(base, ["adaptive"],
@@ -121,12 +120,10 @@ class TestDefaultGrid:
         ]
         for case in extra_cases:
             expected |= labels(case, ALL_ALGORITHMS)
-        for skew_handling in (True, False):
-            expected |= labels(hot, generator.SHUFFLE_ALGORITHMS,
-                               skew_handling=skew_handling)
+        expected |= labels(hot, generator.SHUFFLE_ALGORITHMS)
         expected |= labels(wide, ALL_ALGORITHMS, late_materialization=True)
         expected |= labels(hot, ["repartition(BF)", "zigzag"],
-                           skew_handling=True, late_materialization=True)
+                           late_materialization=True)
         expected |= labels(wide, ["zigzag"], workers=30,
                            fault_spec=generator.FAULT_AXIS[0],
                            late_materialization=True)
@@ -136,7 +133,7 @@ class TestDefaultGrid:
         for kind in generator.APPROX_KINDS:
             expected |= labels(f"approx-{kind}", ["approx", "approx(BF)"],
                                approx=1.0)
-        assert len(GRID) == 218
+        assert len(GRID) == 213
         assert sorted(GRID_IDS) == sorted(expected)
 
     def test_grid_covers_every_metamorphic_axis(self):
@@ -171,6 +168,18 @@ class TestDefaultGrid:
         total = sum(GRID_CHECKS.values(), Counter())
         assert set(total) == INVARIANTS
         assert min(total.values()) >= 1, total
+
+    def test_the_split_runs_on_the_grid(self, warehouse_cache):
+        """The grid's skewed cells price their case's skew, so their
+        shuffles split hot keys: the hybrid partition and the probe
+        rows' broadcast routing are each checked on at least the 27
+        cells that once ran with the split switched on."""
+        for (case, cell), label in zip(GRID, GRID_IDS):
+            if label not in GRID_CHECKS:
+                _run_grid_cell(case, cell, warehouse_cache)
+        total = sum(GRID_CHECKS.values(), Counter())
+        assert total["hybrid_partition"] >= 27, total
+        assert total["broadcast_routing"] >= 27, total
 
     def test_the_build_cut_fires_and_declines_on_the_grid(
             self, warehouse_cache):
@@ -567,6 +576,26 @@ class TestFuzzDriver:
         assert "run_cell" in record["snippet"]
         snippets = list(tmp_path.glob("*.py"))
         assert snippets, "repro snippet artifact missing"
+
+    def test_ci_fuzz_seeds_reach_the_split(self):
+        """The cells CI's fuzz-smoke step checks (``python -m repro fuzz
+        --seeds 2015 2016 2017 --cells-per-seed 12 --rows-scale 0.5
+        --edge-cases``) include a Zipf case whose shuffle splits."""
+        cells = [
+            (case, cell) for case, cell in fuzz.fuzz_cells(
+                [2015, 2016, 2017], cells_per_seed=12, rows_scale=0.5,
+                include_edge_cases=True)
+            if case.spec.key_skew > 0
+            and cell.algorithm in generator.SHUFFLE_ALGORITHMS
+        ]
+        split = 0
+        for case, cell in cells:
+            checker = InvariantChecker()
+            run_cell(case, cell, checker=checker)
+            split += checker.counts["hybrid_partition"]
+            if split:
+                break
+        assert split >= 1
 
     def test_cli_exit_codes(self, broken_probe, capsys):
         from repro.__main__ import main

@@ -11,7 +11,8 @@ over every integer key dtype, spans, hit rates and sender counts; and,
 at engine level, each run with the cut equals the same run with the
 cut declined in every recorded field (result rows, stats, slot loads,
 phases): spilling, a shuffle-time crash, message faults, late
-materialization.  With skew handling every routed row travels.
+materialization.  A run whose shuffle split a hot key ships every
+routed row; a run that found none cuts.
 """
 
 from __future__ import annotations
@@ -187,14 +188,18 @@ class CutLog:
 
 
 def run(case, algorithm, workers=4, fault_spec=None, latemat=False,
-        skew=False, budget=0.0, decline=False):
-    """One checked run on a fresh warehouse, and its cut log."""
+        budget=0.0, decline=False, shuffle_skew=None):
+    """One checked run on a fresh warehouse, and its cut log.  The
+    shuffle is priced at ``shuffle_skew``, or at the case's skew."""
     warehouse = generator.build_cell_warehouse(case, workers, "parquet")
     if budget:
         warehouse.config = dataclasses.replace(
             warehouse.config, jen_memory_budget_rows=budget)
+    if shuffle_skew is not None:
+        warehouse.config = dataclasses.replace(
+            warehouse.config, shuffle_skew=shuffle_skew)
     context = ExecutionContext(
-        skew_handling=skew, observers=(InvariantChecker(),),
+        observers=(InvariantChecker(),),
         faults=(FaultInjector(FaultPlan.from_spec(fault_spec))
                 if fault_spec else None))
     previous = set_late_materialization_enabled(latemat)
@@ -249,27 +254,49 @@ def test_the_cut_changes_nothing_a_run_records(name):
         assert any(phase.name == "payload_fetch_l" for phase in cut.trace)
 
 
-def test_with_skew_handling_every_routed_row_travels():
-    """Work stealing re-deals the rows that arrived, so with skew
-    handling no route asks for the cut; without it the same case
-    cuts."""
-    case = generator.skewed_case(1.8)
-    for skew in (True, False):
-        shuffled = []
-        original = Jen.shuffle_by_key
+def shuffled_rows(**run_args):
+    """``(result, log, routed, delivered)`` of one checked run: the
+    rows its shuffle routed, and those it delivered."""
+    shuffled = []
+    original = Jen.shuffle_by_key
 
-        def spied(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            shuffled.append((result.tuples_shuffled, sum(
-                part.num_rows for part in result.per_destination)))
-            return result
+    def spied(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        shuffled.append((result.tuples_shuffled, sum(
+            part.num_rows for part in result.per_destination)))
+        return result
 
-        with mock.patch.object(Jen, "shuffle_by_key", spied):
-            _result, log = run(case, "repartition", workers=30, skew=skew)
-        [(routed, delivered)] = shuffled
-        if skew:
-            assert log.fired == log.declined == 0
-            assert delivered == routed
-        else:
-            assert log.fired == 1
-            assert delivered == log.kept < routed
+    with mock.patch.object(Jen, "shuffle_by_key", spied):
+        result, log = run(**run_args)
+    [(routed, delivered)] = shuffled
+    return result, log, routed, delivered
+
+
+def test_a_run_that_split_a_hot_key_ships_every_routed_row():
+    """Work stealing re-deals the rows that arrived, so a run whose
+    shuffle split a hot key asks for no cut."""
+    result, log, routed, delivered = shuffled_rows(
+        case=generator.skewed_case(1.8), algorithm="repartition",
+        workers=30)
+    assert result.stats.hot_keys_detected > 0
+    assert result.stats.stolen_tuples > 0
+    assert log.fired == log.declined == 0
+    assert delivered == routed
+
+
+@pytest.mark.parametrize("name", ["skewed-priced-at-1",
+                                  "uniform-priced-at-4"])
+def test_a_run_that_found_no_hot_key_cuts(name):
+    """The skewed case priced at 1 counts nothing; uniform keys priced
+    at 4 are counted, and no split is needed to beat that.  Both hash
+    every row, and only the rows a probe can reach travel."""
+    case, workers, shuffle_skew = {
+        "skewed-priced-at-1": (generator.skewed_case(1.8), 30, 1.0),
+        "uniform-priced-at-4": (generator.skewed_case(0.0), 4, 4.0),
+    }[name]
+    result, log, routed, delivered = shuffled_rows(
+        case=case, algorithm="repartition", workers=workers,
+        shuffle_skew=shuffle_skew)
+    assert result.stats.hot_keys_detected == 0
+    assert log.fired == 1
+    assert delivered == log.kept < routed

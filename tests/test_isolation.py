@@ -1,12 +1,13 @@
 """Two queries running at once in one process keep to themselves.
 
-Everything a run applies — skew handling, its observers (the adaptive
-context, the scan's heavy-hitter detector, an invariant checker), the
-service's Bloom builder and join index, its fault plan — travels on
-that run's own :class:`~repro.core.joins.base.ExecutionContext`, never
-parked in a module-level slot or swapped onto the warehouse, and a
-crash takes its worker out of that run's view of the cluster alone; so
-a query on another thread can neither see nor change it.  The threads
+Everything a run applies — its observers (the adaptive context, an
+invariant checker), the service's Bloom builder and join index, its
+fault plan — travels on that run's own
+:class:`~repro.core.joins.base.ExecutionContext`, never parked in a
+module-level slot or swapped onto the warehouse; the hot keys its
+shuffle counts stay on the run; and a crash takes its worker out of
+that run's view of the cluster alone; so a query on another thread can
+neither see nor change it.  The threads
 here switch every 10 µs; every run must equal the oracle and report
 exactly what it reports alone.  Runs may share a warehouse: the two
 query services share one, and so do a faulted and a fault-free run.
@@ -14,6 +15,7 @@ query services share one, and so do a faulted and a fault-free run.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -48,8 +50,14 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
-def _loaded(case):
-    return generator.build_cell_warehouse(case, 4, "parquet")
+def _loaded(case, shuffle_skew=None):
+    """``case`` on four workers, its shuffle priced at the case's skew
+    or at ``shuffle_skew``."""
+    warehouse = generator.build_cell_warehouse(case, 4, "parquet")
+    if shuffle_skew is not None:
+        warehouse.config = dataclasses.replace(warehouse.config,
+                                               shuffle_skew=shuffle_skew)
+    return warehouse
 
 
 def _in_threads(*bodies):
@@ -116,8 +124,7 @@ def test_checked_run_beside_an_unchecked_run(fast_switching):
     zigzag = algorithm_by_name("zigzag")
 
     def checked_context():
-        return ExecutionContext(skew_handling=True,
-                                observers=(InvariantChecker(),))
+        return ExecutionContext(observers=(InvariantChecker(),))
 
     context = checked_context()
     zigzag.run(_loaded(case), case.query, context)
@@ -139,9 +146,8 @@ def test_checked_run_beside_an_unchecked_run(fast_switching):
             done.set()
 
     def plain_thread():
-        context = ExecutionContext(skew_handling=True)
         while not done.is_set():
-            plain.append(zigzag.run(plain_warehouse, case.query, context))
+            plain.append(zigzag.run(plain_warehouse, case.query))
 
     assert _in_threads(checked_thread, plain_thread) == []
     assert len(checked) == CHECKED_RUNS and plain
@@ -152,23 +158,22 @@ def test_checked_run_beside_an_unchecked_run(fast_switching):
 
 
 def test_two_skew_detecting_scans(fast_switching):
-    """Skew-on repartition runs over two differently skewed cases: each
-    scan's detector sees only its own keys, so each run moves exactly
+    """Repartition runs over two differently skewed cases: each
+    shuffle's count sees only its own keys, so each run moves exactly
     what it moves alone."""
     cases = [generator.edge_case("zipf-skew"), generator.skewed_case(1.8)]
-    skew_on = [ExecutionContext(skew_handling=True)] * 2
-    alone, runs = _repartitions_alone_and_together(cases, skew_on)
+    alone, runs = _repartitions_alone_and_together(cases)
     assert all(stats.hot_keys_detected > 0 for stats in alone)
     assert alone[0].hot_tuples_rerouted != alone[1].hot_tuples_rerouted
     _assert_each_run_as_alone(cases, alone, runs)
 
 
 def test_skew_on_beside_skew_off(fast_switching):
-    """One case, skew handling on for one thread and off for the other:
-    the option belongs to the run, so each moves what it moves alone."""
+    """One case, priced at its skew on one thread's warehouse and at 1
+    on the other's: one splits and the other does not, and each moves
+    what it moves alone."""
     case = generator.skewed_case(1.8)
-    contexts = [ExecutionContext(skew_handling=True), ExecutionContext()]
-    alone, runs = _repartitions_alone_and_together([case] * 2, contexts)
+    alone, runs = _repartitions_alone_and_together([case] * 2, (None, 1.0))
     assert alone[0].hot_tuples_rerouted > 0
     assert alone[1].hot_keys_detected == 0 == alone[1].hot_tuples_rerouted
     _assert_each_run_as_alone([case] * 2, alone, runs)
@@ -233,21 +238,22 @@ def _priced(result):
             result.stats)
 
 
-def _repartitions_alone_and_together(cases, contexts):
+def _repartitions_alone_and_together(cases, shuffle_skews=(None, None)):
     """Each case's repartition stats alone, then ``SKEW_RUNS`` runs of
-    each on its own thread."""
+    each on its own thread, each case's warehouse priced at its
+    ``shuffle_skews`` entry (``None``: the case's skew)."""
     repartition = algorithm_by_name("repartition")
-    alone = [repartition.run(_loaded(case), case.query, context).stats
-             for case, context in zip(cases, contexts)]
+    alone = [repartition.run(_loaded(case, skew), case.query).stats
+             for case, skew in zip(cases, shuffle_skews)]
     runs = [[], []]
 
     def body(index):
-        case, warehouse = cases[index], _loaded(cases[index])
+        case = cases[index]
+        warehouse = _loaded(case, shuffle_skews[index])
 
         def scan():
             for _ in range(SKEW_RUNS):
-                runs[index].append(repartition.run(
-                    warehouse, case.query, contexts[index]))
+                runs[index].append(repartition.run(warehouse, case.query))
         return scan
 
     assert _in_threads(body(0), body(1)) == []

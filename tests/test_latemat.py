@@ -5,7 +5,7 @@ dictionary-aware wire accounting, the fetch-amplification model, the
 service plane's bytes-shipped counters, the bytes and seconds thin
 wires buy on a constrained link (pinned), and — the load-bearing part
 — oracle identity of every algorithm with the toggle on, including the
-skew and fault interactions.
+fault interactions (the differential grid runs it on skewed keys).
 """
 
 from __future__ import annotations
@@ -318,8 +318,6 @@ class TestOracleIdentity:
         assert diff is None, diff
 
     @pytest.mark.parametrize("cell", [
-        ConfigCell(algorithm="repartition(BF)", workers=4,
-                   skew_handling=True, late_materialization=True),
         ConfigCell(algorithm="zigzag", workers=30,
                    fault_spec="crash:w2@scan", late_materialization=True),
         ConfigCell(algorithm="repartition", workers=30,
@@ -468,7 +466,8 @@ def _wire_case(name, s_t, s_l, clustered):
     )
     return generator.DataCase(name=name, t_table=tables[0],
                               l_table=tables[1], query=query,
-                              provenance=f"test_latemat/{name}")
+                              provenance=f"test_latemat/{name}",
+                              spec=workload.spec)
 
 
 @pytest.fixture(scope="module")

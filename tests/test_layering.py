@@ -98,7 +98,7 @@ def callers(function: str) -> Dict[str, int]:
 
 def test_the_scan_sees_function_local_imports():
     # They are how most cross-layer edges are made.
-    assert "repro.core.joins.base" in importers("repro.skew")
+    assert "repro.adaptive.algorithm" in importers("repro.query.stats")
     assert "repro.kernels" in importers("repro.kernels.partition")
 
 
@@ -163,8 +163,8 @@ def test_the_observed_layers_do_not_import_the_adaptive_plane():
 
 
 def test_jen_imports_neither_the_skew_plane_nor_the_service():
-    """The run hands JEN its heavy-hitter detector, steal threshold and
-    join index on its execution context; JEN needs neither plane."""
+    """The run hands JEN its hot keys, steal threshold and join index;
+    JEN needs neither plane."""
     jen = {module for module in IMPORTS
            if module == "repro.jen" or module.startswith("repro.jen.")}
     assert "repro.jen.engine" in jen
@@ -291,8 +291,7 @@ CONFIG_FIELDS = {
         "degrade_to_approx",
     ],
     ("core/joins/base.py", "ExecutionContext"): [
-        "skew_handling", "observers", "bloom_builder", "index_for",
-        "faults",
+        "observers", "bloom_builder", "index_for", "faults",
     ],
 }
 PARAMETERS = {
@@ -300,7 +299,6 @@ PARAMETERS = {
     ("service/admission.py", "AdmissionController.__init__"): [
         "timeline", "config", "metrics",
     ],
-    ("skew/detector.py", "HeavyHitterDetector.__init__"): ["num_workers"],
     ("adaptive/reoptimizer.py", "ReOptimizer.__init__"): [
         "advisor", "incumbent", "base_estimate", "exclude", "bank",
     ],
@@ -526,7 +524,6 @@ TEST_ONLY_FIELDS = {
     "repro.core.joins.base.JoinResult.join_slot_loads": ACCESSOR,
     "repro.core.joins.base.JoinStats.hdfs_rows_after_bloom": ACCESSOR,
     "repro.core.joins.base.JoinStats.hdfs_rows_discarded": ACCESSOR,
-    "repro.core.joins.base.JoinStats.hot_keys_detected": ACCESSOR,
     "repro.core.joins.base.JoinStats.hot_tuples_rerouted": ACCESSOR,
     "repro.edw.worker.DbWorker.server_id": ACCESSOR,
     "repro.jen.scheduler.StealPlan.post_balance": ACCESSOR,

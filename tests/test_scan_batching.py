@@ -38,7 +38,7 @@ from repro.query.query import DerivedColumn
 from repro.relational.expressions import UdfPredicate
 from repro.relational.schema import DataType
 from repro.relational.table import Table
-from repro.skew import HeavyHitterDetector
+from repro.skew import hot_key_set
 from repro.testkit import generator, oracle
 
 BLOOM_BITS = 1 << 14
@@ -62,9 +62,8 @@ def reference_scan(worker, meta, blocks, request, db_bloom=None,
     """filter -> project -> derive -> Bloom -> wire, block by block.
 
     Returns ``(wire, stats, feed)``; ``feed`` is what the per-block
-    observers are owed, in order: ``("keys", [...])`` to a heavy-hitter
-    detector, then ``("block", rows, bytes, after_predicates,
-    after_bloom, applied)`` to a :class:`BlockLog` behind it.
+    observers are owed, in order: ``("block", rows, bytes,
+    after_predicates, after_bloom, applied)`` to a :class:`BlockLog`.
     """
     row_bytes = meta.storage_format().scan_bytes_per_row(
         meta.schema, list(request.projection))
@@ -96,8 +95,6 @@ def reference_scan(worker, meta, blocks, request, db_bloom=None,
         stats.rows_after_predicates += after_predicates
         stats.rows_after_bloom += wire.num_rows
         pieces.append(wire)
-        if request.join_key in wire.schema.names:
-            feed.append(("keys", wire.column(request.join_key).tolist()))
         feed.append(("block", rows.num_rows, rows.num_rows * row_bytes,
                      after_predicates, wire.num_rows, probing))
     return Table.concat(pieces), stats, feed
@@ -138,8 +135,7 @@ def new_local_bloom() -> BloomFilter:
 
 class BlockLog(RunObserver):
     """A scan observer logging each block's counts as a ``"block"``
-    event (the adaptive context's ``on_scan_*`` methods); a detector
-    ahead of it logs the block's keys."""
+    event (the adaptive context's ``on_scan_*`` methods)."""
 
     def __init__(self, events):
         self.events = events
@@ -148,8 +144,13 @@ class BlockLog(RunObserver):
     def on_scan_begin(self, total_blocks):
         self.total = total_blocks
 
-    def on_scan_block(self, *counts_and_keys):
-        self.events.append(("block",) + counts_and_keys[:-1])
+    def on_scan_block(self, *counts):
+        self.events.append(("block",) + counts)
+
+    def take(self):
+        events = list(self.events)
+        self.events.clear()
+        return events
 
 
 # ----------------------------------------------------------------------
@@ -409,28 +410,26 @@ def test_sampled_scan_evaluates_only_the_blocks_it_reads(loaded_warehouse,
 # ----------------------------------------------------------------------
 # Per-block observers are fed off the batch
 # ----------------------------------------------------------------------
-class _RecordingDetector(HeavyHitterDetector):
-    """A real detector logging each observation."""
-
-    def __init__(self, events, num_workers):
-        super().__init__(num_workers)
-        self.events = events
-
-    def observe(self, keys):
-        self.events.append(("keys", np.asarray(keys).tolist()))
-        super().observe(keys)
-
-
 def _assert_feed_equals_the_per_block_feed(scan_setup, db_bloom):
     worker, meta, blocks, request, _db_bloom = scan_setup
     _wire, _stats, feed = reference_scan(
         worker, meta, blocks, request, db_bloom)
     events = []
-    recorder = _RecordingDetector(events, num_workers=4)
     worker.scan_filter_project(meta, blocks, request, db_bloom=db_bloom,
-                               observers=(recorder, BlockLog(events)))
+                               observers=(BlockLog(events),))
     assert events == feed
-    assert len([e for e in events if e[0] == "block"]) == len(blocks)
+    assert len(events) == len(blocks)
+
+
+class SplitLog(RunObserver):
+    """Logs the hot keys and fan-outs of every hybrid split."""
+
+    def __init__(self):
+        self.splits = []
+
+    def check_hybrid_partition(self, table, key, parts, num_partitions,
+                               hash_fn, hot_keys, fanouts=None):
+        self.splits.append((hot_keys.tolist(), fanouts.tolist()))
 
 
 class TestObserverReplay:
@@ -442,36 +441,31 @@ class TestObserverReplay:
         false and its after-Bloom count equal to its survivors."""
         _assert_feed_equals_the_per_block_feed(scan_setup, None)
 
-    def test_hot_key_set_matches_the_per_block_feed(self):
-        """The detector prunes per observation, so its answer depends
-        on the feed's grain; the sequence test above pins the grain,
-        this one the resulting hot-key set on a Zipf-skewed case."""
+    def test_hot_key_set_is_the_exact_count_of_the_scan(self):
+        """The run's shuffle splits exactly the keys a ``np.unique``
+        count of the scan's survivors puts above one fair share, each
+        over the fair shares it fills."""
         case = generator.skewed_case(seed=3, key_skew=1.8)
         warehouse = generator.build_cell_warehouse(case, 4, "parquet")
         jen = warehouse.jen
-        meta = jen.coordinator.table_meta("L")
-        request = ScanRequest.from_query(case.query)
-        assignment = live_plan(jen)
-        reference = HeavyHitterDetector(jen.num_workers)
-        for worker in live_workers(jen):
-            blocks = list(assignment.blocks_for(worker.worker_id))
-            _wire, _stats, feed = reference_scan(
-                worker, meta, blocks, request)
-            for entry in feed:
-                if entry[0] == "keys":
-                    reference.observe(np.asarray(entry[1], dtype=np.int64))
-        expected = reference.hot_key_set()
-        assert expected is not None and len(expected) > 0
+        scan = jen.scan_with_request(
+            "L", ScanRequest.from_query(case.query), jen.open_cluster())
+        keys = np.concatenate([wire.column(case.query.hdfs_join_key)
+                               for wire in scan.wire_tables])
+        unique, counts = np.unique(keys, return_counts=True)
+        fair = keys.size / jen.num_workers
+        hot = counts > fair
+        expected = (unique[hot].tolist(),
+                    np.ceil(counts[hot] / fair).astype(int).tolist())
+        assert expected[0]
 
-        detector = HeavyHitterDetector(jen.num_workers)
-        for worker in live_workers(jen):
-            worker.scan_filter_project(
-                meta, list(assignment.blocks_for(worker.worker_id)),
-                request, observers=(detector,))
-        actual = detector.hot_key_set()
-        assert np.array_equal(actual.keys, expected.keys)
-        assert np.array_equal(actual.fanouts, expected.fanouts)
-        assert detector.total == reference.total
+        log = SplitLog()
+        algorithm_by_name("repartition").run(
+            warehouse, case.query, ExecutionContext(observers=(log,)))
+        assert log.splits == [expected]
+        found = hot_key_set(keys, jen.num_workers,
+                            warehouse.config.shuffle_skew)
+        assert (found.keys.tolist(), found.fanouts.tolist()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -640,28 +634,6 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
     return wire_tables, stats, merged
 
 
-class _Feed(BlockLog):
-    """The per-block feed, in order: the key slices of every
-    heavy-hitter detector and this observer's block counts."""
-
-    def __init__(self, monkeypatch):
-        super().__init__([])
-        observe = HeavyHitterDetector.observe
-        events = self.events
-
-        def recording_observe(detector, keys):
-            events.append(("keys", np.asarray(keys).tolist()))
-            return observe(detector, keys)
-
-        monkeypatch.setattr(HeavyHitterDetector, "observe",
-                            recording_observe)
-
-    def take(self):
-        events = list(self.events)
-        self.events.clear()
-        return events
-
-
 def _query_case(workers=4, l_rows=None):
     """Warehouse, scan request and a BF_DB as the EDW builds it."""
     case = generator.generate_data_case(2005)
@@ -682,33 +654,30 @@ def query_case():
     return _query_case()
 
 
-def _both_scans(warehouse, request, db_bloom, insert, feed, faults=None):
+def _both_scans(warehouse, request, db_bloom, insert, faults=None):
     """``[(result, feed, injector)]`` of the reference, then of the
     query-wide scan, each on a full cluster under a fresh injector of
-    the plan ``faults``, each watched by a heavy-hitter detector (whose
-    hot keys end the result) and then ``feed``."""
-    jen, sides = warehouse.jen, []
+    the plan ``faults``, each watched by a :class:`BlockLog`."""
+    jen, sides, feed = warehouse.jen, [], BlockLog([])
     for run in ("reference", "query-wide"):
         injector = (FaultInjector(FaultPlan.from_spec(faults))
                     if faults else None)
-        detector = HeavyHitterDetector(jen.num_workers)
         if run == "reference":
             result = reference_queue_scan(
-                jen, request, db_bloom, insert,
-                observers=(detector, feed), faults=injector)
+                jen, request, db_bloom, insert, observers=(feed,),
+                faults=injector)
         else:
             scan = jen.scan_with_request(
                 "L", request, jen.open_cluster(injector), db_bloom=db_bloom,
-                build_hdfs_bloom=insert, observers=(detector, feed))
+                build_hdfs_bloom=insert, observers=(feed,))
             result = (scan.wire_tables, scan.stats, scan.hdfs_bloom)
-        result += (detector.hot_key_set(),)
         sides.append((result, feed.take(), injector))
     return sides
 
 
 def assert_same_scan(reference, actual):
-    (ref_wires, ref_stats, ref_bloom, ref_hot), ref_feed, ref_inj = reference
-    (wires, stats, bloom, hot), feed, injector = actual
+    (ref_wires, ref_stats, ref_bloom), ref_feed, ref_inj = reference
+    (wires, stats, bloom), feed, injector = actual
     assert len(wires) == len(ref_wires)
     for wire, ref_wire in zip(wires, ref_wires):
         assert_same_table(wire, ref_wire)
@@ -719,13 +688,7 @@ def assert_same_scan(reference, actual):
         assert_same_bloom(bloom, ref_bloom)
         assert bloom.num_added == stats.rows_after_bloom
     assert feed == ref_feed
-    assert sum(entry[0] == "block" for entry in feed) == \
-        stats.local_blocks + stats.remote_blocks
-    if ref_hot is None:
-        assert hot is None
-    else:
-        assert np.array_equal(hot.keys, ref_hot.keys)
-        assert np.array_equal(hot.fanouts, ref_hot.fanouts)
+    assert len(feed) == stats.local_blocks + stats.remote_blocks
     if ref_inj is not None:
         assert injector.fired == ref_inj.fired
         assert injector.crashes == ref_inj.crashes
@@ -743,24 +706,21 @@ _MODES = [
 
 class TestQueryWideBloomStep:
     @pytest.mark.parametrize("probe,insert", _MODES)
-    def test_equals_per_worker_filters(self, query_case, monkeypatch,
-                                       probe, insert):
+    def test_equals_per_worker_filters(self, query_case, probe, insert):
         warehouse, request, db_bloom = query_case
         reference, actual = _both_scans(
-            warehouse, request, db_bloom if probe else None, insert,
-            _Feed(monkeypatch))
+            warehouse, request, db_bloom if probe else None, insert)
         assert_same_scan(reference, actual)
         stats = actual[0][1]
         if probe:
             assert 0 < stats.rows_after_bloom < stats.rows_after_predicates
 
     @pytest.mark.parametrize("probe,insert", _MODES)
-    def test_crash_with_recovery_tasks(self, query_case, monkeypatch,
-                                       probe, insert):
+    def test_crash_with_recovery_tasks(self, query_case, probe, insert):
         warehouse, request, db_bloom = query_case
         reference, actual = _both_scans(
             warehouse, request, db_bloom if probe else None, insert,
-            _Feed(monkeypatch), faults="crash:w2@scan")
+            faults="crash:w2@scan")
         assert_same_scan(reference, actual)
         injector = actual[2]
         assert injector.crashes == 1 and injector.blocks_reassigned > 0
@@ -768,7 +728,7 @@ class TestQueryWideBloomStep:
         assert len(actual[0][0]) == 3      # w2's wire table is gone
 
     @pytest.mark.parametrize("faults", [None, "crash:w6@scan"])
-    def test_workers_with_zero_blocks(self, monkeypatch, faults):
+    def test_workers_with_zero_blocks(self, faults):
         """Five blocks over eight workers: three scan nothing (and one
         of them crashes with nothing to hand over)."""
         warehouse, request, db_bloom = _query_case(workers=8, l_rows=500)
@@ -777,8 +737,7 @@ class TestQueryWideBloomStep:
                   for worker_id in warehouse.jen.coordinator.live_workers()]
         assert counts.count(0) >= 3 and counts[6] == 0
         reference, actual = _both_scans(
-            warehouse, request, db_bloom, True, _Feed(monkeypatch),
-            faults=faults)
+            warehouse, request, db_bloom, True, faults=faults)
         assert_same_scan(reference, actual)
         assert all(wire.schema.names == request.wire_columns
                    for wire in actual[0][0])
@@ -804,20 +763,19 @@ class TestQueryWideBloomStep:
         assert calls[0][2] == scan.stats.rows_after_predicates
         assert calls[1][2] == scan.stats.rows_after_bloom
 
-    def test_forced_switch_at_the_same_block(self, query_case,
-                                             monkeypatch):
+    def test_forced_switch_at_the_same_block(self, query_case):
         """A stub observer votes to switch at a block inside the second
         worker's task: both scans stop replaying there, having shown
         the observer exactly the same blocks."""
         warehouse, request, db_bloom = query_case
         switch_at = len(list(live_plan(warehouse.jen).blocks_for(0))) + 3
-        feed = _Feed(monkeypatch)
+        feed = BlockLog([])
 
         class SwitchAt(BlockLog):
             blocks = 0
 
-            def on_scan_block(self, *counts_and_keys):
-                super().on_scan_block(*counts_and_keys)
+            def on_scan_block(self, *counts):
+                super().on_scan_block(*counts)
                 self.blocks += 1
                 if self.blocks == switch_at:
                     raise SwitchSignal(SimpleNamespace(

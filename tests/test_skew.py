@@ -1,18 +1,20 @@
-"""The skew plane: detection kernel, hybrid shuffle, work stealing.
+"""The skew plane: exact detection, hybrid shuffle, work stealing.
 
-Property tests for the count-min sketch + top-k detection kernel
-(no false negatives above the threshold, bounded overestimation,
-determinism), unit tests for the bounded-fan-out hybrid split and the
-straggler steal planner, and the differential battery: every
-shuffle-using algorithm on heavily skewed data, skew handling on and
-off, with and without injected faults, must reproduce the oracle's row
-multiset under an invariant checker while the measured worker balance
-improves.
+Unit tests for the exact hot-key count and its priced hot line (no
+false negatives above one fair share, agreement with a ``np.unique``
+reference, determinism, the finer pieces a small key space needs), the
+bounded-fan-out hybrid split and the straggler steal planner, and the
+differential battery: every shuffle-using algorithm on heavily skewed
+data, priced at the case's skew (the split runs) and at skew 1 (it
+does not), with and without injected faults, must reproduce the
+oracle's row multiset under an invariant checker while the measured
+worker balance improves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,23 +26,23 @@ from repro.core.joins.costing import HYBRID_SHUFFLE_SKEW_CAP, JoinCosting
 from repro.core.joins.repartition import _route_db_rows
 from repro.config import HybridConfig
 from repro.edw.partitioner import agreed_hash_partition
-from repro.errors import InvariantViolation, ServiceError, SimulationError
+from repro.errors import InvariantViolation
 from repro.faults import FaultInjector, FaultPlan
 from repro.jen.scheduler import plan_work_stealing
 from repro.jen.worker import JenWorker
-from repro.kernels.sketch import CountMinSketch, TopKHeap
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
-from repro.skew import HeavyHitterDetector, HotKeySet
+from repro.skew import HotKeySet, hot_key_set
 from repro.testkit import generator, oracle
 from repro.testkit.invariants import InvariantChecker
-from repro.workload.generator import zipf_skew_factor
 from tests.test_chaos import FAULT_SPECS
 
 SHUFFLE_ALGORITHMS = generator.SHUFFLE_ALGORITHMS
-SKEW_ON = ExecutionContext(skew_handling=True)
 #: Tier-1 fault representatives; the full grid is slow-marked.
 SMOKE_FAULTS = ("crash-shuffle", "crash-scan", "combo")
+#: A priced skew no split misses: the first piece, one fair share,
+#: always gains.
+ANY_SPLIT = 1e9
 
 
 def zipf_keys(rng, n, n_keys=200, skew=1.6):
@@ -50,149 +52,105 @@ def zipf_keys(rng, n, n_keys=200, skew=1.6):
         .astype(np.int64)
 
 
-# ----------------------------------------------------------------------
-# Count-min sketch + top-k kernel
-# ----------------------------------------------------------------------
-class TestCountMinSketch:
-    def test_never_underestimates(self):
-        rng = np.random.default_rng(5)
-        keys = zipf_keys(rng, 20_000)
-        sketch = CountMinSketch(width=512, depth=4, seed=11)
-        for block in np.array_split(keys, 13):
-            unique, counts = np.unique(block, return_counts=True)
-            sketch.add(unique, counts)
-        exact_keys, exact_counts = np.unique(keys, return_counts=True)
-        estimates = sketch.estimate(exact_keys)
-        assert (estimates >= exact_counts).all()
-        assert sketch.total == keys.size
-
-    def test_overestimation_bounded(self):
-        # Standard CMS bound: overestimate <= e*N/width with high
-        # probability per row; depth=4 takes the min over rows.  The
-        # data and seed are fixed, so the generous 3*N/width bound is
-        # deterministic here.
-        rng = np.random.default_rng(6)
-        keys = zipf_keys(rng, 30_000)
-        sketch = CountMinSketch(width=1024, depth=4, seed=11)
-        sketch.add(keys)
-        exact_keys, exact_counts = np.unique(keys, return_counts=True)
-        over = sketch.estimate(exact_keys) - exact_counts
-        assert (over >= 0).all()
-        assert over.max() <= 3.0 * keys.size / 1024
-
-    def test_deterministic(self):
-        keys = zipf_keys(np.random.default_rng(7), 5_000)
-        a = CountMinSketch(width=256, depth=3, seed=11)
-        b = CountMinSketch(width=256, depth=3, seed=11)
-        a.add(keys)
-        # Same multiset in a different batch order: identical state.
-        for block in np.array_split(keys[::-1], 7):
-            b.add(block)
-        probe = np.unique(keys)
-        assert np.array_equal(a.estimate(probe), b.estimate(probe))
-
-    def test_exact_on_sparse_streams(self):
-        # Far fewer distinct keys than cells: the min over 4 rows is
-        # collision-free, so estimates agree with exact counts.
-        rng = np.random.default_rng(8)
-        keys = rng.integers(0, 40, size=10_000).astype(np.int64)
-        sketch = CountMinSketch(width=4096, depth=4, seed=11)
-        sketch.add(keys)
-        exact_keys, exact_counts = np.unique(keys, return_counts=True)
-        assert np.array_equal(sketch.estimate(exact_keys), exact_counts)
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(SimulationError):
-            CountMinSketch(width=0, depth=4)
-        with pytest.raises(SimulationError):
-            CountMinSketch(width=64, depth=0)
+def hash_only():
+    """Every shuffle routes by the agreed hash and pays the priced skew:
+    the split finds nothing to split."""
+    return mock.patch("repro.core.joins.repartition.hot_key_set",
+                      return_value=None)
 
 
-class TestTopKHeap:
-    def test_caps_and_sorts(self):
-        heap = TopKHeap(3)
-        heap.offer(np.array([10, 20, 30, 40], dtype=np.int64),
-                   np.array([5, 40, 15, 25], dtype=np.int64))
-        heap.prune(0)
-        kept = heap.keys()
-        assert kept.tolist() == sorted(kept.tolist())
-        assert len(kept) == 3
-        assert 10 not in kept  # smallest estimate evicted
-
-    def test_keeps_max_estimate_per_key(self):
-        heap = TopKHeap(8)
-        heap.offer(np.array([7], dtype=np.int64),
-                   np.array([10], dtype=np.int64))
-        heap.offer(np.array([7], dtype=np.int64),
-                   np.array([4], dtype=np.int64))
-        assert dict(heap.items())[7] == 10
-
-    def test_prune_floor(self):
-        heap = TopKHeap(8)
-        heap.offer(np.array([1, 2, 3], dtype=np.int64),
-                   np.array([2, 9, 30], dtype=np.int64))
-        heap.prune(10)
-        assert heap.keys().tolist() == [3]
+def priced_at_one(warehouse):
+    """``warehouse`` with its shuffle priced at skew 1 (no count)."""
+    warehouse.config = dataclasses.replace(warehouse.config,
+                                           shuffle_skew=1.0)
+    return warehouse
 
 
 # ----------------------------------------------------------------------
-# Heavy-hitter detector
+# Exact heavy-hitter detection
 # ----------------------------------------------------------------------
+def reference_split(keys, num_workers):
+    """The first piece's split from ``np.unique`` counts: keys above one
+    fair share, fanned out over the fair shares they fill."""
+    unique, counts = np.unique(keys, return_counts=True)
+    fair = keys.size / num_workers
+    fanouts = np.minimum(num_workers, np.ceil(counts / fair)).astype(int)
+    hot = counts > fair
+    return unique[hot], fanouts[hot]
+
+
 class TestHeavyHitterDetector:
-    def _observe_blocks(self, detector, keys, blocks=11):
-        for block in np.array_split(keys, blocks):
-            detector.observe(block)
-
     def test_no_false_negatives_above_threshold(self):
         rng = np.random.default_rng(9)
         keys = zipf_keys(rng, 25_000, skew=1.8)
-        detector = HeavyHitterDetector(num_workers=8)
-        self._observe_blocks(detector, keys)
-        exact_keys, exact_counts = np.unique(keys, return_counts=True)
-        threshold = detector.threshold()
-        truly_hot = exact_keys[exact_counts >= threshold]
+        unique, counts = np.unique(keys, return_counts=True)
+        truly_hot = unique[counts > keys.size / 8]
         assert truly_hot.size > 0  # the workload really is skewed
-        assert np.isin(truly_hot, detector.hot_keys()).all()
+        for priced_skew in (1.5, 4.0, ANY_SPLIT):
+            hot = hot_key_set(keys, 8, priced_skew)
+            assert np.isin(truly_hot, hot.keys).all()
 
     def test_agrees_with_exact_counts_when_sparse(self):
-        # Few distinct keys + default 1024x4 sketch: detection is the
-        # exact frequency cut, no over- or under-selection.
         rng = np.random.default_rng(10)
         keys = zipf_keys(rng, 12_000, n_keys=64, skew=1.5)
-        detector = HeavyHitterDetector(num_workers=6)
-        self._observe_blocks(detector, keys)
-        exact_keys, exact_counts = np.unique(keys, return_counts=True)
-        expected = exact_keys[exact_counts >= detector.threshold()]
-        assert np.array_equal(detector.hot_keys(), np.sort(expected))
+        hot = hot_key_set(keys, 6, ANY_SPLIT)
+        expected_keys, expected_fanouts = reference_split(keys, 6)
+        assert np.array_equal(hot.keys, expected_keys)
+        assert np.array_equal(hot.fanouts, expected_fanouts)
 
     def test_deterministic(self):
         keys = zipf_keys(np.random.default_rng(11), 9_000)
-        first = HeavyHitterDetector(num_workers=4)
-        second = HeavyHitterDetector(num_workers=4)
-        self._observe_blocks(first, keys, blocks=5)
-        self._observe_blocks(second, keys, blocks=5)
-        assert np.array_equal(first.hot_keys(), second.hot_keys())
+        first = hot_key_set(keys, 4, 2.0)
+        # The same multiset in another order: the same split.
+        second = hot_key_set(keys[::-1].copy(), 4, 2.0)
+        assert np.array_equal(first.keys, second.keys)
+        assert np.array_equal(first.fanouts, second.fanouts)
 
     def test_uniform_stream_detects_nothing(self):
         rng = np.random.default_rng(12)
         keys = rng.integers(0, 500, size=20_000).astype(np.int64)
-        detector = HeavyHitterDetector(num_workers=8)
-        self._observe_blocks(detector, keys)
-        assert detector.hot_keys().size == 0
-        assert detector.hot_key_set() is None
+        assert hot_key_set(keys, 8, 2.0) is None
+        assert hot_key_set(keys, 8, ANY_SPLIT) is None
 
     def test_hot_key_set_fanouts_bounded(self):
         rng = np.random.default_rng(13)
         keys = zipf_keys(rng, 25_000, skew=1.8)
-        detector = HeavyHitterDetector(num_workers=8)
-        self._observe_blocks(detector, keys)
-        hot = detector.hot_key_set()
+        hot = hot_key_set(keys, 8, ANY_SPLIT)
         assert hot is not None and len(hot) > 0
         assert (hot.fanouts >= 2).all()
         assert (hot.fanouts <= 8).all()
         # The hottest key needs the widest spread.
-        estimates = detector.sketch.estimate(hot.keys)
-        assert hot.fanouts[np.argmax(estimates)] == hot.fanouts.max()
+        unique, counts = np.unique(keys, return_counts=True)
+        hottest = unique[np.argmax(counts)]
+        assert hot.fanouts[hot.keys == hottest][0] == hot.fanouts.max()
+
+    def test_few_keys_split_finer_to_beat_the_priced_skew(self):
+        """Six keys over thirty workers: one fair share per piece leaves
+        a receiver at 2.6 times the mean, so the pieces halve until
+        the split beats the priced 1.7."""
+        counts = [2901, 3340, 4211, 5419, 7808, 14392]
+        keys = np.repeat(np.arange(6, dtype=np.int64) * 7919, counts)
+        coarse = reference_split(keys, 30)
+        hot = hot_key_set(keys, 30, 1.7)
+        assert np.array_equal(hot.keys, coarse[0])
+        assert (hot.fanouts >= coarse[1]).all()
+        assert (hot.fanouts > coarse[1]).any()
+        # Each key's rows dealt over its destinations, the way the
+        # shuffle deals them: the receivers beat the priced skew.
+        loads = np.zeros(30)
+        for key, dests in zip(hot.keys, hot.destination_lists(
+                30, agreed_hash_partition)):
+            rows = int((keys == key).sum())
+            np.add.at(loads, dests[np.arange(rows) % dests.size], 1)
+        assert loads.max() * 30 < 1.7 * keys.size
+
+    def test_a_split_that_cannot_gain_is_not_made(self):
+        # Three rows of one key over two workers: at best two land on
+        # one receiver, 1.33 times the mean.
+        keys = np.array([5, 5, 5], dtype=np.int64)
+        assert hot_key_set(keys, 2, 1.2) is None
+        assert len(hot_key_set(keys, 2, 1.5)) == 1
+        assert hot_key_set(keys, 1, ANY_SPLIT) is None
 
 
 # ----------------------------------------------------------------------
@@ -350,87 +308,94 @@ class TestSkewCosting:
             pytest.approx(2 * self.costing.jen_relay_seconds(1e6, 32.0))
 
     def test_advisor_discounts_repartition_when_skew_handled(self):
-        config = dataclasses.replace(HybridConfig(), shuffle_skew=5.0)
         # Selective on T, not on L: the HDFS shuffle/build path is the
         # critical path, so the skew multiplier shows in the estimate.
         est = WorkloadEstimate(
             t_rows=2e8, l_rows=15e9, sigma_t=0.1, sigma_l=0.8,
             s_t=0.2, s_l=0.1,
         )
-        skewed = JoinAdvisor(config).estimate_all(est)
-        handled = JoinAdvisor(config, skew_handling=True).estimate_all(est)
+
+        def estimates(shuffle_skew):
+            return JoinAdvisor(dataclasses.replace(
+                HybridConfig(), shuffle_skew=shuffle_skew)).estimate_all(est)
+
+        uniform, capped = estimates(1.0), estimates(HYBRID_SHUFFLE_SKEW_CAP)
+        skewed = estimates(5.0)
+        # A skewed shuffle splits its hot keys: the advisor prices the
+        # cap, not the configured factor.
+        assert skewed == capped
         for name in ("repartition", "repartition(BF)", "zigzag"):
-            assert handled[name] < skewed[name]
+            assert uniform[name] < skewed[name]
         # Algorithms without an L' shuffle are untouched.
-        assert handled["broadcast"] == pytest.approx(skewed["broadcast"])
-        assert handled["db"] == pytest.approx(skewed["db"])
+        assert skewed["broadcast"] == pytest.approx(uniform["broadcast"])
+        assert skewed["db"] == pytest.approx(uniform["db"])
 
 
 # ----------------------------------------------------------------------
-# Context + generator plumbing
+# Testkit plumbing: a cell's warehouse prices its case's skew
 # ----------------------------------------------------------------------
 class TestSkewPlumbing:
-    def test_context_defaults_to_skew_off(self):
-        context = ExecutionContext()
-        assert context.skew_handling is False
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            context.skew_handling = True
-
     def test_run_cell_leaves_no_skew_state(self):
-        """The cell's skew handling rides on its own run: a default run
-        on the same warehouse afterwards detects nothing."""
+        """The split rides on its own run: the same warehouse, priced at
+        skew 1 afterwards, detects nothing."""
         case = generator.skewed_case(1.8)
-        cell = generator.ConfigCell("repartition", workers=4,
-                                    skew_handling=True)
-        assert "skew" in cell.label()
         warehouse = generator.build_cell_warehouse(case, 4, "parquet")
-        generator.run_cell(case, cell, warehouse=warehouse)
-        plain = algorithm_by_name("repartition").run(warehouse, case.query)
+        assert warehouse.config.shuffle_skew > 1.0
+        checker = InvariantChecker()
+        generator.run_cell(case, generator.ConfigCell("repartition"),
+                           warehouse=warehouse, checker=checker)
+        assert checker.counts["hybrid_partition"] == 1
+        plain = algorithm_by_name("repartition").run(
+            priced_at_one(warehouse), case.query)
         assert plain.stats.hot_keys_detected == 0
 
-    def test_warm_cache_cell_refuses_skew_handling(self):
-        """A warm cell runs through the query service, which has no
-        skew handling: the cell is refused, not silently run without."""
-        with pytest.raises(ServiceError, match="skew handling"):
-            generator.ConfigCell("repartition", cache_warm=True,
-                                 skew_handling=True)
-        grid = generator.default_grid()
-        assert not any(cell.cache_warm and cell.skew_handling
-                       for _case, cell in grid)
+    def test_warm_cache_cell_splits_skewed_keys(self):
+        """A warm cell runs through the query service, whose runs split
+        a skewed case's hot keys too."""
+        case = generator.skewed_case(1.8)
+        checker = InvariantChecker()
+        result = generator.run_cell(
+            case, generator.ConfigCell("repartition", cache_warm=True),
+            checker=checker)
+        assert checker.counts["hybrid_partition"] == 2
+        assert oracle.canonical_rows(result) == case.oracle_rows()
 
     def test_default_grid_sweeps_the_skew_axis(self):
         grid = generator.default_grid()
         skew_cells = [
-            (case, cell) for case, cell in grid if cell.skew_handling
+            (case, cell) for case, cell in grid if case.name == "skew1.8"
         ]
         assert {cell.algorithm for _, cell in skew_cells} == \
             set(SHUFFLE_ALGORITHMS)
-        assert {case.name for case, _ in skew_cells} == {"skew1.8"}
         faulted = {cell.fault_spec for _, cell in skew_cells
                    if cell.fault_spec}
         assert faulted == set(generator.FAULT_AXIS)
-
-    def test_shrinker_resets_skew_axis(self):
-        from repro.testkit.shrink import _AXIS_DEFAULTS
-
-        assert ("skew_handling", False) in _AXIS_DEFAULTS
+        for case, cell in skew_cells:
+            warehouse = generator.build_cell_warehouse(
+                case, cell.workers, cell.format_name)
+            assert warehouse.config.shuffle_skew > 1.0
 
     def test_policy_fraction_default(self):
-        # Half a worker's fair share, counting at least two workers.
-        assert HeavyHitterDetector(8).fraction == pytest.approx(1 / 16)
-        assert HeavyHitterDetector(1).fraction == pytest.approx(1 / 4)
+        # The first piece is one worker's fair share: a key holding
+        # exactly that many rows stays hashed, one row more splits.
+        keys = np.concatenate([np.full(25, 1), np.arange(2, 77)])
+        assert hot_key_set(keys, 4, ANY_SPLIT) is None
+        hot = hot_key_set(np.concatenate([keys, [1]]), 4, ANY_SPLIT)
+        assert hot.keys.tolist() == [1] and hot.fanouts.tolist() == [2]
 
 
 # ----------------------------------------------------------------------
 # Differential battery on skewed workloads
 # ----------------------------------------------------------------------
 #: (algorithm, Zipf key skew) -> pinned (p99/p50 per-worker join-load
-#: spread, simulated seconds) at 30 workers, hash-only then hybrid.
+#: spread, simulated seconds) at 30 workers priced at the case's skew:
+#: the hash-only reference, then the run.  At key skew 0 the shuffle is
+#: priced at 1, so the run is the hash-only run.
 BALANCE_PINS = {
-    ("repartition", 0.0): ((3.800, 27.390), (1.920, 27.396)),
+    ("repartition", 0.0): ((3.800, 27.390), (3.800, 27.390)),
     ("repartition", 1.2): ((67.907, 33.912), (2.156, 28.398)),
     ("repartition", 1.8): ((519.820, 59.528), (1.384, 26.679)),
-    ("zigzag", 0.0): ((144.940, 22.854), (2.584, 22.869)),
+    ("zigzag", 0.0): ((144.940, 22.854), (144.940, 22.854)),
     ("zigzag", 1.2): ((711.570, 32.523), (2.317, 31.984)),
     ("zigzag", 1.8): ((1039.350, 59.302), (1.385, 34.016)),
 }
@@ -447,32 +412,39 @@ def hot_reference(hot_case):
 
 
 class TestSkewDifferential:
-    @pytest.mark.parametrize("skew_handling", [False, True])
+    @pytest.mark.parametrize("priced", [False, True])
     @pytest.mark.parametrize("algorithm", SHUFFLE_ALGORITHMS)
     def test_oracle_equal_under_invariants(self, hot_case, hot_reference,
-                                           algorithm, skew_handling):
-        cell = generator.ConfigCell(algorithm, workers=4,
-                                    skew_handling=skew_handling)
-        result = generator.run_cell(hot_case, cell)
+                                           algorithm, priced):
+        """The hot case priced at its skew splits; priced at 1 it
+        hashes every row.  Both answer as the oracle does."""
+        warehouse = generator.build_cell_warehouse(hot_case, 4, "parquet")
+        if not priced:
+            priced_at_one(warehouse)
+        checker = InvariantChecker()
+        result = generator.run_cell(
+            hot_case, generator.ConfigCell(algorithm, workers=4),
+            warehouse=warehouse, checker=checker)
         assert oracle.canonical_rows(result) == hot_reference
+        assert checker.counts["hybrid_partition"] == int(priced)
+        assert checker.counts["broadcast_routing"] == int(priced)
 
     @pytest.mark.parametrize("algorithm, key_skew", list(BALANCE_PINS))
     def test_hybrid_improves_worker_balance(self, algorithm, key_skew):
         case = generator.skewed_case(key_skew)
         reference = case.oracle_rows()
+        # Both runs pay the analytic skew of the generated Zipf keys
+        # when they hash; the split pays the balance it measures.
         warehouse = generator.build_cell_warehouse(case, 30, "parquet")
-        # Hash-only pays the analytic skew of the generated Zipf keys;
-        # the hybrid run pays the balance it measures.
-        warehouse.config = dataclasses.replace(
-            warehouse.config,
-            shuffle_skew=zipf_skew_factor(key_skew, 64, 30),
-        )
         observed = []
-        for skew_handling in (False, True):
-            result = algorithm_by_name(algorithm).run(
-                warehouse, case.query,
-                ExecutionContext(skew_handling=skew_handling),
-            )
+        for split in (False, True):
+            if split:
+                result = algorithm_by_name(algorithm).run(
+                    warehouse, case.query)
+            else:
+                with hash_only():
+                    result = algorithm_by_name(algorithm).run(
+                        warehouse, case.query)
             oracle.assert_equivalent(result.result, reference)
             loads = np.asarray(
                 result.join_slot_loads, dtype=float
@@ -481,7 +453,7 @@ class TestSkewDifferential:
                 np.percentile(loads, 99) / max(np.percentile(loads, 50), 1),
                 result.timing.total_seconds,
             ))
-            if skew_handling and key_skew > 0:
+            if split and key_skew > 0:
                 assert result.stats.hot_keys_detected > 0
                 assert result.stats.hot_tuples_rerouted > 0
         assert observed == [
@@ -494,17 +466,61 @@ class TestSkewDifferential:
 
     def test_detection_is_single_pass(self, hot_case):
         # The scan stats must not change when detection rides along:
-        # the sketch feeds on the same per-block stream, no second scan.
+        # the shuffle counts the rows it routes, no second scan.
         warehouse = generator.build_cell_warehouse(hot_case, 4, "parquet")
-        baseline = algorithm_by_name("repartition").run(
+        detected = algorithm_by_name("repartition").run(
             warehouse, hot_case.query
         )
-        detected = algorithm_by_name("repartition").run(
-            warehouse, hot_case.query, SKEW_ON
+        baseline = algorithm_by_name("repartition").run(
+            priced_at_one(warehouse), hot_case.query
         )
         assert detected.stats.hdfs_rows_scanned == \
             baseline.stats.hdfs_rows_scanned
         assert detected.stats.hot_keys_detected > 0
+        assert baseline.stats.hot_keys_detected == 0
+
+
+# ----------------------------------------------------------------------
+# Uniform data: the plane leaves it alone
+# ----------------------------------------------------------------------
+class TestUniformData:
+    """A shuffle priced at skew 1 counts no key, splits none and
+    steals nothing: the agreed hash routes every row, as the paper's
+    JEN does."""
+
+    @staticmethod
+    def assert_hash_only(run, count):
+        assert run.stats.hot_keys_detected == 0
+        assert run.stats.stolen_tuples == 0
+        assert not {"jen_hot_relay", "work_steal"} & set(run.trace.names())
+        count.assert_not_called()
+
+    def test_the_benchmark_zigzag_shape(self):
+        """``scan_zigzag``'s first op at seed 42 (1 600 keys on thirty
+        workers)."""
+        from benchmarks.e2e.workloads import Session, workload_by_name
+
+        with mock.patch("repro.core.joins.repartition.hot_key_set",
+                        wraps=hot_key_set) as count:
+            session = Session(workload_by_name("scan_zigzag"), 42)
+            try:
+                [query] = session.run_op().queries
+            finally:
+                session.close()
+        assert query.join_result.algorithm == "zigzag"
+        self.assert_hash_only(query.join_result, count)
+
+    @pytest.mark.parametrize("algorithm", SHUFFLE_ALGORITHMS)
+    def test_skewed_keys_priced_at_one(self, hot_case, hot_reference,
+                                       algorithm):
+        warehouse = priced_at_one(
+            generator.build_cell_warehouse(hot_case, 30, "parquet"))
+        with mock.patch("repro.core.joins.repartition.hot_key_set",
+                        wraps=hot_key_set) as count:
+            run = algorithm_by_name(algorithm).run(warehouse,
+                                                   hot_case.query)
+        self.assert_hash_only(run, count)
+        assert oracle.canonical_rows(run.result) == hot_reference
 
 
 # ----------------------------------------------------------------------
@@ -517,19 +533,20 @@ def skew_chaos_warehouse(hot_case):
 
 @pytest.fixture(scope="module")
 def skew_baselines(skew_chaos_warehouse, hot_case):
-    """Fault-free skew-handling runs, for exactly-once accounting."""
+    """Fault-free split runs, for exactly-once accounting."""
     return {
         name: algorithm_by_name(name).run(
-            skew_chaos_warehouse, hot_case.query, SKEW_ON)
+            skew_chaos_warehouse, hot_case.query)
         for name in SHUFFLE_ALGORITHMS
     }
 
 
 def run_skewed_with_faults(warehouse, query, algorithm, spec,
-                           context=SKEW_ON):
+                           observers=()):
     return algorithm_by_name(algorithm).run(
-        warehouse, query, dataclasses.replace(
-            context, faults=FaultInjector(FaultPlan.from_spec(spec))))
+        warehouse, query, ExecutionContext(
+            observers=observers,
+            faults=FaultInjector(FaultPlan.from_spec(spec))))
 
 
 def check_skew_differential(result, baseline, reference_rows):
@@ -601,8 +618,7 @@ class TestSmallClusterCrashes:
         checker = InvariantChecker()
         result = run_skewed_with_faults(
             warehouse, case.query, algorithm,
-            f"crash:w{workers - 1}@{phase}",
-            dataclasses.replace(SKEW_ON, observers=(checker,)))
+            f"crash:w{workers - 1}@{phase}", observers=(checker,))
         assert checker.counts["broadcast_routing"] == 1
         assert result.stats.hot_keys_detected > 0
         assert oracle.canonical_rows(result.result) == reference
@@ -636,9 +652,11 @@ class TestSkewChaosFullGrid:
         case = generator.skewed_case(key_skew)
         reference = case.oracle_rows()
         for algorithm in SHUFFLE_ALGORITHMS:
-            for skew_handling in (False, True):
-                cell = generator.ConfigCell(
-                    algorithm, workers=30, skew_handling=skew_handling,
-                )
-                result = generator.run_cell(case, cell)
+            warehouse = generator.build_cell_warehouse(case, 30, "parquet")
+            for priced in (True, False):
+                if not priced:
+                    priced_at_one(warehouse)
+                result = generator.run_cell(
+                    case, generator.ConfigCell(algorithm, workers=30),
+                    warehouse=warehouse)
                 assert oracle.canonical_rows(result) == reference

@@ -50,6 +50,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.latemat import set_late_materialization_enabled
 from repro.relational.table import Table
 from repro.testkit.generator import edge_case, skewed_case
+from repro.workload import zipf_skew_factor
 
 #: Every registered name, plus a forced adaptive switch (the 10x sigma_L
 #: underestimate) and a sampled approximate run.
@@ -78,8 +79,9 @@ def _warehouse(setting: str):
     """The loaded warehouse and query a setting runs on.
 
     Late materialization runs on the wide-payload case, where both
-    sides travel thin; skew handling on thirty workers, where work
-    stealing fires; the others on a small Zipf-skewed case, where the
+    sides travel thin; skew on thirty workers with the shuffle priced
+    at the case's skew, where the split runs and work stealing fires;
+    the others on a small Zipf-skewed case priced at skew 1, where the
     forced adaptive run really switches.
     """
     workers, db_servers = (30, 5) if setting == "skew" else (4, 2)
@@ -95,6 +97,9 @@ def _warehouse(setting: str):
                               db_servers=db_servers, hdfs_replication=2),
         jen_memory_budget_rows=(
             SPILL_BUDGET_ROWS if setting == "spill" else 0.0),
+        shuffle_skew=(zipf_skew_factor(case.spec.key_skew,
+                                       case.spec.n_keys, workers)
+                      if setting == "skew" else 1.0),
     )
     warehouse = load_paper_tables(HybridWarehouse(config), case.t_table,
                                   case.l_table)
@@ -107,7 +112,6 @@ def run_cell(variant: str, setting: str):
     name, kwargs = VARIANTS[variant]
     warehouse, query = _warehouse(setting)
     context = ExecutionContext(
-        skew_handling=setting == "skew",
         faults=(FaultInjector(FaultPlan.from_spec("crash:w2@scan"))
                 if setting == "crash" else None))
     previous_latemat = set_late_materialization_enabled(setting == "latemat")
@@ -228,19 +232,19 @@ PINS: Dict[str, str] = {
     "zigzag-db/latemat": "b69e4f15e45e6fab5fcfd273f2ef3dfada1f7e714e9f53322cfb3c3838466856",
     "adaptive[switch]/latemat": "a4e88af06af1406ff64900b8ec3689f56cb7113be6603fbae108de4365a1f4ba",
     "approx@0.25/latemat": "c3785aa4f9dadfc3c3dfcc2bc9bead3a59938cf7a76a7cee851c7acfac8beb31",
-    "adaptive/skew": "12a8c2e2614ec60bdfe7954ecbc3ea166da6d0d223dbcefeb0f562b6d2a5734c",
+    "adaptive/skew": "f3a2b2d8b9351e4fbbc981fe004f757dd3c923aecc9472f534248a12c67b97de",
     "approx/skew": "de97f187dc836e3b9eb3fdb48bf5b8091066dc08875aea6171ff9bb9f76992be",
     "approx(BF)/skew": "b7f0da22eafcfcc8772944636fdbb1232ec8a3a196d7af1dd62c23dcc6967284",
     "broadcast/skew": "8196c7b264863ea02907b73317c02a19bb920a65e59a7d719b8c3b2adec25011",
     "db/skew": "02b5bef7811da5376cc474a6de8254f4d854ed892c5f53508a283926e89b4ea2",
     "db(BF)/skew": "8780584700cb526bb35554df096f569d7c2d70242100e065fabc251d32d0a50e",
-    "perf/skew": "c48b4a0ec70cd4c27bf7c333afcef9f68dcec003424c9806c278aa3646351079",
-    "repartition/skew": "a45155236b3dc06da2ac4448cec3308c87c72cdb91bb842aab88e85dce8815c9",
-    "repartition(BF)/skew": "47a9b1be0d29ec1bfe7570d03413ac6514a3970c329c4b16073ca3eeed29020e",
-    "semijoin/skew": "981e90e01a343be67023047769e5e27ba6fa3f1da45a80433f8f434baa513ee3",
-    "zigzag/skew": "be25dafcf6561b8d8be082975ec8e324c6ecb3e9af5e0da03312d12236b8a252",
+    "perf/skew": "86c2d35d44307275cfc375cd96632378c389022fb44e422fe21cdaa2016eccf0",
+    "repartition/skew": "251ac31e268f3872e024100c8964a742235f733a4867c2dedcc5af0fe6ba02bb",
+    "repartition(BF)/skew": "298d43f8d3f39251546200ca277fe8c35f2c433bec8f6cc7262fc25528cd8506",
+    "semijoin/skew": "049ac3c0fdfb4ec0d82b8d8aa0c21bf30c35fc0d68a21971c1da6130067406e9",
+    "zigzag/skew": "8910d9ea2ce4d35a81b0d0141cb0eb48db125095a7e4d78064475711d8ecc8fd",
     "zigzag-db/skew": "a8f105867ecb62ae8b79af16aea41000aa97a5fb1fb3bb33db3664d9b45e8af5",
-    "adaptive[switch]/skew": "88156282e02ab941a3f5e8684b27a01ea1a7afa1cfb63365d1b6f200f7aedc7e",
+    "adaptive[switch]/skew": "25c302ae1c46d47bdf6cc4733cb6415488ea765314cb03d062fbe2682f93367c",
     "approx@0.25/skew": "fef444daf021605970fa9df50b216ba28643d493692f5366d9aa751ab9a3e1a8",
     "adaptive/spill": "f7a24941ba370772c37231878fe913ff4b6b79b13e57268f31794b8dfa50cc5c",
     "approx/spill": "854809b0f3b86a4fe0b85ab145f50d65878079bddc11402beadff5ac09c50e5b",
