@@ -4,12 +4,14 @@
 Sweeps the local-predicate selectivities and shows which algorithm wins
 where — the broadcast region (tiny T'), the DB-side region (tiny L'),
 and the wide zigzag region in between — first with the analytic advisor,
-then validated against the full simulation at a few points.
+then validated against the full simulation at a few points, and last
+the adaptive wrapper rescuing a plan picked from a wrong estimate.
 
 Run:  python examples/advisor_tour.py
 """
 
 from repro import JoinAdvisor, WorkloadEstimate, algorithm_by_name
+from repro.adaptive import AdaptiveJoin
 from repro.bench.harness import WarehouseCache
 
 
@@ -71,6 +73,19 @@ def main():
         )
         print(f"  sigma_T={sigma_t:g} sigma_L={sigma_l:g} ({label}): "
               f"winner={shorten(winner)}  [{listing}]")
+
+    # At run time the estimate can be wrong: started from a 10x
+    # underestimate of sigma_L, the adaptive wrapper picks a plan for
+    # the wrong region, watches the scan, and switches.
+    setup = cache.setup(0.1, 0.2, s_l=0.1)
+    adaptive = AdaptiveJoin(estimate_errors=(1.0, 0.1)).run(
+        setup.warehouse, setup.query)
+    report = adaptive.adaptive
+    print(f"\nadaptive run from a 10x sigma_L underestimate: "
+          f"{' -> '.join(report.path)} in {adaptive.total_seconds:.0f}s")
+    for decision in report.switches:
+        print(f"  switched at {decision.at_progress:.0%} of the scan: "
+              f"{decision.reason}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ The paper drives every join algorithm from a single SQL statement
 submitted to DB2 — UDFs compute Bloom filters, contact the JEN
 coordinator and stream HDFS data.  This example submits the same query
 through the reproduction's SQL front end: once per algorithm, then in
-"auto" mode where the advisor picks.
+"auto" mode where the advisor picks, then through the query service.
+A last statement adds scalar UDFs registered on the warehouse, an IN
+list, a column-to-column post-join comparison, ORDER BY and LIMIT.
 
 Run:  python examples/sql_interface.py
 """
@@ -17,6 +19,7 @@ from repro import (
     generate_workload,
     load_paper_tables,
 )
+from repro.service import QueryService
 from repro.sql import SqlSession
 
 
@@ -76,6 +79,34 @@ def main():
           f"{auto.advisor_rationale}")
     print("\ntop URL prefixes:")
     for prefix, views in sorted(auto.rows(), key=lambda r: -r[1])[:5]:
+        print(f"  {prefix:<36s} {views:>8d}")
+
+    # The query service takes SQL text too, and answers through a ticket.
+    service = QueryService(warehouse)
+    ticket = service.submit(sql, tenant="analyst")
+    service.drain()
+    served = sorted(ticket.result().to_rows())
+    print(f"\nquery service: {len(served)} groups "
+          f"({'identical' if served == baseline else 'MISMATCH'})")
+
+    # Narrower: evening weekend purchases after East-Coast clicks.  The
+    # paper's region(L.ip) UDF and an hour-of-day UDF are scalar UDFs
+    # registered on the warehouse (the independent-predicate column
+    # plays the encoded client IP, dummy3 the purchase's second of the
+    # day, predAfterJoin its day of the month); the window's lower bound
+    # is a plain date comparison, and the ranking runs in SQL.
+    warehouse.udfs.register("region", lambda ip: int(ip) // 100_000)
+    warehouse.udfs.register("hour", lambda seconds: int(seconds) // 3_600)
+    weekend = ", ".join(str(day) for day in range(30) if day % 7 in (5, 6))
+    narrowed = sql.replace(
+        "days(T.predAfterJoin) - days(L.predAfterJoin) >= 0",
+        "T.predAfterJoin >= L.predAfterJoin"
+        f" AND T.predAfterJoin IN ({weekend}) AND hour(T.dummy3) >= 18"
+        " AND region(L.indPred) <= 2")
+    east = session.execute(narrowed + " ORDER BY views DESC LIMIT 3")
+    print("\ntop URL prefixes before evening weekend purchases "
+          "(East-Coast clicks):")
+    for prefix, views in east.rows():
         print(f"  {prefix:<36s} {views:>8d}")
 
 

@@ -8,14 +8,15 @@ issued at the database side".  This example shows that pattern: a fact
 table and a product dimension both live in the EDW, the dimension join
 runs entirely in the database (ParallelDatabase.join_local), and the
 hybrid zigzag join then correlates the *enriched* facts with the HDFS
-click log.
+click log.  Step 3 hands the whole statement to the SQL front end,
+which plans the same dimension join from the FROM list.
 
 Query, in SQL terms::
 
     SELECT extract_group(L.groupByExtractCol), COUNT(*)
     FROM   F JOIN P ON F.product_id = P.product_id   -- in the EDW
          , L                                          -- on HDFS
-    WHERE  P.category <= 2
+    WHERE  P.category IN (0, 1, 2)
       AND  F.joinKey = L.joinKey
       AND  days(F.date) - days(L.date) BETWEEN 0 AND 1
     GROUP BY extract_group(L.groupByExtractCol)
@@ -38,6 +39,7 @@ from repro import (
 from repro.relational.expressions import TruePredicate, compare
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from repro.sql import SqlSession
 
 NUM_PRODUCTS = 500
 
@@ -98,10 +100,30 @@ def main():
         print(f"{name:<18s} {result.total_seconds:8.1f}s  "
               f"{result.result.num_rows} ({status})")
 
-    result = algorithm_by_name("zigzag").run(warehouse, query)
-    print("\ntop url prefixes for category <= 2 purchases:")
-    for prefix, views in sorted(result.result.to_rows(),
-                                key=lambda r: -r[1])[:5]:
+    # Step 3: the same statement through the SQL front end, which plans
+    # the dimension join into a derived fact table of its own.
+    thresholds = workload.l_thresholds
+    sql = f"""
+        SELECT extract_group(L.groupByExtractCol) AS url_prefix,
+               COUNT(*) AS views
+        FROM F, P, L
+        WHERE F.product_id = P.product_id
+          AND P.category IN (0, 1, 2)
+          AND F.joinKey = L.joinKey
+          AND L.corPred <= {thresholds.cor_threshold}
+          AND L.indPred <= {thresholds.ind_threshold}
+          AND days(F.predAfterJoin) - days(L.predAfterJoin) >= 0
+          AND days(F.predAfterJoin) - days(L.predAfterJoin) <= 1
+        GROUP BY extract_group(L.groupByExtractCol)
+        ORDER BY views DESC
+        LIMIT 5
+    """
+    top = SqlSession(warehouse).execute(sql, algorithm="zigzag")
+    status = ("identical" if top.rows() == sorted(
+        baseline, key=lambda r: (-r[1], r[0]))[:5] else "MISMATCH")
+    print(f"\nthe statement as SQL ({top.algorithm}): top five {status}")
+    print("top url prefixes for category <= 2 purchases:")
+    for prefix, views in top.rows():
         print(f"  {prefix:<36s} {views:>8d}")
 
 

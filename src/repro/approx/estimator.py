@@ -144,9 +144,6 @@ class CellEstimate:
     def upper(self) -> float:
         return self.estimate + self.half_width
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
     def clamped(self, previous_half_width: float) -> "CellEstimate":
         """This estimate with the half-width capped at a previous one."""
         if self.half_width <= previous_half_width:

@@ -39,15 +39,6 @@ class BlockSample:
     def total_blocks(self) -> int:
         return len(self.ordering)
 
-    @property
-    def target(self) -> Tuple[Block, ...]:
-        return self.ordering[: self.target_blocks]
-
-    def fraction(self, scanned: int) -> float:
-        if not self.ordering:
-            return 1.0
-        return scanned / len(self.ordering)
-
 
 def _primary_node(block: Block) -> int:
     return block.replicas[0] if block.replicas else -1

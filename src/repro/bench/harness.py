@@ -90,10 +90,6 @@ class WarehouseCache:
             )
         return self._cache[key]
 
-    def clear(self) -> None:
-        """Drop all cached warehouses."""
-        self._cache.clear()
-
 
 def run_algorithms(setup: BenchSetup, names: List[str]
                    ) -> Dict[str, JoinResult]:

@@ -46,16 +46,6 @@ class SweepResult:
     rows: List[Dict] = field(default_factory=list)
     skipped: List[Tuple[SweepPoint, str]] = field(default_factory=list)
 
-    def seconds(self, point_label: str, algorithm: str) -> float:
-        """Simulated seconds for one (point, algorithm) cell."""
-        for row in self.rows:
-            if row["point"] == point_label and \
-                    row["algorithm"] == algorithm:
-                return row["seconds"]
-        raise ReproError(
-            f"no sweep row for {point_label!r} / {algorithm!r}"
-        )
-
     def winners(self) -> Dict[str, str]:
         """Fastest algorithm per sweep point."""
         best: Dict[str, Tuple[str, float]] = {}

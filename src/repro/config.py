@@ -212,14 +212,6 @@ class HybridConfig:
         """Return a copy of this configuration with a new data-plane scale."""
         return replace(self, scale=scale)
 
-    def t_rows(self) -> int:
-        """Rows of T to materialise at the configured scale."""
-        return max(1, int(self.paper.t_rows * self.scale))
-
-    def l_rows(self) -> int:
-        """Rows of L to materialise at the configured scale."""
-        return max(1, int(self.paper.l_rows * self.scale))
-
     def bloom_bits(self) -> int:
         """Bloom filter bits scaled with the key universe.
 

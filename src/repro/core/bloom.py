@@ -3,10 +3,11 @@
 A Bloom filter here is exactly the structure the paper describes in
 Section 3: an ``m``-bit array with ``k`` hash functions.  Adding a key
 sets the ``k`` hashed bit positions; membership tests check them, with a
-tunable false-positive rate and *no* false negatives.  Local filters
-built by individual workers are combined into a global filter with
-bitwise OR, mirroring the ``cal_filter`` / ``get_filter`` /
-``combine_filter`` UDF pipeline the paper implements in DB2.
+tunable false-positive rate and *no* false negatives.  The paper ORs
+per-worker filters into a global one (its ``cal_filter`` /
+``get_filter`` / ``combine_filter`` UDFs in DB2); the OR of filters
+over key subsets is the filter over their union, so each side here
+builds its query-wide filter in one :meth:`BloomFilter.add`.
 
 The paper's configuration (Section 5) is 128 M bits with 2 hash
 functions over 16 M unique keys, which it quotes as roughly a 5%
@@ -150,36 +151,6 @@ class BloomFilter:
         scatter_or(self._words, self._positions(hashed))
         self._num_added += len(keys)
 
-    def union_in_place(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise-OR ``other`` into this filter (the global-merge step)."""
-        self._check_compatible(other)
-        self._words |= other._words
-        self._num_added += other._num_added
-        return self
-
-    @classmethod
-    def combine(cls, filters: Iterable["BloomFilter"]) -> "BloomFilter":
-        """OR a collection of local filters into one global filter.
-
-        This is the reproduction of the paper's ``combine_filter`` UDF:
-        each worker computes a filter over its local partition and a
-        single worker reduces them.
-        """
-        filters = list(filters)
-        if not filters:
-            raise BloomFilterError("combine requires at least one filter")
-        merged = filters[0].copy()
-        for other in filters[1:]:
-            merged.union_in_place(other)
-        return merged
-
-    def copy(self) -> "BloomFilter":
-        """An independent copy of this filter."""
-        duplicate = BloomFilter(self.num_bits, self.num_hashes, self.seed)
-        duplicate._words = self._words.copy()
-        duplicate._num_added = self._num_added
-        return duplicate
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -201,31 +172,10 @@ class BloomFilter:
         present[occupied] = test_bits(self._words, self._positions(distinct))
         return present[offsets]
 
-    def __contains__(self, key: int) -> bool:
-        return bool(self.contains(np.asarray([key]))[0])
-
     @property
     def num_added(self) -> int:
-        """How many insertions this filter (and its merged parts) saw."""
+        """How many keys this filter was handed."""
         return self._num_added
-
-    def bits_set(self) -> int:
-        """Number of 1 bits in the filter.
-
-        Word-level popcount (hardware ``popcnt`` where numpy exposes
-        it).  Off the data plane: no engine, advisor or service path
-        calls this or :meth:`fill_ratio` — only
-        ``__repr__`` and the tests do.
-        """
-        return popcount(self._words)
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set."""
-        return self.bits_set() / self.num_bits
-
-    def size_bytes(self) -> int:
-        """Serialized size (what crosses the network when shipped)."""
-        return self._words.nbytes
 
     def is_empty(self) -> bool:
         """True if no bit is set."""
@@ -246,24 +196,11 @@ class BloomFilter:
         exponent = -num_hashes * num_keys / num_bits
         return float((1.0 - math.exp(exponent)) ** num_hashes)
 
-    # ------------------------------------------------------------------
-    def _check_compatible(self, other: "BloomFilter") -> None:
-        same = (
-            self.num_bits == other.num_bits
-            and self.num_hashes == other.num_hashes
-            and self.seed == other.seed
-        )
-        if not same:
-            raise BloomFilterError(
-                "incompatible Bloom filters: "
-                f"(m={self.num_bits}, k={self.num_hashes}, seed={self.seed}) vs "
-                f"(m={other.num_bits}, k={other.num_hashes}, seed={other.seed})"
-            )
-
     def __repr__(self) -> str:
         return (
             f"BloomFilter(m={self.num_bits}, k={self.num_hashes}, "
-            f"added={self._num_added}, fill={self.fill_ratio():.3f})"
+            f"added={self._num_added}, "
+            f"fill={popcount(self._words) / self.num_bits:.3f})"
         )
 
 

@@ -1,28 +1,18 @@
-"""The UDF registry: the paper's C-UDF surface as Python callables.
+"""The UDF registry: scalar user-defined functions, looked up by name.
 
 The paper drives every algorithm from a single SQL statement whose UDFs
-do the cross-system work (Section 4.1.1):
-
-* ``cal_filter`` / ``get_filter`` — build a Bloom filter over a worker's
-  local join keys;
-* ``combine_filter`` — OR local filters into the global one;
-* ``read_hdfs`` — contact the JEN coordinator, push predicates,
-  projection and the Bloom filter to the JEN workers, and stream the
-  filtered HDFS rows back;
-* ``extract_group`` — the scalar grouping UDF of the example query.
-
-The registry reproduces that surface so the examples can be written in
-the paper's vocabulary; the join algorithms call the same underlying
-objects directly.
+do the cross-system work (Section 4.1.1): ``cal_filter`` /
+``get_filter`` / ``combine_filter`` build and merge the Bloom filter and
+``read_hdfs`` streams the filtered HDFS rows back.  The join algorithms
+in :mod:`repro.core.joins` do that work directly; what SQL still names
+is the scalar kind, ``extract_group`` (the example query's grouping UDF)
+and whatever a user registers for a WHERE clause.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
-import numpy as np
-
-from repro.core.bloom import BloomFilter
 from repro.errors import UdfError
 
 
@@ -53,24 +43,6 @@ class UdfRegistry:
         return sorted(self._functions)
 
 
-def _cal_filter(keys: np.ndarray, num_bits: int, num_hashes: int = 2,
-                seed: int = 7) -> BloomFilter:
-    """Build a local Bloom filter over one worker's keys."""
-    bloom = BloomFilter(num_bits, num_hashes, seed)
-    bloom.add(np.asarray(keys))
-    return bloom
-
-
-def _get_filter(bloom: BloomFilter) -> BloomFilter:
-    """Finalize a local filter (identity here; kept for SQL parity)."""
-    return bloom
-
-
-def _combine_filter(filters: Sequence[BloomFilter]) -> BloomFilter:
-    """OR local filters into the global filter."""
-    return BloomFilter.combine(list(filters))
-
-
 def _extract_group(url: str) -> str:
     """Default grouping UDF: the URL prefix (scheme + host).
 
@@ -85,10 +57,7 @@ def _extract_group(url: str) -> str:
 
 
 def default_udf_registry() -> UdfRegistry:
-    """Registry with the paper's UDFs pre-registered."""
+    """Registry with the example query's ``extract_group`` registered."""
     registry = UdfRegistry()
-    registry.register("cal_filter", _cal_filter)
-    registry.register("get_filter", _get_filter)
-    registry.register("combine_filter", _combine_filter)
     registry.register("extract_group", _extract_group)
     return registry

@@ -56,10 +56,6 @@ class HCatalog:
         except KeyError:
             raise CatalogError(f"unknown HDFS table: {name!r}") from None
 
-    def tables(self) -> List[str]:
-        """Registered table names."""
-        return sorted(self._tables)
-
 
 class HdfsFileSystem:
     """A NameNode plus its DataNodes, with table-level convenience."""

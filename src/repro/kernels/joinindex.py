@@ -276,11 +276,6 @@ class JoinBuildIndex:
         """Number of build rows indexed."""
         return len(self.keys)
 
-    @property
-    def num_slots(self) -> int:
-        """Number of slots the build side concatenates."""
-        return 1 if self.slot_bounds is None else len(self.slot_bounds) - 1
-
     def matches(self, build_keys: np.ndarray,
                 band_values: Optional[np.ndarray] = None,
                 slot_bounds: Optional[np.ndarray] = None) -> bool:
@@ -447,7 +442,7 @@ class JoinBuildIndex:
 
     def __repr__(self) -> str:
         band = ", banded" if self.banded else ""
-        slots = (f", slots={self.num_slots}"
+        slots = (f", slots={len(self.slot_bounds) - 1}"
                  if self.slot_bounds is not None else "")
         return f"JoinBuildIndex(keys={self.num_keys}{band}{slots})"
 

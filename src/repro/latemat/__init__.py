@@ -133,8 +133,7 @@ class PayloadStore:
         :meth:`Table.concat` applies.
         """
         if self._concat is None:
-            self._concat = Table.concat(self.tables) if self.tables \
-                else Table.empty(self.schema)
+            self._concat = Table.concat(self.tables)
         return self._concat
 
     def fetch(self, rowids: np.ndarray) -> Table:

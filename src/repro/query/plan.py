@@ -303,7 +303,8 @@ def _join_group(units: Sequence[Tuple[Table, Table]], query: HybridQuery,
     if predicate is not None:
         # A predicate that reads no column still has to see one row per
         # pair; any column carries the count.
-        reads = predicate.columns() or (query.prefixed_hdfs_key(),)
+        reads = predicate.columns() \
+            or (f"{query.hdfs_prefix}{query.hdfs_join_key}",)
         keep = np.flatnonzero(predicate.evaluate(gathered(reads)))
         build_idx = build_idx.take(keep)
         probe_idx = probe_idx.take(keep)

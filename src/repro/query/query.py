@@ -120,10 +120,6 @@ class HybridQuery:
             raise ExpressionError("the two side prefixes must differ")
 
     # ------------------------------------------------------------------
-    def prefixed_hdfs_key(self) -> str:
-        """Join-key column name on the joined (prefixed) schema, L side."""
-        return f"{self.hdfs_prefix}{self.hdfs_join_key}"
-
     def derived_names(self) -> Tuple[str, ...]:
         """Names of the scan-time derived columns."""
         return tuple(derived.name for derived in self.hdfs_derived)

@@ -15,8 +15,6 @@ from repro.relational.expressions import (
     ColumnPredicate,
     CompareOp,
     Conjunction,
-    Disjunction,
-    Negation,
     Predicate,
     TruePredicate,
     UdfPredicate,
@@ -32,8 +30,6 @@ __all__ = [
     "CompareOp",
     "Conjunction",
     "DataType",
-    "Disjunction",
-    "Negation",
     "Predicate",
     "Schema",
     "Table",

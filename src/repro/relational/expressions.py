@@ -104,12 +104,6 @@ class Predicate:
     def __and__(self, other: "Predicate") -> "Predicate":
         return Conjunction((self, other))
 
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return Disjunction((self, other))
-
-    def __invert__(self) -> "Predicate":
-        return Negation(self)
-
 
 @dataclass(frozen=True)
 class TruePredicate(Predicate):
@@ -176,40 +170,6 @@ class Conjunction(Predicate):
                 else residual,
             )
         return None
-
-
-@dataclass(frozen=True)
-class Disjunction(Predicate):
-    """Logical OR of child predicates."""
-
-    children: Tuple[Predicate, ...]
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        if not self.children:
-            return np.zeros(table.num_rows, dtype=bool)
-        mask = self.children[0].evaluate(table)
-        for child in self.children[1:]:
-            mask |= child.evaluate(table)
-        return mask
-
-    def columns(self) -> Tuple[str, ...]:
-        names: Tuple[str, ...] = ()
-        for child in self.children:
-            names += child.columns()
-        return tuple(dict.fromkeys(names))
-
-
-@dataclass(frozen=True)
-class Negation(Predicate):
-    """Logical NOT of a child predicate."""
-
-    child: Predicate
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        return ~self.child.evaluate(table)
-
-    def columns(self) -> Tuple[str, ...]:
-        return self.child.columns()
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,6 @@ class Schema:
     def __len__(self) -> int:
         return len(self._columns)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Schema):
-            return NotImplemented
-        return self._columns == other._columns
-
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name}:{c.dtype.value}" for c in self._columns)
         return f"Schema({cols})"

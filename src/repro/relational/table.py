@@ -94,20 +94,6 @@ class Table:
         return table
 
     @classmethod
-    def empty(cls, schema: Schema) -> "Table":
-        """A zero-row table with the given schema."""
-        columns = {
-            column.name: np.empty(0, dtype=column.dtype.numpy_dtype())
-            for column in schema
-        }
-        dictionaries = {
-            column.name: np.empty(0, dtype=object)
-            for column in schema
-            if column.dtype is DataType.DICT_STRING
-        }
-        return cls(schema, columns, dictionaries)
-
-    @classmethod
     def concat(cls, tables: Sequence["Table"]) -> "Table":
         """Vertically concatenate tables sharing a schema.
 
@@ -176,9 +162,6 @@ class Table:
     @property
     def num_rows(self) -> int:
         """Number of rows."""
-        return self._num_rows
-
-    def __len__(self) -> int:
         return self._num_rows
 
     def __repr__(self) -> str:
@@ -313,16 +296,6 @@ class Table:
             source, offset = self._source or (self, 0)
             table._source = (source, offset + start)
         return table
-
-    def split(self, parts: int) -> List["Table"]:
-        """Split into ``parts`` contiguous, roughly equal row ranges."""
-        if parts <= 0:
-            raise TableError("parts must be positive")
-        boundaries = np.linspace(0, self._num_rows, parts + 1).astype(np.int64)
-        return [
-            self.slice(int(boundaries[i]), int(boundaries[i + 1]))
-            for i in range(parts)
-        ]
 
     def to_rows(self) -> List[Tuple]:
         """Materialize as Python row tuples (tests and tiny results only)."""

@@ -55,9 +55,7 @@ from repro.relational.expressions import (
     ColumnPairPredicate,
     ColumnPredicate,
     Conjunction,
-    Disjunction,
     InSetPredicate,
-    Negation,
     Predicate,
     TruePredicate,
     UdfPredicate,
@@ -73,7 +71,7 @@ def predicate_key(predicate: Optional[Predicate],
                   literals: bool = True) -> str:
     """Canonical string form of a predicate.
 
-    AND/OR children are sorted so commutative rewrites coincide; with
+    AND children are sorted so commutative rewrites coincide; with
     ``literals=False`` comparison constants are replaced by ``?``,
     producing the template form shared by all parameterisations.
     UDF predicates are keyed by UDF name and column (two UDFs with the
@@ -91,13 +89,6 @@ def predicate_key(predicate: Optional[Predicate],
             predicate_key(child, literals) for child in predicate.children
         )
         return "AND(" + ",".join(children) + ")"
-    if isinstance(predicate, Disjunction):
-        children = sorted(
-            predicate_key(child, literals) for child in predicate.children
-        )
-        return "OR(" + ",".join(children) + ")"
-    if isinstance(predicate, Negation):
-        return "NOT(" + predicate_key(predicate.child, literals) + ")"
     if isinstance(predicate, BetweenDayDiff):
         bounds = (f"{predicate.low},{predicate.high}" if literals
                   else "?,?")
@@ -227,9 +218,6 @@ class _LruCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions.inc()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def hit_rate(self) -> float:
         """Hits over lookups (0 when never consulted)."""

@@ -57,8 +57,8 @@ class Gauge:
 
     Tracks the high watermark alongside the current value — the peak
     concurrency a service run sustained is a gauge's ``high`` reading.
-    ``set`` and ``inc`` update level and watermark under one lock,
-    so the watermark never misses a concurrent spike.
+    ``set`` updates level and watermark under one lock, so the
+    watermark never misses a concurrent spike.
     """
 
     def __init__(self, name: str, help_text: str = ""):
@@ -84,12 +84,6 @@ class Gauge:
         """Set the current level."""
         with self._lock:
             self._value = float(value)
-            self._high = max(self._high, self._value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the current level by ``amount`` (may be negative)."""
-        with self._lock:
-            self._value += float(amount)
             self._high = max(self._high, self._value)
 
     def __repr__(self) -> str:
@@ -120,12 +114,6 @@ class Histogram:
         """Number of observations."""
         with self._lock:
             return len(self._values)
-
-    @property
-    def total(self) -> float:
-        """Sum of observations."""
-        with self._lock:
-            return sum(self._values)
 
     @property
     def mean(self) -> float:

@@ -143,11 +143,6 @@ class QueryTicket:
     at: float
     outcome: Optional[QueryOutcome] = None
 
-    @property
-    def done(self) -> bool:
-        """Whether the batch holding this ticket has been drained."""
-        return self.outcome is not None
-
     def result(self) -> Table:
         """The result table; raises if not drained or not completed."""
         if self.outcome is None:

@@ -129,7 +129,7 @@ def compute_critical_path(trace: Trace, timing: TimingResult) -> List[str]:
         gate = max(candidates, key=lambda name: timing.phases[name].end)
         # If every predecessor finished before this phase began, the
         # phase started on time: its own duration was the constraint.
-        if timing.phases[gate].end + 1e-9 < timing.phases[current].start:
+        if timing.phase(gate).end + 1e-9 < timing.phase(current).start:
             break
         path.append(gate)
         current = gate

@@ -26,7 +26,6 @@ from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import parse_select
 from repro.sql.translator import translate
 from repro.sql.engine import SqlResult, SqlSession
-from repro.sql.predicates import predicate_from_sql
 
 __all__ = [
     "SqlResult",
@@ -34,7 +33,6 @@ __all__ = [
     "Token",
     "TokenType",
     "parse_select",
-    "predicate_from_sql",
     "tokenize",
     "translate",
 ]

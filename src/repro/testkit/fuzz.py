@@ -23,6 +23,7 @@ import numpy as np
 from repro.testkit import oracle, shrink
 from repro.testkit.generator import (
     ALL_ALGORITHMS,
+    ESTIMATE_ERROR_AXIS,
     FAULT_AXIS,
     FORMAT_AXIS,
     WORKER_AXIS,
@@ -105,6 +106,7 @@ def sample_cell(rng: np.random.Generator) -> ConfigCell:
 
     Faults and warm caches are sampled at low probability so most cells
     exercise the plain engine paths, mirroring the default grid's mix.
+    An adaptive cell starts from a wrong estimate, so it can switch.
     """
     fault_spec = None
     cache_warm = False
@@ -116,12 +118,20 @@ def sample_cell(rng: np.random.Generator) -> ConfigCell:
     workers = int(rng.choice(WORKER_AXIS))
     if fault_spec is not None:
         workers = 30  # fault specs name workers that must exist
+    algorithm = str(rng.choice(ALL_ALGORITHMS))
+    estimate_error = None
+    if algorithm == "adaptive":
+        # Read off the roll already drawn, so the axis leaves every
+        # other draw of the seed, and so every other cell, unchanged.
+        estimate_error = ESTIMATE_ERROR_AXIS[
+            int(roll * 1_000_000) % len(ESTIMATE_ERROR_AXIS)]
     return ConfigCell(
-        algorithm=str(rng.choice(ALL_ALGORITHMS)),
+        algorithm=algorithm,
         workers=workers,
         format_name=str(rng.choice(FORMAT_AXIS)),
         fault_spec=fault_spec,
         cache_warm=cache_warm,
+        estimate_error=estimate_error,
         late_materialization=bool(rng.random() < 0.25),
     )
 

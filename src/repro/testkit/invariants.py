@@ -151,7 +151,10 @@ class InvariantChecker(RunObserver):
                 "routed matrix broken: it is not the agreed-hash "
                 f"histogram of each sender's {key!r} rows")
         if probe_keys is not None:
-            keys = keys[np.isin(keys, probe_keys)]
+            # As Python ints: numpy's isin over mixed signed / unsigned
+            # 64-bit keys can match values that differ.
+            keys = keys[np.isin(keys.astype(object),
+                                np.asarray(probe_keys).astype(object))]
         _check_complete("", keys.size, key, parts, num_partitions)
         if probe_keys is not None:
             delivered = np.concatenate(

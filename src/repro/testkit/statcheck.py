@@ -183,7 +183,7 @@ class CoverageTracker:
                 self.record(False, context=("missing-group", key, truth))
             else:
                 self.record(
-                    cell.contains(truth),
+                    cell.lower <= truth <= cell.upper,
                     context=(key, truth, cell.lower, cell.upper),
                 )
 

@@ -30,7 +30,6 @@ class HybridWarehouse:
         self.jen = Jen(self.hdfs, self.config, locality=jen_locality)
         self.topology: HybridTopology = default_topology(self.config.cluster)
         self.udfs: UdfRegistry = default_udf_registry()
-        self.udfs.register("read_hdfs", self._read_hdfs)
 
     # ------------------------------------------------------------------
     # Loading
@@ -69,44 +68,3 @@ class HybridWarehouse:
             name, path or f"/warehouse/{name}", table, format_name,
             target_blocks=target_blocks,
         )
-
-    # ------------------------------------------------------------------
-    # The read_hdfs table UDF (paper Section 4.1.1)
-    # ------------------------------------------------------------------
-    def _read_hdfs(self, table_name: str, predicate_sql: str = "",
-                   columns=None, bloom=None, key_column: str = None
-                   ) -> Table:
-        """The paper's ``read_hdfs`` table UDF.
-
-        Pushes the table name, a SQL predicate fragment, the projected
-        columns, an optional database Bloom filter and its join-key
-        column down to the JEN workers, which scan, filter and return
-        the surviving rows — the exact contract of the UDF that drives
-        the DB-side join in the paper's example statement.
-
-        Registered on ``warehouse.udfs`` as ``"read_hdfs"``.
-        """
-        from repro.jen.worker import ScanRequest
-        from repro.sql.predicates import predicate_from_sql
-
-        meta = self.hdfs.table_meta(table_name)
-        predicate = predicate_from_sql(predicate_sql, meta.schema,
-                                       self.udfs)
-        if columns is None:
-            names = tuple(meta.schema.names)
-        elif isinstance(columns, str):
-            names = tuple(
-                name.strip() for name in columns.split(",") if name.strip()
-            )
-        else:
-            names = tuple(columns)
-        request = ScanRequest(
-            predicate=predicate,
-            projection=names,
-            derived=(),
-            wire_columns=names,
-            join_key=key_column,
-        )
-        scan = self.jen.scan_with_request(
-            table_name, request, self.jen.open_cluster(), db_bloom=bloom)
-        return Table.concat(scan.wire_tables)

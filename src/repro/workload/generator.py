@@ -117,16 +117,6 @@ class KeyLayout:
                 f"> n={self.n_keys}"
             )
 
-    @property
-    def s_t(self) -> float:
-        """Achieved S_T′."""
-        return self.overlap / self.kt
-
-    @property
-    def s_l(self) -> float:
-        """Achieved S_L′."""
-        return self.overlap / self.kl
-
 
 def solve_key_layout(spec: WorkloadSpec) -> KeyLayout:
     """Solve the key-region sizes from the requested selectivities.

@@ -44,6 +44,13 @@ def build_test_warehouse(workload, format_name="parquet",
                              workload.t_table, workload.l_table, format_name)
 
 
+def split_table(table, parts):
+    """``parts`` contiguous, roughly equal row ranges of ``table``."""
+    bounds = np.linspace(0, table.num_rows, parts + 1).astype(np.int64)
+    return [table.slice(int(bounds[i]), int(bounds[i + 1]))
+            for i in range(parts)]
+
+
 def faulted_service(warehouse, config, spec):
     """A query service whose every query runs under one fault plan's
     injector; the same injector serves every re-admission, so an event

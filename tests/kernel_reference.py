@@ -64,6 +64,22 @@ def naive_popcount(words: np.ndarray) -> int:
     return int(np.unpackbits(as_bytes).sum())
 
 
+def combine_filters(filters):
+    """OR per-worker Bloom filters into one (the paper's
+    ``combine_filter`` UDF); the engines build one query-wide filter
+    instead, which this merge must equal."""
+    from repro.core.bloom import BloomFilter
+
+    first = filters[0]
+    merged = BloomFilter(first.num_bits, first.num_hashes, first.seed)
+    for bloom in filters:
+        assert (bloom.num_bits, bloom.num_hashes, bloom.seed) \
+            == (first.num_bits, first.num_hashes, first.seed)
+        merged._words |= bloom._words
+        merged._num_added += bloom.num_added
+    return merged
+
+
 def naive_join_indices(build_keys: np.ndarray, probe_keys: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """All matching (build_row, probe_row) pairs via a pure-Python dict.

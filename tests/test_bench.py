@@ -25,8 +25,7 @@ class TestHarness:
         first = cache.setup(0.1, 0.2, s_l=0.1)
         second = cache.setup(0.1, 0.2, s_l=0.1)
         assert first is second
-        cache.clear()
-        assert cache.setup(0.1, 0.2, s_l=0.1) is not first
+        assert cache.setup(0.2, 0.2, s_l=0.1) is not first
 
     def test_setup_has_paper_indexes(self):
         cache = WarehouseCache(scale=1 / 100_000)

@@ -52,6 +52,8 @@ from repro.testkit.generator import (
     default_grid,
     run_cell,
 )
+from tests.conftest import split_table
+from tests.kernel_reference import combine_filters
 
 GRID = default_grid()
 GRID_IDS = [
@@ -374,7 +376,7 @@ class TestInvariantHooks:
             for worker_keys in keys:
                 filters.append(BloomFilter(num_bits, num_hashes, seed))
                 filters[-1].add(worker_keys)
-            merged = BloomFilter.combine(filters)
+            merged = combine_filters(filters)
             built[merged] = np.concatenate(keys)
             return dataclasses.replace(result, bloom=merged)
 
@@ -401,7 +403,7 @@ class TestInvariantHooks:
         table = _int_table(np.arange(120) % 40)
         probe = np.arange(0, 40, 3)
         parts, routed, kept, _hot = JenWorker.partition_for_exchange(
-            table.split(4), "k", 4, probe_keys=probe)
+            split_table(table, 4), "k", 4, probe_keys=probe)
         assert 0 < kept.sum() < routed.sum()
         return table, parts, routed, kept, probe
 

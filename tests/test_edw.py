@@ -11,9 +11,14 @@ from repro.edw.optimizer import DbJoinStrategy, choose_db_join_strategy
 from repro.edw.udf import default_udf_registry
 from repro.edw.worker import DbWorker, WorkerAccessStats
 from repro.errors import CatalogError, UdfError
-from repro.relational.expressions import Negation, TruePredicate, compare
+from repro.relational.expressions import (
+    TruePredicate,
+    UdfPredicate,
+    compare,
+)
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from tests.conftest import split_table
 
 
 def small_db(workers=6, servers=3):
@@ -122,10 +127,11 @@ class TestParallelOps:
         assert plain.keys_added == indexed.keys_added
 
     def test_predicate_the_index_cannot_evaluate_scans(self):
-        """A negation over covered columns: the covering index cannot
+        """A UDF over a covered column: the covering index cannot
         evaluate it alone, so every worker scans its partition, the
         build says so, and BF_DB holds the scan-built filter's bits."""
-        predicate = Negation(self.predicate)
+        predicate = UdfPredicate("odd", "corPred",
+                                 lambda values: values % 2 == 1)
         plain = self.db.build_global_bloom(
             "T", predicate, "joinKey", num_bits=4096
         )
@@ -176,7 +182,8 @@ def random_predicate(rng):
                                         rng.choice(ops),
                                         int(rng.integers(-5, 105)))
     if rng.random() < 0.3:
-        predicate = predicate | compare("corPred", "<", 5)
+        predicate = predicate & UdfPredicate(
+            "odd", "corPred", lambda values: values % 2 == 1)
     return predicate
 
 
@@ -194,7 +201,7 @@ class TestOnePassFilter:
         assert stats == expected_stats
         assert len(parts) == len(expected_parts) == db.num_workers
         for part, expected in zip(parts, expected_parts):
-            assert part.schema == expected.schema
+            assert list(part.schema) == list(expected.schema)
             for column in projection:
                 assert part.column(column).dtype == \
                     expected.column(column).dtype
@@ -320,19 +327,7 @@ class TestOptimizer:
 class TestUdfRegistry:
     def test_paper_udfs_present(self):
         registry = default_udf_registry()
-        assert set(registry.names()) >= {
-            "cal_filter", "get_filter", "combine_filter", "extract_group"
-        }
-
-    def test_filter_pipeline(self):
-        registry = default_udf_registry()
-        local_a = registry.call("cal_filter", np.array([1, 2]), 1024)
-        local_b = registry.call("cal_filter", np.array([3]), 1024)
-        merged = registry.call(
-            "combine_filter",
-            [registry.call("get_filter", local_a), local_b],
-        )
-        assert merged.contains(np.array([1, 2, 3])).all()
+        assert set(registry.names()) >= {"extract_group"}
 
     def test_extract_group(self):
         registry = default_udf_registry()
@@ -348,7 +343,7 @@ class TestUdfRegistry:
     def test_duplicate_registration(self):
         registry = default_udf_registry()
         with pytest.raises(UdfError, match="already registered"):
-            registry.register("cal_filter", lambda: None)
+            registry.register("extract_group", lambda: None)
 
 
 class TestHybridJoinStrategies:
@@ -368,7 +363,7 @@ class TestHybridJoinStrategies:
         l_rows = sample_table(300, seed=10).rename(
             {"uniqKey": "l_uniq"}
         ).project(["joinKey", "corPred"])
-        ingested = l_rows.split(4)
+        ingested = split_table(l_rows, 4)
         query = HybridQuery(
             db_table="T", hdfs_table="L",
             db_join_key="joinKey", hdfs_join_key="joinKey",

@@ -26,7 +26,7 @@ EXPECTED_MARKERS = {
 
 
 def test_example_inventory():
-    """The repo ships the six documented examples."""
+    """The repo ships the eight documented examples."""
     assert set(EXAMPLES) == set(EXPECTED_MARKERS)
 
 

@@ -8,7 +8,6 @@ from repro.relational.expressions import (
     Band,
     BetweenDayDiff,
     Conjunction,
-    Disjunction,
     TruePredicate,
     UdfPredicate,
     compare,
@@ -59,18 +58,6 @@ class TestBooleanCombinators:
             False, True, True, False, False
         ]
 
-    def test_or(self, small_table):
-        predicate = compare("k", "==", 1) | compare("k", "==", 5)
-        assert predicate.evaluate(small_table).tolist() == [
-            True, False, False, False, True
-        ]
-
-    def test_not(self, small_table):
-        predicate = ~compare("k", "==", 2)
-        assert predicate.evaluate(small_table).tolist() == [
-            True, False, False, True, True
-        ]
-
     def test_columns_deduplicated(self):
         predicate = compare("a", "<", 1) & compare("a", ">", 0) \
             & compare("b", "==", 2)
@@ -78,9 +65,6 @@ class TestBooleanCombinators:
 
     def test_empty_conjunction_true(self, small_table):
         assert Conjunction(()).evaluate(small_table).all()
-
-    def test_empty_disjunction_false(self, small_table):
-        assert not Disjunction(()).evaluate(small_table).any()
 
     def test_true_predicate(self, small_table):
         assert TruePredicate().evaluate(small_table).all()
@@ -135,11 +119,8 @@ class TestBand:
         BetweenDayDiff("t_date", "l_date", low=True, high=1),
         compare("t_date", ">=", 0),
         TruePredicate(),
-        Disjunction((BetweenDayDiff("t_date", "l_date"),
-                     compare("t_date", ">=", 0))),
-        ~BetweenDayDiff("t_date", "l_date"),
     ], ids=["both-probe", "both-build", "unknown-side", "float-bound",
-            "bool-bound", "comparison", "true", "disjunction", "negation"])
+            "bool-bound", "comparison", "true"])
     def test_no_band(self, predicate):
         assert predicate.band("l_", "t_") is None
 

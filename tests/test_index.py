@@ -89,10 +89,11 @@ class TestLookups:
             self.index.lookup(compare("payload", "<=", 5), "joinKey")
 
     def test_non_column_predicate_raises(self):
-        from repro.relational.expressions import Negation
+        from repro.relational.expressions import UdfPredicate
         with pytest.raises(CatalogError, match="cannot evaluate"):
             self.index.lookup(
-                Negation(compare("corPred", "<=", 5)), "joinKey"
+                UdfPredicate("odd", "corPred", lambda values: values % 2 == 1),
+                "joinKey",
             )
 
     def test_index_only_column_fetch(self):

@@ -54,6 +54,7 @@ from repro.relational.expressions import (
     ColumnPairPredicate,
     CompareOp,
     TruePredicate,
+    UdfPredicate,
     compare,
 )
 from repro.relational.operators import joined_rows
@@ -63,6 +64,7 @@ from repro.service.cache import CachingJoinIndexProvider, JoinIndexCache
 from repro.skew import STEAL_THRESHOLD, HotKeySet
 from repro.testkit import generator, oracle
 from repro.testkit.invariants import InvariantChecker
+from tests.conftest import split_table
 from tests.kernel_reference import (
     naive_partition_table,
     naive_reachable_rows,
@@ -688,7 +690,8 @@ def pair_materialising_partial(t_part, l_part, query):
 
     predicate = query.post_join_predicate
     if predicate is not None:
-        reads = predicate.columns() or (query.prefixed_hdfs_key(),)
+        reads = predicate.columns() \
+            or (f"{query.hdfs_prefix}{query.hdfs_join_key}",)
         keep = np.flatnonzero(predicate.evaluate(gathered(reads)))
         build_idx, probe_idx = build_idx.take(keep), probe_idx.take(keep)
     aggregated = [spec.column for spec in query.aggregates
@@ -868,13 +871,14 @@ class TestBandProbe:
         (ColumnPairPredicate("t_day", CompareOp.GE, "l_day"),
          DataType.DATE, None),
         (BetweenDayDiff("t_day", "t_g", 0, 9), DataType.DATE, None),
-        (PAPER_BAND | compare("l_g", "==", 1), DataType.DATE, None),
+        (UdfPredicate("g_is_one", "l_g", lambda values: values == 1),
+         DataType.DATE, None),
         (BetweenDayDiff("t_day", "l_day", 0.5, 1.5), DataType.DATE, None),
         (None, DataType.DATE, None),
     ], ids=[
         "key-span-past-the-guard", "float-days", "int64-days",
         "float-probe-keys", "column-pair", "both-columns-one-side",
-        "disjunction", "fractional-bounds", "no-predicate",
+        "udf", "fractional-bounds", "no-predicate",
     ])
     def test_other_shapes_keep_the_pair_materialising_path(
             self, predicate, l_day_type, change):
@@ -1046,7 +1050,12 @@ class IndexRecorder:
 
     @property
     def sizes(self):
-        return [(index.num_keys, index.num_slots) for index in self.indexes]
+        return [(index.num_keys, num_slots(index)) for index in self.indexes]
+
+
+def num_slots(index) -> int:
+    """How many slots an index's build side concatenates."""
+    return 1 if index.slot_bounds is None else len(index.slot_bounds) - 1
 
 
 def assert_one_jen_join(jen, l_parts, t_parts, query, faults=None,
@@ -1199,7 +1208,7 @@ class TestOneJoinPerQuery:
         # T′ as the EDW holds it; ingested L grouped with no hash
         # alignment (one worker got nothing).
         t_parts = database._repartition([t_part], query.db_join_key)
-        l_parts = list(l_part.split(workers - 1)) + [l_part.slice(0, 0)]
+        l_parts = split_table(l_part, workers - 1) + [l_part.slice(0, 0)]
         with IndexRecorder() as recorder:
             result, stats = database.execute_hybrid_join(
                 t_parts, l_parts, query, DbJoinChoice(strategy, 0.0))
@@ -1358,7 +1367,7 @@ class TestOneJoinPerQuery:
             hash_parts(t_part, "k", 4), key_query())
         assert stats.join_output_tuples > 0
         (index,) = recorder.indexes
-        assert index.num_slots == 4
+        assert num_slots(index) == 4
         assert (index._distinct is not None) \
             == (keys in ("span-past-the-guard", "int64-full-range"))
 

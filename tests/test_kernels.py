@@ -223,7 +223,7 @@ class TestBloomOps:
         keys = np.arange(500, dtype=np.int64) % 100  # heavy duplicates
         bloom.add(keys)
         assert bloom.contains(keys).all()
-        assert bloom.bits_set() == naive_popcount(bloom._words)
+        assert popcount(bloom._words) == naive_popcount(bloom._words)
 
     def test_probe_and_insert_equals_contains_then_add(self):
         rng = np.random.default_rng(3)

@@ -10,7 +10,8 @@ admission, skew, adaptive and fault planes and of a run's execution
 context is pinned field by field and parameter by parameter, ``Jen``
 keeps no state across runs, a trace's metadata carries only
 ``bytes_shipped``, every definition must have a caller outside
-``tests/`` and every field, constant and ``self`` store a reader there.
+``tests/`` and every field, constant and ``self`` store a reader there,
+and ``scripts/entry_coverage.py``'s allowlist names real definitions.
 """
 
 from __future__ import annotations
@@ -517,6 +518,46 @@ def test_every_definition_has_a_caller_outside_tests():
     assert sorted(set(TEST_ONLY) - uncalled) == []
     assert set(TEST_ONLY.values()) <= {REFERENCE_MODEL, ACCESSOR}
 
+
+#: Why ``scripts/entry_coverage.py`` may leave a function unentered.
+ENTRY_COVERAGE_REASONS = {"error-path", "repr", "protocol-default",
+                          "benchmark-hook"}
+
+
+def entry_coverage_allowlist() -> Dict[str, str]:
+    """``scripts/entry_coverage.py``'s ``ALLOWLIST``, its reasons
+    resolved through the script's module constants."""
+    tree = ast.parse((ROOT / "scripts" / "entry_coverage.py").read_text())
+    constants, allowlist = {}, None
+    for node in tree.body:
+        target = node.target if isinstance(node, ast.AnnAssign) \
+            else node.targets[0] if isinstance(node, ast.Assign) else None
+        if not isinstance(target, ast.Name):
+            continue
+        if isinstance(node.value, ast.Constant):
+            constants[target.id] = node.value.value
+        elif target.id == "ALLOWLIST":
+            allowlist = node.value
+    return {key.value: constants.get(value.id, value.id)
+            for key, value in zip(allowlist.keys, allowlist.values)}
+
+
+def test_the_entry_coverage_allowlist_names_src_functions():
+    """Each entry is a function or method of ``src/repro`` outside the
+    testkit, kept for one reason of the closed set, and not one the
+    tests already keep (``TEST_ONLY``): a rename fails here, not only
+    in the profiled run."""
+    functions = {
+        f"{module_name(path)}.{qualname}"
+        for path in (SRC / "repro").rglob("*.py")
+        if not module_name(path).startswith("repro.testkit")
+        for qualname, node in definitions(path)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    allowlist = entry_coverage_allowlist()
+    assert sorted(set(allowlist) - functions) == []
+    assert set(allowlist.values()) <= ENTRY_COVERAGE_REASONS
+    assert sorted(set(allowlist) & set(TEST_ONLY)) == []
+    assert len(allowlist) <= 60
 
 #: Fields, class attributes, constants and ``self`` stores under
 #: ``src/repro`` that only ``tests/`` reads, and why each stays.

@@ -14,6 +14,7 @@ from repro.relational.operators import joined_rows
 from repro.relational.schema import DataType
 from repro.relational.table import Table
 from repro.testkit import oracle
+from tests.conftest import split_table
 
 
 def wire_sides(t_table, l_table, query, filtered=True):
@@ -41,7 +42,7 @@ class TestHybridQueryValidation:
 
     def test_valid(self):
         query = HybridQuery(**self.base_kwargs())
-        assert query.prefixed_hdfs_key() == "l_joinKey"
+        assert f"{query.hdfs_prefix}{query.hdfs_join_key}" == "l_joinKey"
 
     def test_join_key_must_be_projected(self):
         kwargs = self.base_kwargs()
@@ -117,7 +118,7 @@ class TestPlanSteps:
                                paper_workload.l_table, paper_query)
         partials = [
             join_aggregate([(part, l_wire)], paper_query)[0]
-            for part in t.split(7)
+            for part in split_table(t, 7)
         ]
         merged = merge_partials(partials, paper_query)
         oracle.assert_equivalent(merged, paper_oracle)

@@ -40,6 +40,7 @@ from repro.relational.schema import DataType
 from repro.relational.table import Table
 from repro.skew import hot_key_set
 from repro.testkit import generator, oracle
+from tests.kernel_reference import combine_filters
 
 BLOOM_BITS = 1 << 14
 WORKER = 3
@@ -576,7 +577,8 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
     that worker's own BF_H, feeding ``observers``); a worker the fault
     injector ``faults`` crashes leaves the list, its partial output and
     filter are dropped and its blocks dealt to the survivors; the
-    per-worker filters are OR-merged with ``BloomFilter.combine``.
+    per-worker filters are OR-merged with
+    ``kernel_reference.combine_filters``.
     Returns ``(wire_tables, stats, bf_h)``.
     """
     meta = jen.coordinator.table_meta("L")
@@ -629,7 +631,7 @@ def reference_queue_scan(jen, request, db_bloom=None, insert=False,
         pieces[worker_id].append(wire)
         stats = stats.merge(task_stats)
     wire_tables = [Table.concat(pieces[worker_id]) for worker_id in live]
-    merged = (BloomFilter.combine([blooms[worker_id] for worker_id in live])
+    merged = (combine_filters([blooms[worker_id] for worker_id in live])
               if insert else None)
     return wire_tables, stats, merged
 

@@ -82,12 +82,3 @@ class TestSchema:
     def test_row_width_full_and_projected(self):
         assert self.schema.row_width() == 4 + 8 + 20
         assert self.schema.row_width(["a", "s"]) == 24
-
-    def test_equality(self):
-        same = Schema([
-            Column("a", DataType.INT32),
-            Column("b", DataType.INT64),
-            Column("s", DataType.DICT_STRING, width_bytes=20),
-        ])
-        assert self.schema == same
-        assert self.schema != Schema([Column("a", DataType.INT32)])

@@ -90,7 +90,8 @@ class TestStreamCorrectness:
         for tickets, report in stream_runs.values():
             assert len(report.completed()) == len(ALL_ALGORITHMS)
             assert not report.rejected()
-            assert all(ticket.done for ticket in tickets.values())
+            assert all(ticket.outcome is not None
+                       for ticket in tickets.values())
 
     def test_sustains_eight_in_flight(self, stream_runs):
         _tickets, report = stream_runs["concurrent"]

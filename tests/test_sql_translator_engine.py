@@ -274,6 +274,24 @@ class TestExecution:
         assert sorted(result.rows()) == sorted(direct.rows())
 
 
+    def test_udf_predicate_on_the_db_side(self, loaded_warehouse):
+        """A scalar UDF in the WHERE clause over a database column
+        filters T like its formula does."""
+        loaded_warehouse.udfs.register("tens", lambda value: int(value) // 10)
+        session = SqlSession(loaded_warehouse)
+        result = session.execute("""
+            SELECT L.joinKey, COUNT(*) FROM T, L
+            WHERE T.joinKey = L.joinKey AND tens(T.indPred) <= 100
+            GROUP BY L.joinKey
+        """, algorithm="db(BF)")
+        # tens(indPred) <= 100  <=>  indPred <= 1009
+        direct = session.execute("""
+            SELECT L.joinKey, COUNT(*) FROM T, L
+            WHERE T.joinKey = L.joinKey AND T.indPred <= 1009
+            GROUP BY L.joinKey
+        """, algorithm="db(BF)")
+        assert result.rows() and sorted(result.rows()) == sorted(direct.rows())
+
 class TestOrderByLimit:
     def test_order_by_alias_desc_with_limit(self, session):
         result = session.execute("""

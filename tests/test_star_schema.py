@@ -111,7 +111,7 @@ class TestJoinLocal:
             result_rows=expected.num_rows,
         )
         gathered = star_warehouse.database.gather_table("F_enriched")
-        assert gathered.schema == expected.schema
+        assert list(gathered.schema) == list(expected.schema)
         oracle.assert_equivalent(gathered, expected)
 
     @pytest.mark.parametrize("group_rows", [plan.GROUP_BUILD_ROWS, 60])

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import TableError
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table, table_from_rows
+from tests.conftest import split_table
 
 
 def make_dict_table():
@@ -24,7 +25,6 @@ def make_dict_table():
 class TestConstruction:
     def test_basic(self, small_table):
         assert small_table.num_rows == 5
-        assert len(small_table) == 5
 
     def test_missing_column_data(self):
         schema = Schema([Column("a", DataType.INT32)])
@@ -54,7 +54,8 @@ class TestConstruction:
 
     def test_empty(self):
         schema = Schema([Column("a", DataType.INT32)])
-        assert Table.empty(schema).num_rows == 0
+        table = Table(schema, {"a": np.empty(0, dtype=np.int32)})
+        assert table.num_rows == 0
 
 
 class TestAccess:
@@ -121,14 +122,6 @@ class TestOperations:
         assert out.column("k").tolist() == [2, 2]
         assert out.column("k").base is not None
 
-    def test_split_conserves_rows(self, small_table):
-        parts = small_table.split(3)
-        assert sum(p.num_rows for p in parts) == small_table.num_rows
-
-    def test_split_zero_parts(self, small_table):
-        with pytest.raises(TableError):
-            small_table.split(0)
-
     def test_to_rows(self):
         table = make_dict_table()
         rows = table.to_rows()
@@ -137,7 +130,7 @@ class TestOperations:
 
 class TestConcat:
     def test_roundtrip_split_concat(self, small_table):
-        parts = small_table.split(2)
+        parts = split_table(small_table, 2)
         combined = Table.concat(parts)
         assert combined.to_rows() == small_table.to_rows()
 
@@ -152,7 +145,7 @@ class TestConcat:
 
     def test_concat_dict_tables_sharing_dictionary(self):
         table = make_dict_table()
-        parts = table.split(2)
+        parts = split_table(table, 2)
         combined = Table.concat(parts)
         assert combined.strings("url").tolist() == \
             table.strings("url").tolist()

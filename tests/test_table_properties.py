@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.relational.schema import Column, DataType, Schema
 from repro.relational.table import Table
+from tests.conftest import split_table
 
 
 def make_table(keys, values):
@@ -29,7 +30,7 @@ def test_split_concat_identity(rows, parts):
     keys = [r[0] for r in rows] or [0]
     values = [r[1] for r in rows] or [0]
     table = make_table(keys, values)
-    rebuilt = Table.concat(table.split(parts))
+    rebuilt = Table.concat(split_table(table, parts))
     assert rebuilt.to_rows() == table.to_rows()
 
 

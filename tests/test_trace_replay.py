@@ -371,4 +371,4 @@ def test_default_grid_replays_like_the_engine(monkeypatch):
             assert_same_schedule(trace, DEFAULT_CHUNKS, True)
             assert_same_schedule(trace, 7, False)
         replayed.clear()
-    assert len(grid) == 218
+    assert len(grid) == 213

@@ -35,8 +35,8 @@ class TestConfig:
 
     def test_scaled_row_counts(self):
         config = default_config(scale=1 / 1000)
-        assert config.t_rows() == 1_600_000
-        assert config.l_rows() == 15_000_000
+        assert config.paper.t_rows * config.scale == 1_600_000
+        assert config.paper.l_rows * config.scale == 15_000_000
 
     def test_scaled_copy(self):
         config = HybridConfig()
@@ -58,7 +58,7 @@ class TestWarehouse:
         assert loaded_warehouse.database.num_workers == 30
         assert loaded_warehouse.jen.num_workers == 30
         assert loaded_warehouse.topology.switch_bytes_per_s > 0
-        assert "cal_filter" in loaded_warehouse.udfs.names()
+        assert "extract_group" in loaded_warehouse.udfs.names()
 
     def test_gather_round_trips(self, loaded_warehouse, paper_workload):
         t = loaded_warehouse.database.gather_table("T")
